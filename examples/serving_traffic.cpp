@@ -12,8 +12,9 @@
 // staggered diurnal tenant mix).
 //
 // All deployments run on the deterministic parallel sweep driver
-// (serving/sweep.h): CIMTPU_SWEEP_THREADS sets the worker count, and the
-// metrics are bit-identical whatever that count is.
+// (serving/sweep.h), one in-process thread pool: CIMTPU_SWEEP_THREADS sets
+// the worker count, and the metrics are bit-identical whatever that count
+// is.
 //
 // Usage:
 //   ./serving_traffic [model] [requests] [rate_req_s] [seed] [process] [dtype]
@@ -36,18 +37,29 @@
 // prefix-affinity run, the canonical router-policy comparison, and the
 // colocated-vs-disaggregated frontier — the same grids bench_serving's
 // schema-v9 "cluster" block pins, with kRoute/kKvTransfer trace files
-// under --trace-dir.  Unknown flags are an error.
+// under --trace-dir.
+//
+// Bad input fails loudly: an unknown flag, a positional argument that is
+// not a whole number (e.g. rate "abc"), an unknown model, an arrival
+// process other than poisson|bursty, or an unknown dtype prints one
+// "serving_traffic: <message>" line to stderr and exits 2.
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <map>
 #include <string>
 
 #include "common/status.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "ir/dtype.h"
 #include "models/model_zoo.h"
 #include "serving/cluster.h"
 #include "serving/request_trace.h"
@@ -57,7 +69,41 @@
 
 using namespace cimtpu;
 
-int main(int argc, char** argv) {
+namespace {
+
+// Strict positional-argument parsing: the whole argument must parse (no
+// atof-style silent 0 for "abc"), or a ConfigError names it.
+double parse_double(const char* arg, const char* what) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(arg, &end);
+  CIMTPU_CONFIG_CHECK(
+      end != arg && *end == '\0' && errno == 0 && std::isfinite(value),
+      what << " '" << arg << "' is not a finite number");
+  return value;
+}
+
+std::int64_t parse_int(const char* arg, const char* what) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(arg, &end, 10);
+  CIMTPU_CONFIG_CHECK(end != arg && *end == '\0' && errno == 0,
+                      what << " '" << arg << "' is not an integer");
+  return value;
+}
+
+std::uint64_t parse_seed(const char* arg) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(arg, &end, 10);
+  // strtoull wraps a leading '-', so demand a digit first.
+  CIMTPU_CONFIG_CHECK(std::isdigit(static_cast<unsigned char>(arg[0])) &&
+                          *end == '\0' && errno == 0,
+                      "seed '" << arg << "' is not a non-negative integer");
+  return value;
+}
+
+int run(int argc, char** argv) {
   // Strip flag arguments first so the positional [model] [requests] ...
   // interface keeps working with or without flags, in any position.
   // Unknown "--" flags are rejected loudly: a typo like --trace-dri
@@ -68,22 +114,16 @@ int main(int argc, char** argv) {
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace-dir") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "serving_traffic: --trace-dir requires a value\n");
-        return 1;
-      }
+      CIMTPU_CONFIG_CHECK(i + 1 < argc, "--trace-dir requires a value");
       trace_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--fault-storm") == 0) {
       fault_storm = true;
     } else if (std::strcmp(argv[i], "--cluster") == 0) {
       cluster = true;
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::fprintf(stderr,
-                   "serving_traffic: unknown flag '%s' (expected "
-                   "--trace-dir <dir>, --fault-storm, or --cluster)\n",
-                   argv[i]);
-      return 1;
+      throw ConfigError("unknown flag '" + std::string(argv[i]) +
+                        "' (expected --trace-dir <dir>, --fault-storm, or "
+                        "--cluster)");
     } else {
       argv[kept++] = argv[i];
     }
@@ -91,17 +131,20 @@ int main(int argc, char** argv) {
   argc = kept;
 
   serving::RequestStreamConfig stream = serving::zipf_chat_stream(
-      /*seed=*/argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 42,
-      /*num_requests=*/argc > 2 ? std::atoll(argv[2]) : 10000,
-      /*arrival_rate=*/argc > 3 ? std::atof(argv[3]) : 20.0);
-  if (argc > 5 && std::strcmp(argv[5], "bursty") == 0) {
-    stream.process = serving::ArrivalProcess::kBursty;
+      /*seed=*/argc > 4 ? parse_seed(argv[4]) : 42,
+      /*num_requests=*/argc > 2 ? parse_int(argv[2], "requests") : 10000,
+      /*arrival_rate=*/argc > 3 ? parse_double(argv[3], "rate_req_s") : 20.0);
+  if (argc > 5) {
+    const std::string process = argv[5];
+    CIMTPU_CONFIG_CHECK(process == "poisson" || process == "bursty",
+                        "unknown arrival process '"
+                            << process << "' (expected poisson or bursty)");
+    if (process == "bursty") stream.process = serving::ArrivalProcess::kBursty;
   }
+  stream.validate();
 
   serving::ServingScenario scenario = serving::llama7b_baseline_scenario(
-      /*chips=*/1, (argc > 6 && std::strcmp(argv[6], "int8") == 0)
-                       ? ir::DType::kInt8
-                       : ir::DType::kInt4);
+      /*chips=*/1, argc > 6 ? ir::dtype_from_name(argv[6]) : ir::DType::kInt4);
   if (argc > 1) {
     const ir::DType dtype = scenario.model.dtype;
     scenario.model = models::model_by_name(argv[1]);
@@ -751,4 +794,17 @@ int main(int argc, char** argv) {
       serving::resolve_sweep_threads(sweep_options.threads,
                                      policy_points.size()));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // One top-level catch: bad input from the CLI, the env, or a config
+  // prints one line and exits 2 instead of aborting.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "serving_traffic: %s\n", error.what());
+    return 2;
+  }
 }

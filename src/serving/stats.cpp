@@ -80,19 +80,6 @@ void FixedBucketHistogram::observe(double value) {
   ++count_;
 }
 
-FixedBucketHistogram FixedBucketHistogram::from_parts(
-    std::vector<double> bounds, std::vector<std::int64_t> counts,
-    std::int64_t count, double sum, double min, double max) {
-  FixedBucketHistogram histogram(std::move(bounds));
-  CIMTPU_CHECK(counts.size() == histogram.bounds_.size() + 1);
-  histogram.counts_ = std::move(counts);
-  histogram.count_ = count;
-  histogram.sum_ = sum;
-  histogram.min_ = min;
-  histogram.max_ = max;
-  return histogram;
-}
-
 double FixedBucketHistogram::quantile(double p) const {
   CIMTPU_CONFIG_CHECK(p >= 0.0 && p <= 100.0,
                       "quantile " << p << " outside [0, 100]");

@@ -53,15 +53,6 @@ class FixedBucketHistogram {
   /// entry being the overflow bucket (> last bound).
   const std::vector<std::int64_t>& bucket_counts() const { return counts_; }
 
-  /// Rebuilds a histogram from exported state — the multi-process sweep
-  /// driver's IPC path (serving/metrics_codec.h).  `counts` must have
-  /// `bounds.size() + 1` entries; count/sum/min/max are restored verbatim,
-  /// so the round-trip is exact.
-  static FixedBucketHistogram from_parts(std::vector<double> bounds,
-                                         std::vector<std::int64_t> counts,
-                                         std::int64_t count, double sum,
-                                         double min, double max);
-
   /// Estimated percentile (`p` in [0, 100]) of the observed sample:
   /// locates the bucket covering the target rank and interpolates
   /// linearly across it, clamping bucket edges to the tracked min/max so

@@ -557,6 +557,9 @@ TEST(ClusterSweepTest, ClusterCellsBitIdenticalAcrossThreadCounts) {
   // Replicated cells really are cluster runs: 2x the chips.
   EXPECT_EQ(a[0].metrics.chips, 1);
   EXPECT_EQ(a[2].metrics.chips, 2);
+  // Cluster cells report their effective router name.
+  EXPECT_EQ(a[2].router_policy, "round_robin");
+  EXPECT_EQ(a[3].router_policy, "least_loaded");
 }
 
 // --- Canonical cluster studies (the schema-v9 "cluster" bench block) ---------

@@ -550,32 +550,5 @@ TEST(SweepTracing, TraceFilesByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(perfetto.find("\"ph\":\"C\""), std::string::npos);
 }
 
-TEST(SweepTracing, ForceTraceOffKeepsMetricsAndSkipsFiles) {
-  const std::vector<Request> requests = generate_requests(golden_stream());
-  ServingScenario traced = golden_scenario(EvictionPolicy::kPreemptNewest, 0);
-  traced.trace.enabled = true;
-  traced.trace.sample_interval = 1.0;
-  traced.trace.dir = "obs_test_traces_forced_off";
-  traced.trace.label = "should_not_exist";
-  SweepPoint point;
-  point.label = "forced-off";
-  point.scenario = traced;
-  point.requests = &requests;
-
-  SweepOptions options;
-  options.threads = 1;
-  options.force_trace_off = true;
-  const std::vector<ServingMetrics> forced = run_sweep({point}, options);
-  ASSERT_EQ(forced.size(), 1u);
-  EXPECT_TRUE(forced[0].timeseries.empty());
-  std::ifstream file(
-      "obs_test_traces_forced_off/should_not_exist.trace.json");
-  EXPECT_FALSE(file.good()) << "force_trace_off must suppress file output";
-  // And the metrics equal an untraced direct run, bit for bit.
-  ServingScenario off = traced;
-  off.trace = TraceConfig{};
-  expect_identical_metrics(run_serving(off, requests), forced[0]);
-}
-
 }  // namespace
 }  // namespace cimtpu::serving

@@ -1,10 +1,10 @@
 // Equivalence wall for the serving hot-path overhaul: the parallel sweep
-// driver must reproduce serial execution bit for bit, a shared cost cache
-// must reproduce per-run caching bit for bit (including the run-local
-// hit/miss counters), and the packed cost-cache key must be collision-free
-// at its field boundaries.  Together with the golden-metrics pins in
-// serving_policy_test.cpp these guarantee the optimizations changed
-// wall-clock only, never simulated results.
+// driver must reproduce serial execution bit for bit, every sweep cell
+// must reproduce a direct run_serving call with no shared cost cache
+// (including the run-local hit/miss counters), and the packed cost-cache
+// key must be collision-free at its field boundaries.  Together with the
+// golden-metrics pins in serving_policy_test.cpp these guarantee the
+// optimizations changed wall-clock only, never simulated results.
 
 #include <gtest/gtest.h>
 
@@ -124,36 +124,24 @@ TEST(SweepEquivalenceTest, ParallelMatchesSerialOn3x2x2Grid) {
   EXPECT_EQ(a[11].policy, EvictionPolicy::kSwapToHost);
 }
 
-TEST(SweepEquivalenceTest, SharedCostCacheMatchesPerRunCache) {
-  const ServingSweep sweep = pressured_grid();
-  SweepOptions with_shared;
-  with_shared.threads = 2;
-  with_shared.share_cost_cache = true;
-  SweepOptions without_shared;
-  without_shared.threads = 2;
-  without_shared.share_cost_cache = false;
-  const auto a = run_serving_sweep(sweep, with_shared);
-  const auto b = run_serving_sweep(sweep, without_shared);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    expect_identical(a[i].metrics, b[i].metrics);
-  }
-}
-
 TEST(SweepEquivalenceTest, SweepCellMatchesDirectRunServing) {
   const ServingSweep sweep = pressured_grid();
   SweepOptions options;
   options.threads = 3;
   const auto cells = run_serving_sweep(sweep, options);
-  // Ground truth: run one cell directly, no sweep machinery at all.
-  RequestStreamConfig stream = sweep.stream;
-  stream.arrival_rate = 60.0;
-  const auto requests = generate_requests(stream);
-  ServingScenario scenario = sweep.base;
-  scenario.chips = 2;
-  scenario.eviction = EvictionPolicy::kSwapToHost;
-  const ServingMetrics direct = run_serving(scenario, requests);
-  expect_identical(cells[7].metrics, direct);  // rate 60, chips 2, swap
+  ASSERT_EQ(cells.size(), 12u);
+  // Ground truth: every cell run directly, no sweep machinery and no
+  // shared cost cache at all.
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE(i);
+    RequestStreamConfig stream = sweep.stream;
+    stream.arrival_rate = cells[i].arrival_rate;
+    const auto requests = generate_requests(stream);
+    ServingScenario scenario = sweep.base;
+    scenario.chips = cells[i].chips;
+    scenario.eviction = cells[i].policy;
+    expect_identical(cells[i].metrics, run_serving(scenario, requests));
+  }
 }
 
 TEST(SweepEquivalenceTest, SharedCacheReusedAcrossSequentialRuns) {
@@ -247,6 +235,28 @@ TEST(SweepThreadsTest, ExplicitThenEnvThenClamp) {
   EXPECT_GE(resolve_sweep_threads(0, 100), 1);  // falls through to hardware
   unsetenv("CIMTPU_SWEEP_THREADS");
   EXPECT_GE(resolve_sweep_threads(0, 100), 1);
+}
+
+TEST(SweepEnvTest, MalformedWorkerCountsRejectLoudly) {
+  const char* const kBad[] = {
+      "abc",                   // non-numeric
+      "12x",                   // trailing junk
+      "",                      // empty
+      "-3",                    // negative: a worker count cannot be
+      "99999999999999999999",  // overflows long
+      "2147483648",            // overflows int
+  };
+  for (const char* value : kBad) {
+    setenv("CIMTPU_SWEEP_THREADS", value, /*overwrite=*/1);
+    EXPECT_THROW(resolve_sweep_threads(0, 10), ConfigError)
+        << "CIMTPU_SWEEP_THREADS='" << value << "' was accepted";
+    // An explicit count never consults the env: no throw.
+    EXPECT_EQ(resolve_sweep_threads(4, 10), 4);
+  }
+  // Valid values still parse.
+  setenv("CIMTPU_SWEEP_THREADS", "7", 1);
+  EXPECT_EQ(resolve_sweep_threads(0, 100), 7);
+  unsetenv("CIMTPU_SWEEP_THREADS");
 }
 
 // --- Packed cost-cache key: collision-freedom at field boundaries ------------
