@@ -84,6 +84,7 @@
 
 #include "bench/bench_util.h"
 #include "bench/scheduler_hotpath.h"
+#include "common/status.h"
 #include "serving/sweep.h"
 #include "serving/trace.h"
 #include "serving/traffic_profiles.h"
@@ -114,9 +115,7 @@ void BM_serving_small_stream(benchmark::State& state) {
 }
 BENCHMARK(BM_serving_small_stream);
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::banner("Serving", "continuous-batching goodput and tail latency");
 
   // Custom flags, stripped from argv before google-benchmark parses it.
@@ -128,18 +127,18 @@ int main(int argc, char** argv) {
   std::string trace_dir;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--out") == 0) {
+      CIMTPU_CONFIG_CHECK(i + 1 < argc, "--out requires a value");
       out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-dir") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--trace-dir") == 0) {
+      CIMTPU_CONFIG_CHECK(i + 1 < argc, "--trace-dir requires a value");
       trace_dir = argv[++i];
     } else if (std::strncmp(argv[i], "--benchmark", 11) == 0) {
       argv[kept++] = argv[i];
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::fprintf(stderr,
-                   "bench_serving: unknown flag '%s' (expected --out <path>, "
-                   "--trace-dir <path>, or --benchmark* flags)\n",
-                   argv[i]);
-      return 1;
+      throw ConfigError("unknown flag '" + std::string(argv[i]) +
+                        "' (expected --out <path>, --trace-dir <path>, or "
+                        "--benchmark* flags)");
     } else {
       argv[kept++] = argv[i];
     }
@@ -873,4 +872,17 @@ int main(int argc, char** argv) {
               }());
 
   return bench::run_microbenchmarks(argc, argv);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // One top-level catch: a bad flag, env value, or config prints one line
+  // and exits 2 instead of aborting.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "bench_serving: %s\n", error.what());
+    return 2;
+  }
 }

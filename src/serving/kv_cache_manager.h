@@ -278,12 +278,14 @@ class KvCacheManager {
            referenced_blocks() + grows <= capacity_blocks_ &&
            occupied_blocks() + grows <= capacity_blocks_;
   }
-  /// One-token, one-block grow of `slot` with all capacity checks and
-  /// global rollups hoisted to can_bulk_grow / commit_bulk_growth.
-  void grow_slot_unit_nocheck(std::int32_t slot) {
+  /// `tokens` one-token, one-block grows of `slot` with all capacity
+  /// checks and global rollups hoisted to can_bulk_grow /
+  /// commit_bulk_growth (a quiet decode run grows each slot by its length
+  /// in one call).
+  void grow_slot_unit_nocheck(std::int32_t slot, std::int64_t tokens = 1) {
     Entry& entry = entry_slots_[static_cast<std::size_t>(slot)];
-    entry.tokens += 1;
-    entry.private_blocks += 1;
+    entry.tokens += tokens;
+    entry.private_blocks += tokens;
   }
   /// Applies the global accounting for `grows` unit grows in one shot.
   void commit_bulk_growth(std::int64_t grows) {

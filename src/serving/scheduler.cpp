@@ -859,4 +859,49 @@ std::optional<StepRecord> ContinuousBatchScheduler::next_step() {
   return record;
 }
 
+std::int64_t ContinuousBatchScheduler::quiet_decode_steps() const {
+  // With nothing waiting or swapped, next_step admits nothing and sheds
+  // nothing; with every resident a decoder it builds a decode step.
+  if (trace_ != nullptr || config_.kv_block_tokens != 1 ||
+      resident_decoders_ == 0 ||
+      resident_decoders_ != static_cast<std::int64_t>(resident_.size()) ||
+      !swapped_.empty() || !admission_->empty()) {
+    return 0;
+  }
+  std::int64_t steps = std::numeric_limits<std::int64_t>::max();
+  if (kv_cache_->policy() != EvictionPolicy::kNone) {
+    // Each step grows every decoder by one block.  Keeping all of them
+    // inside the free (never cached) blocks means no step evicts, reclaims
+    // a cached prefix block, or leaves the bulk-growth path.
+    steps = (kv_cache_->capacity_blocks() - kv_cache_->occupied_blocks()) /
+            resident_decoders_;
+  }
+  for (const std::int32_t slot : resident_) {
+    const std::int64_t kv_len = pool_.prompt_len[slot] + pool_.generated[slot];
+    // The step that emits the last token finishes the decoder; the step
+    // that starts at kv_len == bucket crosses into the next bucket.
+    steps = std::min(steps, pool_.output_len[slot] - pool_.generated[slot] - 1);
+    steps = std::min(steps, pool_.bucket[slot] - kv_len);
+  }
+  return std::max<std::int64_t>(steps, 0);
+}
+
+void ContinuousBatchScheduler::advance_quiet_decode(std::int64_t steps) {
+  CIMTPU_CHECK(steps >= 0 && steps <= quiet_decode_steps());
+  if (steps == 0) return;
+  // No decoder finishes or changes bucket, so resident_, the histogram,
+  // and the cached buckets stay as they are.  At block size 1 a decoder's
+  // pending-growth block drops out exactly when it is left one token from
+  // finishing (its last step finishes instead of growing).
+  const bool grow = kv_cache_->policy() != EvictionPolicy::kNone;
+  for (const std::int32_t slot : resident_) {
+    pool_.generated[slot] += steps;
+    if (grow) kv_cache_->grow_slot_unit_nocheck(pool_.kv_slot[slot], steps);
+    if (!sequence_grows(slot)) --pending_growth_blocks_;
+  }
+  if (grow) kv_cache_->commit_bulk_growth(steps * resident_decoders_);
+  total_steps_ += steps;
+  last_step_prefill_ = false;
+}
+
 }  // namespace cimtpu::serving

@@ -44,6 +44,16 @@
 // attention costs over each participant's actual (bucketed) KV length —
 // decode participants arrive pre-grouped by bucket via the histogram, so
 // costing a step is allocation-free.
+//
+// Quiet decode runs: most decode steps change nothing but token counts —
+// same bucketed batch as the step before, no arrival, finish, bucket
+// crossing, admission, swap, or KV pressure.  `quiet_decode_steps` says
+// how many such steps lie ahead (the minimum over decoders of steps to
+// finish and steps to the next bucket crossing, capped by KV headroom),
+// and `advance_quiet_decode` commits them in one O(decoders) pass: the
+// scheduler and KV manager end bit-identical to stepping one at a time.
+// The serving engine replays only the per-step clock and energy sums for
+// them (serving_sim.h).
 
 #include <cstdint>
 #include <deque>
@@ -200,6 +210,30 @@ class ContinuousBatchScheduler {
 
   /// Convenience wrapper allocating a fresh record per step.
   std::optional<StepRecord> next_step();
+
+  /// How many upcoming decode steps are QUIET: each carries today's
+  /// decode_histogram() as its decode_groups, finishes no sequence, and
+  /// emits no event.  That is the minimum over decoders of steps-to-finish
+  /// and steps-to-bucket-crossing, capped (under growth-managing eviction
+  /// policies) by free device blocks / decoders so every grow fits
+  /// outright.  0 unless every resident is a decoder, nothing is waiting
+  /// or swapped out, no trace sink is attached, and kv_block_tokens == 1.
+  /// Only valid while no request arrives meanwhile — the caller stops the
+  /// run at its next enqueue.
+  std::int64_t quiet_decode_steps() const;
+
+  /// Commits `steps` (<= quiet_decode_steps()) quiet decode steps in one
+  /// pass: every decoder gains `steps` tokens and KV blocks, and the
+  /// scheduler, its counters, and the KV manager end exactly as `steps`
+  /// next_step calls would leave them.
+  void advance_quiet_decode(std::int64_t steps);
+
+  /// The bucketed-KV grouping the next decode step carries (its
+  /// decode_groups), maintained incrementally.
+  const std::vector<std::pair<std::int64_t, std::int64_t>>& decode_histogram()
+      const {
+    return decode_kv_histogram_;
+  }
 
   /// Test-only audit: recomputes the incremental decoder aggregates
   /// (resident/growing counts, bucketed-KV histogram) from a full scan of

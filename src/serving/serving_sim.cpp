@@ -492,48 +492,17 @@ struct ServingEngine::Impl {
       // Per-sequence costing: each participant's attention at its own
       // bucketed KV length (see cost_step).
       const StepCost layer_cost = cost_step(costs, step);
-
-      // Inter-stage activation handoff: the moving rows of this step cross
-      // each pipeline boundary once (prefill moves every chunk token,
-      // decode one token per participant).
+      // The moving rows of this step: prefill moves every chunk token,
+      // decode one token per participant.
       const std::int64_t row_count =
           is_prefill ? std::accumulate(step.chunk_lens.begin(),
                                        step.chunk_lens.end(), std::int64_t{0})
                      : step.batch;
-      const double rows = static_cast<double>(row_count);
-      const Bytes boundary_bytes = rows * activation_elem_bytes;
-      const Seconds transfer =
-          boundaries > 0 ? chip.ici().p2p_time(boundary_bytes) : 0.0;
-
-      // KV pages swapped to/from the host pool this step serialize with
-      // the step on the PCIe-class link.
-      const Seconds swap_time = step.swap_bytes / scenario.host_link_bandwidth;
-
-      // Steady-state engine cadence: the bottleneck stage (ceiling share of
-      // the layers) plus its handoff.  Tokens emitted this step
-      // additionally traverse the remaining stages before leaving the
-      // pipeline.
-      Seconds stage_time =
-          static_cast<double>(stage_layers) * layer_cost.latency + transfer;
-      if (tp_ways > 1) {
-        // Megatron-style TP: every layer pays two ring all-reduces of this
-        // step's [rows, d_model] activation across the shards
-        // (parallel/multi_chip.h semantics, FULL-model d_model).
-        const Bytes ar_bytes = parallel::tensor_parallel_allreduce_bytes(
-            scenario.model, row_count);
-        stage_time += static_cast<double>(layers) *
-                      chip.ici().all_reduce_time(ar_bytes, tp_ways);
-      }
-      // A step starting inside a stall window pays the configured latency
-      // multiplier on every stage (and hence on the pipeline traversal too).
-      if (faults_on && now < stall_until) {
-        stage_time *= scenario.fault.stall_latency_multiplier;
-      }
-      const Seconds emit_extra = static_cast<double>(boundaries) * stage_time;
-
-      const Seconds step_latency = stage_time + swap_time;
-      now += step_latency;
-      const Seconds emit_time = now + emit_extra;
+      const StepCharge charge =
+          charge_step(layer_cost, row_count, step.swap_bytes,
+                      faults_on && now < stall_until);
+      now += charge.latency;
+      const Seconds emit_time = now + charge.emit_extra;
 
       metrics.total_steps += 1;
       if (is_prefill) {
@@ -541,10 +510,10 @@ struct ServingEngine::Impl {
       } else {
         metrics.decode_steps += 1;
       }
-      step_latency_histogram->observe(step_latency);
+      step_latency_histogram->observe(charge.latency);
       step_batch_histogram->observe(static_cast<double>(step.batch));
       if (tracing) {
-        trace->end_step(is_prefill, step.batch, now, step_latency,
+        trace->end_step(is_prefill, step.batch, now, charge.latency,
                         kv_cache.referenced_blocks(),
                         kv_cache.blocks_allocated_total() - kv_alloc_before,
                         kv_cache.cached_blocks_reclaimed_total() -
@@ -553,19 +522,10 @@ struct ServingEngine::Impl {
       // Paged-KV gauge: last-block waste across resident mappings, sampled
       // once per engine step (identically 0 at block size 1).
       fragmentation_sum += kv_cache.internal_fragmentation();
-      // TP shards replicate every layer's execution (and hence busy time
-      // and energy) across `ways` chips; ways == 1 multiplies by exactly
-      // 1.0, bit-identical to the pre-TP accounting.
-      busy_time += static_cast<double>(layers) * layer_cost.mxu_busy_time *
-                   tp_scale;
-      metrics.mxu_energy +=
-          static_cast<double>(layers) * layer_cost.mxu_energy * tp_scale;
-      metrics.total_energy +=
-          static_cast<double>(layers) * layer_cost.total_energy * tp_scale;
-      if (boundaries > 0) {
-        metrics.total_energy += static_cast<double>(boundaries) *
-                                chip.ici().p2p_energy(boundary_bytes);
-      }
+      busy_time += charge.busy;
+      metrics.mxu_energy += charge.mxu_energy;
+      metrics.total_energy += charge.layer_energy;
+      if (boundaries > 0) metrics.total_energy += charge.boundary_energy;
 
       for (std::int64_t id : step.first_token_ids) {
         RequestTrace& request_trace = traces.at(id);
@@ -628,7 +588,130 @@ struct ServingEngine::Impl {
         sample.tenant_admitted_tokens.assign(tenants.begin(), tenants.end());
         sampler.record(std::move(sample));
       }
+      // Faults poll and may stall before every step, so they keep the
+      // per-step path (as do tracing and sampling: the scheduler reports
+      // no quiet steps while a trace sink is attached).
+      if (!faults_on) fast_forward_quiet_decode(until);
     }
+  }
+
+  /// What one engine step adds to the clock and to the busy-time and
+  /// energy totals.
+  struct StepCharge {
+    Seconds latency = 0;     ///< clock advance: bottleneck stage + swap
+    Seconds emit_extra = 0;  ///< remaining-stage traversal of emitted tokens
+    Seconds busy = 0;        ///< MXU busy time over all stages and shards
+    Joules mxu_energy = 0;
+    Joules layer_energy = 0;     ///< all layers' total energy
+    Joules boundary_energy = 0;  ///< pipeline handoffs (boundaries > 0)
+  };
+
+  StepCharge charge_step(const StepCost& layer_cost, std::int64_t row_count,
+                         Bytes swap_bytes, bool stalled) const {
+    StepCharge charge;
+    // Inter-stage activation handoff: the step's moving rows cross each
+    // pipeline boundary once.
+    const Bytes boundary_bytes =
+        static_cast<double>(row_count) * activation_elem_bytes;
+    const Seconds transfer =
+        boundaries > 0 ? chip.ici().p2p_time(boundary_bytes) : 0.0;
+
+    // KV pages swapped to/from the host pool this step serialize with the
+    // step on the PCIe-class link.
+    const Seconds swap_time = swap_bytes / scenario.host_link_bandwidth;
+
+    // Steady-state engine cadence: the bottleneck stage (ceiling share of
+    // the layers) plus its handoff.  Tokens emitted this step additionally
+    // traverse the remaining stages before leaving the pipeline.
+    Seconds stage_time =
+        static_cast<double>(stage_layers) * layer_cost.latency + transfer;
+    if (tp_ways > 1) {
+      // Megatron-style TP: every layer pays two ring all-reduces of this
+      // step's [rows, d_model] activation across the shards
+      // (parallel/multi_chip.h semantics, FULL-model d_model).
+      const Bytes ar_bytes = parallel::tensor_parallel_allreduce_bytes(
+          scenario.model, row_count);
+      stage_time += static_cast<double>(layers) *
+                    chip.ici().all_reduce_time(ar_bytes, tp_ways);
+    }
+    // A step starting inside a stall window pays the configured latency
+    // multiplier on every stage (and hence on the pipeline traversal too).
+    if (stalled) stage_time *= scenario.fault.stall_latency_multiplier;
+    charge.emit_extra = static_cast<double>(boundaries) * stage_time;
+    charge.latency = stage_time + swap_time;
+
+    // TP shards replicate every layer's execution (and hence busy time and
+    // energy) across `ways` chips; ways == 1 multiplies by exactly 1.0,
+    // bit-identical to the pre-TP accounting.
+    charge.busy =
+        static_cast<double>(layers) * layer_cost.mxu_busy_time * tp_scale;
+    charge.mxu_energy =
+        static_cast<double>(layers) * layer_cost.mxu_energy * tp_scale;
+    charge.layer_energy =
+        static_cast<double>(layers) * layer_cost.total_energy * tp_scale;
+    if (boundaries > 0) {
+      charge.boundary_energy = static_cast<double>(boundaries) *
+                               chip.ici().p2p_energy(boundary_bytes);
+    }
+    return charge;
+  }
+
+  // Commits the run of quiet decode steps ahead
+  // (ContinuousBatchScheduler::quiet_decode_steps) without planning or
+  // costing each one.  Every quiet step carries the scheduler's current
+  // grouping; when that equals the cost cache's last-grouping memo, each
+  // would have hit the memo (an uncounted lookup), so all of them cost the
+  // same, move no rows across the host link, and emit nothing.  Only the
+  // per-step float sums are replayed — each adds the same double once per
+  // step, in order, so totals are bit-identical to the per-step loop.  The
+  // run stops where that loop would stop before stepping again: at the
+  // next arrival (it would be enqueued), at `until`, or at the horizon.
+  void fast_forward_quiet_decode(Seconds until) {
+    // The scheduler's own early exits are the cheap test on steps that
+    // cannot be quiet (e.g. work waiting under KV pressure).
+    const std::int64_t quiet = scheduler.quiet_decode_steps();
+    if (quiet == 0) return;
+    if (!costs.last_decode_groups_match(scheduler.decode_histogram())) return;
+    Seconds stop = until;
+    if (next_arrival < requests.size()) {
+      stop = std::min(stop, requests[next_arrival].arrival_time);
+    }
+    if (scenario.max_sim_seconds > 0) {
+      stop = std::min(stop, scenario.max_sim_seconds);
+    }
+    const std::int64_t batch = scheduler.resident_decoder_count();
+    const StepCharge charge =
+        charge_step(costs.last_decode_groups_cost(), /*row_count=*/batch,
+                    /*swap_bytes=*/0, /*stalled=*/false);
+    // Constant over the run: quiet steps need block size 1, where the
+    // gauge is identically 0.
+    const double fragmentation = kv_cache.internal_fragmentation();
+    // Local copies keep the sums in registers across the loop.
+    Seconds clock = now;
+    double fragmentation_total = fragmentation_sum;
+    Seconds busy = busy_time;
+    Joules mxu_energy = metrics.mxu_energy;
+    Joules total_energy = metrics.total_energy;
+    std::int64_t steps = 0;
+    for (; steps < quiet && clock < stop; ++steps) {
+      clock += charge.latency;
+      fragmentation_total += fragmentation;
+      busy += charge.busy;
+      mxu_energy += charge.mxu_energy;
+      total_energy += charge.layer_energy;
+      if (boundaries > 0) total_energy += charge.boundary_energy;
+    }
+    now = clock;
+    fragmentation_sum = fragmentation_total;
+    busy_time = busy;
+    metrics.mxu_energy = mxu_energy;
+    metrics.total_energy = total_energy;
+    if (steps == 0) return;
+    metrics.total_steps += steps;
+    metrics.decode_steps += steps;
+    step_latency_histogram->observe_repeated(charge.latency, steps);
+    step_batch_histogram->observe_repeated(static_cast<double>(batch), steps);
+    scheduler.advance_quiet_decode(steps);
   }
 
   ServingMetrics finish() {

@@ -227,6 +227,17 @@ class ServingEngine {
   /// injected work drains, or the horizon cuts the run.  Returns true when
   /// work remains (stopped at `until`), false when the engine has nothing
   /// left to do (more injections may revive it).
+  ///
+  /// Quiet decode runs (ContinuousBatchScheduler::quiet_decode_steps) are
+  /// committed in bulk: after a step whose successor repeats the memoized
+  /// decode grouping, the engine advances the scheduler over the whole run
+  /// and replays only the per-step clock, busy-time, energy, histogram, and
+  /// fragmentation sums, each adding the same value once per step in
+  /// order.  The run ends at the next arrival, at `until`, or at the
+  /// horizon — the boundary where single steps would stop — so metrics,
+  /// stop points, and cluster co-simulation are bit-identical to stepping
+  /// one at a time.  Tracing, time-series sampling, and fault injection
+  /// need per-step events and always step one at a time.
   bool pump(Seconds until);
 
   /// Runs until every injected request completes (or the horizon cuts).

@@ -80,6 +80,16 @@ void FixedBucketHistogram::observe(double value) {
   ++count_;
 }
 
+void FixedBucketHistogram::observe_repeated(double value, std::int64_t times) {
+  if (times <= 0) return;
+  observe(value);  // sets min/max and leaves last_bucket_ on value's bucket
+  counts_[last_bucket_] += times - 1;
+  count_ += times - 1;
+  double sum = sum_;
+  for (std::int64_t i = 1; i < times; ++i) sum += value;
+  sum_ = sum;
+}
+
 double FixedBucketHistogram::quantile(double p) const {
   CIMTPU_CONFIG_CHECK(p >= 0.0 && p <= 100.0,
                       "quantile " << p << " outside [0, 100]");

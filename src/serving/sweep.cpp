@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/status.h"
 #include "serving/cluster.h"
@@ -337,7 +338,7 @@ std::vector<SweepCellResult> run_serving_sweep(const ServingSweep& sweep,
 
   std::vector<ServingMetrics> results = run_sweep(points, options);
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    cells[i].metrics = results[i];
+    cells[i].metrics = std::move(results[i]);
   }
   return cells;
 }

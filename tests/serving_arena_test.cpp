@@ -1,5 +1,6 @@
 // Step-arena allocation discipline: the serving hot loop (next_step +
-// cost_step) must not touch the heap in steady-state decode.  This binary
+// cost_step, and the engine's quiet-decode fast path) must not touch the
+// heap in steady-state decode.  This binary
 // replaces GLOBAL operator new so every allocation anywhere in the
 // process bumps serving::heap_allocation_count() — the assertions below
 // are therefore about the real allocator, not a proxy.
@@ -14,7 +15,9 @@
 #include "serving/arena.h"
 #include "serving/kv_cache_manager.h"
 #include "serving/scheduler.h"
+#include "serving/serving_sim.h"
 #include "serving/step_cost_cache.h"
+#include "serving/traffic_profiles.h"
 #include "sim/simulator.h"
 
 // --- Counting global allocator ----------------------------------------------
@@ -131,6 +134,37 @@ TEST_F(SteadyDecodeTest, HotLoopIsAllocationFreeInSteadyState) {
   }
   EXPECT_EQ(allocations(), before)
       << "steady-state decode (next_step + cost_step) must not allocate";
+}
+
+TEST_F(SteadyDecodeTest, EngineDecodeIsAllocationFreeOnLightTraffic) {
+  // A light stream: four residents decode alone, so the engine spends the
+  // window in quiet decode runs (committed in bulk) and the single steps
+  // between them.  A wide cost bucket keeps every decoder in one bucket
+  // for the whole output, so no new cost shape is simulated in the window.
+  ServingScenario scenario =
+      llama7b_baseline_scenario(/*chips=*/1, ir::DType::kInt4);
+  scenario.scheduler.seqlen_bucket = 2048;
+  ServingEngine engine(scenario);
+  for (std::int64_t id = 0; id < 4; ++id) engine.inject(make_request(id));
+  Request late = make_request(4);
+  late.arrival_time = 1000.0;  // the next arrival bounds every quiet run
+  engine.inject(late);
+  // Warm-up: arrival, admission, the prefill step (about 1.1 s here), and
+  // the first decode steps, which simulate the one decode cost shape.
+  ASSERT_TRUE(engine.pump(2.0));
+
+  const std::int64_t before = allocations();
+  const Seconds start = engine.now();
+  // 0.05 s slices: each pump takes single steps until the cost memo holds
+  // the current grouping, then fast-forwards to the slice boundary.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(engine.pump(engine.now() + 0.05));
+  }
+  EXPECT_EQ(allocations(), before)
+      << "engine decode (single steps and quiet runs) must not allocate";
+  EXPECT_GE(engine.now(), start + 1.0);
+  EXPECT_EQ(engine.outstanding_tokens(), 5 * (100 + 1000))
+      << "the window must be pure decode: nothing finishes";
 }
 
 }  // namespace

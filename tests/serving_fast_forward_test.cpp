@@ -1,0 +1,267 @@
+// Quiet decode runs: ContinuousBatchScheduler::advance_quiet_decode(k)
+// must leave the scheduler and the KV manager exactly where k next_step
+// calls leave them.  Two schedulers are driven in lockstep on one request
+// stream: one commits every quiet run in bulk, the other steps through it
+// one step at a time.  After each run their audits, KV and scheduler
+// counters, resident progress, and next StepRecord must agree — under
+// every eviction policy, tight and roomy KV budgets, and prefix caching.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "serving/kv_cache_manager.h"
+#include "serving/obs_registry.h"
+#include "serving/request_gen.h"
+#include "serving/scheduler.h"
+
+namespace cimtpu::serving {
+namespace {
+
+/// Scheduler steps per simulated second: maps arrival times onto the step
+/// clock that releases requests to both replicas.
+constexpr double kStepsPerSecond = 100.0;
+
+struct Deployment {
+  EvictionPolicy policy = EvictionPolicy::kPreemptNewest;
+  double kv_tokens = 1e5;  ///< device budget (1 byte per token)
+  bool prefix_cache = false;
+};
+
+/// One scheduler and the KV manager it owns (KV constructed first).
+struct Replica {
+  explicit Replica(const Deployment& deployment)
+      : kv(deployment.kv_tokens, /*bytes_per_token=*/1.0, deployment.policy,
+           /*host_capacity=*/1e12, /*block_tokens=*/1, deployment.prefix_cache),
+        scheduler(config_for(deployment), &kv) {}
+
+  static SchedulerConfig config_for(const Deployment& deployment) {
+    SchedulerConfig config;
+    config.max_batch = 8;
+    config.max_prefill_batch = 4;
+    config.seqlen_bucket = 64;
+    config.enable_prefix_cache = deployment.prefix_cache;
+    return config;
+  }
+
+  KvCacheManager kv;
+  ContinuousBatchScheduler scheduler;
+};
+
+std::vector<Request> lockstep_stream(std::uint64_t seed, bool prefixes) {
+  RequestStreamConfig stream;
+  stream.seed = seed;
+  stream.num_requests = 60;
+  stream.arrival_rate = 1.0;
+  stream.prompt.kind = LengthDistribution::kUniform;
+  stream.prompt.min_len = 32;
+  stream.prompt.max_len = 300;
+  stream.output.kind = LengthDistribution::kUniform;
+  stream.output.min_len = 1;
+  stream.output.max_len = 400;
+  stream.priority_classes = 3;
+  if (prefixes) {
+    stream.prefix_pool_size = 4;
+    stream.prefix_len_tokens = 64;
+  }
+  return generate_requests(stream);
+}
+
+std::int64_t arrival_step(const Request& request) {
+  return static_cast<std::int64_t>(
+      std::llround(request.arrival_time * kStepsPerSecond));
+}
+
+void expect_same_record(const StepRecord& a, const StepRecord& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.batch, b.batch);
+  EXPECT_EQ(a.kv_lens, b.kv_lens);
+  EXPECT_EQ(a.chunk_lens, b.chunk_lens);
+  EXPECT_EQ(a.prev_lens, b.prev_lens);
+  EXPECT_EQ(a.decode_groups, b.decode_groups);
+  EXPECT_EQ(a.first_token_ids, b.first_token_ids);
+  EXPECT_EQ(a.finished_ids, b.finished_ids);
+  EXPECT_EQ(a.preempted_ids, b.preempted_ids);
+  EXPECT_EQ(a.swapped_out_ids, b.swapped_out_ids);
+  EXPECT_EQ(a.swapped_in_ids, b.swapped_in_ids);
+  EXPECT_EQ(a.shed_ids, b.shed_ids);
+  EXPECT_EQ(a.swap_bytes, b.swap_bytes);
+  EXPECT_EQ(a.chunked, b.chunked);
+}
+
+/// Scheduler counters and KV gauges/counters, as their registry export.
+std::string published_state(const Replica& replica) {
+  MetricsRegistry registry;
+  replica.scheduler.counters().publish(&registry);
+  replica.kv.publish(&registry);
+  return registry.to_json();
+}
+
+void expect_same_state(const Replica& fast, const Replica& slow) {
+  EXPECT_TRUE(fast.scheduler.aggregates_consistent());
+  EXPECT_TRUE(slow.scheduler.aggregates_consistent());
+  EXPECT_TRUE(fast.kv.audit());
+  EXPECT_TRUE(slow.kv.audit());
+  EXPECT_EQ(fast.kv.blocks_allocated_total(), slow.kv.blocks_allocated_total());
+  EXPECT_EQ(fast.kv.occupied_blocks(), slow.kv.occupied_blocks());
+  EXPECT_EQ(fast.kv.referenced_blocks(), slow.kv.referenced_blocks());
+  EXPECT_EQ(published_state(fast), published_state(slow));
+  EXPECT_EQ(fast.scheduler.total_steps(), slow.scheduler.total_steps());
+  EXPECT_EQ(fast.scheduler.decode_histogram(),
+            slow.scheduler.decode_histogram());
+  ASSERT_EQ(fast.scheduler.running_count(), slow.scheduler.running_count());
+  for (std::size_t i = 0; i < fast.scheduler.running_count(); ++i) {
+    const auto a = fast.scheduler.resident_info(i);
+    const auto b = slow.scheduler.resident_info(i);
+    EXPECT_EQ(a.request_id, b.request_id);
+    EXPECT_EQ(a.prefilled, b.prefilled);
+    EXPECT_EQ(a.generated, b.generated);
+    EXPECT_EQ(a.prefix_skipped, b.prefix_skipped);
+  }
+}
+
+struct LockstepResult {
+  std::int64_t steps = 0;           ///< per-step calls on the slow replica
+  std::int64_t fast_forwarded = 0;  ///< of those, committed in bulk by fast
+  std::int64_t preemptions = 0;
+};
+
+LockstepResult run_lockstep(const Deployment& deployment, std::uint64_t seed) {
+  const std::vector<Request> requests =
+      lockstep_stream(seed, deployment.prefix_cache);
+  Replica fast(deployment);
+  Replica slow(deployment);
+  StepRecord fast_record;
+  StepRecord slow_record;
+  LockstepResult result;
+  std::size_t next = 0;
+  std::int64_t clock = 0;  // shared step clock that releases arrivals
+  for (;;) {
+    while (next < requests.size() && arrival_step(requests[next]) <= clock) {
+      fast.scheduler.enqueue(requests[next]);
+      slow.scheduler.enqueue(requests[next]);
+      ++next;
+    }
+    std::int64_t quiet = fast.scheduler.quiet_decode_steps();
+    EXPECT_EQ(quiet, slow.scheduler.quiet_decode_steps());
+    // Like the serving engine, end the run where the next arrival lands.
+    if (next < requests.size()) {
+      quiet = std::min(quiet, arrival_step(requests[next]) - clock);
+    }
+    if (quiet > 0) {
+      const auto groups = fast.scheduler.decode_histogram();
+      fast.scheduler.advance_quiet_decode(quiet);
+      for (std::int64_t i = 0; i < quiet; ++i) {
+        EXPECT_TRUE(slow.scheduler.next_step(&slow_record));
+        // Every stepped-through quiet step is an uneventful decode step
+        // over the grouping the run started with.
+        EXPECT_EQ(slow_record.kind, StepRecord::Kind::kDecode);
+        EXPECT_EQ(slow_record.decode_groups, groups);
+        EXPECT_TRUE(slow_record.finished_ids.empty());
+        EXPECT_TRUE(slow_record.preempted_ids.empty());
+        EXPECT_TRUE(slow_record.swapped_out_ids.empty());
+        EXPECT_TRUE(slow_record.swapped_in_ids.empty());
+        EXPECT_TRUE(slow_record.first_token_ids.empty());
+        EXPECT_TRUE(slow_record.shed_ids.empty());
+      }
+      clock += quiet;
+      result.steps += quiet;
+      result.fast_forwarded += quiet;
+      expect_same_state(fast, slow);
+      if (::testing::Test::HasFailure()) return result;
+    }
+    const bool fast_stepped = fast.scheduler.next_step(&fast_record);
+    const bool slow_stepped = slow.scheduler.next_step(&slow_record);
+    EXPECT_EQ(fast_stepped, slow_stepped);
+    expect_same_record(fast_record, slow_record);
+    if (::testing::Test::HasFailure()) return result;
+    if (fast_stepped) {
+      ++clock;
+      ++result.steps;
+    } else if (next < requests.size()) {
+      clock = arrival_step(requests[next]);  // idle until the next arrival
+    } else {
+      break;
+    }
+  }
+  expect_same_state(fast, slow);
+  EXPECT_TRUE(fast.scheduler.idle());
+  result.preemptions = fast.scheduler.preemptions();
+  return result;
+}
+
+std::string deployment_name(const Deployment& deployment, std::uint64_t seed) {
+  return eviction_policy_name(deployment.policy) +
+         " kv=" + std::to_string(static_cast<long long>(deployment.kv_tokens)) +
+         (deployment.prefix_cache ? " prefix_cache" : "") +
+         " seed=" + std::to_string(seed);
+}
+
+TEST(QuietDecodeLockstep, BulkAdvanceMatchesPerStepUnderEveryPolicy) {
+  std::int64_t pressured_preemptions = 0;
+  for (EvictionPolicy policy :
+       {EvictionPolicy::kNone, EvictionPolicy::kPreemptNewest,
+        EvictionPolicy::kSwapToHost, EvictionPolicy::kPriorityVictim}) {
+    for (double kv_tokens : {1200.0, 1e5}) {
+      for (std::uint64_t seed : {1u, 7u, 42u}) {
+        const Deployment deployment{policy, kv_tokens, /*prefix_cache=*/false};
+        SCOPED_TRACE(deployment_name(deployment, seed));
+        const LockstepResult result = run_lockstep(deployment, seed);
+        ASSERT_FALSE(::testing::Test::HasFailure());
+        // The fast path must actually engage; with room to spare, most
+        // steps of a light stream are quiet.
+        EXPECT_GT(result.fast_forwarded, 0);
+        if (kv_tokens < 1e5) {
+          pressured_preemptions += result.preemptions;
+        } else {
+          EXPECT_GT(result.fast_forwarded, result.steps / 2);
+        }
+      }
+    }
+  }
+  // The tight budget interleaves quiet runs with evictions.
+  EXPECT_GT(pressured_preemptions, 0);
+}
+
+TEST(QuietDecodeLockstep, BulkAdvanceMatchesPerStepWithCachedPrefixBlocks) {
+  // Released prefix blocks stay cached (occupied but unreferenced): the
+  // quiet-run headroom must exclude them, so no bulk grow ever reclaims.
+  for (std::uint64_t seed : {3u, 11u}) {
+    const Deployment deployment{EvictionPolicy::kPreemptNewest, 2000.0,
+                      /*prefix_cache=*/true};
+    SCOPED_TRACE(deployment_name(deployment, seed));
+    const LockstepResult result = run_lockstep(deployment, seed);
+    ASSERT_FALSE(::testing::Test::HasFailure());
+    EXPECT_GT(result.fast_forwarded, 0);
+  }
+}
+
+TEST(QuietDecodeLockstep, NoQuietStepsWhileWorkWaitsOrTracing) {
+  const Deployment deployment;
+  Replica replica(deployment);
+  Request request;
+  request.id = 0;
+  request.prompt_len = 40;
+  request.output_len = 100;
+  replica.scheduler.enqueue(request);
+  EXPECT_EQ(replica.scheduler.quiet_decode_steps(), 0);  // waiting
+  StepRecord record;
+  ASSERT_TRUE(replica.scheduler.next_step(&record));  // prefill
+  // Decoding alone at kv_len 41 in bucket 64: 23 steps to the crossing.
+  EXPECT_EQ(replica.scheduler.quiet_decode_steps(), 64 - 41);
+  request.id = 1;
+  replica.scheduler.enqueue(request);
+  EXPECT_EQ(replica.scheduler.quiet_decode_steps(), 0);  // arrival waiting
+  ASSERT_TRUE(replica.scheduler.next_step(&record));  // admits + prefills 1
+  ASSERT_TRUE(replica.scheduler.next_step(&record));  // decode
+  EXPECT_GT(replica.scheduler.quiet_decode_steps(), 0);
+  ServingTrace trace;
+  replica.scheduler.set_trace_sink(&trace);
+  EXPECT_EQ(replica.scheduler.quiet_decode_steps(), 0);  // per-step events
+}
+
+}  // namespace
+}  // namespace cimtpu::serving

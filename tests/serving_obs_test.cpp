@@ -274,6 +274,67 @@ TEST(TracingContract, MetricsBitIdenticalOnAndOffAcrossGoldenGrid) {
   }
 }
 
+// --- Tracing contract where quiet decode runs are fast-forwarded -------------
+// Untraced engines commit quiet decode runs in bulk (scheduler.h); traced
+// engines step through them one at a time, so tracing on/off is also the
+// fast-path on/off oracle.  On the pressured golden grid above the fast
+// path barely engages (requests keep waiting for KV), so the contract is
+// checked again on light traffic, where most decode steps are quiet, across
+// the deployment shapes that change how a step is charged.
+
+std::vector<Request> light_chat_requests() {
+  return generate_requests(zipf_chat_stream(/*seed=*/42, /*num_requests=*/300,
+                                            /*arrival_rate=*/1.0));
+}
+
+ServingMetrics run_traced(ServingScenario scenario,
+                          const std::vector<Request>& requests) {
+  scenario.trace.enabled = true;
+  return run_serving(scenario, requests);
+}
+
+TEST(TracingContract, MetricsBitIdenticalOnAndOffOnLightTraffic) {
+  const std::vector<Request> requests = light_chat_requests();
+  const ServingScenario base =
+      llama7b_baseline_scenario(/*chips=*/1, ir::DType::kInt4);
+  std::vector<std::pair<std::string, ServingScenario>> cases;
+  for (EvictionPolicy policy :
+       {EvictionPolicy::kNone, EvictionPolicy::kPreemptNewest}) {
+    ServingScenario scenario = base;
+    scenario.eviction = policy;
+    cases.emplace_back(eviction_policy_name(policy), scenario);
+  }
+  cases.emplace_back("chips=2",
+                     llama7b_baseline_scenario(/*chips=*/2, ir::DType::kInt4));
+  ServingScenario tensor_parallel = base;
+  tensor_parallel.tensor_parallel_ways = 2;
+  cases.emplace_back("tensor_parallel_ways=2", tensor_parallel);
+  ServingScenario horizon = base;
+  horizon.max_sim_seconds = 100.0;  // the stream spans ~300 s
+  cases.emplace_back("max_sim_seconds=100", horizon);
+  for (const auto& [name, scenario] : cases) {
+    SCOPED_TRACE(name);
+    const ServingMetrics off = run_serving(scenario, requests);
+    expect_identical_metrics(off, run_traced(scenario, requests));
+    EXPECT_GT(off.decode_steps, 10 * off.prefill_steps);
+  }
+}
+
+TEST(TracingContract, PumpSlicesMatchDrainOnLightTraffic) {
+  // A cluster driver pumps each replica to its next event time; a quiet
+  // run must stop at every slice boundary exactly where single steps would.
+  const std::vector<Request> requests = light_chat_requests();
+  const ServingScenario scenario =
+      llama7b_baseline_scenario(/*chips=*/1, ir::DType::kInt4);
+  ServingEngine sliced(scenario);
+  for (const Request& request : requests) sliced.inject(request);
+  while (sliced.pump(sliced.now() + 0.05)) {
+  }
+  const ServingMetrics metrics = sliced.finish();
+  expect_identical_metrics(metrics, run_serving(scenario, requests));
+  expect_identical_metrics(metrics, run_traced(scenario, requests));
+}
+
 TEST(TracingContract, DisabledTraceRecordsNothing) {
   const std::vector<Request> requests = generate_requests(golden_stream());
   ServingScenario scenario =
