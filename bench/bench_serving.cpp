@@ -146,7 +146,6 @@ int run(int argc, char** argv) {
   argc = kept;
 
   const std::vector<double> rates = {5.0, 10.0, 20.0};
-  const std::vector<int> chip_counts = {1, 4};
   // One shared cost cache across BOTH grids: they run the same chip /
   // model / bucket, so the policy sweep starts from the baseline sweep's
   // warm store instead of re-simulating every shape.
@@ -158,10 +157,11 @@ int run(int argc, char** argv) {
   // --- Baseline grid: arrival rate x chips via the declarative sweep ---------
   serving::ServingSweep baseline_sweep;
   baseline_sweep.arrival_rates = rates;
-  baseline_sweep.models = {scenario_for(1).model};
-  baseline_sweep.chip_counts = chip_counts;
-  baseline_sweep.policies = {serving::EvictionPolicy::kPreemptNewest};
-  baseline_sweep.base = scenario_for(1);
+  baseline_sweep.base.scenario = scenario_for(1);
+  baseline_sweep.axes = {{"chips", {"1", "4"},
+                          [](serving::SweepPoint& point, std::size_t i) {
+                            point.scenario.chips = i == 0 ? 1 : 4;
+                          }}};
   baseline_sweep.stream = stream_config(/*rate=*/rates.front());
   const std::vector<serving::SweepCellResult> baseline =
       serving::run_serving_sweep(baseline_sweep, sweep_options);
@@ -186,7 +186,7 @@ int run(int argc, char** argv) {
   // keep in sync with the expansion.
   for (const serving::SweepCellResult& result : baseline) {
     const double rate = result.arrival_rate;
-    const int chips = result.chips;
+    const int chips = result.point.scenario.chips;
     const serving::ServingMetrics& metrics = result.metrics;
     csv.write_row({cell_f(rate, 1), cell_i(chips),
                    cell_f(metrics.goodput_tokens_per_second, 3),
@@ -525,12 +525,14 @@ int run(int argc, char** argv) {
   first = true;
   for (const serving::SweepCellResult& cell : slo_cells) {
     const serving::ServingMetrics& metrics = cell.metrics;
+    const std::string& admission =
+        cell.point.scenario.scheduler.admission.policy;
     // Every arrived request either completed or was shed (deadline or
     // horizon), so the arrived count falls out of the counters.
     const std::int64_t arrived =
         metrics.completed + metrics.counters.total_shed();
     slo_table.add_row(
-        {cell_f(cell.arrival_rate, 1), cell.admission,
+        {cell_f(cell.arrival_rate, 1), admission,
          cell_f(metrics.slo_attainment, 4),
          cell_f(metrics.slo_goodput_tokens_per_second, 1),
          cell_f(metrics.goodput_tokens_per_second, 1),
@@ -539,7 +541,7 @@ int run(int argc, char** argv) {
     if (!first) json << ",\n";
     first = false;
     json << "    {\"arrival_rate\": " << cell.arrival_rate
-         << ", \"admission\": \"" << cell.admission
+         << ", \"admission\": \"" << admission
          << "\", \"arrived\": " << arrived
          << ", \"completed\": " << metrics.completed
          << ", \"shed_deadline\": " << metrics.counters.shed_deadline
@@ -565,24 +567,16 @@ int run(int argc, char** argv) {
   // degradation) must strictly beat recovery-off on BOTH availability and
   // SLO goodput at the full storm — the pinned frontier the resilience
   // test gates.
-  serving::ServingSweep storm_sweep;
-  storm_sweep.arrival_rates = {10.0};
-  storm_sweep.models = {scenario_for(1).model};
-  storm_sweep.chip_counts = {1};
-  storm_sweep.policies = {serving::EvictionPolicy::kPreemptNewest};
-  storm_sweep.admission_policies = {"edf"};
-  storm_sweep.fault_rates = {0.5, 1.0};
-  storm_sweep.fault_recovery = {0, 1};
-  storm_sweep.base =
-      serving::fault_storm_scenario(scenario_for(1).model.dtype,
-                                    /*recovery=*/true);
-  storm_sweep.base.model = scenario_for(1).model;
-  storm_sweep.base.kv_budget_override =
-      serving::KvCacheManager::token_bytes(scenario_for(1).model) * 4000.0;
-  storm_sweep.stream = serving::slo_chat_stream(
-      /*seed=*/42, serving::kSloFrontierRequests, /*arrival_rate=*/1.0);
+  const serving::ServingSweep storm_sweep = serving::fault_storm_sweep(
+      scenario_for(1).model, /*seed=*/42, /*fault_rates=*/{0.5, 1.0});
   const std::vector<serving::SweepCellResult> storm_cells =
       serving::run_serving_sweep(storm_sweep, sweep_options);
+  // A cell's fault-rate scale, read back from its scaled kv-loss rate.
+  const auto fault_rate_of = [&storm_sweep](
+                                 const serving::SweepCellResult& cell) {
+    return cell.point.scenario.fault.kv_loss_rate_per_s /
+           storm_sweep.base.scenario.fault.kv_loss_rate_per_s;
+  };
 
   AsciiTable storm_table(
       "Resilience — fault storm (seed " + cell_i(serving::kFaultStormSeed) +
@@ -598,9 +592,10 @@ int run(int argc, char** argv) {
   first = true;
   for (const serving::SweepCellResult& cell : storm_cells) {
     const serving::ServingMetrics& metrics = cell.metrics;
-    const bool recovery = cell.fault_recovery > 0;
+    const bool recovery = cell.point.scenario.fault.recovery_enabled;
+    const double fault_rate = fault_rate_of(cell);
     storm_table.add_row(
-        {cell_f(cell.fault_rate, 2), recovery ? "on" : "off",
+        {cell_f(fault_rate, 2), recovery ? "on" : "off",
          cell_f(metrics.availability, 4), format_time(metrics.mttr_seconds),
          cell_f(metrics.slo_goodput_tokens_per_second, 1),
          cell_i(metrics.completed), cell_i(metrics.retries_total),
@@ -609,7 +604,7 @@ int run(int argc, char** argv) {
          cell_i(metrics.fault.host_restores)});
     if (!first) json << ",\n";
     first = false;
-    json << "    {\"fault_rate\": " << cell.fault_rate
+    json << "    {\"fault_rate\": " << fault_rate
          << ", \"recovery\": " << (recovery ? "true" : "false")
          << ", \"availability\": " << metrics.availability
          << ", \"mttr_s\": " << metrics.mttr_seconds
@@ -703,20 +698,14 @@ int run(int argc, char** argv) {
   first = true;
   for (const serving::SweepCellResult& cell : disagg_cells) {
     const serving::ServingMetrics& metrics = cell.metrics;
-    const bool disagg = cell.disaggregated > 0;
+    const bool disagg = cell.point.disaggregated;
     // Transfer accounting lives in the flattened cluster registry (zero
     // and absent when colocated).
-    const auto& counters = metrics.registry.counters();
-    const auto counter_or_zero = [&counters](const char* name) {
-      const auto it = counters.find(name);
-      return it == counters.end() ? std::int64_t{0} : it->second;
-    };
-    const auto& gauges = metrics.registry.gauges();
-    const auto transfer_it = gauges.find("cluster.kv_transfer_seconds");
+    const serving::MetricsRegistry& registry = metrics.registry;
     const double transfer_seconds =
-        transfer_it == gauges.end() ? 0.0 : transfer_it->second;
+        registry.gauge_or_zero("cluster.kv_transfer_seconds");
     const std::int64_t transfer_bytes =
-        counter_or_zero("cluster.kv_transfer_bytes");
+        registry.counter_or_zero("cluster.kv_transfer_bytes");
     disagg_table.add_row(
         {cell_f(cell.arrival_rate, 1), disagg ? "disagg" : "colocated",
          format_time(metrics.ttft.p99), format_time(metrics.ttft.p50),
@@ -735,9 +724,9 @@ int run(int argc, char** argv) {
          << metrics.goodput_tokens_per_second
          << ", \"completed\": " << metrics.completed
          << ", \"kv_transfer_count\": "
-         << counter_or_zero("cluster.kv_transfer_count")
+         << registry.counter_or_zero("cluster.kv_transfer_count")
          << ", \"kv_transfer_blocks\": "
-         << counter_or_zero("cluster.kv_transfer_blocks")
+         << registry.counter_or_zero("cluster.kv_transfer_blocks")
          << ", \"kv_transfer_bytes\": " << transfer_bytes
          << ", \"kv_transfer_seconds\": " << transfer_seconds
          << ", \"jain_across_replicas\": " << metrics.jain_fairness
@@ -840,7 +829,7 @@ int run(int argc, char** argv) {
   // the last two cells are the full storm's off/on pair.
   std::printf("  resilience: at fault rate %.1f availability recovery-on "
               "%.4f vs off %.4f (SLO goodput %.1f vs %.1f tokens/s)\n",
-              storm_cells[storm_cells.size() - 2].fault_rate,
+              fault_rate_of(storm_cells[storm_cells.size() - 2]),
               storm_cells[storm_cells.size() - 1].metrics.availability,
               storm_cells[storm_cells.size() - 2].metrics.availability,
               storm_cells[storm_cells.size() - 1]
@@ -862,14 +851,11 @@ int run(int argc, char** argv) {
               disagg_cells[disagg_cells.size() - 2].arrival_rate,
               disagg_cells[disagg_cells.size() - 1].metrics.ttft.p99,
               disagg_cells[disagg_cells.size() - 2].metrics.ttft.p99,
-              [&] {
-                const auto& counters = disagg_cells[disagg_cells.size() - 1]
-                                           .metrics.registry.counters();
-                const auto it = counters.find("cluster.kv_transfer_bytes");
-                return it == counters.end()
-                           ? 0.0
-                           : static_cast<double>(it->second) / GiB;
-              }());
+              static_cast<double>(
+                  disagg_cells[disagg_cells.size() - 1]
+                      .metrics.registry.counter_or_zero(
+                          "cluster.kv_transfer_bytes")) /
+                  GiB);
 
   return bench::run_microbenchmarks(argc, argv);
 }

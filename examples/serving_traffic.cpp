@@ -388,10 +388,12 @@ int run(int argc, char** argv) {
   std::printf("\n");
   for (const serving::SweepCellResult& cell : slo_cells) {
     const serving::ServingMetrics& metrics = cell.metrics;
+    const std::string& admission =
+        cell.point.scenario.scheduler.admission.policy;
     const std::int64_t arrived =
         metrics.completed + metrics.counters.total_shed();
     slo_table.add_row(
-        {cell_f(cell.arrival_rate, 1), cell.admission,
+        {cell_f(cell.arrival_rate, 1), admission,
          cell_f(metrics.slo_attainment, 4),
          cell_f(metrics.slo_goodput_tokens_per_second, 1),
          cell_f(metrics.goodput_tokens_per_second, 1),
@@ -401,7 +403,7 @@ int run(int argc, char** argv) {
     std::printf(
         "admission=%s rate=%.0f: slo attainment %.4f (%lld of %lld arrived "
         "met deadlines), shed %lld deadline + %lld horizon\n",
-        cell.admission.c_str(), cell.arrival_rate, metrics.slo_attainment,
+        admission.c_str(), cell.arrival_rate, metrics.slo_attainment,
         static_cast<long long>(metrics.slo_met),
         static_cast<long long>(arrived),
         static_cast<long long>(metrics.counters.shed_deadline),
@@ -542,13 +544,19 @@ int run(int argc, char** argv) {
     // them across thread counts).
     serving::ServingSweep traced_sweep;
     traced_sweep.arrival_rates = {30.0};
-    traced_sweep.models = {scenario.model};
-    traced_sweep.chip_counts = {1};
-    traced_sweep.policies = {serving::EvictionPolicy::kPreemptNewest,
-                             serving::EvictionPolicy::kSwapToHost};
-    traced_sweep.base = traced;
-    traced_sweep.base.trace.label = "sweep";
-    traced_sweep.base.trace.sample_interval = 0;  // events only
+    traced_sweep.base.scenario = traced;
+    traced_sweep.base.scenario.trace.label = "sweep";
+    traced_sweep.base.scenario.trace.sample_interval = 0;  // events only
+    const std::vector<serving::EvictionPolicy> policies = {
+        serving::EvictionPolicy::kPreemptNewest,
+        serving::EvictionPolicy::kSwapToHost};
+    traced_sweep.axes = {
+        {"policy",
+         {serving::eviction_policy_name(policies[0]),
+          serving::eviction_policy_name(policies[1])},
+         [policies](serving::SweepPoint& point, std::size_t i) {
+           point.scenario.eviction = policies[i];
+         }}};
     traced_sweep.stream = serving::prefix_chatbot_stream(
         stream.seed, /*num_requests=*/400, /*arrival_rate=*/30.0);
     const std::vector<serving::SweepCellResult> traced_cells =
@@ -567,31 +575,18 @@ int run(int argc, char** argv) {
     // every fault-hit request on BOTH availability and SLO goodput.
     // Everything printed here is simulated-time deterministic: the CI
     // determinism job diffs this section across sweep thread counts.
-    serving::ServingSweep storm_sweep;
-    storm_sweep.arrival_rates = {10.0};
-    storm_sweep.models = {scenario.model};
-    storm_sweep.chip_counts = {1};
-    storm_sweep.policies = {serving::EvictionPolicy::kPreemptNewest};
-    storm_sweep.admission_policies = {"edf"};
-    storm_sweep.fault_rates = {1.0};
-    storm_sweep.fault_recovery = {0, 1};
-    storm_sweep.base =
-        serving::fault_storm_scenario(scenario.model.dtype, /*recovery=*/true);
-    storm_sweep.base.model = scenario.model;
-    storm_sweep.base.kv_budget_override =
-        serving::KvCacheManager::token_bytes(scenario.model) * 4000.0;
+    serving::ServingSweep storm_sweep = serving::fault_storm_sweep(
+        scenario.model, stream.seed, /*fault_rates=*/{1.0});
     if (!trace_dir.empty()) {
       // Per-cell trace files (run_serving_sweep derives one label per
       // cell): kFault/kRecover/kDegrade events land in the Perfetto and
       // JSONL outputs, byte-identical across thread counts.
-      storm_sweep.base.trace.enabled = true;
-      storm_sweep.base.trace.dir = trace_dir;
-      storm_sweep.base.trace.label = "fault_storm";
-      storm_sweep.base.trace.write_jsonl = true;
+      serving::TraceConfig& trace = storm_sweep.base.scenario.trace;
+      trace.enabled = true;
+      trace.dir = trace_dir;
+      trace.label = "fault_storm";
+      trace.write_jsonl = true;
     }
-    storm_sweep.stream = serving::slo_chat_stream(
-        stream.seed, /*num_requests=*/serving::kSloFrontierRequests,
-        /*arrival_rate=*/1.0);
     const std::vector<serving::SweepCellResult> storm_cells =
         serving::run_serving_sweep(storm_sweep, sweep_options);
 
@@ -605,7 +600,7 @@ int run(int argc, char** argv) {
     std::printf("\n");
     for (const serving::SweepCellResult& cell : storm_cells) {
       const serving::ServingMetrics& metrics = cell.metrics;
-      const bool recovery = cell.fault_recovery > 0;
+      const bool recovery = cell.point.scenario.fault.recovery_enabled;
       storm_table.add_row(
           {recovery ? "on" : "off", cell_f(metrics.availability, 4),
            format_time(metrics.mttr_seconds),
@@ -730,10 +725,11 @@ int run(int argc, char** argv) {
       // Per-cell trace files (run_serving_sweep derives one label per
       // cell): the disaggregated cells' router traces carry the kRoute and
       // kKvTransfer events, byte-identical across thread counts.
-      disagg_sweep.base.trace.enabled = true;
-      disagg_sweep.base.trace.dir = trace_dir;
-      disagg_sweep.base.trace.label = "cluster_disagg";
-      disagg_sweep.base.trace.write_jsonl = true;
+      serving::TraceConfig& trace = disagg_sweep.base.scenario.trace;
+      trace.enabled = true;
+      trace.dir = trace_dir;
+      trace.label = "cluster_disagg";
+      trace.write_jsonl = true;
     }
     const std::vector<serving::SweepCellResult> disagg_cells =
         serving::run_serving_sweep(disagg_sweep, sweep_options);
@@ -747,17 +743,11 @@ int run(int argc, char** argv) {
                              "tokens/s", "done", "KV moved", "xfer s"});
     for (const serving::SweepCellResult& cell : disagg_cells) {
       const serving::ServingMetrics& metrics = cell.metrics;
-      const bool disagg = cell.disaggregated > 0;
-      const auto& counters = metrics.registry.counters();
-      const auto bytes_it = counters.find("cluster.kv_transfer_bytes");
-      const double transfer_bytes =
-          bytes_it == counters.end()
-              ? 0.0
-              : static_cast<double>(bytes_it->second);
-      const auto& gauges = metrics.registry.gauges();
-      const auto seconds_it = gauges.find("cluster.kv_transfer_seconds");
+      const bool disagg = cell.point.disaggregated;
+      const double transfer_bytes = static_cast<double>(
+          metrics.registry.counter_or_zero("cluster.kv_transfer_bytes"));
       const double transfer_seconds =
-          seconds_it == gauges.end() ? 0.0 : seconds_it->second;
+          metrics.registry.gauge_or_zero("cluster.kv_transfer_seconds");
       disagg_table.add_row(
           {cell_f(cell.arrival_rate, 1), disagg ? "disagg" : "colocated",
            format_time(metrics.ttft.p50), format_time(metrics.ttft.p99),

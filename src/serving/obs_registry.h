@@ -52,6 +52,17 @@ class MetricsRegistry {
     gauges_[name] = value;
   }
 
+  /// The counter / gauge named `name`, or 0 when it was never published.
+  /// Read-only: unlike counter() / gauge(), never creates the name.
+  std::int64_t counter_or_zero(const std::string& name) const {
+    const auto it = counters_.find(name);
+    return it == counters_.end() ? 0 : it->second;
+  }
+  double gauge_or_zero(const std::string& name) const {
+    const auto it = gauges_.find(name);
+    return it == gauges_.end() ? 0.0 : it->second;
+  }
+
   const std::map<std::string, std::int64_t>& counters() const {
     return counters_;
   }

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <exception>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -17,10 +18,9 @@ namespace cimtpu::serving {
 
 namespace {
 
-// Runs one sweep point: single-engine when point.replicas == 0 (the
-// pre-cluster path, untouched), otherwise an N-replica cluster of the
-// cell's deployment shape, flattened so cluster cells sit next to
-// single-engine cells in one result table.
+// Runs one sweep point: one engine when point.replicas == 0, otherwise an
+// N-replica cluster of the point's deployment shape, flattened so cluster
+// cells sit next to single-engine cells in one result table.
 ServingMetrics run_point(const SweepPoint& point,
                          SharedStepCostCache* shared_costs) {
   const ServingScenario& scenario = point.scenario;
@@ -49,11 +49,9 @@ std::string describe_point(const std::vector<SweepPoint>& points,
   return message.str();
 }
 
-// Hardened environment count parsing: non-numeric, trailing junk,
-// overflow, and negative values are all loud ConfigErrors — a malformed
-// value silently falling back to a default worker count would defeat the
-// knob's whole purpose (pinning the fan-out).  Unset or "0" return 0
-// ("no opinion").
+// Non-numeric, trailing junk, overflow, and negative values are loud
+// ConfigErrors: a silent fallback would defeat pinning the fan-out.
+// Unset or "0" return 0 ("no opinion").
 int parse_env_worker_count(const char* name) {
   const char* env = std::getenv(name);
   if (env == nullptr) return 0;
@@ -67,6 +65,17 @@ int parse_env_worker_count(const char* name) {
                            << "' is not a valid worker count (expected a "
                               "non-negative integer)");
   return static_cast<int>(parsed);
+}
+
+// Advances `index` to the grid's next cell, last axis turning fastest;
+// false once every combination has been visited.
+bool next_cell(const std::vector<SweepAxis>& axes,
+               std::vector<std::size_t>& index) {
+  for (std::size_t a = axes.size(); a-- > 0;) {
+    if (++index[a] < axes[a].labels.size()) return true;
+    index[a] = 0;
+  }
+  return false;
 }
 
 }  // namespace
@@ -144,200 +153,67 @@ std::vector<ServingMetrics> run_sweep(const std::vector<SweepPoint>& points,
   return results;
 }
 
-void ServingSweep::validate() const {
-  CIMTPU_CONFIG_CHECK(!arrival_rates.empty(), "sweep needs >= 1 arrival rate");
-  CIMTPU_CONFIG_CHECK(!models.empty(), "sweep needs >= 1 model");
-  CIMTPU_CONFIG_CHECK(!chip_counts.empty(), "sweep needs >= 1 chip count");
-  CIMTPU_CONFIG_CHECK(!policies.empty(), "sweep needs >= 1 policy");
-  CIMTPU_CONFIG_CHECK(!admission_policies.empty(),
-                      "sweep needs >= 1 admission policy");
-  CIMTPU_CONFIG_CHECK(!kv_block_tokens.empty(),
-                      "sweep needs >= 1 kv_block_tokens value");
-  CIMTPU_CONFIG_CHECK(!prefix_caching.empty(),
-                      "sweep needs >= 1 prefix_caching value");
-  for (double rate : arrival_rates) {
-    CIMTPU_CONFIG_CHECK(rate > 0, "arrival rate must be positive");
-  }
-  for (std::int64_t block : kv_block_tokens) {
-    CIMTPU_CONFIG_CHECK(block >= 0,
-                        "kv_block_tokens axis values must be >= 0 (0 = "
-                        "inherit base), got " << block);
-  }
-  for (int caching : prefix_caching) {
-    CIMTPU_CONFIG_CHECK(caching >= -1 && caching <= 1,
-                        "prefix_caching axis values must be -1 (inherit), "
-                        "0 (off), or 1 (on), got " << caching);
-  }
-  CIMTPU_CONFIG_CHECK(!fault_rates.empty(),
-                      "sweep needs >= 1 fault_rates value");
-  CIMTPU_CONFIG_CHECK(!fault_recovery.empty(),
-                      "sweep needs >= 1 fault_recovery value");
-  for (double rate : fault_rates) {
-    CIMTPU_CONFIG_CHECK(rate == -1 || rate >= 0,
-                        "fault_rates axis values must be -1 (inherit) or a "
-                        ">= 0 rate scale, got " << rate);
-  }
-  for (int recovery : fault_recovery) {
-    CIMTPU_CONFIG_CHECK(recovery >= -1 && recovery <= 1,
-                        "fault_recovery axis values must be -1 (inherit), "
-                        "0 (off), or 1 (on), got " << recovery);
-  }
-  CIMTPU_CONFIG_CHECK(!replicas.empty(), "sweep needs >= 1 replicas value");
-  CIMTPU_CONFIG_CHECK(!router_policies.empty(),
-                      "sweep needs >= 1 router policy");
-  CIMTPU_CONFIG_CHECK(!disaggregation.empty(),
-                      "sweep needs >= 1 disaggregation value");
-  for (int count : replicas) {
-    CIMTPU_CONFIG_CHECK(count >= 0,
-                        "replicas axis values must be >= 0 (0 = single "
-                        "engine), got " << count);
-  }
-  for (int mode : disaggregation) {
-    CIMTPU_CONFIG_CHECK(mode >= -1 && mode <= 1,
-                        "disaggregation axis values must be -1 (inherit), "
-                        "0 (colocated), or 1 (disaggregated), got " << mode);
-  }
-  CIMTPU_CONFIG_CHECK(cluster_prefill_replicas >= 1,
-                      "cluster_prefill_replicas must be >= 1, got "
-                          << cluster_prefill_replicas);
-}
-
 std::vector<SweepCellResult> run_serving_sweep(const ServingSweep& sweep,
                                                const SweepOptions& options) {
-  sweep.validate();
+  CIMTPU_CONFIG_CHECK(!sweep.arrival_rates.empty(),
+                      "sweep needs >= 1 arrival rate");
+  for (double rate : sweep.arrival_rates) {
+    CIMTPU_CONFIG_CHECK(rate > 0,
+                        "arrival rate must be positive, got " << rate);
+  }
+  for (const SweepAxis& axis : sweep.axes) {
+    CIMTPU_CONFIG_CHECK(!axis.labels.empty(),
+                        "sweep axis '" << axis.name << "' has no values");
+    CIMTPU_CONFIG_CHECK(axis.apply != nullptr,
+                        "sweep axis '" << axis.name << "' has "
+                                       << axis.labels.size()
+                                       << " labels but no apply");
+  }
 
   // One trace per arrival rate, shared across that rate's cells: traffic
   // depends only on the stream spec, never on the deployment under test.
   std::vector<std::vector<Request>> traces;
-  traces.reserve(sweep.arrival_rates.size());
+  traces.reserve(sweep.arrival_rates.size());  // stable point.requests
+  std::vector<SweepPoint> points;
+  std::vector<double> point_rates;
+  std::set<std::string> sanitized_labels;
   for (double rate : sweep.arrival_rates) {
     RequestStreamConfig stream = sweep.stream;
     stream.arrival_rate = rate;
     traces.push_back(generate_requests(stream));
-  }
-
-  std::vector<SweepPoint> points;
-  std::vector<SweepCellResult> cells;
-  const std::size_t grid_size =
-      sweep.arrival_rates.size() * sweep.models.size() *
-      sweep.chip_counts.size() * sweep.policies.size() *
-      sweep.admission_policies.size() * sweep.kv_block_tokens.size() *
-      sweep.prefix_caching.size() * sweep.fault_rates.size() *
-      sweep.fault_recovery.size() * sweep.replicas.size() *
-      sweep.router_policies.size() * sweep.disaggregation.size();
-  points.reserve(grid_size);
-  cells.reserve(grid_size);
-  for (std::size_t r = 0; r < sweep.arrival_rates.size(); ++r) {
-    for (const models::TransformerConfig& model : sweep.models) {
-      for (int chips : sweep.chip_counts) {
-        for (EvictionPolicy policy : sweep.policies) {
-          for (const std::string& admission : sweep.admission_policies) {
-            for (std::int64_t block_axis : sweep.kv_block_tokens) {
-              for (int caching_axis : sweep.prefix_caching) {
-               for (double fault_axis : sweep.fault_rates) {
-                for (int recovery_axis : sweep.fault_recovery) {
-                 for (int replica_axis : sweep.replicas) {
-                  for (const std::string& router_axis :
-                       sweep.router_policies) {
-                   for (int disagg_axis : sweep.disaggregation) {
-                // Sentinels inherit the base scenario's paged-KV knobs so
-                // grids that never mention the new axes expand unchanged.
-                const std::int64_t block =
-                    block_axis == 0 ? sweep.base.scheduler.kv_block_tokens
-                                    : block_axis;
-                const bool caching =
-                    caching_axis < 0
-                        ? sweep.base.scheduler.enable_prefix_cache
-                        : caching_axis > 0;
-                SweepPoint point;
-                point.scenario = sweep.base;
-                point.scenario.model = model;
-                point.scenario.chips = chips;
-                point.scenario.eviction = policy;
-                point.scenario.scheduler.admission.policy = admission;
-                point.scenario.scheduler.kv_block_tokens = block;
-                point.scenario.scheduler.enable_prefix_cache = caching;
-                // Resilience axes: a non-sentinel fault rate scales the
-                // base storm's three process rates (0 turns the subsystem
-                // off for the cell); a non-sentinel recovery value
-                // overrides the recovery policy.
-                if (fault_axis >= 0) {
-                  point.scenario.fault.stall_rate_per_s *= fault_axis;
-                  point.scenario.fault.kv_loss_rate_per_s *= fault_axis;
-                  point.scenario.fault.device_failure_rate_per_s *= fault_axis;
-                  if (fault_axis == 0) point.scenario.fault.enabled = false;
-                }
-                if (recovery_axis >= 0) {
-                  point.scenario.fault.recovery_enabled = recovery_axis > 0;
-                }
-                // Cluster axes: the 0 / "" / -1 sentinels leave the point
-                // on the single-engine path with pre-cluster labels.
-                point.replicas = replica_axis;
-                if (!router_axis.empty()) point.router_policy = router_axis;
-                point.disaggregated = disagg_axis > 0;
-                point.prefill_replicas = sweep.cluster_prefill_replicas;
-                point.requests = &traces[r];
-                std::ostringstream label;
-                label << "rate=" << sweep.arrival_rates[r]
-                      << " model=" << model.name << '/'
-                      << ir::dtype_name(model.dtype) << " chips=" << chips
-                      << " policy=" << eviction_policy_name(policy)
-                      << " admission=" << admission << " block=" << block
-                      << " prefix_cache=" << (caching ? "on" : "off");
-                // Label segments appear only for non-sentinel resilience
-                // cells, so pre-fault grids keep byte-identical labels.
-                if (fault_axis >= 0) label << " fault_rate=" << fault_axis;
-                if (recovery_axis >= 0) {
-                  label << " recovery=" << (recovery_axis > 0 ? "on" : "off");
-                }
-                // Cluster segments likewise appear only on cluster cells.
-                if (replica_axis > 0) label << " replicas=" << replica_axis;
-                if (!router_axis.empty()) label << " router=" << router_axis;
-                if (disagg_axis >= 0) {
-                  label << " disagg=" << (disagg_axis > 0 ? "on" : "off");
-                }
-                point.label = label.str();
-                // Traced grids write one file set per cell: derive each
-                // point's trace label from its grid coordinates (base label
-                // prefix kept) so cells never overwrite each other's files.
-                if ((point.scenario.trace.enabled ||
-                     point.scenario.trace.sample_interval > 0) &&
-                    !point.scenario.trace.dir.empty()) {
-                  point.scenario.trace.label =
-                      point.scenario.trace.label + "." +
-                      sanitize_trace_label(point.label);
-                }
-                SweepCellResult cell;
-                cell.arrival_rate = sweep.arrival_rates[r];
-                cell.model = model.name;
-                cell.dtype = model.dtype;
-                cell.chips = chips;
-                cell.policy = policy;
-                cell.admission = admission;
-                cell.kv_block_tokens = block;
-                cell.prefix_caching = caching;
-                cell.fault_rate = fault_axis;
-                cell.fault_recovery = recovery_axis;
-                cell.replicas = replica_axis;
-                if (replica_axis > 0) cell.router_policy = point.router_policy;
-                cell.disaggregated = disagg_axis;
-                cells.push_back(std::move(cell));
-                points.push_back(std::move(point));
-                   }
-                  }
-                 }
-                }
-               }
-              }
-            }
-          }
-        }
+    std::vector<std::size_t> index(sweep.axes.size(), 0);
+    do {
+      SweepPoint point = sweep.base;
+      std::ostringstream label;
+      label << "rate=" << rate;
+      for (std::size_t a = 0; a < sweep.axes.size(); ++a) {
+        sweep.axes[a].apply(point, index[a]);
+        label << ' ' << sweep.axes[a].name << '='
+              << sweep.axes[a].labels[index[a]];
       }
-    }
+      point.label = label.str();
+      point.requests = &traces.back();
+      const std::string sanitized = sanitize_trace_label(point.label);
+      CIMTPU_CONFIG_CHECK(sanitized_labels.insert(sanitized).second,
+                          "two sweep cells share the label '"
+                              << sanitized << "' (from '" << point.label
+                              << "'): their trace files would collide");
+      // Traced grids write one file set per cell, named after the cell.
+      TraceConfig& trace = point.scenario.trace;
+      if ((trace.enabled || trace.sample_interval > 0) && !trace.dir.empty()) {
+        trace.label += "." + sanitized;
+      }
+      points.push_back(std::move(point));
+      point_rates.push_back(rate);
+    } while (next_cell(sweep.axes, index));
   }
 
   std::vector<ServingMetrics> results = run_sweep(points, options);
+  std::vector<SweepCellResult> cells(points.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
+    cells[i].arrival_rate = point_rates[i];
+    cells[i].point = std::move(points[i]);
+    cells[i].point.requests = nullptr;  // the traces die with this frame
     cells[i].metrics = std::move(results[i]);
   }
   return cells;

@@ -1,5 +1,8 @@
 #include "serving/traffic_profiles.h"
 
+#include <sstream>
+#include <string>
+
 #include "common/status.h"
 #include "models/model_zoo.h"
 
@@ -226,15 +229,17 @@ ServingSweep slo_frontier_sweep(const models::TransformerConfig& model,
                                 std::uint64_t seed) {
   ServingSweep sweep;
   sweep.arrival_rates = slo_frontier_rates();
-  sweep.models = {model};
-  sweep.chip_counts = {1};
-  sweep.policies = {EvictionPolicy::kPreemptNewest};
-  sweep.admission_policies = {"fifo", "edf"};
-  sweep.base = slo_scenario(model.dtype, /*admission=*/"fifo");
-  sweep.base.model = model;
+  sweep.base.scenario = slo_scenario(model.dtype, /*admission=*/"fifo");
+  sweep.base.scenario.model = model;
   // Re-derive the 4000-token budget in the chosen model's own token-bytes
   // (the canonical scenario sized it for llama2-7b).
-  sweep.base.kv_budget_override = KvCacheManager::token_bytes(model) * 4000.0;
+  sweep.base.scenario.kv_budget_override =
+      KvCacheManager::token_bytes(model) * 4000.0;
+  const std::vector<std::string> admissions = {"fifo", "edf"};
+  sweep.axes = {{"admission", admissions,
+                 [admissions](SweepPoint& point, std::size_t i) {
+                   point.scenario.scheduler.admission.policy = admissions[i];
+                 }}};
   sweep.stream =
       slo_chat_stream(seed, kSloFrontierRequests, /*arrival_rate=*/1.0);
   return sweep;
@@ -300,6 +305,39 @@ ServingScenario fault_storm_scenario(ir::DType dtype, bool recovery,
   return scenario;
 }
 
+ServingSweep fault_storm_sweep(const models::TransformerConfig& model,
+                               std::uint64_t seed,
+                               const std::vector<double>& fault_rates) {
+  ServingSweep sweep;
+  sweep.arrival_rates = {10.0};
+  sweep.base.scenario = fault_storm_scenario(model.dtype, /*recovery=*/true);
+  sweep.base.scenario.model = model;
+  sweep.base.scenario.kv_budget_override =
+      KvCacheManager::token_bytes(model) * 4000.0;
+  std::vector<std::string> rate_labels;
+  for (double scale : fault_rates) {
+    std::ostringstream label;
+    label << scale;
+    rate_labels.push_back(label.str());
+  }
+  sweep.axes = {
+      {"fault_rate", rate_labels,
+       [fault_rates](SweepPoint& point, std::size_t i) {
+         // Scale all three fault processes; 0 turns the subsystem off.
+         FaultConfig& fault = point.scenario.fault;
+         fault.stall_rate_per_s *= fault_rates[i];
+         fault.kv_loss_rate_per_s *= fault_rates[i];
+         fault.device_failure_rate_per_s *= fault_rates[i];
+         if (fault_rates[i] == 0) fault.enabled = false;
+       }},
+      {"recovery", {"off", "on"}, [](SweepPoint& point, std::size_t i) {
+         point.scenario.fault.recovery_enabled = i == 1;
+       }}};
+  sweep.stream =
+      slo_chat_stream(seed, kSloFrontierRequests, /*arrival_rate=*/1.0);
+  return sweep;
+}
+
 RequestStreamConfig cluster_chatbot_stream(std::uint64_t seed) {
   RequestStreamConfig stream = prefix_chatbot_stream(
       seed, kClusterRouterRequests, kClusterRouterRate, kClusterPrefixPool);
@@ -333,17 +371,14 @@ ServingSweep cluster_disaggregation_sweep(
     const models::TransformerConfig& model, std::uint64_t seed) {
   ServingSweep sweep;
   sweep.arrival_rates = cluster_disagg_rates();
-  sweep.models = {model};
-  sweep.chip_counts = {1};
-  sweep.policies = {EvictionPolicy::kPreemptNewest};
-  sweep.replicas = {kClusterReplicas};
-  // "" inherits round_robin without adding a router label segment: the
-  // study isolates the colocated-vs-disaggregated axis, nothing else.
-  sweep.router_policies = {""};
-  sweep.disaggregation = {0, 1};
-  sweep.cluster_prefill_replicas = kClusterPrefillReplicas;
-  sweep.base = llama7b_baseline_scenario(/*chips=*/1, model.dtype);
-  sweep.base.model = model;
+  sweep.base.scenario = llama7b_baseline_scenario(/*chips=*/1, model.dtype);
+  sweep.base.scenario.model = model;
+  sweep.base.replicas = kClusterReplicas;
+  sweep.base.prefill_replicas = kClusterPrefillReplicas;
+  // Only colocated vs disaggregated varies; the router stays round_robin.
+  sweep.axes = {{"disagg", {"off", "on"}, [](SweepPoint& point, std::size_t i) {
+                   point.disaggregated = i == 1;
+                 }}};
   sweep.stream =
       zipf_chat_stream(seed, kClusterDisaggRequests, /*arrival_rate=*/1.0);
   return sweep;

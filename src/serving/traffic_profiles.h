@@ -214,6 +214,18 @@ constexpr Seconds kFaultStormHorizon = 30.0;
 ServingScenario fault_storm_scenario(ir::DType dtype, bool recovery,
                                      Seconds horizon_seconds = kFaultStormHorizon);
 
+/// The canonical fault-storm study as a ready-to-run sweep: 10 req/s of
+/// slo_chat_stream traffic over the fault_storm_scenario deployment
+/// (4000-token KV budget in `model`'s token-bytes), with a "fault_rate"
+/// axis scaling the storm's three process rates by each of `fault_rates`
+/// (0 disables the subsystem) and a "recovery" axis {off, on}.  Shared by
+/// bench_serving's "resilience" block and serving_traffic's --fault-storm
+/// demo.  A cell's scale reads back as its fault.kv_loss_rate_per_s over
+/// the base scenario's.
+ServingSweep fault_storm_sweep(const models::TransformerConfig& model,
+                               std::uint64_t seed,
+                               const std::vector<double>& fault_rates);
+
 /// The deployment shape the canonical cluster studies (schema-v9
 /// "cluster" block) use: 4 single-chip replicas, with 1 of them split off
 /// for prefill in the disaggregated cells.  The router study's prefix

@@ -504,28 +504,19 @@ TEST_F(BatchedPrefillTest, EndToEndBatchedCostingNeverSlower) {
 ServingSweep small_cluster_sweep() {
   ServingSweep sweep;
   sweep.arrival_rates = {20.0};
-  sweep.models = {[] {
-    models::TransformerConfig model = models::llama2_7b();
-    model.dtype = ir::DType::kInt4;
-    return model;
-  }()};
-  sweep.chip_counts = {1};
-  sweep.policies = {EvictionPolicy::kPreemptNewest};
-  sweep.base = llama7b_baseline_scenario(1, ir::DType::kInt4);
+  sweep.base.scenario = llama7b_baseline_scenario(1, ir::DType::kInt4);
   sweep.stream = zipf_chat_stream(/*seed=*/9, 100, 20.0);
   return sweep;
 }
 
-TEST(ClusterSweepTest, SentinelAxesKeepSingleEngineCellsUnchanged) {
+TEST(ClusterSweepTest, SingleEngineCellMatchesDirectRunServing) {
   const ServingSweep sweep = small_cluster_sweep();
   const std::vector<SweepCellResult> cells = run_serving_sweep(sweep);
   ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].replicas, 0);
-  EXPECT_TRUE(cells[0].router_policy.empty());
-  EXPECT_EQ(cells[0].disaggregated, -1);
-  // The sentinel cell is the single-engine path, bit for bit.
+  EXPECT_EQ(cells[0].point.replicas, 0);
+  // A replicas-0 cell is the single-engine path, bit for bit.
   const std::vector<Request> requests = generate_requests(sweep.stream);
-  const ServingMetrics direct = run_serving(sweep.base, requests);
+  const ServingMetrics direct = run_serving(sweep.base.scenario, requests);
   EXPECT_EQ(cells[0].metrics.total_steps, direct.total_steps);
   EXPECT_EQ(cells[0].metrics.makespan, direct.makespan);
   EXPECT_EQ(cells[0].metrics.registry.to_json(), direct.registry.to_json());
@@ -533,8 +524,15 @@ TEST(ClusterSweepTest, SentinelAxesKeepSingleEngineCellsUnchanged) {
 
 TEST(ClusterSweepTest, ClusterCellsBitIdenticalAcrossThreadCounts) {
   ServingSweep sweep = small_cluster_sweep();
-  sweep.replicas = {0, 2};
-  sweep.router_policies = {"round_robin", "least_loaded"};
+  const std::vector<std::string> routers = {"round_robin", "least_loaded"};
+  sweep.axes = {{"replicas", {"0", "2"},
+                 [](SweepPoint& point, std::size_t i) {
+                   point.replicas = 2 * static_cast<int>(i);
+                 }},
+                {"router", routers,
+                 [routers](SweepPoint& point, std::size_t i) {
+                   point.router_policy = routers[i];
+                 }}};
   SweepOptions serial, parallel;
   serial.threads = 1;
   parallel.threads = 4;
@@ -543,8 +541,7 @@ TEST(ClusterSweepTest, ClusterCellsBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(a.size(), 4u);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].replicas, b[i].replicas);
-    EXPECT_EQ(a[i].router_policy, b[i].router_policy);
+    EXPECT_EQ(a[i].point.label, b[i].point.label);
     EXPECT_EQ(a[i].metrics.total_steps, b[i].metrics.total_steps);
     EXPECT_EQ(a[i].metrics.completed, b[i].metrics.completed);
     EXPECT_EQ(a[i].metrics.makespan, b[i].metrics.makespan);
@@ -557,9 +554,8 @@ TEST(ClusterSweepTest, ClusterCellsBitIdenticalAcrossThreadCounts) {
   // Replicated cells really are cluster runs: 2x the chips.
   EXPECT_EQ(a[0].metrics.chips, 1);
   EXPECT_EQ(a[2].metrics.chips, 2);
-  // Cluster cells report their effective router name.
-  EXPECT_EQ(a[2].router_policy, "round_robin");
-  EXPECT_EQ(a[3].router_policy, "least_loaded");
+  EXPECT_EQ(a[2].point.label, "rate=20 replicas=2 router=round_robin");
+  EXPECT_EQ(a[3].point.router_policy, "least_loaded");
 }
 
 // --- Canonical cluster studies (the schema-v9 "cluster" bench block) ---------
@@ -596,8 +592,8 @@ TEST(ClusterCanonicalStudyTest, DisaggregationWinsTtftAtTopCanonicalRate) {
   // ordering.
   const SweepCellResult& colocated = cells[cells.size() - 2];
   const SweepCellResult& disaggregated = cells[cells.size() - 1];
-  ASSERT_EQ(colocated.disaggregated, 0);
-  ASSERT_EQ(disaggregated.disaggregated, 1);
+  ASSERT_FALSE(colocated.point.disaggregated);
+  ASSERT_TRUE(disaggregated.point.disaggregated);
   EXPECT_EQ(colocated.arrival_rate, cluster_disagg_rates().back());
   EXPECT_LT(disaggregated.metrics.ttft.p99, colocated.metrics.ttft.p99);
   // The disaggregated cells really streamed KV over the fabric.

@@ -6,8 +6,8 @@
 // host-shadow KV restore, device failure + restart), the shed x swap
 // interaction (a fault that removes a swapped-out request must release
 // its host-pool bytes; swap counters must reconcile with trace events),
-// the sweep's fault-rate x recovery axes (sentinel inheritance, label
-// stability, thread-count bit-identity), and the pinned resilience
+// the canonical storm sweep's fault-rate x recovery axes (rate 0
+// disables injection, thread-count bit-identity), and the pinned resilience
 // frontier behind the schema-v8 "resilience" bench block: at the fixed
 // fault storm seed, recovery-on strictly beats recovery-off on BOTH
 // availability and SLO goodput, and availability recomputed purely from
@@ -510,34 +510,22 @@ TEST(ShedSwapTest, SwapCountersReconcileWithTraceEventsUnderHorizonShed) {
 
 // --- Sweep: fault-rate x recovery axes ---------------------------------------
 
-TEST(SweepFaultAxisTest, SentinelsInheritAndLabelsStayStable) {
-  ServingSweep sweep;
-  sweep.arrival_rates = {10.0};
-  sweep.models = {llama7b_baseline_scenario(1, ir::DType::kInt4).model};
-  sweep.chip_counts = {1};
-  sweep.policies = {EvictionPolicy::kPreemptNewest};
-  sweep.base = fault_storm_scenario(ir::DType::kInt4, /*recovery=*/true,
-                                    /*horizon_seconds=*/10.0);
-  sweep.stream = slo_chat_stream(/*seed=*/42, /*num_requests=*/80,
-                                 /*arrival_rate=*/1.0);
-  sweep.validate();
-
-  ServingSweep bad = sweep;
-  bad.fault_rates = {-0.5};
-  EXPECT_THROW(bad.validate(), ConfigError);
-  bad = sweep;
-  bad.fault_recovery = {2};
-  EXPECT_THROW(bad.validate(), ConfigError);
-
-  // Axes {0, 1} x {off, on}: rate 0 disables the subsystem per cell.
-  sweep.fault_rates = {0.0, 1.0};
-  sweep.fault_recovery = {0, 1};
+TEST(SweepFaultAxisTest, RateZeroDisablesInjection) {
+  // The canonical storm grid, shortened: fault rates {0, 1} x recovery
+  // {off, on} over a 10 s window.
+  ServingSweep sweep = fault_storm_sweep(
+      llama7b_baseline_scenario(1, ir::DType::kInt4).model, /*seed=*/42,
+      /*fault_rates=*/{0.0, 1.0});
+  sweep.base.scenario.max_sim_seconds = 10.0;
+  sweep.stream.num_requests = 80;
   const std::vector<SweepCellResult> cells = run_serving_sweep(sweep);
   ASSERT_EQ(cells.size(), 4u);
-  EXPECT_EQ(cells[0].fault_rate, 0.0);
-  EXPECT_EQ(cells[0].fault_recovery, 0);
-  EXPECT_EQ(cells[3].fault_rate, 1.0);
-  EXPECT_EQ(cells[3].fault_recovery, 1);
+  EXPECT_EQ(cells[0].point.label, "rate=10 fault_rate=0 recovery=off");
+  EXPECT_EQ(cells[3].point.label, "rate=10 fault_rate=1 recovery=on");
+  EXPECT_FALSE(cells[0].point.scenario.fault.enabled);
+  EXPECT_FALSE(cells[0].point.scenario.fault.recovery_enabled);
+  EXPECT_TRUE(cells[3].point.scenario.fault.enabled);
+  EXPECT_TRUE(cells[3].point.scenario.fault.recovery_enabled);
   // Rate-0 cells never inject: identical metrics whatever the recovery
   // axis says, and no fault activity at all.
   EXPECT_EQ(cells[0].metrics.fault.kv_losses, 0);
@@ -551,36 +539,14 @@ TEST(SweepFaultAxisTest, SentinelsInheritAndLabelsStayStable) {
                 cells[3].metrics.fault.device_failures,
             0);
   EXPECT_LT(cells[3].metrics.availability, cells[1].metrics.availability);
-
-  // Default sentinels: ONE cell, base fault config inherited untouched —
-  // pre-fault grids expand unchanged.
-  ServingSweep inherit = sweep;
-  inherit.fault_rates = {-1};
-  inherit.fault_recovery = {-1};
-  const std::vector<SweepCellResult> inherited = run_serving_sweep(inherit);
-  ASSERT_EQ(inherited.size(), 1u);
-  EXPECT_EQ(inherited[0].fault_rate, -1.0);
-  EXPECT_EQ(inherited[0].fault_recovery, -1);
-  // The sentinel cell runs the base config as-is (recovery on, full
-  // storm): bit-identical to the explicit rate-1/recovery-on cell.
-  EXPECT_EQ(inherited[0].metrics.completed, cells[3].metrics.completed);
-  EXPECT_EQ(inherited[0].metrics.availability, cells[3].metrics.availability);
-  EXPECT_EQ(inherited[0].metrics.retries_total, cells[3].metrics.retries_total);
 }
 
 TEST(SweepFaultAxisTest, StormMetricsAreBitIdenticalAcrossThreadCounts) {
-  ServingSweep sweep;
-  sweep.arrival_rates = {10.0};
-  sweep.models = {llama7b_baseline_scenario(1, ir::DType::kInt4).model};
-  sweep.chip_counts = {1};
-  sweep.policies = {EvictionPolicy::kPreemptNewest};
-  sweep.admission_policies = {"edf"};
-  sweep.fault_rates = {0.5, 1.0};
-  sweep.fault_recovery = {0, 1};
-  sweep.base = fault_storm_scenario(ir::DType::kInt4, /*recovery=*/true,
-                                    /*horizon_seconds=*/15.0);
-  sweep.stream = slo_chat_stream(/*seed=*/42, /*num_requests=*/150,
-                                 /*arrival_rate=*/1.0);
+  ServingSweep sweep = fault_storm_sweep(
+      llama7b_baseline_scenario(1, ir::DType::kInt4).model, /*seed=*/42,
+      /*fault_rates=*/{0.5, 1.0});
+  sweep.base.scenario.max_sim_seconds = 15.0;
+  sweep.stream.num_requests = 150;
 
   SweepOptions serial;
   serial.threads = 1;

@@ -143,6 +143,19 @@ TEST(MetricsRegistry, CountersGaugesHistograms) {
   EXPECT_EQ(registry.histograms().at("lat").upper_bounds().size(), 2u);
 }
 
+TEST(MetricsRegistry, OrZeroLookupsReadPresentNamesAndDefaultAbsentOnes) {
+  MetricsRegistry registry;
+  registry.set_counter("cluster.kv_transfer_bytes", 4096);
+  registry.set_gauge("cluster.kv_transfer_seconds", 0.25);
+  EXPECT_EQ(registry.counter_or_zero("cluster.kv_transfer_bytes"), 4096);
+  EXPECT_EQ(registry.gauge_or_zero("cluster.kv_transfer_seconds"), 0.25);
+  EXPECT_EQ(registry.counter_or_zero("cluster.kv_transfer_count"), 0);
+  EXPECT_EQ(registry.gauge_or_zero("cluster.missing_seconds"), 0.0);
+  // Absent lookups never create the name (the JSON export stays clean).
+  EXPECT_EQ(registry.counters().size(), 1u);
+  EXPECT_EQ(registry.gauges().size(), 1u);
+}
+
 TEST(MetricsRegistry, ToJsonIsDeterministicAndOrdered) {
   MetricsRegistry registry;
   registry.counter("zz") = 1;
@@ -557,21 +570,25 @@ std::string read_file(const std::string& path) {
 TEST(SweepTracing, TraceFilesByteIdenticalAcrossThreadCounts) {
   ServingSweep sweep;
   sweep.arrival_rates = {50.0};
-  sweep.models = {golden_scenario(EvictionPolicy::kPreemptNewest, 0).model};
-  sweep.chip_counts = {1};
-  sweep.policies = {EvictionPolicy::kPreemptNewest,
-                    EvictionPolicy::kSwapToHost};
-  sweep.base = golden_scenario(EvictionPolicy::kPreemptNewest, 0);
-  sweep.base.trace.enabled = true;
-  sweep.base.trace.sample_interval = 1.0;
-  sweep.base.trace.write_jsonl = true;
+  const std::vector<EvictionPolicy> policies = {EvictionPolicy::kPreemptNewest,
+                                                EvictionPolicy::kSwapToHost};
+  sweep.axes = {{"policy",
+                 {eviction_policy_name(policies[0]),
+                  eviction_policy_name(policies[1])},
+                 [policies](SweepPoint& point, std::size_t i) {
+                   point.scenario.eviction = policies[i];
+                 }}};
+  sweep.base.scenario = golden_scenario(EvictionPolicy::kPreemptNewest, 0);
+  TraceConfig& trace = sweep.base.scenario.trace;
+  trace.enabled = true;
+  trace.sample_interval = 1.0;
+  trace.write_jsonl = true;
   sweep.stream = golden_stream();
 
   std::vector<std::string> names;
   std::vector<std::string> serial_bytes;
   for (int threads : {1, 2}) {
-    sweep.base.trace.dir =
-        "obs_test_traces_t" + std::to_string(threads);
+    trace.dir = "obs_test_traces_t" + std::to_string(threads);
     SweepOptions options;
     options.threads = threads;
     const std::vector<SweepCellResult> cells =
@@ -579,24 +596,19 @@ TEST(SweepTracing, TraceFilesByteIdenticalAcrossThreadCounts) {
     ASSERT_EQ(cells.size(), 2u);
     if (threads == 1) {
       // run_serving_sweep derives one sanitized label per cell.
-      for (const SweepCellResult& cell : cells) {
-        std::string label = "serving." + sanitize_trace_label(
-            "rate=50 model=" + cell.model + "/" +
-            ir::dtype_name(cell.dtype) + " chips=1 policy=" +
-            eviction_policy_name(cell.policy) +
-            " admission=fifo block=" +
-            std::to_string(cell.kv_block_tokens) + " prefix_cache=" +
-            (cell.prefix_caching ? "on" : "off"));
+      for (EvictionPolicy policy : policies) {
+        const std::string label =
+            "serving.rate_50_policy_" + eviction_policy_name(policy);
         names.push_back(label + ".trace.json");
         names.push_back(label + ".jsonl");
       }
       for (const std::string& name : names) {
-        serial_bytes.push_back(read_file(sweep.base.trace.dir + "/" + name));
+        serial_bytes.push_back(read_file(trace.dir + "/" + name));
         EXPECT_FALSE(serial_bytes.back().empty());
       }
     } else {
       for (std::size_t i = 0; i < names.size(); ++i) {
-        EXPECT_EQ(read_file(sweep.base.trace.dir + "/" + names[i]),
+        EXPECT_EQ(read_file(trace.dir + "/" + names[i]),
                   serial_bytes[i])
             << names[i] << " differs between thread counts";
       }

@@ -588,8 +588,8 @@ TEST(SloFrontierTest, EdfStrictlyBeatsFifoAtTheHighestSweptRate) {
   // Grid order is rate-major with admission {fifo, edf} innermost.
   const SweepCellResult& top_fifo = cells[cells.size() - 2];
   const SweepCellResult& top_edf = cells[cells.size() - 1];
-  ASSERT_EQ(top_fifo.admission, "fifo");
-  ASSERT_EQ(top_edf.admission, "edf");
+  ASSERT_EQ(top_fifo.point.scenario.scheduler.admission.policy, "fifo");
+  ASSERT_EQ(top_edf.point.scenario.scheduler.admission.policy, "edf");
   ASSERT_EQ(top_fifo.arrival_rate, slo_frontier_rates().back());
 
   EXPECT_GT(top_edf.metrics.slo_attainment, top_fifo.metrics.slo_attainment);

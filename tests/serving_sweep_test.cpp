@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -71,17 +72,19 @@ void expect_identical(const ServingMetrics& a, const ServingMetrics& b) {
 ServingSweep pressured_grid() {
   ServingSweep sweep;
   sweep.arrival_rates = {30.0, 60.0, 90.0};
-  sweep.models = {[] {
-    models::TransformerConfig model = models::llama2_7b();
-    model.dtype = ir::DType::kInt4;
-    return model;
-  }()};
-  sweep.chip_counts = {1, 2};
-  sweep.policies = {EvictionPolicy::kPreemptNewest,
-                    EvictionPolicy::kSwapToHost};
-  sweep.base = llama7b_baseline_scenario(1, ir::DType::kInt4);
-  sweep.base.kv_budget_override =
-      KvCacheManager::token_bytes(sweep.base.model) * 600.0;
+  sweep.axes = {{"chips", {"1", "2"},
+                 [](SweepPoint& point, std::size_t i) {
+                   point.scenario.chips = static_cast<int>(i) + 1;
+                 }},
+                {"policy", {"preempt_newest", "swap_to_host"},
+                 [](SweepPoint& point, std::size_t i) {
+                   point.scenario.eviction =
+                       i == 0 ? EvictionPolicy::kPreemptNewest
+                              : EvictionPolicy::kSwapToHost;
+                 }}};
+  ServingScenario& base = sweep.base.scenario;
+  base = llama7b_baseline_scenario(1, ir::DType::kInt4);
+  base.kv_budget_override = KvCacheManager::token_bytes(base.model) * 600.0;
   sweep.stream.seed = 11;
   sweep.stream.num_requests = 50;
   sweep.stream.prompt.kind = LengthDistribution::kUniform;
@@ -106,22 +109,16 @@ TEST(SweepEquivalenceTest, ParallelMatchesSerialOn3x2x2Grid) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     // Identical grid coordinates in identical order...
     EXPECT_EQ(a[i].arrival_rate, b[i].arrival_rate);
-    EXPECT_EQ(a[i].model, b[i].model);
-    EXPECT_EQ(a[i].chips, b[i].chips);
-    EXPECT_EQ(a[i].policy, b[i].policy);
+    EXPECT_EQ(a[i].point.label, b[i].point.label);
     // ...and bit-identical metrics, workers be damned.
     expect_identical(a[i].metrics, b[i].metrics);
   }
   // Grid order is rate-major, policy-minor.
-  EXPECT_EQ(a[0].arrival_rate, 30.0);
-  EXPECT_EQ(a[0].chips, 1);
-  EXPECT_EQ(a[0].policy, EvictionPolicy::kPreemptNewest);
-  EXPECT_EQ(a[1].policy, EvictionPolicy::kSwapToHost);
-  EXPECT_EQ(a[2].chips, 2);
+  EXPECT_EQ(a[0].point.label, "rate=30 chips=1 policy=preempt_newest");
+  EXPECT_EQ(a[1].point.scenario.eviction, EvictionPolicy::kSwapToHost);
+  EXPECT_EQ(a[2].point.scenario.chips, 2);
   EXPECT_EQ(a[4].arrival_rate, 60.0);
-  EXPECT_EQ(a[11].arrival_rate, 90.0);
-  EXPECT_EQ(a[11].chips, 2);
-  EXPECT_EQ(a[11].policy, EvictionPolicy::kSwapToHost);
+  EXPECT_EQ(a[11].point.label, "rate=90 chips=2 policy=swap_to_host");
 }
 
 TEST(SweepEquivalenceTest, SweepCellMatchesDirectRunServing) {
@@ -137,9 +134,9 @@ TEST(SweepEquivalenceTest, SweepCellMatchesDirectRunServing) {
     RequestStreamConfig stream = sweep.stream;
     stream.arrival_rate = cells[i].arrival_rate;
     const auto requests = generate_requests(stream);
-    ServingScenario scenario = sweep.base;
-    scenario.chips = cells[i].chips;
-    scenario.eviction = cells[i].policy;
+    ServingScenario scenario = sweep.base.scenario;
+    scenario.chips = cells[i].point.scenario.chips;
+    scenario.eviction = cells[i].point.scenario.eviction;
     expect_identical(cells[i].metrics, run_serving(scenario, requests));
   }
 }
@@ -149,7 +146,7 @@ TEST(SweepEquivalenceTest, SharedCacheReusedAcrossSequentialRuns) {
   RequestStreamConfig stream = sweep.stream;
   stream.arrival_rate = 30.0;
   const auto requests = generate_requests(stream);
-  ServingScenario scenario = sweep.base;
+  ServingScenario scenario = sweep.base.scenario;
 
   SharedStepCostCache shared;
   const ServingMetrics cold = run_serving(scenario, requests, &shared);
@@ -169,6 +166,107 @@ TEST(SweepEquivalenceTest, SharedCacheReusedAcrossSequentialRuns) {
   other.kv_budget_override = KvCacheManager::token_bytes(other.model) * 600.0;
   run_serving(other, requests, &shared);
   EXPECT_EQ(shared.store_count(), 2u);
+}
+
+/// A grid small enough to expand and run in milliseconds: each axis
+/// writes its value index into a scenario field the test can read back.
+ServingSweep index_recording_grid() {
+  ServingSweep sweep;
+  sweep.arrival_rates = {5.0, 7.5};
+  sweep.base.scenario = llama7b_baseline_scenario(1, ir::DType::kInt4);
+  sweep.stream.seed = 3;
+  sweep.stream.num_requests = 4;
+  sweep.axes = {{"batch", {"a", "b", "c"},
+                 [](SweepPoint& point, std::size_t i) {
+                   point.scenario.scheduler.max_batch =
+                       10 + static_cast<int>(i);
+                 }},
+                {"prefill", {"x", "y"}, [](SweepPoint& point, std::size_t i) {
+                   point.scenario.scheduler.max_prefill_batch =
+                       1 + static_cast<int>(i);
+                 }}};
+  return sweep;
+}
+
+TEST(ServingSweepGridTest, RateOutermostThenAxesInListOrder) {
+  const std::vector<SweepCellResult> cells =
+      run_serving_sweep(index_recording_grid());
+  ASSERT_EQ(cells.size(), 2u * 3u * 2u);
+  std::size_t k = 0;
+  for (double rate : {5.0, 7.5}) {
+    for (int batch = 0; batch < 3; ++batch) {
+      for (int prefill = 0; prefill < 2; ++prefill, ++k) {
+        SCOPED_TRACE(k);
+        EXPECT_EQ(cells[k].arrival_rate, rate);
+        // apply received the value index of each axis.
+        EXPECT_EQ(cells[k].point.scenario.scheduler.max_batch, 10 + batch);
+        EXPECT_EQ(cells[k].point.scenario.scheduler.max_prefill_batch,
+                  1 + prefill);
+        EXPECT_EQ(cells[k].point.requests, nullptr);
+        EXPECT_EQ(cells[k].metrics.num_requests, 4);
+      }
+    }
+  }
+}
+
+TEST(ServingSweepGridTest, LabelIsRateThenNameEqualsLabelPerAxis) {
+  const std::vector<SweepCellResult> cells =
+      run_serving_sweep(index_recording_grid());
+  ASSERT_EQ(cells.size(), 12u);
+  EXPECT_EQ(cells[0].point.label, "rate=5 batch=a prefill=x");
+  EXPECT_EQ(cells[1].point.label, "rate=5 batch=a prefill=y");
+  EXPECT_EQ(cells[2].point.label, "rate=5 batch=b prefill=x");
+  EXPECT_EQ(cells[11].point.label, "rate=7.5 batch=c prefill=y");
+  // No axes: one cell per rate, labelled by the rate alone.
+  ServingSweep rates_only = index_recording_grid();
+  rates_only.axes.clear();
+  const std::vector<SweepCellResult> bare = run_serving_sweep(rates_only);
+  ASSERT_EQ(bare.size(), 2u);
+  EXPECT_EQ(bare[1].point.label, "rate=7.5");
+}
+
+/// Expects `sweep` to throw ConfigError whose message contains `needle`.
+void expect_config_error(const ServingSweep& sweep, const std::string& needle) {
+  try {
+    run_serving_sweep(sweep);
+    FAIL() << "sweep did not throw (expected '" << needle << "')";
+  } catch (const ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ServingSweepGridTest, DuplicateAxisValuesThrowNamingTheLabel) {
+  // Two cells with one label would write the same trace file at once.
+  ServingSweep sweep = index_recording_grid();
+  sweep.axes[0].labels = {"1", "1", "2"};
+  sweep.base.scenario.trace.enabled = true;
+  sweep.base.scenario.trace.dir = "sweep_test_collisions";
+  expect_config_error(sweep, "rate_5_batch_1_prefill_x");
+  // Labels that differ only in characters sanitizing drops collide too,
+  // traced or not.
+  sweep = index_recording_grid();
+  sweep.axes[1].labels = {"a b", "a_b"};
+  expect_config_error(sweep, "rate_5_batch_a_prefill_a_b");
+}
+
+TEST(ServingSweepGridTest, MalformedAxesAndRatesThrow) {
+  ServingSweep sweep = index_recording_grid();
+  sweep.axes[1].labels.clear();
+  expect_config_error(sweep, "sweep axis 'prefill' has no values");
+
+  sweep = index_recording_grid();
+  sweep.axes[0].apply = nullptr;
+  expect_config_error(sweep, "sweep axis 'batch' has 3 labels but no apply");
+
+  for (double bad : {0.0, -1.0}) {
+    sweep = index_recording_grid();
+    sweep.arrival_rates = {5.0, bad};
+    expect_config_error(sweep, "arrival rate must be positive");
+  }
+  sweep = index_recording_grid();
+  sweep.arrival_rates.clear();
+  expect_config_error(sweep, "sweep needs >= 1 arrival rate");
 }
 
 TEST(SweepErrorTest, PointFailureRethrowsFromRunSweep) {
@@ -209,7 +307,7 @@ TEST(SweepEquivalenceTest, CallerOwnedSharedCacheReusedAcrossSweeps) {
   stream.arrival_rate = 30.0;
   const auto requests = generate_requests(stream);
   SweepPoint point;
-  point.scenario = sweep.base;
+  point.scenario = sweep.base.scenario;
   point.requests = &requests;
 
   SharedStepCostCache shared;
