@@ -269,8 +269,9 @@ void stitch_requests(const std::vector<Request>& requests,
   if (cluster->makespan > 0) {
     cluster->goodput_tokens_per_second =
         static_cast<double>(cluster->generated_tokens) / cluster->makespan;
+    cluster->slo_goodput_tokens_per_second =
+        static_cast<double>(slo_tokens) / cluster->makespan;
   }
-  (void)slo_tokens;
 }
 
 // Fleet-level rollups computed from the finished per-replica metrics:
@@ -633,6 +634,7 @@ ServingMetrics flatten_cluster_metrics(ClusterMetrics&& cluster) {
   flat.tpot = cluster.tpot;
   flat.e2e = cluster.e2e;
   flat.goodput_tokens_per_second = cluster.goodput_tokens_per_second;
+  flat.slo_goodput_tokens_per_second = cluster.slo_goodput_tokens_per_second;
   flat.slo_met = cluster.slo_met;
   flat.slo_attainment = cluster.slo_attainment;
   flat.availability = cluster.availability;

@@ -139,6 +139,9 @@ struct ClusterMetrics {
   LatencySummary tpot;
   LatencySummary e2e;
   double goodput_tokens_per_second = 0;
+  /// Output tokens of deadline-meeting completions / makespan (equals
+  /// goodput when no request carries a deadline).
+  double slo_goodput_tokens_per_second = 0;
   std::int64_t slo_met = 0;
   double slo_attainment = 1.0;
   double availability = 1.0;

@@ -91,14 +91,97 @@ void KvCacheManager::victim_index_erase(std::int64_t id, const Entry& entry) {
 void KvCacheManager::reclaim_cached(std::int64_t blocks) {
   cached_blocks_reclaimed_total_ += blocks;
   for (std::int64_t i = 0; i < blocks; ++i) {
-    CIMTPU_CHECK(!cached_lru_.empty());
-    const auto oldest = cached_lru_.begin();
-    const std::int64_t block_id = oldest->second;
-    cached_lru_.erase(oldest);
-    const auto it = shared_blocks_.find(block_id);
-    CIMTPU_CHECK(it != shared_blocks_.end() && it->second.ref == 0);
-    prefix_index_.erase({it->second.prefix_id, it->second.block_index});
-    shared_blocks_.erase(it);
+    CIMTPU_CHECK(lru_head_ >= 0);
+    const std::int64_t block_id = lru_head_;
+    lru_unlink(block_id);
+    free_shared_block(block_id);
+  }
+}
+
+std::int64_t KvCacheManager::new_shared_block(std::int64_t prefix_id,
+                                              PrefixChain* chain,
+                                              std::int64_t k,
+                                              std::int64_t registrant) {
+  std::int64_t block_id;
+  if (!free_block_ids_.empty()) {
+    block_id = free_block_ids_.back();
+    free_block_ids_.pop_back();
+  } else {
+    block_id = static_cast<std::int64_t>(block_slab_.size());
+    block_slab_.emplace_back();
+  }
+  SharedBlock& block = block_slab_[static_cast<std::size_t>(block_id)];
+  block.ref = 1;
+  block.prefix_id = prefix_id;
+  block.block_index = k;
+  block.registrant = registrant;
+  block.computed = false;
+  chain->blocks[static_cast<std::size_t>(k)] = block_id;
+  ++chain->live;
+  ++live_shared_blocks_;
+  return block_id;
+}
+
+void KvCacheManager::free_shared_block(std::int64_t block_id) {
+  SharedBlock& block = block_slab_[static_cast<std::size_t>(block_id)];
+  CIMTPU_CHECK(block.prefix_id >= 0 && block.ref == 0);
+  const auto chain = prefix_chains_.find(block.prefix_id);
+  CIMTPU_CHECK(chain != prefix_chains_.end());
+  chain->second.blocks[static_cast<std::size_t>(block.block_index)] = -1;
+  --chain->second.live;
+  erase_chain_if_empty(chain);
+  block = SharedBlock{};
+  free_block_ids_.push_back(block_id);
+  --live_shared_blocks_;
+}
+
+void KvCacheManager::lru_append(std::int64_t block_id) {
+  SharedBlock& block = block_slab_[static_cast<std::size_t>(block_id)];
+  block.lru_seq = next_lru_seq_++;
+  block.lru_prev = lru_tail_;
+  block.lru_next = -1;
+  if (lru_tail_ >= 0) {
+    block_slab_[static_cast<std::size_t>(lru_tail_)].lru_next = block_id;
+  } else {
+    lru_head_ = block_id;
+  }
+  lru_tail_ = block_id;
+  ++cached_blocks_;
+}
+
+void KvCacheManager::lru_unlink(std::int64_t block_id) {
+  SharedBlock& block = block_slab_[static_cast<std::size_t>(block_id)];
+  if (block.lru_prev >= 0) {
+    block_slab_[static_cast<std::size_t>(block.lru_prev)].lru_next =
+        block.lru_next;
+  } else {
+    lru_head_ = block.lru_next;
+  }
+  if (block.lru_next >= 0) {
+    block_slab_[static_cast<std::size_t>(block.lru_next)].lru_prev =
+        block.lru_prev;
+  } else {
+    lru_tail_ = block.lru_prev;
+  }
+  block.lru_prev = block.lru_next = -1;
+  --cached_blocks_;
+}
+
+void KvCacheManager::drop_tail_donor(const Entry& entry) {
+  if (entry.prefix_id < 0) return;
+  const auto chain = prefix_chains_.find(entry.prefix_id);
+  if (chain == prefix_chains_.end() ||
+      chain->second.tail_donor != entry.id) {
+    return;
+  }
+  chain->second.tail_donor = -1;
+  erase_chain_if_empty(chain);
+}
+
+void KvCacheManager::erase_chain_if_empty(
+    std::unordered_map<std::int64_t, PrefixChain>::iterator chain) {
+  if (chain->second.live == 0 && chain->second.tail_donor < 0) {
+    prefix_chains_.erase(chain);
   }
 }
 
@@ -109,7 +192,12 @@ std::int32_t KvCacheManager::slot_insert(std::int64_t request_id,
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    entry_slots_[static_cast<std::size_t>(slot)] = std::move(entry);
+    Entry& recycled = entry_slots_[static_cast<std::size_t>(slot)];
+    // Keep the recycled slot's `shared` capacity: callers fill it after
+    // insertion, so steady-state admissions allocate nothing.
+    CIMTPU_CHECK(entry.shared.empty());
+    entry.shared.swap(recycled.shared);
+    recycled = std::move(entry);
   } else {
     slot = static_cast<std::int32_t>(entry_slots_.size());
     entry_slots_.push_back(std::move(entry));
@@ -133,20 +221,17 @@ std::int32_t KvCacheManager::resident_slot(std::int64_t request_id) const {
 }
 
 void KvCacheManager::unref_shared(std::int64_t block_id) {
-  const auto it = shared_blocks_.find(block_id);
-  CIMTPU_CHECK(it != shared_blocks_.end() && it->second.ref >= 1);
-  SharedBlock& block = it->second;
+  SharedBlock& block = block_slab_[static_cast<std::size_t>(block_id)];
+  CIMTPU_CHECK(block.prefix_id >= 0 && block.ref >= 1);
   if (--block.ref > 0) return;
   if (block.computed) {
     // Fully released but computed: stays cached (and hittable) until
     // allocation pressure reclaims it, LRU order.
-    block.lru_seq = next_lru_seq_++;
-    cached_lru_[block.lru_seq] = block_id;
+    lru_append(block_id);
   } else {
     // The registrant died before prefilling it; the contents never
-    // existed, so the block (and its index entry) is useless.
-    prefix_index_.erase({block.prefix_id, block.block_index});
-    shared_blocks_.erase(it);
+    // existed, so the block (and its chain entry) is useless.
+    free_shared_block(block_id);
   }
 }
 
@@ -172,35 +257,43 @@ bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
                                !prefix_admission_paused_ && prefix_id >= 0 &&
                                prefix_len > 0 && prompt_len > 1 &&
                                tokens >= prompt_len;
-  std::vector<std::int64_t> hit_blocks;  // contiguous leading full blocks
+  const std::int64_t full_blocks =
+      prefix_eligible ? prefix_len / block_tokens_ : 0;
+  hit_blocks_.clear();  // leading computed full blocks, then the ones
+                        // this admission registers
   std::int64_t hit_tokens = 0;
   std::int64_t cow_blocks = 0;
   if (prefix_eligible) {
-    const std::int64_t full_blocks = prefix_len / block_tokens_;
-    for (std::int64_t k = 0; k < full_blocks; ++k) {
-      const auto it = prefix_index_.find({prefix_id, k});
-      if (it == prefix_index_.end()) break;
-      const SharedBlock& block = shared_blocks_.at(it->second);
-      if (!block.computed) break;  // a concurrent request is still
-                                   // prefilling it; contents don't exist yet
-      hit_blocks.push_back(it->second);
-    }
-    hit_tokens = static_cast<std::int64_t>(hit_blocks.size()) * block_tokens_;
-    // Partial tail: prefix tokens past the last full block live inside a
-    // block that also holds post-prefix content.  If a live donor with the
-    // same prefix has computed through prefix_len, the sharer reuses those
-    // tokens via a private COPY of the block (copy-on-write: the sharer's
-    // own content diverges inside it).
-    if (static_cast<std::int64_t>(hit_blocks.size()) == full_blocks &&
-        prefix_len % block_tokens_ != 0) {
-      const auto donor = tail_donors_.find(prefix_id);
-      if (donor != tail_donors_.end()) {
-        const auto donor_it = entries_.find(donor->second);
-        if (donor_it != entries_.end() &&
-            slot_entry(donor_it->second).computed_tokens >= prefix_len) {
-          cow_blocks = 1;
-          hit_tokens = prefix_len;
+    const auto chain = prefix_chains_.find(prefix_id);
+    if (chain != prefix_chains_.end()) {
+      const std::vector<std::int64_t>& blocks = chain->second.blocks;
+      const std::int64_t known = std::min<std::int64_t>(
+          full_blocks, static_cast<std::int64_t>(blocks.size()));
+      for (std::int64_t k = 0; k < known; ++k) {
+        const std::int64_t block_id = blocks[static_cast<std::size_t>(k)];
+        // Stop at a gap, or at a block a concurrent request is still
+        // prefilling (its contents don't exist yet).
+        if (block_id < 0 ||
+            !block_slab_[static_cast<std::size_t>(block_id)].computed) {
+          break;
         }
+        hit_blocks_.push_back(block_id);
+      }
+      // Partial tail: prefix tokens past the last full block live inside
+      // a block that also holds post-prefix content.  If a live donor with
+      // the same prefix has computed through prefix_len, the sharer reuses
+      // those tokens via a private COPY of the block (copy-on-write: the
+      // sharer's own content diverges inside it).  Donors leave the chain
+      // as they leave the device, so a recorded donor is resident.
+      const std::int64_t donor = chain->second.tail_donor;
+      if (static_cast<std::int64_t>(hit_blocks_.size()) == full_blocks &&
+          prefix_len % block_tokens_ != 0 && donor >= 0 &&
+          slot_entry(resident_slot(donor)).computed_tokens >= prefix_len) {
+        cow_blocks = 1;
+        hit_tokens = prefix_len;
+      } else {
+        hit_tokens =
+            static_cast<std::int64_t>(hit_blocks_.size()) * block_tokens_;
       }
     }
     // The final prompt token is always recomputed (real engines need its
@@ -211,12 +304,14 @@ bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
 
   // --- Capacity check (reclaim-aware), then commit ---------------------------
   const std::int64_t shared_count =
-      static_cast<std::int64_t>(hit_blocks.size());
+      static_cast<std::int64_t>(hit_blocks_.size());
   const std::int64_t new_blocks = total_blocks - shared_count;
   CIMTPU_CHECK(new_blocks >= cow_blocks);
   std::int64_t cached_among_hits = 0;
-  for (std::int64_t block_id : hit_blocks) {
-    if (shared_blocks_.at(block_id).ref == 0) ++cached_among_hits;
+  for (std::int64_t block_id : hit_blocks_) {
+    if (block_slab_[static_cast<std::size_t>(block_id)].ref == 0) {
+      ++cached_among_hits;
+    }
   }
   const std::int64_t free_now = capacity_blocks_ - occupied_blocks();
   const std::int64_t reclaimable = cached_block_count() - cached_among_hits;
@@ -224,12 +319,37 @@ bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
 
   // Reference the hit blocks first (pulls cached ones off the LRU so the
   // reclaim below can never steal a block we are about to share).
-  for (std::int64_t block_id : hit_blocks) {
-    SharedBlock& block = shared_blocks_.at(block_id);
-    if (block.ref == 0) cached_lru_.erase(block.lru_seq);
+  for (std::int64_t block_id : hit_blocks_) {
+    SharedBlock& block = block_slab_[static_cast<std::size_t>(block_id)];
+    if (block.ref == 0) lru_unlink(block_id);
     ++block.ref;
   }
   if (new_blocks > free_now) reclaim_cached(new_blocks - free_now);
+
+  // --- Register missed full prefix blocks so later requests can share -------
+  // After the reclaim: it may have emptied (and erased) this very chain.
+  std::int64_t registered = 0;
+  if (prefix_eligible) {
+    PrefixChain& chain = prefix_chains_[prefix_id];
+    if (static_cast<std::int64_t>(chain.blocks.size()) < full_blocks) {
+      chain.blocks.resize(static_cast<std::size_t>(full_blocks), -1);
+    }
+    for (std::int64_t k = shared_count; k < full_blocks; ++k) {
+      if (chain.blocks[static_cast<std::size_t>(k)] >= 0) continue;  // a
+      // concurrent registrant got here first; our copy stays private.
+      // A registered block is always a MISS (k >= shared_count), so its
+      // contents cannot exist yet: note_prefilled flips it computed once
+      // this request's prefill passes the block's upper boundary.
+      hit_blocks_.push_back(
+          new_shared_block(prefix_id, &chain, k, request_id));
+      ++registered;
+    }
+    // Volunteer as the partial-tail donor so later same-prefix admissions
+    // can copy the tail's prefix tokens out of this entry's block.
+    if (prefix_len % block_tokens_ != 0 && chain.tail_donor < 0) {
+      chain.tail_donor = request_id;
+    }
+  }
 
   Entry entry;
   entry.tokens = tokens;
@@ -238,46 +358,15 @@ bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
   entry.computed_tokens = hit_tokens;
   entry.prefix_id = prefix_eligible ? prefix_id : -1;
   entry.prefix_len = prefix_eligible ? prefix_len : 0;
-  entry.shared = hit_blocks;
-  entry.private_blocks = new_blocks;
-  private_used_ += new_blocks;
+  entry.private_blocks = new_blocks - registered;
+  CIMTPU_CHECK(entry.private_blocks >= 0);
+  private_used_ += entry.private_blocks;
   blocks_allocated_total_ += new_blocks;
-
-  // --- Register missed full prefix blocks so later requests can share -------
-  if (prefix_eligible) {
-    const std::int64_t full_blocks = prefix_len / block_tokens_;
-    for (std::int64_t k = shared_count; k < full_blocks; ++k) {
-      if (prefix_index_.count({prefix_id, k}) > 0) continue;  // a concurrent
-      // registrant got here first; our copy of the block stays private.
-      const std::int64_t block_id = next_block_id_++;
-      SharedBlock block;
-      block.ref = 1;
-      block.prefix_id = prefix_id;
-      block.block_index = k;
-      block.registrant = request_id;
-      // A registered block is always a MISS (k >= shared_count), so its
-      // contents cannot exist yet: note_prefilled flips it computed once
-      // this request's prefill passes the block's upper boundary.
-      block.computed = false;
-      shared_blocks_[block_id] = block;
-      prefix_index_[{prefix_id, k}] = block_id;
-      entry.shared.push_back(block_id);
-      entry.private_blocks -= 1;
-      private_used_ -= 1;
-      CIMTPU_CHECK(entry.private_blocks >= 0);
-    }
-    // Volunteer as the partial-tail donor so later same-prefix admissions
-    // can copy the tail's prefix tokens out of this entry's block.
-    if (prefix_len % block_tokens_ != 0 &&
-        tail_donors_.count(prefix_id) == 0) {
-      tail_donors_[prefix_id] = request_id;
-    }
-  }
-
   mapped_tokens_ += entry.tokens;
   entry_block_tokens_ += entry_blocks(entry) * block_tokens_;
   victim_index_insert(request_id, entry);
-  slot_insert(request_id, std::move(entry));
+  const std::int32_t slot = slot_insert(request_id, std::move(entry));
+  slot_entry(slot).shared.assign(hit_blocks_.begin(), hit_blocks_.end());
 
   if (outcome != nullptr) {
     outcome->lookup_tokens =
@@ -305,10 +394,7 @@ void KvCacheManager::release(std::int64_t request_id) {
   private_used_ -= entry.private_blocks;
   mapped_tokens_ -= entry.tokens;
   entry_block_tokens_ -= entry_blocks(entry) * block_tokens_;
-  const auto donor = tail_donors_.find(entry.prefix_id);
-  if (donor != tail_donors_.end() && donor->second == request_id) {
-    tail_donors_.erase(donor);
-  }
+  drop_tail_donor(entry);
   victim_index_erase(request_id, entry);
   slot_erase(slot);
 }
@@ -326,10 +412,7 @@ bool KvCacheManager::try_swap_out(std::int64_t request_id) {
   private_used_ -= entry.private_blocks;
   mapped_tokens_ -= entry.tokens;
   entry_block_tokens_ -= blocks * block_tokens_;
-  const auto donor = tail_donors_.find(entry.prefix_id);
-  if (donor != tail_donors_.end() && donor->second == request_id) {
-    tail_donors_.erase(donor);
-  }
+  drop_tail_donor(entry);
   victim_index_erase(request_id, entry);
 
   Entry host_entry = entry;
@@ -379,7 +462,7 @@ void KvCacheManager::note_prefilled_slot(std::int32_t slot,
   // Blocks this entry registered become hittable once the prefill has
   // passed their upper token boundary.
   for (std::int64_t block_id : entry.shared) {
-    SharedBlock& block = shared_blocks_.at(block_id);
+    SharedBlock& block = block_slab_[static_cast<std::size_t>(block_id)];
     if (block.registrant == entry.id && !block.computed &&
         (block.block_index + 1) * block_tokens_ <= entry.computed_tokens) {
       block.computed = true;
@@ -420,13 +503,10 @@ bool KvCacheManager::restore_from_host(std::int64_t request_id) {
 
 std::int64_t KvCacheManager::drop_cached_blocks() {
   const std::int64_t dropped = cached_block_count();
-  for (auto it = cached_lru_.begin(); it != cached_lru_.end();) {
-    const std::int64_t block_id = it->second;
-    const auto block = shared_blocks_.find(block_id);
-    CIMTPU_CHECK(block != shared_blocks_.end() && block->second.ref == 0);
-    prefix_index_.erase({block->second.prefix_id, block->second.block_index});
-    shared_blocks_.erase(block);
-    it = cached_lru_.erase(it);
+  while (lru_head_ >= 0) {
+    const std::int64_t block_id = lru_head_;
+    lru_unlink(block_id);
+    free_shared_block(block_id);
   }
   blocks_invalidated_total_ += dropped;
   return dropped;
@@ -517,7 +597,7 @@ bool KvCacheManager::audit() const {
   std::int64_t private_sum = 0;
   std::int64_t token_sum = 0;
   std::int64_t block_token_sum = 0;
-  std::unordered_map<std::int64_t, std::int64_t> ref_recount;
+  std::vector<std::int64_t> ref_recount(block_slab_.size(), 0);
   for (const auto& [id, slot] : entries_) {
     if (slot < 0 || static_cast<std::size_t>(slot) >= entry_slots_.size()) {
       return false;
@@ -533,52 +613,119 @@ bool KvCacheManager::audit() const {
     private_sum += entry.private_blocks;
     token_sum += entry.tokens;
     block_token_sum += entry_blocks(entry) * block_tokens_;
-    for (std::int64_t block_id : entry.shared) ++ref_recount[block_id];
+    for (std::int64_t block_id : entry.shared) {
+      if (block_id < 0 ||
+          static_cast<std::size_t>(block_id) >= block_slab_.size()) {
+        return false;
+      }
+      ++ref_recount[static_cast<std::size_t>(block_id)];
+    }
   }
   if (private_sum != private_used_ || token_sum != mapped_tokens_ ||
       block_token_sum != entry_block_tokens_) {
     return false;
   }
-  // --- Shared registry: refcounts, cached set, index -------------------------
-  std::int64_t cached_recount = 0;
-  for (const auto& [block_id, block] : shared_blocks_) {
-    const auto counted = ref_recount.find(block_id);
-    const std::int64_t refs =
-        counted == ref_recount.end() ? 0 : counted->second;
-    if (block.ref != refs) return false;  // mapped blocks hold ref >= 1
+  // --- Block slab: live blocks and free ids partition it ---------------------
+  std::int64_t free_recount = 0;
+  for (std::int64_t block_id : free_block_ids_) {
+    if (block_id < 0 ||
+        static_cast<std::size_t>(block_id) >= block_slab_.size()) {
+      return false;
+    }
+    const SharedBlock& block = block_slab_[static_cast<std::size_t>(block_id)];
+    if (block.prefix_id != -1 || block.ref != 0) return false;
+  }
+  // --- Live blocks: refcounts and chain back-pointers ------------------------
+  std::int64_t live_recount = 0;
+  std::int64_t zero_ref_recount = 0;
+  for (std::size_t block_id = 0; block_id < block_slab_.size(); ++block_id) {
+    const SharedBlock& block = block_slab_[block_id];
+    if (block.prefix_id < 0) {
+      ++free_recount;
+      if (ref_recount[block_id] != 0) return false;  // mapped a freed id
+      continue;
+    }
+    ++live_recount;
+    if (block.ref != ref_recount[block_id]) return false;
     if (block.ref == 0) {
       if (!block.computed) return false;  // uncomputed orphans are destroyed
-      ++cached_recount;
-      const auto lru = cached_lru_.find(block.lru_seq);
-      if (lru == cached_lru_.end() || lru->second != block_id) return false;
+      ++zero_ref_recount;
     }
-    const auto indexed = prefix_index_.find({block.prefix_id,
-                                             block.block_index});
-    if (indexed == prefix_index_.end() || indexed->second != block_id) {
+    const auto chain = prefix_chains_.find(block.prefix_id);
+    if (chain == prefix_chains_.end() || block.block_index < 0 ||
+        block.block_index >=
+            static_cast<std::int64_t>(chain->second.blocks.size()) ||
+        chain->second.blocks[static_cast<std::size_t>(block.block_index)] !=
+            static_cast<std::int64_t>(block_id)) {
       return false;
     }
   }
-  for (const auto& counted : ref_recount) {
-    if (shared_blocks_.count(counted.first) == 0) return false;
+  // Every free slot is listed exactly once (no duplicates, none missing).
+  if (free_recount != static_cast<std::int64_t>(free_block_ids_.size()) ||
+      live_recount != live_shared_blocks_) {
+    return false;
   }
-  if (cached_recount != cached_block_count() ||
-      prefix_index_.size() != shared_blocks_.size()) {
+  // --- Prefix chains: entries point back, counts, donors ---------------------
+  std::int64_t chained = 0;
+  for (const auto& [prefix_id, chain] : prefix_chains_) {
+    std::int64_t present = 0;
+    for (std::size_t k = 0; k < chain.blocks.size(); ++k) {
+      const std::int64_t block_id = chain.blocks[k];
+      if (block_id < 0) continue;
+      if (static_cast<std::size_t>(block_id) >= block_slab_.size()) {
+        return false;
+      }
+      const SharedBlock& block =
+          block_slab_[static_cast<std::size_t>(block_id)];
+      if (block.prefix_id != prefix_id ||
+          block.block_index != static_cast<std::int64_t>(k)) {
+        return false;
+      }
+      ++present;
+    }
+    if (present != chain.live) return false;
+    if (chain.live == 0 && chain.tail_donor < 0) return false;  // not erased
+    if (chain.tail_donor >= 0) {
+      const auto donor = entries_.find(chain.tail_donor);
+      if (donor == entries_.end() ||
+          slot_entry(donor->second).prefix_id != prefix_id) {
+        return false;
+      }
+    }
+    chained += present;
+  }
+  if (chained != live_shared_blocks_) return false;
+  // --- LRU list: exactly the computed refcount-0 blocks, by lru_seq ----------
+  std::int64_t listed = 0;
+  std::int64_t prev = -1;
+  for (std::int64_t block_id = lru_head_; block_id >= 0;) {
+    if (static_cast<std::size_t>(block_id) >= block_slab_.size() ||
+        listed >= live_shared_blocks_) {
+      return false;  // out of range, or a cycle
+    }
+    const SharedBlock& block = block_slab_[static_cast<std::size_t>(block_id)];
+    if (block.prefix_id < 0 || block.ref != 0 || block.lru_prev != prev) {
+      return false;
+    }
+    if (prev >= 0 &&
+        block_slab_[static_cast<std::size_t>(prev)].lru_seq >= block.lru_seq) {
+      return false;
+    }
+    ++listed;
+    prev = block_id;
+    block_id = block.lru_next;
+  }
+  if (prev != lru_tail_ || listed != cached_blocks_ ||
+      listed != zero_ref_recount) {
     return false;
   }
   if (occupied_blocks() > capacity_blocks_) return false;
-  // --- Victim indices --------------------------------------------------------
+  // --- Victim index --------------------------------------------------------
   if (admit_order_.size() != entries_.size()) return false;
   for (const auto& [seq, id] : admit_order_) {
     const auto entry = entries_.find(id);
     if (entry == entries_.end() ||
         slot_entry(entry->second).admit_seq != seq) {
-      return false;
-    }
-  }
-  for (const auto& [prefix_id, donor] : tail_donors_) {
-    const auto entry = entries_.find(donor);
-    if (entry == entries_.end() ||
-        slot_entry(entry->second).prefix_id != prefix_id) {
       return false;
     }
   }

@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -317,12 +316,10 @@ class KvCacheManager {
   std::int64_t host_capacity_blocks() const { return host_capacity_blocks_; }
   /// Physical blocks in use, INCLUDING cached (refcount-0) prefix blocks.
   std::int64_t occupied_blocks() const {
-    return private_used_ + static_cast<std::int64_t>(shared_blocks_.size());
+    return private_used_ + live_shared_blocks_;
   }
   /// Cached prefix blocks: refcount 0, reclaimable on demand.
-  std::int64_t cached_block_count() const {
-    return static_cast<std::int64_t>(cached_lru_.size());
-  }
+  std::int64_t cached_block_count() const { return cached_blocks_; }
   /// Blocks some resident request currently references.
   std::int64_t referenced_blocks() const {
     return occupied_blocks() - cached_block_count();
@@ -335,6 +332,12 @@ class KvCacheManager {
   /// Shared (prefix) block mappings held by `request_id` — test
   /// introspection for refcount assertions.
   std::int64_t shared_block_count(std::int64_t request_id) const;
+  /// Shared-block ids ever handed out and not yet recycled (live plus
+  /// free) — test introspection: freed ids are reused, so under churn
+  /// this stays bounded by the peak number of live shared blocks.
+  std::int64_t shared_block_ids() const {
+    return static_cast<std::int64_t>(block_slab_.size());
+  }
   /// Last-block waste across resident mappings: 1 - mapped_tokens /
   /// mapped_block_tokens, in [0, 1).  Always 0 at block_tokens = 1.
   double internal_fragmentation() const {
@@ -373,10 +376,12 @@ class KvCacheManager {
   EvictionPolicy policy() const { return policy_; }
 
   /// Accounting invariant for tests: per-entry block counts match their
-  /// token counts, refcounts match a full recount (and are >= 1 for every
-  /// mapped shared block), cached blocks are exactly the computed
-  /// refcount-0 ones, the prefix index and victim-order indices are
-  /// consistent, and device/host occupancy never exceeds capacity.
+  /// token counts; live shared blocks and free ids partition the block
+  /// slab; refcounts match a full recount (and are >= 1 for every mapped
+  /// shared block); every prefix-chain entry and its block point at each
+  /// other; the LRU list is ordered by lru_seq and holds exactly the
+  /// computed refcount-0 blocks; the victim-order index and tail donors
+  /// are consistent; and device/host occupancy never exceeds capacity.
   bool audit() const;
 
  private:
@@ -395,6 +400,8 @@ class KvCacheManager {
     std::vector<std::int64_t> shared;  ///< leading shared physical block ids
   };
 
+  /// One slot of the shared-block slab; the block id is the slot index.
+  /// A free slot has prefix_id -1 (live blocks always carry a prefix).
   struct SharedBlock {
     std::int64_t ref = 0;
     std::int64_t prefix_id = -1;
@@ -402,6 +409,18 @@ class KvCacheManager {
     std::int64_t registrant = -1;  ///< entry whose prefill computes it
     bool computed = false;         ///< contents exist (hittable)
     std::int64_t lru_seq = -1;     ///< reclaim order while cached (ref 0)
+    std::int64_t lru_prev = -1;    ///< intrusive LRU links while cached
+    std::int64_t lru_next = -1;
+  };
+
+  /// Everything the prefix cache knows about one prefix id: the physical
+  /// block holding each full prefix block k (-1 = absent) and the resident
+  /// entry that volunteers its partial tail block for copy-on-write.  A
+  /// chain with no live block and no donor is erased.
+  struct PrefixChain {
+    std::vector<std::int64_t> blocks;
+    std::int64_t live = 0;         ///< entries of `blocks` that are >= 0
+    std::int64_t tail_donor = -1;  ///< entry id, -1 = none
   };
 
   /// Victim preference under kPriorityVictim: lowest priority first, then
@@ -434,6 +453,21 @@ class KvCacheManager {
   /// Drops one reference on a shared block; a computed block that reaches
   /// refcount 0 becomes cached, an uncomputed one is destroyed.
   void unref_shared(std::int64_t block_id);
+  /// Takes a slab id (recycled when one is free) for block k of `chain`,
+  /// registered by `registrant` and not yet computed; returns the id.
+  std::int64_t new_shared_block(std::int64_t prefix_id, PrefixChain* chain,
+                                std::int64_t k, std::int64_t registrant);
+  /// Removes a refcount-0 block from its chain and recycles its id.
+  void free_shared_block(std::int64_t block_id);
+  /// Appends a block that just reached refcount 0 to the LRU tail.
+  void lru_append(std::int64_t block_id);
+  /// Unlinks a cached block from the LRU list (a hit or a reclaim).
+  void lru_unlink(std::int64_t block_id);
+  /// Clears `entry`'s tail-donor volunteering as it leaves the device.
+  void drop_tail_donor(const Entry& entry);
+  /// Erases `chain` when it holds no block and no donor.
+  void erase_chain_if_empty(
+      std::unordered_map<std::int64_t, PrefixChain>::iterator chain);
 
   Bytes capacity_;
   Bytes bytes_per_token_;
@@ -455,7 +489,6 @@ class KvCacheManager {
   std::int64_t mapped_tokens_ = 0;     ///< sum of resident entry tokens
   std::int64_t entry_block_tokens_ = 0;  ///< sum of resident blocks * B
   std::int64_t next_seq_ = 0;
-  std::int64_t next_block_id_ = 0;
   std::int64_t next_lru_seq_ = 0;
   /// Acquires a dense slot for `entry` and indexes it; returns the slot.
   std::int32_t slot_insert(std::int64_t request_id, Entry&& entry);
@@ -472,14 +505,19 @@ class KvCacheManager {
   std::vector<std::int32_t> free_slots_;  ///< recycled entry_slots_ indices
   std::unordered_map<std::int64_t, std::int32_t> entries_;  ///< id -> slot
   std::unordered_map<std::int64_t, Entry> host_entries_;  ///< swapped out
-  std::unordered_map<std::int64_t, SharedBlock> shared_blocks_;  ///< by id
-  std::map<std::pair<std::int64_t, std::int64_t>, std::int64_t>
-      prefix_index_;  ///< (prefix_id, block_index) -> physical block id
-  std::map<std::int64_t, std::int64_t> cached_lru_;  ///< lru_seq -> block id
-  std::map<std::int64_t, std::int64_t> tail_donors_;  ///< prefix_id -> entry
-                                                      ///< owning the partial
-                                                      ///< tail block's tokens
   std::map<std::int64_t, std::int64_t> admit_order_;  ///< admit_seq -> id
+
+  // --- Prefix-cache store ---------------------------------------------------
+  // Flat, so an admission pays one hash probe for its prefix chain plus an
+  // array walk, and a release or reclaim touches each block in O(1).
+  std::vector<SharedBlock> block_slab_;       ///< shared blocks, by id
+  std::vector<std::int64_t> free_block_ids_;  ///< recycled slab ids
+  std::int64_t live_shared_blocks_ = 0;       ///< slab slots in use
+  std::int64_t cached_blocks_ = 0;            ///< blocks on the LRU list
+  std::int64_t lru_head_ = -1;  ///< oldest cached block (reclaimed first)
+  std::int64_t lru_tail_ = -1;  ///< newest cached block
+  std::unordered_map<std::int64_t, PrefixChain> prefix_chains_;  ///< by id
+  std::vector<std::int64_t> hit_blocks_;  ///< try_admit scratch
 };
 
 }  // namespace cimtpu::serving

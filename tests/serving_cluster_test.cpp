@@ -178,6 +178,35 @@ TEST(ClusterSingleReplicaTest, BitIdenticalToSingleEnginePath) {
   EXPECT_EQ(cluster.kv_transfer_count, 0);
 }
 
+TEST(ClusterSloGoodputTest, FlattenedCellsCarrySloGoodput) {
+  // Deadline-carrying traffic past one replica's capacity, so some
+  // completions miss their deadlines and SLO goodput < goodput.
+  const std::vector<Request> requests =
+      generate_requests(slo_chat_stream(/*seed=*/42, 300, 25.0));
+  const ServingScenario scenario =
+      llama7b_baseline_scenario(1, ir::DType::kInt4);
+  const ServingMetrics single = run_serving(scenario, requests);
+  ASSERT_GT(single.slo_goodput_tokens_per_second, 0);
+  ASSERT_LT(single.slo_goodput_tokens_per_second,
+            single.goodput_tokens_per_second);
+
+  ClusterConfig config;
+  config.base = scenario;
+  config.replicas = {ReplicaSpec{}};
+  config.router_policy = "round_robin";
+  const ServingMetrics one =
+      flatten_cluster_metrics(run_serving_cluster(config, requests));
+  EXPECT_EQ(one.slo_goodput_tokens_per_second,
+            single.slo_goodput_tokens_per_second);
+
+  config.replicas.assign(4, ReplicaSpec{});
+  const ServingMetrics four =
+      flatten_cluster_metrics(run_serving_cluster(config, requests));
+  EXPECT_GT(four.slo_goodput_tokens_per_second, 0);
+  EXPECT_LE(four.slo_goodput_tokens_per_second,
+            four.goodput_tokens_per_second);
+}
+
 TEST(ClusterSingleReplicaTest, UnknownRouterPolicyFailsAtOneReplicaToo) {
   ClusterConfig config;
   config.base = llama7b_baseline_scenario(1, ir::DType::kInt4);

@@ -1,9 +1,11 @@
 // Paged-KV hardening suite: block-granular allocation math, ref-counted
 // prefix sharing (full blocks, cached retention, LRU reclaim, partial-tail
-// copy-on-write), input validation, the incremental victim-order indices,
-// a seeded alloc/grow/share/CoW/free fuzz across 3 seeds x 3 eviction
-// policies, and a paged-vs-contiguous lockstep equivalence test at block
-// size 1 (the compatibility contract the golden pins rely on).
+// copy-on-write), LRU order and id reuse in the flat block store, a seeded
+// churn test against a brute-force prefix-cache reference, input
+// validation, the incremental victim-order indices, a seeded
+// alloc/grow/share/CoW/free fuzz across 3 seeds x 3 eviction policies, and
+// a paged-vs-contiguous lockstep equivalence test at block size 1 (the
+// compatibility contract the golden pins rely on).
 //
 // The scheduler-level tests drive prefix-tagged requests end to end:
 // prefix hits must skip prefill work (chunks start at a nonzero KV
@@ -273,6 +275,391 @@ TEST(PrefixCacheTest, SwapOutPrivatizesSharedBlocks) {
   EXPECT_EQ(kv.shared_block_count(1), 0);  // returns private
   EXPECT_EQ(kv.resident_tokens(1), 11);
   EXPECT_TRUE(kv.audit());
+}
+
+TEST(PrefixCacheTest, LruOrderSurvivesRecycledBlockIds) {
+  // 16-block device, 4-token blocks, 4-block (16-token) prefixes.
+  KvCacheManager kv = paged(64.0, 4, true);
+  // Warm-up: cache one prefix's 4 blocks, then reclaim all of them.  The
+  // free list hands their ids back last-freed first, so prefix A below
+  // gets its blocks under DESCENDING ids and prefix B under fresh ones:
+  // id order no longer matches release order.
+  ASSERT_TRUE(kv.try_admit(0, 18, 0, /*prefix_id=*/1, 16, 17));
+  kv.note_prefilled(0, 17);
+  kv.release(0);
+  ASSERT_TRUE(kv.try_admit(1, 64));  // the whole device: reclaims all 4
+  EXPECT_EQ(kv.cached_block_count(), 0);
+  kv.release(1);
+  EXPECT_EQ(kv.shared_block_ids(), 4);
+  // Release A, then B: A's blocks are the older cached ones.
+  ASSERT_TRUE(kv.try_admit(2, 18, 0, /*prefix_id=*/10, 16, 17));
+  ASSERT_TRUE(kv.try_admit(3, 18, 0, /*prefix_id=*/20, 16, 17));
+  kv.note_prefilled(2, 17);
+  kv.note_prefilled(3, 17);
+  kv.release(2);
+  kv.release(3);
+  EXPECT_EQ(kv.cached_block_count(), 8);
+  EXPECT_EQ(kv.shared_block_ids(), 8);  // A reused the 4 warm-up ids
+  // Reclaim exactly 2: 8 free + 2 cached.
+  ASSERT_TRUE(kv.try_admit(4, 40));
+  EXPECT_EQ(kv.cached_block_count(), 6);
+  EXPECT_TRUE(kv.audit());
+  kv.release(4);
+  // A's blocks 0 and 1 went first: an A lookup hits nothing, registers
+  // blocks 0 and 1 afresh and finds blocks 2 and 3 still present.
+  // (Reclaiming by block id would have taken A's blocks 3 and 2, leaving
+  // blocks 0 and 1 hittable.)
+  KvCacheManager::AdmitOutcome hit_a;
+  ASSERT_TRUE(kv.try_admit(5, 18, 0, 10, 16, 17, &hit_a));
+  EXPECT_EQ(hit_a.prefix_hit_tokens, 0);
+  EXPECT_EQ(kv.shared_block_count(5), 2);
+  // B is untouched.
+  KvCacheManager::AdmitOutcome hit_b;
+  ASSERT_TRUE(kv.try_admit(6, 18, 0, 20, 16, 17, &hit_b));
+  EXPECT_EQ(hit_b.prefix_hit_tokens, 16);
+  EXPECT_EQ(hit_b.shared_blocks, 4);
+  EXPECT_TRUE(kv.audit());
+}
+
+TEST(PrefixCacheTest, ChurnRecyclesBlockIds) {
+  // Every request carries a fresh prefix, so each admission registers 4
+  // new shared blocks; at most 3 requests are resident at a time.  Cached
+  // blocks pile up until pressure reclaims them, and their ids must be
+  // reused: the slab never outgrows the device.
+  KvCacheManager kv = paged(64.0, 4, true);
+  for (std::int64_t id = 0; id < 400; ++id) {
+    if (id >= 3) kv.release(id - 3);
+    KvCacheManager::AdmitOutcome outcome;
+    ASSERT_TRUE(kv.try_admit(id, 18, 0, /*prefix_id=*/id, 16, 17, &outcome));
+    ASSERT_EQ(kv.shared_block_count(id), 4);
+    kv.note_prefilled(id, 17);
+    ASSERT_TRUE(kv.audit()) << "request " << id;
+    ASSERT_LE(kv.shared_block_ids(), kv.capacity_blocks());
+  }
+  EXPECT_GT(kv.cached_blocks_reclaimed_total(), 1000);
+}
+
+// --- Seeded churn against a brute-force reference ----------------------------
+
+/// The prefix cache's semantics over the most direct containers: blocks
+/// keyed by (prefix id, block index) in one std::map, the LRU victim found
+/// by scanning for the oldest release stamp, occupancy recounted from
+/// scratch on every query.  Slow and obviously right; the flat store must
+/// agree with it on every decision and every AdmitOutcome.
+class PrefixCacheReference {
+ public:
+  PrefixCacheReference(std::int64_t capacity_blocks,
+                       std::int64_t host_blocks, std::int64_t block_tokens)
+      : capacity_(capacity_blocks),
+        host_capacity_(host_blocks),
+        block_(block_tokens) {}
+
+  bool try_admit(std::int64_t id, std::int64_t tokens,
+                 std::int64_t prefix_id, std::int64_t prefix_len,
+                 std::int64_t prompt_len, bool paused,
+                 KvCacheManager::AdmitOutcome* outcome) {
+    *outcome = KvCacheManager::AdmitOutcome{};
+    const bool eligible = !paused && prefix_id >= 0 && prefix_len > 0 &&
+                          prompt_len > 1 && tokens >= prompt_len;
+    const std::int64_t full = prefix_len / block_;
+    std::vector<Key> hits;
+    std::int64_t hit_tokens = 0;
+    std::int64_t cow = 0;
+    if (eligible) {
+      for (std::int64_t k = 0; k < full; ++k) {
+        const auto it = blocks_.find({prefix_id, k});
+        if (it == blocks_.end() || !it->second.computed) break;
+        hits.push_back(it->first);
+      }
+      hit_tokens = static_cast<std::int64_t>(hits.size()) * block_;
+      const auto donor = donors_.find(prefix_id);
+      if (static_cast<std::int64_t>(hits.size()) == full &&
+          prefix_len % block_ != 0 && donor != donors_.end() &&
+          device_.at(donor->second).computed >= prefix_len) {
+        cow = 1;
+        hit_tokens = prefix_len;
+      }
+      hit_tokens = std::min(hit_tokens, prompt_len - 1);
+    }
+    const std::int64_t new_blocks =
+        blocks_for(tokens) - static_cast<std::int64_t>(hits.size());
+    std::int64_t referenced_hits = 0;
+    for (const Key& key : hits) referenced_hits += blocks_.at(key).ref > 0;
+    // Everything not pinned by a resident sequence (or by this admission's
+    // own hits) can be made free.
+    if (referenced() + static_cast<std::int64_t>(hits.size()) -
+            referenced_hits + new_blocks >
+        capacity_) {
+      return false;
+    }
+    for (const Key& key : hits) ++blocks_.at(key).ref;
+    while (occupied() + new_blocks > capacity_) reclaim_oldest();
+    Seq seq;
+    seq.tokens = tokens;
+    seq.computed = hit_tokens;
+    seq.shared = hits;
+    if (eligible) {
+      seq.prefix_id = prefix_id;
+      for (std::int64_t k = static_cast<std::int64_t>(hits.size()); k < full;
+           ++k) {
+        if (blocks_.count({prefix_id, k}) > 0) continue;
+        Block block;
+        block.ref = 1;
+        block.registrant = id;
+        blocks_[{prefix_id, k}] = block;
+        seq.shared.push_back({prefix_id, k});
+      }
+      if (prefix_len % block_ != 0 && donors_.count(prefix_id) == 0) {
+        donors_[prefix_id] = id;
+      }
+    }
+    seq.private_blocks =
+        blocks_for(tokens) - static_cast<std::int64_t>(seq.shared.size());
+    device_[id] = seq;
+    outcome->lookup_tokens = eligible ? std::min(prefix_len, prompt_len - 1)
+                                      : 0;
+    outcome->prefix_hit_tokens = hit_tokens;
+    outcome->shared_blocks = static_cast<std::int64_t>(hits.size());
+    outcome->cow_blocks = cow;
+    return true;
+  }
+
+  bool try_grow(std::int64_t id, std::int64_t tokens) {
+    Seq& seq = device_.at(id);
+    const std::int64_t need =
+        blocks_for(seq.tokens + tokens) - blocks_for(seq.tokens);
+    if (referenced() + need > capacity_) return false;
+    while (occupied() + need > capacity_) reclaim_oldest();
+    seq.tokens += tokens;
+    seq.private_blocks += need;
+    return true;
+  }
+
+  void note_prefilled(std::int64_t id, std::int64_t computed) {
+    Seq& seq = device_.at(id);
+    seq.computed = std::min(std::max(seq.computed, computed), seq.tokens);
+    for (const Key& key : seq.shared) {
+      Block& block = blocks_.at(key);
+      if (block.registrant == id && (key.second + 1) * block_ <= seq.computed) {
+        block.computed = true;
+        block.registrant = -1;
+      }
+    }
+  }
+
+  void release(std::int64_t id) {
+    leave_device(id);
+    device_.erase(id);
+  }
+
+  bool try_swap_out(std::int64_t id) {
+    const Seq seq = device_.at(id);
+    const std::int64_t blocks = blocks_for(seq.tokens);
+    if (host_used() + blocks > host_capacity_) return false;
+    leave_device(id);
+    device_.erase(id);
+    Seq host;
+    host.tokens = seq.tokens;
+    host.computed = seq.computed;
+    host.private_blocks = blocks;
+    host_[id] = host;
+    return true;
+  }
+
+  bool try_swap_in(std::int64_t id) {
+    const Seq seq = host_.at(id);
+    if (referenced() + seq.private_blocks > capacity_) return false;
+    while (occupied() + seq.private_blocks > capacity_) reclaim_oldest();
+    device_[id] = seq;
+    host_.erase(id);
+    return true;
+  }
+
+  std::int64_t drop_cached() {
+    std::int64_t dropped = 0;
+    for (auto it = blocks_.begin(); it != blocks_.end();) {
+      if (it->second.ref == 0) {
+        it = blocks_.erase(it);
+        ++dropped;
+      } else {
+        ++it;
+      }
+    }
+    return dropped;
+  }
+
+  std::int64_t occupied() const {
+    std::int64_t blocks = static_cast<std::int64_t>(blocks_.size());
+    for (const auto& [id, seq] : device_) blocks += seq.private_blocks;
+    return blocks;
+  }
+  std::int64_t cached() const {
+    std::int64_t count = 0;
+    for (const auto& [key, block] : blocks_) count += block.ref == 0;
+    return count;
+  }
+  std::int64_t shared_count(std::int64_t id) const {
+    return static_cast<std::int64_t>(device_.at(id).shared.size());
+  }
+
+ private:
+  using Key = std::pair<std::int64_t, std::int64_t>;  // (prefix id, k)
+  struct Block {
+    std::int64_t ref = 0;
+    bool computed = false;
+    std::int64_t registrant = -1;
+    std::int64_t released_at = -1;  ///< stamp of the last unref to 0
+  };
+  struct Seq {
+    std::int64_t tokens = 0;
+    std::int64_t computed = 0;
+    std::int64_t prefix_id = -1;
+    std::int64_t private_blocks = 0;
+    std::vector<Key> shared;
+  };
+
+  std::int64_t blocks_for(std::int64_t tokens) const {
+    return (tokens + block_ - 1) / block_;
+  }
+  std::int64_t referenced() const { return occupied() - cached(); }
+  std::int64_t host_used() const {
+    std::int64_t blocks = 0;
+    for (const auto& [id, seq] : host_) blocks += seq.private_blocks;
+    return blocks;
+  }
+  void reclaim_oldest() {
+    auto oldest = blocks_.end();
+    for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
+      if (it->second.ref == 0 &&
+          (oldest == blocks_.end() ||
+           it->second.released_at < oldest->second.released_at)) {
+        oldest = it;
+      }
+    }
+    ASSERT_NE(oldest, blocks_.end());
+    blocks_.erase(oldest);
+  }
+  void leave_device(std::int64_t id) {
+    const Seq& seq = device_.at(id);
+    for (const Key& key : seq.shared) {
+      Block& block = blocks_.at(key);
+      if (--block.ref > 0) continue;
+      if (block.computed) {
+        block.released_at = next_stamp_++;
+      } else {
+        blocks_.erase(key);
+      }
+    }
+    const auto donor = donors_.find(seq.prefix_id);
+    if (donor != donors_.end() && donor->second == id) donors_.erase(donor);
+  }
+
+  std::int64_t capacity_, host_capacity_, block_;
+  std::int64_t next_stamp_ = 0;
+  std::map<Key, Block> blocks_;
+  std::map<std::int64_t, std::int64_t> donors_;  ///< prefix id -> entry
+  std::map<std::int64_t, Seq> device_, host_;
+};
+
+TEST(PrefixCacheChurnTest, MatchesBruteForceReference) {
+  for (std::int64_t block : {4, 16}) {
+    for (bool partial_tail : {false, true}) {
+      for (std::uint64_t seed : {7ull, 41ull, 2024ull}) {
+        const std::int64_t prefix_len = 3 * block + (partial_tail ? block / 2
+                                                                  : 0);
+        const std::int64_t capacity_blocks = 40;
+        const std::int64_t host_blocks = 24;
+        KvCacheManager kv =
+            paged(static_cast<double>(capacity_blocks * block), block, true,
+                  EvictionPolicy::kSwapToHost,
+                  static_cast<double>(host_blocks * block));
+        PrefixCacheReference ref(capacity_blocks, host_blocks, block);
+        Rng rng(seed);
+        std::vector<std::int64_t> device, host;
+        std::map<std::int64_t, std::int64_t> prompt_of;
+        bool paused = false;
+        const auto take = [&rng](std::vector<std::int64_t>* ids) {
+          const std::size_t i = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(ids->size()) - 1));
+          const std::int64_t id = (*ids)[i];
+          ids->erase(ids->begin() + static_cast<std::ptrdiff_t>(i));
+          return id;
+        };
+        for (std::int64_t op = 0; op < 1500; ++op) {
+          const std::int64_t kind = rng.uniform_int(0, 9);
+          SCOPED_TRACE(::testing::Message()
+                       << "block " << block << " tail " << partial_tail
+                       << " seed " << seed << " op " << op << " kind "
+                       << kind);
+          if (kind <= 2 || device.empty()) {
+            // Admit: most requests carry one of 4 prefixes; a prompt that
+            // is all prefix exercises the prompt_len - 1 hit cap.
+            const std::int64_t prefix_id =
+                rng.uniform_int(0, 4) == 0 ? -1 : rng.uniform_int(0, 3);
+            const std::int64_t prompt =
+                prefix_len + rng.uniform_int(0, 2 * block);
+            const std::int64_t tokens = prompt + rng.uniform_int(1, block);
+            KvCacheManager::AdmitOutcome got, want;
+            const bool admitted =
+                kv.try_admit(op, tokens, 0, prefix_id,
+                             prefix_id >= 0 ? prefix_len : 0, prompt, &got);
+            ASSERT_EQ(admitted,
+                      ref.try_admit(op, tokens, prefix_id,
+                                    prefix_id >= 0 ? prefix_len : 0, prompt,
+                                    paused, &want));
+            if (admitted) {
+              ASSERT_EQ(got.lookup_tokens, want.lookup_tokens);
+              ASSERT_EQ(got.prefix_hit_tokens, want.prefix_hit_tokens);
+              ASSERT_EQ(got.shared_blocks, want.shared_blocks);
+              ASSERT_EQ(got.cow_blocks, want.cow_blocks);
+              ASSERT_EQ(kv.shared_block_count(op), ref.shared_count(op));
+              device.push_back(op);
+              prompt_of[op] = prompt;
+            }
+          } else if (kind == 3) {
+            const std::int64_t id = device[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(device.size()) -
+                                       1))];
+            const std::int64_t computed =
+                rng.uniform_int(0, prompt_of.at(id));
+            kv.note_prefilled(id, computed);
+            ref.note_prefilled(id, computed);
+          } else if (kind == 4) {
+            const std::int64_t id = take(&device);
+            kv.release(id);
+            ref.release(id);
+          } else if (kind == 5) {
+            const std::int64_t id = take(&device);
+            const bool out = kv.try_swap_out(id);
+            ASSERT_EQ(out, ref.try_swap_out(id));
+            (out ? host : device).push_back(id);
+          } else if (kind == 6 && !host.empty()) {
+            const std::int64_t id = take(&host);
+            const bool in = kv.try_swap_in(id);
+            ASSERT_EQ(in, ref.try_swap_in(id));
+            (in ? device : host).push_back(id);
+          } else if (kind == 7) {
+            const std::int64_t id = device[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(device.size()) -
+                                       1))];
+            const std::int64_t grow = rng.uniform_int(1, block);
+            ASSERT_EQ(kv.try_grow(id, grow), ref.try_grow(id, grow));
+          } else if (kind == 8) {
+            if (rng.uniform_int(0, 3) == 0) {
+              ASSERT_EQ(kv.drop_cached_blocks(), ref.drop_cached());
+            }
+          } else if (kind == 9) {
+            paused = rng.uniform_int(0, 2) == 0;
+            kv.set_prefix_admission_paused(paused);
+          }
+          ASSERT_TRUE(kv.audit());
+          ASSERT_EQ(kv.occupied_blocks(), ref.occupied());
+          ASSERT_EQ(kv.cached_block_count(), ref.cached());
+          ASSERT_LE(kv.shared_block_ids(), capacity_blocks);
+        }
+      }
+    }
+  }
 }
 
 // --- Victim-order indices (satellite: no full scans) -------------------------
