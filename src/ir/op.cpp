@@ -34,83 +34,6 @@ std::string op_kind_name(OpKind kind) {
   return "?";
 }
 
-double Op::macs() const {
-  if (kind != OpKind::kMatmul) return 0.0;
-  return static_cast<double>(instances) * static_cast<double>(m) *
-         static_cast<double>(k) * static_cast<double>(n);
-}
-
-double Op::flops() const {
-  switch (kind) {
-    case OpKind::kMatmul:
-      return 2.0 * macs();
-    case OpKind::kSoftmax:
-      // Online normalizer (Milakov & Gimelshein): one fused max+sum pass
-      // and one normalize pass.  Each pass evaluates exp() (range-reduced
-      // polynomial, ~4 ops) plus compare/accumulate or subtract/divide —
-      // ~6 vector ops per element per pass.
-      return 12.0 * static_cast<double>(rows) * static_cast<double>(cols);
-    case OpKind::kLayerNorm:
-      // mean + variance pass (~4 ops/elem) and normalize+affine (~4).
-      return 8.0 * static_cast<double>(rows) * static_cast<double>(cols);
-    case OpKind::kGelu:
-      // tanh-approximated GeLU (as used by DiT): x^3 term, tanh poly,
-      // blend — ~12 ops/elem on a vector unit.
-      return 12.0 * static_cast<double>(elems);
-    case OpKind::kElementwise:
-      return ops_per_element * static_cast<double>(elems);
-    case OpKind::kEmbeddingLookup:
-      return 0.0;  // pure gather
-    case OpKind::kDataMovement:
-      return 0.0;
-  }
-  return 0.0;
-}
-
-Bytes Op::moving_bytes() const {
-  const double element = dtype_bytes(dtype);
-  switch (kind) {
-    case OpKind::kMatmul:
-      return static_cast<double>(instances) * static_cast<double>(m) *
-             static_cast<double>(k) * element;
-    case OpKind::kSoftmax:
-    case OpKind::kLayerNorm:
-      return static_cast<double>(rows) * static_cast<double>(cols) * element;
-    case OpKind::kGelu:
-    case OpKind::kElementwise:
-    case OpKind::kDataMovement:
-      return static_cast<double>(elems) * element;
-    case OpKind::kEmbeddingLookup:
-      return static_cast<double>(rows) * static_cast<double>(cols) * element;
-  }
-  return 0.0;
-}
-
-Bytes Op::stationary_bytes() const {
-  if (kind != OpKind::kMatmul) return 0.0;
-  return static_cast<double>(instances) * static_cast<double>(k) *
-         static_cast<double>(n) * dtype_bytes(dtype);
-}
-
-Bytes Op::output_bytes() const {
-  const double element = dtype_bytes(dtype);
-  switch (kind) {
-    case OpKind::kMatmul:
-      return static_cast<double>(instances) * static_cast<double>(m) *
-             static_cast<double>(n) * element;
-    case OpKind::kSoftmax:
-    case OpKind::kLayerNorm:
-      return static_cast<double>(rows) * static_cast<double>(cols) * element;
-    case OpKind::kGelu:
-    case OpKind::kElementwise:
-    case OpKind::kDataMovement:
-      return static_cast<double>(elems) * element;
-    case OpKind::kEmbeddingLookup:
-      return static_cast<double>(rows) * static_cast<double>(cols) * element;
-  }
-  return 0.0;
-}
-
 void Op::validate() const {
   CIMTPU_CONFIG_CHECK(!name.empty(), "op has empty name");
   switch (kind) {

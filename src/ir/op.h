@@ -35,7 +35,8 @@ enum class OpKind : std::uint8_t {
 
 std::string op_kind_name(OpKind kind);
 
-/// One operator instance.
+/// The numbers of one operator: kind, dtype, dimensions and operand
+/// residency -- everything the cost models read.  `Op` adds the labels.
 ///
 /// For kMatmul the computation is `instances` independent GEMMs of shape
 /// [m, k] x [k, n].  `instances > 1` with `stationary_shared == false`
@@ -43,10 +44,8 @@ std::string op_kind_name(OpKind kind);
 /// K / V matrix so the stationary operand cannot be amortized across the
 /// batch — the key reason decode GEMVs starve a weight-stationary systolic
 /// array (paper Sec. IV-B).
-struct Op {
+struct OpShape {
   OpKind kind = OpKind::kMatmul;
-  std::string name;   ///< unique-ish label, e.g. "qkv_proj"
-  std::string group;  ///< reporting bar, e.g. "QKV Gen"
   DType dtype = DType::kInt8;
 
   // --- kMatmul fields --------------------------------------------------------
@@ -78,10 +77,95 @@ struct Op {
   Bytes output_bytes() const;
   /// True when the op executes on a matrix unit.
   bool is_matmul() const { return kind == OpKind::kMatmul; }
+};
+
+/// One operator instance: its shape plus the labels reports use.
+struct Op : OpShape {
+  std::string name;   ///< unique-ish label, e.g. "qkv_proj"
+  std::string group;  ///< reporting bar, e.g. "QKV Gen"
 
   /// Throws ConfigError when required fields for `kind` are missing/invalid.
   void validate() const;
 };
+
+// --- OpShape derived quantities (inline: every per-op cost reads them) ------
+
+inline double OpShape::macs() const {
+  if (kind != OpKind::kMatmul) return 0.0;
+  return static_cast<double>(instances) * static_cast<double>(m) *
+         static_cast<double>(k) * static_cast<double>(n);
+}
+
+inline double OpShape::flops() const {
+  switch (kind) {
+    case OpKind::kMatmul:
+      return 2.0 * macs();
+    case OpKind::kSoftmax:
+      // Online normalizer (Milakov & Gimelshein): one fused max+sum pass
+      // and one normalize pass.  Each pass evaluates exp() (range-reduced
+      // polynomial, ~4 ops) plus compare/accumulate or subtract/divide —
+      // ~6 vector ops per element per pass.
+      return 12.0 * static_cast<double>(rows) * static_cast<double>(cols);
+    case OpKind::kLayerNorm:
+      // mean + variance pass (~4 ops/elem) and normalize+affine (~4).
+      return 8.0 * static_cast<double>(rows) * static_cast<double>(cols);
+    case OpKind::kGelu:
+      // tanh-approximated GeLU (as used by DiT): x^3 term, tanh poly,
+      // blend — ~12 ops/elem on a vector unit.
+      return 12.0 * static_cast<double>(elems);
+    case OpKind::kElementwise:
+      return ops_per_element * static_cast<double>(elems);
+    case OpKind::kEmbeddingLookup:
+      return 0.0;  // pure gather
+    case OpKind::kDataMovement:
+      return 0.0;
+  }
+  return 0.0;
+}
+
+inline Bytes OpShape::moving_bytes() const {
+  const double element = dtype_bytes(dtype);
+  switch (kind) {
+    case OpKind::kMatmul:
+      return static_cast<double>(instances) * static_cast<double>(m) *
+             static_cast<double>(k) * element;
+    case OpKind::kSoftmax:
+    case OpKind::kLayerNorm:
+      return static_cast<double>(rows) * static_cast<double>(cols) * element;
+    case OpKind::kGelu:
+    case OpKind::kElementwise:
+    case OpKind::kDataMovement:
+      return static_cast<double>(elems) * element;
+    case OpKind::kEmbeddingLookup:
+      return static_cast<double>(rows) * static_cast<double>(cols) * element;
+  }
+  return 0.0;
+}
+
+inline Bytes OpShape::stationary_bytes() const {
+  if (kind != OpKind::kMatmul) return 0.0;
+  return static_cast<double>(instances) * static_cast<double>(k) *
+         static_cast<double>(n) * dtype_bytes(dtype);
+}
+
+inline Bytes OpShape::output_bytes() const {
+  const double element = dtype_bytes(dtype);
+  switch (kind) {
+    case OpKind::kMatmul:
+      return static_cast<double>(instances) * static_cast<double>(m) *
+             static_cast<double>(n) * element;
+    case OpKind::kSoftmax:
+    case OpKind::kLayerNorm:
+      return static_cast<double>(rows) * static_cast<double>(cols) * element;
+    case OpKind::kGelu:
+    case OpKind::kElementwise:
+    case OpKind::kDataMovement:
+      return static_cast<double>(elems) * element;
+    case OpKind::kEmbeddingLookup:
+      return static_cast<double>(rows) * static_cast<double>(cols) * element;
+  }
+  return 0.0;
+}
 
 /// Convenience constructors -------------------------------------------------
 

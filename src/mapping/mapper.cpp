@@ -1,6 +1,7 @@
 #include "mapping/mapper.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/math_util.h"
 #include "common/status.h"
@@ -26,30 +27,15 @@ Mapper::Mapper(const systolic::MatrixUnit& unit, int unit_count)
   CIMTPU_CONFIG_CHECK(unit_count > 0, "mapper needs >= 1 unit");
 }
 
-GemmMapping Mapper::evaluate_candidate(const ir::Op& op,
-                                       const std::string& strategy,
-                                       const systolic::GemmWorkload& per_unit,
-                                       int units_used) const {
-  GemmMapping mapping;
-  mapping.strategy = strategy;
-  mapping.units_used = units_used;
-  mapping.per_unit = per_unit;
-  mapping.unit_cost = unit_->evaluate(per_unit);
-  mapping.busy_cycles = mapping.unit_cost.busy_cycles;
-  mapping.busy_energy = mapping.unit_cost.busy_energy * units_used;
-  mapping.stationary_bytes_loaded =
-      mapping.unit_cost.stationary_bytes_loaded * units_used;
-  // Useful MACs are a property of the op, not of the (padded) partitioning.
-  mapping.useful_macs = op.macs();
-  return mapping;
-}
+namespace {
 
-std::vector<GemmMapping> Mapper::enumerate(const ir::Op& op) const {
-  CIMTPU_CHECK_MSG(op.is_matmul(), "mapping non-matmul op '" << op.name << "'");
-  std::vector<GemmMapping> candidates;
-  candidates.reserve(4);  // at most one per split strategy below
-  const int u = unit_count_;
+constexpr int kMaxCandidates = 4;  // one per Split
 
+/// Fills `out` with the pruned mapspace of `op` on `unit_count` units, in
+/// try order, and returns the candidate count.  Leaves unit costs unset.
+int mapspace(const ir::OpShape& op, int unit_count,
+             std::array<CandidateCost, kMaxCandidates>& out) {
+  const int u = unit_count;
   systolic::GemmWorkload base;
   base.m = op.m;
   base.k = op.k;
@@ -57,45 +43,107 @@ std::vector<GemmMapping> Mapper::enumerate(const ir::Op& op) const {
   base.instances = op.instances;
   base.dtype = op.dtype;
 
+  int count = 0;
+  auto add = [&](Split split, const systolic::GemmWorkload& per_unit,
+                 int units) {
+    CandidateCost& candidate = out[static_cast<std::size_t>(count++)];
+    candidate.split = split;
+    candidate.units_used = units;
+    candidate.per_unit = per_unit;
+  };
   // Instance split: independent GEMMs round-robin across units.
   if (op.instances > 1) {
     systolic::GemmWorkload w = base;
     const int units = static_cast<int>(
         std::min<std::int64_t>(u, op.instances));
     w.instances = ceil_div<std::int64_t>(op.instances, units);
-    candidates.push_back(evaluate_candidate(op, "instance-split", w, units));
+    add(Split::kInstance, w, units);
   }
   // N split: each unit owns a column slab of every instance.
   if (op.n > 1) {
     systolic::GemmWorkload w = base;
     const int units = static_cast<int>(std::min<std::int64_t>(u, op.n));
     w.n = ceil_div<std::int64_t>(op.n, units);
-    candidates.push_back(evaluate_candidate(op, "n-split", w, units));
+    add(Split::kN, w, units);
   }
   // M split: each unit owns a row slab (weights replicated).
   if (op.m > 1) {
     systolic::GemmWorkload w = base;
     const int units = static_cast<int>(std::min<std::int64_t>(u, op.m));
     w.m = ceil_div<std::int64_t>(op.m, units);
-    candidates.push_back(evaluate_candidate(op, "m-split", w, units));
+    add(Split::kM, w, units);
   }
   // Single unit (fallback; also the best choice for tiny ops).
-  candidates.push_back(evaluate_candidate(op, "single-unit", base, 1));
-  return candidates;
+  add(Split::kSingle, base, 1);
+  return count;
+}
+
+}  // namespace
+
+const char* split_name(Split split) {
+  switch (split) {
+    case Split::kInstance:
+      return "instance-split";
+    case Split::kN:
+      return "n-split";
+    case Split::kM:
+      return "m-split";
+    case Split::kSingle:
+      return "single-unit";
+  }
+  return "?";
+}
+
+GemmMapping Mapper::to_mapping(const ir::Op& op,
+                               const CandidateCost& cost) const {
+  GemmMapping mapping;
+  mapping.strategy = split_name(cost.split);
+  mapping.units_used = cost.units_used;
+  mapping.per_unit = cost.per_unit;
+  mapping.unit_cost = cost.unit_cost;
+  mapping.busy_cycles = cost.unit_cost.busy_cycles;
+  mapping.busy_energy = cost.busy_energy();
+  mapping.stationary_bytes_loaded =
+      cost.unit_cost.stationary_bytes_loaded * cost.units_used;
+  // Useful MACs are a property of the op, not of the (padded) partitioning.
+  mapping.useful_macs = op.macs();
+  return mapping;
+}
+
+CandidateCost Mapper::best_candidate(const ir::OpShape& op) const {
+  std::array<CandidateCost, kMaxCandidates> candidates;
+  const int count = mapspace(op, unit_count_, candidates);
+  std::size_t best = 0;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(count); ++i) {
+    candidates[i].unit_cost = unit_->evaluate(candidates[i].per_unit);
+    // Strict less-than: the first minimum wins a tie.
+    if (candidates[i].unit_cost.busy_cycles <
+        candidates[best].unit_cost.busy_cycles) {
+      best = i;
+    }
+  }
+  return candidates[best];
+}
+
+std::vector<GemmMapping> Mapper::enumerate(const ir::Op& op) const {
+  CIMTPU_CHECK_MSG(op.is_matmul(), "mapping non-matmul op '" << op.name << "'");
+  std::array<CandidateCost, kMaxCandidates> candidates;
+  const int count = mapspace(op, unit_count_, candidates);
+  std::vector<GemmMapping> mappings;
+  mappings.reserve(static_cast<std::size_t>(count));
+  for (std::size_t i = 0; i < static_cast<std::size_t>(count); ++i) {
+    candidates[i].unit_cost = unit_->evaluate(candidates[i].per_unit);
+    mappings.push_back(to_mapping(op, candidates[i]));
+  }
+  return mappings;
 }
 
 GemmMapping Mapper::best_mapping(const ir::Op& op) const {
-  const std::vector<GemmMapping> candidates = enumerate(op);
-  CIMTPU_CHECK(!candidates.empty());
-  const auto best = std::min_element(
-      candidates.begin(), candidates.end(),
-      [](const GemmMapping& a, const GemmMapping& b) {
-        return a.busy_cycles < b.busy_cycles;
-      });
-  return *best;
+  CIMTPU_CHECK_MSG(op.is_matmul(), "mapping non-matmul op '" << op.name << "'");
+  return to_mapping(op, best_candidate(op));
 }
 
-StreamingPlan Mapper::plan_streaming(const ir::Op& op,
+StreamingPlan Mapper::plan_streaming(const ir::OpShape& op,
                                      const mem::MemorySystemSpec& spec) {
   StreamingPlan plan;
   const Bytes vmem_working_set = spec.vmem.capacity / 2;  // double buffer

@@ -8,6 +8,7 @@
 // (instance-, n-, and m-splits), each costed exactly with the unit's
 // analytic model, and the latency-optimal candidate is kept.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,25 @@
 #include "systolic/matrix_unit.h"
 
 namespace cimtpu::mapping {
+
+/// How a matmul is partitioned across units, in the order the mapper tries
+/// the candidates (the first minimum wins ties).
+enum class Split : std::uint8_t { kInstance, kN, kM, kSingle };
+
+/// "instance-split" / "n-split" / "m-split" / "single-unit".
+const char* split_name(Split split);
+
+/// One costed mapping candidate, without labels: the busiest unit's
+/// workload and its cost on that unit.
+struct CandidateCost {
+  Split split = Split::kSingle;
+  int units_used = 1;
+  systolic::GemmWorkload per_unit;
+  systolic::MxuCost unit_cost;
+
+  /// Busy energy summed over all participating units.
+  Joules busy_energy() const { return unit_cost.busy_energy * units_used; }
+};
 
 /// One evaluated mapping candidate for a matmul op.
 struct GemmMapping {
@@ -49,8 +69,12 @@ class Mapper {
   /// TensorCore has.
   Mapper(const systolic::MatrixUnit& unit, int unit_count);
 
-  /// Enumerates the pruned mapspace for `op` and returns the
-  /// latency-optimal mapping.
+  /// The latency-optimal candidate for matmul `op`: the first of the
+  /// pruned mapspace (instance -> n -> m -> single) with the fewest busy
+  /// cycles.  Allocates nothing; the simulator's per-op kernel calls it.
+  CandidateCost best_candidate(const ir::OpShape& op) const;
+
+  /// best_candidate() with its labels and derived totals.
   GemmMapping best_mapping(const ir::Op& op) const;
 
   /// All evaluated candidates (for tests and mapspace inspection).
@@ -60,13 +84,11 @@ class Mapper {
   /// Tensors declared VMEM-resident that exceed half of VMEM are spilled
   /// to CMEM (the engine tiles them); the KV residency encoded in the op
   /// decides whether attention operands touch HBM.
-  static StreamingPlan plan_streaming(const ir::Op& op,
+  static StreamingPlan plan_streaming(const ir::OpShape& op,
                                       const mem::MemorySystemSpec& spec);
 
  private:
-  GemmMapping evaluate_candidate(const ir::Op& op, const std::string& strategy,
-                                 const systolic::GemmWorkload& per_unit,
-                                 int units_used) const;
+  GemmMapping to_mapping(const ir::Op& op, const CandidateCost& cost) const;
 
   const systolic::MatrixUnit* unit_;
   int unit_count_;

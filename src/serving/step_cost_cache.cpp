@@ -1,5 +1,6 @@
 #include "serving/step_cost_cache.h"
 
+#include <limits>
 #include <sstream>
 
 #include "common/status.h"
@@ -134,7 +135,10 @@ std::string cost_cache_signature(const arch::TpuChipConfig& chip,
   // spells out every numeric knob the layer simulator can see: clock and
   // technology, the active MXU geometry, the VPU, the memory hierarchy,
   // and the ICI link, plus the model architecture and the cost bucket.
+  // Doubles print at round-trip precision: at the stream's default six
+  // digits, chips a few ulps apart would share one store.
   std::ostringstream signature;
+  signature.precision(std::numeric_limits<double>::max_digits10);
   signature << chip.name << '|' << chip.technology << '|' << chip.clock << '|'
             << chip.mxu_count << '|' << mxu_kind_name(chip.mxu_kind) << '|';
   if (chip.mxu_kind == arch::MxuKind::kDigitalSystolic) {
@@ -165,7 +169,10 @@ StepCostCache::StepCostCache(const sim::Simulator& simulator,
                              const models::TransformerConfig& model,
                              std::int64_t bucket,
                              SharedStepCostCache::Store* shared)
-    : simulator_(&simulator), model_(model), bucket_(bucket), shared_(shared) {
+    : prefill_plan_(simulator, model, models::LayerStage::kPrefill),
+      decode_plan_(simulator, model, models::LayerStage::kDecode),
+      bucket_(bucket),
+      shared_(shared) {
   CIMTPU_CONFIG_CHECK(bucket >= 1, "seqlen bucket must be >= 1");
 }
 
@@ -197,13 +204,12 @@ StepCost StepCostCache::lookup(bool prefill, std::int64_t batch,
   ++misses_;
   StepCost cost;
   if (shared_ == nullptr || !shared_->try_get(key, &cost)) {
-    const sim::GraphResult graph =
-        prefill ? sim::run_prefill_layer(*simulator_, model_, batch, len)
-                : sim::run_decode_layer(*simulator_, model_, batch, len);
-    cost.latency = graph.latency;
-    cost.mxu_busy_time = graph.mxu_busy_time;
-    cost.mxu_energy = graph.mxu_energy();
-    cost.total_energy = graph.total_energy();
+    const sim::CostTotals layer = (prefill ? prefill_plan_ : decode_plan_)
+                                      .evaluate(batch, len);
+    cost.latency = layer.latency;
+    cost.mxu_busy_time = layer.mxu_busy_time;
+    cost.mxu_energy = layer.mxu_energy();
+    cost.total_energy = layer.total_energy();
     if (shared_ != nullptr) shared_->put(key, cost);
   }
   local_.insert(key, cost);

@@ -30,7 +30,8 @@
 #include "common/math_util.h"
 #include "common/units.h"
 #include "models/transformer.h"
-#include "sim/workload_runner.h"
+#include "sim/layer_plan.h"
+#include "sim/simulator.h"
 
 namespace cimtpu::serving {
 
@@ -112,7 +113,9 @@ std::string cost_cache_signature(const arch::TpuChipConfig& chip,
 
 /// Memoizes per-layer prefill/decode costs keyed on (batch, seqlen bucket).
 /// Sequence lengths are rounded UP to `bucket` tokens — conservative, and
-/// it bounds the number of distinct shapes the simulator ever costs.
+/// it bounds the number of distinct shapes the simulator ever costs.  A
+/// miss evaluates the stage's compiled sim::LayerPlan, which is
+/// bit-identical to sim::run_prefill_layer / sim::run_decode_layer.
 class StepCostCache {
  public:
   StepCostCache(const sim::Simulator& simulator,
@@ -196,8 +199,8 @@ class StepCostCache {
  private:
   StepCost lookup(bool prefill, std::int64_t batch, std::int64_t len);
 
-  const sim::Simulator* simulator_;
-  models::TransformerConfig model_;
+  sim::LayerPlan prefill_plan_;
+  sim::LayerPlan decode_plan_;
   std::int64_t bucket_;
   FlatCostTable local_;
   SharedStepCostCache::Store* shared_;  ///< may be null (per-run cache only)

@@ -7,15 +7,14 @@
 #include <vector>
 
 #include "common/units.h"
+#include "mapping/mapper.h"
 
 namespace cimtpu::sim {
 
-/// Result of one operator execution.
-struct OpResult {
-  std::string name;
-  std::string group;
+/// The numbers of one operator execution: everything but its labels.
+struct OpCost {
   bool on_mxu = false;
-  std::string mapping_strategy;
+  mapping::Split split = mapping::Split::kSingle;  ///< matmul only
   int units_used = 0;
 
   Seconds latency = 0;       ///< overlapped op latency
@@ -37,6 +36,48 @@ struct OpResult {
   }
 };
 
+/// Result of one operator execution: its cost plus labels.
+struct OpResult : OpCost {
+  std::string name;
+  std::string group;
+  std::string mapping_strategy;  ///< empty for VPU ops
+};
+
+/// Op costs summed in op order (sequential execution).  Simulator::run and
+/// sim::LayerPlan both accumulate through add(), so their totals agree bit
+/// for bit.
+struct CostTotals {
+  Seconds latency = 0;
+  Seconds mxu_busy_time = 0;
+  Joules mxu_busy_energy = 0;
+  Joules mxu_idle_energy = 0;
+  Joules mxu_leakage_energy = 0;
+  Joules vpu_energy = 0;
+  Joules memory_energy = 0;
+  double useful_macs = 0;
+
+  /// Appends one op executed after all ops added so far.
+  void add(const OpCost& op) {
+    latency += op.latency;
+    useful_macs += op.useful_macs;
+    mxu_busy_energy += op.mxu_busy_energy;
+    mxu_idle_energy += op.mxu_idle_energy;
+    mxu_leakage_energy += op.mxu_leakage_energy;
+    vpu_energy += op.vpu_energy;
+    memory_energy += op.memory_energy;
+    if (op.on_mxu) mxu_busy_time += op.compute_time;
+  }
+
+  /// Total MXU energy (the quantity the paper's Fig. 6/7 energy bars show).
+  Joules mxu_energy() const {
+    return mxu_busy_energy + mxu_idle_energy + mxu_leakage_energy;
+  }
+  /// Total modeled energy.
+  Joules total_energy() const {
+    return mxu_energy() + vpu_energy + memory_energy;
+  }
+};
+
 /// Latency/energy attributed to one reporting group ("QKV Gen", ...).
 struct GroupSummary {
   Seconds latency = 0;
@@ -52,28 +93,11 @@ struct GroupSummary {
 };
 
 /// Result of a graph (one layer, one block, one stage...).
-struct GraphResult {
+struct GraphResult : CostTotals {
   std::string name;
   std::vector<OpResult> ops;  ///< single-instance detail (unscaled)
-
-  Seconds latency = 0;
-  Seconds mxu_busy_time = 0;
-  Joules mxu_busy_energy = 0;
-  Joules mxu_idle_energy = 0;
-  Joules mxu_leakage_energy = 0;
-  Joules vpu_energy = 0;
-  Joules memory_energy = 0;
-  double useful_macs = 0;
   std::map<std::string, GroupSummary> groups;
 
-  /// Total MXU energy (the quantity the paper's Fig. 6/7 energy bars show).
-  Joules mxu_energy() const {
-    return mxu_busy_energy + mxu_idle_energy + mxu_leakage_energy;
-  }
-  /// Total modeled energy.
-  Joules total_energy() const {
-    return mxu_energy() + vpu_energy + memory_energy;
-  }
   /// Average MXU power over the graph's execution.
   Watts mxu_power() const { return latency > 0 ? mxu_energy() / latency : 0; }
 

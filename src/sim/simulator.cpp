@@ -7,74 +7,84 @@
 namespace cimtpu::sim {
 
 Simulator::Simulator(const arch::TpuChip& chip)
-    : chip_(&chip), mapper_(chip.mxu(), chip.mxu_count()) {}
+    : chip_(&chip),
+      mapper_(chip.mxu(), chip.mxu_count()),
+      mxu_idle_power_{chip.mxu().idle_power(ir::DType::kInt4),
+                      chip.mxu().idle_power(ir::DType::kInt8),
+                      chip.mxu().idle_power(ir::DType::kBf16),
+                      chip.mxu().idle_power(ir::DType::kFp32)},
+      mxu_leakage_power_(chip.mxu().leakage_power()),
+      vpu_leakage_power_(chip.vpu().leakage_power()) {}
 
-OpResult Simulator::run_matmul(const ir::Op& op) const {
-  const mapping::GemmMapping mapping = mapper_.best_mapping(op);
+OpCost Simulator::cost_matmul(const ir::OpShape& op) const {
+  const mapping::CandidateCost mapping = mapper_.best_candidate(op);
   const mapping::StreamingPlan plan =
       mapping::Mapper::plan_streaming(op, chip_->memory().spec());
 
-  OpResult result;
-  result.name = op.name;
-  result.group = op.group;
-  result.on_mxu = true;
-  result.mapping_strategy = mapping.strategy;
-  result.units_used = mapping.units_used;
-  result.useful_macs = op.macs();
-  result.utilization = mapping.unit_cost.utilization();
+  OpCost cost;
+  cost.on_mxu = true;
+  cost.split = mapping.split;
+  cost.units_used = mapping.units_used;
+  cost.useful_macs = op.macs();
+  cost.utilization = mapping.unit_cost.utilization();
 
-  result.compute_time = mapping.busy_cycles / chip_->clock();
-  result.memory_time = plan.memory_time(chip_->memory().spec());
+  cost.compute_time = mapping.unit_cost.busy_cycles / chip_->clock();
+  cost.memory_time = plan.memory_time(chip_->memory().spec());
   // Double-buffered overlap: steady state is bounded by the slower stream;
   // the first tile's staging is exposed.
-  result.latency = std::max(result.compute_time, result.memory_time) +
-                   result.memory_time / plan.tiles;
+  cost.latency = std::max(cost.compute_time, cost.memory_time) +
+                 cost.memory_time / plan.tiles;
 
-  result.mxu_busy_energy = mapping.busy_energy;
-  result.memory_energy = plan.memory_energy(chip_->memory());
-  charge_background_power(op, result);
-  return result;
+  cost.mxu_busy_energy = mapping.busy_energy();
+  cost.memory_energy = plan.memory_energy(chip_->memory());
+  charge_background_power(op.dtype, cost);
+  return cost;
 }
 
-OpResult Simulator::run_vector_op(const ir::Op& op) const {
-  const vpu::VpuCost cost = chip_->vpu().evaluate(op);
+OpCost Simulator::cost_vector_op(const ir::OpShape& op) const {
+  const vpu::VpuCost vpu = chip_->vpu().evaluate(op);
   const mapping::StreamingPlan plan =
       mapping::Mapper::plan_streaming(op, chip_->memory().spec());
 
-  OpResult result;
-  result.name = op.name;
-  result.group = op.group;
-  result.on_mxu = false;
-  result.compute_time = cost.busy_cycles / chip_->clock();
-  result.memory_time = plan.memory_time(chip_->memory().spec());
-  result.latency = std::max(result.compute_time, result.memory_time) +
-                   result.memory_time / plan.tiles;
-  result.vpu_energy = cost.busy_energy;
-  result.memory_energy = plan.memory_energy(chip_->memory());
-  charge_background_power(op, result);
-  return result;
+  OpCost cost;
+  cost.on_mxu = false;
+  cost.compute_time = vpu.busy_cycles / chip_->clock();
+  cost.memory_time = plan.memory_time(chip_->memory().spec());
+  cost.latency = std::max(cost.compute_time, cost.memory_time) +
+                 cost.memory_time / plan.tiles;
+  cost.vpu_energy = vpu.busy_energy;
+  cost.memory_energy = plan.memory_energy(chip_->memory());
+  charge_background_power(op.dtype, cost);
+  return cost;
 }
 
-void Simulator::charge_background_power(const ir::Op& op,
-                                        OpResult& result) const {
+void Simulator::charge_background_power(ir::DType dtype, OpCost& cost) const {
   const int units = chip_->mxu_count();
   // Busy MXUs are charged through busy_energy; the rest idle-clock.
   const Seconds busy_unit_time =
-      result.on_mxu ? result.compute_time * result.units_used : 0.0;
+      cost.on_mxu ? cost.compute_time * cost.units_used : 0.0;
   const Seconds idle_unit_time =
-      std::max(0.0, static_cast<double>(units) * result.latency -
+      std::max(0.0, static_cast<double>(units) * cost.latency -
                         busy_unit_time);
-  result.mxu_idle_energy =
-      idle_unit_time * chip_->mxu().idle_power(op.dtype);
-  result.mxu_leakage_energy =
-      static_cast<double>(units) * result.latency *
-      chip_->mxu().leakage_power();
+  cost.mxu_idle_energy =
+      idle_unit_time * mxu_idle_power_[static_cast<std::size_t>(dtype)];
+  cost.mxu_leakage_energy =
+      static_cast<double>(units) * cost.latency * mxu_leakage_power_;
   // VPU leakage rides along in vpu_energy.
-  result.vpu_energy += chip_->vpu().leakage_power() * result.latency;
+  cost.vpu_energy += vpu_leakage_power_ * cost.latency;
+}
+
+OpCost Simulator::cost_op(const ir::OpShape& op) const {
+  return op.is_matmul() ? cost_matmul(op) : cost_vector_op(op);
 }
 
 OpResult Simulator::run_op(const ir::Op& op) const {
-  return op.is_matmul() ? run_matmul(op) : run_vector_op(op);
+  OpResult result;
+  static_cast<OpCost&>(result) = cost_op(op);
+  result.name = op.name;
+  result.group = op.group;
+  if (result.on_mxu) result.mapping_strategy = mapping::split_name(result.split);
+  return result;
 }
 
 GraphResult Simulator::run(const ir::Graph& graph) const {
@@ -83,16 +93,7 @@ GraphResult Simulator::run(const ir::Graph& graph) const {
   result.ops.reserve(graph.size());
   for (const ir::Op& op : graph.ops()) {
     OpResult op_result = run_op(op);
-    result.latency += op_result.latency;
-    result.useful_macs += op_result.useful_macs;
-    result.mxu_busy_energy += op_result.mxu_busy_energy;
-    result.mxu_idle_energy += op_result.mxu_idle_energy;
-    result.mxu_leakage_energy += op_result.mxu_leakage_energy;
-    result.vpu_energy += op_result.vpu_energy;
-    result.memory_energy += op_result.memory_energy;
-    if (op_result.on_mxu) {
-      result.mxu_busy_time += op_result.compute_time;
-    }
+    result.add(op_result);
     GroupSummary& group = result.groups[op_result.group];
     group.latency += op_result.latency;
     group.mxu_energy += op_result.mxu_energy();

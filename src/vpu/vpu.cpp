@@ -24,9 +24,8 @@ Watts Vpu::leakage_power() const {
   return area_mm2_ * energy_->logic_leakage_per_mm2();
 }
 
-VpuCost Vpu::evaluate(const ir::Op& op) const {
-  CIMTPU_CHECK_MSG(!op.is_matmul(),
-                   "matmul op '" << op.name << "' routed to the VPU");
+VpuCost Vpu::evaluate(const ir::OpShape& op) const {
+  CIMTPU_CHECK_MSG(!op.is_matmul(), "matmul op routed to the VPU");
   VpuCost cost;
   cost.ops = op.flops();
 

@@ -44,8 +44,8 @@ class Vpu {
   SquareMm area() const { return area_mm2_; }
   Watts leakage_power() const;
 
-  /// Costs a non-matmul op.  Throws UnsupportedError for matmul kinds.
-  VpuCost evaluate(const ir::Op& op) const;
+  /// Costs a non-matmul op.  Throws for matmul kinds.
+  VpuCost evaluate(const ir::OpShape& op) const;
 
  private:
   VpuSpec spec_;

@@ -108,6 +108,65 @@ TEST(MapperCimTest, CimMapperPrefersWideSplits) {
   EXPECT_GT(best.unit_cost.utilization(), 0.1);
 }
 
+// --- Non-allocating best candidate -------------------------------------------------
+
+/// best_candidate (the simulator's fast path) and best_mapping must both
+/// pick the first candidate of enumerate() with the fewest busy cycles.
+void expect_fast_path_matches(const Mapper& mapper, const ir::Op& op) {
+  const std::vector<GemmMapping> candidates = mapper.enumerate(op);
+  const GemmMapping& reference = *std::min_element(
+      candidates.begin(), candidates.end(),
+      [](const GemmMapping& a, const GemmMapping& b) {
+        return a.busy_cycles < b.busy_cycles;
+      });
+  const CandidateCost fast = mapper.best_candidate(op);
+  const GemmMapping best = mapper.best_mapping(op);
+  for (const GemmMapping& expected : {reference, best}) {
+    EXPECT_EQ(split_name(fast.split), expected.strategy) << op.name;
+    EXPECT_EQ(fast.units_used, expected.units_used) << op.name;
+    EXPECT_EQ(fast.unit_cost.busy_cycles, expected.busy_cycles) << op.name;
+    EXPECT_EQ(fast.busy_energy(), expected.busy_energy) << op.name;
+  }
+}
+
+TEST_F(MapperTest, BestCandidateMatchesBestMapping) {
+  for (const ir::Op& op :
+       {ir::make_weight_gemm("g1", "G", 8192, 7168, 7168, ir::DType::kInt8),
+        ir::make_weight_gemm("g2", "G", 8, 7168, 21504, ir::DType::kInt8),
+        ir::make_weight_gemm("g3", "G", 1024, 128, 512, ir::DType::kInt8),
+        ir::make_weight_gemm("g4", "G", 100, 200, 300, ir::DType::kInt8),
+        ir::make_weight_gemm("gemv", "G", 1, 4096, 11008, ir::DType::kInt4),
+        ir::make_attention_gemm("qk", "A", 448, 1, 128, 1280,
+                                ir::DType::kInt8, ir::Residency::kCmem),
+        ir::make_attention_gemm("sv", "A", 448, 16, 128, 1280,
+                                ir::DType::kInt8, ir::Residency::kCmem)}) {
+    expect_fast_path_matches(mapper_, op);
+  }
+  tech::EnergyModel energy(tech::calibration_node());
+  tech::AreaModel area(tech::calibration_node());
+  cim::CimMxu cim(cim::CimMxuSpec{}, energy, area);
+  expect_fast_path_matches(
+      Mapper(cim, 4),
+      ir::make_weight_gemm("g", "G", 8192, 1152, 1152, ir::DType::kInt8));
+}
+
+TEST_F(MapperTest, TieGoesToTheFirstCandidateInMapspaceOrder) {
+  // On one unit every split degenerates to the whole GEMM, so all four
+  // candidates cost exactly the same and the first, instance-split, wins.
+  const Mapper one_unit(mxu_, 1);
+  const ir::Op op = ir::make_attention_gemm("tie", "A", 8, 16, 128, 256,
+                                            ir::DType::kInt8,
+                                            ir::Residency::kCmem);
+  const std::vector<GemmMapping> candidates = one_unit.enumerate(op);
+  ASSERT_EQ(candidates.size(), 4u);
+  for (const GemmMapping& c : candidates) {
+    EXPECT_EQ(c.busy_cycles, candidates.front().busy_cycles) << c.strategy;
+  }
+  EXPECT_EQ(one_unit.best_candidate(op).split, Split::kInstance);
+  EXPECT_EQ(one_unit.best_mapping(op).strategy, "instance-split");
+  expect_fast_path_matches(one_unit, op);
+}
+
 // --- Streaming plans ---------------------------------------------------------------
 
 TEST(StreamingPlanTest, HbmWeightsCrossAllChannels) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/tpu_config.h"
 #include "common/status.h"
 #include "models/model_zoo.h"
 #include "serving/sweep.h"
@@ -320,6 +321,59 @@ TEST(SweepEquivalenceTest, CallerOwnedSharedCacheReusedAcrossSweeps) {
   const auto second = run_sweep({point}, options);
   EXPECT_EQ(shared.total_entries(), warm_entries);
   expect_identical(first[0], second[0]);
+}
+
+TEST(CostCacheSignatureTest, DoublesPrintAtRoundTripPrecision) {
+  // A 1e-7 relative change is below the six digits a default stream
+  // prints, yet it changes layer costs; each knob must change the
+  // signature on its own.
+  const models::TransformerConfig model = models::llama2_7b();
+  arch::TpuChipConfig chip = arch::cim_tpu_default();
+  chip.clock = chip.effective_clock();
+  const std::string base = cost_cache_signature(chip, model, 16);
+  const double nudge = 1.0 + 1e-7;
+  arch::TpuChipConfig clock = chip;
+  clock.clock *= nudge;
+  arch::TpuChipConfig hbm = chip;
+  hbm.memory.hbm.bandwidth *= nudge;
+  arch::TpuChipConfig macs = chip;
+  macs.cim.core_macs_per_cycle *= nudge;
+  EXPECT_NE(cost_cache_signature(clock, model, 16), base);
+  EXPECT_NE(cost_cache_signature(hbm, model, 16), base);
+  EXPECT_NE(cost_cache_signature(macs, model, 16), base);
+  EXPECT_EQ(cost_cache_signature(chip, model, 16), base);
+}
+
+TEST(CostCacheSignatureTest, NearlyEqualChipsKeepTheirOwnCostsInASweep) {
+  // Two deployments 1e-7 apart in HBM bandwidth share a sweep.  Each cell
+  // must reproduce its own standalone run, whichever point misses first.
+  const ServingSweep sweep = pressured_grid();
+  RequestStreamConfig stream = sweep.stream;
+  stream.arrival_rate = 30.0;
+  const auto requests = generate_requests(stream);
+  SweepPoint base;
+  base.label = "base";
+  base.scenario = sweep.base.scenario;
+  base.scenario.chip_config = arch::cim_tpu_default();
+  base.requests = &requests;
+  SweepPoint nudged = base;
+  nudged.label = "nudged";
+  nudged.scenario.chip_config.memory.hbm.bandwidth *= 1.0 + 1e-7;
+
+  const ServingMetrics alone_base = run_serving(base.scenario, requests);
+  const ServingMetrics alone_nudged = run_serving(nudged.scenario, requests);
+  // The nudge is real: the two deployments' simulated energy differs.
+  EXPECT_NE(alone_base.total_energy, alone_nudged.total_energy);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    SweepOptions options;
+    options.threads = threads;
+    const std::vector<ServingMetrics> cells =
+        run_sweep({base, nudged}, options);
+    ASSERT_EQ(cells.size(), 2u);
+    expect_identical(cells[0], alone_base);
+    expect_identical(cells[1], alone_nudged);
+  }
 }
 
 TEST(SweepThreadsTest, ExplicitThenEnvThenClamp) {
