@@ -11,7 +11,7 @@
 // step-cost cache, and the simulated metrics are bit-identical to serial
 // execution.
 //
-// Emits BENCH_serving.json (schema_version 10; --out overrides the path):
+// Emits BENCH_serving.json (schema_version 11; --out overrides the path):
 //   "baseline" — goodput + p99 TTFT/TPOT across 3 arrival rates x 2 chip
 //                counts, with per-row sim_wall_seconds and
 //                steps_per_second (the simulator-performance trajectory),
@@ -59,13 +59,6 @@
 //                fabric, and at the top rate their p99 TTFT beats the
 //                colocated cells' (first tokens no longer queue behind
 //                resident decode batches) — both orderings are pinned,
-//   "speed"    — NEW in v10: the scheduler hot-path microbenchmark rows
-//                (bench/scheduler_hotpath.h; bench_scheduler_hotpath runs
-//                the same regimes standalone).  next_step + cost_step
-//                throughput in isolation for the decode-heavy,
-//                prefill-heavy, and mixed regimes: step/token counts and
-//                summed simulated seconds are deterministic, wall_seconds
-//                and steps_per_second measure the machine,
 //   "sweep"    — wall-clock of the baseline + policy grids and the worker
 //                count, the headline number for hot-path optimizations
 //                (the CI perf-smoke job gates steps_per_second against
@@ -74,6 +67,8 @@
 // Flags (stripped before google-benchmark sees argv):
 //   --out <path>        JSON output path (default BENCH_serving.json)
 //   --trace-dir <path>  also write the traced run's Perfetto/JSONL files
+//   --benchmark*        passed through to google-benchmark
+// Any other argument prints one error line and exits 2 before any work.
 
 #include <chrono>
 #include <cstring>
@@ -83,7 +78,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/scheduler_hotpath.h"
 #include "common/status.h"
 #include "serving/sweep.h"
 #include "serving/trace.h"
@@ -119,10 +113,11 @@ int run(int argc, char** argv) {
   bench::banner("Serving", "continuous-batching goodput and tail latency");
 
   // Custom flags, stripped from argv before google-benchmark parses it.
-  // Unknown "--" flags are rejected HERE, loudly: silently forwarding a
-  // typo ("--trace-dri") to google-benchmark used to discard it, so the
-  // run looked fine but never wrote the files the caller asked for.  Only
-  // google-benchmark's own "--benchmark*" flags pass through.
+  // Any other argument is rejected HERE, loudly and before any work:
+  // silently forwarding a typo ("--trace-dri") to google-benchmark used to
+  // discard it, and a stray positional only failed there after the whole
+  // grid had run and written --out.  Only google-benchmark's own
+  // "--benchmark*" flags pass through.
   std::string out_path = "BENCH_serving.json";
   std::string trace_dir;
   int kept = 1;
@@ -135,12 +130,10 @@ int run(int argc, char** argv) {
       trace_dir = argv[++i];
     } else if (std::strncmp(argv[i], "--benchmark", 11) == 0) {
       argv[kept++] = argv[i];
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      throw ConfigError("unknown flag '" + std::string(argv[i]) +
+    } else {
+      throw ConfigError("unknown argument '" + std::string(argv[i]) +
                         "' (expected --out <path>, --trace-dir <path>, or "
                         "--benchmark* flags)");
-    } else {
-      argv[kept++] = argv[i];
     }
   }
   argc = kept;
@@ -177,7 +170,7 @@ int run(int argc, char** argv) {
                     "TPOT p99", "J/token", "MXU util"});
 
   std::ofstream json(out_path);
-  json << "{\n  \"bench\": \"serving\",\n  \"schema_version\": 10,\n"
+  json << "{\n  \"bench\": \"serving\",\n  \"schema_version\": 11,\n"
        << "  \"model\": \"llama2-7b\",\n"
        << "  \"dtype\": \"int4\",\n  \"requests\": 2000,\n  \"seed\": 42,\n"
        << "  \"baseline\": [\n";
@@ -737,35 +730,6 @@ int run(int argc, char** argv) {
   // it nests inside.
   json << "\n  ]}},\n";
 
-  // --- Scheduler hot-path microbenchmark (schema-v10 "speed" block) ----------
-  // The same three regimes bench_scheduler_hotpath runs standalone:
-  // next_step + cost_step throughput with no serving loop in the measured
-  // path.  Everything except wall_seconds / steps_per_second is
-  // deterministic, so the rows double as a costing bit-identity check.
-  json << "  \"speed\": [\n";
-  AsciiTable speed_table(
-      "Scheduler hot path — next_step + cost_step, no serving loop");
-  speed_table.set_header({"regime", "steps", "tokens", "wall s", "steps/s"});
-  const std::vector<bench::HotpathRegime> speed_regimes =
-      bench::hotpath_regimes();
-  std::vector<bench::HotpathResult> speed_rows;
-  for (const bench::HotpathRegime& regime : speed_regimes) {
-    speed_rows.push_back(bench::run_hotpath_regime(regime));
-    const bench::HotpathResult& r = speed_rows.back();
-    speed_table.add_row({r.regime, cell_i(r.steps), cell_i(r.tokens),
-                         cell_f(r.wall_seconds, 4),
-                         cell_f(r.steps_per_second, 0)});
-    json << "    {\"regime\": \"" << r.regime << "\", \"steps\": " << r.steps
-         << ", \"prefill_steps\": " << r.prefill_steps
-         << ", \"decode_steps\": " << r.decode_steps
-         << ", \"tokens\": " << r.tokens
-         << ", \"sim_seconds\": " << r.sim_seconds
-         << ", \"wall_seconds\": " << r.wall_seconds
-         << ", \"steps_per_second\": " << r.steps_per_second << "}"
-         << (speed_rows.size() < speed_regimes.size() ? ",\n" : "\n");
-  }
-  json << "  ],\n";
-
   std::int64_t total_steps = 0;
   for (const serving::SweepCellResult& result : baseline) {
     total_steps += result.metrics.total_steps;
@@ -799,7 +763,6 @@ int run(int argc, char** argv) {
   storm_table.print();
   router_table.print();
   disagg_table.print();
-  speed_table.print();
   std::printf("  wrote BENCH_serving.json (%zu sweep points, %d/%d threads, "
               "%.3f s wall, %lld steps)\n",
               baseline.size() + policy_points.size(), baseline_threads,

@@ -8,8 +8,7 @@
 // multi-tenant admission demo (FIFO vs weighted fair queueing at 3:1
 // tenant weights) with per-tenant goodput shares and Jain fairness, and an
 // SLO-aware scheduling demo (FIFO vs earliest-deadline-first admission on
-// deadline-carrying traffic, with a JSONL request-trace round-trip and a
-// staggered diurnal tenant mix).
+// deadline-carrying traffic, and a staggered diurnal tenant mix).
 //
 // All deployments run on the deterministic parallel sweep driver
 // (serving/sweep.h), one in-process thread pool: CIMTPU_SWEEP_THREADS sets
@@ -39,10 +38,11 @@
 // schema-v9 "cluster" block pins, with kRoute/kKvTransfer trace files
 // under --trace-dir.
 //
-// Bad input fails loudly: an unknown flag, a positional argument that is
-// not a whole number (e.g. rate "abc"), an unknown model, an arrival
-// process other than poisson|bursty, or an unknown dtype prints one
-// "serving_traffic: <message>" line to stderr and exits 2.
+// Bad input fails loudly: an unknown flag, more than six positional
+// arguments, a positional argument that is not a whole number (e.g. rate
+// "abc"), an unknown model, an arrival process other than poisson|bursty,
+// or an unknown dtype prints one "serving_traffic: <message>" line to
+// stderr and exits 2.
 
 #include <cctype>
 #include <cerrno>
@@ -62,7 +62,6 @@
 #include "ir/dtype.h"
 #include "models/model_zoo.h"
 #include "serving/cluster.h"
-#include "serving/request_trace.h"
 #include "serving/sweep.h"
 #include "serving/trace.h"
 #include "serving/traffic_profiles.h"
@@ -129,6 +128,11 @@ int run(int argc, char** argv) {
     }
   }
   argc = kept;
+  CIMTPU_CONFIG_CHECK(argc <= 7, "unexpected argument '"
+                                     << argv[7]
+                                     << "' (expected at most [model] "
+                                        "[requests] [rate_req_s] [seed] "
+                                        "[process] [dtype])");
 
   serving::RequestStreamConfig stream = serving::zipf_chat_stream(
       /*seed=*/argc > 4 ? parse_seed(argv[4]) : 42,
@@ -411,33 +415,6 @@ int run(int argc, char** argv) {
   }
   std::printf("\n");
   slo_table.print();
-
-  // Replayable trace format: the frontier's deadline-carrying stream
-  // serialized to JSONL and parsed back must survive bit for bit — the
-  // production workflow is "capture a trace once, replay it against every
-  // candidate deployment".
-  serving::RequestStreamConfig slo_stream = slo_sweep.stream;
-  slo_stream.arrival_rate = slo_sweep.arrival_rates.back();
-  const std::vector<serving::Request> slo_requests =
-      serving::generate_requests(slo_stream);
-  const std::vector<serving::Request> reloaded =
-      serving::parse_request_trace_jsonl(
-          serving::request_trace_jsonl(slo_requests));
-  bool trace_round_trips = reloaded.size() == slo_requests.size();
-  for (std::size_t i = 0; trace_round_trips && i < reloaded.size(); ++i) {
-    trace_round_trips = reloaded[i].id == slo_requests[i].id &&
-                        reloaded[i].arrival_time ==
-                            slo_requests[i].arrival_time &&
-                        reloaded[i].prompt_len == slo_requests[i].prompt_len &&
-                        reloaded[i].output_len == slo_requests[i].output_len &&
-                        reloaded[i].ttft_deadline ==
-                            slo_requests[i].ttft_deadline &&
-                        reloaded[i].tpot_deadline ==
-                            slo_requests[i].tpot_deadline;
-  }
-  std::printf("\nrequest trace JSONL round-trip: %s (%zu requests)\n",
-              trace_round_trips ? "bit-identical" : "MISMATCH",
-              reloaded.size());
 
   // Production-shaped mix: three tenants on staggered diurnal cycles —
   // time-zone-offset populations whose peaks sweep around the period.

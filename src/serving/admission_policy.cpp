@@ -346,61 +346,25 @@ void EdfAdmission::drain_shed(std::vector<Request>* out) {
   shed_.clear();
 }
 
-// --- Registry ----------------------------------------------------------------
-
-namespace {
-
-std::map<std::string, AdmissionPolicyFactory>& registry() {
-  static std::map<std::string, AdmissionPolicyFactory> policies = {
-      {"fifo",
-       [](const AdmissionConfig&) {
-         return std::make_unique<FifoAdmission>();
-       }},
-      {"priority",
-       [](const AdmissionConfig& config) {
-         return std::make_unique<PriorityAdmission>(config.aging_rate);
-       }},
-      {"wfq",
-       [](const AdmissionConfig& config) {
-         return std::make_unique<WeightedFairAdmission>(config.tenants);
-       }},
-      {"edf",
-       [](const AdmissionConfig& config) {
-         return std::make_unique<EdfAdmission>(
-             config.edf_shed_slack_s, config.edf_degraded_extra_slack_s);
-       }},
-  };
-  return policies;
-}
-
-}  // namespace
-
-void register_admission_policy(const std::string& name,
-                               AdmissionPolicyFactory factory) {
-  registry()[name] = std::move(factory);
-}
-
-std::vector<std::string> admission_policy_names() {
-  std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [name, factory] : registry()) names.push_back(name);
-  return names;  // std::map iteration is already sorted
-}
+// --- Construction by name ---------------------------------------------------
 
 std::unique_ptr<AdmissionPolicy> make_admission_policy(
     const AdmissionConfig& config) {
   config.validate();
-  const auto it = registry().find(config.policy);
-  if (it == registry().end()) {
-    std::ostringstream known;
-    for (const std::string& name : admission_policy_names()) {
-      known << ' ' << name;
-    }
-    CIMTPU_CONFIG_CHECK(false, "unknown admission policy '"
-                                   << config.policy << "'; registered:"
-                                   << known.str());
+  const std::string& name = config.policy;
+  if (name == "edf") {
+    return std::make_unique<EdfAdmission>(config.edf_shed_slack_s,
+                                          config.edf_degraded_extra_slack_s);
   }
-  return it->second(config);
+  if (name == "fifo") return std::make_unique<FifoAdmission>();
+  if (name == "priority") {
+    return std::make_unique<PriorityAdmission>(config.aging_rate);
+  }
+  if (name == "wfq") {
+    return std::make_unique<WeightedFairAdmission>(config.tenants);
+  }
+  throw ConfigError("unknown admission policy '" + name +
+                    "'; built-in: edf fifo priority wfq");
 }
 
 }  // namespace cimtpu::serving

@@ -26,8 +26,8 @@
 //      for this step (head-of-line blocking on the policy's OWN choice —
 //      the exact semantics the FIFO baseline always had).
 //
-// Four disciplines ship on the interface (see the registry at the
-// bottom):
+// Four disciplines ship on the interface (make_admission_policy at the
+// bottom picks one by name):
 //   * "fifo"     — arrival order, preempted requests re-queue at the
 //                  front.  Bit-identical to the pre-API scheduler.
 //   * "priority" — highest Request::priority first with a linear aging
@@ -47,7 +47,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -102,8 +101,8 @@ struct TenantShare {
 TenantShare resolve_tenant_share(const std::vector<TenantShare>& tenants,
                                  std::int64_t tenant_id);
 
-/// Policy selection + knobs, carried by SchedulerConfig.  `policy` is a
-/// registry key (see admission_policy_names / register_admission_policy).
+/// Policy selection + knobs, carried by SchedulerConfig.  `policy` names a
+/// built-in discipline (see make_admission_policy).
 struct AdmissionConfig {
   std::string policy = "fifo";
 
@@ -371,21 +370,11 @@ class EdfAdmission : public AdmissionPolicy {
   std::size_t selected_ = 0;   ///< index of the last select() winner
 };
 
-// --- Registry ----------------------------------------------------------------
+// --- Construction by name ---------------------------------------------------
 
-using AdmissionPolicyFactory =
-    std::function<std::unique_ptr<AdmissionPolicy>(const AdmissionConfig&)>;
-
-/// Registers a policy under `name` (overwrites an existing entry), so new
-/// disciplines plug in without touching the scheduler.
-void register_admission_policy(const std::string& name,
-                               AdmissionPolicyFactory factory);
-
-/// Registered policy names, sorted ("fifo", "priority", "wfq" built in).
-std::vector<std::string> admission_policy_names();
-
-/// Instantiates `config.policy` from the registry; throws ConfigError for
-/// an unknown name (listing the registered ones).
+/// Instantiates the built-in policy named `config.policy` ("edf", "fifo",
+/// "priority" or "wfq"); throws ConfigError for an unknown name (listing
+/// the built-in ones).
 std::unique_ptr<AdmissionPolicy> make_admission_policy(
     const AdmissionConfig& config);
 

@@ -4,9 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <queue>
-#include <sstream>
 #include <unordered_map>
 #include <utility>
 
@@ -117,56 +115,25 @@ class TenantStickyRouter final : public RouterPolicy {
   std::unordered_map<std::int64_t, int> sticky_;
 };
 
-// --- Registry ----------------------------------------------------------------
-
-std::map<std::string, RouterPolicyFactory>& router_registry() {
-  static std::map<std::string, RouterPolicyFactory> registry = {
-      {"round_robin",
-       [](int n) { return std::make_unique<RoundRobinRouter>(n); }},
-      {"least_loaded",
-       [](int) { return std::make_unique<LeastLoadedRouter>(); }},
-      {"prefix_affinity",
-       [](int) { return std::make_unique<PrefixAffinityRouter>(); }},
-      {"tenant_sticky",
-       [](int n) { return std::make_unique<TenantStickyRouter>(n); }},
-  };
-  return registry;
-}
-
 }  // namespace
-
-void register_router_policy(const std::string& name,
-                            RouterPolicyFactory factory) {
-  CIMTPU_CONFIG_CHECK(!name.empty(), "router policy name must be non-empty");
-  CIMTPU_CONFIG_CHECK(factory != nullptr,
-                      "router policy '" << name << "' needs a factory");
-  router_registry()[name] = std::move(factory);
-}
-
-std::vector<std::string> router_policy_names() {
-  std::vector<std::string> names;
-  names.reserve(router_registry().size());
-  for (const auto& [name, factory] : router_registry()) names.push_back(name);
-  return names;  // sorted: map iteration order
-}
 
 std::unique_ptr<RouterPolicy> make_router_policy(const std::string& name,
                                                  int num_replicas) {
   CIMTPU_CONFIG_CHECK(num_replicas >= 1,
                       "router needs >= 1 replica, got " << num_replicas);
-  const auto it = router_registry().find(name);
-  if (it == router_registry().end()) {
-    std::ostringstream known;
-    for (const auto& [registered, factory] : router_registry()) {
-      known << ' ' << registered;
-    }
-    CIMTPU_CONFIG_CHECK(false, "unknown router policy '"
-                                   << name << "'; registered:" << known.str());
+  if (name == "least_loaded") return std::make_unique<LeastLoadedRouter>();
+  if (name == "prefix_affinity") {
+    return std::make_unique<PrefixAffinityRouter>();
   }
-  std::unique_ptr<RouterPolicy> policy = it->second(num_replicas);
-  CIMTPU_CHECK_MSG(policy != nullptr,
-                   "router policy factory '" << name << "' returned null");
-  return policy;
+  if (name == "round_robin") {
+    return std::make_unique<RoundRobinRouter>(num_replicas);
+  }
+  if (name == "tenant_sticky") {
+    return std::make_unique<TenantStickyRouter>(num_replicas);
+  }
+  throw ConfigError("unknown router policy '" + name +
+                    "'; built-in: least_loaded prefix_affinity round_robin "
+                    "tenant_sticky");
 }
 
 namespace {

@@ -14,11 +14,11 @@
 // replicas pumped to that instant, so load-aware policies see the loads a
 // real router would.
 //
-// Router policies are string-keyed behind a registry mirroring
-// AdmissionPolicy (serving/admission_policy.h): "round_robin",
-// "least_loaded" (queued + resident tokens), "prefix_affinity" (requests
-// sharing a Request::prefix_id stick to the replica whose prefix cache is
-// warm), and "tenant_sticky".  register_router_policy adds custom ones.
+// Router policies are picked by name, like AdmissionPolicy
+// (serving/admission_policy.h): "round_robin", "least_loaded" (queued +
+// resident tokens), "prefix_affinity" (requests sharing a
+// Request::prefix_id stick to the replica whose prefix cache is warm), and
+// "tenant_sticky".
 //
 // Disaggregated mode dedicates the first `prefill_replicas` replicas to
 // prefill: a request's prompt runs there (as an output_len=1 clone whose
@@ -38,7 +38,6 @@
 // so trace files and registry JSON are byte-identical too.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -98,21 +97,12 @@ class RouterPolicy {
                     const std::vector<ReplicaLoad>& loads) = 0;
 };
 
-// --- Registry (mirrors serving/admission_policy.h) ---------------------------
+// --- Construction by name ---------------------------------------------------
 
-using RouterPolicyFactory =
-    std::function<std::unique_ptr<RouterPolicy>(int num_replicas)>;
-
-/// Registers (or replaces) a router policy under `name`.
-void register_router_policy(const std::string& name,
-                            RouterPolicyFactory factory);
-
-/// Registered names, sorted.
-std::vector<std::string> router_policy_names();
-
-/// Instantiates the policy registered under `name` for `num_replicas`
-/// replicas.  Throws ConfigError listing the registered names when the
-/// name is unknown.
+/// Instantiates the built-in policy named `name` ("least_loaded",
+/// "prefix_affinity", "round_robin" or "tenant_sticky") for `num_replicas`
+/// replicas.  Throws ConfigError listing the built-in names when the name
+/// is unknown.
 std::unique_ptr<RouterPolicy> make_router_policy(const std::string& name,
                                                  int num_replicas);
 

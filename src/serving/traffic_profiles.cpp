@@ -384,15 +384,4 @@ ServingSweep cluster_disaggregation_sweep(
   return sweep;
 }
 
-RequestStreamConfig flash_crowd_stream(std::uint64_t seed,
-                                       std::int64_t num_requests,
-                                       double arrival_rate) {
-  RequestStreamConfig stream =
-      slo_chat_stream(seed, num_requests, arrival_rate);
-  stream.process = ArrivalProcess::kBursty;
-  stream.burst_factor = 16.0;
-  stream.burst_fraction = 0.05;
-  return stream;
-}
-
 }  // namespace cimtpu::serving

@@ -190,13 +190,6 @@ std::vector<Request> diurnal_tenant_mix_requests(std::uint64_t seed,
                                                  Seconds period_s = 60.0,
                                                  double amplitude = 0.8);
 
-/// Flash-crowd stream: the SLO chat lengths under a two-state bursty
-/// arrival process with a 16x burst rate for 5% of the time — the
-/// incident-shaped traffic that deadline-aware shedding is for.
-RequestStreamConfig flash_crowd_stream(std::uint64_t seed,
-                                       std::int64_t num_requests,
-                                       double arrival_rate);
-
 /// The fault seed / horizon the canonical fault storm uses.  The seed is
 /// fixed (and distinct from workload seeds) so the pinned resilience test
 /// and both binaries replay the SAME storm.

@@ -1,10 +1,10 @@
 // SLO-aware scheduling wall: per-request deadline streams (the decoupled
 // fifth rng stream must leave every other field bit-identical),
 // EdfAdmission ordering and deadline shedding, the shed-never-completes
-// invariant, closed-form slo_attainment, the JSONL request-trace
-// round-trip, the simulated-time-horizon bugfixes (idle-advance clamping,
-// unconditional shed counting), tenant-share resolution by id, diurnal /
-// merged traffic shaping, and the canonical SLO frontier ordering (EDF
+// invariant, closed-form slo_attainment, the simulated-time-horizon
+// bugfixes (idle-advance clamping, unconditional shed counting),
+// tenant-share resolution by id, diurnal / merged / bursty traffic
+// shaping, and the canonical SLO frontier ordering (EDF
 // strictly beats FIFO at the highest swept arrival rate — the pin behind
 // the schema-v7 "slo_frontier" bench block).
 
@@ -12,15 +12,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <limits>
 #include <set>
 #include <vector>
 
 #include "common/status.h"
 #include "models/model_zoo.h"
 #include "serving/admission_policy.h"
-#include "serving/request_trace.h"
 #include "serving/sweep.h"
 #include "serving/trace.h"
 #include "serving/traffic_profiles.h"
@@ -278,112 +275,6 @@ TEST(SloMetricsTest, DeadlineFreeRunsReportFullAttainment) {
   EXPECT_EQ(metrics.slo_attainment, 1.0);
 }
 
-// --- JSONL request-trace round-trip ------------------------------------------
-
-void expect_requests_identical(const std::vector<Request>& a,
-                               const std::vector<Request>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id);
-    EXPECT_EQ(a[i].arrival_time, b[i].arrival_time);
-    EXPECT_EQ(a[i].prompt_len, b[i].prompt_len);
-    EXPECT_EQ(a[i].output_len, b[i].output_len);
-    EXPECT_EQ(a[i].priority, b[i].priority);
-    EXPECT_EQ(a[i].tenant_id, b[i].tenant_id);
-    EXPECT_EQ(a[i].prefix_id, b[i].prefix_id);
-    EXPECT_EQ(a[i].prefix_len, b[i].prefix_len);
-    EXPECT_EQ(a[i].ttft_deadline, b[i].ttft_deadline);
-    EXPECT_EQ(a[i].tpot_deadline, b[i].tpot_deadline);
-  }
-}
-
-TEST(RequestTraceTest, JsonlRoundTripIsBitIdenticalIncludingMetrics) {
-  // A stream exercising every serialized field: priorities, tenants,
-  // prefixes, and deadlines.
-  RequestStreamConfig stream = prefix_chatbot_stream(/*seed=*/42,
-                                                     /*num_requests=*/200,
-                                                     /*arrival_rate=*/25.0);
-  stream.priority_classes = 3;
-  stream.num_tenants = 2;
-  stream.ttft_deadline_s = 2.0;
-  stream.tpot_deadline_s = 0.1;
-  const std::vector<Request> original = generate_requests(stream);
-  const std::vector<Request> reloaded =
-      parse_request_trace_jsonl(request_trace_jsonl(original));
-  expect_requests_identical(original, reloaded);
-
-  // The replay contract: a reloaded trace yields bit-identical metrics.
-  const ServingScenario scenario = slo_scenario(ir::DType::kInt8, "edf");
-  const ServingMetrics a = run_serving(scenario, original);
-  const ServingMetrics b = run_serving(scenario, reloaded);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.ttft.mean, b.ttft.mean);
-  EXPECT_EQ(a.ttft.p99, b.ttft.p99);
-  EXPECT_EQ(a.slo_met, b.slo_met);
-  EXPECT_EQ(a.slo_attainment, b.slo_attainment);
-  EXPECT_EQ(a.goodput_tokens_per_second, b.goodput_tokens_per_second);
-  EXPECT_EQ(a.counters.shed_deadline, b.counters.shed_deadline);
-  EXPECT_EQ(a.counters.shed_horizon, b.counters.shed_horizon);
-}
-
-TEST(RequestTraceTest, SaveAndLoadRoundTripThroughAFile) {
-  const std::vector<Request> original =
-      generate_requests(slo_chat_stream(/*seed=*/11, /*num_requests=*/50,
-                                        /*arrival_rate=*/10.0));
-  const std::string path = testing::TempDir() + "/cimtpu_slo_trace.jsonl";
-  save_request_trace(path, original);
-  expect_requests_identical(original, load_request_trace(path));
-  std::remove(path.c_str());
-  EXPECT_THROW(load_request_trace(path), ConfigError);
-}
-
-TEST(RequestTraceTest, ParserRejectsMalformedInput) {
-  EXPECT_THROW(parse_request_trace_jsonl("{\"id\": 0, \"bogus\": 1}\n"),
-               ConfigError);
-  EXPECT_THROW(parse_request_trace_jsonl("{\"id\": }\n"), ConfigError);
-  // Arrivals out of order: run_serving requires a sorted trace.
-  EXPECT_THROW(parse_request_trace_jsonl(
-                   "{\"id\": 0, \"arrival_s\": 5.0}\n"
-                   "{\"id\": 1, \"arrival_s\": 1.0}\n"),
-               ConfigError);
-  EXPECT_TRUE(parse_request_trace_jsonl("").empty());
-}
-
-TEST(RequestTraceTest, ParserRejectsNonFiniteNumbers) {
-  // strtod happily parses "nan"/"inf"/"infinity": a non-finite arrival
-  // time or deadline must be rejected loudly, never round-tripped into
-  // the scheduler where every comparison against it is poisoned.
-  EXPECT_THROW(parse_request_trace_jsonl("{\"id\": 0, \"arrival_s\": nan}\n"),
-               ConfigError);
-  EXPECT_THROW(parse_request_trace_jsonl("{\"id\": 0, \"arrival_s\": inf}\n"),
-               ConfigError);
-  EXPECT_THROW(
-      parse_request_trace_jsonl("{\"id\": 0, \"arrival_s\": -infinity}\n"),
-      ConfigError);
-  EXPECT_THROW(parse_request_trace_jsonl(
-                   "{\"id\": 0, \"ttft_deadline_s\": NaN}\n"),
-               ConfigError);
-  EXPECT_THROW(parse_request_trace_jsonl(
-                   "{\"id\": 0, \"tpot_deadline_s\": Infinity}\n"),
-               ConfigError);
-  // Overflowing literals land on +-inf via ERANGE: also rejected.
-  EXPECT_THROW(parse_request_trace_jsonl("{\"id\": 0, \"arrival_s\": 1e999}\n"),
-               ConfigError);
-}
-
-TEST(RequestTraceTest, SerializerRejectsNonFiniteValues) {
-  // The write side enforces the same invariant: a Request carrying a
-  // non-finite field is a caller bug, not a value to encode as "nan".
-  Request poisoned = make_request(0, 0.0, 0.0);
-  poisoned.arrival_time = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(request_trace_jsonl({poisoned}), ConfigError);
-  poisoned = make_request(0, 0.0, 0.0);
-  poisoned.ttft_deadline = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(request_trace_jsonl({poisoned}), ConfigError);
-}
-
 // --- Horizon bugfixes --------------------------------------------------------
 
 TEST(HorizonTest, IdleAdvanceNeverSkipsPastTheHorizon) {
@@ -558,6 +449,19 @@ TEST(DiurnalStreamTest, TenantMixMergesSortedDenseAndBalanced) {
   EXPECT_EQ(per_tenant[0], 150);
   EXPECT_EQ(per_tenant[1], 150);
   EXPECT_EQ(per_tenant[2], 150);
+}
+
+// Flash-crowd stream: the SLO chat lengths under a two-state bursty
+// arrival process with a 16x burst rate for 5% of the time.
+RequestStreamConfig flash_crowd_stream(std::uint64_t seed,
+                                       std::int64_t num_requests,
+                                       double arrival_rate) {
+  RequestStreamConfig stream =
+      slo_chat_stream(seed, num_requests, arrival_rate);
+  stream.process = ArrivalProcess::kBursty;
+  stream.burst_factor = 16.0;
+  stream.burst_fraction = 0.05;
+  return stream;
 }
 
 TEST(FlashCrowdStreamTest, BurstsCompressInterArrivals) {
