@@ -75,6 +75,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -450,8 +451,9 @@ int run(int argc, char** argv) {
       }
     }
     const serving::LatencySummary trace_ttft =
-        serving::summarize_latencies(ttft);
-    const serving::LatencySummary trace_e2e = serving::summarize_latencies(e2e);
+        serving::summarize_latencies(std::move(ttft));
+    const serving::LatencySummary trace_e2e =
+        serving::summarize_latencies(std::move(e2e));
     const bool ttft_matches = trace_ttft.count == metrics.ttft.count &&
                               trace_ttft.mean == metrics.ttft.mean &&
                               trace_ttft.p50 == metrics.ttft.p50 &&

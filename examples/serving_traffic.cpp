@@ -55,6 +55,7 @@
 #include <exception>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "common/status.h"
 #include "common/table.h"
@@ -469,9 +470,9 @@ int run(int argc, char** argv) {
     }
   }
   const serving::LatencySummary trace_ttft =
-      serving::summarize_latencies(trace_ttft_values);
+      serving::summarize_latencies(std::move(trace_ttft_values));
   const serving::LatencySummary trace_e2e =
-      serving::summarize_latencies(trace_e2e_values);
+      serving::summarize_latencies(std::move(trace_e2e_values));
   const bool metrics_neutral =
       traced_metrics.goodput_tokens_per_second ==
           untraced_metrics.goodput_tokens_per_second &&

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <unordered_map>
 #include <utility>
@@ -142,19 +143,37 @@ namespace {
 
 constexpr Seconds kNever = std::numeric_limits<double>::infinity();
 
+// One request's cross-replica timeline, kept at the request's position in
+// the cluster's request list.
 struct StitchedRequest {
-  const Request* request = nullptr;
   bool arrived = false;
   Seconds first_token = -1;
   Seconds completion = -1;
   bool shed = false;
 };
 
+// Copies a colocated engine's outcomes onto the stitched rows: its k-th
+// injected request sits at `positions[k]` in the cluster's request list.
+void stitch_outcomes(const ServingEngine& engine,
+                     const std::vector<std::size_t>& positions,
+                     std::vector<StitchedRequest>* stitched) {
+  const std::vector<ServingEngine::RequestOutcome> outcomes =
+      engine.outcomes();
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    StitchedRequest& row = (*stitched)[positions[k]];
+    row.arrived = outcomes[k].arrived;
+    row.first_token = outcomes[k].first_token;
+    row.completion = outcomes[k].completion;
+    row.shed = outcomes[k].shed;
+  }
+}
+
 // A finished prefill whose KV is in flight to a decode replica: the decode
 // side may only see the request once the last block lands at `ready`.
 struct PendingTransfer {
   Seconds ready = 0;
   std::int64_t id = 0;
+  std::size_t position = 0;  ///< index in the cluster's request list
   int src_replica = 0;
   std::int64_t blocks = 0;
   Bytes bytes = 0;
@@ -182,21 +201,20 @@ ServingScenario replica_scenario(const ClusterConfig& config, int index,
 // Stitched distributional rollup over the ORIGINAL requests, mirroring the
 // single-engine finish() semantics (serving_sim.cpp): TTFT for every
 // emitted first token, e2e/TPOT/SLO for completions, SLO judged against
-// the ORIGINAL deadlines.
+// the ORIGINAL deadlines.  `stitched[i]` is `requests[i]`'s timeline.
 void stitch_requests(const std::vector<Request>& requests,
-                     const std::unordered_map<std::int64_t, StitchedRequest>&
-                         stitched,
+                     const std::vector<StitchedRequest>& stitched,
                      ClusterMetrics* cluster) {
   std::vector<double> ttft, tpot, e2e;
   ttft.reserve(requests.size());
   tpot.reserve(requests.size());
   e2e.reserve(requests.size());
   std::int64_t slo_tokens = 0;
-  for (const Request& request : requests) {
-    const auto it = stitched.find(request.id);
-    if (it == stitched.end() || !it->second.arrived) continue;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& request = requests[i];
+    const StitchedRequest& row = stitched[i];
+    if (!row.arrived) continue;
     cluster->arrived += 1;
-    const StitchedRequest& row = it->second;
     if (row.shed) cluster->shed += 1;
     if (row.first_token >= 0) {
       ttft.push_back(row.first_token - request.arrival_time);
@@ -224,9 +242,9 @@ void stitch_requests(const std::vector<Request>& requests,
       slo_tokens += request.output_len;
     }
   }
-  cluster->ttft = summarize_latencies(ttft);
-  cluster->tpot = summarize_latencies(tpot);
-  cluster->e2e = summarize_latencies(e2e);
+  cluster->ttft = summarize_latencies(std::move(ttft));
+  cluster->tpot = summarize_latencies(std::move(tpot));
+  cluster->e2e = summarize_latencies(std::move(e2e));
   if (cluster->arrived > 0) {
     cluster->slo_attainment = static_cast<double>(cluster->slo_met) /
                               static_cast<double>(cluster->arrived);
@@ -352,15 +370,10 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
     ServingEngine engine(scenario, shared_costs, trace_out);
     for (const Request& request : requests) engine.inject(request);
     engine.drain();
-    std::unordered_map<std::int64_t, StitchedRequest> stitched;
-    stitched.reserve(requests.size());
-    for (const ServingEngine::RequestOutcome& outcome : engine.outcomes()) {
-      StitchedRequest& row = stitched[outcome.id];
-      row.arrived = outcome.arrived;
-      row.first_token = outcome.first_token;
-      row.completion = outcome.completion;
-      row.shed = outcome.shed;
-    }
+    std::vector<std::size_t> positions(requests.size());
+    std::iota(positions.begin(), positions.end(), std::size_t{0});
+    std::vector<StitchedRequest> stitched(requests.size());
+    stitch_outcomes(engine, positions, &stitched);
     cluster.replica_metrics.push_back(engine.finish());
     stitch_requests(requests, stitched, &cluster);
     finish_cluster(config, /*first_serving=*/0, &cluster);
@@ -388,11 +401,9 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
         replica_scenario(config, i, /*multi_replica=*/true), shared_costs));
   }
 
-  std::unordered_map<std::int64_t, StitchedRequest> stitched;
-  stitched.reserve(requests.size());
-  for (const Request& request : requests) {
-    stitched[request.id].request = &request;
-  }
+  std::vector<StitchedRequest> stitched(requests.size());
+  // injected[i][k]: position in `requests` of replica i's k-th injection.
+  std::vector<std::vector<std::size_t>> injected(n);
 
   if (!config.disaggregated) {
     // --- Colocated: route every arrival with all replicas pumped to the
@@ -400,7 +411,8 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
     std::unique_ptr<RouterPolicy> policy =
         make_router_policy(config.router_policy, n);
     std::vector<ReplicaLoad> loads(n);
-    for (const Request& request : requests) {
+    for (std::size_t position = 0; position < requests.size(); ++position) {
+      const Request& request = requests[position];
       for (auto& engine : engines) engine->pump(request.arrival_time);
       for (int i = 0; i < n; ++i) {
         loads[i].outstanding_tokens = engines[i]->outstanding_tokens();
@@ -414,17 +426,12 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
         cluster_trace->on_route(request, pick, request.arrival_time);
       }
       engines[pick]->inject(request);
+      injected[pick].push_back(position);
     }
     for (auto& engine : engines) engine->drain();
-    for (auto& engine : engines) {
-      for (const ServingEngine::RequestOutcome& outcome : engine->outcomes()) {
-        StitchedRequest& row = stitched[outcome.id];
-        row.arrived = outcome.arrived;
-        row.first_token = outcome.first_token;
-        row.completion = outcome.completion;
-        row.shed = outcome.shed;
-      }
-      cluster.replica_metrics.push_back(engine->finish());
+    for (int i = 0; i < n; ++i) {
+      stitch_outcomes(*engines[i], injected[i], &stitched);
+      cluster.replica_metrics.push_back(engines[i]->finish());
     }
     stitch_requests(requests, stitched, &cluster);
     finish_cluster(config, /*first_serving=*/0, &cluster);
@@ -444,10 +451,6 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
         KvCacheManager::token_bytes(config.base.model) *
         static_cast<double>(block_tokens);
 
-    std::unordered_map<std::int64_t, const Request*> by_id;
-    by_id.reserve(requests.size());
-    for (const Request& request : requests) by_id.emplace(request.id, &request);
-
     for (int i = 0; i < num_prefill; ++i) engines[i]->set_completion_log(true);
 
     std::priority_queue<PendingTransfer, std::vector<PendingTransfer>,
@@ -458,8 +461,10 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
     // already fully served by its prefill clone — nothing to stream.
     const auto harvest = [&]() {
       for (int i = 0; i < num_prefill; ++i) {
-        for (const auto& [id, completion] : engines[i]->take_completions()) {
-          const Request& original = *by_id.at(id);
+        for (const auto& [index, completion] :
+             engines[i]->take_completions()) {
+          const std::size_t position = injected[i][index];
+          const Request& original = requests[position];
           if (original.output_len < 2) continue;
           const std::int64_t blocks =
               (original.prompt_len + block_tokens - 1) / block_tokens;
@@ -469,8 +474,9 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
           // the Mooncake-style pipelining cost model.
           const Seconds duration =
               static_cast<double>(blocks) * chip.ici().p2p_time(block_bytes);
-          in_flight.push(PendingTransfer{completion + duration, id, i, blocks,
-                                         bytes, duration});
+          in_flight.push(PendingTransfer{completion + duration, original.id,
+                                         position, i, blocks, bytes,
+                                         duration});
           cluster.kv_transfer_count += 1;
           cluster.kv_transfer_blocks += blocks;
           cluster.kv_transfer_bytes += bytes;
@@ -508,7 +514,7 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
       if (t_inject <= t_arrival) {
         const PendingTransfer transfer = in_flight.top();
         in_flight.pop();
-        const Request& original = *by_id.at(transfer.id);
+        const Request& original = requests[transfer.position];
         for (int i = 0; i < num_decode; ++i) {
           engines[num_prefill + i]->pump(transfer.ready);
           loads[i].outstanding_tokens =
@@ -539,6 +545,7 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
         clone.ttft_deadline = 0;
         clone.tpot_deadline = 0;
         engines[dst]->inject_prefilled(clone);
+        injected[dst].push_back(transfer.position);
       } else {
         const Request& original = requests[next_arrival];
         if (tracing) {
@@ -551,6 +558,7 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
         clone.output_len = 1;
         clone.tpot_deadline = 0;  // no steady decode on this side
         engines[next_prefill]->inject(clone);
+        injected[next_prefill].push_back(next_arrival);
         next_prefill = (next_prefill + 1) % num_prefill;
         next_arrival += 1;
       }
@@ -563,14 +571,19 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
     // a shed prefill never transfers, so its decode fields stay unset.
     for (int i = 0; i < n; ++i) {
       const bool prefill_side = i < num_prefill;
-      for (const ServingEngine::RequestOutcome& outcome :
-           engines[i]->outcomes()) {
-        StitchedRequest& row = stitched[outcome.id];
+      const std::vector<ServingEngine::RequestOutcome> outcomes =
+          engines[i]->outcomes();
+      for (std::size_t k = 0; k < outcomes.size(); ++k) {
+        const ServingEngine::RequestOutcome& outcome = outcomes[k];
+        const std::size_t position = injected[i][k];
+        StitchedRequest& row = stitched[position];
         if (prefill_side) {
           row.arrived = outcome.arrived;
           row.first_token = outcome.first_token;
           row.shed = row.shed || outcome.shed;
-          if (row.request->output_len < 2) row.completion = outcome.completion;
+          if (requests[position].output_len < 2) {
+            row.completion = outcome.completion;
+          }
         } else {
           row.completion = outcome.completion;
           row.shed = row.shed || outcome.shed;

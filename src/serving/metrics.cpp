@@ -1,7 +1,5 @@
 #include "serving/metrics.h"
 
-#include <algorithm>
-
 #include "common/status.h"
 #include "serving/obs_registry.h"
 
@@ -62,12 +60,15 @@ double jain_fairness_index(const std::vector<double>& values) {
   return sum * sum / (static_cast<double>(values.size()) * sum_squares);
 }
 
-LatencySummary summarize_latencies(const std::vector<double>& values) {
+LatencySummary summarize_latencies(std::vector<double>&& values) {
+  sort_sample(values);
+  return summarize_sorted_latencies(values);
+}
+
+LatencySummary summarize_sorted_latencies(const std::vector<double>& sorted) {
   LatencySummary summary;
-  summary.count = static_cast<std::int64_t>(values.size());
-  if (values.empty()) return summary;
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
+  summary.count = static_cast<std::int64_t>(sorted.size());
+  if (sorted.empty()) return summary;
   double sum = 0;
   for (double v : sorted) sum += v;
   summary.mean = sum / static_cast<double>(sorted.size());

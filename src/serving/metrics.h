@@ -26,7 +26,14 @@ struct LatencySummary {
   Seconds max = 0;
 };
 
-LatencySummary summarize_latencies(const std::vector<double>& values);
+/// Sorts `values` in place (sort_sample) and summarizes it; the mean sums
+/// the sorted sample in ascending order.
+LatencySummary summarize_latencies(std::vector<double>&& values);
+
+/// Summary of an already ascending-sorted sample (sort_sample order).
+/// With merge_sorted_samples this summarizes the union of several sorted
+/// parts bit-identically to summarize_latencies over their concatenation.
+LatencySummary summarize_sorted_latencies(const std::vector<double>& sorted);
 
 /// Jain's fairness index of an allocation: (sum x)^2 / (n * sum x^2), in
 /// (0, 1] — 1.0 when every x is equal, 1/n when one party takes all.  By

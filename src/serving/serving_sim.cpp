@@ -9,8 +9,6 @@
 #include <limits>
 #include <map>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "arch/chip.h"
 #include "common/math_util.h"
@@ -48,18 +46,27 @@ void ServingScenario::validate() const {
 
 namespace {
 
-/// Per-request bookkeeping across the run.
+/// Per-request bookkeeping across the run, parallel to the engine's
+/// injected requests (arrival, lengths and tenant live in the Request).
 struct RequestTrace {
-  Seconds arrival = 0;
-  std::int64_t output_len = 0;
-  std::int64_t total_tokens = 0;  ///< prompt + output (outstanding-load gauge)
   Seconds first_token = -1;  ///< < 0 until the first token is emitted
   Seconds completion = -1;
-  bool shed = false;  ///< dropped by admission control (never completes)
   Seconds last_fault = -1;  ///< open repair interval: a fault struck and
                             ///< the request has not recovered yet
   int retry_attempts = 0;   ///< fault re-admissions consumed (vs the budget)
+  bool shed = false;  ///< dropped by admission control (never completes)
+  bool prefilled = false;  ///< injected by inject_prefilled (decode only)
 };
+
+/// Largest request id an engine accepts.  Ids index the engine's int32
+/// slot table; unique ids in [0, kMaxRequestId] also keep every slot
+/// index within int32.
+constexpr std::int64_t kMaxRequestId =
+    std::numeric_limits<std::int32_t>::max();
+
+std::int64_t total_tokens(const Request& request) {
+  return request.prompt_len + request.output_len;
+}
 
 /// A fault-evicted request waiting out its exponential backoff before
 /// re-entering admission.
@@ -159,9 +166,11 @@ struct ServingEngine::Impl {
   int tp_ways;
   double tp_scale;  ///< chip count each layer's work/energy replicates over
 
+  // Dense per-request state: request i (injection order) has arrived iff
+  // i < next_arrival.  Scheduler-reported ids resolve through `slot_of`.
   std::vector<Request> requests;  ///< injected, arrival-sorted
-  std::unordered_map<std::int64_t, RequestTrace> traces;
-  std::unordered_set<std::int64_t> prefilled_ids;  ///< inject_prefilled ids
+  std::vector<RequestTrace> traces;  ///< parallel to `requests`
+  std::vector<std::int32_t> slot_of;  ///< request id -> index; -1: none
 
   ServingMetrics metrics;
   FixedBucketHistogram* step_latency_histogram;
@@ -176,7 +185,7 @@ struct ServingEngine::Impl {
 
   std::int64_t outstanding_tokens = 0;
   bool log_completions = false;
-  std::vector<std::pair<std::int64_t, Seconds>> completed_log;
+  std::vector<std::pair<std::size_t, Seconds>> completed_log;
 
   // --- Fault injection state (serving/fault.h) ----------------------------
   // All of it is consulted only behind `faults_on`; the fault rngs are
@@ -247,6 +256,34 @@ struct ServingEngine::Impl {
         "engine.step_batch", exponential_bounds(1, 2.0, 10));
   }
 
+  void inject(const Request& request, bool prefilled) {
+    CIMTPU_CONFIG_CHECK(request.id >= 0,
+                        "inject: request id " << request.id
+                                              << " is negative");
+    CIMTPU_CONFIG_CHECK(request.id <= kMaxRequestId,
+                        "inject: request id " << request.id
+                                              << " exceeds the maximum "
+                                              << kMaxRequestId);
+    const auto id = static_cast<std::size_t>(request.id);
+    if (id >= slot_of.size()) {
+      // Geometric growth: dense ids resize O(log n) times, not per inject.
+      slot_of.resize(std::max(id + 1, 2 * slot_of.size()), -1);
+    }
+    CIMTPU_CONFIG_CHECK(slot_of[id] < 0,
+                        "inject: duplicate request id "
+                            << request.id << " (already injected into this "
+                                             "engine)");
+    slot_of[id] = static_cast<std::int32_t>(requests.size());
+    requests.push_back(request);
+    traces.emplace_back().prefilled = prefilled;
+    outstanding_tokens += total_tokens(request);
+  }
+
+  /// Index of the injected request with scheduler-reported `id`.
+  std::size_t slot(std::int64_t id) const {
+    return static_cast<std::size_t>(slot_of[static_cast<std::size_t>(id)]);
+  }
+
   void feed_arrivals(Seconds up_to) {
     while (next_arrival < requests.size() &&
            requests[next_arrival].arrival_time <= up_to) {
@@ -255,13 +292,8 @@ struct ServingEngine::Impl {
           next_arrival == 0 ||
               requests[next_arrival - 1].arrival_time <= request.arrival_time,
           "request trace must be sorted by arrival time");
-      RequestTrace request_trace;
-      request_trace.arrival = request.arrival_time;
-      request_trace.output_len = request.output_len;
-      request_trace.total_tokens = request.prompt_len + request.output_len;
-      traces[request.id] = request_trace;
       if (tracing) trace->on_arrive(request);
-      if (!prefilled_ids.empty() && prefilled_ids.count(request.id) > 0) {
+      if (traces[next_arrival].prefilled) {
         scheduler.enqueue_prefilled(request);
       } else {
         scheduler.enqueue(request);
@@ -281,7 +313,8 @@ struct ServingEngine::Impl {
     CIMTPU_CHECK(removed);
     fault_stats.wasted_recompute_tokens +=
         (progress.prefilled - progress.prefix_skipped) + progress.generated;
-    RequestTrace& request_trace = traces.at(request_id);
+    const std::size_t index = slot(request_id);
+    RequestTrace& request_trace = traces[index];
     request_trace.last_fault = fault_time;
     if (scenario.fault.recovery_enabled &&
         request_trace.retry_attempts < scenario.fault.retry_budget) {
@@ -300,7 +333,7 @@ struct ServingEngine::Impl {
       request_trace.last_fault = -1;  // dropped, never repaired: not in MTTR
       fault_stats.dropped += 1;
       fault_sheds += 1;
-      outstanding_tokens -= request_trace.total_tokens;
+      outstanding_tokens -= total_tokens(requests[index]);
       if (tracing) trace->on_shed_fault(request_id, fault_time);
     }
   }
@@ -477,9 +510,9 @@ struct ServingEngine::Impl {
       // Deadline sheds (EDF admission control) surface here whether or not
       // a step ran; a shed request arrived but will never be admitted.
       for (std::int64_t id : step.shed_ids) {
-        RequestTrace& request_trace = traces.at(id);
-        request_trace.shed = true;
-        outstanding_tokens -= request_trace.total_tokens;
+        const std::size_t index = slot(id);
+        traces[index].shed = true;
+        outstanding_tokens -= total_tokens(requests[index]);
       }
       if (!stepped) {
         // Admission control shed every waiting request: nothing ran and
@@ -528,7 +561,7 @@ struct ServingEngine::Impl {
       if (boundaries > 0) metrics.total_energy += charge.boundary_energy;
 
       for (std::int64_t id : step.first_token_ids) {
-        RequestTrace& request_trace = traces.at(id);
+        RequestTrace& request_trace = traces[slot(id)];
         // Preempted-and-recomputed requests already streamed their first
         // token to the user; keep the original TTFT.
         if (request_trace.first_token < 0) {
@@ -540,7 +573,9 @@ struct ServingEngine::Impl {
         }
       }
       for (std::int64_t id : step.finished_ids) {
-        RequestTrace& request_trace = traces.at(id);
+        const std::size_t index = slot(id);
+        const Request& request = requests[index];
+        RequestTrace& request_trace = traces[index];
         // Each step's traversal extra is derived from that step's own
         // stage time, so a cheap decode step after an expensive prefill
         // step could nominally "exit" earlier in absolute time.  Real
@@ -549,11 +584,11 @@ struct ServingEngine::Impl {
         request_trace.completion =
             std::max(emit_time, request_trace.first_token);
         metrics.completed += 1;
-        metrics.generated_tokens += request_trace.output_len;
+        metrics.generated_tokens += request.output_len;
         metrics.makespan = std::max(metrics.makespan, request_trace.completion);
-        outstanding_tokens -= request_trace.total_tokens;
+        outstanding_tokens -= total_tokens(request);
         if (log_completions) {
-          completed_log.emplace_back(id, request_trace.completion);
+          completed_log.emplace_back(index, request_trace.completion);
         }
         if (faults_on && request_trace.last_fault >= 0) {
           // A recompute repair closes when the re-admitted request finally
@@ -563,8 +598,7 @@ struct ServingEngine::Impl {
           request_trace.last_fault = -1;
         }
         if (tracing) {
-          trace->on_finish(id, request_trace.completion,
-                           request_trace.output_len);
+          trace->on_finish(id, request_trace.completion, request.output_len);
         }
       }
 
@@ -662,10 +696,11 @@ struct ServingEngine::Impl {
   // grouping; when that equals the cost cache's last-grouping memo, each
   // would have hit the memo (an uncounted lookup), so all of them cost the
   // same, move no rows across the host link, and emit nothing.  Only the
-  // per-step float sums are replayed — each adds the same double once per
-  // step, in order, so totals are bit-identical to the per-step loop.  The
-  // run stops where that loop would stop before stepping again: at the
-  // next arrival (it would be enqueued), at `until`, or at the horizon.
+  // per-step float sums are replayed, the step histograms' sums included,
+  // in one loop — each adds the same double once per step, in order, so
+  // totals are bit-identical to the per-step loop.  The run stops where
+  // that loop would stop before stepping again: at the next arrival (it
+  // would be enqueued), at `until`, or at the horizon.
   void fast_forward_quiet_decode(Seconds until) {
     // The scheduler's own early exits are the cheap test on steps that
     // cannot be quiet (e.g. work waiting under KV pressure).
@@ -680,6 +715,7 @@ struct ServingEngine::Impl {
       stop = std::min(stop, scenario.max_sim_seconds);
     }
     const std::int64_t batch = scheduler.resident_decoder_count();
+    const double batch_value = static_cast<double>(batch);
     const StepCharge charge =
         charge_step(costs.last_decode_groups_cost(), /*row_count=*/batch,
                     /*swap_bytes=*/0, /*stalled=*/false);
@@ -692,6 +728,8 @@ struct ServingEngine::Impl {
     Seconds busy = busy_time;
     Joules mxu_energy = metrics.mxu_energy;
     Joules total_energy = metrics.total_energy;
+    double latency_sum = step_latency_histogram->sum();
+    double batch_sum = step_batch_histogram->sum();
     std::int64_t steps = 0;
     for (; steps < quiet && clock < stop; ++steps) {
       clock += charge.latency;
@@ -700,6 +738,8 @@ struct ServingEngine::Impl {
       mxu_energy += charge.mxu_energy;
       total_energy += charge.layer_energy;
       if (boundaries > 0) total_energy += charge.boundary_energy;
+      latency_sum += charge.latency;
+      batch_sum += batch_value;
     }
     now = clock;
     fragmentation_sum = fragmentation_total;
@@ -709,8 +749,9 @@ struct ServingEngine::Impl {
     if (steps == 0) return;
     metrics.total_steps += steps;
     metrics.decode_steps += steps;
-    step_latency_histogram->observe_repeated(charge.latency, steps);
-    step_batch_histogram->observe_repeated(static_cast<double>(batch), steps);
+    step_latency_histogram->observe_replayed(charge.latency, steps,
+                                             latency_sum);
+    step_batch_histogram->observe_replayed(batch_value, steps, batch_sum);
     scheduler.advance_quiet_decode(steps);
   }
 
@@ -729,13 +770,10 @@ struct ServingEngine::Impl {
     // their event (and their shed_deadline count) at shed time and are
     // skipped here.
     if (scenario.max_sim_seconds > 0) {
-      for (const Request& request : requests) {
-        const auto trace_it = traces.find(request.id);
-        if (trace_it == traces.end()) continue;  // never arrived
-        const RequestTrace& request_trace = trace_it->second;
-        if (request_trace.completion >= 0 || request_trace.shed) continue;
+      for (std::size_t i = 0; i < next_arrival; ++i) {
+        if (traces[i].completion >= 0 || traces[i].shed) continue;
         metrics.counters.shed_horizon += 1;
-        if (tracing) trace->on_shed(request.id, now);
+        if (tracing) trace->on_shed(requests[i].id, now);
       }
     }
     metrics.preemptions = metrics.counters.total_preemptions();
@@ -746,19 +784,20 @@ struct ServingEngine::Impl {
     }
 
     // --- Distributional rollups --------------------------------------------
-    std::vector<double> ttft, tpot, e2e;
-    ttft.reserve(traces.size());
-    tpot.reserve(traces.size());
-    e2e.reserve(traces.size());
+    // TTFT and e2e samples are gathered per tenant only.  Each tenant's
+    // sample is sorted once; the global sample is the merge of the sorted
+    // tenant samples — the same ascending sequence a sort of the whole
+    // sample gives, summed in the same order, so bit-identical.
+    std::vector<double> tpot;
+    tpot.reserve(next_arrival);
     std::map<std::int64_t, TenantAccum> tenant_accums;  // ascending tenant id
-    std::int64_t arrived = 0;
+    const auto arrived = static_cast<std::int64_t>(next_arrival);
     std::int64_t slo_tokens = 0;  ///< output tokens of deadline-meeting
                                   ///< requests
-    // Iterate requests (not the hash map) for platform-independent order.
-    for (const Request& request : requests) {
-      const auto trace_it = traces.find(request.id);
-      if (trace_it == traces.end()) continue;  // never arrived (horizon cut)
-      arrived += 1;
+    // Requests [0, next_arrival) arrived; the rest were cut by the horizon.
+    for (std::size_t i = 0; i < next_arrival; ++i) {
+      const Request& request = requests[i];
+      const RequestTrace& request_trace = traces[i];
       // The accumulator (and hence the tenant's metrics row / Jain entry)
       // exists only once the tenant has a request that actually ARRIVED
       // within the simulated window — a tenant whose traffic all lands
@@ -766,7 +805,6 @@ struct ServingEngine::Impl {
       // down.
       TenantAccum& accum = tenant_accums[request.tenant_id];
       accum.num_requests += 1;
-      const RequestTrace& request_trace = trace_it->second;
       // TTFT is determined the moment the first token leaves the pipeline,
       // so horizon-cut runs keep every emitted first token in the TTFT
       // sample — dropping still-in-flight requests would censor exactly
@@ -774,18 +812,15 @@ struct ServingEngine::Impl {
       // (Without a horizon every fed request completes, so this changes
       // nothing.)
       if (request_trace.first_token >= 0) {
-        ttft.push_back(request_trace.first_token - request_trace.arrival);
-        accum.ttft.push_back(request_trace.first_token -
-                             request_trace.arrival);
+        accum.ttft.push_back(request_trace.first_token - request.arrival_time);
       }
       if (request_trace.completion < 0) continue;  // shed or cut: misses SLO
-      e2e.push_back(request_trace.completion - request_trace.arrival);
       // Disaggregated decode replicas complete requests whose first token
       // streamed on the PREFILL replica (first_token < 0 locally): their
       // stitched TPOT belongs to the cluster rollup, never to this sample.
-      if (request_trace.output_len > 1 && request_trace.first_token >= 0) {
+      if (request.output_len > 1 && request_trace.first_token >= 0) {
         tpot.push_back((request_trace.completion - request_trace.first_token) /
-                       static_cast<double>(request_trace.output_len - 1));
+                       static_cast<double>(request.output_len - 1));
       }
       // SLO verdict: completed AND every deadline the request carries
       // holds.  Deadline-free completed requests meet vacuously, so
@@ -793,25 +828,23 @@ struct ServingEngine::Impl {
       // slo_goodput == goodput.
       bool met = true;
       if (request.ttft_deadline > 0) {
-        met = request_trace.first_token - request_trace.arrival <=
+        met = request_trace.first_token - request.arrival_time <=
               request.ttft_deadline;
       }
-      if (met && request.tpot_deadline > 0 && request_trace.output_len > 1) {
+      if (met && request.tpot_deadline > 0 && request.output_len > 1) {
         met = (request_trace.completion - request_trace.first_token) /
-                  static_cast<double>(request_trace.output_len - 1) <=
+                  static_cast<double>(request.output_len - 1) <=
               request.tpot_deadline;
       }
       if (met) {
         metrics.slo_met += 1;
-        slo_tokens += request_trace.output_len;
+        slo_tokens += request.output_len;
       }
       accum.completed += 1;
-      accum.generated_tokens += request_trace.output_len;
-      accum.e2e.push_back(request_trace.completion - request_trace.arrival);
+      accum.generated_tokens += request.output_len;
+      accum.e2e.push_back(request_trace.completion - request.arrival_time);
     }
-    metrics.ttft = summarize_latencies(ttft);
-    metrics.tpot = summarize_latencies(tpot);
-    metrics.e2e = summarize_latencies(e2e);
+    metrics.tpot = summarize_latencies(std::move(tpot));
     if (arrived > 0) {
       metrics.slo_attainment = static_cast<double>(metrics.slo_met) /
                                static_cast<double>(arrived);
@@ -838,15 +871,22 @@ struct ServingEngine::Impl {
     const AdmissionConfig& admission_config = scenario.scheduler.admission;
     std::vector<double> normalized_goodput;
     normalized_goodput.reserve(tenant_accums.size());
-    for (const auto& [tenant_id, accum] : tenant_accums) {
+    std::vector<std::vector<double>> ttft_parts, e2e_parts;
+    ttft_parts.reserve(tenant_accums.size());
+    e2e_parts.reserve(tenant_accums.size());
+    for (auto& [tenant_id, accum] : tenant_accums) {
       TenantMetrics tenant;
       tenant.tenant_id = tenant_id;
       tenant.weight = admission_config.share_for(tenant_id).weight;
       tenant.num_requests = accum.num_requests;
       tenant.completed = accum.completed;
       tenant.generated_tokens = accum.generated_tokens;
-      tenant.ttft = summarize_latencies(accum.ttft);
-      tenant.e2e = summarize_latencies(accum.e2e);
+      sort_sample(accum.ttft);
+      sort_sample(accum.e2e);
+      tenant.ttft = summarize_sorted_latencies(accum.ttft);
+      tenant.e2e = summarize_sorted_latencies(accum.e2e);
+      ttft_parts.push_back(std::move(accum.ttft));
+      e2e_parts.push_back(std::move(accum.e2e));
       if (metrics.makespan > 0) {
         tenant.goodput_tokens_per_second =
             static_cast<double>(accum.generated_tokens) / metrics.makespan;
@@ -855,6 +895,10 @@ struct ServingEngine::Impl {
                                    tenant.weight);
       metrics.tenants.push_back(std::move(tenant));
     }
+    metrics.ttft = summarize_sorted_latencies(
+        merge_sorted_samples(std::move(ttft_parts)));
+    metrics.e2e =
+        summarize_sorted_latencies(merge_sorted_samples(std::move(e2e_parts)));
     if (metrics.tenants.size() > 1) {
       metrics.jain_fairness = jain_fairness_index(normalized_goodput);
     }
@@ -934,8 +978,7 @@ ServingEngine::ServingEngine(const ServingScenario& scenario,
 ServingEngine::~ServingEngine() = default;
 
 void ServingEngine::inject(const Request& request) {
-  impl_->requests.push_back(request);
-  impl_->outstanding_tokens += request.prompt_len + request.output_len;
+  impl_->inject(request, /*prefilled=*/false);
 }
 
 void ServingEngine::inject_prefilled(const Request& request) {
@@ -943,8 +986,7 @@ void ServingEngine::inject_prefilled(const Request& request) {
                       "inject_prefilled: request "
                           << request.id << " has no decode work (output_len="
                           << request.output_len << ")");
-  impl_->prefilled_ids.insert(request.id);
-  inject(request);
+  impl_->inject(request, /*prefilled=*/true);
 }
 
 bool ServingEngine::pump(Seconds until) { return impl_->pump(until); }
@@ -969,7 +1011,7 @@ void ServingEngine::set_completion_log(bool enabled) {
   impl_->log_completions = enabled;
 }
 
-std::vector<std::pair<std::int64_t, Seconds>>
+std::vector<std::pair<std::size_t, Seconds>>
 ServingEngine::take_completions() {
   return std::move(impl_->completed_log);
 }
@@ -977,18 +1019,19 @@ ServingEngine::take_completions() {
 std::vector<ServingEngine::RequestOutcome> ServingEngine::outcomes() const {
   std::vector<RequestOutcome> out;
   out.reserve(impl_->requests.size());
-  for (const Request& request : impl_->requests) {
+  for (std::size_t i = 0; i < impl_->requests.size(); ++i) {
+    const Request& request = impl_->requests[i];
     RequestOutcome outcome;
     outcome.id = request.id;
     outcome.arrival = request.arrival_time;
     outcome.output_len = request.output_len;
     outcome.tenant_id = request.tenant_id;
-    const auto trace_it = impl_->traces.find(request.id);
-    if (trace_it != impl_->traces.end()) {
+    if (i < impl_->next_arrival) {
+      const RequestTrace& request_trace = impl_->traces[i];
       outcome.arrived = true;
-      outcome.first_token = trace_it->second.first_token;
-      outcome.completion = trace_it->second.completion;
-      outcome.shed = trace_it->second.shed;
+      outcome.first_token = request_trace.first_token;
+      outcome.completion = request_trace.completion;
+      outcome.shed = request_trace.shed;
     }
     out.push_back(outcome);
   }

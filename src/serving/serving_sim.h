@@ -213,7 +213,9 @@ class ServingEngine {
 
   /// Adds a request to the engine's trace.  Requests must be injected in
   /// nondecreasing arrival-time order (checked when fed); the engine pulls
-  /// them in as its clock reaches their arrival times.
+  /// them in as its clock reaches their arrival times.  Ids must lie in
+  /// [0, 2^31 - 1] and be unique within one engine (a ConfigError
+  /// otherwise): the engine's per-request state is indexed by id.
   void inject(const Request& request);
 
   /// Disaggregated serving: injects a request whose PREFILL already ran on
@@ -259,10 +261,12 @@ class ServingEngine {
   std::int64_t outstanding_tokens() const;
 
   /// Completion log for disaggregated prefill replicas: when enabled,
-  /// every completion is appended as (request id, completion time).
-  /// take_completions() drains the log in completion order.
+  /// every completion is appended as (injection index, completion time),
+  /// the index counting inject / inject_prefilled calls from 0 (the order
+  /// outcomes() reports).  take_completions() drains the log in
+  /// completion order.
   void set_completion_log(bool enabled);
-  std::vector<std::pair<std::int64_t, Seconds>> take_completions();
+  std::vector<std::pair<std::size_t, Seconds>> take_completions();
 
   /// Per-request outcomes in injection order (see RequestOutcome).
   std::vector<RequestOutcome> outcomes() const;

@@ -1,11 +1,95 @@
 #include "serving/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "common/status.h"
 
 namespace cimtpu::serving {
+
+namespace {
+
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+
+// Order-preserving map from a double's bit pattern to an unsigned key:
+// negative values flip every bit, the rest only the sign bit, so unsigned
+// key order is the IEEE-754 total order.
+std::uint64_t sort_key(double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+}
+
+double from_sort_key(std::uint64_t key) {
+  const std::uint64_t bits = (key & kSignBit) != 0 ? key & ~kSignBit : ~key;
+  double value;
+  std::memcpy(&value, &bits, sizeof value);
+  return value;
+}
+
+// Stable LSD radix sort, one byte per pass.  Every pass's histogram is
+// counted in a single read up front, and a pass whose byte is the same in
+// every key (the high exponent bytes of a latency sample) is skipped.
+void radix_sort_keys(std::vector<std::uint64_t>& keys) {
+  constexpr int kPasses = 8;
+  std::array<std::array<std::size_t, 256>, kPasses> counts{};
+  for (std::uint64_t key : keys) {
+    for (int pass = 0; pass < kPasses; ++pass) {
+      ++counts[pass][(key >> (8 * pass)) & 0xff];
+    }
+  }
+  const std::size_t n = keys.size();
+  std::vector<std::uint64_t> scratch(n);
+  for (int pass = 0; pass < kPasses; ++pass) {
+    std::array<std::size_t, 256>& offsets = counts[pass];
+    const int shift = 8 * pass;
+    if (offsets[(keys[0] >> shift) & 0xff] == n) continue;
+    std::size_t next = 0;
+    for (std::size_t& offset : offsets) {
+      const std::size_t count = offset;
+      offset = next;
+      next += count;
+    }
+    for (std::uint64_t key : keys) {
+      scratch[offsets[(key >> shift) & 0xff]++] = key;
+    }
+    keys.swap(scratch);
+  }
+}
+
+}  // namespace
+
+void sort_sample(std::vector<double>& values) {
+  if (values.size() < 2) return;
+  std::vector<std::uint64_t> keys(values.size());
+  std::transform(values.begin(), values.end(), keys.begin(), sort_key);
+  radix_sort_keys(keys);
+  std::transform(keys.begin(), keys.end(), values.begin(), from_sort_key);
+}
+
+std::vector<double> merge_sorted_samples(
+    std::vector<std::vector<double>> parts) {
+  if (parts.empty()) return {};
+  const auto before = [](double a, double b) {
+    return sort_key(a) < sort_key(b);
+  };
+  while (parts.size() > 1) {
+    std::vector<std::vector<double>> merged;
+    merged.reserve((parts.size() + 1) / 2);
+    for (std::size_t i = 0; i + 1 < parts.size(); i += 2) {
+      std::vector<double> out(parts[i].size() + parts[i + 1].size());
+      std::merge(parts[i].begin(), parts[i].end(), parts[i + 1].begin(),
+                 parts[i + 1].end(), out.begin(), before);
+      merged.push_back(std::move(out));
+    }
+    if (parts.size() % 2 != 0) merged.push_back(std::move(parts.back()));
+    parts = std::move(merged);
+  }
+  return std::move(parts.front());
+}
 
 double percentile_sorted(const std::vector<double>& sorted, double p) {
   CIMTPU_CONFIG_CHECK(p >= 0.0 && p <= 100.0,
@@ -22,7 +106,7 @@ double percentile(std::vector<double> values, double p) {
   CIMTPU_CONFIG_CHECK(p >= 0.0 && p <= 100.0,
                       "percentile " << p << " outside [0, 100]");
   if (values.empty()) return 0;
-  std::sort(values.begin(), values.end());
+  sort_sample(values);
   return percentile_sorted(values, p);
 }
 
@@ -80,14 +164,13 @@ void FixedBucketHistogram::observe(double value) {
   ++count_;
 }
 
-void FixedBucketHistogram::observe_repeated(double value, std::int64_t times) {
+void FixedBucketHistogram::observe_replayed(double value, std::int64_t times,
+                                            double replayed_sum) {
   if (times <= 0) return;
   observe(value);  // sets min/max and leaves last_bucket_ on value's bucket
   counts_[last_bucket_] += times - 1;
   count_ += times - 1;
-  double sum = sum_;
-  for (std::int64_t i = 1; i < times; ++i) sum += value;
-  sum_ = sum;
+  sum_ = replayed_sum;
 }
 
 double FixedBucketHistogram::quantile(double p) const {

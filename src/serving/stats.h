@@ -1,8 +1,8 @@
 #pragma once
-// Shared summary-statistics helpers for the serving stack: exact
-// percentile math (used by the latency rollups in serving/metrics.h) and
-// a fixed-bucket histogram (used by the observability registry,
-// serving/obs_registry.h).  One implementation for both consumers, so the
+// Shared summary-statistics helpers for the serving stack: the sample
+// sort and exact percentile math (used by the latency rollups in
+// serving/metrics.h) and a fixed-bucket histogram (used by the
+// observability registry, serving/obs_registry.h).  One implementation for both consumers, so the
 // interpolation convention can never drift between the aggregate metrics
 // and the registry's histogram quantile estimates.
 
@@ -11,10 +11,21 @@
 
 namespace cimtpu::serving {
 
+/// Sorts `values` ascending, in place, by the IEEE-754 total order
+/// (-0.0 before +0.0; otherwise the order of operator<): an LSD radix
+/// sort on the bit patterns, at most eight linear passes.
+void sort_sample(std::vector<double>& values);
+
+/// Merges ascending-sorted samples into one ascending sample: the union a
+/// single sort of their concatenation would give (pairwise rounds,
+/// O(n log k)).  A single part is moved through without a copy.
+std::vector<double> merge_sorted_samples(
+    std::vector<std::vector<double>> parts);
+
 /// Percentile of `values` with linear interpolation between closest ranks
 /// (the same convention as numpy.percentile's default).  `p` is in
 /// [0, 100].  Returns 0 for an empty set.  `values` is taken by value and
-/// sorted internally.
+/// sorted internally (sort_sample).
 double percentile(std::vector<double> values, double p);
 
 /// Percentile of an already-sorted, NON-EMPTY sample (the hot inner form:
@@ -40,10 +51,13 @@ class FixedBucketHistogram {
 
   void observe(double value);
 
-  /// `times` observations of one value, bit-identical to `times` observe()
-  /// calls: the bucket is found once, but the sum still adds `value` once
-  /// per observation, in order.
-  void observe_repeated(double value, std::int64_t times);
+  /// `times` observations of one value whose sum the caller replayed:
+  /// `replayed_sum` must be sum() with `value` added `times` times, one
+  /// addition at a time, in order — what `times` observe() calls leave.
+  /// A caller that already loops once per observation folds the additions
+  /// into that loop; the bucket is found once.
+  void observe_replayed(double value, std::int64_t times,
+                        double replayed_sum);
 
   std::int64_t count() const { return count_; }
   double sum() const { return sum_; }

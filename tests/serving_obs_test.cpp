@@ -15,6 +15,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -118,6 +119,31 @@ TEST(FixedBucketHistogram, SingleObservation) {
   EXPECT_EQ(histogram.quantile(0.0), 1.5);
   EXPECT_EQ(histogram.quantile(50.0), 1.5);
   EXPECT_EQ(histogram.quantile(100.0), 1.5);
+}
+
+TEST(FixedBucketHistogram, ReplayedRunMatchesSeparateObservations) {
+  // The engine's quiet-decode fast-forward adds the run's sum in its own
+  // per-step loop; the result must equal `times` observe() calls bit for
+  // bit, including a sum whose additions round (0.1 is inexact).
+  for (const std::int64_t times : {std::int64_t{0}, std::int64_t{1},
+                                   std::int64_t{7}, std::int64_t{100003}}) {
+    FixedBucketHistogram separate(exponential_bounds(1e-4, 2.0, 20));
+    FixedBucketHistogram replayed(exponential_bounds(1e-4, 2.0, 20));
+    separate.observe(3.0);
+    replayed.observe(3.0);
+    double sum = replayed.sum();
+    for (std::int64_t i = 0; i < times; ++i) {
+      separate.observe(0.1);
+      sum += 0.1;
+    }
+    replayed.observe_replayed(0.1, times, sum);
+    EXPECT_EQ(replayed.count(), separate.count()) << times;
+    EXPECT_EQ(replayed.sum(), separate.sum()) << times;
+    EXPECT_EQ(replayed.min(), separate.min()) << times;
+    EXPECT_EQ(replayed.max(), separate.max()) << times;
+    EXPECT_EQ(replayed.bucket_counts(), separate.bucket_counts()) << times;
+    EXPECT_EQ(replayed.quantile(50.0), separate.quantile(50.0)) << times;
+  }
 }
 
 TEST(FixedBucketHistogram, RejectsNonAscendingBounds) {
@@ -510,8 +536,8 @@ TEST(TraceContent, TimelinesReconcileExactlyWithMetrics) {
   // Request ids are assigned in arrival order, so the id-ordered timeline
   // vectors accumulate in the same order as the metrics rollup: the whole
   // summary — mean included — matches BIT FOR BIT, not approximately.
-  const LatencySummary trace_ttft = summarize_latencies(ttft);
-  const LatencySummary trace_e2e = summarize_latencies(e2e);
+  const LatencySummary trace_ttft = summarize_latencies(std::move(ttft));
+  const LatencySummary trace_e2e = summarize_latencies(std::move(e2e));
   EXPECT_EQ(completed, metrics.completed);
   EXPECT_EQ(generated, metrics.generated_tokens);
   EXPECT_EQ(trace_ttft.count, metrics.ttft.count);

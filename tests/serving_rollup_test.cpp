@@ -1,0 +1,275 @@
+// Latency rollup lockstep: the in-place radix sample sort, the merge of
+// sorted parts, and the engine's sort-once TTFT/TPOT/e2e rollup must equal
+// a plain std::sort reference bit for bit — and the engine's request-id
+// validation that its id-indexed per-request state relies on.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/status.h"
+#include "serving/metrics.h"
+#include "serving/serving_sim.h"
+#include "serving/stats.h"
+#include "serving/traffic_profiles.h"
+
+namespace cimtpu::serving {
+namespace {
+
+// Seeded sample over many binades and both signs, so every radix byte
+// varies; a quarter of the draws repeat a small pool that holds 0.0, -0.0
+// and negatives, so the sample is full of duplicates.
+std::vector<double> random_sample(std::size_t n, std::uint64_t seed) {
+  static const double kPool[] = {0.0,  -0.0, 1.5,  -2.25,
+                                 1e-9, 3.0,  -1e6, 0.125};
+  std::mt19937_64 rng(seed);
+  std::vector<double> values;
+  values.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t r = rng();
+    if (r % 4 == 0) {
+      values.push_back(kPool[(r >> 2) % 8]);
+      continue;
+    }
+    const double mantissa = static_cast<double>(rng() >> 11) * 0x1p-53;
+    const int exponent = static_cast<int>((r >> 8) % 61) - 30;
+    const double value = std::ldexp(mantissa, exponent);
+    values.push_back(((r >> 16) & 1) != 0 ? -value : value);
+  }
+  return values;
+}
+
+// The pre-radix rollup: copy, std::sort, sum in ascending order, numpy-style
+// linear-interpolation percentiles.
+LatencySummary reference_summary(std::vector<double> values) {
+  LatencySummary summary;
+  summary.count = static_cast<std::int64_t>(values.size());
+  if (values.empty()) return summary;
+  std::sort(values.begin(), values.end());
+  double sum = 0;
+  for (double v : values) sum += v;
+  summary.mean = sum / static_cast<double>(values.size());
+  const auto at = [&values](double p) {
+    const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    return values[lo] +
+           (rank - static_cast<double>(lo)) * (values[hi] - values[lo]);
+  };
+  summary.p50 = at(50.0);
+  summary.p95 = at(95.0);
+  summary.p99 = at(99.0);
+  summary.max = values.back();
+  return summary;
+}
+
+void expect_summary_eq(const LatencySummary& actual,
+                       const LatencySummary& expected,
+                       const std::string& label) {
+  EXPECT_EQ(actual.count, expected.count) << label;
+  EXPECT_EQ(actual.mean, expected.mean) << label;
+  EXPECT_EQ(actual.p50, expected.p50) << label;
+  EXPECT_EQ(actual.p95, expected.p95) << label;
+  EXPECT_EQ(actual.p99, expected.p99) << label;
+  EXPECT_EQ(actual.max, expected.max) << label;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Empty, single, one byte's worth of buckets either side, and large.
+const std::size_t kSizes[] = {0, 1, 255, 256, 100000};
+
+TEST(SortSample, MatchesStdSortOnSeededSamples) {
+  for (std::size_t n : kSizes) {
+    const std::vector<double> sample = random_sample(n, 1000 + n);
+    std::vector<double> expected = sample;
+    std::sort(expected.begin(), expected.end());
+    std::vector<double> actual = sample;
+    sort_sample(actual);
+    ASSERT_EQ(actual.size(), expected.size()) << n;
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!(actual[i] == expected[i])) ++mismatches;
+      // Total order: no -0.0 after a +0.0.
+      if (i > 0 && actual[i] == 0.0 && actual[i - 1] == 0.0 &&
+          std::signbit(actual[i]) && !std::signbit(actual[i - 1])) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << n;
+  }
+}
+
+TEST(SummarizeLatencies, MatchesStdSortReferenceFieldByField) {
+  for (std::size_t n : kSizes) {
+    const std::vector<double> sample = random_sample(n, 2000 + n);
+    std::vector<double> moved = sample;
+    expect_summary_eq(summarize_latencies(std::move(moved)),
+                      reference_summary(sample),
+                      "n=" + std::to_string(n));
+  }
+}
+
+TEST(MergeSortedSamples, EqualsOneSortOfTheConcatenation) {
+  const std::vector<double> sample = random_sample(100000, 3000);
+  std::vector<double> whole = sample;
+  sort_sample(whole);
+  for (std::size_t parts_count : {0u, 1u, 2u, 3u, 5u}) {
+    std::vector<std::vector<double>> parts(parts_count);
+    // Uneven parts, one left empty when there are several.
+    for (std::size_t i = 0; i < sample.size() && parts_count > 0; ++i) {
+      const std::size_t part = (i * i) % parts_count;
+      if (parts_count > 2 && part == 1) continue;
+      parts[part].push_back(sample[i]);
+    }
+    std::vector<double> expected;
+    for (std::vector<double>& part : parts) {
+      expected.insert(expected.end(), part.begin(), part.end());
+      sort_sample(part);
+    }
+    sort_sample(expected);
+    const std::vector<double> merged = merge_sorted_samples(std::move(parts));
+    EXPECT_TRUE(same_bits(merged, expected)) << parts_count;
+    if (parts_count == 1) {
+      EXPECT_TRUE(same_bits(merged, whole));
+    }
+  }
+}
+
+// --- Engine rollup lockstep ----------------------------------------------------
+
+// Ids as a cluster replica sees them: unique, non-contiguous and not
+// monotone in arrival order.
+std::vector<Request> replica_like_requests() {
+  RequestStreamConfig stream = zipf_chat_stream(17, 3000, 4.0);
+  stream.num_tenants = 4;
+  stream.tenant_weights = {1.0, 2.0, 3.0, 0.5};
+  std::vector<Request> requests = generate_requests(stream);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].id = static_cast<std::int64_t>((i * 7919) % 4000) * 5 + 3;
+    // Tenant ids that are sparse and not in first-arrival order.
+    requests[i].tenant_id = 30 - 10 * requests[i].tenant_id;
+  }
+  return requests;
+}
+
+TEST(EngineRollup, MatchesStdSortReferenceFromOutcomes) {
+  const std::vector<Request> requests = replica_like_requests();
+  ServingScenario scenario = llama7b_baseline_scenario(1, ir::DType::kInt4);
+  // Cut mid-stream: some requests never arrive, some are still in flight.
+  scenario.max_sim_seconds = 0.6 * requests.back().arrival_time;
+  ServingEngine engine(scenario);
+  for (const Request& request : requests) engine.inject(request);
+  engine.drain();
+  const std::vector<ServingEngine::RequestOutcome> outcomes =
+      engine.outcomes();
+  const ServingMetrics metrics = engine.finish();
+
+  std::vector<double> ttft, tpot, e2e;
+  std::map<std::int64_t, std::pair<std::vector<double>, std::vector<double>>>
+      tenant_samples;  // tenant id -> (ttft, e2e)
+  std::int64_t not_arrived = 0;
+  for (const ServingEngine::RequestOutcome& outcome : outcomes) {
+    if (!outcome.arrived) {
+      ++not_arrived;
+      continue;
+    }
+    auto& [tenant_ttft, tenant_e2e] = tenant_samples[outcome.tenant_id];
+    if (outcome.first_token >= 0) {
+      ttft.push_back(outcome.first_token - outcome.arrival);
+      tenant_ttft.push_back(outcome.first_token - outcome.arrival);
+    }
+    if (outcome.completion < 0) continue;
+    e2e.push_back(outcome.completion - outcome.arrival);
+    tenant_e2e.push_back(outcome.completion - outcome.arrival);
+    if (outcome.output_len > 1 && outcome.first_token >= 0) {
+      tpot.push_back((outcome.completion - outcome.first_token) /
+                     static_cast<double>(outcome.output_len - 1));
+    }
+  }
+  ASSERT_GT(not_arrived, 0);
+  ASSERT_GT(metrics.counters.shed_horizon, 0);
+  ASSERT_GE(tenant_samples.size(), 3u);
+
+  expect_summary_eq(metrics.ttft, reference_summary(ttft), "ttft");
+  expect_summary_eq(metrics.tpot, reference_summary(tpot), "tpot");
+  expect_summary_eq(metrics.e2e, reference_summary(e2e), "e2e");
+  ASSERT_EQ(metrics.tenants.size(), tenant_samples.size());
+  std::size_t i = 0;
+  for (const auto& [tenant_id, samples] : tenant_samples) {
+    const TenantMetrics& tenant = metrics.tenants[i++];
+    EXPECT_EQ(tenant.tenant_id, tenant_id);
+    const std::string label = "tenant " + std::to_string(tenant_id);
+    expect_summary_eq(tenant.ttft, reference_summary(samples.first),
+                      label + " ttft");
+    expect_summary_eq(tenant.e2e, reference_summary(samples.second),
+                      label + " e2e");
+  }
+}
+
+// --- Request-id validation ----------------------------------------------------
+
+Request tiny_request(std::int64_t id) {
+  Request request;
+  request.id = id;
+  request.prompt_len = 16;
+  request.output_len = 4;
+  return request;
+}
+
+void expect_one_line_config_error(ServingEngine* engine,
+                                  const Request& request,
+                                  const std::string& needle) {
+  try {
+    engine->inject(request);
+    FAIL() << "inject(" << request.id << ") must throw";
+  } catch (const ConfigError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find(needle), std::string::npos) << message;
+    EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+  }
+}
+
+TEST(ServingEngineIds, RejectsNegativeId) {
+  ServingEngine engine(llama7b_baseline_scenario(1, ir::DType::kInt4));
+  expect_one_line_config_error(&engine, tiny_request(-1), "negative");
+}
+
+TEST(ServingEngineIds, RejectsDuplicateIdWithinOneEngine) {
+  ServingEngine engine(llama7b_baseline_scenario(1, ir::DType::kInt4));
+  engine.inject(tiny_request(7));
+  engine.inject(tiny_request(3));
+  expect_one_line_config_error(&engine, tiny_request(7), "duplicate");
+  // The rejected copy left no trace: the two accepted requests finish.
+  engine.drain();
+  EXPECT_EQ(engine.finish().completed, 2);
+}
+
+TEST(ServingEngineIds, SameIdInAnotherEngineIsLegal) {
+  // Disaggregated clusters re-inject a request id into a different replica.
+  const ServingScenario scenario =
+      llama7b_baseline_scenario(1, ir::DType::kInt4);
+  ServingEngine prefill(scenario);
+  ServingEngine decode(scenario);
+  prefill.inject(tiny_request(5));
+  decode.inject_prefilled(tiny_request(5));
+  prefill.drain();
+  decode.drain();
+  EXPECT_EQ(prefill.finish().completed, 1);
+  EXPECT_EQ(decode.finish().completed, 1);
+}
+
+}  // namespace
+}  // namespace cimtpu::serving
