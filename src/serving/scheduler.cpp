@@ -41,16 +41,36 @@ void StepRecord::clear() {
   batched_cost = false;
 }
 
+namespace {
+
+void accumulate_into(StepCost& total, const StepCost& cost, double sign) {
+  total.latency += sign * cost.latency;
+  total.mxu_busy_time += sign * cost.mxu_busy_time;
+  total.mxu_energy += sign * cost.mxu_energy;
+  total.total_energy += sign * cost.total_energy;
+}
+
+}  // namespace
+
+StepCost cost_decode_groups(
+    StepCostCache& costs,
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& groups,
+    std::int64_t batch) {
+  StepCost total;
+  std::int64_t grouped = 0;
+  for (const auto& [kv_len, count] : groups) {
+    accumulate_into(total, costs.decode_layer(count, kv_len), +1.0);
+    grouped += count;
+  }
+  CIMTPU_CHECK(grouped == batch);
+  costs.remember_decode_groups(groups, batch, total);
+  return total;
+}
+
 StepCost cost_step(StepCostCache& costs, const StepRecord& step) {
   CIMTPU_CHECK(step.batch ==
                static_cast<std::int64_t>(step.kv_lens.size()));
   StepCost total;
-  const auto accumulate = [&total](const StepCost& cost, double sign) {
-    total.latency += sign * cost.latency;
-    total.mxu_busy_time += sign * cost.mxu_busy_time;
-    total.mxu_energy += sign * cost.mxu_energy;
-    total.total_energy += sign * cost.total_energy;
-  };
   if (step.kind == StepRecord::Kind::kPrefill) {
     if (step.batched_cost && step.batch > 1) {
       // Batched fidelity mode (SchedulerConfig::batched_prefill_cost):
@@ -73,11 +93,13 @@ StepCost cost_step(StepCostCache& costs, const StepRecord& step) {
         std::size_t j = i;
         while (j < shapes.size() && shapes[j] == shapes[i]) ++j;
         const std::int64_t group = static_cast<std::int64_t>(j - i);
-        accumulate(
+        accumulate_into(
+            total,
             costs.prefill_layer(group, shapes[i].first + shapes[i].second),
             +1.0);
         if (shapes[i].first > 0) {
-          accumulate(costs.prefill_layer(group, shapes[i].first), -1.0);
+          accumulate_into(total, costs.prefill_layer(group, shapes[i].first),
+                          -1.0);
         }
         i = j;
       }
@@ -92,10 +114,13 @@ StepCost cost_step(StepCostCache& costs, const StepRecord& step) {
     // model every golden pin was recorded under — see the batched branch
     // above for the shared-weight-pass alternative.
     for (std::size_t i = 0; i < step.kv_lens.size(); ++i) {
-      accumulate(costs.prefill_layer(1, step.prev_lens[i] + step.chunk_lens[i]),
-                 +1.0);
+      accumulate_into(
+          total,
+          costs.prefill_layer(1, step.prev_lens[i] + step.chunk_lens[i]),
+          +1.0);
       if (step.prev_lens[i] > 0) {
-        accumulate(costs.prefill_layer(1, step.prev_lens[i]), -1.0);
+        accumulate_into(total, costs.prefill_layer(1, step.prev_lens[i]),
+                        -1.0);
       }
     }
   } else if (!step.decode_groups.empty()) {
@@ -108,13 +133,7 @@ StepCost cost_step(StepCostCache& costs, const StepRecord& step) {
       CIMTPU_CHECK(costs.last_decode_groups_batch() == step.batch);
       return costs.last_decode_groups_cost();
     }
-    std::int64_t grouped = 0;
-    for (const auto& [kv_len, batch] : step.decode_groups) {
-      accumulate(costs.decode_layer(batch, kv_len), +1.0);
-      grouped += batch;
-    }
-    CIMTPU_CHECK(grouped == step.batch);
-    costs.remember_decode_groups(step.decode_groups, step.batch, total);
+    return cost_decode_groups(costs, step.decode_groups, step.batch);
   } else {
     // Hand-built records (tests, external callers): derive the grouping
     // from kv_lens in the cache's reusable scratch.  Sorting ascending
@@ -129,9 +148,10 @@ StepCost cost_step(StepCostCache& costs, const StepRecord& step) {
     for (std::size_t i = 0; i < scratch.size();) {
       std::size_t j = i;
       while (j < scratch.size() && scratch[j] == scratch[i]) ++j;
-      accumulate(costs.decode_layer(static_cast<std::int64_t>(j - i),
-                                    scratch[i]),
-                 +1.0);
+      accumulate_into(
+          total,
+          costs.decode_layer(static_cast<std::int64_t>(j - i), scratch[i]),
+          +1.0);
       i = j;
     }
   }
@@ -878,10 +898,12 @@ std::int64_t ContinuousBatchScheduler::quiet_decode_steps() const {
   }
   for (const std::int32_t slot : resident_) {
     const std::int64_t kv_len = pool_.prompt_len[slot] + pool_.generated[slot];
-    // The step that emits the last token finishes the decoder; the step
-    // that starts at kv_len == bucket crosses into the next bucket.
+    // The step that emits the last token finishes the decoder.  The step
+    // that starts at kv_len == bucket still attends inside the bucket and
+    // carries today's grouping — it belongs to the run and moves the
+    // decoder to the next bucket after it.
     steps = std::min(steps, pool_.output_len[slot] - pool_.generated[slot] - 1);
-    steps = std::min(steps, pool_.bucket[slot] - kv_len);
+    steps = std::min(steps, pool_.bucket[slot] - kv_len + 1);
   }
   return std::max<std::int64_t>(steps, 0);
 }
@@ -889,15 +911,23 @@ std::int64_t ContinuousBatchScheduler::quiet_decode_steps() const {
 void ContinuousBatchScheduler::advance_quiet_decode(std::int64_t steps) {
   CIMTPU_CHECK(steps >= 0 && steps <= quiet_decode_steps());
   if (steps == 0) return;
-  // No decoder finishes or changes bucket, so resident_, the histogram,
-  // and the cached buckets stay as they are.  At block size 1 a decoder's
-  // pending-growth block drops out exactly when it is left one token from
-  // finishing (its last step finishes instead of growing).
+  // No decoder finishes, so resident_ stays as it is.  A decoder whose run
+  // ended on its crossing step (kv_len now one past its bucket) moves to
+  // the next bucket, as build_decode_step moves it.  At block size 1 a
+  // decoder's pending-growth block drops out exactly when it is left one
+  // token from finishing (its last step finishes instead of growing).
   const bool grow = kv_cache_->policy() != EvictionPolicy::kNone;
   for (const std::int32_t slot : resident_) {
     pool_.generated[slot] += steps;
     if (grow) kv_cache_->grow_slot_unit_nocheck(pool_.kv_slot[slot], steps);
     if (!sequence_grows(slot)) --pending_growth_blocks_;
+    const std::int64_t old_bucket = pool_.bucket[slot];
+    if (pool_.prompt_len[slot] + pool_.generated[slot] > old_bucket) {
+      const std::int64_t new_bucket = old_bucket + config_.seqlen_bucket;
+      histogram_remove(old_bucket);
+      histogram_add(new_bucket);
+      pool_.bucket[slot] = new_bucket;
+    }
   }
   if (grow) kv_cache_->commit_bulk_growth(steps * resident_decoders_);
   total_steps_ += steps;

@@ -46,14 +46,16 @@
 // costing a step is allocation-free.
 //
 // Quiet decode runs: most decode steps change nothing but token counts —
-// same bucketed batch as the step before, no arrival, finish, bucket
-// crossing, admission, swap, or KV pressure.  `quiet_decode_steps` says
-// how many such steps lie ahead (the minimum over decoders of steps to
-// finish and steps to the next bucket crossing, capped by KV headroom),
-// and `advance_quiet_decode` commits them in one O(decoders) pass: the
-// scheduler and KV manager end bit-identical to stepping one at a time.
-// The serving engine replays only the per-step clock and energy sums for
-// them (serving_sim.h).
+// same bucketed grouping as the step before, no arrival, finish,
+// admission, swap, or KV pressure.  `quiet_decode_steps` says how many
+// such steps lie ahead (the minimum over decoders of steps to finish and
+// steps up to and including the next bucket crossing, capped by KV
+// headroom), and `advance_quiet_decode` commits them in one O(decoders)
+// pass, moving a decoder whose run ended on its crossing step to its next
+// bucket: the scheduler and KV manager end bit-identical to stepping one
+// at a time.  A regrouping only starts the next run, so the serving engine
+// chains runs back to back and replays only the per-step clock and energy
+// sums for them (serving_sim.h).
 
 #include <cstdint>
 #include <deque>
@@ -164,6 +166,16 @@ struct StepRecord {
 /// uncached suffix is ever charged.
 StepCost cost_step(StepCostCache& costs, const StepRecord& step);
 
+/// The decode half of cost_step for a scheduler-built grouping: sums one
+/// counted decode_layer lookup per (bucket, count) group, ascending, and
+/// stores the result in the cache's last-grouping memo.  cost_step calls
+/// it on a memo mismatch; the serving engine calls it to cost the grouping
+/// a quiet decode run starts with.
+StepCost cost_decode_groups(
+    StepCostCache& costs,
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& groups,
+    std::int64_t batch);
+
 /// The continuous-batching state machine.  Time-free: the serving loop owns
 /// the clock and costs each StepRecord via `cost_step`.
 class ContinuousBatchScheduler {
@@ -214,18 +226,21 @@ class ContinuousBatchScheduler {
   /// How many upcoming decode steps are QUIET: each carries today's
   /// decode_histogram() as its decode_groups, finishes no sequence, and
   /// emits no event.  That is the minimum over decoders of steps-to-finish
-  /// and steps-to-bucket-crossing, capped (under growth-managing eviction
-  /// policies) by free device blocks / decoders so every grow fits
-  /// outright.  0 unless every resident is a decoder, nothing is waiting
-  /// or swapped out, no trace sink is attached, and kv_block_tokens == 1.
+  /// and bucket - kv_len + 1 (the crossing step, which still attends
+  /// inside the bucket, is the run's last for that decoder), capped (under
+  /// growth-managing eviction policies) by free device blocks / decoders
+  /// so every grow fits outright.  0 unless every resident is a decoder,
+  /// nothing is waiting or swapped out, no trace sink is attached, and
+  /// kv_block_tokens == 1.
   /// Only valid while no request arrives meanwhile — the caller stops the
   /// run at its next enqueue.
   std::int64_t quiet_decode_steps() const;
 
   /// Commits `steps` (<= quiet_decode_steps()) quiet decode steps in one
-  /// pass: every decoder gains `steps` tokens and KV blocks, and the
-  /// scheduler, its counters, and the KV manager end exactly as `steps`
-  /// next_step calls would leave them.
+  /// pass: every decoder gains `steps` tokens and KV blocks, a decoder
+  /// whose last step was its crossing step moves to its next bucket, and
+  /// the scheduler, its counters, the histogram, and the KV manager end
+  /// exactly as `steps` next_step calls would leave them.
   void advance_quiet_decode(std::int64_t steps);
 
   /// The bucketed-KV grouping the next decode step carries (its

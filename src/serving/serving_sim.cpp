@@ -257,6 +257,7 @@ struct ServingEngine::Impl {
   }
 
   void inject(const Request& request, bool prefilled) {
+    CIMTPU_CHECK_MSG(!finished, "ServingEngine::inject after finish");
     CIMTPU_CONFIG_CHECK(request.id >= 0,
                         "inject: request id " << request.id
                                               << " is negative");
@@ -690,23 +691,22 @@ struct ServingEngine::Impl {
     return charge;
   }
 
-  // Commits the run of quiet decode steps ahead
+  // Commits the quiet decode runs ahead
   // (ContinuousBatchScheduler::quiet_decode_steps) without planning or
-  // costing each one.  Every quiet step carries the scheduler's current
-  // grouping; when that equals the cost cache's last-grouping memo, each
-  // would have hit the memo (an uncounted lookup), so all of them cost the
-  // same, move no rows across the host link, and emit nothing.  Only the
-  // per-step float sums are replayed, the step histograms' sums included,
-  // in one loop — each adds the same double once per step, in order, so
-  // totals are bit-identical to the per-step loop.  The run stops where
-  // that loop would stop before stepping again: at the next arrival (it
-  // would be enqueued), at `until`, or at the horizon.
+  // costing each step.  Every step of a run carries the scheduler's
+  // current grouping, so all of them cost the same, move no rows across
+  // the host link, and emit nothing.  A run whose grouping differs from
+  // the cost cache's last-grouping memo is costed through
+  // cost_decode_groups first — the counted lookups cost_step would make on
+  // the run's first step — and only when that step would run, so the
+  // cache's hit and miss counts match the per-step loop.  Only the
+  // per-step float sums are replayed, the step histograms' sums included —
+  // each adds the same double once per step, in order, so totals are
+  // bit-identical to the per-step loop.  Runs chain back to back (a run
+  // ending on a bucket crossing regroups the next) and stop where that
+  // loop would stop before stepping again: at the next arrival (it would
+  // be enqueued), at `until`, or at the horizon.
   void fast_forward_quiet_decode(Seconds until) {
-    // The scheduler's own early exits are the cheap test on steps that
-    // cannot be quiet (e.g. work waiting under KV pressure).
-    const std::int64_t quiet = scheduler.quiet_decode_steps();
-    if (quiet == 0) return;
-    if (!costs.last_decode_groups_match(scheduler.decode_histogram())) return;
     Seconds stop = until;
     if (next_arrival < requests.size()) {
       stop = std::min(stop, requests[next_arrival].arrival_time);
@@ -714,45 +714,55 @@ struct ServingEngine::Impl {
     if (scenario.max_sim_seconds > 0) {
       stop = std::min(stop, scenario.max_sim_seconds);
     }
-    const std::int64_t batch = scheduler.resident_decoder_count();
-    const double batch_value = static_cast<double>(batch);
-    const StepCharge charge =
-        charge_step(costs.last_decode_groups_cost(), /*row_count=*/batch,
-                    /*swap_bytes=*/0, /*stalled=*/false);
-    // Constant over the run: quiet steps need block size 1, where the
+    // Constant over every run: quiet steps need block size 1, where the
     // gauge is identically 0.
     const double fragmentation = kv_cache.internal_fragmentation();
-    // Local copies keep the sums in registers across the loop.
-    Seconds clock = now;
-    double fragmentation_total = fragmentation_sum;
-    Seconds busy = busy_time;
-    Joules mxu_energy = metrics.mxu_energy;
-    Joules total_energy = metrics.total_energy;
-    double latency_sum = step_latency_histogram->sum();
-    double batch_sum = step_batch_histogram->sum();
-    std::int64_t steps = 0;
-    for (; steps < quiet && clock < stop; ++steps) {
-      clock += charge.latency;
-      fragmentation_total += fragmentation;
-      busy += charge.busy;
-      mxu_energy += charge.mxu_energy;
-      total_energy += charge.layer_energy;
-      if (boundaries > 0) total_energy += charge.boundary_energy;
-      latency_sum += charge.latency;
-      batch_sum += batch_value;
+    for (;;) {
+      // The scheduler's own early exits are the cheap test on steps that
+      // cannot be quiet (e.g. work waiting under KV pressure).
+      const std::int64_t quiet = scheduler.quiet_decode_steps();
+      if (quiet == 0 || now >= stop) return;
+      const std::int64_t batch = scheduler.resident_decoder_count();
+      const auto& groups = scheduler.decode_histogram();
+      if (!costs.last_decode_groups_match(groups)) {
+        cost_decode_groups(costs, groups, batch);
+      }
+      const double batch_value = static_cast<double>(batch);
+      const StepCharge charge =
+          charge_step(costs.last_decode_groups_cost(), /*row_count=*/batch,
+                      /*swap_bytes=*/0, /*stalled=*/false);
+      // Local copies keep the sums in registers across the loop.
+      Seconds clock = now;
+      double fragmentation_total = fragmentation_sum;
+      Seconds busy = busy_time;
+      Joules mxu_energy = metrics.mxu_energy;
+      Joules total_energy = metrics.total_energy;
+      double latency_sum = step_latency_histogram->sum();
+      double batch_sum = step_batch_histogram->sum();
+      std::int64_t steps = 0;
+      for (; steps < quiet && clock < stop; ++steps) {
+        clock += charge.latency;
+        fragmentation_total += fragmentation;
+        busy += charge.busy;
+        mxu_energy += charge.mxu_energy;
+        total_energy += charge.layer_energy;
+        if (boundaries > 0) total_energy += charge.boundary_energy;
+        latency_sum += charge.latency;
+        batch_sum += batch_value;
+      }
+      now = clock;
+      fragmentation_sum = fragmentation_total;
+      busy_time = busy;
+      metrics.mxu_energy = mxu_energy;
+      metrics.total_energy = total_energy;
+      metrics.total_steps += steps;
+      metrics.decode_steps += steps;
+      step_latency_histogram->observe_replayed(charge.latency, steps,
+                                               latency_sum);
+      step_batch_histogram->observe_replayed(batch_value, steps, batch_sum);
+      scheduler.advance_quiet_decode(steps);
+      if (steps < quiet) return;  // the clock reached `stop`
     }
-    now = clock;
-    fragmentation_sum = fragmentation_total;
-    busy_time = busy;
-    metrics.mxu_energy = mxu_energy;
-    metrics.total_energy = total_energy;
-    if (steps == 0) return;
-    metrics.total_steps += steps;
-    metrics.decode_steps += steps;
-    step_latency_histogram->observe_replayed(charge.latency, steps,
-                                             latency_sum);
-    step_batch_histogram->observe_replayed(batch_value, steps, batch_sum);
-    scheduler.advance_quiet_decode(steps);
   }
 
   ServingMetrics finish() {

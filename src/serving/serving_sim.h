@@ -215,7 +215,8 @@ class ServingEngine {
   /// nondecreasing arrival-time order (checked when fed); the engine pulls
   /// them in as its clock reaches their arrival times.  Ids must lie in
   /// [0, 2^31 - 1] and be unique within one engine (a ConfigError
-  /// otherwise): the engine's per-request state is indexed by id.
+  /// otherwise): the engine's per-request state is indexed by id.  Both
+  /// inject flavours fail (InternalError) after finish().
   void inject(const Request& request);
 
   /// Disaggregated serving: injects a request whose PREFILL already ran on
@@ -231,15 +232,18 @@ class ServingEngine {
   /// left to do (more injections may revive it).
   ///
   /// Quiet decode runs (ContinuousBatchScheduler::quiet_decode_steps) are
-  /// committed in bulk: after a step whose successor repeats the memoized
-  /// decode grouping, the engine advances the scheduler over the whole run
+  /// committed in bulk: after each single step the engine advances the
+  /// scheduler over the quiet runs ahead, one after another — a run that
+  /// ends on a bucket crossing hands its regrouped decoders to the next —
   /// and replays only the per-step clock, busy-time, energy, histogram, and
   /// fragmentation sums, each adding the same value once per step in
-  /// order.  The run ends at the next arrival, at `until`, or at the
-  /// horizon — the boundary where single steps would stop — so metrics,
-  /// stop points, and cluster co-simulation are bit-identical to stepping
-  /// one at a time.  Tracing, time-series sampling, and fault injection
-  /// need per-step events and always step one at a time.
+  /// order.  A run whose grouping the cost memo does not hold is costed
+  /// with the same counted lookups its first single step would make.  The
+  /// runs end at the next arrival, at `until`, or at the horizon — the
+  /// boundary where single steps would stop — so metrics, cost-cache
+  /// counts, stop points, and cluster co-simulation are bit-identical to
+  /// stepping one at a time.  Tracing, time-series sampling, and fault
+  /// injection need per-step events and always step one at a time.
   bool pump(Seconds until);
 
   /// Runs until every injected request completes (or the horizon cuts).

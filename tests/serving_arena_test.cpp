@@ -155,8 +155,8 @@ TEST_F(SteadyDecodeTest, EngineDecodeIsAllocationFreeOnLightTraffic) {
 
   const std::int64_t before = allocations();
   const Seconds start = engine.now();
-  // 0.05 s slices: each pump takes single steps until the cost memo holds
-  // the current grouping, then fast-forwards to the slice boundary.
+  // 0.05 s slices: each pump takes one single step, then fast-forwards
+  // through quiet runs to the slice boundary.
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(engine.pump(engine.now() + 0.05));
   }

@@ -4,7 +4,8 @@
 // stream: one commits every quiet run in bulk, the other steps through it
 // one step at a time.  After each run their audits, KV and scheduler
 // counters, resident progress, and next StepRecord must agree — under
-// every eviction policy, tight and roomy KV budgets, and prefix caching.
+// every eviction policy, tight and roomy KV budgets, prefix caching, and
+// cost buckets narrow enough that most runs end on a bucket crossing.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,7 @@ struct Deployment {
   EvictionPolicy policy = EvictionPolicy::kPreemptNewest;
   double kv_tokens = 1e5;  ///< device budget (1 byte per token)
   bool prefix_cache = false;
+  std::int64_t seqlen_bucket = 64;
 };
 
 /// One scheduler and the KV manager it owns (KV constructed first).
@@ -42,7 +44,7 @@ struct Replica {
     SchedulerConfig config;
     config.max_batch = 8;
     config.max_prefill_batch = 4;
-    config.seqlen_bucket = 64;
+    config.seqlen_bucket = deployment.seqlen_bucket;
     config.enable_prefix_cache = deployment.prefix_cache;
     return config;
   }
@@ -126,6 +128,7 @@ void expect_same_state(const Replica& fast, const Replica& slow) {
 struct LockstepResult {
   std::int64_t steps = 0;           ///< per-step calls on the slow replica
   std::int64_t fast_forwarded = 0;  ///< of those, committed in bulk by fast
+  std::int64_t crossing_runs = 0;   ///< bulk runs that ended on a crossing
   std::int64_t preemptions = 0;
 };
 
@@ -170,6 +173,9 @@ LockstepResult run_lockstep(const Deployment& deployment, std::uint64_t seed) {
       clock += quiet;
       result.steps += quiet;
       result.fast_forwarded += quiet;
+      // A run finishes and admits nothing, so a new grouping after it
+      // means some decoder's last step was its bucket crossing.
+      if (fast.scheduler.decode_histogram() != groups) ++result.crossing_runs;
       expect_same_state(fast, slow);
       if (::testing::Test::HasFailure()) return result;
     }
@@ -197,6 +203,7 @@ std::string deployment_name(const Deployment& deployment, std::uint64_t seed) {
   return eviction_policy_name(deployment.policy) +
          " kv=" + std::to_string(static_cast<long long>(deployment.kv_tokens)) +
          (deployment.prefix_cache ? " prefix_cache" : "") +
+         " bucket=" + std::to_string(deployment.seqlen_bucket) +
          " seed=" + std::to_string(seed);
 }
 
@@ -239,6 +246,25 @@ TEST(QuietDecodeLockstep, BulkAdvanceMatchesPerStepWithCachedPrefixBlocks) {
   }
 }
 
+TEST(QuietDecodeLockstep, RunsEndingOnBucketCrossingsMatchPerStep) {
+  // Narrow buckets make crossings frequent: at bucket 1 every step
+  // crosses, so every run is one crossing step.  The bulk commit must move
+  // each crossing decoder to its next bucket exactly as next_step does
+  // (expect_same_state audits the histogram after every run).
+  for (std::int64_t bucket : {1, 4, 16}) {
+    for (EvictionPolicy policy :
+         {EvictionPolicy::kNone, EvictionPolicy::kPreemptNewest}) {
+      const Deployment deployment{policy, 1e5, /*prefix_cache=*/false,
+                                  bucket};
+      SCOPED_TRACE(deployment_name(deployment, 42));
+      const LockstepResult result = run_lockstep(deployment, 42);
+      ASSERT_FALSE(::testing::Test::HasFailure());
+      EXPECT_GT(result.fast_forwarded, 0);
+      EXPECT_GT(result.crossing_runs, 0);
+    }
+  }
+}
+
 TEST(QuietDecodeLockstep, NoQuietStepsWhileWorkWaitsOrTracing) {
   const Deployment deployment;
   Replica replica(deployment);
@@ -250,8 +276,9 @@ TEST(QuietDecodeLockstep, NoQuietStepsWhileWorkWaitsOrTracing) {
   EXPECT_EQ(replica.scheduler.quiet_decode_steps(), 0);  // waiting
   StepRecord record;
   ASSERT_TRUE(replica.scheduler.next_step(&record));  // prefill
-  // Decoding alone at kv_len 41 in bucket 64: 23 steps to the crossing.
-  EXPECT_EQ(replica.scheduler.quiet_decode_steps(), 64 - 41);
+  // Decoding alone at kv_len 41 in bucket 64: 23 steps to the crossing,
+  // plus the crossing step itself (it still attends inside bucket 64).
+  EXPECT_EQ(replica.scheduler.quiet_decode_steps(), 64 - 41 + 1);
   request.id = 1;
   replica.scheduler.enqueue(request);
   EXPECT_EQ(replica.scheduler.quiet_decode_steps(), 0);  // arrival waiting

@@ -351,6 +351,18 @@ TEST(TracingContract, MetricsBitIdenticalOnAndOffOnLightTraffic) {
   ServingScenario horizon = base;
   horizon.max_sim_seconds = 100.0;  // the stream spans ~300 s
   cases.emplace_back("max_sim_seconds=100", horizon);
+  // Narrow cost buckets: quiet runs end on bucket crossings and chain into
+  // runs over the new grouping, costed before their first step.
+  for (std::int64_t bucket : {1, 4, 16}) {
+    for (std::int64_t chunk : {std::int64_t{0}, std::int64_t{512}}) {
+      ServingScenario narrow = base;
+      narrow.scheduler.seqlen_bucket = bucket;
+      narrow.scheduler.prefill_chunk_tokens = chunk;
+      cases.emplace_back("seqlen_bucket=" + std::to_string(bucket) +
+                             " chunk=" + std::to_string(chunk),
+                         narrow);
+    }
+  }
   for (const auto& [name, scenario] : cases) {
     SCOPED_TRACE(name);
     const ServingMetrics off = run_serving(scenario, requests);
@@ -363,15 +375,19 @@ TEST(TracingContract, PumpSlicesMatchDrainOnLightTraffic) {
   // A cluster driver pumps each replica to its next event time; a quiet
   // run must stop at every slice boundary exactly where single steps would.
   const std::vector<Request> requests = light_chat_requests();
-  const ServingScenario scenario =
-      llama7b_baseline_scenario(/*chips=*/1, ir::DType::kInt4);
-  ServingEngine sliced(scenario);
-  for (const Request& request : requests) sliced.inject(request);
-  while (sliced.pump(sliced.now() + 0.05)) {
+  for (std::int64_t bucket : {128, 16, 1}) {
+    SCOPED_TRACE("seqlen_bucket=" + std::to_string(bucket));
+    ServingScenario scenario =
+        llama7b_baseline_scenario(/*chips=*/1, ir::DType::kInt4);
+    scenario.scheduler.seqlen_bucket = bucket;
+    ServingEngine sliced(scenario);
+    for (const Request& request : requests) sliced.inject(request);
+    while (sliced.pump(sliced.now() + 0.05)) {
+    }
+    const ServingMetrics metrics = sliced.finish();
+    expect_identical_metrics(metrics, run_serving(scenario, requests));
+    expect_identical_metrics(metrics, run_traced(scenario, requests));
   }
-  const ServingMetrics metrics = sliced.finish();
-  expect_identical_metrics(metrics, run_serving(scenario, requests));
-  expect_identical_metrics(metrics, run_traced(scenario, requests));
 }
 
 TEST(TracingContract, DisabledTraceRecordsNothing) {

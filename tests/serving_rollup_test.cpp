@@ -1,7 +1,8 @@
 // Latency rollup lockstep: the in-place radix sample sort, the merge of
 // sorted parts, and the engine's sort-once TTFT/TPOT/e2e rollup must equal
 // a plain std::sort reference bit for bit — and the engine's request-id
-// validation that its id-indexed per-request state relies on.
+// validation that its id-indexed per-request state relies on, plus its
+// inject/finish lifecycle.
 
 #include <gtest/gtest.h>
 
@@ -269,6 +270,19 @@ TEST(ServingEngineIds, SameIdInAnotherEngineIsLegal) {
   decode.drain();
   EXPECT_EQ(prefill.finish().completed, 1);
   EXPECT_EQ(decode.finish().completed, 1);
+}
+
+TEST(ServingEngineLifecycle, InjectAfterFinishFails) {
+  // A finished engine runs no more steps: a late request would silently
+  // never arrive, so both inject flavours fail loudly, as finish does.
+  ServingEngine engine(llama7b_baseline_scenario(1, ir::DType::kInt4));
+  engine.inject(tiny_request(0));
+  engine.drain();
+  EXPECT_EQ(engine.finish().completed, 1);
+  EXPECT_THROW(engine.inject(tiny_request(1)), InternalError);
+  EXPECT_THROW(engine.inject_prefilled(tiny_request(2)), InternalError);
+  EXPECT_THROW(engine.finish(), InternalError);
+  EXPECT_EQ(engine.outcomes().size(), 1u);
 }
 
 }  // namespace
