@@ -4,6 +4,7 @@
 
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "common/status.h"
 #include "serving/fault.h"
@@ -663,6 +664,11 @@ std::vector<RequestTimeline> trace_request_timelines(
 
 namespace {
 
+bool same_summary(const LatencySummary& a, const LatencySummary& b) {
+  return a.count == b.count && a.mean == b.mean && a.p50 == b.p50 &&
+         a.p95 == b.p95 && a.p99 == b.p99 && a.max == b.max;
+}
+
 /// mkdir -p: creates `path` and its ancestors (0755); existing
 /// directories are fine, other failures surface at file-write time.
 void make_directories(const std::string& path) {
@@ -680,6 +686,38 @@ void make_directories(const std::string& path) {
 
 }  // namespace
 
+TraceReconciliation reconcile_trace(const std::vector<TraceEvent>& events,
+                                    const LatencySummary& ttft,
+                                    const LatencySummary& e2e) {
+  const std::vector<RequestTimeline> timelines =
+      trace_request_timelines(events);
+  std::vector<double> ttft_values, e2e_values;
+  for (const RequestTimeline& timeline : timelines) {
+    if (timeline.first_token >= 0) {
+      ttft_values.push_back(timeline.first_token - timeline.arrival);
+    }
+    if (timeline.completion >= 0) {
+      e2e_values.push_back(timeline.completion - timeline.arrival);
+    }
+  }
+  TraceReconciliation result;
+  result.requests_traced = timelines.size();
+  result.ttft = summarize_latencies(std::move(ttft_values));
+  result.e2e = summarize_latencies(std::move(e2e_values));
+  result.ttft_matches = same_summary(result.ttft, ttft);
+  result.e2e_matches = same_summary(result.e2e, e2e);
+  return result;
+}
+
+std::map<std::string, std::int64_t> trace_event_counts(
+    const std::vector<TraceEvent>& events) {
+  std::map<std::string, std::int64_t> counts;
+  for (const TraceEvent& event : events) {
+    counts[trace_event_type_name(event.type)] += 1;
+  }
+  return counts;
+}
+
 std::vector<std::string> write_trace_files(
     const ServingTrace& trace, const std::vector<TimeSample>& samples) {
   const TraceConfig& config = trace.config();
@@ -687,16 +725,11 @@ std::vector<std::string> write_trace_files(
   if (!config.enabled || config.dir.empty()) return paths;
   make_directories(config.dir);
   const std::string base = config.dir + "/" + config.label;
-  if (config.write_perfetto) {
-    const std::string path = base + ".trace.json";
-    sim::write_json_file(path, perfetto_trace_json(trace.events(), samples));
-    paths.push_back(path);
-  }
-  if (config.write_jsonl) {
-    const std::string path = base + ".jsonl";
-    sim::write_json_file(path, trace_jsonl(trace.events()));
-    paths.push_back(path);
-  }
+  paths.push_back(base + ".trace.json");
+  sim::write_json_file(paths.back(),
+                       perfetto_trace_json(trace.events(), samples));
+  paths.push_back(base + ".jsonl");
+  sim::write_json_file(paths.back(), trace_jsonl(trace.events()));
   return paths;
 }
 

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "serving/metrics.h"
 #include "serving/obs_registry.h"
 #include "serving/request_gen.h"
 
@@ -48,13 +49,11 @@ struct TraceConfig {
   Seconds sample_interval = 0;
 
   /// When `enabled` and non-empty, run_serving writes the trace here
-  /// (created on demand): "<dir>/<label>.trace.json" (Perfetto) and,
-  /// with `write_jsonl`, "<dir>/<label>.jsonl".  Empty: events stay
-  /// in-memory only (tests, reconciliation).
+  /// (created on demand): "<dir>/<label>.trace.json" (Perfetto) and
+  /// "<dir>/<label>.jsonl".  Empty: events stay in-memory only (tests,
+  /// reconciliation).
   std::string dir;
   std::string label = "serving";
-  bool write_perfetto = true;
-  bool write_jsonl = false;
 
   void validate() const;
 };
@@ -279,11 +278,29 @@ struct RequestTimeline {
 std::vector<RequestTimeline> trace_request_timelines(
     const std::vector<TraceEvent>& events);
 
+/// A run's TTFT and e2e summaries recomputed from its trace alone (the
+/// request timelines), and whether each equals the run's own summary in
+/// every field.
+struct TraceReconciliation {
+  std::size_t requests_traced = 0;
+  LatencySummary ttft;
+  LatencySummary e2e;
+  bool ttft_matches = false;
+  bool e2e_matches = false;
+};
+
+TraceReconciliation reconcile_trace(const std::vector<TraceEvent>& events,
+                                    const LatencySummary& ttft,
+                                    const LatencySummary& e2e);
+
+/// Recorded events per type name, ascending by name.
+std::map<std::string, std::int64_t> trace_event_counts(
+    const std::vector<TraceEvent>& events);
+
 /// Writes the configured trace artifacts for `trace` into
 /// `trace.config().dir` (created on demand, permissions 0755): the
-/// Perfetto JSON and/or JSONL per TraceConfig.  Returns the paths
-/// written.  No-op (empty result) when the config has no dir or tracing
-/// is disabled.
+/// Perfetto JSON and the JSONL.  Returns the paths written.  No-op
+/// (empty result) when the config has no dir or tracing is disabled.
 std::vector<std::string> write_trace_files(
     const ServingTrace& trace, const std::vector<TimeSample>& samples);
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "expect_identical_metrics.h"
 #include "serving/obs_registry.h"
 #include "serving/stats.h"
 #include "serving/sweep.h"
@@ -250,43 +252,6 @@ RequestStreamConfig golden_stream() {
   stream.output.max_len = 256;
   stream.priority_classes = 3;
   return stream;
-}
-
-/// EXPECT_EQ on every simulated field (doubles included: the claim is
-/// bit-identity, not closeness).  Wall-clock fields excluded by design.
-void expect_identical_metrics(const ServingMetrics& a,
-                              const ServingMetrics& b) {
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-  EXPECT_EQ(a.total_steps, b.total_steps);
-  EXPECT_EQ(a.prefill_steps, b.prefill_steps);
-  EXPECT_EQ(a.decode_steps, b.decode_steps);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.counters.preemptions_recompute, b.counters.preemptions_recompute);
-  EXPECT_EQ(a.counters.preemptions_swap, b.counters.preemptions_swap);
-  EXPECT_EQ(a.counters.swap_ins, b.counters.swap_ins);
-  EXPECT_EQ(a.counters.swap_out_bytes, b.counters.swap_out_bytes);
-  EXPECT_EQ(a.counters.chunked_prefill_steps, b.counters.chunked_prefill_steps);
-  EXPECT_EQ(a.counters.prefix_hit_tokens, b.counters.prefix_hit_tokens);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.ttft.mean, b.ttft.mean);
-  EXPECT_EQ(a.ttft.p50, b.ttft.p50);
-  EXPECT_EQ(a.ttft.p99, b.ttft.p99);
-  EXPECT_EQ(a.tpot.p99, b.tpot.p99);
-  EXPECT_EQ(a.e2e.mean, b.e2e.mean);
-  EXPECT_EQ(a.e2e.p99, b.e2e.p99);
-  EXPECT_EQ(a.goodput_tokens_per_second, b.goodput_tokens_per_second);
-  EXPECT_EQ(a.total_energy, b.total_energy);
-  EXPECT_EQ(a.energy_per_token, b.energy_per_token);
-  EXPECT_EQ(a.mxu_utilization, b.mxu_utilization);
-  EXPECT_EQ(a.jain_fairness, b.jain_fairness);
-  EXPECT_EQ(a.prefix_hit_rate, b.prefix_hit_rate);
-  EXPECT_EQ(a.kv_internal_fragmentation, b.kv_internal_fragmentation);
-  EXPECT_EQ(a.cost_cache_hits, b.cost_cache_hits);
-  EXPECT_EQ(a.cost_cache_misses, b.cost_cache_misses);
-  // The end-of-run registry is fed only by simulated state, so its whole
-  // JSON export must match byte for byte too.
-  EXPECT_EQ(a.registry.to_json(), b.registry.to_json());
 }
 
 TEST(TracingContract, MetricsBitIdenticalOnAndOffAcrossGoldenGrid) {
@@ -569,6 +534,62 @@ TEST(TraceContent, TimelinesReconcileExactlyWithMetrics) {
   EXPECT_EQ(trace_e2e.max, metrics.e2e.max);
 }
 
+TEST(TraceContent, ReconcileTraceMatchesAndFlagsAnAlteredSummary) {
+  // The traced point both serving binaries reconcile: prefix caching on at
+  // block 16 over the canonical chatbot stream.
+  const std::vector<Request> requests = generate_requests(
+      prefix_chatbot_stream(/*seed=*/42, /*num_requests=*/400,
+                            /*arrival_rate=*/30.0));
+  const models::TransformerConfig model =
+      llama7b_baseline_scenario(/*chips=*/1, ir::DType::kInt4).model;
+  ServingScenario scenario =
+      prefix_cache_grid_points(model, &requests)[1].scenario;
+  ASSERT_TRUE(scenario.scheduler.enable_prefix_cache);
+  scenario.trace.enabled = true;
+  ServingTrace trace;
+  const ServingMetrics metrics =
+      run_serving(scenario, requests, nullptr, &trace);
+
+  const TraceReconciliation exact =
+      reconcile_trace(trace.events(), metrics.ttft, metrics.e2e);
+  EXPECT_TRUE(exact.ttft_matches);
+  EXPECT_TRUE(exact.e2e_matches);
+  EXPECT_EQ(exact.requests_traced, requests.size());
+  expect_identical_summary(exact.ttft, metrics.ttft);
+  expect_identical_summary(exact.e2e, metrics.e2e);
+
+  // One field off by one ulp, or one count off by one, is a mismatch of
+  // that summary only.
+  LatencySummary ttft = metrics.ttft;
+  ttft.p95 = std::nextafter(ttft.p95, std::numeric_limits<double>::max());
+  const TraceReconciliation bad_ttft =
+      reconcile_trace(trace.events(), ttft, metrics.e2e);
+  EXPECT_FALSE(bad_ttft.ttft_matches);
+  EXPECT_TRUE(bad_ttft.e2e_matches);
+  LatencySummary e2e = metrics.e2e;
+  e2e.count += 1;
+  const TraceReconciliation bad_e2e =
+      reconcile_trace(trace.events(), metrics.ttft, e2e);
+  EXPECT_TRUE(bad_e2e.ttft_matches);
+  EXPECT_FALSE(bad_e2e.e2e_matches);
+}
+
+TEST(TraceContent, EventCountsByTypeName) {
+  const std::vector<Request> requests = generate_requests(golden_stream());
+  ServingScenario scenario =
+      golden_scenario(EvictionPolicy::kPreemptNewest, 0);
+  scenario.trace.enabled = true;
+  ServingTrace trace;
+  run_serving(scenario, requests, nullptr, &trace);
+  const std::map<std::string, std::int64_t> counts =
+      trace_event_counts(trace.events());
+  std::int64_t total = 0;
+  for (const auto& [name, count] : counts) total += count;
+  EXPECT_EQ(total, static_cast<std::int64_t>(trace.events().size()));
+  EXPECT_EQ(counts.at("arrive"), static_cast<std::int64_t>(requests.size()));
+  EXPECT_EQ(counts.count("kv_transfer"), 0u);  // only recorded types
+}
+
 // --- Registry publication ----------------------------------------------------
 
 TEST(RegistryPublication, SubsystemsPublishIntoRunRegistry) {
@@ -624,7 +645,6 @@ TEST(SweepTracing, TraceFilesByteIdenticalAcrossThreadCounts) {
   TraceConfig& trace = sweep.base.scenario.trace;
   trace.enabled = true;
   trace.sample_interval = 1.0;
-  trace.write_jsonl = true;
   sweep.stream = golden_stream();
 
   std::vector<std::string> names;
