@@ -129,8 +129,8 @@ bool print_row_notes(StudyKind kind, const Cells& cells) {
             scenario.fault.recovery_enabled ? "on" : "off", m.availability,
             m.slo_goodput_tokens_per_second, lld(m.fault.stalls),
             lld(m.fault.kv_losses), lld(m.fault.device_failures),
-            lld(m.retries_total), lld(m.counters.shed_fault),
-            lld(m.wasted_recompute_tokens));
+            lld(m.fault.retries), lld(m.counters.shed_fault),
+            lld(m.fault.wasted_recompute_tokens));
         break;
       default:
         return false;

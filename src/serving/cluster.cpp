@@ -228,16 +228,7 @@ void stitch_requests(const std::vector<Request>& requests,
       tpot.push_back((row.completion - row.first_token) /
                      static_cast<double>(request.output_len - 1));
     }
-    bool met = true;
-    if (request.ttft_deadline > 0) {
-      met = row.first_token - request.arrival_time <= request.ttft_deadline;
-    }
-    if (met && request.tpot_deadline > 0 && request.output_len > 1) {
-      met = (row.completion - row.first_token) /
-                static_cast<double>(request.output_len - 1) <=
-            request.tpot_deadline;
-    }
-    if (met) {
+    if (meets_slo(request, row.first_token, row.completion)) {
       cluster->slo_met += 1;
       slo_tokens += request.output_len;
     }
@@ -340,6 +331,14 @@ void finish_cluster(const ClusterConfig& config, int first_serving,
                          tp.communication_time);
     }
   }
+}
+
+/// Adds every field of `from` into `into`, through the struct's field table.
+template <typename S>
+void add_fields(const S& from, S* into) {
+  S::for_each_field([&](const char*, auto member, const char*) {
+    into->*member += from.*member;
+  });
 }
 
 }  // namespace
@@ -625,24 +624,8 @@ ServingMetrics flatten_cluster_metrics(ClusterMetrics&& cluster) {
     flat.prefill_steps += replica.prefill_steps;
     flat.decode_steps += replica.decode_steps;
     flat.preemptions += replica.preemptions;
-    flat.counters.preemptions_recompute +=
-        replica.counters.preemptions_recompute;
-    flat.counters.preemptions_swap += replica.counters.preemptions_swap;
-    flat.counters.swap_ins += replica.counters.swap_ins;
-    flat.counters.swap_out_bytes += replica.counters.swap_out_bytes;
-    flat.counters.swap_in_bytes += replica.counters.swap_in_bytes;
-    flat.counters.chunked_prefill_steps +=
-        replica.counters.chunked_prefill_steps;
-    flat.counters.prefix_lookup_tokens += replica.counters.prefix_lookup_tokens;
-    flat.counters.prefix_hit_tokens += replica.counters.prefix_hit_tokens;
-    flat.counters.prefix_shared_blocks +=
-        replica.counters.prefix_shared_blocks;
-    flat.counters.prefix_cow_blocks += replica.counters.prefix_cow_blocks;
-    flat.counters.shed_deadline += replica.counters.shed_deadline;
-    flat.counters.shed_horizon += replica.counters.shed_horizon;
-    flat.counters.shed_fault += replica.counters.shed_fault;
-    flat.wasted_recompute_tokens += replica.wasted_recompute_tokens;
-    flat.retries_total += replica.retries_total;
+    add_fields(replica.counters, &flat.counters);
+    add_fields(replica.fault, &flat.fault);
     flat.mxu_energy += replica.mxu_energy;
     flat.total_energy += replica.total_energy;
     flat.cost_cache_entries += replica.cost_cache_entries;

@@ -174,8 +174,12 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
 
 /// Collapses a cluster rollup into one ServingMetrics for drivers that
 /// compare cluster cells next to single-engine cells (the sweep): the
-/// stitched request-level fields, summed step/energy counters, the total
-/// chip count, and the cluster registry.
+/// stitched request-level fields, the total chip count, the cluster
+/// registry, and per-replica sums of the step, energy and cost-cache
+/// counts and of every ServingCounters and FaultStats field.  Means over
+/// replicas' own samples cannot be summed and stay at their defaults:
+/// `mttr_seconds` (a mean over repairs) is 0, as are
+/// `kv_internal_fragmentation`, `cost_cache_occupancy` and `tenants`.
 ServingMetrics flatten_cluster_metrics(ClusterMetrics&& cluster);
 
 }  // namespace cimtpu::serving

@@ -148,16 +148,7 @@ bool DegradationController::update(Seconds now) {
 }
 
 void FaultStats::publish(MetricsRegistry* registry) const {
-  registry->counter("fault.stalls") = stalls;
-  registry->counter("fault.kv_losses") = kv_losses;
-  registry->counter("fault.device_failures") = device_failures;
-  registry->counter("fault.host_restores") = host_restores;
-  registry->set_gauge("fault.host_restore_bytes", host_restore_bytes);
-  registry->counter("fault.retries_total") = retries;
-  registry->counter("fault.dropped") = dropped;
-  registry->counter("fault.wasted_recompute_tokens") = wasted_recompute_tokens;
-  registry->counter("fault.degrade_enters") = degrade_enters;
-  registry->counter("fault.degrade_exits") = degrade_exits;
+  registry->publish_fields(*this);
 }
 
 }  // namespace cimtpu::serving

@@ -203,6 +203,25 @@ struct FaultStats {
   std::int64_t degrade_exits = 0;
 
   void publish(MetricsRegistry* registry) const;
+
+  /// `visit(name, &FaultStats::member, registry_key)` per field, in
+  /// declaration order (see serving/metrics.h).
+  template <typename Visit>
+  static void for_each_field(Visit&& visit) {
+    using S = FaultStats;
+    visit("stalls", &S::stalls, "fault.stalls");
+    visit("kv_losses", &S::kv_losses, "fault.kv_losses");
+    visit("device_failures", &S::device_failures, "fault.device_failures");
+    visit("host_restores", &S::host_restores, "fault.host_restores");
+    visit("host_restore_bytes", &S::host_restore_bytes,
+          "fault.host_restore_bytes");
+    visit("retries", &S::retries, "fault.retries_total");
+    visit("dropped", &S::dropped, "fault.dropped");
+    visit("wasted_recompute_tokens", &S::wasted_recompute_tokens,
+          "fault.wasted_recompute_tokens");
+    visit("degrade_enters", &S::degrade_enters, "fault.degrade_enters");
+    visit("degrade_exits", &S::degrade_exits, "fault.degrade_exits");
+  }
 };
 
 }  // namespace cimtpu::serving

@@ -26,24 +26,8 @@ double ServingCounters::prefix_hit_rate() const {
 
 void ServingCounters::publish(MetricsRegistry* registry) const {
   CIMTPU_CHECK(registry != nullptr);
-  registry->set_counter("scheduler.preemptions_recompute",
-                        preemptions_recompute);
-  registry->set_counter("scheduler.preemptions_swap", preemptions_swap);
-  registry->set_counter("scheduler.swap_ins", swap_ins);
-  registry->set_gauge("scheduler.swap_out_bytes", swap_out_bytes);
-  registry->set_gauge("scheduler.swap_in_bytes", swap_in_bytes);
-  registry->set_counter("scheduler.chunked_prefill_steps",
-                        chunked_prefill_steps);
-  registry->set_counter("scheduler.prefix_lookup_tokens",
-                        prefix_lookup_tokens);
-  registry->set_counter("scheduler.prefix_hit_tokens", prefix_hit_tokens);
-  registry->set_counter("scheduler.prefix_shared_blocks",
-                        prefix_shared_blocks);
-  registry->set_counter("scheduler.prefix_cow_blocks", prefix_cow_blocks);
+  registry->publish_fields(*this);
   registry->set_gauge("scheduler.prefix_hit_rate", prefix_hit_rate());
-  registry->set_counter("scheduler.shed_deadline", shed_deadline);
-  registry->set_counter("scheduler.shed_horizon", shed_horizon);
-  registry->set_counter("scheduler.shed_fault", shed_fault);
 }
 
 double jain_fairness_index(const std::vector<double>& values) {

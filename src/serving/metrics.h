@@ -5,6 +5,14 @@
 // policies are judged by, and the event counters (preemptions per policy,
 // swap traffic, chunked prefill activity, paged-KV prefix-cache hits) the
 // scheduler accumulates across a run.
+//
+// Field tables: each metrics struct lists its fields once, in its static
+// `for_each_field(visit)`, which calls `visit(name, &Struct::member)` per
+// field in declaration order (publishing structs pass the registry key as
+// a third argument).  Registry publishing, cluster flattening and the
+// bit-identity checks iterate these tables, so a new field is written in
+// its struct and its table; `serving_rollup_test`'s drift guard fails when
+// a table misses one.
 
 #include <cstdint>
 #include <vector>
@@ -24,6 +32,17 @@ struct LatencySummary {
   Seconds p95 = 0;
   Seconds p99 = 0;
   Seconds max = 0;
+
+  /// `visit(name, &LatencySummary::member)` per field.
+  template <typename Visit>
+  static void for_each_field(Visit&& visit) {
+    visit("count", &LatencySummary::count);
+    visit("mean", &LatencySummary::mean);
+    visit("p50", &LatencySummary::p50);
+    visit("p95", &LatencySummary::p95);
+    visit("p99", &LatencySummary::p99);
+    visit("max", &LatencySummary::max);
+  }
 };
 
 /// Sorts `values` in place (sort_sample) and summarizes it; the mean sums
@@ -55,6 +74,20 @@ struct TenantMetrics {
   LatencySummary ttft;
   LatencySummary e2e;
   double goodput_tokens_per_second = 0;
+
+  /// `visit(name, &TenantMetrics::member)` per field.
+  template <typename Visit>
+  static void for_each_field(Visit&& visit) {
+    using T = TenantMetrics;
+    visit("tenant_id", &T::tenant_id);
+    visit("weight", &T::weight);
+    visit("num_requests", &T::num_requests);
+    visit("completed", &T::completed);
+    visit("generated_tokens", &T::generated_tokens);
+    visit("ttft", &T::ttft);
+    visit("e2e", &T::e2e);
+    visit("goodput_tokens_per_second", &T::goodput_tokens_per_second);
+  }
 };
 
 /// Scheduler event counters, split by mechanism so policy behaviour is
@@ -102,9 +135,36 @@ struct ServingCounters {
   /// up (cache disabled or no tagged requests).
   double prefix_hit_rate() const;
 
-  /// Publishes every counter into `registry` under "scheduler.*" names
-  /// (serving/obs_registry.h).
+  /// Publishes every field into `registry` under its table key (int64
+  /// fields as counters, byte counts as gauges) plus the derived
+  /// "scheduler.prefix_hit_rate" gauge (serving/obs_registry.h).
   void publish(MetricsRegistry* registry) const;
+
+  /// `visit(name, &ServingCounters::member, registry_key)` per field.
+  template <typename Visit>
+  static void for_each_field(Visit&& visit) {
+    using C = ServingCounters;
+    visit("preemptions_recompute", &C::preemptions_recompute,
+          "scheduler.preemptions_recompute");
+    visit("preemptions_swap", &C::preemptions_swap,
+          "scheduler.preemptions_swap");
+    visit("swap_ins", &C::swap_ins, "scheduler.swap_ins");
+    visit("swap_out_bytes", &C::swap_out_bytes, "scheduler.swap_out_bytes");
+    visit("swap_in_bytes", &C::swap_in_bytes, "scheduler.swap_in_bytes");
+    visit("chunked_prefill_steps", &C::chunked_prefill_steps,
+          "scheduler.chunked_prefill_steps");
+    visit("prefix_lookup_tokens", &C::prefix_lookup_tokens,
+          "scheduler.prefix_lookup_tokens");
+    visit("prefix_hit_tokens", &C::prefix_hit_tokens,
+          "scheduler.prefix_hit_tokens");
+    visit("prefix_shared_blocks", &C::prefix_shared_blocks,
+          "scheduler.prefix_shared_blocks");
+    visit("prefix_cow_blocks", &C::prefix_cow_blocks,
+          "scheduler.prefix_cow_blocks");
+    visit("shed_deadline", &C::shed_deadline, "scheduler.shed_deadline");
+    visit("shed_horizon", &C::shed_horizon, "scheduler.shed_horizon");
+    visit("shed_fault", &C::shed_fault, "scheduler.shed_fault");
+  }
 };
 
 }  // namespace cimtpu::serving

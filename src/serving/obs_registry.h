@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -50,6 +51,22 @@ class MetricsRegistry {
   }
   void set_gauge(const std::string& name, double value) {
     gauges_[name] = value;
+  }
+
+  /// Publishes every field of `stats` under the registry key its field
+  /// table names (ServingCounters, FaultStats): int64 fields as counters,
+  /// the rest (Bytes) as gauges.
+  template <typename S>
+  void publish_fields(const S& stats) {
+    S::for_each_field([&](const char*, auto member, const char* key) {
+      const auto value = stats.*member;
+      if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                   std::int64_t>) {
+        set_counter(key, value);
+      } else {
+        set_gauge(key, value);
+      }
+    });
   }
 
   /// The counter / gauge named `name`, or 0 when it was never published.

@@ -7,6 +7,20 @@
 
 namespace cimtpu::serving {
 
+bool meets_slo(const Request& request, Seconds first_token,
+               Seconds completion) {
+  bool met = true;
+  if (request.ttft_deadline > 0) {
+    met = first_token - request.arrival_time <= request.ttft_deadline;
+  }
+  if (met && request.tpot_deadline > 0 && request.output_len > 1) {
+    met = (completion - first_token) /
+              static_cast<double>(request.output_len - 1) <=
+          request.tpot_deadline;
+  }
+  return met;
+}
+
 std::string arrival_process_name(ArrivalProcess process) {
   switch (process) {
     case ArrivalProcess::kPoisson: return "poisson";

@@ -42,6 +42,13 @@ struct Request {
                                 ///< first; 0 = no deadline
 };
 
+/// SLO verdict of a request that completed at `completion` after streaming
+/// its first token at `first_token`: true when every deadline it carries
+/// holds — the TTFT deadline, then the TPOT deadline when it decodes more
+/// than one token.  A deadline-free request meets vacuously.
+bool meets_slo(const Request& request, Seconds first_token,
+               Seconds completion);
+
 /// Arrival process of the stream.
 enum class ArrivalProcess {
   kPoisson,  ///< exponential inter-arrivals at `arrival_rate`

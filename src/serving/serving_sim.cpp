@@ -832,21 +832,10 @@ struct ServingEngine::Impl {
         tpot.push_back((request_trace.completion - request_trace.first_token) /
                        static_cast<double>(request.output_len - 1));
       }
-      // SLO verdict: completed AND every deadline the request carries
-      // holds.  Deadline-free completed requests meet vacuously, so
-      // deadline-free streams report attainment 1.0 and
-      // slo_goodput == goodput.
-      bool met = true;
-      if (request.ttft_deadline > 0) {
-        met = request_trace.first_token - request.arrival_time <=
-              request.ttft_deadline;
-      }
-      if (met && request.tpot_deadline > 0 && request.output_len > 1) {
-        met = (request_trace.completion - request_trace.first_token) /
-                  static_cast<double>(request.output_len - 1) <=
-              request.tpot_deadline;
-      }
-      if (met) {
+      // Deadline-free completed requests meet vacuously, so deadline-free
+      // streams report attainment 1.0 and slo_goodput == goodput.
+      if (meets_slo(request, request_trace.first_token,
+                    request_trace.completion)) {
         metrics.slo_met += 1;
         slo_tokens += request.output_len;
       }
@@ -864,8 +853,6 @@ struct ServingEngine::Impl {
 
     // --- Resilience rollup (schema-v8) -------------------------------------
     metrics.fault = fault_stats;
-    metrics.wasted_recompute_tokens = fault_stats.wasted_recompute_tokens;
-    metrics.retries_total = fault_stats.retries;
     if (!repair_times.empty()) {
       metrics.mttr_seconds =
           std::accumulate(repair_times.begin(), repair_times.end(), 0.0) /
@@ -953,9 +940,9 @@ struct ServingEngine::Impl {
       // pre-fault builds key for key.
       metrics.registry.set_gauge("engine.mttr_s", metrics.mttr_seconds);
       metrics.registry.set_counter("engine.wasted_recompute_tokens",
-                                   metrics.wasted_recompute_tokens);
+                                   metrics.fault.wasted_recompute_tokens);
       metrics.registry.set_counter("engine.retries_total",
-                                   metrics.retries_total);
+                                   metrics.fault.retries);
       metrics.fault.publish(&metrics.registry);
     }
     metrics.counters.publish(&metrics.registry);

@@ -79,6 +79,14 @@ struct ServingScenario {
 };
 
 /// Aggregate result of one serving run.
+///
+/// Field lists: `for_each_field` below names every simulated field —
+/// scalars, the nested counters / fault / latency structs (each with its
+/// own table in serving/metrics.h or serving/fault.h), the tenant rows
+/// and the registry.  The bit-identity test helper iterates it.  Left out:
+/// the host-time fields `sim_wall_seconds` and `steps_per_second`, which
+/// measure the machine rather than the simulation, and `timeseries`,
+/// which holds samples only when sampling is on.
 struct ServingMetrics {
   int chips = 1;
   std::int64_t num_requests = 0;
@@ -130,14 +138,12 @@ struct ServingMetrics {
   /// `mttr_seconds` is the mean repair interval over repaired faults:
   /// host restores repair in the PCIe re-fetch time, recompute victims
   /// when the re-admitted request finally completes (0 with no repairs).
-  /// `wasted_recompute_tokens` counts computed tokens (prefill beyond
-  /// prefix hits + decode) thrown away by fault evictions;
-  /// `retries_total` counts backoff re-admissions.  All four are 0 /
-  /// 1.0-defaulted and `fault` all-zero when the subsystem is off.
+  /// `fault` counts events, backoff re-admissions (`fault.retries`) and
+  /// computed tokens thrown away by fault evictions
+  /// (`fault.wasted_recompute_tokens`).  Both scalars are 1.0 / 0 and
+  /// `fault` all-zero when the subsystem is off.
   double availability = 1.0;
   Seconds mttr_seconds = 0;
-  std::int64_t wasted_recompute_tokens = 0;
-  std::int64_t retries_total = 0;
   FaultStats fault;  ///< per-type event + recovery counts ("fault.*")
 
   /// Per-tenant QoS breakdown (schema-v4): one row per tenant id with at
@@ -173,6 +179,47 @@ struct ServingMetrics {
   /// checks (golden pins, parallel-vs-serial sweeps) must ignore them.
   Seconds sim_wall_seconds = 0;
   double steps_per_second = 0;
+
+  /// `visit(name, &ServingMetrics::member)` per simulated field.
+  template <typename Visit>
+  static void for_each_field(Visit&& visit) {
+    using M = ServingMetrics;
+    visit("chips", &M::chips);
+    visit("num_requests", &M::num_requests);
+    visit("completed", &M::completed);
+    visit("generated_tokens", &M::generated_tokens);
+    visit("total_steps", &M::total_steps);
+    visit("prefill_steps", &M::prefill_steps);
+    visit("decode_steps", &M::decode_steps);
+    visit("preemptions", &M::preemptions);
+    visit("counters", &M::counters);
+    visit("prefix_hit_rate", &M::prefix_hit_rate);
+    visit("kv_internal_fragmentation", &M::kv_internal_fragmentation);
+    visit("makespan", &M::makespan);
+    visit("sim_end_seconds", &M::sim_end_seconds);
+    visit("ttft", &M::ttft);
+    visit("tpot", &M::tpot);
+    visit("e2e", &M::e2e);
+    visit("goodput_tokens_per_second", &M::goodput_tokens_per_second);
+    visit("slo_met", &M::slo_met);
+    visit("slo_attainment", &M::slo_attainment);
+    visit("slo_goodput_tokens_per_second",
+          &M::slo_goodput_tokens_per_second);
+    visit("availability", &M::availability);
+    visit("mttr_seconds", &M::mttr_seconds);
+    visit("fault", &M::fault);
+    visit("tenants", &M::tenants);
+    visit("jain_fairness", &M::jain_fairness);
+    visit("mxu_energy", &M::mxu_energy);
+    visit("total_energy", &M::total_energy);
+    visit("energy_per_token", &M::energy_per_token);
+    visit("mxu_utilization", &M::mxu_utilization);
+    visit("cost_cache_entries", &M::cost_cache_entries);
+    visit("cost_cache_hits", &M::cost_cache_hits);
+    visit("cost_cache_misses", &M::cost_cache_misses);
+    visit("cost_cache_occupancy", &M::cost_cache_occupancy);
+    visit("registry", &M::registry);
+  }
 };
 
 /// Incremental single-replica serving engine: the exact run_serving state

@@ -404,10 +404,10 @@ ServingStudy fault_storm_study(const StudyInputs& in) {
        [](R r) { return scenario(r).fault.recovery_enabled; }},
       {"availability", "avail", F::kFixed4, metric(&M::availability)},
       {"mttr_s", "MTTR", F::kTime, metric(&M::mttr_seconds)},
-      {"retries", "retries", F::kInt, metric(&M::retries_total)},
+      {"retries", "retries", F::kInt, fault_stat(&FaultStats::retries)},
       {"shed_fault", "shed fault", F::kInt, counter(&C::shed_fault)},
       {"wasted_recompute_tokens", "wasted tok", F::kInt,
-       metric(&M::wasted_recompute_tokens)},
+       fault_stat(&FaultStats::wasted_recompute_tokens)},
       {"stalls", nullptr, F::kInt, fault_stat(&FaultStats::stalls)},
       {"kv_losses", nullptr, F::kInt, fault_stat(&FaultStats::kv_losses)},
       {"device_failures", nullptr, F::kInt,

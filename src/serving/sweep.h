@@ -7,10 +7,11 @@
 // labelled values plus an `apply` that writes one value into a point, so
 // a new sweepable knob is a caller-side lambda, not a field here.
 //
-// Guarantees: results[i] always corresponds to points[i], and every
-// point's ServingMetrics are bit-identical to a serial (threads=1) run,
-// cost-cache hit/miss counters included, whatever the worker count; only
-// the wall-clock fields sim_wall_seconds / steps_per_second differ.
+// Guarantees: results[i] always corresponds to points[i], and every field
+// ServingMetrics::for_each_field lists (cost-cache hit/miss counters
+// included) is bit-identical to a serial (threads=1) run, whatever the
+// worker count; only the host-time fields that table leaves out,
+// sim_wall_seconds / steps_per_second, differ.
 // Points share a SharedStepCostCache, so points with the same (chip
 // config, model, bucket) signature reuse each other's per-layer costs.
 // Thread count comes from SweepOptions::threads, CIMTPU_SWEEP_THREADS, or

@@ -665,8 +665,11 @@ std::vector<RequestTimeline> trace_request_timelines(
 namespace {
 
 bool same_summary(const LatencySummary& a, const LatencySummary& b) {
-  return a.count == b.count && a.mean == b.mean && a.p50 == b.p50 &&
-         a.p95 == b.p95 && a.p99 == b.p99 && a.max == b.max;
+  bool same = true;
+  LatencySummary::for_each_field([&](const char*, auto member) {
+    same = same && a.*member == b.*member;
+  });
+  return same;
 }
 
 /// mkdir -p: creates `path` and its ancestors (0755); existing

@@ -16,6 +16,7 @@
 
 #include "arch/chip.h"
 #include "common/status.h"
+#include "expect_identical_metrics.h"
 #include "mem/link.h"
 #include "models/model_zoo.h"
 #include "serving/cluster.h"
@@ -129,24 +130,9 @@ TEST(ClusterSingleReplicaTest, BitIdenticalToSingleEnginePath) {
   const ClusterMetrics cluster = run_serving_cluster(config, requests);
 
   ASSERT_EQ(cluster.replica_metrics.size(), 1u);
-  const ServingMetrics& replica = cluster.replica_metrics[0];
-  // Exact equality, not approximate — this is the golden-pin contract.
-  EXPECT_EQ(replica.total_steps, single.total_steps);
-  EXPECT_EQ(replica.prefill_steps, single.prefill_steps);
-  EXPECT_EQ(replica.decode_steps, single.decode_steps);
-  EXPECT_EQ(replica.completed, single.completed);
-  EXPECT_EQ(replica.generated_tokens, single.generated_tokens);
-  EXPECT_EQ(replica.makespan, single.makespan);
-  EXPECT_EQ(replica.ttft.p50, single.ttft.p50);
-  EXPECT_EQ(replica.ttft.p99, single.ttft.p99);
-  EXPECT_EQ(replica.tpot.p99, single.tpot.p99);
-  EXPECT_EQ(replica.e2e.p99, single.e2e.p99);
-  EXPECT_EQ(replica.goodput_tokens_per_second,
-            single.goodput_tokens_per_second);
-  EXPECT_EQ(replica.energy_per_token, single.energy_per_token);
-  EXPECT_EQ(replica.mxu_utilization, single.mxu_utilization);
-  // The whole registry, byte for byte.
-  EXPECT_EQ(replica.registry.to_json(), single.registry.to_json());
+  // Exact equality of every simulated field, registry included — this is
+  // the golden-pin contract.
+  expect_identical_metrics(cluster.replica_metrics[0], single);
 
   // The stitched cluster view agrees with the lone replica.
   EXPECT_EQ(cluster.replicas, 1);
@@ -185,6 +171,40 @@ TEST(ClusterSloGoodputTest, FlattenedCellsCarrySloGoodput) {
   EXPECT_GT(four.slo_goodput_tokens_per_second, 0);
   EXPECT_LE(four.slo_goodput_tokens_per_second,
             four.goodput_tokens_per_second);
+}
+
+TEST(ClusterFlattenTest, SumsEveryCounterAndFaultStatAcrossReplicas) {
+  // Two replicas under the fault storm: both record faults, retries and
+  // restores, and the flattened cell must report their sums.
+  const std::vector<Request> requests =
+      generate_requests(slo_chat_stream(/*seed=*/42, 300, 20.0));
+  ClusterConfig config;
+  config.base = fault_storm_scenario(ir::DType::kInt4, /*recovery=*/true,
+                                     /*horizon_seconds=*/15.0);
+  config.replicas.assign(2, ReplicaSpec{});
+  config.router_policy = "round_robin";
+  ClusterMetrics cluster = run_serving_cluster(config, requests);
+  const std::vector<ServingMetrics> replicas = cluster.replica_metrics;
+  ASSERT_EQ(replicas.size(), 2u);
+  for (const ServingMetrics& replica : replicas) {
+    ASSERT_GT(replica.fault.kv_losses, 0);
+    ASSERT_GT(replica.fault.retries, 0);
+  }
+  const ServingMetrics flat = flatten_cluster_metrics(std::move(cluster));
+
+  FaultStats::for_each_field([&](const char* name, auto member, const char*) {
+    EXPECT_EQ(flat.fault.*member,
+              replicas[0].fault.*member + replicas[1].fault.*member)
+        << name;
+  });
+  ServingCounters::for_each_field(
+      [&](const char* name, auto member, const char*) {
+        EXPECT_EQ(flat.counters.*member,
+                  replicas[0].counters.*member + replicas[1].counters.*member)
+            << name;
+      });
+  // A mean over repairs cannot be summed; flattening leaves it at 0.
+  EXPECT_EQ(flat.mttr_seconds, 0);
 }
 
 TEST(ClusterSingleReplicaTest, UnknownRouterPolicyFailsAtOneReplicaToo) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "expect_identical_metrics.h"
 #include "serving/fault.h"
 #include "serving/kv_cache_manager.h"
 #include "serving/scheduler.h"
@@ -233,7 +234,7 @@ TEST(FaultsOffTest, DisabledSubsystemIsBitIdenticalAndUnpublished) {
   EXPECT_EQ(b.registry.counters().count("fault.stalls"), 0u);
   EXPECT_EQ(b.registry.gauges().count("engine.mttr_s"), 0u);
   EXPECT_EQ(b.fault.stalls, 0);
-  EXPECT_EQ(b.retries_total, 0);
+  EXPECT_EQ(b.fault.retries, 0);
   EXPECT_EQ(b.mttr_seconds, 0.0);
 }
 
@@ -271,12 +272,11 @@ TEST(RecoveryTest, RecomputeRetriesThroughBackoffAndEveryRequestFinishes) {
                        /*recovery=*/true, /*budget=*/16),
       requests);
   EXPECT_GT(metrics.fault.kv_losses, 0);
-  EXPECT_GT(metrics.retries_total, 0);
-  EXPECT_EQ(metrics.retries_total, metrics.fault.retries);
+  EXPECT_GT(metrics.fault.retries, 0);
   EXPECT_EQ(metrics.fault.dropped, 0);
   EXPECT_EQ(metrics.counters.shed_fault, 0);
   // Victims lose their computed prompt/decode work...
-  EXPECT_GT(metrics.wasted_recompute_tokens, 0);
+  EXPECT_GT(metrics.fault.wasted_recompute_tokens, 0);
   // ...but backoff re-admission finishes them all: full availability, and
   // each recompute span lands one MTTR sample.
   EXPECT_EQ(metrics.completed, metrics.num_requests);
@@ -296,7 +296,7 @@ TEST(RecoveryTest, RecoveryOffShedsEveryVictim) {
   // every victim is dropped with shed cause "fault".
   EXPECT_EQ(metrics.fault.dropped, metrics.fault.kv_losses);
   EXPECT_EQ(metrics.counters.shed_fault, metrics.fault.dropped);
-  EXPECT_EQ(metrics.retries_total, 0);
+  EXPECT_EQ(metrics.fault.retries, 0);
   EXPECT_EQ(metrics.completed + metrics.counters.shed_fault,
             metrics.num_requests);
   EXPECT_LT(metrics.availability, 1.0);
@@ -312,7 +312,7 @@ TEST(RecoveryTest, ExhaustedRetryBudgetIsAFaultShed) {
                        /*recovery=*/true, /*budget=*/0),
       requests);
   ASSERT_GT(metrics.fault.kv_losses, 0);
-  EXPECT_EQ(metrics.retries_total, 0);
+  EXPECT_EQ(metrics.fault.retries, 0);
   EXPECT_EQ(metrics.fault.dropped, metrics.fault.kv_losses);
   EXPECT_EQ(metrics.counters.shed_fault, metrics.fault.dropped);
 }
@@ -328,9 +328,9 @@ TEST(RecoveryTest, HostRestoreRecoversInPlaceWithoutRetries) {
   // restored in place — the sequence never leaves the engine, so no
   // retries, no drops, no wasted recompute, full availability.
   EXPECT_EQ(metrics.fault.host_restores, metrics.fault.kv_losses);
-  EXPECT_EQ(metrics.retries_total, 0);
+  EXPECT_EQ(metrics.fault.retries, 0);
   EXPECT_EQ(metrics.fault.dropped, 0);
-  EXPECT_EQ(metrics.wasted_recompute_tokens, 0);
+  EXPECT_EQ(metrics.fault.wasted_recompute_tokens, 0);
   EXPECT_GT(metrics.fault.host_restore_bytes, 0.0);
   EXPECT_EQ(metrics.completed, metrics.num_requests);
   EXPECT_EQ(metrics.availability, 1.0);
@@ -354,8 +354,8 @@ TEST(RecoveryTest, DeviceFailureRestartsAndRecoveryReplaysTheWork) {
   const ServingMetrics baseline = run_serving(clean, requests);
 
   ASSERT_GT(faulty.fault.device_failures, 0);
-  EXPECT_GT(faulty.retries_total, 0);
-  EXPECT_GT(faulty.wasted_recompute_tokens, 0);
+  EXPECT_GT(faulty.fault.retries, 0);
+  EXPECT_GT(faulty.fault.wasted_recompute_tokens, 0);
   // Recovery replays everything the failures destroyed...
   EXPECT_EQ(faulty.completed, faulty.num_requests);
   EXPECT_EQ(faulty.availability, 1.0);
@@ -556,15 +556,7 @@ TEST(SweepFaultAxisTest, StormMetricsAreBitIdenticalAcrossThreadCounts) {
   const std::vector<SweepCellResult> b = run_serving_sweep(sweep, parallel);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].metrics.availability, b[i].metrics.availability);
-    EXPECT_EQ(a[i].metrics.completed, b[i].metrics.completed);
-    EXPECT_EQ(a[i].metrics.retries_total, b[i].metrics.retries_total);
-    EXPECT_EQ(a[i].metrics.wasted_recompute_tokens,
-              b[i].metrics.wasted_recompute_tokens);
-    EXPECT_EQ(a[i].metrics.mttr_seconds, b[i].metrics.mttr_seconds);
-    EXPECT_EQ(a[i].metrics.fault.kv_losses, b[i].metrics.fault.kv_losses);
-    EXPECT_EQ(a[i].metrics.slo_goodput_tokens_per_second,
-              b[i].metrics.slo_goodput_tokens_per_second);
+    expect_identical_metrics(a[i].metrics, b[i].metrics);
   }
 }
 
@@ -590,13 +582,14 @@ TEST(ResilienceFrontierTest, RecoveryStrictlyBeatsRecoveryOffOnTheStorm) {
   EXPECT_GT(on.slo_goodput_tokens_per_second,
             off.slo_goodput_tokens_per_second);
   // Recovery machinery actually engaged on the winning side...
-  EXPECT_GT(on.retries_total, 0);
+  EXPECT_GT(on.fault.retries, 0);
   EXPECT_GT(on.fault.host_restores, 0);
   EXPECT_EQ(on.counters.shed_fault, 0);
   // ...while the off side bled requests and recomputed nothing.
   EXPECT_GT(off.counters.shed_fault, 0);
-  EXPECT_EQ(off.retries_total, 0);
-  EXPECT_LT(on.wasted_recompute_tokens, off.wasted_recompute_tokens);
+  EXPECT_EQ(off.fault.retries, 0);
+  EXPECT_LT(on.fault.wasted_recompute_tokens,
+            off.fault.wasted_recompute_tokens);
   // The sustained-failure detector saw the storm on both sides.
   EXPECT_GT(on.fault.degrade_enters, 0);
   EXPECT_GT(off.fault.degrade_enters, 0);
@@ -637,7 +630,7 @@ TEST(ResilienceFrontierTest, AvailabilityRecomputedFromTraceEventsMatches) {
   // event: every counted fault and every recovery emitted its event.
   EXPECT_EQ(faults, metrics.fault.stalls + metrics.fault.kv_losses +
                         metrics.fault.device_failures);
-  EXPECT_EQ(recovers, metrics.retries_total + metrics.fault.host_restores);
+  EXPECT_EQ(recovers, metrics.fault.retries + metrics.fault.host_restores);
   EXPECT_EQ(fault_sheds, metrics.counters.shed_fault);
   EXPECT_EQ(degrades,
             metrics.fault.degrade_enters + metrics.fault.degrade_exits);
@@ -650,7 +643,9 @@ TEST(ResilienceFrontierTest, AvailabilityRecomputedFromTraceEventsMatches) {
   EXPECT_EQ(metrics.registry.counters().at("fault.kv_losses"),
             metrics.fault.kv_losses);
   EXPECT_EQ(metrics.registry.counters().at("engine.retries_total"),
-            metrics.retries_total);
+            metrics.fault.retries);
+  EXPECT_EQ(metrics.registry.counters().at("engine.wasted_recompute_tokens"),
+            metrics.fault.wasted_recompute_tokens);
 }
 
 }  // namespace

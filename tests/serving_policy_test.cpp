@@ -16,6 +16,7 @@
 #include <map>
 #include <set>
 
+#include "expect_identical_metrics.h"
 #include "models/model_zoo.h"
 #include "serving/admission_policy.h"
 #include "serving/kv_cache_manager.h"
@@ -547,15 +548,8 @@ TEST(AdmissionPolicyTest, ExplicitFifoIsBitIdenticalToDefault) {
       /*kv_budget_tokens=*/2000);
   ServingScenario explicit_fifo = defaulted;
   explicit_fifo.scheduler.admission.policy = "fifo";
-  const ServingMetrics a = run_serving(defaulted, requests);
-  const ServingMetrics b = run_serving(explicit_fifo, requests);
-  EXPECT_EQ(a.total_steps, b.total_steps);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_DOUBLE_EQ(a.ttft.p50, b.ttft.p50);
-  EXPECT_DOUBLE_EQ(a.tpot.p99, b.tpot.p99);
-  EXPECT_DOUBLE_EQ(a.e2e.p99, b.e2e.p99);
-  EXPECT_DOUBLE_EQ(a.goodput_tokens_per_second, b.goodput_tokens_per_second);
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
+  expect_identical_metrics(run_serving(defaulted, requests),
+                           run_serving(explicit_fifo, requests));
 }
 
 /// Drives a max_batch-1 scheduler under a sustained stream of high-priority

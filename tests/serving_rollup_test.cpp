@@ -2,7 +2,8 @@
 // sorted parts, and the engine's sort-once TTFT/TPOT/e2e rollup must equal
 // a plain std::sort reference bit for bit — and the engine's request-id
 // validation that its id-indexed per-request state relies on, plus its
-// inject/finish lifecycle.
+// inject/finish lifecycle — and the metrics structs' field tables: each
+// covers its whole struct, and publishing writes every entry.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +14,14 @@
 #include <map>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "serving/fault.h"
 #include "serving/metrics.h"
+#include "serving/obs_registry.h"
 #include "serving/serving_sim.h"
 #include "serving/stats.h"
 #include "serving/traffic_profiles.h"
@@ -75,12 +79,9 @@ LatencySummary reference_summary(std::vector<double> values) {
 void expect_summary_eq(const LatencySummary& actual,
                        const LatencySummary& expected,
                        const std::string& label) {
-  EXPECT_EQ(actual.count, expected.count) << label;
-  EXPECT_EQ(actual.mean, expected.mean) << label;
-  EXPECT_EQ(actual.p50, expected.p50) << label;
-  EXPECT_EQ(actual.p95, expected.p95) << label;
-  EXPECT_EQ(actual.p99, expected.p99) << label;
-  EXPECT_EQ(actual.max, expected.max) << label;
+  LatencySummary::for_each_field([&](const char* name, auto member) {
+    EXPECT_EQ(actual.*member, expected.*member) << label << " " << name;
+  });
 }
 
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
@@ -283,6 +284,92 @@ TEST(ServingEngineLifecycle, InjectAfterFinishFails) {
   EXPECT_THROW(engine.inject_prefilled(tiny_request(2)), InternalError);
   EXPECT_THROW(engine.finish(), InternalError);
   EXPECT_EQ(engine.outcomes().size(), 1u);
+}
+
+// --- Field tables --------------------------------------------------------
+// Publishing, cluster flattening and the bit-identity checks see only what
+// a struct's for_each_field table lists, so each table must cover its whole
+// struct.  These structs hold only 8-byte scalars (a nested LatencySummary
+// counts as its 6), so the table's leaves must sit at distinct offsets and
+// number sizeof(S) / 8.
+
+template <typename S>
+void collect_leaf_offsets(const S& object, const char* origin,
+                          const std::string& path,
+                          std::vector<std::ptrdiff_t>* offsets) {
+  S::for_each_field([&](const char* name, auto member, auto&&...) {
+    const auto& field = object.*member;
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_arithmetic_v<T>) {
+      EXPECT_EQ(sizeof(T), 8u) << path << name;
+      offsets->push_back(reinterpret_cast<const char*>(&field) - origin);
+    } else {
+      collect_leaf_offsets(field, origin, path + name + ".", offsets);
+    }
+  });
+}
+
+template <typename S>
+void expect_table_covers_struct(const char* struct_name) {
+  const S object{};
+  std::vector<std::ptrdiff_t> offsets;
+  collect_leaf_offsets(object, reinterpret_cast<const char*>(&object), "",
+                       &offsets);
+  EXPECT_EQ(sizeof(S), 8 * offsets.size())
+      << struct_name << ": a field is missing from its for_each_field table";
+  std::sort(offsets.begin(), offsets.end());
+  EXPECT_EQ(std::adjacent_find(offsets.begin(), offsets.end()), offsets.end())
+      << struct_name << ": a field is listed twice";
+}
+
+TEST(MetricsFieldTables, EachTableCoversItsWholeStruct) {
+  expect_table_covers_struct<LatencySummary>("LatencySummary");
+  expect_table_covers_struct<TenantMetrics>("TenantMetrics");
+  expect_table_covers_struct<ServingCounters>("ServingCounters");
+  expect_table_covers_struct<FaultStats>("FaultStats");
+}
+
+/// Sets every field of `stats` to a distinct value (1, 2, ...) through its
+/// table, then checks the registry holds each under the entry's key: an
+/// int64 field as a counter, a Bytes field as a gauge.
+template <typename S>
+void expect_publishes_every_field() {
+  S stats;
+  std::int64_t next = 1;
+  S::for_each_field([&](const char*, auto member, const char*) {
+    stats.*member = static_cast<std::decay_t<decltype(stats.*member)>>(next++);
+  });
+  MetricsRegistry registry;
+  stats.publish(&registry);
+  next = 1;
+  S::for_each_field([&](const char* name, auto member, const char* key) {
+    using T = std::decay_t<decltype(stats.*member)>;
+    if constexpr (std::is_same_v<T, std::int64_t>) {
+      EXPECT_EQ(registry.counter_or_zero(key), next) << name;
+      EXPECT_EQ(registry.gauges().count(key), 0u) << name;
+    } else {
+      EXPECT_EQ(registry.gauge_or_zero(key), static_cast<double>(next))
+          << name;
+      EXPECT_EQ(registry.counters().count(key), 0u) << name;
+    }
+    ++next;
+  });
+}
+
+TEST(MetricsFieldTables, PublishWritesEveryFieldUnderItsKey) {
+  expect_publishes_every_field<ServingCounters>();
+  expect_publishes_every_field<FaultStats>();
+  // The one key that differs from its field's name, and the derived gauge.
+  FaultStats fault;
+  fault.retries = 30;
+  MetricsRegistry registry;
+  fault.publish(&registry);
+  EXPECT_EQ(registry.counter_or_zero("fault.retries_total"), 30);
+  ServingCounters counters;
+  counters.prefix_lookup_tokens = 4;
+  counters.prefix_hit_tokens = 3;
+  counters.publish(&registry);
+  EXPECT_EQ(registry.gauge_or_zero("scheduler.prefix_hit_rate"), 0.75);
 }
 
 }  // namespace
