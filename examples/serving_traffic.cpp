@@ -4,14 +4,29 @@
 // replay of the prefix-cache point reconciled against its metrics.
 // --fault-storm adds the fault-storm study; --cluster adds a per-replica
 // breakdown of one prefix-affinity cluster and the router and
-// disaggregation studies.  On matching grids the tables are bench_serving's.
+// disaggregation studies.
 //
 //   ./serving_traffic [model] [requests] [rate_req_s] [seed] [process] [dtype]
 //                     [--trace-dir <dir>] [--fault-storm] [--cluster]
+//   ./serving_traffic --bench-json <path> [--trace-dir <dir>]
+//
+// --bench-json runs the fixed perf-baseline grid instead (llama2-7b INT4,
+// 2,000 zipf-chat requests at 20 req/s, seed 42; baseline at 5/10/20 req/s,
+// fault rates 0.5/1.0, every study on), prints it as above and writes it to
+// <path> as BENCH_serving.json (schema_version 11): one block per study, plus
+//   "observability" — the traced replay's event counts, trace-vs-metrics
+//                     reconciliation, time-series samples and registry;
+//   "sweep"         — host wall time and steps per second of the baseline
+//                     and policy grids, which CI's perf-smoke job gates
+//                     against the committed copy.
+// The host-time fields (sim_wall_seconds, steps_per_second and the sweep
+// block) are the only values in it that change from run to run.
 //
 // stdout and the --trace-dir files (Perfetto and JSONL) are deterministic
-// for a seed, whatever CIMTPU_SWEEP_THREADS says.  Bad input prints one
-// "serving_traffic: <message>" line to stderr and exits 2.
+// for a seed, whatever CIMTPU_SWEEP_THREADS says.  Bad input (a bad flag or
+// argument, a bad CIMTPU_SWEEP_THREADS, a --bench-json path that cannot be
+// written) prints one "serving_traffic: <message>" line to stderr and
+// exits 2.
 
 #include <algorithm>
 #include <cctype>
@@ -23,6 +38,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -141,11 +158,13 @@ bool print_row_notes(StudyKind kind, const Cells& cells) {
 
 /// Re-runs the prefix-cache block-16 point traced (0.5 s sampling), checks
 /// it against the untraced row and reconciles the trace with its metrics.
-/// With a trace dir, also runs a traced two-point sweep.
+/// With a trace dir, also runs a traced two-point sweep.  With `json`,
+/// writes the replay as BENCH_serving.json's "observability" block.
 void print_observability(const serving::ServingStudy& prefix,
                          const serving::ServingMetrics& untraced,
                          const serving::SweepOptions& options,
-                         const std::string& trace_dir, std::uint64_t seed) {
+                         const std::string& trace_dir, std::uint64_t seed,
+                         std::ostream* json) {
   serving::ServingScenario traced = prefix.points[1].scenario;
   traced.trace.enabled = true;
   traced.trace.sample_interval = 0.5;
@@ -179,6 +198,23 @@ void print_observability(const serving::ServingStudy& prefix,
     std::printf("  trace-vs-metrics %s reconciliation: %s (count %lld, p99 "
                 "%.9f s)\n", what, matches ? "exact" : "MISMATCH",
                 lld(summary.count), summary.p99);
+  }
+  if (json != nullptr) {
+    *json << "  \"observability\": {\"sample_interval_s\": "
+          << traced.trace.sample_interval << ", \"events\": {";
+    const char* separator = "";
+    for (const auto& [name, count] :
+         serving::trace_event_counts(trace.events())) {
+      *json << separator << '"' << name << "\": " << count;
+      separator = ", ";
+    }
+    *json << "}, \"reconciliation\": {\"ttft_matches\": "
+          << (check.ttft_matches ? "true" : "false")
+          << ", \"e2e_matches\": " << (check.e2e_matches ? "true" : "false")
+          << ", \"requests_traced\": " << check.requests_traced
+          << "},\n  \"timeseries\": "
+          << serving::time_samples_json(metrics.timeseries)
+          << ",\n  \"registry\": " << metrics.registry.to_json() << "},\n";
   }
   if (trace_dir.empty()) return;
 
@@ -256,34 +292,34 @@ void print_diurnal_mix(std::uint64_t seed) {
               lld(per_tenant[0]), lld(per_tenant[1]), lld(per_tenant[2]));
 }
 
-int run(int argc, char** argv) {
-  // Flags may sit anywhere; an unknown one fails rather than be ignored.
-  std::string trace_dir;
-  bool fault_storm = false;
-  bool cluster = false;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-dir") == 0) {
-      CIMTPU_CONFIG_CHECK(i + 1 < argc, "--trace-dir requires a value");
-      trace_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--fault-storm") == 0) {
-      fault_storm = true;
-    } else if (std::strcmp(argv[i], "--cluster") == 0) {
-      cluster = true;
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      throw ConfigError("unknown flag '" + std::string(argv[i]) +
-                        "' (expected --trace-dir <dir>, --fault-storm, or "
-                        "--cluster)");
-    } else {
-      argv[kept++] = argv[i];
+/// BENCH_serving.json's "sweep" block: the baseline and policy grids' host
+/// time, with the worker counts run_sweep resolved for each.
+void write_sweep_json(const Cells& baseline, const Cells& policies,
+                      int threads, double wall_seconds, std::ostream& json) {
+  std::int64_t total_steps = 0;
+  for (const Cells* grid : {&baseline, &policies}) {
+    for (const serving::SweepCellResult& cell : *grid) {
+      total_steps += cell.metrics.total_steps;
     }
   }
-  argc = kept;
+  json << "  \"sweep\": {\"points\": " << baseline.size() + policies.size()
+       << ", \"threads_baseline\": "
+       << serving::resolve_sweep_threads(threads, baseline.size())
+       << ", \"threads_policies\": "
+       << serving::resolve_sweep_threads(threads, policies.size())
+       << ", \"wall_seconds\": " << wall_seconds
+       << ", \"total_steps\": " << total_steps << ", \"steps_per_second\": "
+       << (wall_seconds > 0 ? static_cast<double>(total_steps) / wall_seconds
+                            : 0)
+       << "}\n";
+}
+
+/// The study inputs the positional arguments choose.
+serving::StudyInputs positional_inputs(int argc, char** argv) {
   CIMTPU_CONFIG_CHECK(argc <= 7,
                       "unexpected argument '" << argv[7]
                           << "' (expected at most [model] [requests] "
                              "[rate_req_s] [seed] [process] [dtype])");
-
   serving::StudyInputs inputs;
   serving::RequestStreamConfig& stream = inputs.stream;
   stream = serving::zipf_chat_stream(
@@ -298,17 +334,90 @@ int run(int argc, char** argv) {
     if (process == "bursty") stream.process = serving::ArrivalProcess::kBursty;
   }
   stream.validate();
-  const ir::DType dtype =
-      argc > 6 ? ir::dtype_from_name(argv[6]) : ir::DType::kInt4;
   inputs.model = models::model_by_name(argc > 1 ? argv[1] : "llama2-7b");
-  inputs.model.dtype = dtype;
+  inputs.model.dtype =
+      argc > 6 ? ir::dtype_from_name(argv[6]) : ir::DType::kInt4;
   inputs.baseline_rates = {stream.arrival_rate};
   inputs.fault_rates = {1.0};
+  return inputs;
+}
+
+/// BENCH_serving.json's fixed grid (the fault-storm and cluster studies
+/// run too).
+serving::StudyInputs bench_inputs() {
+  serving::StudyInputs inputs;
+  inputs.model = models::llama2_7b();
+  inputs.model.dtype = ir::DType::kInt4;
+  inputs.stream = serving::zipf_chat_stream(
+      /*seed=*/42, /*num_requests=*/2000, /*arrival_rate=*/20.0);
+  inputs.baseline_rates = {5.0, 10.0, 20.0};
+  inputs.fault_rates = {0.5, 1.0};
+  return inputs;
+}
+
+int run(int argc, char** argv) {
+  // Flags may sit anywhere; an unknown one fails rather than be ignored.
+  std::string trace_dir;
+  std::string bench_path;  // empty: no --bench-json
+  bool fault_storm = false;
+  bool cluster = false;
+  const auto path_value = [argc, argv](int& i) -> std::string {
+    CIMTPU_CONFIG_CHECK(i + 1 < argc && argv[i + 1][0] != '\0',
+                        argv[i] << " requires a non-empty value");
+    return argv[++i];
+  };
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--trace-dir") == 0) {
+      trace_dir = path_value(i);
+    } else if (std::strcmp(argv[i], "--bench-json") == 0) {
+      bench_path = path_value(i);
+    } else if (std::strcmp(argv[i], "--fault-storm") == 0) {
+      fault_storm = true;
+    } else if (std::strcmp(argv[i], "--cluster") == 0) {
+      cluster = true;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      throw ConfigError("unknown flag '" + std::string(argv[i]) +
+                        "' (expected --trace-dir <dir>, --fault-storm, "
+                        "--cluster, or --bench-json <path>)");
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
+  const bool bench = !bench_path.empty();
+  CIMTPU_CONFIG_CHECK(!bench || argc == 1,
+                      "unexpected argument '"
+                          << argv[1]
+                          << "' (--bench-json runs a fixed grid and takes "
+                             "no positional arguments)");
+  const serving::StudyInputs inputs =
+      bench ? bench_inputs() : positional_inputs(argc, argv);
+  const serving::RequestStreamConfig& stream = inputs.stream;
+  fault_storm |= bench;
+  cluster |= bench;
+
+  // The worker count (CIMTPU_SWEEP_THREADS) is checked, and the JSON
+  // output opened, before any grid runs or anything prints: bad input
+  // fails at once and leaves an existing output untouched.
+  serving::SweepOptions options;
+  options.threads = serving::resolve_sweep_threads(
+      0, std::numeric_limits<std::size_t>::max());
+  std::ofstream json;
+  if (bench) {
+    json.open(bench_path);
+    CIMTPU_CONFIG_CHECK(json.is_open(),
+                        "cannot open '" << bench_path << "' for writing");
+    json << "{\n  \"bench\": \"serving\",\n  \"schema_version\": 11,\n"
+         << "  \"model\": \"" << inputs.model.name << "\",\n"
+         << "  \"dtype\": \"int4\",\n  \"requests\": " << stream.num_requests
+         << ",\n  \"seed\": " << stream.seed << ",\n";
+  }
 
   std::printf(
       "Serving traffic: %s (%s), %lld requests, %s arrivals at %.1f req/s, "
       "seed %llu\n\n",
-      inputs.model.name.c_str(), ir::dtype_name(dtype).c_str(),
+      inputs.model.name.c_str(), ir::dtype_name(inputs.model.dtype).c_str(),
       lld(stream.num_requests),
       serving::arrival_process_name(stream.process).c_str(),
       stream.arrival_rate, static_cast<unsigned long long>(stream.seed));
@@ -316,9 +425,14 @@ int run(int argc, char** argv) {
   std::vector<serving::ServingStudy> studies =
       serving::serving_studies(inputs);
   serving::SharedStepCostCache shared_costs;  // across every study
-  serving::SweepOptions options;              // threads from env / hardware
   options.shared_cache = &shared_costs;
   const auto wall_start = std::chrono::steady_clock::now();
+  const auto seconds_since_start = [wall_start] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         wall_start)
+        .count();
+  };
+  double sweep_wall = 0;  // baseline + policy grids only
   const auto at = [](StudyKind kind) { return static_cast<std::size_t>(kind); };
   std::vector<Cells> results(studies.size());
   std::size_t largest_grid = 0;
@@ -341,7 +455,12 @@ int run(int argc, char** argv) {
       print_replica_breakdown(study, options, trace_dir);
     }
     const Cells& cells = results[at(kind)] = serving::run_study(study, options);
+    if (kind == StudyKind::kPolicies) sweep_wall = seconds_since_start();
     largest_grid = std::max(largest_grid, cells.size());
+    if (bench) {
+      serving::write_study_json(study, cells, json);
+      json << ",\n";
+    }
     if (kind != StudyKind::kBaseline) std::printf("\n");
     if (print_row_notes(kind, cells)) std::printf("\n");
     serving::study_table(study, cells).print();
@@ -350,7 +469,8 @@ int run(int argc, char** argv) {
       print_diurnal_mix(stream.seed);
       const std::size_t prefix = at(StudyKind::kPrefixCache);
       print_observability(studies[prefix], results[prefix][1].metrics,
-                          options, trace_dir, stream.seed);
+                          options, trace_dir, stream.seed,
+                          bench ? &json : nullptr);
     } else if (kind == StudyKind::kClusterRouter) {
       // Rows follow cluster_router_policy_order(): round_robin first.
       std::printf("router comparison: prefix_affinity hit rate %.3f vs "
@@ -367,11 +487,18 @@ int run(int argc, char** argv) {
     }
   }
 
+  if (bench) {
+    write_sweep_json(results[at(StudyKind::kBaseline)],
+                     results[at(StudyKind::kPolicies)], options.threads,
+                     sweep_wall, json);
+    json << "}\n";
+    json.close();
+    CIMTPU_CONFIG_CHECK(!json.fail(), "failed writing '" << bench_path << "'");
+  }
+
   // stderr: run-dependent.  The largest grid sets the peak worker count.
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall_start;
   std::fprintf(stderr, "wall clock: %.2f s for all deployments (%d sweep "
-               "threads)\n", wall.count(),
+               "threads)\n", seconds_since_start(),
                serving::resolve_sweep_threads(options.threads, largest_grid));
   return 0;
 }

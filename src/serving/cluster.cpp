@@ -648,10 +648,6 @@ ServingMetrics flatten_cluster_metrics(ClusterMetrics&& cluster) {
   flat.jain_fairness = cluster.jain_across_replicas;
   flat.registry = std::move(cluster.registry);
   flat.sim_wall_seconds = cluster.sim_wall_seconds;
-  if (flat.sim_wall_seconds > 0) {
-    flat.steps_per_second =
-        static_cast<double>(flat.total_steps) / flat.sim_wall_seconds;
-  }
   return flat;
 }
 

@@ -957,10 +957,6 @@ struct ServingEngine::Impl {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    if (metrics.sim_wall_seconds > 0) {
-      metrics.steps_per_second = static_cast<double>(metrics.total_steps) /
-                                 metrics.sim_wall_seconds;
-    }
     return std::move(metrics);
   }
 };

@@ -84,9 +84,9 @@ struct ServingScenario {
 /// scalars, the nested counters / fault / latency structs (each with its
 /// own table in serving/metrics.h or serving/fault.h), the tenant rows
 /// and the registry.  The bit-identity test helper iterates it.  Left out:
-/// the host-time fields `sim_wall_seconds` and `steps_per_second`, which
-/// measure the machine rather than the simulation, and `timeseries`,
-/// which holds samples only when sampling is on.
+/// the host-time field `sim_wall_seconds`, which measures the machine
+/// rather than the simulation, and `timeseries`, which holds samples only
+/// when sampling is on.
 struct ServingMetrics {
   int chips = 1;
   std::int64_t num_requests = 0;
@@ -174,11 +174,11 @@ struct ServingMetrics {
   std::vector<TimeSample> timeseries;
 
   /// Simulator performance (schema-v3 perf trajectory): wall-clock seconds
-  /// this run_serving call spent and engine steps simulated per wall
-  /// second.  These are the ONLY non-deterministic fields — equivalence
-  /// checks (golden pins, parallel-vs-serial sweeps) must ignore them.
+  /// this run_serving call spent (engine steps per wall second is
+  /// total_steps / sim_wall_seconds).  The ONLY non-deterministic field —
+  /// equivalence checks (golden pins, parallel-vs-serial sweeps) must
+  /// ignore it.
   Seconds sim_wall_seconds = 0;
-  double steps_per_second = 0;
 
   /// `visit(name, &ServingMetrics::member)` per simulated field.
   template <typename Visit>

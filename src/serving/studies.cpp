@@ -107,8 +107,13 @@ const StudyColumn kJainReplicas{"jain_across_replicas", "jain", F::kFixed4,
 // Host time: JSON only (CI's steps-per-second gate reads them).
 const StudyColumn kSimWall{"sim_wall_seconds", nullptr, F::kText,
                            metric(&M::sim_wall_seconds)};
-const StudyColumn kStepsPerSecond{"steps_per_second", nullptr, F::kText,
-                                  metric(&M::steps_per_second)};
+const StudyColumn kStepsPerSecond{
+    "steps_per_second", nullptr, F::kText, [](R r) {
+      const M& m = r.cell.metrics;
+      return m.sim_wall_seconds > 0
+                 ? static_cast<double>(m.total_steps) / m.sim_wall_seconds
+                 : 0.0;
+    }};
 
 std::string render(CellFormat format, const StudyValue& value) {
   if (const auto* label = std::get_if<std::string>(&value)) return *label;

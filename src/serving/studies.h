@@ -1,10 +1,9 @@
 #pragma once
-// The serving studies that bench_serving and serving_traffic both report,
-// each described once: a canonical grid from traffic_profiles.h plus the
-// one list of values its rows report.  A value carries its JSON key, its
-// table header and cell format, and its getter, so both binaries print
-// the same table for the same grid and bench_serving writes the same
-// values as BENCH_serving.json rows.
+// The serving studies serving_traffic reports, each described once: a
+// canonical grid from traffic_profiles.h plus the one list of values its
+// rows report.  A value carries its JSON key, its table header and cell
+// format, and its getter, so a study's table and its BENCH_serving.json
+// rows (serving_traffic --bench-json) show the same values.
 
 #include <cstdint>
 #include <functional>
@@ -87,7 +86,7 @@ struct ServingStudy {
   std::vector<StudyColumn> tenant_columns;
 };
 
-/// What the two binaries choose: the model, the baseline traffic (its
+/// What a caller chooses: the model, the baseline traffic (its
 /// seed seeds every study; its size, process and rate shape the policy
 /// study's trace), the baseline's arrival rates and the fault-storm
 /// rate scales.

@@ -10,8 +10,8 @@
 // Guarantees: results[i] always corresponds to points[i], and every field
 // ServingMetrics::for_each_field lists (cost-cache hit/miss counters
 // included) is bit-identical to a serial (threads=1) run, whatever the
-// worker count; only the host-time fields that table leaves out,
-// sim_wall_seconds / steps_per_second, differ.
+// worker count; only the host-time field that table leaves out,
+// sim_wall_seconds, differs.
 // Points share a SharedStepCostCache, so points with the same (chip
 // config, model, bucket) signature reuse each other's per-layer costs.
 // Thread count comes from SweepOptions::threads, CIMTPU_SWEEP_THREADS, or

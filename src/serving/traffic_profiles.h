@@ -1,9 +1,9 @@
 #pragma once
 // Canonical traffic profiles and deployments shared by the serving
-// example, the serving bench, and the golden-metrics regression tests:
-// one definition, so the perf-trajectory baseline (bench_serving) and the
-// pinned goldens always describe the same workload the demo
-// (serving_traffic) runs.
+// studies (serving/studies.h, run by serving_traffic) and the
+// golden-metrics regression tests: one definition, so the perf-trajectory
+// baseline (serving_traffic --bench-json) and the pinned goldens always
+// describe the same workload the demo runs.
 
 #include <cstdint>
 #include <vector>
@@ -42,9 +42,8 @@ ServingScenario llama7b_pressured_scenario(int chips, ir::DType dtype,
 /// The canonical pressured policy study as sweep points: every eviction
 /// policy x chunked prefill {off, 512} on one chip, `model` (any dtype)
 /// under a `kv_budget_tokens` device budget, all replaying `*requests`
-/// (caller-owned, must outlive the sweep).  Shared by bench_serving and
-/// serving_traffic so the two binaries always benchmark the SAME grid, in
-/// the same (policy-major, chunk-minor) order.
+/// (caller-owned, must outlive the sweep), in policy-major, chunk-minor
+/// order.  The policy study's grid.
 std::vector<SweepPoint> pressured_policy_grid_points(
     const models::TransformerConfig& model,
     const std::vector<Request>* requests,
@@ -54,8 +53,8 @@ std::vector<SweepPoint> pressured_policy_grid_points(
 /// lengths (prompts 128..256, outputs 64..128 — low variance, so tenant
 /// goodput ratios estimate admission shares tightly) at `arrival_rate`
 /// req/s split uniformly across `num_tenants` tenants from the decoupled
-/// tenant rng stream.  Shared by bench_serving's fairness section, the
-/// serving_traffic multi-tenant demo, and the WFQ share tests.
+/// tenant rng stream.  Shared by the fairness study and the WFQ share
+/// tests.
 RequestStreamConfig multi_tenant_pressure_stream(std::uint64_t seed,
                                                  std::int64_t num_requests,
                                                  double arrival_rate,
@@ -77,9 +76,8 @@ ServingScenario multi_tenant_fairness_scenario(
 /// multi_tenant_fairness_scenario per admission policy in {"fifo",
 /// "wfq"}, at `model` (any dtype, budget re-derived in its token-bytes),
 /// 3:1 tenant weights, and a 30-simulated-second horizon, all replaying
-/// `*requests` (caller-owned, must outlive the sweep).  Shared by
-/// bench_serving's "fairness" JSON block and serving_traffic's
-/// multi-tenant demo so the two binaries always study the SAME grid.
+/// `*requests` (caller-owned, must outlive the sweep).  The fairness
+/// study's grid.
 std::vector<SweepPoint> multi_tenant_fairness_points(
     const models::TransformerConfig& model,
     const std::vector<Request>* requests);
@@ -103,8 +101,8 @@ constexpr std::int64_t kPrefixChatbotPrefixLen = 1000;
 /// `prefix_len`-token system prompts (drawn from the decoupled fourth rng
 /// stream), followed by a Zipf user turn of 16..512 tokens and a Zipf
 /// 16..256-token reply — the workload class where cross-request prefix
-/// reuse dominates prefill work.  Shared by bench_serving's
-/// "prefix_cache" block, the serving_traffic demo, and the prefix tests.
+/// reuse dominates prefill work.  Shared by the prefix-cache study and the
+/// prefix tests.
 RequestStreamConfig prefix_chatbot_stream(
     std::uint64_t seed, std::int64_t num_requests, double arrival_rate,
     std::int64_t prefix_pool = kPrefixChatbotPool,
@@ -123,8 +121,7 @@ ServingScenario prefix_cache_scenario(ir::DType dtype,
 /// The canonical prefix-cache study as sweep points: caching off/on at
 /// block size 16, plus caching on at block 64 (fragmentation tradeoff),
 /// all replaying `*requests` (caller-owned, must outlive the sweep).
-/// Shared by bench_serving and serving_traffic so the two binaries always
-/// study the SAME grid, in the same order.
+/// The prefix-cache study's grid.
 std::vector<SweepPoint> prefix_cache_grid_points(
     const models::TransformerConfig& model,
     const std::vector<Request>* requests,
@@ -150,9 +147,8 @@ inline const std::vector<double>& slo_frontier_rates() {
 /// multi-tenant pressure lengths (uniform prompts 128..256, outputs
 /// 64..128 — low variance, so attainment differences reflect scheduling,
 /// not length luck) with every request carrying jittered TTFT/TPOT
-/// deadlines from the decoupled fifth rng stream.  Shared by
-/// bench_serving's "slo_frontier" block, the serving_traffic SLO demo,
-/// and the EDF tests.
+/// deadlines from the decoupled fifth rng stream.  Shared by the SLO
+/// frontier study and the EDF tests.
 RequestStreamConfig slo_chat_stream(std::uint64_t seed,
                                     std::int64_t num_requests,
                                     double arrival_rate,
@@ -171,9 +167,8 @@ ServingScenario slo_scenario(ir::DType dtype, const std::string& admission,
 /// The canonical SLO frontier as a ready-to-run sweep grid: arrival rate
 /// (slo_frontier_rates) x admission {"fifo", "edf"} over the slo_scenario
 /// deployment replaying slo_chat_stream traffic (one shared trace per
-/// rate, generated by run_serving_sweep).  Shared by bench_serving's
-/// "slo_frontier" block and serving_traffic's SLO demo so the two
-/// binaries always study the SAME grid, in the same (rate-major) order.
+/// rate, generated by run_serving_sweep), in rate-major order.  The SLO
+/// frontier study's grid.
 ServingSweep slo_frontier_sweep(const models::TransformerConfig& model,
                                 std::uint64_t seed);
 
@@ -192,7 +187,7 @@ std::vector<Request> diurnal_tenant_mix_requests(std::uint64_t seed,
 
 /// The fault seed / horizon the canonical fault storm uses.  The seed is
 /// fixed (and distinct from workload seeds) so the pinned resilience test
-/// and both binaries replay the SAME storm.
+/// and the fault-storm study replay the SAME storm.
 constexpr std::uint64_t kFaultStormSeed = 1234;
 constexpr Seconds kFaultStormHorizon = 30.0;
 
@@ -211,10 +206,10 @@ ServingScenario fault_storm_scenario(ir::DType dtype, bool recovery,
 /// slo_chat_stream traffic over the fault_storm_scenario deployment
 /// (4000-token KV budget in `model`'s token-bytes), with a "fault_rate"
 /// axis scaling the storm's three process rates by each of `fault_rates`
-/// (0 disables the subsystem) and a "recovery" axis {off, on}.  Shared by
-/// bench_serving's "resilience" block and serving_traffic's --fault-storm
-/// demo.  A cell's scale reads back as its fault.kv_loss_rate_per_s over
-/// the base scenario's.
+/// (0 disables the subsystem) and a "recovery" axis {off, on}.  The
+/// fault-storm study's grid ("resilience" in BENCH_serving.json).  A
+/// cell's scale reads back as its fault.kv_loss_rate_per_s over the base
+/// scenario's.
 ServingSweep fault_storm_sweep(const models::TransformerConfig& model,
                                std::uint64_t seed,
                                const std::vector<double>& fault_rates);
@@ -261,9 +256,8 @@ RequestStreamConfig cluster_chatbot_stream(std::uint64_t seed);
 /// cluster cell per policy in cluster_router_policy_order(), every
 /// replica running the paged-KV prefix-caching deployment
 /// (prefix_cache_scenario, caching ON), all replaying `*requests`
-/// (caller-owned, must outlive the sweep).  Shared by bench_serving's
-/// "cluster" block and serving_traffic's --cluster demo so the two
-/// binaries always study the SAME grid, in the same order.
+/// (caller-owned, must outlive the sweep).  The cluster router study's
+/// grid.
 std::vector<SweepPoint> cluster_router_grid_points(
     const models::TransformerConfig& model,
     const std::vector<Request>* requests);
@@ -274,7 +268,7 @@ std::vector<SweepPoint> cluster_router_grid_points(
 /// zipf-chat traffic (one shared trace per rate).  In the disaggregated
 /// cells kClusterPrefillReplicas replicas run prompts only and stream
 /// finished KV to the remaining decode replicas over the modeled ICI
-/// fabric.  Shared by bench_serving and serving_traffic.
+/// fabric.  The disaggregation study's grid.
 ServingSweep cluster_disaggregation_sweep(
     const models::TransformerConfig& model, std::uint64_t seed);
 

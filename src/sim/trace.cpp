@@ -125,6 +125,8 @@ void write_json_file(const std::string& path, const std::string& json) {
   std::ofstream out(path);
   CIMTPU_CONFIG_CHECK(out.good(), "cannot open JSON output file: " << path);
   out << json << "\n";
+  out.close();
+  CIMTPU_CONFIG_CHECK(!out.fail(), "cannot write JSON output file: " << path);
 }
 
 }  // namespace cimtpu::sim

@@ -6,8 +6,8 @@
 // nested tables it reaches), so a field added there is compared here with
 // no edit; each failure names the field's path, e.g. "fault.retries" or
 // "tenants[1].ttft.p99".  What the ServingMetrics table leaves out is left
-// out here too: the host-time fields sim_wall_seconds / steps_per_second,
-// and the time-series samples, which exist only when sampling is on.
+// out here too: the host-time field sim_wall_seconds, and the time-series
+// samples, which exist only when sampling is on.
 
 #include <gtest/gtest.h>
 

@@ -588,8 +588,8 @@ TEST(ClusterSweepTest, ClusterCellsBitIdenticalAcrossThreadCounts) {
 }
 
 // --- Canonical cluster studies (the schema-v9 "cluster" bench block) ---------
-// These gate the two pinned orderings on the EXACT grids bench_serving and
-// serving_traffic run (traffic_profiles.h), so regenerating the committed
+// These gate the two pinned orderings on the EXACT grids serving_traffic
+// runs (traffic_profiles.h), so regenerating the committed
 // BENCH_serving.json can never silently lose either frontier.
 
 TEST(ClusterCanonicalStudyTest, PrefixAffinityBeatsRoundRobinOnCanonicalGrid) {

@@ -1067,7 +1067,7 @@ TEST(PolicyEndToEndTest, ChunkingBoundsTpotUnderLongPrompts) {
 // drift in the scheduler, admission path, cost model, or KV manager fails
 // ctest.  The pins run under the DEFAULT "fifo" admission policy — the
 // exact pre-admission-API waiting-queue behaviour — and correspond to the
-// per-policy rows of bench_serving's schema-v5 BENCH_serving.json.  They
+// per-policy rows of BENCH_serving.json (serving_traffic --bench-json).  They
 // ALSO run under the paged-KV defaults (kv_block_tokens = 1, prefix
 // caching off), which the block allocator reproduces bit for bit — the
 // PagedContiguousLockstepTest wall in serving_paged_kv_test.cpp pins that
@@ -1083,12 +1083,13 @@ TEST(PolicyEndToEndTest, ChunkingBoundsTpotUnderLongPrompts) {
 //     "prefix_cache" block.
 //
 // UPDATE PROCEDURE (only after an INTENTIONAL behaviour change):
-//   1. Re-run:  ./serving_policy_test --gtest_also_run_disabled_tests \
-//                 --gtest_filter='*PrintGoldenValues*'
+//   1. Re-run ./serving_policy_test with --gtest_also_run_disabled_tests
+//      and --gtest_filter='*PrintGoldenValues*'.
 //   2. Paste the printed table over kGoldens below.
 //   3. Explain the drift (which change moved which metric) in your PR.
-//   4. If the drift also moves bench_serving output, refresh the committed
-//      BENCH_serving.json baseline at the repo root (the CI perf-smoke job
+//   4. If the drift also moves `serving_traffic --bench-json` output,
+//      refresh the committed BENCH_serving.json baseline at the repo root
+//      with it (the CI perf-smoke job pins its simulated fields exactly and
 //      gates steps_per_second against it — the whole-grid "sweep" number
 //      AND the cluster rows' mean).  The baseline is schema v11:
 //      "baseline" / "policies" / "fairness" / "prefix_cache" /

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "common/status.h"
 #include "sim/trace.h"
@@ -91,6 +92,15 @@ TEST_F(TraceTest, WriteJsonFile) {
 
 TEST_F(TraceTest, WriteJsonFileBadPathThrows) {
   EXPECT_THROW(write_json_file("/no/such/dir/x.json", "{}"), ConfigError);
+  // /dev/full opens but fails every write: a lost write throws too, and
+  // the message names the path.
+  try {
+    write_json_file("/dev/full", std::string(100 * 1024, ' '));
+    ADD_FAILURE() << "writing to /dev/full did not throw";
+  } catch (const ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("/dev/full"), std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace
