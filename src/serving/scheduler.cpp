@@ -316,27 +316,24 @@ bool ContinuousBatchScheduler::aggregates_consistent() const {
   return histogram == decode_kv_histogram_;
 }
 
+bool ContinuousBatchScheduler::swap_in_fits(const Sequence& sequence) const {
+  const std::int64_t restore_blocks =
+      kv_cache_->blocks_for_tokens(sequence.swapped_tokens);
+  if (resident_.empty()) {
+    return kv_cache_->fits_blocks(restore_blocks);
+  }
+  // One block of growth headroom for the restored sequence itself plus
+  // every resident decoder (tracked incrementally — no rescan per
+  // candidate).  Conservative at block sizes > 1: a decoder mid-block
+  // needs nothing next step, but headroom is a watermark, not accounting.
+  return kv_cache_->fits_blocks(restore_blocks + 1 + resident_decoders_);
+}
+
 void ContinuousBatchScheduler::swap_in_and_admit(StepRecord* record) {
   // Swapped-out sequences re-enter first, FIFO: they were admitted before
   // anything still waiting, and restoring them costs a PCIe transfer
-  // instead of a prompt recompute.  Watermark: beyond the restore itself,
-  // one decode step's growth must still fit — a re-entrant sequence is the
-  // NEWEST admission, so restoring into a device that growth pressure will
-  // immediately squeeze would swap it straight back out, paying round-trip
-  // PCIe for zero progress.  With nothing resident the watermark is waived
-  // (there is no pressure to re-evict, and blocking would deadlock).
-  const auto swap_in_fits = [this](const Sequence& sequence) {
-    const std::int64_t restore_blocks =
-        kv_cache_->blocks_for_tokens(sequence.swapped_tokens);
-    if (resident_.empty()) {
-      return kv_cache_->fits_blocks(restore_blocks);
-    }
-    // One block of growth headroom for the restored sequence itself plus
-    // every resident decoder (tracked incrementally — no rescan per
-    // candidate).  Conservative at block sizes > 1: a decoder mid-block
-    // needs nothing next step, but headroom is a watermark, not accounting.
-    return kv_cache_->fits_blocks(restore_blocks + 1 + resident_decoders_);
-  };
+  // instead of a prompt recompute.  The watermark (swap_in_fits) keeps one
+  // decode step's growth free beyond the restore itself.
   while (!swapped_.empty() &&
          resident_.size() < static_cast<std::size_t>(effective_max_batch()) &&
          swap_in_fits(swapped_.front()) &&
@@ -880,13 +877,28 @@ std::optional<StepRecord> ContinuousBatchScheduler::next_step() {
 }
 
 std::int64_t ContinuousBatchScheduler::quiet_decode_steps() const {
-  // With nothing waiting or swapped, next_step admits nothing and sheds
-  // nothing; with every resident a decoder it builds a decode step.
+  // With every resident a decoder, next_step builds a decode step.
   if (trace_ != nullptr || config_.kv_block_tokens != 1 ||
       resident_decoders_ == 0 ||
-      resident_decoders_ != static_cast<std::int64_t>(resident_.size()) ||
-      !swapped_.empty() || !admission_->empty()) {
+      resident_decoders_ != static_cast<std::int64_t>(resident_.size())) {
     return 0;
+  }
+  // Waiting or swapped work must stay out for the whole run: next_step
+  // must swap in, admit and shed nothing.  Shedding is time-driven, so a
+  // shedding policy never runs quiet past a queue.  Otherwise the work is
+  // locked out while the batch is full, while the swapped front fails the
+  // swap-in watermark (which also holds back every admission), or while
+  // the head-of-line memo stands with nothing swapped.  During a run no
+  // decoder finishes, free blocks only shrink and the decoder count stays
+  // put, and only an enqueue (which ends the run) clears the memo: each
+  // lock holds until the run ends.  (Under kNone every decode step takes
+  // the exact path, which clears the memo, so it is never set here.)
+  if (!swapped_.empty() || !admission_->empty()) {
+    if (may_shed_) return 0;
+    const bool locked_out =
+        resident_.size() >= static_cast<std::size_t>(effective_max_batch()) ||
+        (swapped_.empty() ? admit_blocked_ : !swap_in_fits(swapped_.front()));
+    if (!locked_out) return 0;
   }
   std::int64_t steps = std::numeric_limits<std::int64_t>::max();
   if (kv_cache_->policy() != EvictionPolicy::kNone) {

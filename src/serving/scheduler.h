@@ -53,9 +53,13 @@
 // headroom), and `advance_quiet_decode` commits them in one O(decoders)
 // pass, moving a decoder whose run ended on its crossing step to its next
 // bucket: the scheduler and KV manager end bit-identical to stepping one
-// at a time.  A regrouping only starts the next run, so the serving engine
-// chains runs back to back and replays only the per-step clock and energy
-// sums for them (serving_sim.h).
+// at a time.  A run may stand over a queue: waiting or swapped work that
+// cannot enter while it lasts (full batch, swapped front under the swap-in
+// watermark, or a memoized head-of-line block) leaves every step quiet,
+// since a run only shrinks free blocks.  Shedding (EDF) admission keeps
+// such steps per-step.  A regrouping only starts the next run, so the
+// serving engine chains runs back to back and replays only the per-step
+// clock and energy sums for them (serving_sim.h).
 
 #include <cstdint>
 #include <deque>
@@ -230,10 +234,14 @@ class ContinuousBatchScheduler {
   /// inside the bucket, is the run's last for that decoder), capped (under
   /// growth-managing eviction policies) by free device blocks / decoders
   /// so every grow fits outright.  0 unless every resident is a decoder,
-  /// nothing is waiting or swapped out, no trace sink is attached, and
-  /// kv_block_tokens == 1.
+  /// no trace sink is attached, kv_block_tokens == 1, and any waiting or
+  /// swapped work is locked out for the whole run under a non-shedding
+  /// policy: the batch is full, the swapped front fails the swap-in
+  /// watermark, or (nothing swapped) the head-of-line memo is set.  Free
+  /// blocks only shrink and the decoder count stays fixed during a run, so
+  /// each lock holds until it ends.
   /// Only valid while no request arrives meanwhile — the caller stops the
-  /// run at its next enqueue.
+  /// run at its next enqueue (which clears the memo).
   std::int64_t quiet_decode_steps() const;
 
   /// Commits `steps` (<= quiet_decode_steps()) quiet decode steps in one
@@ -436,6 +444,14 @@ class ContinuousBatchScheduler {
                : config_.max_batch;
   }
 
+  /// Swap-in watermark: beyond the restore itself, one decode step's
+  /// growth must still fit.  A re-entrant sequence is the NEWEST
+  /// admission, so restoring into a device that growth pressure will
+  /// immediately squeeze would swap it straight back out, paying
+  /// round-trip PCIe for zero progress.  With nothing resident the
+  /// watermark is waived (there is no pressure to re-evict, and blocking
+  /// would deadlock).
+  bool swap_in_fits(const Sequence& sequence) const;
   void swap_in_and_admit(StepRecord* record);
   /// Drains the admission policy's deadline sheds into `record->shed_ids`,
   /// counting them and emitting trace events.

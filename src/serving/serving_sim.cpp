@@ -719,7 +719,7 @@ struct ServingEngine::Impl {
     const double fragmentation = kv_cache.internal_fragmentation();
     for (;;) {
       // The scheduler's own early exits are the cheap test on steps that
-      // cannot be quiet (e.g. work waiting under KV pressure).
+      // cannot be quiet (e.g. waiting work that could enter).
       const std::int64_t quiet = scheduler.quiet_decode_steps();
       if (quiet == 0 || now >= stop) return;
       const std::int64_t batch = scheduler.resident_decoder_count();

@@ -4,8 +4,9 @@
 // stream: one commits every quiet run in bulk, the other steps through it
 // one step at a time.  After each run their audits, KV and scheduler
 // counters, resident progress, and next StepRecord must agree — under
-// every eviction policy, tight and roomy KV budgets, prefix caching, and
-// cost buckets narrow enough that most runs end on a bucket crossing.
+// every eviction policy, tight and roomy KV budgets, prefix caching, cost
+// buckets narrow enough that most runs end on a bucket crossing, and
+// admission policies whose queue a run stands over.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,8 @@ struct Deployment {
   double kv_tokens = 1e5;  ///< device budget (1 byte per token)
   bool prefix_cache = false;
   std::int64_t seqlen_bucket = 64;
+  std::string admission = "fifo";
+  int max_batch = 8;
 };
 
 /// One scheduler and the KV manager it owns (KV constructed first).
@@ -42,10 +45,11 @@ struct Replica {
 
   static SchedulerConfig config_for(const Deployment& deployment) {
     SchedulerConfig config;
-    config.max_batch = 8;
+    config.max_batch = deployment.max_batch;
     config.max_prefill_batch = 4;
     config.seqlen_bucket = deployment.seqlen_bucket;
     config.enable_prefix_cache = deployment.prefix_cache;
+    config.admission.policy = deployment.admission;
     return config;
   }
 
@@ -130,6 +134,10 @@ struct LockstepResult {
   std::int64_t fast_forwarded = 0;  ///< of those, committed in bulk by fast
   std::int64_t crossing_runs = 0;   ///< bulk runs that ended on a crossing
   std::int64_t preemptions = 0;
+  /// Of fast_forwarded, the steps committed while work waited or sat
+  /// swapped out.
+  std::int64_t fast_forwarded_past_queue = 0;
+  std::int64_t waits = 0;  ///< run checks made while work waited
 };
 
 LockstepResult run_lockstep(const Deployment& deployment, std::uint64_t seed) {
@@ -150,6 +158,9 @@ LockstepResult run_lockstep(const Deployment& deployment, std::uint64_t seed) {
     }
     std::int64_t quiet = fast.scheduler.quiet_decode_steps();
     EXPECT_EQ(quiet, slow.scheduler.quiet_decode_steps());
+    const bool work_waits = fast.scheduler.waiting_count() > 0 ||
+                            fast.scheduler.swapped_count() > 0;
+    if (work_waits) ++result.waits;
     // Like the serving engine, end the run where the next arrival lands.
     if (next < requests.size()) {
       quiet = std::min(quiet, arrival_step(requests[next]) - clock);
@@ -173,6 +184,7 @@ LockstepResult run_lockstep(const Deployment& deployment, std::uint64_t seed) {
       clock += quiet;
       result.steps += quiet;
       result.fast_forwarded += quiet;
+      if (work_waits) result.fast_forwarded_past_queue += quiet;
       // A run finishes and admits nothing, so a new grouping after it
       // means some decoder's last step was its bucket crossing.
       if (fast.scheduler.decode_histogram() != groups) ++result.crossing_runs;
@@ -204,6 +216,8 @@ std::string deployment_name(const Deployment& deployment, std::uint64_t seed) {
          " kv=" + std::to_string(static_cast<long long>(deployment.kv_tokens)) +
          (deployment.prefix_cache ? " prefix_cache" : "") +
          " bucket=" + std::to_string(deployment.seqlen_bucket) +
+         " admission=" + deployment.admission +
+         " max_batch=" + std::to_string(deployment.max_batch) +
          " seed=" + std::to_string(seed);
 }
 
@@ -262,6 +276,87 @@ TEST(QuietDecodeLockstep, RunsEndingOnBucketCrossingsMatchPerStep) {
       EXPECT_GT(result.fast_forwarded, 0);
       EXPECT_GT(result.crossing_runs, 0);
     }
+  }
+}
+
+TEST(QuietDecodeLockstep, BulkRunsThroughBlockedWorkMatchPerStep) {
+  // Under KV pressure the queue never empties; quiet runs go on past the
+  // head-of-line block (fifo/priority memo) and, under swap_to_host, past
+  // a swapped front below the swap-in watermark.  A roomy budget with two
+  // batch slots covers the full-batch lock under a non-pure policy (wfq).
+  std::vector<Deployment> deployments;
+  for (EvictionPolicy policy :
+       {EvictionPolicy::kPreemptNewest, EvictionPolicy::kSwapToHost,
+        EvictionPolicy::kPriorityVictim}) {
+    for (const char* admission : {"fifo", "priority"}) {
+      Deployment deployment;
+      deployment.policy = policy;
+      deployment.kv_tokens = 1200.0;
+      deployment.admission = admission;
+      deployments.push_back(deployment);
+    }
+  }
+  Deployment full_batch;
+  full_batch.admission = "wfq";
+  full_batch.max_batch = 2;
+  deployments.push_back(full_batch);
+  for (const Deployment& deployment : deployments) {
+    for (std::uint64_t seed : {1u, 7u, 42u}) {
+      SCOPED_TRACE(deployment_name(deployment, seed));
+      const LockstepResult result = run_lockstep(deployment, seed);
+      ASSERT_FALSE(::testing::Test::HasFailure());
+      EXPECT_GT(result.fast_forwarded_past_queue, 0);
+    }
+  }
+}
+
+TEST(QuietDecodeLockstep, QuietRunStandsOverAnOversizedWaiter) {
+  Deployment deployment;
+  deployment.kv_tokens = 60.0;
+  Replica replica(deployment);
+  Request decoder;
+  decoder.id = 0;
+  decoder.prompt_len = 40;
+  decoder.output_len = 100;
+  replica.scheduler.enqueue(decoder);
+  StepRecord record;
+  ASSERT_TRUE(replica.scheduler.next_step(&record));  // prefill: 41 blocks
+  // Reserving prompt + 1 = 31 blocks does not fit the 19 free ones.
+  Request waiter;
+  waiter.id = 1;
+  waiter.prompt_len = 30;
+  waiter.output_len = 10;
+  replica.scheduler.enqueue(waiter);
+  EXPECT_EQ(replica.scheduler.quiet_decode_steps(), 0);  // not probed yet
+  ASSERT_TRUE(replica.scheduler.next_step(&record));  // probe fails; decode
+  ASSERT_EQ(record.kind, StepRecord::Kind::kDecode);
+  EXPECT_EQ(replica.scheduler.waiting_count(), 1u);
+  // Decoding at kv_len 42 with 60 - 42 = 18 free blocks: min(headroom 18,
+  // finish 100 - 2 - 1 = 97, bucket 64 - 42 + 1 = 23).
+  EXPECT_EQ(replica.scheduler.quiet_decode_steps(), 18);
+  replica.scheduler.advance_quiet_decode(18);
+  EXPECT_EQ(replica.scheduler.waiting_count(), 1u);
+  EXPECT_EQ(replica.scheduler.quiet_decode_steps(), 0);  // no headroom left
+  EXPECT_TRUE(replica.kv.audit());
+  EXPECT_TRUE(replica.scheduler.aggregates_consistent());
+}
+
+TEST(QuietDecodeLockstep, EdfStaysPerStepWhileWorkWaits) {
+  // EDF sheds on the clock, so a queue always forces per-step planning,
+  // under KV pressure and with the batch full alike.
+  Deployment pressured;
+  pressured.kv_tokens = 1200.0;
+  pressured.admission = "edf";
+  Deployment full_batch;
+  full_batch.admission = "edf";
+  full_batch.max_batch = 2;
+  for (const Deployment& deployment : {pressured, full_batch}) {
+    SCOPED_TRACE(deployment_name(deployment, 42));
+    const LockstepResult result = run_lockstep(deployment, 42);
+    ASSERT_FALSE(::testing::Test::HasFailure());
+    EXPECT_GT(result.waits, 0);
+    EXPECT_EQ(result.fast_forwarded_past_queue, 0);
+    EXPECT_GT(result.fast_forwarded, 0);
   }
 }
 

@@ -255,35 +255,50 @@ RequestStreamConfig golden_stream() {
 }
 
 TEST(TracingContract, MetricsBitIdenticalOnAndOffAcrossGoldenGrid) {
-  const std::vector<Request> requests = generate_requests(golden_stream());
-  for (EvictionPolicy policy :
-       {EvictionPolicy::kPreemptNewest, EvictionPolicy::kSwapToHost,
-        EvictionPolicy::kPriorityVictim}) {
-    for (std::int64_t chunk : {std::int64_t{0}, std::int64_t{512}}) {
-      SCOPED_TRACE(std::string(eviction_policy_name(policy)) + " chunk=" +
-                   std::to_string(chunk));
-      const ServingMetrics off =
-          run_serving(golden_scenario(policy, chunk), requests);
-      ServingScenario traced = golden_scenario(policy, chunk);
-      traced.trace.enabled = true;
-      traced.trace.sample_interval = 0.25;
-      ServingTrace trace;
-      const ServingMetrics on =
-          run_serving(traced, requests, nullptr, &trace);
-      expect_identical_metrics(off, on);
-      EXPECT_FALSE(trace.events().empty());
-      EXPECT_FALSE(on.timeseries.empty());
-      EXPECT_TRUE(off.timeseries.empty());
+  // Untraced engines commit quiet decode runs in bulk (scheduler.h), also
+  // while requests wait for KV or a batch slot; traced engines step
+  // through them one at a time, so tracing on/off is the fast-path on/off
+  // oracle.  Each admission policy locks waiting work out differently;
+  // EDF, which sheds on the clock, never runs quiet past a queue.  The
+  // non-FIFO runs carry TTFT deadlines so EDF actually sheds.
+  const std::vector<Request> plain = generate_requests(golden_stream());
+  RequestStreamConfig with_deadlines = golden_stream();
+  with_deadlines.ttft_deadline_s = 1.0;
+  const std::vector<Request> deadlines = generate_requests(with_deadlines);
+  for (const std::string admission : {"fifo", "priority", "wfq", "edf"}) {
+    const std::vector<Request>& requests =
+        admission == "fifo" ? plain : deadlines;
+    for (EvictionPolicy policy :
+         {EvictionPolicy::kPreemptNewest, EvictionPolicy::kSwapToHost,
+          EvictionPolicy::kPriorityVictim}) {
+      for (std::int64_t chunk : {std::int64_t{0}, std::int64_t{512}}) {
+        SCOPED_TRACE(admission + " " + eviction_policy_name(policy) +
+                     " chunk=" + std::to_string(chunk));
+        ServingScenario untraced = golden_scenario(policy, chunk);
+        untraced.scheduler.admission.policy = admission;
+        const ServingMetrics off = run_serving(untraced, requests);
+        ServingScenario traced = untraced;
+        traced.trace.enabled = true;
+        traced.trace.sample_interval = 0.25;
+        ServingTrace trace;
+        const ServingMetrics on =
+            run_serving(traced, requests, nullptr, &trace);
+        expect_identical_metrics(off, on);
+        EXPECT_FALSE(trace.events().empty());
+        EXPECT_FALSE(on.timeseries.empty());
+        EXPECT_TRUE(off.timeseries.empty());
+        if (admission == "edf") {
+          EXPECT_GT(off.counters.shed_deadline, 0);
+        }
+      }
     }
   }
 }
 
 // --- Tracing contract where quiet decode runs are fast-forwarded -------------
-// Untraced engines commit quiet decode runs in bulk (scheduler.h); traced
-// engines step through them one at a time, so tracing on/off is also the
-// fast-path on/off oracle.  On the pressured golden grid above the fast
-// path barely engages (requests keep waiting for KV), so the contract is
-// checked again on light traffic, where most decode steps are quiet, across
+// On the pressured golden grid above, quiet runs stand over a queue that
+// KV or the batch cap keeps out.  The contract is checked again on light
+// traffic, where most decode steps are quiet with nothing waiting, across
 // the deployment shapes that change how a step is charged.
 
 std::vector<Request> light_chat_requests() {
