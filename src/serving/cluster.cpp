@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <numeric>
 #include <queue>
@@ -367,7 +368,7 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
     const ServingScenario scenario =
         replica_scenario(config, 0, /*multi_replica=*/false);
     ServingEngine engine(scenario, shared_costs, trace_out);
-    for (const Request& request : requests) engine.inject(request);
+    engine.inject_all(requests);
     engine.drain();
     std::vector<std::size_t> positions(requests.size());
     std::iota(positions.begin(), positions.end(), std::size_t{0});
@@ -393,6 +394,10 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
   *cluster_trace = ServingTrace(router_config);
   const bool tracing = cluster_trace->enabled();
 
+  // Engines read injected requests in place.  Colocated replicas reference
+  // `requests` itself; the disaggregated per-side clones live here, at
+  // stable addresses, declared before the engines so they outlive them.
+  std::deque<Request> clones;
   std::vector<std::unique_ptr<ServingEngine>> engines;
   engines.reserve(n);
   for (int i = 0; i < n; ++i) {
@@ -537,7 +542,7 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
         // wire, not through this replica's prefix cache) and deadlines
         // (SLOs are judged at the stitch against the ORIGINAL request —
         // decode-side EDF would misread an already-served TTFT).
-        Request clone = original;
+        Request& clone = clones.emplace_back(original);
         clone.arrival_time = transfer.ready;
         clone.prefix_id = -1;
         clone.prefix_len = 0;
@@ -553,7 +558,7 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
         }
         // The prefill-side clone: the prompt plus ONE output token — its
         // emission is the request's first token (TTFT is measured here).
-        Request clone = original;
+        Request& clone = clones.emplace_back(original);
         clone.output_len = 1;
         clone.tpot_deadline = 0;  // no steady decode on this side
         engines[next_prefill]->inject(clone);

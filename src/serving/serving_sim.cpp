@@ -47,7 +47,8 @@ void ServingScenario::validate() const {
 namespace {
 
 /// Per-request bookkeeping across the run, parallel to the engine's
-/// injected requests (arrival, lengths and tenant live in the Request).
+/// injected requests (arrival, lengths and tenant live in the caller's
+/// Request, which the engine reads in place).
 struct RequestTrace {
   Seconds first_token = -1;  ///< < 0 until the first token is emitted
   Seconds completion = -1;
@@ -168,7 +169,8 @@ struct ServingEngine::Impl {
 
   // Dense per-request state: request i (injection order) has arrived iff
   // i < next_arrival.  Scheduler-reported ids resolve through `slot_of`.
-  std::vector<Request> requests;  ///< injected, arrival-sorted
+  // The requests themselves stay in the caller's storage (see inject).
+  std::vector<const Request*> requests;  ///< injected, arrival-sorted
   std::vector<RequestTrace> traces;  ///< parallel to `requests`
   std::vector<std::int32_t> slot_of;  ///< request id -> index; -1: none
 
@@ -275,9 +277,26 @@ struct ServingEngine::Impl {
                             << request.id << " (already injected into this "
                                              "engine)");
     slot_of[id] = static_cast<std::int32_t>(requests.size());
-    requests.push_back(request);
+    requests.push_back(&request);
     traces.emplace_back().prefilled = prefilled;
     outstanding_tokens += total_tokens(request);
+  }
+
+  /// Injects `batch` in order with the per-request arrays sized for it
+  /// first, so its injections neither regrow them nor allocate per
+  /// request.  An id out of range sizes nothing: its inject throws.
+  void inject_all(const std::vector<Request>& batch) {
+    std::int64_t max_id = -1;
+    for (const Request& request : batch) {
+      max_id = std::max(max_id, request.id);
+    }
+    requests.reserve(requests.size() + batch.size());
+    traces.reserve(traces.size() + batch.size());
+    if (max_id <= kMaxRequestId &&
+        static_cast<std::size_t>(max_id + 1) > slot_of.size()) {
+      slot_of.resize(static_cast<std::size_t>(max_id + 1), -1);
+    }
+    for (const Request& request : batch) inject(request, /*prefilled=*/false);
   }
 
   /// Index of the injected request with scheduler-reported `id`.
@@ -287,11 +306,11 @@ struct ServingEngine::Impl {
 
   void feed_arrivals(Seconds up_to) {
     while (next_arrival < requests.size() &&
-           requests[next_arrival].arrival_time <= up_to) {
-      const Request& request = requests[next_arrival];
+           requests[next_arrival]->arrival_time <= up_to) {
+      const Request& request = *requests[next_arrival];
       CIMTPU_CONFIG_CHECK(
           next_arrival == 0 ||
-              requests[next_arrival - 1].arrival_time <= request.arrival_time,
+              requests[next_arrival - 1]->arrival_time <= request.arrival_time,
           "request trace must be sorted by arrival time");
       if (tracing) trace->on_arrive(request);
       if (traces[next_arrival].prefilled) {
@@ -334,7 +353,7 @@ struct ServingEngine::Impl {
       request_trace.last_fault = -1;  // dropped, never repaired: not in MTTR
       fault_stats.dropped += 1;
       fault_sheds += 1;
-      outstanding_tokens -= total_tokens(requests[index]);
+      outstanding_tokens -= total_tokens(*requests[index]);
       if (tracing) trace->on_shed_fault(request_id, fault_time);
     }
   }
@@ -484,7 +503,7 @@ struct ServingEngine::Impl {
         // jump target too: a cluster driver injects the next arrival there.
         Seconds next_time = std::numeric_limits<double>::infinity();
         if (next_arrival < requests.size()) {
-          next_time = requests[next_arrival].arrival_time;
+          next_time = requests[next_arrival]->arrival_time;
         }
         for (const PendingRetry& retry : retry_queue) {
           next_time = std::min(next_time, retry.ready_time);
@@ -513,7 +532,7 @@ struct ServingEngine::Impl {
       for (std::int64_t id : step.shed_ids) {
         const std::size_t index = slot(id);
         traces[index].shed = true;
-        outstanding_tokens -= total_tokens(requests[index]);
+        outstanding_tokens -= total_tokens(*requests[index]);
       }
       if (!stepped) {
         // Admission control shed every waiting request: nothing ran and
@@ -575,7 +594,7 @@ struct ServingEngine::Impl {
       }
       for (std::int64_t id : step.finished_ids) {
         const std::size_t index = slot(id);
-        const Request& request = requests[index];
+        const Request& request = *requests[index];
         RequestTrace& request_trace = traces[index];
         // Each step's traversal extra is derived from that step's own
         // stage time, so a cheap decode step after an expensive prefill
@@ -709,7 +728,7 @@ struct ServingEngine::Impl {
   void fast_forward_quiet_decode(Seconds until) {
     Seconds stop = until;
     if (next_arrival < requests.size()) {
-      stop = std::min(stop, requests[next_arrival].arrival_time);
+      stop = std::min(stop, requests[next_arrival]->arrival_time);
     }
     if (scenario.max_sim_seconds > 0) {
       stop = std::min(stop, scenario.max_sim_seconds);
@@ -783,7 +802,7 @@ struct ServingEngine::Impl {
       for (std::size_t i = 0; i < next_arrival; ++i) {
         if (traces[i].completion >= 0 || traces[i].shed) continue;
         metrics.counters.shed_horizon += 1;
-        if (tracing) trace->on_shed(requests[i].id, now);
+        if (tracing) trace->on_shed(requests[i]->id, now);
       }
     }
     metrics.preemptions = metrics.counters.total_preemptions();
@@ -806,7 +825,7 @@ struct ServingEngine::Impl {
                                   ///< requests
     // Requests [0, next_arrival) arrived; the rest were cut by the horizon.
     for (std::size_t i = 0; i < next_arrival; ++i) {
-      const Request& request = requests[i];
+      const Request& request = *requests[i];
       const RequestTrace& request_trace = traces[i];
       // The accumulator (and hence the tenant's metrics row / Jain entry)
       // exists only once the tenant has a request that actually ARRIVED
@@ -974,6 +993,10 @@ void ServingEngine::inject(const Request& request) {
   impl_->inject(request, /*prefilled=*/false);
 }
 
+void ServingEngine::inject_all(const std::vector<Request>& requests) {
+  impl_->inject_all(requests);
+}
+
 void ServingEngine::inject_prefilled(const Request& request) {
   CIMTPU_CONFIG_CHECK(request.output_len >= 2,
                       "inject_prefilled: request "
@@ -1013,7 +1036,7 @@ std::vector<ServingEngine::RequestOutcome> ServingEngine::outcomes() const {
   std::vector<RequestOutcome> out;
   out.reserve(impl_->requests.size());
   for (std::size_t i = 0; i < impl_->requests.size(); ++i) {
-    const Request& request = impl_->requests[i];
+    const Request& request = *impl_->requests[i];
     RequestOutcome outcome;
     outcome.id = request.id;
     outcome.arrival = request.arrival_time;
@@ -1036,7 +1059,7 @@ ServingMetrics run_serving(const ServingScenario& scenario,
                            SharedStepCostCache* shared_costs,
                            ServingTrace* trace_out) {
   ServingEngine engine(scenario, shared_costs, trace_out);
-  for (const Request& request : requests) engine.inject(request);
+  engine.inject_all(requests);
   engine.drain();
   return engine.finish();
 }

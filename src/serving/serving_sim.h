@@ -226,11 +226,18 @@ struct ServingMetrics {
 /// machine, re-cut so a cluster driver (serving/cluster.h) can co-simulate
 /// several replicas on one discrete-event clock.  Lifecycle:
 ///
+///   const std::vector<Request> requests = generate_requests(stream);
 ///   ServingEngine engine(scenario);
-///   engine.inject(request);   // any time, nondecreasing arrival order
+///   engine.inject_all(requests);  // or inject(requests[i]) one at a time,
+///                                 // in nondecreasing arrival order
 ///   engine.pump(until);       // simulate up to `until` simulated seconds
 ///   engine.drain();           // run until all injected work completes
 ///   ServingMetrics m = engine.finish();  // end-of-run rollups (once)
+///
+/// The engine reads injected requests in place: it keeps a reference, not
+/// a copy, so `requests` above must outlive the engine's last call.  Only
+/// the scheduler (admission queues, resident pool) and the fault-retry
+/// queue copy a request, and only while it is in flight.
 ///
 /// inject -> drain -> finish over a whole trace is bit-identical to
 /// run_serving on that trace: pump's stop point only truncates the loop
@@ -262,16 +269,31 @@ class ServingEngine {
   /// nondecreasing arrival-time order (checked when fed); the engine pulls
   /// them in as its clock reaches their arrival times.  Ids must lie in
   /// [0, 2^31 - 1] and be unique within one engine (a ConfigError
-  /// otherwise): the engine's per-request state is indexed by id.  Both
-  /// inject flavours fail (InternalError) after finish().
+  /// otherwise): the engine's per-request state is indexed by id.  Every
+  /// inject flavour fails (InternalError) after finish().
+  ///
+  /// The engine keeps a reference to `request`, not a copy: the request
+  /// must stay alive and unchanged until finish() returns, and through any
+  /// later outcomes() call.  A rejected request is not kept.  Temporaries
+  /// do not compile (the rvalue overloads are deleted).
   void inject(const Request& request);
+  void inject(const Request&&) = delete;
+
+  /// Hands over a whole arrival-sorted trace: inject() on each request in
+  /// order, with the per-request state sized once for the trace instead of
+  /// grown as requests arrive.  The same lifetime rule holds for every
+  /// element of `requests`.
+  void inject_all(const std::vector<Request>& requests);
+  void inject_all(const std::vector<Request>&&) = delete;
 
   /// Disaggregated serving: injects a request whose PREFILL already ran on
   /// another replica — its KV blocks arrive pre-computed (the cluster
   /// driver costs the transfer), so the scheduler admits it straight into
   /// decode with one token already emitted elsewhere.  Requires
   /// output_len >= 2 (an output_len == 1 request has no decode work).
+  /// Referenced in place, as inject() does.
   void inject_prefilled(const Request& request);
+  void inject_prefilled(const Request&&) = delete;
 
   /// Runs engine iterations until the simulated clock reaches `until`, all
   /// injected work drains, or the horizon cuts the run.  Returns true when

@@ -144,11 +144,13 @@ TEST_F(SteadyDecodeTest, EngineDecodeIsAllocationFreeOnLightTraffic) {
   ServingScenario scenario =
       llama7b_baseline_scenario(/*chips=*/1, ir::DType::kInt4);
   scenario.scheduler.seqlen_bucket = 2048;
+  // The engine reads injected requests in place: they outlive it.
+  std::vector<Request> requests;
+  for (std::int64_t id = 0; id < 5; ++id) requests.push_back(make_request(id));
+  requests.back().arrival_time = 1000.0;  // the next arrival bounds every
+                                          // quiet run
   ServingEngine engine(scenario);
-  for (std::int64_t id = 0; id < 4; ++id) engine.inject(make_request(id));
-  Request late = make_request(4);
-  late.arrival_time = 1000.0;  // the next arrival bounds every quiet run
-  engine.inject(late);
+  for (const Request& request : requests) engine.inject(request);
   // Warm-up: arrival, admission, the prefill step (about 1.1 s here), and
   // the first decode steps, which simulate the one decode cost shape.
   ASSERT_TRUE(engine.pump(2.0));
@@ -165,6 +167,36 @@ TEST_F(SteadyDecodeTest, EngineDecodeIsAllocationFreeOnLightTraffic) {
   EXPECT_GE(engine.now(), start + 1.0);
   EXPECT_EQ(engine.outstanding_tokens(), 5 * (100 + 1000))
       << "the window must be pure decode: nothing finishes";
+}
+
+// Whole-trace handover sizes the engine's per-request state once: no
+// per-request allocation and no geometric regrowth, so 10x the requests
+// cost the same number of heap allocations.
+TEST(EngineInject, WholeTraceHandoverIsSizedOnce) {
+  const ServingScenario scenario =
+      llama7b_baseline_scenario(/*chips=*/1, ir::DType::kInt4);
+  const auto handover_allocations = [&](std::int64_t count) {
+    std::vector<Request> requests(static_cast<std::size_t>(count));
+    for (std::int64_t i = 0; i < count; ++i) {
+      Request& request = requests[static_cast<std::size_t>(i)];
+      request.id = i;
+      request.arrival_time = 0.01 * static_cast<double>(i);
+      request.prompt_len = 64;
+      request.output_len = 16;
+    }
+    ServingEngine engine(scenario);
+    const std::int64_t before = allocations();
+    engine.inject_all(requests);
+    const std::int64_t made = allocations() - before;
+    EXPECT_EQ(engine.outstanding_tokens(), count * (64 + 16));
+    return made;
+  };
+  const std::int64_t small = handover_allocations(1000);
+  const std::int64_t large = handover_allocations(10000);
+  EXPECT_EQ(small, large)
+      << "injecting a whole trace must allocate a count independent of its "
+         "length";
+  EXPECT_LE(large, 3) << "one allocation per per-request array";
 }
 
 }  // namespace

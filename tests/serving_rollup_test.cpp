@@ -250,9 +250,12 @@ TEST(ServingEngineIds, RejectsNegativeId) {
 }
 
 TEST(ServingEngineIds, RejectsDuplicateIdWithinOneEngine) {
+  // The engine reads injected requests in place: they outlive it.
+  const Request seven = tiny_request(7);
+  const Request three = tiny_request(3);
   ServingEngine engine(llama7b_baseline_scenario(1, ir::DType::kInt4));
-  engine.inject(tiny_request(7));
-  engine.inject(tiny_request(3));
+  engine.inject(seven);
+  engine.inject(three);
   expect_one_line_config_error(&engine, tiny_request(7), "duplicate");
   // The rejected copy left no trace: the two accepted requests finish.
   engine.drain();
@@ -263,10 +266,11 @@ TEST(ServingEngineIds, SameIdInAnotherEngineIsLegal) {
   // Disaggregated clusters re-inject a request id into a different replica.
   const ServingScenario scenario =
       llama7b_baseline_scenario(1, ir::DType::kInt4);
+  const Request request = tiny_request(5);
   ServingEngine prefill(scenario);
   ServingEngine decode(scenario);
-  prefill.inject(tiny_request(5));
-  decode.inject_prefilled(tiny_request(5));
+  prefill.inject(request);
+  decode.inject_prefilled(request);
   prefill.drain();
   decode.drain();
   EXPECT_EQ(prefill.finish().completed, 1);
@@ -276,15 +280,54 @@ TEST(ServingEngineIds, SameIdInAnotherEngineIsLegal) {
 TEST(ServingEngineLifecycle, InjectAfterFinishFails) {
   // A finished engine runs no more steps: a late request would silently
   // never arrive, so both inject flavours fail loudly, as finish does.
+  const Request first = tiny_request(0);
+  const Request late = tiny_request(1);
+  const Request late_prefilled = tiny_request(2);
   ServingEngine engine(llama7b_baseline_scenario(1, ir::DType::kInt4));
-  engine.inject(tiny_request(0));
+  engine.inject(first);
   engine.drain();
   EXPECT_EQ(engine.finish().completed, 1);
-  EXPECT_THROW(engine.inject(tiny_request(1)), InternalError);
-  EXPECT_THROW(engine.inject_prefilled(tiny_request(2)), InternalError);
+  EXPECT_THROW(engine.inject(late), InternalError);
+  EXPECT_THROW(engine.inject_prefilled(late_prefilled), InternalError);
   EXPECT_THROW(engine.finish(), InternalError);
   EXPECT_EQ(engine.outcomes().size(), 1u);
 }
+
+// --- Request lifetimes -------------------------------------------------------
+// The engine keeps a reference to each injected request, so a temporary
+// would dangle once its full expression ends: every inject flavour accepts
+// an lvalue and rejects an rvalue at compile time.
+
+template <typename Engine, typename Arg, typename = void>
+struct CanInject : std::false_type {};
+template <typename Engine, typename Arg>
+struct CanInject<Engine, Arg,
+                 std::void_t<decltype(std::declval<Engine&>().inject(
+                     std::declval<Arg>()))>> : std::true_type {};
+
+template <typename Engine, typename Arg, typename = void>
+struct CanInjectPrefilled : std::false_type {};
+template <typename Engine, typename Arg>
+struct CanInjectPrefilled<
+    Engine, Arg,
+    std::void_t<decltype(std::declval<Engine&>().inject_prefilled(
+        std::declval<Arg>()))>> : std::true_type {};
+
+template <typename Engine, typename Arg, typename = void>
+struct CanInjectAll : std::false_type {};
+template <typename Engine, typename Arg>
+struct CanInjectAll<Engine, Arg,
+                    std::void_t<decltype(std::declval<Engine&>().inject_all(
+                        std::declval<Arg>()))>> : std::true_type {};
+
+static_assert(CanInject<ServingEngine, Request&>::value);
+static_assert(CanInject<ServingEngine, const Request&>::value);
+static_assert(!CanInject<ServingEngine, Request>::value);
+static_assert(!CanInject<ServingEngine, const Request>::value);
+static_assert(CanInjectPrefilled<ServingEngine, const Request&>::value);
+static_assert(!CanInjectPrefilled<ServingEngine, Request>::value);
+static_assert(CanInjectAll<ServingEngine, const std::vector<Request>&>::value);
+static_assert(!CanInjectAll<ServingEngine, std::vector<Request>>::value);
 
 // --- Field tables --------------------------------------------------------
 // Publishing, cluster flattening and the bit-identity checks see only what
