@@ -269,9 +269,9 @@ void print_replica_breakdown(const serving::ServingStudy& router,
   std::printf(
       "cluster router=prefix_affinity: %lld/%lld requests over %s, "
       "cluster-wide hit rate %.3f, jain across replicas %.4f\n",
-      lld(affinity.completed), lld(affinity.num_requests),
-      format_time(affinity.makespan).c_str(), affinity.prefix_hit_rate,
-      affinity.jain_across_replicas);
+      lld(affinity.fleet.completed), lld(affinity.fleet.num_requests),
+      format_time(affinity.fleet.makespan).c_str(),
+      affinity.fleet.prefix_hit_rate, affinity.jain_across_replicas);
 }
 
 /// Production-shaped mix: three tenants on staggered diurnal cycles —

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <unordered_map>
 #include <utility>
@@ -144,31 +143,6 @@ namespace {
 
 constexpr Seconds kNever = std::numeric_limits<double>::infinity();
 
-// One request's cross-replica timeline, kept at the request's position in
-// the cluster's request list.
-struct StitchedRequest {
-  bool arrived = false;
-  Seconds first_token = -1;
-  Seconds completion = -1;
-  bool shed = false;
-};
-
-// Copies a colocated engine's outcomes onto the stitched rows: its k-th
-// injected request sits at `positions[k]` in the cluster's request list.
-void stitch_outcomes(const ServingEngine& engine,
-                     const std::vector<std::size_t>& positions,
-                     std::vector<StitchedRequest>* stitched) {
-  const std::vector<ServingEngine::RequestOutcome> outcomes =
-      engine.outcomes();
-  for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    StitchedRequest& row = (*stitched)[positions[k]];
-    row.arrived = outcomes[k].arrived;
-    row.first_token = outcomes[k].first_token;
-    row.completion = outcomes[k].completion;
-    row.shed = outcomes[k].shed;
-  }
-}
-
 // A finished prefill whose KV is in flight to a decode replica: the decode
 // side may only see the request once the last block lands at `ready`.
 struct PendingTransfer {
@@ -199,102 +173,96 @@ ServingScenario replica_scenario(const ClusterConfig& config, int index,
   return scenario;
 }
 
-// Stitched distributional rollup over the ORIGINAL requests, mirroring the
-// single-engine finish() semantics (serving_sim.cpp): TTFT for every
-// emitted first token, e2e/TPOT/SLO for completions, SLO judged against
-// the ORIGINAL deadlines.  `stitched[i]` is `requests[i]`'s timeline.
-void stitch_requests(const std::vector<Request>& requests,
-                     const std::vector<StitchedRequest>& stitched,
-                     ClusterMetrics* cluster) {
-  std::vector<double> ttft, tpot, e2e;
-  ttft.reserve(requests.size());
-  tpot.reserve(requests.size());
-  e2e.reserve(requests.size());
-  std::int64_t slo_tokens = 0;
+/// Adds every field of `from` into `into`, through the struct's field table.
+template <typename S>
+void add_fields(const S& from, S* into) {
+  S::for_each_field([&](const char*, auto member, const char*) {
+    into->*member += from.*member;
+  });
+}
+
+// The cluster rollup, once every replica has finished: the request rollup
+// over the ORIGINAL requests (`stitched[i]` is `requests[i]`'s timeline)
+// into the fleet view, the per-replica sums, Jain-across-replicas imbalance
+// over the serving replicas [first_serving, n), utilization, and the
+// "cluster.*" registry.
+void finish_cluster(const ClusterConfig& config,
+                    const std::vector<Request>& requests,
+                    const std::vector<ServingEngine::RequestOutcome>& stitched,
+                    int first_serving, ClusterMetrics* cluster) {
+  ServingMetrics& fleet = cluster->fleet;
+  RequestRollup rollup(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const Request& request = requests[i];
-    const StitchedRequest& row = stitched[i];
+    const ServingEngine::RequestOutcome& row = stitched[i];
     if (!row.arrived) continue;
     cluster->arrived += 1;
     if (row.shed) cluster->shed += 1;
-    if (row.first_token >= 0) {
-      ttft.push_back(row.first_token - request.arrival_time);
-    }
-    if (row.completion < 0) continue;
-    cluster->completed += 1;
-    cluster->generated_tokens += request.output_len;
-    cluster->makespan = std::max(cluster->makespan, row.completion);
-    e2e.push_back(row.completion - request.arrival_time);
-    if (request.output_len > 1 && row.first_token >= 0) {
-      tpot.push_back((row.completion - row.first_token) /
-                     static_cast<double>(request.output_len - 1));
-    }
-    if (meets_slo(request, row.first_token, row.completion)) {
-      cluster->slo_met += 1;
-      slo_tokens += request.output_len;
-    }
+    rollup.add(requests[i], row.first_token, row.completion);
   }
-  cluster->ttft = summarize_latencies(std::move(ttft));
-  cluster->tpot = summarize_latencies(std::move(tpot));
-  cluster->e2e = summarize_latencies(std::move(e2e));
-  if (cluster->arrived > 0) {
-    cluster->slo_attainment = static_cast<double>(cluster->slo_met) /
-                              static_cast<double>(cluster->arrived);
-    cluster->availability = static_cast<double>(cluster->completed) /
-                            static_cast<double>(cluster->arrived);
-  }
-  if (cluster->makespan > 0) {
-    cluster->goodput_tokens_per_second =
-        static_cast<double>(cluster->generated_tokens) / cluster->makespan;
-    cluster->slo_goodput_tokens_per_second =
-        static_cast<double>(slo_tokens) / cluster->makespan;
-  }
-}
+  rollup.finish(config.base.scheduler.admission, &fleet);
+  fleet.num_requests = static_cast<std::int64_t>(requests.size());
 
-// Fleet-level rollups computed from the finished per-replica metrics:
-// prefix economics, Jain-across-replicas imbalance (over the serving
-// replicas [first_serving, n)), utilization, and the "cluster.*" registry.
-void finish_cluster(const ClusterConfig& config, int first_serving,
-                    ClusterMetrics* cluster) {
   const int n = static_cast<int>(config.replicas.size());
-  std::int64_t lookup = 0, hits = 0;
+  fleet.chips = 0;  // a sum over replicas, not the one-chip default
+  double busy_chip_seconds = 0;
   std::vector<double> serving_tokens;
   serving_tokens.reserve(n - first_serving);
   cluster->replica_utilization.reserve(n);
   for (int i = 0; i < n; ++i) {
     const ServingMetrics& replica = cluster->replica_metrics[i];
-    lookup += replica.counters.prefix_lookup_tokens;
-    hits += replica.counters.prefix_hit_tokens;
+    fleet.chips += replica.chips;
+    fleet.total_steps += replica.total_steps;
+    fleet.prefill_steps += replica.prefill_steps;
+    fleet.decode_steps += replica.decode_steps;
+    fleet.preemptions += replica.preemptions;
+    add_fields(replica.counters, &fleet.counters);
+    add_fields(replica.fault, &fleet.fault);
+    fleet.mxu_energy += replica.mxu_energy;
+    fleet.total_energy += replica.total_energy;
+    fleet.cost_cache_entries += replica.cost_cache_entries;
+    fleet.cost_cache_hits += replica.cost_cache_hits;
+    fleet.cost_cache_misses += replica.cost_cache_misses;
+    fleet.sim_end_seconds =
+        std::max(fleet.sim_end_seconds, replica.sim_end_seconds);
+    busy_chip_seconds += replica.mxu_utilization * replica.makespan *
+                         static_cast<double>(replica.chips);
     cluster->replica_utilization.push_back(replica.mxu_utilization);
-    cluster->total_chips += replica.chips;
     if (i >= first_serving) {
       serving_tokens.push_back(static_cast<double>(replica.generated_tokens));
     }
   }
-  if (lookup > 0) {
-    cluster->prefix_hit_rate =
-        static_cast<double>(hits) / static_cast<double>(lookup);
+  // Summed counters, so the hit rate reflects what affinity routing
+  // actually preserved across the fleet (round-robin scattering a prefix
+  // family across replicas cools every cache).
+  fleet.prefix_hit_rate = fleet.counters.prefix_hit_rate();
+  if (fleet.makespan > 0 && fleet.chips > 0) {
+    fleet.mxu_utilization =
+        busy_chip_seconds / (fleet.makespan * static_cast<double>(fleet.chips));
+  }
+  if (fleet.generated_tokens > 0) {
+    fleet.energy_per_token =
+        fleet.total_energy / static_cast<double>(fleet.generated_tokens);
   }
   if (serving_tokens.size() > 1) {
     cluster->jain_across_replicas = jain_fairness_index(serving_tokens);
   }
 
-  MetricsRegistry& registry = cluster->registry;
-  registry.set_counter("cluster.replicas", cluster->replicas);
-  registry.set_counter("cluster.total_chips", cluster->total_chips);
+  MetricsRegistry& registry = fleet.registry;
+  registry.set_counter("cluster.replicas", n);
+  registry.set_counter("cluster.total_chips", fleet.chips);
   registry.set_counter("cluster.disaggregated",
                        cluster->disaggregated ? 1 : 0);
-  registry.set_counter("cluster.num_requests", cluster->num_requests);
+  registry.set_counter("cluster.num_requests", fleet.num_requests);
   registry.set_counter("cluster.arrived", cluster->arrived);
-  registry.set_counter("cluster.completed", cluster->completed);
+  registry.set_counter("cluster.completed", fleet.completed);
   registry.set_counter("cluster.shed", cluster->shed);
-  registry.set_counter("cluster.generated_tokens", cluster->generated_tokens);
-  registry.set_gauge("cluster.makespan_s", cluster->makespan);
+  registry.set_counter("cluster.generated_tokens", fleet.generated_tokens);
+  registry.set_gauge("cluster.makespan_s", fleet.makespan);
   registry.set_gauge("cluster.goodput_tokens_per_s",
-                     cluster->goodput_tokens_per_second);
-  registry.set_gauge("cluster.slo_attainment", cluster->slo_attainment);
-  registry.set_gauge("cluster.availability", cluster->availability);
-  registry.set_gauge("cluster.prefix_hit_rate", cluster->prefix_hit_rate);
+                     fleet.goodput_tokens_per_second);
+  registry.set_gauge("cluster.slo_attainment", fleet.slo_attainment);
+  registry.set_gauge("cluster.availability", fleet.availability);
+  registry.set_gauge("cluster.prefix_hit_rate", fleet.prefix_hit_rate);
   registry.set_gauge("cluster.jain_across_replicas",
                      cluster->jain_across_replicas);
   if (cluster->disaggregated) {
@@ -334,14 +302,6 @@ void finish_cluster(const ClusterConfig& config, int first_serving,
   }
 }
 
-/// Adds every field of `from` into `into`, through the struct's field table.
-template <typename S>
-void add_fields(const S& from, S* into) {
-  S::for_each_field([&](const char*, auto member, const char*) {
-    into->*member += from.*member;
-  });
-}
-
 }  // namespace
 
 ClusterMetrics run_serving_cluster(const ClusterConfig& config,
@@ -353,10 +313,14 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
   const int n = static_cast<int>(config.replicas.size());
 
   ClusterMetrics cluster;
-  cluster.replicas = n;
   cluster.disaggregated = config.disaggregated;
-  cluster.num_requests = static_cast<std::int64_t>(requests.size());
   cluster.replica_metrics.reserve(n);
+  const auto stamp_wall_time = [&] {
+    cluster.fleet.sim_wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wall_start)
+            .count();
+  };
 
   // --- Single replica, colocated: the single-engine path, bit for bit ----
   // Exactly the inject-all / drain / finish sequence run_serving performs
@@ -370,17 +334,11 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
     ServingEngine engine(scenario, shared_costs, trace_out);
     engine.inject_all(requests);
     engine.drain();
-    std::vector<std::size_t> positions(requests.size());
-    std::iota(positions.begin(), positions.end(), std::size_t{0});
-    std::vector<StitchedRequest> stitched(requests.size());
-    stitch_outcomes(engine, positions, &stitched);
     cluster.replica_metrics.push_back(engine.finish());
-    stitch_requests(requests, stitched, &cluster);
-    finish_cluster(config, /*first_serving=*/0, &cluster);
-    cluster.sim_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
+    // Injection order is request order: the outcomes are the stitched rows.
+    finish_cluster(config, requests, engine.outcomes(), /*first_serving=*/0,
+                   &cluster);
+    stamp_wall_time();
     return cluster;
   }
 
@@ -405,7 +363,9 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
         replica_scenario(config, i, /*multi_replica=*/true), shared_costs));
   }
 
-  std::vector<StitchedRequest> stitched(requests.size());
+  // stitched[p]: `requests[p]`'s cross-replica timeline, filled once every
+  // replica has finished (finish() marks horizon cuts shed).
+  std::vector<ServingEngine::RequestOutcome> stitched(requests.size());
   // injected[i][k]: position in `requests` of replica i's k-th injection.
   std::vector<std::vector<std::size_t>> injected(n);
 
@@ -434,11 +394,14 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
     }
     for (auto& engine : engines) engine->drain();
     for (int i = 0; i < n; ++i) {
-      stitch_outcomes(*engines[i], injected[i], &stitched);
       cluster.replica_metrics.push_back(engines[i]->finish());
+      const std::vector<ServingEngine::RequestOutcome> outcomes =
+          engines[i]->outcomes();
+      for (std::size_t k = 0; k < outcomes.size(); ++k) {
+        stitched[injected[i][k]] = outcomes[k];
+      }
     }
-    stitch_requests(requests, stitched, &cluster);
-    finish_cluster(config, /*first_serving=*/0, &cluster);
+    finish_cluster(config, requests, stitched, /*first_serving=*/0, &cluster);
   } else {
     // --- Disaggregated: prefill replicas [0, P) run prompts as
     // output_len=1 clones, finished KV streams block-by-block over the
@@ -575,12 +538,13 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
     // a shed prefill never transfers, so its decode fields stay unset.
     for (int i = 0; i < n; ++i) {
       const bool prefill_side = i < num_prefill;
+      cluster.replica_metrics.push_back(engines[i]->finish());
       const std::vector<ServingEngine::RequestOutcome> outcomes =
           engines[i]->outcomes();
       for (std::size_t k = 0; k < outcomes.size(); ++k) {
         const ServingEngine::RequestOutcome& outcome = outcomes[k];
         const std::size_t position = injected[i][k];
-        StitchedRequest& row = stitched[position];
+        ServingEngine::RequestOutcome& row = stitched[position];
         if (prefill_side) {
           row.arrived = outcome.arrived;
           row.first_token = outcome.first_token;
@@ -593,67 +557,18 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
           row.shed = row.shed || outcome.shed;
         }
       }
-      cluster.replica_metrics.push_back(engines[i]->finish());
     }
-    stitch_requests(requests, stitched, &cluster);
-    finish_cluster(config, /*first_serving=*/num_prefill, &cluster);
+    finish_cluster(config, requests, stitched, /*first_serving=*/num_prefill,
+                   &cluster);
   }
 
   if (tracing) write_trace_files(*cluster_trace, {});
-  cluster.sim_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  stamp_wall_time();
   return cluster;
 }
 
 ServingMetrics flatten_cluster_metrics(ClusterMetrics&& cluster) {
-  ServingMetrics flat;
-  flat.chips = cluster.total_chips;
-  flat.num_requests = cluster.num_requests;
-  flat.completed = cluster.completed;
-  flat.generated_tokens = cluster.generated_tokens;
-  flat.makespan = cluster.makespan;
-  flat.ttft = cluster.ttft;
-  flat.tpot = cluster.tpot;
-  flat.e2e = cluster.e2e;
-  flat.goodput_tokens_per_second = cluster.goodput_tokens_per_second;
-  flat.slo_goodput_tokens_per_second = cluster.slo_goodput_tokens_per_second;
-  flat.slo_met = cluster.slo_met;
-  flat.slo_attainment = cluster.slo_attainment;
-  flat.availability = cluster.availability;
-  flat.prefix_hit_rate = cluster.prefix_hit_rate;
-  double busy_chip_seconds = 0;
-  for (const ServingMetrics& replica : cluster.replica_metrics) {
-    flat.total_steps += replica.total_steps;
-    flat.prefill_steps += replica.prefill_steps;
-    flat.decode_steps += replica.decode_steps;
-    flat.preemptions += replica.preemptions;
-    add_fields(replica.counters, &flat.counters);
-    add_fields(replica.fault, &flat.fault);
-    flat.mxu_energy += replica.mxu_energy;
-    flat.total_energy += replica.total_energy;
-    flat.cost_cache_entries += replica.cost_cache_entries;
-    flat.cost_cache_hits += replica.cost_cache_hits;
-    flat.cost_cache_misses += replica.cost_cache_misses;
-    flat.sim_end_seconds = std::max(flat.sim_end_seconds,
-                                    replica.sim_end_seconds);
-    busy_chip_seconds += replica.mxu_utilization * replica.makespan *
-                         static_cast<double>(replica.chips);
-  }
-  if (flat.makespan > 0 && flat.chips > 0) {
-    flat.mxu_utilization =
-        busy_chip_seconds /
-        (flat.makespan * static_cast<double>(flat.chips));
-  }
-  if (flat.generated_tokens > 0) {
-    flat.energy_per_token =
-        flat.total_energy / static_cast<double>(flat.generated_tokens);
-  }
-  flat.jain_fairness = cluster.jain_across_replicas;
-  flat.registry = std::move(cluster.registry);
-  flat.sim_wall_seconds = cluster.sim_wall_seconds;
-  return flat;
+  return std::move(cluster.fleet);
 }
 
 }  // namespace cimtpu::serving

@@ -28,8 +28,9 @@
 // replica's ongoing steps, which only see the request once the last block
 // lands (ServingEngine::inject_prefilled).  Stitched request metrics (TTFT
 // from the prefill side, completion from the decode side) land in the
-// cluster rollup next to per-replica ServingMetrics, Jain-across-replicas
-// imbalance, KV-transfer totals, and "cluster.*" registry keys.
+// cluster's fleet ServingMetrics (with its "cluster.*" registry keys) next
+// to per-replica ServingMetrics, Jain-across-replicas imbalance and
+// KV-transfer totals.
 //
 // BIT-IDENTITY CONTRACT: one replica + "round_robin" + colocated is the
 // single-engine path — run_serving_cluster defers to the same
@@ -108,43 +109,39 @@ std::unique_ptr<RouterPolicy> make_router_policy(const std::string& name,
 
 // --- Cluster rollup ----------------------------------------------------------
 
-/// Per-replica ServingMetrics plus the stitched cluster-level view.  In
-/// disaggregated mode the per-replica rows describe the CLONES each side
-/// ran (a prefill replica's completions are first tokens); the stitched
-/// fields below always describe the ORIGINAL requests end to end.
+/// A cluster run: the whole cluster as one ServingMetrics (`fleet`), the
+/// per-replica rows, and the fields only a cluster has.
+///
+/// `fleet` holds the request rollup (RequestRollup) over the ORIGINAL
+/// requests' stitched cross-replica timelines, SLOs judged against their
+/// own deadlines; the total chip count (chips x tp_ways per replica);
+/// per-replica sums of the step, energy and cost-cache counts and of every
+/// ServingCounters and FaultStats field (so its prefix_hit_rate is what
+/// routing preserved across the fleet); the latest replica clock; MXU
+/// utilization over the fleet's chips; the "cluster.*" registry (cluster
+/// keys plus every replica's headline gauges); and the run's wall time.
+/// Means over replicas' own samples cannot be summed and stay at their
+/// defaults: `mttr_seconds` (a mean over repairs) is 0, as are
+/// `kv_internal_fragmentation` and `cost_cache_occupancy`.
+///
+/// In disaggregated mode the per-replica rows describe the CLONES each
+/// side ran (a prefill replica's completions are first tokens).
 struct ClusterMetrics {
-  int replicas = 0;
-  int total_chips = 0;  ///< sum over replicas of chips x tp_ways
-  bool disaggregated = false;
+  ServingMetrics fleet;
   std::vector<ServingMetrics> replica_metrics;
+  bool disaggregated = false;
 
-  // Stitched request-level rollup (original requests, cluster-wide).
-  std::int64_t num_requests = 0;
+  /// Original requests that arrived inside the window, and those of them
+  /// shed by admission control, a fault or the horizon: every arrived
+  /// request either completed or was shed (arrived == fleet.completed +
+  /// shed).
   std::int64_t arrived = 0;
-  std::int64_t completed = 0;
   std::int64_t shed = 0;
-  std::int64_t generated_tokens = 0;
-  Seconds makespan = 0;  ///< latest completion across the cluster
-  LatencySummary ttft;
-  LatencySummary tpot;
-  LatencySummary e2e;
-  double goodput_tokens_per_second = 0;
-  /// Output tokens of deadline-meeting completions / makespan (equals
-  /// goodput when no request carries a deadline).
-  double slo_goodput_tokens_per_second = 0;
-  std::int64_t slo_met = 0;
-  double slo_attainment = 1.0;
-  double availability = 1.0;
-
-  /// Cluster-wide prefix economics: summed scheduler counters, so the hit
-  /// rate reflects what affinity routing actually preserved across the
-  /// fleet (round-robin scattering a prefix family across replicas cools
-  /// every cache; affinity keeps each family warm on one).
-  double prefix_hit_rate = 0;
 
   /// Imbalance: Jain's fairness index over per-replica generated tokens
   /// (1.0 = perfectly even, 1/N = one replica did everything).  Computed
   /// over SERVING replicas only (decode side in disaggregated mode).
+  /// fleet.jain_fairness stays the index over tenants.
   double jain_across_replicas = 1.0;
   std::vector<double> replica_utilization;  ///< per replica, mxu_utilization
 
@@ -153,11 +150,6 @@ struct ClusterMetrics {
   std::int64_t kv_transfer_blocks = 0;  ///< KV blocks moved
   Bytes kv_transfer_bytes = 0;
   Seconds kv_transfer_seconds = 0;  ///< summed per-transfer link time
-
-  /// "cluster.*" keys plus every replica's headline gauges.
-  MetricsRegistry registry;
-
-  double sim_wall_seconds = 0;  ///< non-deterministic (excluded from pins)
 };
 
 /// Runs `requests` (arrival-sorted, same contract as run_serving) through
@@ -172,14 +164,8 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
                                    SharedStepCostCache* shared_costs = nullptr,
                                    ServingTrace* trace_out = nullptr);
 
-/// Collapses a cluster rollup into one ServingMetrics for drivers that
-/// compare cluster cells next to single-engine cells (the sweep): the
-/// stitched request-level fields, the total chip count, the cluster
-/// registry, and per-replica sums of the step, energy and cost-cache
-/// counts and of every ServingCounters and FaultStats field.  Means over
-/// replicas' own samples cannot be summed and stay at their defaults:
-/// `mttr_seconds` (a mean over repairs) is 0, as are
-/// `kv_internal_fragmentation`, `cost_cache_occupancy` and `tenants`.
+/// A cluster cell for drivers that compare cluster cells next to
+/// single-engine cells (the sweep): `cluster.fleet`, moved out.
 ServingMetrics flatten_cluster_metrics(ClusterMetrics&& cluster);
 
 }  // namespace cimtpu::serving

@@ -265,12 +265,13 @@ class ContinuousBatchScheduler {
   /// the hot path.
   bool aggregates_consistent() const;
 
-  /// Attaches an observability sink (serving/trace.h); nullptr detaches.
-  /// The scheduler emits admit / prefill-chunk / decode-enter / preempt /
-  /// swap transitions into it.  With no sink attached (the default) every
-  /// emission site is a single null check — zero allocation, zero
-  /// behavioural effect; the sink NEVER influences scheduling decisions.
-  void set_trace_sink(TraceSink* sink) { trace_ = sink; }
+  /// Attaches an event trace (serving/trace.h); nullptr detaches.  The
+  /// scheduler emits admit / prefill-chunk / decode-enter / preempt /
+  /// swap / shed transitions into it.  With no trace attached (the
+  /// default) every emission site is a single null check — zero
+  /// allocation, zero behavioural effect; the trace NEVER influences
+  /// scheduling decisions.
+  void set_trace_sink(ServingTrace* sink) { trace_ = sink; }
 
   // --- Fault injection / recovery (serving/fault.h) -----------------------
 
@@ -464,7 +465,7 @@ class ContinuousBatchScheduler {
   SchedulerConfig config_;
   KvCacheManager* kv_cache_;
   std::unique_ptr<AdmissionPolicy> admission_;  ///< owns the waiting set
-  TraceSink* trace_ = nullptr;      ///< optional observer (never scheduling)
+  ServingTrace* trace_ = nullptr;   ///< optional observer (never scheduling)
   Seconds now_ = 0;                 ///< simulated clock (see set_time)
   std::deque<Sequence> swapped_;    ///< swap-out order (FIFO re-admission)
   SequencePool pool_;               ///< SoA storage for resident sequences

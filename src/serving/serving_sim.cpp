@@ -7,7 +7,6 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <map>
 #include <numeric>
 
 #include "arch/chip.h"
@@ -55,7 +54,8 @@ struct RequestTrace {
   Seconds last_fault = -1;  ///< open repair interval: a fault struck and
                             ///< the request has not recovered yet
   int retry_attempts = 0;   ///< fault re-admissions consumed (vs the budget)
-  bool shed = false;  ///< dropped by admission control (never completes)
+  bool shed = false;  ///< dropped by admission control or a fault, or cut
+                      ///< by the horizon (marked at finish); never completes
   bool prefilled = false;  ///< injected by inject_prefilled (decode only)
 };
 
@@ -76,15 +76,6 @@ struct PendingRetry {
   Seconds ready_time = 0;
   int attempt = 0;  ///< 1-based re-admission attempt this entry represents
   bool emitted_first_token = false;
-};
-
-/// Per-tenant accumulator for the schema-v4 breakdown.
-struct TenantAccum {
-  std::int64_t num_requests = 0;
-  std::int64_t completed = 0;
-  std::int64_t generated_tokens = 0;
-  std::vector<double> ttft;
-  std::vector<double> e2e;
 };
 
 /// The model whose shapes the cost cache simulates: the TP shard when
@@ -138,6 +129,111 @@ SchedulerConfig effective_scheduler_config(const ServingScenario& scenario) {
 }
 
 }  // namespace
+
+RequestRollup::RequestRollup(std::size_t arrived_hint) {
+  tpot_.reserve(arrived_hint);
+}
+
+void RequestRollup::add(const Request& request, Seconds first_token,
+                        Seconds completion) {
+  arrived_ += 1;
+  // A tenant's row (and Jain entry) exists only once it has a request that
+  // actually ARRIVED within the simulated window — a tenant whose traffic
+  // all lands past the horizon never participated and must not drag the
+  // index down.
+  TenantSamples& tenant = tenants_[request.tenant_id];
+  tenant.num_requests += 1;
+  // TTFT is determined the moment the first token leaves the pipeline, so
+  // horizon-cut runs keep every emitted first token in the TTFT sample —
+  // dropping still-in-flight requests would censor exactly the slow
+  // admissions an overload study is trying to measure.
+  if (first_token >= 0) {
+    tenant.ttft.push_back(first_token - request.arrival_time);
+  }
+  if (completion < 0) return;  // shed or cut: misses its SLO
+  completed_ += 1;
+  generated_tokens_ += request.output_len;
+  makespan_ = std::max(makespan_, completion);
+  // Disaggregated decode replicas complete requests whose first token
+  // streamed on the PREFILL replica (no local first token): their TPOT
+  // belongs to the cluster's stitched rollup, never to the replica's.
+  if (request.output_len > 1 && first_token >= 0) {
+    tpot_.push_back((completion - first_token) /
+                    static_cast<double>(request.output_len - 1));
+  }
+  // Deadline-free completed requests meet vacuously, so deadline-free
+  // streams report attainment 1.0 and slo_goodput == goodput.
+  if (meets_slo(request, first_token, completion)) {
+    slo_met_ += 1;
+    slo_tokens_ += request.output_len;
+  }
+  tenant.completed += 1;
+  tenant.generated_tokens += request.output_len;
+  tenant.e2e.push_back(completion - request.arrival_time);
+}
+
+void RequestRollup::finish(const AdmissionConfig& admission,
+                           ServingMetrics* metrics) {
+  metrics->completed = completed_;
+  metrics->generated_tokens = generated_tokens_;
+  metrics->makespan = makespan_;
+  metrics->slo_met = slo_met_;
+  metrics->tpot = summarize_latencies(std::move(tpot_));
+  if (arrived_ > 0) {
+    metrics->slo_attainment =
+        static_cast<double>(slo_met_) / static_cast<double>(arrived_);
+    metrics->availability =
+        static_cast<double>(completed_) / static_cast<double>(arrived_);
+  }
+  if (makespan_ > 0) {
+    metrics->goodput_tokens_per_second =
+        static_cast<double>(generated_tokens_) / makespan_;
+    metrics->slo_goodput_tokens_per_second =
+        static_cast<double>(slo_tokens_) / makespan_;
+  }
+
+  // Per-tenant breakdown (schema-v4).  Each tenant's TTFT and e2e sample
+  // is sorted once; the global sample is the merge of the sorted tenant
+  // samples — the same ascending sequence a sort of the whole sample
+  // gives, summed in the same order, so bit-identical.  Weights resolve by
+  // the tenant id the config actually names (TenantShare::tenant_id,
+  // index-bound when left at -1) — the SAME resolution WFQ admission uses
+  // — so sparse or non-contiguous tenant ids can never make Jain
+  // normalization and enforcement disagree.  Unnamed tenants weigh 1.
+  std::vector<double> normalized_goodput;
+  normalized_goodput.reserve(tenants_.size());
+  std::vector<std::vector<double>> ttft_parts, e2e_parts;
+  ttft_parts.reserve(tenants_.size());
+  e2e_parts.reserve(tenants_.size());
+  for (auto& [tenant_id, samples] : tenants_) {
+    TenantMetrics tenant;
+    tenant.tenant_id = tenant_id;
+    tenant.weight = admission.share_for(tenant_id).weight;
+    tenant.num_requests = samples.num_requests;
+    tenant.completed = samples.completed;
+    tenant.generated_tokens = samples.generated_tokens;
+    sort_sample(samples.ttft);
+    sort_sample(samples.e2e);
+    tenant.ttft = summarize_sorted_latencies(samples.ttft);
+    tenant.e2e = summarize_sorted_latencies(samples.e2e);
+    ttft_parts.push_back(std::move(samples.ttft));
+    e2e_parts.push_back(std::move(samples.e2e));
+    if (makespan_ > 0) {
+      tenant.goodput_tokens_per_second =
+          static_cast<double>(samples.generated_tokens) / makespan_;
+    }
+    normalized_goodput.push_back(tenant.goodput_tokens_per_second /
+                                 tenant.weight);
+    metrics->tenants.push_back(std::move(tenant));
+  }
+  metrics->ttft = summarize_sorted_latencies(
+      merge_sorted_samples(std::move(ttft_parts)));
+  metrics->e2e =
+      summarize_sorted_latencies(merge_sorted_samples(std::move(e2e_parts)));
+  if (metrics->tenants.size() > 1) {
+    metrics->jain_fairness = jain_fairness_index(normalized_goodput);
+  }
+}
 
 struct ServingEngine::Impl {
   ServingScenario scenario;
@@ -603,9 +699,6 @@ struct ServingEngine::Impl {
         // completion >= first token.
         request_trace.completion =
             std::max(emit_time, request_trace.first_token);
-        metrics.completed += 1;
-        metrics.generated_tokens += request.output_len;
-        metrics.makespan = std::max(metrics.makespan, request_trace.completion);
         outstanding_tokens -= total_tokens(request);
         if (log_completions) {
           completed_log.emplace_back(index, request_trace.completion);
@@ -794,13 +887,14 @@ struct ServingEngine::Impl {
     // Horizon-cut runs shed whatever arrived but never completed —
     // waiting, in flight, it makes no difference: the horizon ended its
     // story.  The counter advances UNCONDITIONALLY (metrics and traces
-    // must agree); tracing only adds the terminal event so every traced
-    // request has one.  Requests already shed by admission control got
-    // their event (and their shed_deadline count) at shed time and are
-    // skipped here.
+    // must agree), and the request's outcome turns shed; tracing only adds
+    // the terminal event so every traced request has one.  Requests
+    // already shed by admission control got their event (and their
+    // shed_deadline count) at shed time and are skipped here.
     if (scenario.max_sim_seconds > 0) {
       for (std::size_t i = 0; i < next_arrival; ++i) {
         if (traces[i].completion >= 0 || traces[i].shed) continue;
+        traces[i].shed = true;
         metrics.counters.shed_horizon += 1;
         if (tracing) trace->on_shed(requests[i]->id, now);
       }
@@ -812,63 +906,13 @@ struct ServingEngine::Impl {
           fragmentation_sum / static_cast<double>(metrics.total_steps);
     }
 
-    // --- Distributional rollups --------------------------------------------
-    // TTFT and e2e samples are gathered per tenant only.  Each tenant's
-    // sample is sorted once; the global sample is the merge of the sorted
-    // tenant samples — the same ascending sequence a sort of the whole
-    // sample gives, summed in the same order, so bit-identical.
-    std::vector<double> tpot;
-    tpot.reserve(next_arrival);
-    std::map<std::int64_t, TenantAccum> tenant_accums;  // ascending tenant id
-    const auto arrived = static_cast<std::int64_t>(next_arrival);
-    std::int64_t slo_tokens = 0;  ///< output tokens of deadline-meeting
-                                  ///< requests
+    // --- Request rollup ----------------------------------------------------
     // Requests [0, next_arrival) arrived; the rest were cut by the horizon.
+    RequestRollup rollup(next_arrival);
     for (std::size_t i = 0; i < next_arrival; ++i) {
-      const Request& request = *requests[i];
-      const RequestTrace& request_trace = traces[i];
-      // The accumulator (and hence the tenant's metrics row / Jain entry)
-      // exists only once the tenant has a request that actually ARRIVED
-      // within the simulated window — a tenant whose traffic all lands
-      // past the horizon never participated and must not drag the index
-      // down.
-      TenantAccum& accum = tenant_accums[request.tenant_id];
-      accum.num_requests += 1;
-      // TTFT is determined the moment the first token leaves the pipeline,
-      // so horizon-cut runs keep every emitted first token in the TTFT
-      // sample — dropping still-in-flight requests would censor exactly
-      // the slow admissions an overload study is trying to measure.
-      // (Without a horizon every fed request completes, so this changes
-      // nothing.)
-      if (request_trace.first_token >= 0) {
-        accum.ttft.push_back(request_trace.first_token - request.arrival_time);
-      }
-      if (request_trace.completion < 0) continue;  // shed or cut: misses SLO
-      // Disaggregated decode replicas complete requests whose first token
-      // streamed on the PREFILL replica (first_token < 0 locally): their
-      // stitched TPOT belongs to the cluster rollup, never to this sample.
-      if (request.output_len > 1 && request_trace.first_token >= 0) {
-        tpot.push_back((request_trace.completion - request_trace.first_token) /
-                       static_cast<double>(request.output_len - 1));
-      }
-      // Deadline-free completed requests meet vacuously, so deadline-free
-      // streams report attainment 1.0 and slo_goodput == goodput.
-      if (meets_slo(request, request_trace.first_token,
-                    request_trace.completion)) {
-        metrics.slo_met += 1;
-        slo_tokens += request.output_len;
-      }
-      accum.completed += 1;
-      accum.generated_tokens += request.output_len;
-      accum.e2e.push_back(request_trace.completion - request.arrival_time);
+      rollup.add(*requests[i], traces[i].first_token, traces[i].completion);
     }
-    metrics.tpot = summarize_latencies(std::move(tpot));
-    if (arrived > 0) {
-      metrics.slo_attainment = static_cast<double>(metrics.slo_met) /
-                               static_cast<double>(arrived);
-      metrics.availability = static_cast<double>(metrics.completed) /
-                             static_cast<double>(arrived);
-    }
+    rollup.finish(scenario.scheduler.admission, &metrics);
 
     // --- Resilience rollup (schema-v8) -------------------------------------
     metrics.fault = fault_stats;
@@ -878,52 +922,7 @@ struct ServingEngine::Impl {
           static_cast<double>(repair_times.size());
     }
 
-    // --- Per-tenant breakdown (schema-v4) ----------------------------------
-    // Weights resolve by the tenant id the config actually names
-    // (TenantShare::tenant_id, index-bound when left at -1) — the SAME
-    // resolution WFQ admission uses — so sparse or non-contiguous tenant
-    // ids can never make Jain normalization and enforcement disagree.
-    // Tenants the config does not name weigh 1.
-    const AdmissionConfig& admission_config = scenario.scheduler.admission;
-    std::vector<double> normalized_goodput;
-    normalized_goodput.reserve(tenant_accums.size());
-    std::vector<std::vector<double>> ttft_parts, e2e_parts;
-    ttft_parts.reserve(tenant_accums.size());
-    e2e_parts.reserve(tenant_accums.size());
-    for (auto& [tenant_id, accum] : tenant_accums) {
-      TenantMetrics tenant;
-      tenant.tenant_id = tenant_id;
-      tenant.weight = admission_config.share_for(tenant_id).weight;
-      tenant.num_requests = accum.num_requests;
-      tenant.completed = accum.completed;
-      tenant.generated_tokens = accum.generated_tokens;
-      sort_sample(accum.ttft);
-      sort_sample(accum.e2e);
-      tenant.ttft = summarize_sorted_latencies(accum.ttft);
-      tenant.e2e = summarize_sorted_latencies(accum.e2e);
-      ttft_parts.push_back(std::move(accum.ttft));
-      e2e_parts.push_back(std::move(accum.e2e));
-      if (metrics.makespan > 0) {
-        tenant.goodput_tokens_per_second =
-            static_cast<double>(accum.generated_tokens) / metrics.makespan;
-      }
-      normalized_goodput.push_back(tenant.goodput_tokens_per_second /
-                                   tenant.weight);
-      metrics.tenants.push_back(std::move(tenant));
-    }
-    metrics.ttft = summarize_sorted_latencies(
-        merge_sorted_samples(std::move(ttft_parts)));
-    metrics.e2e =
-        summarize_sorted_latencies(merge_sorted_samples(std::move(e2e_parts)));
-    if (metrics.tenants.size() > 1) {
-      metrics.jain_fairness = jain_fairness_index(normalized_goodput);
-    }
-
     if (metrics.makespan > 0) {
-      metrics.goodput_tokens_per_second =
-          static_cast<double>(metrics.generated_tokens) / metrics.makespan;
-      metrics.slo_goodput_tokens_per_second =
-          static_cast<double>(slo_tokens) / metrics.makespan;
       metrics.mxu_utilization =
           busy_time / (metrics.makespan * static_cast<double>(metrics.chips));
     }
@@ -1033,23 +1032,12 @@ ServingEngine::take_completions() {
 }
 
 std::vector<ServingEngine::RequestOutcome> ServingEngine::outcomes() const {
-  std::vector<RequestOutcome> out;
-  out.reserve(impl_->requests.size());
-  for (std::size_t i = 0; i < impl_->requests.size(); ++i) {
-    const Request& request = *impl_->requests[i];
-    RequestOutcome outcome;
-    outcome.id = request.id;
-    outcome.arrival = request.arrival_time;
-    outcome.output_len = request.output_len;
-    outcome.tenant_id = request.tenant_id;
-    if (i < impl_->next_arrival) {
-      const RequestTrace& request_trace = impl_->traces[i];
-      outcome.arrived = true;
-      outcome.first_token = request_trace.first_token;
-      outcome.completion = request_trace.completion;
-      outcome.shed = request_trace.shed;
-    }
-    out.push_back(outcome);
+  std::vector<RequestOutcome> out(impl_->requests.size());
+  for (std::size_t i = 0; i < impl_->next_arrival; ++i) {
+    const RequestTrace& request_trace = impl_->traces[i];
+    out[i] = RequestOutcome{request_trace.first_token,
+                            request_trace.completion, /*arrived=*/true,
+                            request_trace.shed};
   }
   return out;
 }

@@ -18,6 +18,7 @@
 // step that emitted them.
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -222,6 +223,45 @@ struct ServingMetrics {
   }
 };
 
+/// The request-level half of a run's rollup, shared by ServingEngine::
+/// finish and the cluster's stitched fleet view (serving/cluster.h), so
+/// every request metric has one implementation.  add() takes each request
+/// that ARRIVED inside the simulated window, with its first-token and
+/// completion times (< 0: never emitted / never completed).  finish()
+/// writes completed, generated_tokens, makespan, the ttft / tpot / e2e
+/// summaries, slo_met, slo_attainment, availability, both goodputs, the
+/// tenant rows and their Jain index, and leaves every other field alone.
+class RequestRollup {
+ public:
+  /// `arrived_hint` (the expected add() count) sizes the TPOT sample.
+  explicit RequestRollup(std::size_t arrived_hint = 0);
+
+  void add(const Request& request, Seconds first_token, Seconds completion);
+
+  /// Tenant weights resolve through `admission` (AdmissionConfig::
+  /// share_for, the resolution WFQ admission uses).  Call once.
+  void finish(const AdmissionConfig& admission, ServingMetrics* metrics);
+
+ private:
+  struct TenantSamples {
+    std::int64_t num_requests = 0;
+    std::int64_t completed = 0;
+    std::int64_t generated_tokens = 0;
+    std::vector<double> ttft;
+    std::vector<double> e2e;
+  };
+
+  std::map<std::int64_t, TenantSamples> tenants_;  ///< ascending tenant id
+  std::vector<double> tpot_;
+  std::int64_t arrived_ = 0;
+  std::int64_t completed_ = 0;
+  std::int64_t generated_tokens_ = 0;
+  std::int64_t slo_met_ = 0;
+  std::int64_t slo_tokens_ = 0;  ///< output tokens of deadline-meeting
+                                 ///< completions
+  Seconds makespan_ = 0;
+};
+
 /// Incremental single-replica serving engine: the exact run_serving state
 /// machine, re-cut so a cluster driver (serving/cluster.h) can co-simulate
 /// several replicas on one discrete-event clock.  Lifecycle:
@@ -252,16 +292,16 @@ class ServingEngine {
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
-  /// Final per-request outcome, in injection order — what a cluster rollup
-  /// stitches cross-replica request timelines from.
+  /// One injected request's fate, in injection order; the request itself
+  /// is the caller's (inject keeps a reference).  A cluster keeps one per
+  /// original request as its stitched cross-replica row.
   struct RequestOutcome {
-    std::int64_t id = 0;
-    Seconds arrival = 0;
-    std::int64_t output_len = 0;
-    std::int64_t tenant_id = 0;
-    bool arrived = false;      ///< fed to the scheduler inside the window
     Seconds first_token = -1;  ///< < 0: never emitted
     Seconds completion = -1;   ///< < 0: shed or cut by the horizon
+    bool arrived = false;      ///< fed to the scheduler inside the window
+    /// Dropped by admission control or a fault; read after finish(), also
+    /// cut by the horizon (arrived but never completed), so an arrived
+    /// request then either completed or was shed.
     bool shed = false;
   };
 
@@ -344,7 +384,8 @@ class ServingEngine {
   void set_completion_log(bool enabled);
   std::vector<std::pair<std::size_t, Seconds>> take_completions();
 
-  /// Per-request outcomes in injection order (see RequestOutcome).
+  /// Per-request outcomes in injection order (see RequestOutcome); valid
+  /// before and after finish().
   std::vector<RequestOutcome> outcomes() const;
 
  private:

@@ -44,6 +44,10 @@ Getter registry_counter(const char* name) {
   return [name](R r) { return r.cell.metrics.registry.counter_or_zero(name); };
 }
 
+Getter registry_gauge(const char* name) {
+  return [name](R r) { return r.cell.metrics.registry.gauge_or_zero(name); };
+}
+
 Getter latency(LatencySummary M::*summary, Seconds LatencySummary::*field) {
   return [summary, field](R r) { return (r.cell.metrics.*summary).*field; };
 }
@@ -102,8 +106,9 @@ const StudyColumn kHitRate{"prefix_hit_rate", "hit rate", F::kFixed3,
 const StudyColumn kSloGoodput{"slo_goodput_tokens_per_s", "SLO tokens/s",
                               F::kFixed1,
                               metric(&M::slo_goodput_tokens_per_second)};
-const StudyColumn kJainReplicas{"jain_across_replicas", "jain", F::kFixed4,
-                                metric(&M::jain_fairness)};
+const StudyColumn kJainReplicas{
+    "jain_across_replicas", "jain", F::kFixed4,
+    registry_gauge("cluster.jain_across_replicas")};
 // Host time: JSON only (CI's steps-per-second gate reads them).
 const StudyColumn kSimWall{"sim_wall_seconds", nullptr, F::kText,
                            metric(&M::sim_wall_seconds)};
@@ -466,8 +471,8 @@ ServingStudy disaggregation_study(const StudyInputs& in) {
        << ", \"requests\": " << kClusterDisaggRequests << ", \"rows\": [";
   study.json_open = json.str();
   study.json_close = "]}}";  // closes the router study's cluster block too
-  // Transfer accounting lives in the flattened cluster registry (zero and
-  // absent when colocated).
+  // Transfer accounting lives in the cluster registry (zero and absent
+  // when colocated).
   study.columns = {
       kRate,
       {"disaggregated", "disagg", F::kText,
@@ -480,10 +485,7 @@ ServingStudy disaggregation_study(const StudyInputs& in) {
       {"kv_transfer_bytes", "KV GiB", F::kGiB,
        registry_counter("cluster.kv_transfer_bytes")},
       {"kv_transfer_seconds", "xfer s", F::kFixed3,
-       [](R r) {
-         return r.cell.metrics.registry.gauge_or_zero(
-             "cluster.kv_transfer_seconds");
-       }},
+       registry_gauge("cluster.kv_transfer_seconds")},
       json_only(kJainReplicas), kSimWall, kStepsPerSecond,
   };
   return study;

@@ -8,17 +8,15 @@
 // event stamped with SIMULATED time, so traces are deterministic —
 // byte-identical across runs, platforms, and sweep thread counts.
 //
-// Three layers:
-//   * TraceSink — the narrow interface the scheduler emits into.  The
-//     scheduler holds a nullable pointer and guards every call, so with
-//     tracing off the hot path pays one null check per transition and
-//     allocates NOTHING.
-//   * ServingTrace — the standard sink: an append-only event buffer plus
-//     driver hooks (arrive / step bracketing / first token / finish /
-//     shed) that only run_serving calls.  It also keeps the cumulative
-//     per-tenant admitted-token tally the time-series sampler reads,
-//     which stays on even when event recording is off (sampling without
-//     tracing is a supported mode).
+// Two layers:
+//   * ServingTrace — an append-only event buffer.  The scheduler emits its
+//     mid-step hooks into it through a nullable pointer and guards every
+//     call, so with tracing off the hot path pays one null check per
+//     transition and allocates NOTHING; the driver hooks (arrive / step
+//     bracketing / first token / finish / shed) only run_serving calls.
+//     It also keeps the cumulative per-tenant admitted-token tally the
+//     time-series sampler reads, which stays on even when event recording
+//     is off (sampling without tracing is a supported mode).
 //   * Exporters — Chrome/Perfetto trace-event JSON (load the file in
 //     https://ui.perfetto.dev or chrome://tracing: one track per request,
 //     one for engine steps, counter tracks from the time-series samples)
@@ -133,40 +131,12 @@ struct TraceEvent {
   double value = 0;
 };
 
-/// What the scheduler can emit mid-step.  Split from ServingTrace so the
-/// scheduler depends only on this narrow surface (and tests can stub it).
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-
-  /// A waiting request joined the running batch.  Outcome fields are the
-  /// KvCacheManager::AdmitOutcome of the admission (all 0 when the
-  /// prefix cache is off).
-  virtual void on_admit(const Request& request, std::int64_t lookup_tokens,
-                        std::int64_t prefix_hit_tokens,
-                        std::int64_t shared_blocks,
-                        std::int64_t cow_blocks) = 0;
-  /// A prefill participant pushed prompt tokens [prev, prev + chunk).
-  virtual void on_prefill_chunk(std::int64_t request_id, std::int64_t prev,
-                                std::int64_t chunk) = 0;
-  /// A resident finished prefilling (or swapped back in mid-decode) and
-  /// joined the decode batch at bucketed KV length `kv_bucket`.
-  virtual void on_decode_enter(std::int64_t request_id,
-                               std::int64_t kv_bucket) = 0;
-  virtual void on_preempt(std::int64_t request_id) = 0;
-  virtual void on_swap_out(std::int64_t request_id, Bytes bytes) = 0;
-  virtual void on_swap_in(std::int64_t request_id, Bytes bytes) = 0;
-  /// Admission control dropped a waiting request (EDF deadline shed): it
-  /// will never be admitted.  Stamped with the current step's time.
-  virtual void on_shed(std::int64_t request_id) = 0;
-};
-
-/// The standard sink + the driver-side hooks run_serving calls.  Events
-/// emitted by the scheduler mid-step are stamped with the step's START
-/// time (the simulated instant the scheduler planned them at); span end
-/// times are patched when the driver closes the step, once its cost is
-/// known.
-class ServingTrace final : public TraceSink {
+/// A run's event buffer: the driver-side hooks run_serving calls and the
+/// hooks the scheduler emits mid-step.  Events emitted by the scheduler
+/// mid-step are stamped with the step's START time (the simulated instant
+/// the scheduler planned them at); span end times are patched when the
+/// driver closes the step, once its cost is known.
+class ServingTrace {
  public:
   ServingTrace() = default;
   explicit ServingTrace(TraceConfig config);
@@ -212,18 +182,25 @@ class ServingTrace final : public TraceSink {
                       int dst_replica, std::int64_t blocks, Bytes bytes,
                       Seconds time, Seconds duration);
 
-  // --- TraceSink (scheduler) ---------------------------------------------
+  // --- Scheduler hooks (mid-step) ----------------------------------------
+  /// A waiting request joined the running batch.  Outcome fields are the
+  /// KvCacheManager::AdmitOutcome of the admission (all 0 when the
+  /// prefix cache is off).
   void on_admit(const Request& request, std::int64_t lookup_tokens,
                 std::int64_t prefix_hit_tokens, std::int64_t shared_blocks,
-                std::int64_t cow_blocks) override;
+                std::int64_t cow_blocks);
+  /// A prefill participant pushed prompt tokens [prev, prev + chunk).
   void on_prefill_chunk(std::int64_t request_id, std::int64_t prev,
-                        std::int64_t chunk) override;
-  void on_decode_enter(std::int64_t request_id,
-                       std::int64_t kv_bucket) override;
-  void on_preempt(std::int64_t request_id) override;
-  void on_swap_out(std::int64_t request_id, Bytes bytes) override;
-  void on_swap_in(std::int64_t request_id, Bytes bytes) override;
-  void on_shed(std::int64_t request_id) override;
+                        std::int64_t chunk);
+  /// A resident finished prefilling (or swapped back in mid-decode) and
+  /// joined the decode batch at bucketed KV length `kv_bucket`.
+  void on_decode_enter(std::int64_t request_id, std::int64_t kv_bucket);
+  void on_preempt(std::int64_t request_id);
+  void on_swap_out(std::int64_t request_id, Bytes bytes);
+  void on_swap_in(std::int64_t request_id, Bytes bytes);
+  /// Admission control dropped a waiting request (EDF deadline shed): it
+  /// will never be admitted.  Stamped with the current step's time.
+  void on_shed(std::int64_t request_id);
 
   const std::vector<TraceEvent>& events() const { return events_; }
 

@@ -135,13 +135,27 @@ TEST(ClusterSingleReplicaTest, BitIdenticalToSingleEnginePath) {
   expect_identical_metrics(cluster.replica_metrics[0], single);
 
   // The stitched cluster view agrees with the lone replica.
-  EXPECT_EQ(cluster.replicas, 1);
-  EXPECT_EQ(cluster.completed, single.completed);
-  EXPECT_EQ(cluster.generated_tokens, single.generated_tokens);
-  EXPECT_EQ(cluster.makespan, single.makespan);
-  EXPECT_EQ(cluster.ttft.p99, single.ttft.p99);
-  EXPECT_EQ(cluster.e2e.p99, single.e2e.p99);
+  EXPECT_EQ(cluster.fleet.registry.counter_or_zero("cluster.replicas"), 1);
+  EXPECT_EQ(cluster.fleet.completed, single.completed);
+  EXPECT_EQ(cluster.fleet.generated_tokens, single.generated_tokens);
+  EXPECT_EQ(cluster.fleet.makespan, single.makespan);
+  EXPECT_EQ(cluster.fleet.ttft.p99, single.ttft.p99);
+  EXPECT_EQ(cluster.fleet.e2e.p99, single.e2e.p99);
   EXPECT_EQ(cluster.kv_transfer_count, 0);
+  // The fleet's request rollup runs over the lone replica's timelines, so
+  // every field it writes equals the engine's own rollup.
+  const ServingMetrics& fleet = cluster.fleet;
+  expect_identical_field(fleet.ttft, single.ttft, "ttft");
+  expect_identical_field(fleet.tpot, single.tpot, "tpot");
+  expect_identical_field(fleet.e2e, single.e2e, "e2e");
+  EXPECT_EQ(fleet.slo_met, single.slo_met);
+  EXPECT_EQ(fleet.slo_attainment, single.slo_attainment);
+  EXPECT_EQ(fleet.availability, single.availability);
+  EXPECT_EQ(fleet.goodput_tokens_per_second, single.goodput_tokens_per_second);
+  EXPECT_EQ(fleet.slo_goodput_tokens_per_second,
+            single.slo_goodput_tokens_per_second);
+  expect_identical_field(fleet.tenants, single.tenants, "tenants");
+  EXPECT_EQ(fleet.jain_fairness, single.jain_fairness);
 }
 
 TEST(ClusterSloGoodputTest, FlattenedCellsCarrySloGoodput) {
@@ -207,6 +221,35 @@ TEST(ClusterFlattenTest, SumsEveryCounterAndFaultStatAcrossReplicas) {
   EXPECT_EQ(flat.mttr_seconds, 0);
 }
 
+TEST(ClusterShedTest, HorizonCutsCountAsShed) {
+  // A 15 s window cuts requests off on both replicas, with the fault storm
+  // on and off.  Every original request that arrived either completed or
+  // was shed, and the cluster's shed count is the replicas' own (deadline,
+  // horizon and fault sheds together).
+  const std::vector<Request> requests =
+      generate_requests(slo_chat_stream(/*seed=*/42, 300, 20.0));
+  for (const bool faults : {true, false}) {
+    SCOPED_TRACE(faults ? "faults on" : "faults off");
+    ClusterConfig config;
+    config.base = fault_storm_scenario(ir::DType::kInt4, /*recovery=*/true,
+                                       /*horizon_seconds=*/15.0);
+    config.base.fault.enabled = faults;
+    config.replicas.assign(2, ReplicaSpec{});
+    config.router_policy = "round_robin";
+    const ClusterMetrics cluster = run_serving_cluster(config, requests);
+    std::int64_t replica_shed = 0, horizon_cuts = 0;
+    for (const ServingMetrics& replica : cluster.replica_metrics) {
+      replica_shed += replica.counters.total_shed();
+      horizon_cuts += replica.counters.shed_horizon;
+    }
+    ASSERT_GT(horizon_cuts, 0);
+    EXPECT_EQ(cluster.arrived, cluster.fleet.completed + cluster.shed);
+    EXPECT_EQ(cluster.shed, replica_shed);
+    EXPECT_EQ(cluster.fleet.registry.counter_or_zero("cluster.shed"),
+              cluster.shed);
+  }
+}
+
 TEST(ClusterSingleReplicaTest, UnknownRouterPolicyFailsAtOneReplicaToo) {
   ClusterConfig config;
   config.base = llama7b_baseline_scenario(1, ir::DType::kInt4);
@@ -225,8 +268,8 @@ TEST(ClusterColocatedTest, RequestsConserveAcrossReplicas) {
   config.router_policy = "round_robin";
   const ClusterMetrics cluster = run_serving_cluster(config, requests);
 
-  EXPECT_EQ(cluster.replicas, 4);
-  EXPECT_EQ(cluster.total_chips, 4);
+  EXPECT_EQ(cluster.fleet.registry.counter_or_zero("cluster.replicas"), 4);
+  EXPECT_EQ(cluster.fleet.chips, 4);
   ASSERT_EQ(cluster.replica_metrics.size(), 4u);
   std::int64_t replica_completed = 0, replica_tokens = 0;
   for (const ServingMetrics& replica : cluster.replica_metrics) {
@@ -235,17 +278,17 @@ TEST(ClusterColocatedTest, RequestsConserveAcrossReplicas) {
     replica_tokens += replica.generated_tokens;
   }
   EXPECT_EQ(replica_completed, 300);
-  EXPECT_EQ(cluster.completed, 300);
+  EXPECT_EQ(cluster.fleet.completed, 300);
   EXPECT_EQ(cluster.arrived, 300);
   EXPECT_EQ(cluster.shed, 0);
-  EXPECT_EQ(cluster.generated_tokens, replica_tokens);
-  EXPECT_EQ(cluster.ttft.count, 300);
-  EXPECT_EQ(cluster.e2e.count, 300);
+  EXPECT_EQ(cluster.fleet.generated_tokens, replica_tokens);
+  EXPECT_EQ(cluster.fleet.ttft.count, 300);
+  EXPECT_EQ(cluster.fleet.e2e.count, 300);
   EXPECT_GT(cluster.jain_across_replicas, 0.9);  // RR is near-even
   EXPECT_LE(cluster.jain_across_replicas, 1.0);
   EXPECT_EQ(cluster.replica_utilization.size(), 4u);
   EXPECT_EQ(cluster.kv_transfer_count, 0);  // colocated: nothing streams
-  const std::string registry_json = cluster.registry.to_json();
+  const std::string registry_json = cluster.fleet.registry.to_json();
   EXPECT_NE(registry_json.find("cluster.replicas"), std::string::npos);
   EXPECT_NE(registry_json.find("cluster.replica3.utilization"),
             std::string::npos);
@@ -261,9 +304,11 @@ TEST(ClusterColocatedTest, FourReplicasBeatOneOnOverloadedTraffic) {
   four.router_policy = "least_loaded";
   const ClusterMetrics m1 = run_serving_cluster(one, requests);
   const ClusterMetrics m4 = run_serving_cluster(four, requests);
-  EXPECT_EQ(m4.completed, m1.completed);
-  EXPECT_LT(m4.e2e.p99, m1.e2e.p99);  // 4x capacity must cut tail latency
-  EXPECT_GT(m4.goodput_tokens_per_second, m1.goodput_tokens_per_second);
+  EXPECT_EQ(m4.fleet.completed, m1.fleet.completed);
+  // 4x capacity must cut tail latency
+  EXPECT_LT(m4.fleet.e2e.p99, m1.fleet.e2e.p99);
+  EXPECT_GT(m4.fleet.goodput_tokens_per_second,
+            m1.fleet.goodput_tokens_per_second);
 }
 
 TEST(ClusterColocatedTest, PrefixAffinityBeatsRoundRobinOnHitRate) {
@@ -281,9 +326,9 @@ TEST(ClusterColocatedTest, PrefixAffinityBeatsRoundRobinOnHitRate) {
   config.router_policy = "prefix_affinity";
   const ClusterMetrics affinity = run_serving_cluster(config, requests);
 
-  EXPECT_GT(rr.prefix_hit_rate, 0.0);  // even scattered, some hits land
-  EXPECT_GT(affinity.prefix_hit_rate, rr.prefix_hit_rate);
-  EXPECT_EQ(affinity.completed, rr.completed);
+  EXPECT_GT(rr.fleet.prefix_hit_rate, 0.0);  // even scattered, some hits land
+  EXPECT_GT(affinity.fleet.prefix_hit_rate, rr.fleet.prefix_hit_rate);
+  EXPECT_EQ(affinity.fleet.completed, rr.fleet.completed);
 }
 
 // --- Disaggregated prefill/decode --------------------------------------------
@@ -303,10 +348,10 @@ TEST(ClusterDisaggregatedTest, TransfersReconcileAgainstFabricModel) {
   const ClusterConfig config = disaggregated_config(2, 2);
   const ClusterMetrics cluster = run_serving_cluster(config, requests);
 
-  EXPECT_EQ(cluster.completed, 200);
+  EXPECT_EQ(cluster.fleet.completed, 200);
   EXPECT_EQ(cluster.arrived, 200);
-  EXPECT_EQ(cluster.ttft.count, 200);
-  EXPECT_EQ(cluster.e2e.count, 200);
+  EXPECT_EQ(cluster.fleet.ttft.count, 200);
+  EXPECT_EQ(cluster.fleet.e2e.count, 200);
 
   // Recompute every transfer independently from the IciFabric model: one
   // p2p message per KV block of ceil(prompt / block_tokens) blocks.
@@ -342,7 +387,7 @@ TEST(ClusterDisaggregatedTest, TransfersReconcileAgainstFabricModel) {
     EXPECT_EQ(cluster.replica_metrics[2 + i].tpot.count, 0);
   }
   // Stitched TPOT spans the wire gap: present for multi-token requests.
-  EXPECT_GT(cluster.tpot.count, 0);
+  EXPECT_GT(cluster.fleet.tpot.count, 0);
 }
 
 TEST(ClusterDisaggregatedTest, SingleTokenRequestsFinishOnPrefillSide) {
@@ -354,7 +399,7 @@ TEST(ClusterDisaggregatedTest, SingleTokenRequestsFinishOnPrefillSide) {
   }
   const ClusterMetrics cluster =
       run_serving_cluster(disaggregated_config(1, 1), requests);
-  EXPECT_EQ(cluster.completed, 8);
+  EXPECT_EQ(cluster.fleet.completed, 8);
   EXPECT_EQ(cluster.kv_transfer_count, 0);  // nothing ever streams
   EXPECT_EQ(cluster.replica_metrics[1].completed, 0);  // decode side idle
 }
@@ -371,19 +416,20 @@ TEST(ClusterTensorParallelTest, TpReplicaServesAndPublishesReference) {
   config.replicas = {ReplicaSpec{}};
   const ClusterMetrics tp1 = run_serving_cluster(config, requests);
 
-  EXPECT_EQ(tp2.completed, 120);
-  EXPECT_EQ(tp2.total_chips, 2);  // a TP group spans ways chips
+  EXPECT_EQ(tp2.fleet.completed, 120);
+  EXPECT_EQ(tp2.fleet.chips, 2);  // a TP group spans ways chips
   EXPECT_EQ(tp2.replica_metrics[0].chips, 2);
   // Sharding halves per-chip compute but pays two all-reduces per layer:
   // the timeline must actually change — TP is dispatched, not ignored.
-  EXPECT_NE(tp2.makespan, tp1.makespan);
+  EXPECT_NE(tp2.fleet.makespan, tp1.fleet.makespan);
   // The multi_chip.h reference model is published alongside.
-  const std::string registry_json = tp2.registry.to_json();
+  const std::string registry_json = tp2.fleet.registry.to_json();
   EXPECT_NE(registry_json.find("cluster.replica0.tp_reference_latency_s"),
             std::string::npos);
   EXPECT_NE(registry_json.find("cluster.replica0.tensor_parallel_ways"),
             std::string::npos);
-  EXPECT_EQ(tp1.registry.to_json().find("tp_reference"), std::string::npos);
+  EXPECT_EQ(tp1.fleet.registry.to_json().find("tp_reference"),
+            std::string::npos);
 }
 
 TEST(ClusterTensorParallelTest, TpUnlocksModelsLargerThanOneChip) {

@@ -183,22 +183,25 @@ TEST(EngineRollup, MatchesStdSortReferenceFromOutcomes) {
   std::map<std::int64_t, std::pair<std::vector<double>, std::vector<double>>>
       tenant_samples;  // tenant id -> (ttft, e2e)
   std::int64_t not_arrived = 0;
-  for (const ServingEngine::RequestOutcome& outcome : outcomes) {
+  ASSERT_EQ(outcomes.size(), requests.size());
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    const ServingEngine::RequestOutcome& outcome = outcomes[k];
+    const Request& request = requests[k];  // injection order
     if (!outcome.arrived) {
       ++not_arrived;
       continue;
     }
-    auto& [tenant_ttft, tenant_e2e] = tenant_samples[outcome.tenant_id];
+    auto& [tenant_ttft, tenant_e2e] = tenant_samples[request.tenant_id];
     if (outcome.first_token >= 0) {
-      ttft.push_back(outcome.first_token - outcome.arrival);
-      tenant_ttft.push_back(outcome.first_token - outcome.arrival);
+      ttft.push_back(outcome.first_token - request.arrival_time);
+      tenant_ttft.push_back(outcome.first_token - request.arrival_time);
     }
     if (outcome.completion < 0) continue;
-    e2e.push_back(outcome.completion - outcome.arrival);
-    tenant_e2e.push_back(outcome.completion - outcome.arrival);
-    if (outcome.output_len > 1 && outcome.first_token >= 0) {
+    e2e.push_back(outcome.completion - request.arrival_time);
+    tenant_e2e.push_back(outcome.completion - request.arrival_time);
+    if (request.output_len > 1 && outcome.first_token >= 0) {
       tpot.push_back((outcome.completion - outcome.first_token) /
-                     static_cast<double>(outcome.output_len - 1));
+                     static_cast<double>(request.output_len - 1));
     }
   }
   ASSERT_GT(not_arrived, 0);
