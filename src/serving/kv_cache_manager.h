@@ -159,8 +159,9 @@ class KvCacheManager {
   /// Drops every block `request_id` holds — device blocks when resident
   /// (exact release() accounting), host-pool blocks when swapped out — as
   /// a FAULT, not a lifecycle release: the blocks' contents are lost, and
-  /// the drop counts in `blocks_invalidated_total`.  Returns the number
-  /// of blocks invalidated; 0 when the request holds nothing.
+  /// the drop counts in the `kv.blocks_invalidated_total` counter.
+  /// Returns the number of blocks invalidated; 0 when the request holds
+  /// nothing.
   std::int64_t invalidate_blocks(std::int64_t request_id);
 
   /// Re-materializes a RESIDENT request's device blocks from a host
@@ -170,7 +171,7 @@ class KvCacheManager {
   /// blocks are re-filled in place) and the caller charges the re-fetch
   /// PCIe traffic (entry blocks * block_bytes).  Returns false — and the
   /// caller falls back to recompute — when the shadow does not fit or
-  /// the request is not resident.  Counts in `blocks_restored_total`.
+  /// the request is not resident.  Counts in `kv.blocks_restored_total`.
   bool restore_from_host(std::int64_t request_id);
 
   /// Reclaims EVERY cached (refcount-0) prefix block — a device failure
@@ -184,14 +185,6 @@ class KvCacheManager {
   void set_prefix_admission_paused(bool paused) {
     prefix_admission_paused_ = paused;
   }
-  bool prefix_admission_paused() const { return prefix_admission_paused_; }
-
-  /// Lifetime blocks dropped by faults (invalidate_blocks +
-  /// drop_cached_blocks) and re-materialized from the host shadow.
-  std::int64_t blocks_invalidated_total() const {
-    return blocks_invalidated_total_;
-  }
-  std::int64_t blocks_restored_total() const { return blocks_restored_total_; }
 
   /// Would appending one token to `request_id` consume a new block?  The
   /// scheduler's incremental pending-growth aggregate is built on this.
@@ -246,12 +239,6 @@ class KvCacheManager {
   /// note_prefilled by slot — identical semantics.
   void note_prefilled_slot(std::int32_t slot, std::int64_t computed_tokens);
 
-  /// Mapped KV tokens of the entry in `slot` (hot-path mirror of
-  /// resident_tokens).
-  std::int64_t slot_tokens(std::int32_t slot) const {
-    return entry_slots_[static_cast<std::size_t>(slot)].tokens;
-  }
-
   /// Chooses the request to preempt under the configured policy, excluding
   /// `protect` (the request currently being grown).  Returns -1 when
   /// nothing can be evicted (empty, policy kNone, or only `protect`
@@ -268,7 +255,10 @@ class KvCacheManager {
   // applies grow_slot_unit_nocheck per entry and one commit_bulk_growth
   // for the step.  Releases interleaved by the caller only free blocks, so
   // the precheck is conservative and the final state is bit-identical to
-  // `grows` individual try_grow_slot(slot, 1) calls.
+  // `grows` individual try_grow_slot(slot, 1) calls.  Two callers: the
+  // scheduler's decode advance loop, on any step that passes
+  // can_bulk_grow (its other steps grow through try_grow_slot), and
+  // advance_quiet_decode, which commits a whole quiet run at once.
 
   /// True when `grows` single-block grows are guaranteed to succeed
   /// without reclaiming cached prefix blocks.
@@ -307,13 +297,11 @@ class KvCacheManager {
 
   // --- Block-level accounting ------------------------------------------------
   std::int64_t block_tokens() const { return block_tokens_; }
-  Bytes block_bytes() const { return block_bytes_; }
   bool prefix_cache_enabled() const { return enable_prefix_cache_; }
   std::int64_t blocks_for_tokens(std::int64_t tokens) const {
     return ceil_div(tokens, block_tokens_);
   }
   std::int64_t capacity_blocks() const { return capacity_blocks_; }
-  std::int64_t host_capacity_blocks() const { return host_capacity_blocks_; }
   /// Physical blocks in use, INCLUDING cached (refcount-0) prefix blocks.
   std::int64_t occupied_blocks() const {
     return private_used_ + live_shared_blocks_;
@@ -371,7 +359,6 @@ class KvCacheManager {
     return block_bytes_ * static_cast<double>(host_used_blocks_);
   }
   Bytes capacity() const { return capacity_; }
-  Bytes host_capacity() const { return host_capacity_; }
   Bytes bytes_per_token() const { return bytes_per_token_; }
   EvictionPolicy policy() const { return policy_; }
 

@@ -49,6 +49,12 @@ void LengthSpec::validate() const {
 
 void RequestStreamConfig::validate() const {
   CIMTPU_CONFIG_CHECK(num_requests >= 1, "stream needs >= 1 request");
+  CIMTPU_CONFIG_CHECK(num_requests <= kMaxRequestId + 1,
+                      "num_requests " << num_requests << " exceeds the limit "
+                                      << kMaxRequestId + 1
+                                      << " (ids are dense from 0 and an "
+                                         "engine accepts ids up to "
+                                      << kMaxRequestId << ")");
   CIMTPU_CONFIG_CHECK(arrival_rate > 0, "arrival_rate must be positive");
   CIMTPU_CONFIG_CHECK(priority_classes >= 1,
                       "priority_classes must be >= 1");

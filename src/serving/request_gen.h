@@ -10,6 +10,7 @@
 // platform.
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,13 @@ struct Request {
                                 ///< most this many seconds per token after the
                                 ///< first; 0 = no deadline
 };
+
+/// Largest request id a serving engine accepts.  Ids index the engine's
+/// int32 slot table; unique ids in [0, kMaxRequestId] also keep every slot
+/// index within int32.  A generated stream's ids are dense in
+/// [0, num_requests), so a stream holds at most kMaxRequestId + 1 requests.
+constexpr std::int64_t kMaxRequestId =
+    std::numeric_limits<std::int32_t>::max();
 
 /// SLO verdict of a request that completed at `completion` after streaming
 /// its first token at `first_token`: true when every deadline it carries

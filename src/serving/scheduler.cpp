@@ -41,6 +41,22 @@ void StepRecord::clear() {
   batched_cost = false;
 }
 
+void StepRecord::reserve(int max_batch, int max_prefill_batch) {
+  CIMTPU_CHECK(max_batch >= 1 && max_prefill_batch >= 1);
+  const auto batch = static_cast<std::size_t>(max_batch);
+  const auto prefill = static_cast<std::size_t>(max_prefill_batch);
+  kv_lens.reserve(batch);
+  chunk_lens.reserve(prefill);
+  prev_lens.reserve(prefill);
+  decode_groups.reserve(batch);
+  first_token_ids.reserve(prefill);
+  finished_ids.reserve(batch);
+  preempted_ids.reserve(batch);
+  swapped_out_ids.reserve(batch);
+  swapped_in_ids.reserve(batch);
+  shed_ids.reserve(batch);
+}
+
 namespace {
 
 void accumulate_into(StepCost& total, const StepCost& cost, double sign) {
@@ -273,6 +289,40 @@ void ContinuousBatchScheduler::decoder_leave(std::int32_t slot) {
   histogram_remove(pool_.bucket[slot]);
 }
 
+void ContinuousBatchScheduler::cross_bucket(std::int32_t slot) {
+  // Buckets are multiples of seqlen_bucket, so the next bucket is exactly
+  // one bucket width further.
+  const std::int64_t old_bucket = pool_.bucket[slot];
+  const std::int64_t new_bucket = old_bucket + config_.seqlen_bucket;
+  histogram_remove(old_bucket);
+  histogram_add(new_bucket);
+  pool_.bucket[slot] = new_bucket;
+}
+
+void ContinuousBatchScheduler::retire(std::int32_t slot, StepRecord* record) {
+  const Request& request = pool_.request[slot];
+  record->finished_ids.push_back(request.id);
+  kv_cache_->release(request.id);
+  admission_->on_finish(request, total_steps_);
+  admit_blocked_ = false;  // finish freed device blocks
+}
+
+std::vector<std::int32_t>::iterator ContinuousBatchScheduler::find_resident(
+    std::int64_t request_id) {
+  return std::find_if(
+      resident_.begin(), resident_.end(),
+      [&](std::int32_t slot) { return pool_.request[slot].id == request_id; });
+}
+
+Bytes ContinuousBatchScheduler::computed_kv_bytes(
+    std::int64_t prefilled, std::int64_t generated) const {
+  // PCIe traffic covers only pages holding computed KV (prefilled prompt +
+  // generated tokens); a mid-prefill sequence's reservation also spans
+  // not-yet-written pages, which cost nothing to move.
+  return kv_cache_->bytes_per_token() *
+         static_cast<double>(prefilled + generated);
+}
+
 std::int32_t ContinuousBatchScheduler::resident_append(
     const Request& request, std::int64_t prefilled, std::int64_t generated,
     std::int64_t prefix_skipped) {
@@ -340,12 +390,8 @@ void ContinuousBatchScheduler::swap_in_and_admit(StepRecord* record) {
          kv_cache_->try_swap_in(swapped_.front().request.id)) {
     Sequence sequence = swapped_.front();
     swapped_.pop_front();
-    // PCIe traffic covers only pages holding computed KV (prefilled prompt
-    // + generated tokens); a mid-prefill victim's reservation also spans
-    // not-yet-written pages, which cost nothing to move.
     const Bytes bytes =
-        kv_cache_->bytes_per_token() *
-        static_cast<double>(sequence.prefilled + sequence.generated);
+        computed_kv_bytes(sequence.prefilled, sequence.generated);
     record->swapped_in_ids.push_back(sequence.request.id);
     record->swap_bytes += bytes;
     counters_.swap_ins += 1;
@@ -460,10 +506,7 @@ bool ContinuousBatchScheduler::remove_for_fault(std::int64_t request_id,
       progress->generated = generated;
     }
   };
-  const auto resident_it = std::find_if(
-      resident_.begin(), resident_.end(), [&](std::int32_t slot) {
-        return pool_.request[slot].id == request_id;
-      });
+  const auto resident_it = find_resident(request_id);
   if (resident_it != resident_.end()) {
     const std::int32_t slot = *resident_it;
     resident_.erase(resident_it);
@@ -506,18 +549,12 @@ void ContinuousBatchScheduler::requeue_after_fault(const Request& request,
 
 bool ContinuousBatchScheduler::restore_resident_from_host(
     std::int64_t request_id, Bytes* bytes) {
-  const auto it = std::find_if(
-      resident_.begin(), resident_.end(), [&](std::int32_t slot) {
-        return pool_.request[slot].id == request_id;
-      });
+  const auto it = find_resident(request_id);
   if (it == resident_.end()) return false;
   if (!kv_cache_->restore_from_host(request_id)) return false;
   admit_blocked_ = false;
   if (bytes != nullptr) {
-    // Only pages holding computed KV cross the link (same accounting as
-    // swap-in): prefilled prompt + generated tokens.
-    *bytes = kv_cache_->bytes_per_token() *
-             static_cast<double>(pool_.prefilled[*it] + pool_.generated[*it]);
+    *bytes = computed_kv_bytes(pool_.prefilled[*it], pool_.generated[*it]);
   }
   return true;
 }
@@ -590,9 +627,7 @@ void ContinuousBatchScheduler::build_prefill_step(StepRecord* record) {
       record->first_token_ids.push_back(pool_.request[slot].id);
       pool_.generated[slot] = 1;
       if (pool_.generated[slot] >= pool_.output_len[slot]) {
-        record->finished_ids.push_back(pool_.request[slot].id);
-        kv_cache_->release(pool_.request[slot].id);
-        admission_->on_finish(pool_.request[slot], total_steps_);
+        retire(slot, record);
         any_finished = true;
       } else {
         decoder_enter(slot);
@@ -643,20 +678,15 @@ bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
                                      << " outgrew the whole KV budget");
       const std::int64_t victim_id =
           kv_cache_->pick_eviction_victim(/*protect=*/-1);
-      const auto victim_it = std::find_if(
-          resident_.begin(), resident_.end(), [&](std::int32_t slot) {
-            return pool_.request[slot].id == victim_id;
-          });
+      const auto victim_it = find_resident(victim_id);
       CIMTPU_CHECK(victim_it != resident_.end());
       const std::int32_t slot = *victim_it;
       resident_.erase(victim_it);
       if (!slot_prefilling(slot)) decoder_leave(slot);
       if (kv_cache_->policy() == EvictionPolicy::kSwapToHost &&
           kv_cache_->try_swap_out(victim_id)) {
-        // As with swap-in: only computed KV pages cross the link.
         const Bytes bytes =
-            kv_cache_->bytes_per_token() *
-            static_cast<double>(pool_.prefilled[slot] + pool_.generated[slot]);
+            computed_kv_bytes(pool_.prefilled[slot], pool_.generated[slot]);
         // Progress survives the swap: snapshot the slot into the cold deque,
         // including the host-pool token count the swap-in watermark reads.
         swapped_.push_back(Sequence{pool_.request[slot], pool_.prefilled[slot],
@@ -690,68 +720,21 @@ bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
   // Advance decoders in place: a single compaction pass (two-pointer) drops
   // finished slots — moving 4-byte slot ids, never sequence payloads.
   //
-  // Bulk-growth fast path: at block size 1, every continuing decoder grows
-  // by exactly one token = one block.  When the device has outright room
-  // for resident_decoders_ more blocks (an upper bound on this step's
-  // grows — finishers release instead), every per-decoder capacity check
-  // passes trivially and no reclaim can fire, so the grow collapses to a
-  // two-field entry update plus one global commit after the loop.  The
-  // per-decoder pending-growth bookkeeping simplifies the same way: a
-  // finishing decoder's pre-advance contribution is already 0 (its growth
-  // check looked one token ahead), and a continuing decoder's net change
-  // is -1 exactly when this advance leaves it one token from finishing.
-  if (manage_growth && kv_cache_->can_bulk_grow(resident_decoders_)) {
-    std::int64_t grows = 0;
-    std::int64_t pending_delta = 0;
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < resident_.size(); ++read) {
-      const std::int32_t slot = resident_[read];
-      if (slot_prefilling(slot)) {
-        resident_[write++] = slot;
-        continue;
-      }
-      const std::int64_t kv_len =
-          pool_.prompt_len[slot] + pool_.generated[slot];
-      record->kv_lens.push_back(kv_len);
-      const std::int64_t generated = ++pool_.generated[slot];
-      if (generated >= pool_.output_len[slot]) {
-        record->finished_ids.push_back(pool_.request[slot].id);
-        kv_cache_->release(pool_.request[slot].id);
-        admission_->on_finish(pool_.request[slot], total_steps_);
-        --resident_decoders_;
-        histogram_remove(pool_.bucket[slot]);
-        pool_.release(slot);
-        admit_blocked_ = false;  // finish freed device blocks
-      } else {
-        kv_cache_->grow_slot_unit_nocheck(pool_.kv_slot[slot]);
-        ++grows;
-        const std::int64_t old_bucket = pool_.bucket[slot];
-        if (kv_len == old_bucket) {
-          const std::int64_t new_bucket = old_bucket + config_.seqlen_bucket;
-          histogram_remove(old_bucket);
-          histogram_add(new_bucket);
-          pool_.bucket[slot] = new_bucket;
-        }
-        if (generated + 1 >= pool_.output_len[slot]) --pending_delta;
-        resident_[write++] = slot;
-      }
-    }
-    resident_.resize(write);
-    kv_cache_->commit_bulk_growth(grows);
-    pending_growth_blocks_ += pending_delta;
-    record->batch = static_cast<std::int64_t>(record->kv_lens.size());
-    if (record->batch == 0) {
-      record->decode_groups.clear();
-      return false;  // pressure evicted every decoder
-    }
-    last_step_prefill_ = false;
-    return true;
-  }
-
-  // Exact path (block sizes > 1, kNone, or a near-full device): per-grow
-  // capacity checks may reclaim cached prefix blocks, which can CHANGE a
-  // memoized head-of-line probe's outcome — drop the memo outright.
-  admit_blocked_ = false;
+  // Bulk growth (kv_cache_manager.h): at block size 1, when the device has
+  // outright room for resident_decoders_ more blocks (an upper bound on
+  // this step's grows — finishers release instead), no per-decoder grow
+  // can fail or reclaim, so each grow is a two-field entry update and the
+  // global accounting is committed once after the loop.  Otherwise (block
+  // sizes > 1, kNone, or a near-full device) each grow is checked and may
+  // reclaim cached prefix blocks, which can change a memoized head-of-line
+  // probe's outcome — so the memo is dropped outright.
+  const bool bulk =
+      manage_growth && kv_cache_->can_bulk_grow(resident_decoders_);
+  if (!bulk) admit_blocked_ = false;
+  std::int64_t grows = 0;
+  // Summed in a local: the loop's int64 stores into the pool may alias the
+  // member, which would otherwise round-trip through memory per decoder.
+  std::int64_t pending_delta = 0;
   std::size_t write = 0;
   for (std::size_t read = 0; read < resident_.size(); ++read) {
     const std::int32_t slot = resident_[read];
@@ -764,40 +747,39 @@ bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
     const std::int64_t kv_len =
         pool_.prompt_len[slot] + pool_.generated[slot];
     record->kv_lens.push_back(kv_len);
-    const std::int64_t old_bucket = pool_.bucket[slot];
     // This decoder's pre-advance pending-growth contribution (0 for a
     // finishing decoder — its growth check looked one token ahead) is
-    // consumed by this advance; the kept branch re-derives the
-    // contribution for the NEXT step after the grow.
-    pending_growth_blocks_ -= growth_blocks(slot);
-    const std::int64_t generated = ++pool_.generated[slot];
-    if (generated >= pool_.output_len[slot]) {
-      record->finished_ids.push_back(pool_.request[slot].id);
-      kv_cache_->release(pool_.request[slot].id);
-      admission_->on_finish(pool_.request[slot], total_steps_);
-      --resident_decoders_;
-      histogram_remove(old_bucket);
+    // consumed by this advance; a continuing decoder re-derives its
+    // contribution for the NEXT step after the grow.  Under bulk growth
+    // (block size 1) a continuing decoder's contribution was 1 and stays 1
+    // unless the advance leaves it one token from finishing, so that branch
+    // skips both growth_blocks probes, which measurably slow the hot loop.
+    if (!bulk) pending_delta -= growth_blocks(slot);
+    if (++pool_.generated[slot] >= pool_.output_len[slot]) {
+      retire(slot, record);
+      decoder_leave(slot);
       pool_.release(slot);
+      continue;
+    }
+    if (bulk) {
+      kv_cache_->grow_slot_unit_nocheck(pool_.kv_slot[slot]);
+      ++grows;
+      if (!sequence_grows(slot)) --pending_delta;
     } else {
       if (manage_growth) {
         const bool grew = kv_cache_->try_grow_slot(pool_.kv_slot[slot], 1);
         CIMTPU_CHECK(grew);  // pre-step eviction guaranteed room
       }
-      // Bucket crossing in one compare: the cached bucket is kv_len rounded
-      // up, so the next token spills past it iff kv_len == bucket — and the
-      // new bucket is then exactly one bucket width further (buckets are
-      // multiples of seqlen_bucket).
-      if (kv_len == old_bucket) {
-        const std::int64_t new_bucket = old_bucket + config_.seqlen_bucket;
-        histogram_remove(old_bucket);
-        histogram_add(new_bucket);
-        pool_.bucket[slot] = new_bucket;
-      }
-      pending_growth_blocks_ += growth_blocks(slot);
-      resident_[write++] = slot;
+      pending_delta += growth_blocks(slot);
     }
+    // The cached bucket is kv_len rounded up, so the next token spills past
+    // it iff kv_len == bucket.
+    if (kv_len == pool_.bucket[slot]) cross_bucket(slot);
+    resident_[write++] = slot;
   }
   resident_.resize(write);
+  pending_growth_blocks_ += pending_delta;
+  if (bulk) kv_cache_->commit_bulk_growth(grows);
   record->batch = static_cast<std::int64_t>(record->kv_lens.size());
   if (record->batch == 0) {
     record->decode_groups.clear();
@@ -891,8 +873,8 @@ std::int64_t ContinuousBatchScheduler::quiet_decode_steps() const {
   // the head-of-line memo stands with nothing swapped.  During a run no
   // decoder finishes, free blocks only shrink and the decoder count stays
   // put, and only an enqueue (which ends the run) clears the memo: each
-  // lock holds until the run ends.  (Under kNone every decode step takes
-  // the exact path, which clears the memo, so it is never set here.)
+  // lock holds until the run ends.  (Under kNone no decode step grows in
+  // bulk, so every decode step clears the memo and it is never set here.)
   if (!swapped_.empty() || !admission_->empty()) {
     if (may_shed_) return 0;
     const bool locked_out =
@@ -933,12 +915,8 @@ void ContinuousBatchScheduler::advance_quiet_decode(std::int64_t steps) {
     pool_.generated[slot] += steps;
     if (grow) kv_cache_->grow_slot_unit_nocheck(pool_.kv_slot[slot], steps);
     if (!sequence_grows(slot)) --pending_growth_blocks_;
-    const std::int64_t old_bucket = pool_.bucket[slot];
-    if (pool_.prompt_len[slot] + pool_.generated[slot] > old_bucket) {
-      const std::int64_t new_bucket = old_bucket + config_.seqlen_bucket;
-      histogram_remove(old_bucket);
-      histogram_add(new_bucket);
-      pool_.bucket[slot] = new_bucket;
+    if (pool_.prompt_len[slot] + pool_.generated[slot] > pool_.bucket[slot]) {
+      cross_bucket(slot);
     }
   }
   if (grow) kv_cache_->commit_bulk_growth(steps * resident_decoders_);

@@ -38,7 +38,12 @@
 // bucketed-KV histogram over resident decoders — updated on every
 // admit / prefill-completion / decode-advance / finish / preempt / swap
 // transition, so planning a step never rescans all resident sequences.
-// Step costs come from the analytic simulator, memoized per
+// Each transition is written once (decoder_enter / decoder_leave /
+// cross_bucket / retire), and a decode step advances every decoder in ONE
+// compaction pass: at block size 1 with free room for every decoder's next
+// block, growth takes the KV manager's bulk path (two-field entry updates,
+// one commit per step); otherwise each decoder grows by a checked
+// try_grow_slot.  Step costs come from the analytic simulator, memoized per
 // (batch, bucketed-seqlen) shape in a flat open-addressed table
 // (StepCostCache, step_cost_cache.h).  `cost_step` sums PER-SEQUENCE
 // attention costs over each participant's actual (bucketed) KV length —
@@ -157,6 +162,12 @@ struct StepRecord {
 
   /// Resets to an empty record, keeping vector capacity.
   void clear();
+
+  /// Pre-reserves every participant vector to the scheduler's per-step
+  /// bounds — at most `max_batch` decode participants (and finishes,
+  /// preemptions, swaps, sheds) and `max_prefill_batch` prefill
+  /// participants — so even the FIRST full batch stays off the heap.
+  void reserve(int max_batch, int max_prefill_batch);
 };
 
 /// Per-sequence step cost: sums each participant's attention cost at its
@@ -233,13 +244,15 @@ class ContinuousBatchScheduler {
   /// and bucket - kv_len + 1 (the crossing step, which still attends
   /// inside the bucket, is the run's last for that decoder), capped (under
   /// growth-managing eviction policies) by free device blocks / decoders
-  /// so every grow fits outright.  0 unless every resident is a decoder,
-  /// no trace sink is attached, kv_block_tokens == 1, and any waiting or
-  /// swapped work is locked out for the whole run under a non-shedding
-  /// policy: the batch is full, the swapped front fails the swap-in
-  /// watermark, or (nothing swapped) the head-of-line memo is set.  Free
-  /// blocks only shrink and the decoder count stays fixed during a run, so
-  /// each lock holds until it ends.
+  /// so every grow fits outright: each step of the run would take
+  /// build_decode_step's bulk-growth branch, which keeps the head-of-line
+  /// memo.  0 unless every resident is a decoder, no trace sink is
+  /// attached, kv_block_tokens == 1, and any waiting or swapped work is
+  /// locked out for the whole run under a non-shedding policy: the batch is
+  /// full, the swapped front fails the swap-in watermark, or (nothing
+  /// swapped) the head-of-line memo is set.  Free blocks only shrink and
+  /// the decoder count stays fixed during a run, so each lock holds until
+  /// it ends.
   /// Only valid while no request arrives meanwhile — the caller stops the
   /// run at its next enqueue (which clears the memo).
   std::int64_t quiet_decode_steps() const;
@@ -425,6 +438,19 @@ class ContinuousBatchScheduler {
   void histogram_remove(std::int64_t bucket);
   void decoder_enter(std::int32_t slot);
   void decoder_leave(std::int32_t slot);
+  /// Moves decoder `slot` to its next cost bucket (its KV length just
+  /// spilled past the cached one), histogram included.
+  void cross_bucket(std::int32_t slot);
+  /// Records a sequence whose last token was emitted this step: its id
+  /// joins finished_ids, its KV is released, the policy is told and the
+  /// head-of-line memo dropped.  The caller owns the decoder aggregates
+  /// and the pool slot.
+  void retire(std::int32_t slot, StepRecord* record);
+  /// The resident_ entry holding `request_id`, or resident_.end().
+  std::vector<std::int32_t>::iterator find_resident(std::int64_t request_id);
+  /// PCIe bytes to move a sequence's computed KV (swap, host restore).
+  Bytes computed_kv_bytes(std::int64_t prefilled,
+                          std::int64_t generated) const;
   /// Fills a freshly acquired pool slot from a request plus progress state
   /// and appends it to `resident_`.  The KV entry must already be resident
   /// (kv_slot is resolved here, once per admission).
@@ -458,8 +484,13 @@ class ContinuousBatchScheduler {
   /// counting them and emitting trace events.
   void drain_shed(StepRecord* record);
   void build_prefill_step(StepRecord* record);
-  /// Returns false when KV pressure evicted every decode participant (the
-  /// caller falls back to a prefill step).
+  /// Evicts (or swaps out) residents until every decoder's next-token
+  /// growth fits, then advances every decoder one token in a single pass
+  /// over resident_: bulk growth when can_bulk_grow holds for the whole
+  /// batch, otherwise a CHECKed try_grow_slot per decoder (none under
+  /// kNone).  A step without bulk growth may reclaim cached prefix blocks,
+  /// so it drops the head-of-line memo.  Returns false when KV pressure evicted every decode
+  /// participant (the caller falls back to a prefill step).
   bool build_decode_step(StepRecord* record);
 
   SchedulerConfig config_;

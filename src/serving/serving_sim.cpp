@@ -1,7 +1,5 @@
 #include "serving/serving_sim.h"
 
-#include "serving/arena.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -58,12 +56,6 @@ struct RequestTrace {
                       ///< by the horizon (marked at finish); never completes
   bool prefilled = false;  ///< injected by inject_prefilled (decode only)
 };
-
-/// Largest request id an engine accepts.  Ids index the engine's int32
-/// slot table; unique ids in [0, kMaxRequestId] also keep every slot
-/// index within int32.
-constexpr std::int64_t kMaxRequestId =
-    std::numeric_limits<std::int32_t>::max();
 
 std::int64_t total_tokens(const Request& request) {
   return request.prompt_len + request.output_len;
@@ -299,10 +291,9 @@ struct ServingEngine::Impl {
   std::int64_t fault_sheds = 0;
   int degraded_max_batch;
 
-  StepArena arena;         // per-run step scratch (see serving/arena.h)
-  StepRecord& step;        // = arena.record(); reused across all steps —
-                           // warm()ed to steady-state capacity, so the
-                           // serving loop allocates nothing per step
+  StepRecord step;  // reused across all steps and reserved to
+                    // steady-state capacity, so the serving loop
+                    // allocates nothing per step
 
   Impl(const ServingScenario& scenario_in, SharedStepCostCache* shared_costs,
        ServingTrace* trace_out)
@@ -336,10 +327,9 @@ struct ServingEngine::Impl {
         degraded_max_batch(std::max(
             1,
             static_cast<int>(static_cast<double>(scenario.scheduler.max_batch) *
-                             scenario.fault.degraded_max_batch_fraction))),
-        step(arena.record()) {
-    arena.warm(scenario.scheduler.max_batch,
-               scenario.scheduler.max_prefill_batch);
+                             scenario.fault.degraded_max_batch_fraction))) {
+    step.reserve(scenario.scheduler.max_batch,
+                 scenario.scheduler.max_prefill_batch);
     *trace = ServingTrace(scenario.trace);
     if (tracing || sampling) scheduler.set_trace_sink(trace);
     metrics.chips = scenario.chips * tp_ways;

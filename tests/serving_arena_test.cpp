@@ -1,10 +1,12 @@
-// Step-arena allocation discipline: the serving hot loop (next_step +
+// Step allocation discipline: the serving hot loop (next_step +
 // cost_step, and the engine's quiet-decode fast path) must not touch the
 // heap in steady-state decode.  This binary
 // replaces GLOBAL operator new so every allocation anywhere in the
-// process bumps serving::heap_allocation_count() — the assertions below
-// are therefore about the real allocator, not a proxy.
+// process bumps a counter — the assertions below are therefore about the
+// real allocator, not a proxy.
 
+#include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -12,7 +14,6 @@
 
 #include "arch/tpu_config.h"
 #include "models/model_zoo.h"
-#include "serving/arena.h"
 #include "serving/kv_cache_manager.h"
 #include "serving/scheduler.h"
 #include "serving/serving_sim.h"
@@ -26,8 +27,11 @@
 // specialized overload.
 
 namespace {
+// Relaxed ordering: the tests that read the count are single-threaded.
+std::atomic<std::int64_t> heap_allocations{0};
+
 void* counted_alloc(std::size_t size) {
-  cimtpu::serving::note_heap_allocation();
+  heap_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -44,7 +48,7 @@ namespace cimtpu::serving {
 namespace {
 
 std::int64_t allocations() {
-  return heap_allocation_count().load(std::memory_order_relaxed);
+  return heap_allocations.load(std::memory_order_relaxed);
 }
 
 TEST(AllocationHook, CountsRealAllocations) {
@@ -56,10 +60,9 @@ TEST(AllocationHook, CountsRealAllocations) {
                                       "would be vacuous";
 }
 
-TEST(StepArena, WarmPreReservesTheFirstFullBatch) {
-  StepArena arena;
-  arena.warm(/*max_batch=*/32, /*max_prefill_batch=*/8);
-  StepRecord& record = arena.record();
+TEST(StepRecord, ReserveAbsorbsTheFirstFullBatch) {
+  StepRecord record;
+  record.reserve(/*max_batch=*/32, /*max_prefill_batch=*/8);
   const std::int64_t before = allocations();
   for (int i = 0; i < 32; ++i) {
     record.kv_lens.push_back(100 + i);
@@ -72,7 +75,7 @@ TEST(StepArena, WarmPreReservesTheFirstFullBatch) {
     record.first_token_ids.push_back(i);
   }
   EXPECT_EQ(allocations(), before)
-      << "a warmed record must absorb a full batch without reallocating";
+      << "a reserved record must absorb a full batch without reallocating";
   record.clear();
   EXPECT_EQ(allocations(), before) << "clear() must keep capacity";
 }
@@ -110,9 +113,8 @@ TEST_F(SteadyDecodeTest, HotLoopIsAllocationFreeInSteadyState) {
   config.max_prefill_batch = 8;
   ContinuousBatchScheduler scheduler(config, &kv_cache);
   StepCostCache costs(simulator_, model_, config.seqlen_bucket);
-  StepArena arena;
-  arena.warm(config.max_batch, config.max_prefill_batch);
-  StepRecord& record = arena.record();
+  StepRecord record;
+  record.reserve(config.max_batch, config.max_prefill_batch);
 
   for (std::int64_t id = 0; id < 8; ++id) {
     scheduler.enqueue(make_request(id));

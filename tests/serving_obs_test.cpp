@@ -21,6 +21,7 @@
 
 #include "common/status.h"
 #include "expect_identical_metrics.h"
+#include "serving/fault.h"
 #include "serving/obs_registry.h"
 #include "serving/stats.h"
 #include "serving/sweep.h"
@@ -603,6 +604,157 @@ TEST(TraceContent, EventCountsByTypeName) {
   EXPECT_EQ(total, static_cast<std::int64_t>(trace.events().size()));
   EXPECT_EQ(counts.at("arrive"), static_cast<std::int64_t>(requests.size()));
   EXPECT_EQ(counts.count("kv_transfer"), 0u);  // only recorded types
+}
+
+// Exact exported text of every TraceEventType, both exporters: one event of
+// each type through the ServingTrace hooks — all three shed causes, both
+// recovery mechanisms, a stall with no request, and a degrade enter/exit —
+// compared line by line (JSONL) and object by object (Perfetto).  A change
+// to how either exporter writes a payload must keep these bytes.
+TEST(TraceContent, ExportedTextOfEveryEventTypeIsPinned) {
+  TraceConfig config;
+  config.enabled = true;
+  ServingTrace trace(config);
+  Request request;
+  request.id = 7;
+  request.arrival_time = 0.25;
+  request.prompt_len = 96;
+  request.output_len = 12;
+  request.tenant_id = 3;
+  request.prefix_id = 2;
+  request.prefix_len = 64;
+  trace.on_route(request, /*replica=*/1, /*time=*/0.25);
+  trace.on_arrive(request);
+  trace.begin_step(0, /*start=*/0.5);
+  trace.on_admit(request, /*lookup_tokens=*/64, /*prefix_hit_tokens=*/48,
+                 /*shared_blocks=*/3, /*cow_blocks=*/1);
+  trace.on_prefill_chunk(7, /*prev=*/48, /*chunk=*/48);
+  trace.on_decode_enter(7, /*kv_bucket=*/128);
+  trace.end_step(/*prefill=*/true, /*batch=*/1, /*end=*/0.75,
+                 /*latency_s=*/0.25, /*kv_referenced_blocks=*/6,
+                 /*blocks_allocated=*/4, /*blocks_reclaimed=*/1);
+  trace.on_first_token(7, /*emit_time=*/0.8);
+  trace.on_kv_transfer(7, /*src_replica=*/0, /*dst_replica=*/2,
+                       /*blocks=*/6, /*bytes=*/98304.0, /*time=*/0.8,
+                       /*duration=*/0.0625);
+  trace.begin_step(1, /*start=*/1.0);
+  trace.on_preempt(7);
+  trace.on_swap_out(7, /*bytes=*/12288.0);
+  trace.on_swap_in(7, /*bytes=*/12288.0);
+  trace.on_shed(8);  // deadline shed
+  trace.end_step(/*prefill=*/false, /*batch=*/2, /*end=*/1.125,
+                 /*latency_s=*/0.125, /*kv_referenced_blocks=*/7,
+                 /*blocks_allocated=*/1, /*blocks_reclaimed=*/0);
+  trace.on_fault(7, static_cast<std::int64_t>(FaultType::kKvLoss),
+                 /*time=*/1.25, /*lost_tokens=*/40, /*duration=*/0.0);
+  trace.on_fault(-1, static_cast<std::int64_t>(FaultType::kStall),
+                 /*time=*/1.5, /*lost_tokens=*/0, /*duration=*/0.375);
+  trace.on_recover(7, /*mechanism=*/0, /*time=*/1.75, /*bytes=*/0.0,
+                   /*attempt=*/1);
+  trace.on_recover(7, /*mechanism=*/1, /*time=*/1.875, /*bytes=*/24576.0,
+                   /*attempt=*/0);
+  trace.on_degrade(/*entering=*/true, /*time=*/2.0);
+  trace.on_degrade(/*entering=*/false, /*time=*/2.5);
+  trace.on_finish(7, /*completion=*/3.0, /*generated_tokens=*/12);
+  trace.on_shed(9, /*horizon=*/4.0);
+  trace.on_shed_fault(10, /*time=*/4.5);
+
+  const std::map<std::string, std::int64_t> counts =
+      trace_event_counts(trace.events());
+  for (int type = 0; type <= static_cast<int>(TraceEventType::kStep);
+       ++type) {
+    EXPECT_EQ(counts.count(trace_event_type_name(
+                  static_cast<TraceEventType>(type))),
+              1u)
+        << "no event of type " << type;
+  }
+
+  const std::vector<std::string> expected_jsonl = {
+      R"x({"type":"route","time":0.25,"request":7,"replica":1,"prompt_len":96,"tenant":3,"prefix_id":2})x",
+      R"x({"type":"arrive","time":0.25,"request":7,"prompt_len":96,"output_len":12,"tenant":3})x",
+      R"x({"type":"admit","step":0,"time":0.5,"request":7,"prompt_len":96,"prefix_hit_tokens":48,"tenant":3})x",
+      R"x({"type":"prefix_hit","step":0,"time":0.5,"request":7,"lookup_tokens":64,"hit_tokens":48,"shared_blocks":3,"cow_blocks":1})x",
+      R"x({"type":"prefill_chunk","step":0,"time":0.5,"end_time":0.75,"request":7,"prev_tokens":48,"chunk_tokens":48})x",
+      R"x({"type":"decode_enter","step":0,"time":0.5,"request":7,"kv_bucket":128})x",
+      R"x({"type":"step","step":0,"time":0.5,"end_time":0.75,"kind":"prefill","batch":1,"latency_s":0.25,"kv_referenced_blocks":6,"kv_blocks_allocated":4,"kv_blocks_reclaimed":1})x",
+      R"x({"type":"first_token","step":0,"time":0.80000000000000004,"request":7})x",
+      R"x({"type":"kv_transfer","time":0.80000000000000004,"end_time":0.86250000000000004,"request":7,"src_replica":0,"dst_replica":2,"blocks":6,"bytes":98304,"transfer_s":0.0625})x",
+      R"x({"type":"preempt","step":1,"time":1,"request":7})x",
+      R"x({"type":"swap_out","step":1,"time":1,"request":7,"bytes":12288})x",
+      R"x({"type":"swap_in","step":1,"time":1,"request":7,"bytes":12288})x",
+      R"x({"type":"shed","step":1,"time":1,"request":8,"cause":"deadline"})x",
+      R"x({"type":"step","step":1,"time":1,"end_time":1.125,"kind":"decode","batch":2,"latency_s":0.125,"kv_referenced_blocks":7,"kv_blocks_allocated":1,"kv_blocks_reclaimed":0})x",
+      R"x({"type":"fault","time":1.25,"request":7,"kind":"kv_loss","lost_tokens":40,"duration_s":0})x",
+      R"x({"type":"fault","time":1.5,"kind":"stall","lost_tokens":0,"duration_s":0.375})x",
+      R"x({"type":"recover","time":1.75,"request":7,"mechanism":"retry","attempt":1,"bytes":0})x",
+      R"x({"type":"recover","time":1.875,"request":7,"mechanism":"host_restore","attempt":0,"bytes":24576})x",
+      R"x({"type":"degrade","time":2,"mode":"enter"})x",
+      R"x({"type":"degrade","time":2.5,"mode":"exit"})x",
+      R"x({"type":"finish","step":1,"time":3,"request":7,"generated_tokens":12})x",
+      R"x({"type":"shed","time":4,"request":9,"cause":"horizon"})x",
+      R"x({"type":"shed","time":4.5,"request":10,"cause":"fault"})x",
+  };
+  std::vector<std::string> jsonl;
+  std::istringstream lines(trace_jsonl(trace.events()));
+  for (std::string line; std::getline(lines, line);) jsonl.push_back(line);
+  ASSERT_EQ(jsonl.size(), expected_jsonl.size());
+  for (std::size_t i = 0; i < jsonl.size(); ++i) {
+    EXPECT_EQ(jsonl[i], expected_jsonl[i]) << "jsonl line " << i;
+  }
+
+  const std::vector<std::string> expected_perfetto = {
+      R"x({"name":"process_name","ph":"M","pid":1,"args":{"name":"requests"}})x",
+      R"x({"name":"process_name","ph":"M","pid":2,"args":{"name":"engine"}})x",
+      R"x({"name":"thread_name","ph":"M","pid":1,"tid":7,"args":{"name":"request 7"}})x",
+      R"x({"name":"thread_name","ph":"M","pid":1,"tid":8,"args":{"name":"request 8"}})x",
+      R"x({"name":"thread_name","ph":"M","pid":1,"tid":9,"args":{"name":"request 9"}})x",
+      R"x({"name":"thread_name","ph":"M","pid":1,"tid":10,"args":{"name":"request 10"}})x",
+      R"x({"name":"route","ph":"i","s":"t","pid":1,"tid":7,"ts":250000,"args":{"replica":1,"prompt_len":96,"tenant":3,"prefix_id":2}})x",
+      R"x({"name":"arrive","ph":"i","s":"t","pid":1,"tid":7,"ts":250000,"args":{"prompt_len":96,"output_len":12,"tenant":3}})x",
+      R"x({"name":"queued","ph":"X","pid":1,"tid":7,"ts":250000,"dur":250000})x",
+      R"x({"name":"admit","ph":"i","s":"t","pid":1,"tid":7,"ts":500000,"args":{"prompt_len":96,"prefix_hit_tokens":48,"tenant":3}})x",
+      R"x({"name":"prefix_hit","ph":"i","s":"t","pid":1,"tid":7,"ts":500000,"args":{"lookup_tokens":64,"hit_tokens":48,"shared_blocks":3,"cow_blocks":1}})x",
+      R"x({"name":"prefill [48, 96)","ph":"X","pid":1,"tid":7,"ts":500000,"dur":250000,"args":{"prev_tokens":48,"chunk_tokens":48,"step":0}})x",
+      R"x({"name":"decode_enter","ph":"i","s":"t","pid":1,"tid":7,"ts":500000,"args":{"kv_bucket":128}})x",
+      R"x({"name":"prefill b=1","ph":"X","pid":2,"tid":1,"ts":500000,"dur":250000,"args":{"step":0,"batch":1,"latency_s":0.25,"kv_referenced_blocks":6,"kv_blocks_allocated":4,"kv_blocks_reclaimed":1}})x",
+      R"x({"name":"first_token","ph":"i","s":"t","pid":1,"tid":7,"ts":800000})x",
+      R"x({"name":"kv_transfer","ph":"X","pid":1,"tid":7,"ts":800000,"dur":62500,"args":{"src_replica":0,"dst_replica":2,"blocks":6,"bytes":98304,"transfer_s":0.0625}})x",
+      R"x({"name":"decode","ph":"X","pid":1,"tid":7,"ts":800000,"dur":199999.99999999994})x",
+      R"x({"name":"preempt","ph":"i","s":"t","pid":1,"tid":7,"ts":1000000})x",
+      R"x({"name":"swap_out","ph":"i","s":"t","pid":1,"tid":7,"ts":1000000,"args":{"bytes":12288}})x",
+      R"x({"name":"queued","ph":"X","pid":1,"tid":7,"ts":1000000,"dur":0})x",
+      R"x({"name":"swap_in","ph":"i","s":"t","pid":1,"tid":7,"ts":1000000,"args":{"bytes":12288}})x",
+      R"x({"name":"shed","ph":"i","s":"t","pid":1,"tid":8,"ts":1000000,"args":{"cause":"deadline"}})x",
+      R"x({"name":"decode b=2","ph":"X","pid":2,"tid":1,"ts":1000000,"dur":125000,"args":{"step":1,"batch":2,"latency_s":0.125,"kv_referenced_blocks":7,"kv_blocks_allocated":1,"kv_blocks_reclaimed":0}})x",
+      R"x({"name":"fault","ph":"i","s":"t","pid":1,"tid":7,"ts":1250000,"args":{"kind":"kv_loss","lost_tokens":40,"duration_s":0}})x",
+      R"x({"name":"fault","ph":"i","s":"t","pid":2,"tid":1,"ts":1500000,"args":{"kind":"stall","lost_tokens":0,"duration_s":0.375}})x",
+      R"x({"name":"recover","ph":"i","s":"t","pid":1,"tid":7,"ts":1750000,"args":{"mechanism":"retry","attempt":1,"bytes":0}})x",
+      R"x({"name":"recover","ph":"i","s":"t","pid":1,"tid":7,"ts":1875000,"args":{"mechanism":"host_restore","attempt":0,"bytes":24576}})x",
+      R"x({"name":"degrade","ph":"i","s":"t","pid":2,"tid":1,"ts":2000000,"args":{"mode":"enter"}})x",
+      R"x({"name":"degrade","ph":"i","s":"t","pid":2,"tid":1,"ts":2500000,"args":{"mode":"exit"}})x",
+      R"x({"name":"finish","ph":"i","s":"t","pid":1,"tid":7,"ts":3000000,"args":{"generated_tokens":12}})x",
+      R"x({"name":"shed","ph":"i","s":"t","pid":1,"tid":9,"ts":4000000,"args":{"cause":"horizon"}})x",
+      R"x({"name":"shed","ph":"i","s":"t","pid":1,"tid":10,"ts":4500000,"args":{"cause":"fault"}})x",
+  };
+  const std::string head = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  const std::string tail = "\n]}";
+  const std::string perfetto = perfetto_trace_json(trace.events(), {});
+  ASSERT_GE(perfetto.size(), head.size() + tail.size());
+  EXPECT_EQ(perfetto.substr(0, head.size()), head);
+  EXPECT_EQ(perfetto.substr(perfetto.size() - tail.size()), tail);
+  const std::string body = perfetto.substr(
+      head.size(), perfetto.size() - head.size() - tail.size());
+  std::vector<std::string> objects;
+  for (std::size_t start = 0;;) {
+    const std::size_t end = body.find(",\n", start);
+    objects.push_back(body.substr(start, end - start));
+    if (end == std::string::npos) break;
+    start = end + 2;
+  }
+  ASSERT_EQ(objects.size(), expected_perfetto.size());
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    EXPECT_EQ(objects[i], expected_perfetto[i]) << "perfetto object " << i;
+  }
 }
 
 // --- Registry publication ----------------------------------------------------

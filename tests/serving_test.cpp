@@ -2,6 +2,8 @@
 // math, KV-cache admission/eviction, continuous-batching step traces, and
 // bit-identical end-to-end serving metrics for a fixed seed.
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "models/model_zoo.h"
@@ -110,6 +112,24 @@ TEST(RequestGenTest, ZipfFavorsShortLengths) {
   }
   // A uniform draw would put ~10% below 100; the Zipf tail puts most.
   EXPECT_GT(below_100, static_cast<std::int64_t>(0.5 * requests.size()));
+}
+
+// Stream ids are dense in [0, num_requests) and an engine accepts ids up to
+// kMaxRequestId, so validate() caps the count there — before
+// generate_requests would try to reserve the whole stream.  Only
+// validate() runs here: generating even the largest valid stream would
+// allocate tens of GiB.
+TEST(RequestGenTest, ValidateCapsTheCountAtTheEngineIdRange) {
+  RequestStreamConfig stream = test_stream(kMaxRequestId + 1, 20.0);
+  EXPECT_NO_THROW(stream.validate());
+  stream.num_requests = kMaxRequestId + 2;
+  try {
+    stream.validate();
+    FAIL() << "a stream past the engine's id range must be rejected";
+  } catch (const ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("2147483648"), std::string::npos)
+        << "the message must name the limit: " << error.what();
+  }
 }
 
 // --- Percentile math ---------------------------------------------------------
