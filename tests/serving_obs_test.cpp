@@ -609,7 +609,8 @@ TEST(TraceContent, EventCountsByTypeName) {
 // Exact exported text of every TraceEventType, both exporters: one event of
 // each type through the ServingTrace hooks — all three shed causes, both
 // recovery mechanisms, a stall with no request, and a degrade enter/exit —
-// compared line by line (JSONL) and object by object (Perfetto).  A change
+// compared line by line (JSONL) and object by object (Perfetto, with one
+// time-series sample for the counter tracks).  A change
 // to how either exporter writes a payload must keep these bytes.
 TEST(TraceContent, ExportedTextOfEveryEventTypeIsPinned) {
   TraceConfig config;
@@ -735,10 +736,30 @@ TEST(TraceContent, ExportedTextOfEveryEventTypeIsPinned) {
       R"x({"name":"finish","ph":"i","s":"t","pid":1,"tid":7,"ts":3000000,"args":{"generated_tokens":12}})x",
       R"x({"name":"shed","ph":"i","s":"t","pid":1,"tid":9,"ts":4000000,"args":{"cause":"horizon"}})x",
       R"x({"name":"shed","ph":"i","s":"t","pid":1,"tid":10,"ts":4500000,"args":{"cause":"fault"}})x",
+      R"x({"name":"queue_depth","ph":"C","pid":2,"ts":750000,"args":{"value":2}})x",
+      R"x({"name":"sequences","ph":"C","pid":2,"ts":750000,"args":{"resident":3,"decoding":1,"swapped":1}})x",
+      R"x({"name":"kv_blocks","ph":"C","pid":2,"ts":750000,"args":{"referenced":6,"cached":3}})x",
+      R"x({"name":"kv_fragmentation","ph":"C","pid":2,"ts":750000,"args":{"value":0.25}})x",
+      R"x({"name":"prefix_hit_rate","ph":"C","pid":2,"ts":750000,"args":{"value":0.5}})x",
+      R"x({"name":"tenant_admitted_tokens","ph":"C","pid":2,"ts":750000,"args":{"tenant 3":108,"tenant 5":40}})x",
   };
+  // One time-series sample, with two tenants, pins every counter track.
+  TimeSample sample;
+  sample.time = 0.75;
+  sample.step = 1;
+  sample.queue_depth = 2;
+  sample.resident_sequences = 3;
+  sample.resident_decoders = 1;
+  sample.swapped_sequences = 1;
+  sample.kv_referenced_blocks = 6;
+  sample.kv_occupied_blocks = 9;
+  sample.kv_capacity_blocks = 64;
+  sample.kv_internal_fragmentation = 0.25;
+  sample.prefix_hit_rate = 0.5;
+  sample.tenant_admitted_tokens = {{3, 108}, {5, 40}};
   const std::string head = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   const std::string tail = "\n]}";
-  const std::string perfetto = perfetto_trace_json(trace.events(), {});
+  const std::string perfetto = perfetto_trace_json(trace.events(), {sample});
   ASSERT_GE(perfetto.size(), head.size() + tail.size());
   EXPECT_EQ(perfetto.substr(0, head.size()), head);
   EXPECT_EQ(perfetto.substr(perfetto.size() - tail.size()), tail);
