@@ -57,12 +57,20 @@ TraceEvent& ServingTrace::push(TraceEventType type, std::int64_t request_id) {
   return event;
 }
 
+TraceEvent& ServingTrace::push_at(TraceEventType type, std::int64_t request_id,
+                                  Seconds time) {
+  TraceEvent& event = push(type, request_id);
+  event.step = -1;
+  event.time = time;
+  event.end_time = time;
+  return event;
+}
+
 void ServingTrace::on_arrive(const Request& request) {
   if (!config_.enabled) return;
-  TraceEvent& event = push(TraceEventType::kArrive, request.id);
-  event.step = -1;  // queueing happens between steps
-  event.time = request.arrival_time;
-  event.end_time = request.arrival_time;
+  // Queueing happens between steps.
+  TraceEvent& event =
+      push_at(TraceEventType::kArrive, request.id, request.arrival_time);
   event.tokens = request.prompt_len;
   event.prev_tokens = request.output_len;
   event.aux = request.tenant_id;
@@ -114,38 +122,26 @@ void ServingTrace::on_finish(std::int64_t request_id, Seconds completion,
 
 void ServingTrace::on_shed(std::int64_t request_id, Seconds horizon) {
   if (!config_.enabled) return;
-  TraceEvent& event = push(TraceEventType::kShed, request_id);
-  event.step = -1;
-  event.time = horizon;
-  event.end_time = horizon;
-  event.aux = 1;  // horizon cut
+  push_at(TraceEventType::kShed, request_id, horizon).aux = 1;  // horizon cut
 }
 
 void ServingTrace::on_shed(std::int64_t request_id) {
   if (!config_.enabled) return;
   // Deadline shed from the scheduler: stamped with the current step's
   // start time by push(); aux 0 distinguishes it from a horizon cut.
-  TraceEvent& event = push(TraceEventType::kShed, request_id);
-  event.aux = 0;
+  push(TraceEventType::kShed, request_id).aux = 0;
 }
 
 void ServingTrace::on_shed_fault(std::int64_t request_id, Seconds time) {
   if (!config_.enabled) return;
-  TraceEvent& event = push(TraceEventType::kShed, request_id);
-  event.step = -1;
-  event.time = time;
-  event.end_time = time;
-  event.aux = 2;  // fault drop
+  push_at(TraceEventType::kShed, request_id, time).aux = 2;  // fault drop
 }
 
 void ServingTrace::on_fault(std::int64_t request_id, std::int64_t fault_kind,
                             Seconds time, std::int64_t lost_tokens,
                             Seconds duration) {
   if (!config_.enabled) return;
-  TraceEvent& event = push(TraceEventType::kFault, request_id);
-  event.step = -1;
-  event.time = time;
-  event.end_time = time;
+  TraceEvent& event = push_at(TraceEventType::kFault, request_id, time);
   event.aux = fault_kind;
   event.tokens = lost_tokens;
   event.value = duration;
@@ -154,10 +150,7 @@ void ServingTrace::on_fault(std::int64_t request_id, std::int64_t fault_kind,
 void ServingTrace::on_recover(std::int64_t request_id, std::int64_t mechanism,
                               Seconds time, Bytes bytes, std::int64_t attempt) {
   if (!config_.enabled) return;
-  TraceEvent& event = push(TraceEventType::kRecover, request_id);
-  event.step = -1;
-  event.time = time;
-  event.end_time = time;
+  TraceEvent& event = push_at(TraceEventType::kRecover, request_id, time);
   event.aux = mechanism;
   event.bytes = bytes;
   event.tokens = attempt;
@@ -165,20 +158,13 @@ void ServingTrace::on_recover(std::int64_t request_id, std::int64_t mechanism,
 
 void ServingTrace::on_degrade(bool entering, Seconds time) {
   if (!config_.enabled) return;
-  TraceEvent& event = push(TraceEventType::kDegrade, -1);
-  event.step = -1;
-  event.time = time;
-  event.end_time = time;
-  event.aux = entering ? 1 : 0;
+  push_at(TraceEventType::kDegrade, -1, time).aux = entering ? 1 : 0;
 }
 
 void ServingTrace::on_route(const Request& request, int replica,
                             Seconds time) {
   if (!config_.enabled) return;
-  TraceEvent& event = push(TraceEventType::kRoute, request.id);
-  event.step = -1;
-  event.time = time;
-  event.end_time = time;
+  TraceEvent& event = push_at(TraceEventType::kRoute, request.id, time);
   event.aux = replica;
   event.tokens = request.prompt_len;
   event.prev_tokens = request.tenant_id;
@@ -190,9 +176,7 @@ void ServingTrace::on_kv_transfer(std::int64_t request_id, int src_replica,
                                   Bytes bytes, Seconds time,
                                   Seconds duration) {
   if (!config_.enabled) return;
-  TraceEvent& event = push(TraceEventType::kKvTransfer, request_id);
-  event.step = -1;
-  event.time = time;
+  TraceEvent& event = push_at(TraceEventType::kKvTransfer, request_id, time);
   event.end_time = time + duration;
   event.aux = dst_replica;
   event.prev_tokens = src_replica;
@@ -302,6 +286,94 @@ void emit_counter(EventWriter& writer, const char* name, std::int64_t pid,
                 << "}}";
 }
 
+/// "prefill" or "decode": a kStep event's kind.
+const char* step_kind(const TraceEvent& event) {
+  return event.aux == 0 ? "prefill" : "decode";
+}
+
+/// The one list of each event type's payload fields, as `,"key":value`
+/// pairs in export order (none for kFirstToken and kPreempt).  A JSONL
+/// line ends with them; a Perfetto object's args are them without the
+/// leading comma.
+void write_payload(const TraceEvent& event, std::ostream& out) {
+  switch (event.type) {
+    case TraceEventType::kArrive:
+      out << ",\"prompt_len\":" << event.tokens
+          << ",\"output_len\":" << event.prev_tokens
+          << ",\"tenant\":" << event.aux;
+      break;
+    case TraceEventType::kAdmit:
+      out << ",\"prompt_len\":" << event.tokens
+          << ",\"prefix_hit_tokens\":" << event.prev_tokens
+          << ",\"tenant\":" << event.aux;
+      break;
+    case TraceEventType::kPrefixHit:
+      out << ",\"lookup_tokens\":" << event.tokens
+          << ",\"hit_tokens\":" << event.prev_tokens
+          << ",\"shared_blocks\":" << event.blocks
+          << ",\"cow_blocks\":" << event.blocks2;
+      break;
+    case TraceEventType::kPrefillChunk:
+      out << ",\"prev_tokens\":" << event.prev_tokens
+          << ",\"chunk_tokens\":" << event.tokens;
+      break;
+    case TraceEventType::kDecodeEnter:
+      out << ",\"kv_bucket\":" << event.tokens;
+      break;
+    case TraceEventType::kSwapOut:
+    case TraceEventType::kSwapIn:
+      out << ",\"bytes\":" << json_double(event.bytes);
+      break;
+    case TraceEventType::kFinish:
+      out << ",\"generated_tokens\":" << event.tokens;
+      break;
+    case TraceEventType::kStep:
+      out << ",\"batch\":" << event.batch
+          << ",\"latency_s\":" << json_double(event.value)
+          << ",\"kv_referenced_blocks\":" << event.tokens
+          << ",\"kv_blocks_allocated\":" << event.blocks
+          << ",\"kv_blocks_reclaimed\":" << event.blocks2;
+      break;
+    case TraceEventType::kShed:
+      out << ",\"cause\":\""
+          << (event.aux == 0 ? "deadline"
+                             : (event.aux == 1 ? "horizon" : "fault"))
+          << '"';
+      break;
+    case TraceEventType::kFault:
+      out << ",\"kind\":\""
+          << fault_type_name(static_cast<FaultType>(event.aux))
+          << "\",\"lost_tokens\":" << event.tokens
+          << ",\"duration_s\":" << json_double(event.value);
+      break;
+    case TraceEventType::kRecover:
+      out << ",\"mechanism\":\""
+          << (event.aux == 0 ? "retry" : "host_restore")
+          << "\",\"attempt\":" << event.tokens
+          << ",\"bytes\":" << json_double(event.bytes);
+      break;
+    case TraceEventType::kDegrade:
+      out << ",\"mode\":\"" << (event.aux == 1 ? "enter" : "exit") << '"';
+      break;
+    case TraceEventType::kRoute:
+      out << ",\"replica\":" << event.aux
+          << ",\"prompt_len\":" << event.tokens
+          << ",\"tenant\":" << event.prev_tokens
+          << ",\"prefix_id\":" << event.blocks;
+      break;
+    case TraceEventType::kKvTransfer:
+      out << ",\"src_replica\":" << event.prev_tokens
+          << ",\"dst_replica\":" << event.aux
+          << ",\"blocks\":" << event.blocks
+          << ",\"bytes\":" << json_double(event.bytes)
+          << ",\"transfer_s\":" << json_double(event.value);
+      break;
+    case TraceEventType::kFirstToken:
+    case TraceEventType::kPreempt:
+      break;
+  }
+}
+
 constexpr std::int64_t kRequestPid = 1;
 constexpr std::int64_t kEnginePid = 2;
 constexpr std::int64_t kEngineTid = 1;
@@ -349,137 +421,65 @@ std::string perfetto_trace_json(const std::vector<TraceEvent>& events,
   };
   for (const TraceEvent& event : events) {
     const std::int64_t id = event.request_id;
-    std::ostringstream args;
+    std::ostringstream payload;
+    write_payload(event, payload);
+    std::string args = payload.str();
+    if (!args.empty()) args.erase(0, 1);
     switch (event.type) {
       case TraceEventType::kArrive:
         queued_since[id] = event.time;
-        args << "\"prompt_len\":" << event.tokens
-             << ",\"output_len\":" << event.prev_tokens
-             << ",\"tenant\":" << event.aux;
-        emit_instant(writer, "arrive", kRequestPid, id, event.time,
-                     args.str());
         break;
       case TraceEventType::kAdmit:
+      case TraceEventType::kSwapIn:
         close_queued(id, event.time);
-        args << "\"prompt_len\":" << event.tokens
-             << ",\"prefix_hit_tokens\":" << event.prev_tokens
-             << ",\"tenant\":" << event.aux;
-        emit_instant(writer, "admit", kRequestPid, id, event.time,
-                     args.str());
         break;
-      case TraceEventType::kPrefixHit:
-        args << "\"lookup_tokens\":" << event.tokens
-             << ",\"hit_tokens\":" << event.prev_tokens
-             << ",\"shared_blocks\":" << event.blocks
-             << ",\"cow_blocks\":" << event.blocks2;
-        emit_instant(writer, "prefix_hit", kRequestPid, id, event.time,
-                     args.str());
-        break;
-      case TraceEventType::kPrefillChunk: {
-        std::ostringstream name;
-        name << "prefill [" << event.prev_tokens << ", "
-             << event.prev_tokens + event.tokens << ")";
-        args << "\"prev_tokens\":" << event.prev_tokens
-             << ",\"chunk_tokens\":" << event.tokens
-             << ",\"step\":" << event.step;
-        emit_span(writer, name.str(), kRequestPid, id, event.time,
-                  event.end_time, args.str());
-        break;
-      }
       case TraceEventType::kFirstToken:
         decoding_since[id] = event.time;
-        emit_instant(writer, "first_token", kRequestPid, id, event.time, "");
-        break;
-      case TraceEventType::kDecodeEnter:
-        args << "\"kv_bucket\":" << event.tokens;
-        emit_instant(writer, "decode_enter", kRequestPid, id, event.time,
-                     args.str());
         break;
       case TraceEventType::kPreempt:
-        close_decoding(id, event.time);
-        queued_since[id] = event.time;
-        emit_instant(writer, "preempt", kRequestPid, id, event.time, "");
-        break;
       case TraceEventType::kSwapOut:
         close_decoding(id, event.time);
         queued_since[id] = event.time;
-        args << "\"bytes\":" << json_double(event.bytes);
-        emit_instant(writer, "swap_out", kRequestPid, id, event.time,
-                     args.str());
-        break;
-      case TraceEventType::kSwapIn:
-        close_queued(id, event.time);
-        args << "\"bytes\":" << json_double(event.bytes);
-        emit_instant(writer, "swap_in", kRequestPid, id, event.time,
-                     args.str());
         break;
       case TraceEventType::kFinish:
         close_decoding(id, event.time);
-        args << "\"generated_tokens\":" << event.tokens;
-        emit_instant(writer, "finish", kRequestPid, id, event.time,
-                     args.str());
         break;
       case TraceEventType::kShed:
         close_queued(id, event.time);
         close_decoding(id, event.time);
-        args << "\"cause\":\""
-             << (event.aux == 0 ? "deadline"
-                                : (event.aux == 1 ? "horizon" : "fault"))
-             << '"';
-        emit_instant(writer, "shed", kRequestPid, id, event.time, args.str());
         break;
-      case TraceEventType::kFault:
-        args << "\"kind\":\"" << fault_type_name(
-                                     static_cast<FaultType>(event.aux))
-             << "\",\"lost_tokens\":" << event.tokens
-             << ",\"duration_s\":" << json_double(event.value);
-        emit_instant(writer, "fault", id >= 0 ? kRequestPid : kEnginePid,
-                     id >= 0 ? id : kEngineTid, event.time, args.str());
-        break;
-      case TraceEventType::kRecover:
-        args << "\"mechanism\":\""
-             << (event.aux == 0 ? "retry" : "host_restore")
-             << "\",\"attempt\":" << event.tokens
-             << ",\"bytes\":" << json_double(event.bytes);
-        emit_instant(writer, "recover", kRequestPid, id, event.time,
-                     args.str());
-        break;
-      case TraceEventType::kDegrade:
-        args << "\"mode\":\"" << (event.aux == 1 ? "enter" : "exit") << '"';
-        emit_instant(writer, "degrade", kEnginePid, kEngineTid, event.time,
-                     args.str());
-        break;
-      case TraceEventType::kRoute:
-        args << "\"replica\":" << event.aux
-             << ",\"prompt_len\":" << event.tokens
-             << ",\"tenant\":" << event.prev_tokens
-             << ",\"prefix_id\":" << event.blocks;
-        emit_instant(writer, "route", kRequestPid, id, event.time,
-                     args.str());
-        break;
+      // The three span types are written here and skip the instant below.
+      case TraceEventType::kPrefillChunk:
+        emit_span(writer,
+                  "prefill [" + std::to_string(event.prev_tokens) + ", " +
+                      std::to_string(event.prev_tokens + event.tokens) + ")",
+                  kRequestPid, id, event.time, event.end_time,
+                  args + ",\"step\":" + std::to_string(event.step));
+        continue;
       case TraceEventType::kKvTransfer:
-        args << "\"src_replica\":" << event.prev_tokens
-             << ",\"dst_replica\":" << event.aux
-             << ",\"blocks\":" << event.blocks
-             << ",\"bytes\":" << json_double(event.bytes)
-             << ",\"transfer_s\":" << json_double(event.value);
         emit_span(writer, "kv_transfer", kRequestPid, id, event.time,
-                  event.end_time, args.str());
+                  event.end_time, args);
+        continue;
+      case TraceEventType::kStep:
+        emit_span(writer,
+                  std::string(step_kind(event)) + " b=" +
+                      std::to_string(event.batch),
+                  kEnginePid, kEngineTid, event.time, event.end_time,
+                  "\"step\":" + std::to_string(event.step) + "," + args);
+        continue;
+      case TraceEventType::kPrefixHit:
+      case TraceEventType::kDecodeEnter:
+      case TraceEventType::kFault:
+      case TraceEventType::kRecover:
+      case TraceEventType::kDegrade:
+      case TraceEventType::kRoute:
         break;
-      case TraceEventType::kStep: {
-        std::ostringstream name;
-        name << (event.aux == 0 ? "prefill" : "decode")
-             << " b=" << event.batch;
-        args << "\"step\":" << event.step << ",\"batch\":" << event.batch
-             << ",\"latency_s\":" << json_double(event.value)
-             << ",\"kv_referenced_blocks\":" << event.tokens
-             << ",\"kv_blocks_allocated\":" << event.blocks
-             << ",\"kv_blocks_reclaimed\":" << event.blocks2;
-        emit_span(writer, name.str(), kEnginePid, kEngineTid, event.time,
-                  event.end_time, args.str());
-        break;
-      }
     }
+    // An instant without a request (a stall or device-failure fault, a
+    // degrade) goes on the engine track.
+    emit_instant(writer, trace_event_type_name(event.type),
+                 id >= 0 ? kRequestPid : kEnginePid,
+                 id >= 0 ? id : kEngineTid, event.time, args);
   }
 
   // Counter tracks from the time-series samples.
@@ -536,83 +536,10 @@ std::string trace_jsonl(const std::vector<TraceEvent>& events) {
       out << ",\"end_time\":" << json_double(event.end_time);
     }
     if (event.request_id >= 0) out << ",\"request\":" << event.request_id;
-    switch (event.type) {
-      case TraceEventType::kArrive:
-        out << ",\"prompt_len\":" << event.tokens
-            << ",\"output_len\":" << event.prev_tokens
-            << ",\"tenant\":" << event.aux;
-        break;
-      case TraceEventType::kAdmit:
-        out << ",\"prompt_len\":" << event.tokens
-            << ",\"prefix_hit_tokens\":" << event.prev_tokens
-            << ",\"tenant\":" << event.aux;
-        break;
-      case TraceEventType::kPrefixHit:
-        out << ",\"lookup_tokens\":" << event.tokens
-            << ",\"hit_tokens\":" << event.prev_tokens
-            << ",\"shared_blocks\":" << event.blocks
-            << ",\"cow_blocks\":" << event.blocks2;
-        break;
-      case TraceEventType::kPrefillChunk:
-        out << ",\"prev_tokens\":" << event.prev_tokens
-            << ",\"chunk_tokens\":" << event.tokens;
-        break;
-      case TraceEventType::kDecodeEnter:
-        out << ",\"kv_bucket\":" << event.tokens;
-        break;
-      case TraceEventType::kSwapOut:
-      case TraceEventType::kSwapIn:
-        out << ",\"bytes\":" << json_double(event.bytes);
-        break;
-      case TraceEventType::kFinish:
-        out << ",\"generated_tokens\":" << event.tokens;
-        break;
-      case TraceEventType::kStep:
-        out << ",\"kind\":\"" << (event.aux == 0 ? "prefill" : "decode")
-            << "\",\"batch\":" << event.batch
-            << ",\"latency_s\":" << json_double(event.value)
-            << ",\"kv_referenced_blocks\":" << event.tokens
-            << ",\"kv_blocks_allocated\":" << event.blocks
-            << ",\"kv_blocks_reclaimed\":" << event.blocks2;
-        break;
-      case TraceEventType::kShed:
-        out << ",\"cause\":\""
-            << (event.aux == 0 ? "deadline"
-                               : (event.aux == 1 ? "horizon" : "fault"))
-            << '"';
-        break;
-      case TraceEventType::kFault:
-        out << ",\"kind\":\""
-            << fault_type_name(static_cast<FaultType>(event.aux))
-            << "\",\"lost_tokens\":" << event.tokens
-            << ",\"duration_s\":" << json_double(event.value);
-        break;
-      case TraceEventType::kRecover:
-        out << ",\"mechanism\":\""
-            << (event.aux == 0 ? "retry" : "host_restore")
-            << "\",\"attempt\":" << event.tokens
-            << ",\"bytes\":" << json_double(event.bytes);
-        break;
-      case TraceEventType::kDegrade:
-        out << ",\"mode\":\"" << (event.aux == 1 ? "enter" : "exit") << '"';
-        break;
-      case TraceEventType::kRoute:
-        out << ",\"replica\":" << event.aux
-            << ",\"prompt_len\":" << event.tokens
-            << ",\"tenant\":" << event.prev_tokens
-            << ",\"prefix_id\":" << event.blocks;
-        break;
-      case TraceEventType::kKvTransfer:
-        out << ",\"src_replica\":" << event.prev_tokens
-            << ",\"dst_replica\":" << event.aux
-            << ",\"blocks\":" << event.blocks
-            << ",\"bytes\":" << json_double(event.bytes)
-            << ",\"transfer_s\":" << json_double(event.value);
-        break;
-      case TraceEventType::kFirstToken:
-      case TraceEventType::kPreempt:
-        break;
+    if (event.type == TraceEventType::kStep) {
+      out << ",\"kind\":\"" << step_kind(event) << '"';
     }
+    write_payload(event, out);
     out << '}';
   }
   return out.str();

@@ -13,7 +13,8 @@
 //     mid-step hooks into it through a nullable pointer and guards every
 //     call, so with tracing off the hot path pays one null check per
 //     transition and allocates NOTHING; the driver hooks (arrive / step
-//     bracketing / first token / finish / shed) only run_serving calls.
+//     bracketing / first token / finish / shed / faults) only the engine
+//     and the cluster driver (route / KV transfer) call.
 //     It also keeps the cumulative per-tenant admitted-token tally the
 //     time-series sampler reads, which stays on even when event recording
 //     is off (sampling without tracing is a supported mode).
@@ -46,8 +47,9 @@ struct TraceConfig {
   /// Sampling works with `enabled` false (cheap gauges, no event buffer).
   Seconds sample_interval = 0;
 
-  /// When `enabled` and non-empty, run_serving writes the trace here
-  /// (created on demand): "<dir>/<label>.trace.json" (Perfetto) and
+  /// When `enabled` and non-empty, the engine (or the cluster driver, for
+  /// its router trace) writes the trace here at finish, creating the
+  /// directory on demand: "<dir>/<label>.trace.json" (Perfetto) and
   /// "<dir>/<label>.jsonl".  Empty: events stay in-memory only (tests,
   /// reconciliation).
   std::string dir;
@@ -115,6 +117,8 @@ const char* trace_event_type_name(TraceEventType type);
 ///   kStep          batch  aux=kind (0 prefill, 1 decode)  value=latency s
 ///                  blocks=KV blocks allocated  blocks2=blocks reclaimed
 ///                  tokens=KV blocks referenced after the step
+/// Both exporters write these fields through one per-type payload writer
+/// (write_payload in trace.cpp), so each key is named once.
 struct TraceEvent {
   TraceEventType type = TraceEventType::kArrive;
   std::int64_t step = -1;  ///< engine step index; -1 = outside any step
@@ -131,11 +135,12 @@ struct TraceEvent {
   double value = 0;
 };
 
-/// A run's event buffer: the driver-side hooks run_serving calls and the
-/// hooks the scheduler emits mid-step.  Events emitted by the scheduler
-/// mid-step are stamped with the step's START time (the simulated instant
-/// the scheduler planned them at); span end times are patched when the
-/// driver closes the step, once its cost is known.
+/// A run's event buffer: the driver-side hooks the engine and the cluster
+/// driver call, and the hooks the scheduler emits mid-step.  Events
+/// emitted by the scheduler mid-step are stamped with the step's START
+/// time (the simulated instant the scheduler planned them at); span end
+/// times are patched when the driver closes the step, once its cost is
+/// known.
 class ServingTrace {
  public:
   ServingTrace() = default;
@@ -144,7 +149,7 @@ class ServingTrace {
   const TraceConfig& config() const { return config_; }
   bool enabled() const { return config_.enabled; }
 
-  // --- Driver hooks (run_serving) ----------------------------------------
+  // --- Driver hooks (engine; route and KV transfer: cluster driver) -----
   void on_arrive(const Request& request);
   /// Opens step `step_index` at simulated time `start`; mid-step sink
   /// events are stamped with (step_index, start).
@@ -212,7 +217,11 @@ class ServingTrace {
   }
 
  private:
+  /// Stamped with the open step and its start time.
   TraceEvent& push(TraceEventType type, std::int64_t request_id);
+  /// Stamped outside any step (step -1) at `time`, an instant.
+  TraceEvent& push_at(TraceEventType type, std::int64_t request_id,
+                      Seconds time);
 
   TraceConfig config_;
   std::vector<TraceEvent> events_;
