@@ -1,23 +1,14 @@
 #pragma once
-// Machine-readable result export: serializes GraphResults to JSON so
-// external tooling (plotting scripts, regression dashboards) can consume
-// simulation output without parsing ASCII tables.
+// JSON output helpers shared by the exporters (the serving trace and the
+// metrics registry): string escaping and writing a JSON document to a
+// file.
 
 #include <string>
-
-#include "sim/report.h"
 
 namespace cimtpu::sim {
 
 /// JSON string escaping (control characters, quotes, backslash).
 std::string json_escape(const std::string& text);
-
-/// Serializes one op result as a JSON object.
-std::string to_json(const OpResult& op);
-
-/// Serializes a graph result — totals, group summaries and (optionally)
-/// the per-op detail — as a JSON object.
-std::string to_json(const GraphResult& result, bool include_ops = true);
 
 /// Writes `json` to `path`; throws ConfigError when the file cannot be
 /// created.
