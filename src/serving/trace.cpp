@@ -405,8 +405,12 @@ std::string perfetto_trace_json(const std::vector<TraceEvent>& events,
 
   // One forward pass: queued spans open at arrive/preempt/swap-out and
   // close at the next admit/swap-in (or the shed point); decode spans
-  // open at the first token and close at finish/shed.
+  // open at the first token and close at preempt/swap-out/finish/shed.
+  // A request that re-enters decode after its first token reopens its
+  // decode span: at the end of its prefill chunk in the same step (a
+  // recompute), else at decode entry (a swap-in).
   std::map<std::int64_t, Seconds> decoding_since;
+  std::map<std::int64_t, const TraceEvent*> last_chunk;
   const auto close_queued = [&](std::int64_t id, Seconds end) {
     auto it = queued_since.find(id);
     if (it == queued_since.end() || it->second < 0) return;
@@ -436,6 +440,15 @@ std::string perfetto_trace_json(const std::vector<TraceEvent>& events,
       case TraceEventType::kFirstToken:
         decoding_since[id] = event.time;
         break;
+      case TraceEventType::kDecodeEnter: {
+        const auto decoding = decoding_since.find(id);
+        if (decoding == decoding_since.end() || decoding->second >= 0) break;
+        const auto chunk = last_chunk.find(id);
+        const bool recompute =
+            chunk != last_chunk.end() && chunk->second->step == event.step;
+        decoding->second = recompute ? chunk->second->end_time : event.time;
+        break;
+      }
       case TraceEventType::kPreempt:
       case TraceEventType::kSwapOut:
         close_decoding(id, event.time);
@@ -450,6 +463,7 @@ std::string perfetto_trace_json(const std::vector<TraceEvent>& events,
         break;
       // The three span types are written here and skip the instant below.
       case TraceEventType::kPrefillChunk:
+        last_chunk[id] = &event;
         emit_span(writer,
                   "prefill [" + std::to_string(event.prev_tokens) + ", " +
                       std::to_string(event.prev_tokens + event.tokens) + ")",
@@ -468,7 +482,6 @@ std::string perfetto_trace_json(const std::vector<TraceEvent>& events,
                   "\"step\":" + std::to_string(event.step) + "," + args);
         continue;
       case TraceEventType::kPrefixHit:
-      case TraceEventType::kDecodeEnter:
       case TraceEventType::kFault:
       case TraceEventType::kRecover:
       case TraceEventType::kDegrade:

@@ -475,6 +475,30 @@ TEST(TraceContent, PreemptedRequestFollowsLifecycleGrammar) {
     EXPECT_GE(event.time, last_time);
     last_time = event.time;
   }
+
+  // The victim decodes again after its last re-admission, so its Perfetto
+  // track ends with a decode span that closes at its finish.
+  const std::string perfetto = perfetto_trace_json(trace.events(), {});
+  const std::string track =
+      ",\"pid\":1,\"tid\":" + std::to_string(victim) + ",\"ts\":";
+  std::string last_span;
+  for (std::size_t start = 0; start < perfetto.size();) {
+    const std::size_t end = perfetto.find('\n', start);
+    const std::string object = perfetto.substr(start, end - start);
+    if (object.find("\"ph\":\"X\"") != std::string::npos &&
+        object.find(track) != std::string::npos) {
+      last_span = object;
+    }
+    if (end == std::string::npos) break;
+    start = end + 1;
+  }
+  ASSERT_EQ(last_span.rfind("{\"name\":\"decode\",", 0), 0u) << last_span;
+  const double ts = std::stod(last_span.substr(last_span.find(track) +
+                                               track.size()));
+  const double dur =
+      std::stod(last_span.substr(last_span.find("\"dur\":") + 6));
+  EXPECT_GT(dur, 0);
+  EXPECT_NEAR((ts + dur) * 1e-6, last_time, 1e-9) << last_span;
 }
 
 TEST(TraceContent, SwapVictimPairsSwapOutWithSwapIn) {
