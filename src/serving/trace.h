@@ -237,10 +237,10 @@ class ServingTrace {
 /// waits, prefill chunks, and decode phases on one track per request
 /// (pid 1, tid = request id; a decode span closed by a preemption or
 /// swap-out reopens when the request re-enters decode), instants for the
-/// lifecycle transitions,
-/// kStep spans on the engine track (pid 2), and counter ("C") tracks
-/// built from `samples` (pass {} for none).  Timestamps are simulated
-/// microseconds.  Deterministic byte-for-byte for identical inputs.
+/// lifecycle transitions, kStep spans on the engine track (pid 2), and
+/// counter ("C") tracks built from `samples` (pass {} for none).
+/// Timestamps are simulated microseconds.  Deterministic byte-for-byte
+/// for identical inputs.
 std::string perfetto_trace_json(const std::vector<TraceEvent>& events,
                                 const std::vector<TimeSample>& samples);
 

@@ -415,6 +415,30 @@ std::vector<TraceEventType> events_for_request(
   return sequence;
 }
 
+// The objects of a perfetto_trace_json document, in order: the text
+// between its fixed head and tail, split at the ",\n" separators.
+std::vector<std::string> perfetto_objects(const std::string& perfetto) {
+  const std::string head = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  const std::string tail = "\n]}";
+  std::vector<std::string> objects;
+  if (perfetto.size() < head.size() + tail.size() ||
+      perfetto.compare(0, head.size(), head) != 0 ||
+      perfetto.compare(perfetto.size() - tail.size(), tail.size(), tail) !=
+          0) {
+    ADD_FAILURE() << "not a Perfetto trace document";
+    return objects;
+  }
+  const std::string body = perfetto.substr(
+      head.size(), perfetto.size() - head.size() - tail.size());
+  for (std::size_t start = 0;;) {
+    const std::size_t end = body.find(",\n", start);
+    objects.push_back(body.substr(start, end - start));
+    if (end == std::string::npos) break;
+    start = end + 2;
+  }
+  return objects;
+}
+
 TEST(TraceContent, PreemptedRequestFollowsLifecycleGrammar) {
   const std::vector<Request> requests = generate_requests(golden_stream());
   ServingScenario scenario =
@@ -478,19 +502,15 @@ TEST(TraceContent, PreemptedRequestFollowsLifecycleGrammar) {
 
   // The victim decodes again after its last re-admission, so its Perfetto
   // track ends with a decode span that closes at its finish.
-  const std::string perfetto = perfetto_trace_json(trace.events(), {});
   const std::string track =
       ",\"pid\":1,\"tid\":" + std::to_string(victim) + ",\"ts\":";
   std::string last_span;
-  for (std::size_t start = 0; start < perfetto.size();) {
-    const std::size_t end = perfetto.find('\n', start);
-    const std::string object = perfetto.substr(start, end - start);
+  for (const std::string& object :
+       perfetto_objects(perfetto_trace_json(trace.events(), {}))) {
     if (object.find("\"ph\":\"X\"") != std::string::npos &&
         object.find(track) != std::string::npos) {
       last_span = object;
     }
-    if (end == std::string::npos) break;
-    start = end + 1;
   }
   ASSERT_EQ(last_span.rfind("{\"name\":\"decode\",", 0), 0u) << last_span;
   const double ts = std::stod(last_span.substr(last_span.find(track) +
@@ -575,7 +595,7 @@ TEST(TraceContent, TimelinesReconcileExactlyWithMetrics) {
 }
 
 TEST(TraceContent, ReconcileTraceMatchesAndFlagsAnAlteredSummary) {
-  // The traced point both serving binaries reconcile: prefix caching on at
+  // The traced point serving_traffic reconciles: prefix caching on at
   // block 16 over the canonical chatbot stream.
   const std::vector<Request> requests = generate_requests(
       prefix_chatbot_stream(/*seed=*/42, /*num_requests=*/400,
@@ -781,21 +801,8 @@ TEST(TraceContent, ExportedTextOfEveryEventTypeIsPinned) {
   sample.kv_internal_fragmentation = 0.25;
   sample.prefix_hit_rate = 0.5;
   sample.tenant_admitted_tokens = {{3, 108}, {5, 40}};
-  const std::string head = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  const std::string tail = "\n]}";
-  const std::string perfetto = perfetto_trace_json(trace.events(), {sample});
-  ASSERT_GE(perfetto.size(), head.size() + tail.size());
-  EXPECT_EQ(perfetto.substr(0, head.size()), head);
-  EXPECT_EQ(perfetto.substr(perfetto.size() - tail.size()), tail);
-  const std::string body = perfetto.substr(
-      head.size(), perfetto.size() - head.size() - tail.size());
-  std::vector<std::string> objects;
-  for (std::size_t start = 0;;) {
-    const std::size_t end = body.find(",\n", start);
-    objects.push_back(body.substr(start, end - start));
-    if (end == std::string::npos) break;
-    start = end + 2;
-  }
+  const std::vector<std::string> objects =
+      perfetto_objects(perfetto_trace_json(trace.events(), {sample}));
   ASSERT_EQ(objects.size(), expected_perfetto.size());
   for (std::size_t i = 0; i < objects.size(); ++i) {
     EXPECT_EQ(objects[i], expected_perfetto[i]) << "perfetto object " << i;
