@@ -13,14 +13,11 @@
 // --bench-json runs the fixed perf-baseline grid instead (llama2-7b INT4,
 // 2,000 zipf-chat requests at 20 req/s, seed 42; baseline at 5/10/20 req/s,
 // fault rates 0.5/1.0, every study on), prints it as above and writes it to
-// <path> as BENCH_serving.json (schema_version 11): one block per study, plus
+// <path> as BENCH_serving.json (schema_version 12): one block per study, plus
 //   "observability" — the traced replay's event counts, trace-vs-metrics
-//                     reconciliation, time-series samples and registry;
-//   "sweep"         — host wall time and steps per second of the baseline
-//                     and policy grids, which CI's perf-smoke job gates
-//                     against the committed copy.
-// The host-time fields (sim_wall_seconds, steps_per_second and the sweep
-// block) are the only values in it that change from run to run.
+//                     reconciliation, time-series samples and registry.
+// Every value in it is simulated, so the file is byte-identical from run to
+// run and across worker counts; simulator speed is measured by cimbench.
 //
 // stdout and the --trace-dir files (Perfetto and JSONL) are deterministic
 // for a seed, whatever CIMTPU_SWEEP_THREADS says.  Bad input (a bad flag or
@@ -49,6 +46,7 @@
 #include "ir/dtype.h"
 #include "models/model_zoo.h"
 #include "serving/cluster.h"
+#include "serving/kv_cache_manager.h"
 #include "serving/studies.h"
 #include "serving/trace.h"
 #include "serving/traffic_profiles.h"
@@ -158,8 +156,9 @@ bool print_row_notes(StudyKind kind, const Cells& cells) {
 
 /// Re-runs the prefix-cache block-16 point traced (0.5 s sampling), checks
 /// it against the untraced row and reconciles the trace with its metrics.
-/// With a trace dir, also runs a traced two-point sweep.  With `json`,
-/// writes the replay as BENCH_serving.json's "observability" block.
+/// With a trace dir, also runs a traced two-point eviction-policy sweep
+/// under KV pressure.  With `json`, writes the replay as
+/// BENCH_serving.json's "observability" block.
 void print_observability(const serving::ServingStudy& prefix,
                          const serving::ServingMetrics& untraced,
                          const serving::SweepOptions& options,
@@ -200,7 +199,7 @@ void print_observability(const serving::ServingStudy& prefix,
                 lld(summary.count), summary.p99);
   }
   if (json != nullptr) {
-    *json << "  \"observability\": {\"sample_interval_s\": "
+    *json << ",\n  \"observability\": {\"sample_interval_s\": "
           << traced.trace.sample_interval << ", \"events\": {";
     const char* separator = "";
     for (const auto& [name, count] :
@@ -214,7 +213,7 @@ void print_observability(const serving::ServingStudy& prefix,
           << ", \"requests_traced\": " << check.requests_traced
           << "},\n  \"timeseries\": "
           << serving::time_samples_json(metrics.timeseries)
-          << ",\n  \"registry\": " << metrics.registry.to_json() << "},\n";
+          << ",\n  \"registry\": " << metrics.registry.to_json() << '}';
   }
   if (trace_dir.empty()) return;
 
@@ -223,6 +222,10 @@ void print_observability(const serving::ServingStudy& prefix,
       seed, /*num_requests=*/400, /*arrival_rate=*/30.0);
   sweep.arrival_rates = {sweep.stream.arrival_rate};
   sweep.base.scenario = traced;
+  // The policies study's 8,000-token budget: at the prefix study's 20,000
+  // tokens neither policy ever evicts, so the two cells would not differ.
+  sweep.base.scenario.kv_budget_override =
+      serving::KvCacheManager::token_bytes(traced.model) * 8000.0;
   sweep.base.scenario.trace.label = "sweep";
   sweep.base.scenario.trace.sample_interval = 0;  // events only
   sweep.axes = {{"policy", {"preempt_newest", "swap_to_host"},
@@ -290,28 +293,6 @@ void print_diurnal_mix(std::uint64_t seed) {
               requests.size(),
               format_time(requests.back().arrival_time).c_str(),
               lld(per_tenant[0]), lld(per_tenant[1]), lld(per_tenant[2]));
-}
-
-/// BENCH_serving.json's "sweep" block: the baseline and policy grids' host
-/// time, with the worker counts run_sweep resolved for each.
-void write_sweep_json(const Cells& baseline, const Cells& policies,
-                      int threads, double wall_seconds, std::ostream& json) {
-  std::int64_t total_steps = 0;
-  for (const Cells* grid : {&baseline, &policies}) {
-    for (const serving::SweepCellResult& cell : *grid) {
-      total_steps += cell.metrics.total_steps;
-    }
-  }
-  json << "  \"sweep\": {\"points\": " << baseline.size() + policies.size()
-       << ", \"threads_baseline\": "
-       << serving::resolve_sweep_threads(threads, baseline.size())
-       << ", \"threads_policies\": "
-       << serving::resolve_sweep_threads(threads, policies.size())
-       << ", \"wall_seconds\": " << wall_seconds
-       << ", \"total_steps\": " << total_steps << ", \"steps_per_second\": "
-       << (wall_seconds > 0 ? static_cast<double>(total_steps) / wall_seconds
-                            : 0)
-       << "}\n";
 }
 
 /// The study inputs the positional arguments choose.
@@ -408,10 +389,10 @@ int run(int argc, char** argv) {
     json.open(bench_path);
     CIMTPU_CONFIG_CHECK(json.is_open(),
                         "cannot open '" << bench_path << "' for writing");
-    json << "{\n  \"bench\": \"serving\",\n  \"schema_version\": 11,\n"
+    json << "{\n  \"bench\": \"serving\",\n  \"schema_version\": 12,\n"
          << "  \"model\": \"" << inputs.model.name << "\",\n"
          << "  \"dtype\": \"int4\",\n  \"requests\": " << stream.num_requests
-         << ",\n  \"seed\": " << stream.seed << ",\n";
+         << ",\n  \"seed\": " << stream.seed;
   }
 
   std::printf(
@@ -427,12 +408,6 @@ int run(int argc, char** argv) {
   serving::SharedStepCostCache shared_costs;  // across every study
   options.shared_cache = &shared_costs;
   const auto wall_start = std::chrono::steady_clock::now();
-  const auto seconds_since_start = [wall_start] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         wall_start)
-        .count();
-  };
-  double sweep_wall = 0;  // baseline + policy grids only
   const auto at = [](StudyKind kind) { return static_cast<std::size_t>(kind); };
   std::vector<Cells> results(studies.size());
   std::size_t largest_grid = 0;
@@ -455,11 +430,10 @@ int run(int argc, char** argv) {
       print_replica_breakdown(study, options, trace_dir);
     }
     const Cells& cells = results[at(kind)] = serving::run_study(study, options);
-    if (kind == StudyKind::kPolicies) sweep_wall = seconds_since_start();
     largest_grid = std::max(largest_grid, cells.size());
     if (bench) {
-      serving::write_study_json(study, cells, json);
       json << ",\n";
+      serving::write_study_json(study, cells, json);
     }
     if (kind != StudyKind::kBaseline) std::printf("\n");
     if (print_row_notes(kind, cells)) std::printf("\n");
@@ -488,17 +462,16 @@ int run(int argc, char** argv) {
   }
 
   if (bench) {
-    write_sweep_json(results[at(StudyKind::kBaseline)],
-                     results[at(StudyKind::kPolicies)], options.threads,
-                     sweep_wall, json);
-    json << "}\n";
+    json << "\n}\n";
     json.close();
     CIMTPU_CONFIG_CHECK(!json.fail(), "failed writing '" << bench_path << "'");
   }
 
   // stderr: run-dependent.  The largest grid sets the peak worker count.
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - wall_start;
   std::fprintf(stderr, "wall clock: %.2f s for all deployments (%d sweep "
-               "threads)\n", seconds_since_start(),
+               "threads)\n", wall.count(),
                serving::resolve_sweep_threads(options.threads, largest_grid));
   return 0;
 }

@@ -38,7 +38,6 @@ void StepRecord::clear() {
   shed_ids.clear();
   swap_bytes = 0;
   chunked = false;
-  batched_cost = false;
 }
 
 void StepRecord::reserve(int max_batch, int max_prefill_batch) {
@@ -88,47 +87,13 @@ StepCost cost_step(StepCostCache& costs, const StepRecord& step) {
                static_cast<std::int64_t>(step.kv_lens.size()));
   StepCost total;
   if (step.kind == StepRecord::Kind::kPrefill) {
-    if (step.batched_cost && step.batch > 1) {
-      // Batched fidelity mode (SchedulerConfig::batched_prefill_cost):
-      // participants entering the step at the same (prev, chunk) shape run
-      // as ONE batched prefill, sharing a single weight pass — the same
-      // amortization decode batching already models.  The telescoped
-      // difference is taken at the group's batch, so a chunked prompt's
-      // total still telescopes to its unchunked cost at that batch.
-      // Grouping by exact shape (sorted, ascending) keeps accumulation
-      // order deterministic.
-      std::vector<std::pair<std::int64_t, std::int64_t>>& shapes =
-          costs.prefill_shape_scratch();
-      shapes.clear();
-      shapes.reserve(step.kv_lens.size());
-      for (std::size_t i = 0; i < step.kv_lens.size(); ++i) {
-        shapes.emplace_back(step.prev_lens[i], step.chunk_lens[i]);
-      }
-      std::sort(shapes.begin(), shapes.end());
-      for (std::size_t i = 0; i < shapes.size();) {
-        std::size_t j = i;
-        while (j < shapes.size() && shapes[j] == shapes[i]) ++j;
-        const std::int64_t group = static_cast<std::int64_t>(j - i);
-        accumulate_into(
-            total,
-            costs.prefill_layer(group, shapes[i].first + shapes[i].second),
-            +1.0);
-        if (shapes[i].first > 0) {
-          accumulate_into(total, costs.prefill_layer(group, shapes[i].first),
-                          -1.0);
-        }
-        i = j;
-      }
-      return total;
-    }
     // A chunk of new prompt tokens attends over everything prefilled so
     // far, so its cost is the increment between two full-prefill shapes:
     // prefill(prev + chunk) - prefill(prev).  Prefill cost is monotone in
     // sequence length, so the difference is non-negative, and summed over
     // a prompt's chunks it telescopes to exactly the unchunked cost.
     // Each participant is costed at batch 1: the historical (pessimistic)
-    // model every golden pin was recorded under — see the batched branch
-    // above for the shared-weight-pass alternative.
+    // model every golden pin was recorded under.
     for (std::size_t i = 0; i < step.kv_lens.size(); ++i) {
       accumulate_into(
           total,
@@ -585,7 +550,6 @@ void ContinuousBatchScheduler::build_prefill_step(StepRecord* record) {
   // shared blocks computed) and can finish sequences — both can change a
   // memoized head-of-line probe's outcome.
   admit_blocked_ = false;
-  record->batched_cost = config_.batched_prefill_cost;
   record->chunk_lens.reserve(config_.max_prefill_batch);
   record->prev_lens.reserve(config_.max_prefill_batch);
   record->kv_lens.reserve(config_.max_prefill_batch);

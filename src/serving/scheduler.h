@@ -107,13 +107,6 @@ struct SchedulerConfig {
   /// >= seqlen_bucket so every chunk advances its sequence's cost bucket.
   std::int64_t prefill_chunk_tokens = 0;
 
-  /// Cost prefill steps at their ACTUAL batch: participants entering the
-  /// step at the same prefilled offset with the same chunk length share
-  /// one weight pass instead of each being charged a solo batch-1 pass.
-  /// Off by default — the historical (pessimistic) costing the golden
-  /// pins were recorded under.  See cost_step.
-  bool batched_prefill_cost = false;
-
   /// Which waiting request joins the batch next: a registry-keyed
   /// AdmissionPolicy ("fifo" default — the pre-API behaviour — plus
   /// "priority" and "wfq"; see serving/admission_policy.h).
@@ -156,9 +149,6 @@ struct StepRecord {
                                        ///< admitted, never complete
   Bytes swap_bytes = 0;  ///< PCIe traffic (out + in) charged to this step
   bool chunked = false;  ///< some participant's prompt was split
-  bool batched_cost = false;  ///< prefill: cost shape-equal participants at
-                              ///< their shared batch (see
-                              ///< SchedulerConfig::batched_prefill_cost)
 
   /// Resets to an empty record, keeping vector capacity.
   void clear();

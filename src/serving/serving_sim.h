@@ -174,11 +174,11 @@ struct ServingMetrics {
   /// .sample_interval > 0).  Deterministic.
   std::vector<TimeSample> timeseries;
 
-  /// Simulator performance (schema-v3 perf trajectory): wall-clock seconds
-  /// this run_serving call spent (engine steps per wall second is
-  /// total_steps / sim_wall_seconds).  The ONLY non-deterministic field —
-  /// equivalence checks (golden pins, parallel-vs-serial sweeps) must
-  /// ignore it.
+  /// Host wall-clock seconds this run spent, read by cimbench's traced
+  /// sweep rows (parallel efficiency, longest point).  The ONLY
+  /// non-deterministic field — equivalence checks (golden pins,
+  /// parallel-vs-serial sweeps) must ignore it, and BENCH_serving.json
+  /// leaves it out.
   Seconds sim_wall_seconds = 0;
 
   /// `visit(name, &ServingMetrics::member)` per simulated field.

@@ -166,13 +166,6 @@ class StepCostCache {
   /// shared across threads).
   std::vector<std::int64_t>& decode_group_scratch() { return scratch_; }
 
-  /// Reusable scratch for cost_step's batched-prefill (prev, chunk) shape
-  /// grouping — the last per-step container that still allocated on the
-  /// hot path (per-run, never shared across threads).
-  std::vector<std::pair<std::int64_t, std::int64_t>>& prefill_shape_scratch() {
-    return shape_scratch_;
-  }
-
   /// Memo of the last decode-step grouping and its summed cost: steady
   /// decode runs repeat the same (bucket, count) grouping for hundreds of
   /// consecutive steps (buckets only move at boundary crossings, the batch
@@ -205,7 +198,6 @@ class StepCostCache {
   FlatCostTable local_;
   SharedStepCostCache::Store* shared_;  ///< may be null (per-run cache only)
   std::vector<std::int64_t> scratch_;
-  std::vector<std::pair<std::int64_t, std::int64_t>> shape_scratch_;
   std::vector<std::pair<std::int64_t, std::int64_t>> last_groups_;
   StepCost last_groups_cost_;
   std::int64_t last_groups_batch_ = 0;

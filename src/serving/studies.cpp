@@ -109,16 +109,6 @@ const StudyColumn kSloGoodput{"slo_goodput_tokens_per_s", "SLO tokens/s",
 const StudyColumn kJainReplicas{
     "jain_across_replicas", "jain", F::kFixed4,
     registry_gauge("cluster.jain_across_replicas")};
-// Host time: JSON only (CI's steps-per-second gate reads them).
-const StudyColumn kSimWall{"sim_wall_seconds", nullptr, F::kText,
-                           metric(&M::sim_wall_seconds)};
-const StudyColumn kStepsPerSecond{
-    "steps_per_second", nullptr, F::kText, [](R r) {
-      const M& m = r.cell.metrics;
-      return m.sim_wall_seconds > 0
-                 ? static_cast<double>(m.total_steps) / m.sim_wall_seconds
-                 : 0.0;
-    }};
 
 std::string render(CellFormat format, const StudyValue& value) {
   if (const auto* label = std::get_if<std::string>(&value)) return *label;
@@ -236,7 +226,6 @@ ServingStudy baseline_study(const StudyInputs& in) {
       {"cost_cache_entries", nullptr, F::kInt, metric(&M::cost_cache_entries)},
       {"cost_cache_occupancy", nullptr, F::kFixed4,
        metric(&M::cost_cache_occupancy)},
-      kSimWall, kStepsPerSecond,
   };
   return study;
 }
@@ -270,7 +259,6 @@ ServingStudy policies_study(const StudyInputs& in) {
        [](R r) { return r.cell.metrics.counters.total_swap_bytes(); }},
       {"chunked_prefill_steps", "chunk steps", F::kInt,
        counter(&C::chunked_prefill_steps)},
-      kSimWall, kStepsPerSecond,
   };
   return study;
 }
@@ -355,7 +343,7 @@ ServingStudy prefix_cache_study(const StudyInputs& in) {
       {"cow_blocks", "CoW", F::kInt, counter(&C::prefix_cow_blocks)},
       {"internal_fragmentation", "frag", F::kFixed4,
        metric(&M::kv_internal_fragmentation)},
-      kPreemptions, kSimWall, kStepsPerSecond,
+      kPreemptions,
   };
   return study;
 }
@@ -386,7 +374,6 @@ ServingStudy slo_frontier_study(const StudyInputs& in) {
       {"slo_met", nullptr, F::kInt, metric(&M::slo_met)},
       {"slo_attainment", "attainment", F::kFixed4, metric(&M::slo_attainment)},
       kSloGoodput, kGoodput, kTtftP50, kTtftP99, json_only(kTpotP99),
-      kSimWall, kStepsPerSecond,
   };
   return study;
 }
@@ -426,7 +413,7 @@ ServingStudy fault_storm_study(const StudyInputs& in) {
        fault_stat(&FaultStats::host_restores)},
       {"degrade_enters", "degraded", F::kInt,
        fault_stat(&FaultStats::degrade_enters)},
-      kCompleted, kSloGoodput, json_only(kGoodput), kSimWall, kStepsPerSecond,
+      kCompleted, kSloGoodput, json_only(kGoodput),
   };
   return study;
 }
@@ -453,7 +440,7 @@ ServingStudy cluster_router_study(const StudyInputs& in) {
       {"router", "router", F::kText,
        [](R r) { return r.cell.point.router_policy; }},
       kGoodput, table_only(kTtftP50), kTtftP99, json_only(kTpotP99), kHitRate,
-      kJainReplicas, kCompleted, kSimWall, kStepsPerSecond,
+      kJainReplicas, kCompleted,
   };
   return study;
 }
@@ -486,7 +473,7 @@ ServingStudy disaggregation_study(const StudyInputs& in) {
        registry_counter("cluster.kv_transfer_bytes")},
       {"kv_transfer_seconds", "xfer s", F::kFixed3,
        registry_gauge("cluster.kv_transfer_seconds")},
-      json_only(kJainReplicas), kSimWall, kStepsPerSecond,
+      json_only(kJainReplicas),
   };
   return study;
 }

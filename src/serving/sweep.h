@@ -11,7 +11,7 @@
 // ServingMetrics::for_each_field lists (cost-cache hit/miss counters
 // included) is bit-identical to a serial (threads=1) run, whatever the
 // worker count; only the host-time field that table leaves out,
-// sim_wall_seconds, differs.
+// sim_wall_seconds (read by cimbench alone), differs.
 // Points share a SharedStepCostCache, so points with the same (chip
 // config, model, bucket) signature reuse each other's per-layer costs.
 // Thread count comes from SweepOptions::threads, CIMTPU_SWEEP_THREADS, or

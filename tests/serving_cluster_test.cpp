@@ -4,8 +4,8 @@
 // conservation, prefix-affinity routing beating round-robin on
 // cluster-wide prefix hit rate, disaggregated prefill/decode KV-transfer
 // reconciliation against the IciFabric cost model, the tensor-parallel
-// serving dispatch, IciFabric edge cases, the batched-prefill costing
-// satellite, and 1-vs-4-thread sweep bit-identity for cluster cells.
+// serving dispatch, IciFabric edge cases, and 1-vs-4-thread sweep
+// bit-identity for cluster cells.
 
 #include <gtest/gtest.h>
 
@@ -492,86 +492,6 @@ TEST_F(IciFabricTest, InvalidSpecsAreRejected) {
   bad = mem::IciLinkSpec{};
   bad.hop_latency = -1.0 * us;
   EXPECT_THROW(mem::IciFabric(bad, chip_.energy()), ConfigError);
-}
-
-// --- Batched-prefill costing (satellite) -------------------------------------
-
-class BatchedPrefillTest : public ::testing::Test {
- protected:
-  BatchedPrefillTest()
-      : chip_(arch::tpu_v4i_baseline()), simulator_(chip_) {
-    model_ = models::llama2_7b();
-    model_.dtype = ir::DType::kInt4;
-  }
-
-  arch::TpuChip chip_;
-  sim::Simulator simulator_;
-  models::TransformerConfig model_;
-};
-
-TEST_F(BatchedPrefillTest, FreshPromptsShareOneWeightPass) {
-  // Two prompts starting prefill in the same step (prev == 0, equal
-  // chunks): the batched model runs them as ONE batch-2 prefill, so the
-  // weight load amortizes; the historical model charged two solo passes.
-  StepCostCache costs(simulator_, model_, 128);
-  StepRecord step;
-  step.kind = StepRecord::Kind::kPrefill;
-  step.batch = 2;
-  step.kv_lens = {128, 128};
-  step.chunk_lens = {128, 128};
-  step.prev_lens = {0, 0};
-
-  step.batched_cost = false;
-  const StepCost solo_pair = cost_step(costs, step);
-  step.batched_cost = true;
-  const StepCost batched = cost_step(costs, step);
-
-  EXPECT_LT(batched.latency, solo_pair.latency);
-  const StepCost reference = costs.prefill_layer(2, 128);
-  EXPECT_DOUBLE_EQ(batched.latency, reference.latency);
-
-  // And the unbatched cost is exactly two solo passes.
-  StepRecord solo;
-  solo.kind = StepRecord::Kind::kPrefill;
-  solo.batch = 1;
-  solo.kv_lens = {128};
-  solo.chunk_lens = {128};
-  solo.prev_lens = {0};
-  const StepCost one = cost_step(costs, solo);
-  EXPECT_DOUBLE_EQ(solo_pair.latency, 2.0 * one.latency);
-}
-
-TEST_F(BatchedPrefillTest, MidPromptChunksKeepTelescopedDifferences) {
-  // Chunks at prev > 0 cost as prefill(prev+chunk) - prefill(prev); the
-  // batched model groups shape-equal participants but the telescoped
-  // difference still cancels the shared weight pass.
-  StepCostCache costs(simulator_, model_, 128);
-  StepRecord step;
-  step.kind = StepRecord::Kind::kPrefill;
-  step.batch = 2;
-  step.kv_lens = {640, 640};
-  step.chunk_lens = {128, 128};
-  step.prev_lens = {512, 512};
-  step.batched_cost = true;
-  const StepCost batched = cost_step(costs, step);
-  const StepCost expect_hi = costs.prefill_layer(2, 640);
-  const StepCost expect_lo = costs.prefill_layer(2, 512);
-  EXPECT_DOUBLE_EQ(batched.latency, expect_hi.latency - expect_lo.latency);
-}
-
-TEST_F(BatchedPrefillTest, EndToEndBatchedCostingNeverSlower) {
-  // Overloaded arrivals force multi-prompt prefill steps; charging them
-  // at the actual prefill batch must not lengthen the timeline.
-  const std::vector<Request> requests =
-      generate_requests(zipf_chat_stream(/*seed=*/3, 120, 60.0));
-  ServingScenario off = llama7b_baseline_scenario(1, ir::DType::kInt4);
-  ServingScenario on = off;
-  on.scheduler.batched_prefill_cost = true;
-  const ServingMetrics m_off = run_serving(off, requests);
-  const ServingMetrics m_on = run_serving(on, requests);
-  EXPECT_EQ(m_on.completed, m_off.completed);
-  EXPECT_EQ(m_on.total_steps, m_off.total_steps);  // same schedule shape
-  EXPECT_LT(m_on.makespan, m_off.makespan);  // cheaper prefill steps
 }
 
 // --- Cluster sweep cells -----------------------------------------------------

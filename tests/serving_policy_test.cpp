@@ -1088,14 +1088,12 @@ TEST(PolicyEndToEndTest, ChunkingBoundsTpotUnderLongPrompts) {
 //   2. Paste the printed table over kGoldens below.
 //   3. Explain the drift (which change moved which metric) in your PR.
 //   4. If the drift also moves `serving_traffic --bench-json` output,
-//      refresh the committed BENCH_serving.json baseline at the repo root
-//      with it (the CI perf-smoke job pins its simulated fields exactly and
-//      gates steps_per_second against it — the whole-grid "sweep" number
-//      AND the cluster rows' mean).  The baseline is schema v11:
+//      refresh the committed BENCH_serving.json at the repo root with it
+//      (the CI perf-smoke job diffs a fresh file against it byte for
+//      byte; every value in it is simulated).  The file is schema v12:
 //      "baseline" / "policies" / "fairness" / "prefix_cache" /
-//      "observability" / "slo_frontier" / "resilience" / "cluster"
-//      blocks plus the "sweep" wall-clock block (baseline + policy grids
-//      only).
+//      "slo_frontier" / "observability" / "resilience" / "cluster"
+//      blocks.
 //      The slo_frontier rows must keep EDF's slo_attainment strictly above
 //      FIFO's at the highest swept arrival rate (serving_slo_test pins the
 //      ordering), the resilience rows (fault storm at kFaultStormSeed,

@@ -1,6 +1,7 @@
 // The serving study list (serving/studies.h): its shape, the emitter's
-// JSON and table rendering of one row, and run_study against a direct
-// sweep of the same points.
+// JSON and table rendering of one row, JSON-only values, rows free of
+// host-time fields, and run_study against a direct sweep of the same
+// points.
 
 #include <gtest/gtest.h>
 
@@ -67,7 +68,6 @@ TEST(StudyEmitter, OneRowRendersAsJsonAndTableCells) {
   cell.metrics.ttft.p99 = 2.5;
   cell.metrics.counters.swap_out_bytes = 1.5 * GiB;
   cell.metrics.counters.chunked_prefill_steps = 7;
-  cell.metrics.sim_wall_seconds = 0.125;
   const std::vector<SweepCellResult> cells = {cell};
 
   std::ostringstream json;
@@ -81,7 +81,6 @@ TEST(StudyEmitter, OneRowRendersAsJsonAndTableCells) {
       << row;
   EXPECT_NE(row.find("\"swap_bytes\": 1.61061e+09"), std::string::npos) << row;
   EXPECT_NE(row.find("\"chunked_prefill_steps\": 7"), std::string::npos);
-  EXPECT_NE(row.find("\"sim_wall_seconds\": 0.125"), std::string::npos);
   EXPECT_EQ(row.substr(row.size() - 5), "}\n  ]");
 
   const std::string table = study_table(study, cells).to_string();
@@ -90,7 +89,49 @@ TEST(StudyEmitter, OneRowRendersAsJsonAndTableCells) {
       << table;
   EXPECT_NE(table.find("| 1.50     | 7           |"), std::string::npos)
       << table;
-  EXPECT_EQ(table.find("sim_wall"), std::string::npos);  // JSON only
+}
+
+TEST(StudyEmitter, JsonOnlyValueStaysOutOfTheTable) {
+  // The prefix-cache study reports TPOT p99 as json_only(kTpotP99).
+  const ServingStudy study =
+      serving_studies(small_inputs())[static_cast<std::size_t>(
+          StudyKind::kPrefixCache)];
+  SweepCellResult cell;
+  cell.point = study.points.front();
+  cell.metrics.ttft.p99 = 2.5;
+  cell.metrics.tpot.p99 = 0.375;
+  const std::vector<SweepCellResult> cells = {cell};
+
+  std::ostringstream json;
+  write_study_json(study, cells, json);
+  EXPECT_NE(json.str().find("\"tpot_p99_s\": 0.375"), std::string::npos)
+      << json.str();
+
+  const std::string table = study_table(study, cells).to_string();
+  EXPECT_NE(table.find("TTFT p99"), std::string::npos) << table;
+  EXPECT_EQ(table.find("TPOT"), std::string::npos) << table;
+  EXPECT_EQ(table.find(format_time(0.375)), std::string::npos) << table;
+}
+
+TEST(StudyEmitter, NoStudyRowCarriesAHostField) {
+  // Every reported value is simulated: a row of any study, on a cell whose
+  // host wall time is set, names no host-time key.
+  for (const ServingStudy& study : serving_studies(small_inputs())) {
+    SCOPED_TRACE(study.name);
+    SweepCellResult cell;
+    cell.point = study.points.empty() ? study.sweep.base : study.points[0];
+    cell.metrics.total_steps = 1000;
+    cell.metrics.sim_wall_seconds = 0.125;
+    cell.metrics.tenants.resize(2);
+    const std::vector<SweepCellResult> cells = {cell};
+    std::ostringstream json;
+    write_study_json(study, cells, json);
+    const std::string rows = json.str();
+    ASSERT_NE(rows.find('{'), std::string::npos) << rows;
+    EXPECT_EQ(rows.find("sim_wall_seconds"), std::string::npos) << rows;
+    EXPECT_EQ(rows.find("steps_per_second"), std::string::npos) << rows;
+    EXPECT_EQ(rows.find("0.125"), std::string::npos) << rows;
+  }
 }
 
 TEST(StudyRunner, PointStudyMatchesADirectSweep) {
