@@ -156,14 +156,14 @@ bool print_row_notes(StudyKind kind, const Cells& cells) {
 
 /// Re-runs the prefix-cache block-16 point traced (0.5 s sampling), checks
 /// it against the untraced row and reconciles the trace with its metrics.
-/// With a trace dir, also runs a traced two-point eviction-policy sweep
-/// under KV pressure.  With `json`, writes the replay as
-/// BENCH_serving.json's "observability" block.
+/// With a trace dir and `policy_sweep`, also runs a traced two-point
+/// eviction-policy sweep under KV pressure.  With `json`, writes the replay
+/// as BENCH_serving.json's "observability" block.
 void print_observability(const serving::ServingStudy& prefix,
                          const serving::ServingMetrics& untraced,
                          const serving::SweepOptions& options,
-                         const std::string& trace_dir, std::uint64_t seed,
-                         std::ostream* json) {
+                         const std::string& trace_dir, bool policy_sweep,
+                         std::uint64_t seed, std::ostream* json) {
   serving::ServingScenario traced = prefix.points[1].scenario;
   traced.trace.enabled = true;
   traced.trace.sample_interval = 0.5;
@@ -215,7 +215,7 @@ void print_observability(const serving::ServingStudy& prefix,
           << serving::time_samples_json(metrics.timeseries)
           << ",\n  \"registry\": " << metrics.registry.to_json() << '}';
   }
-  if (trace_dir.empty()) return;
+  if (trace_dir.empty() || !policy_sweep) return;
 
   serving::ServingSweep sweep;
   sweep.stream = serving::prefix_chatbot_stream(
@@ -442,9 +442,12 @@ int run(int argc, char** argv) {
     if (kind == StudyKind::kSloFrontier) {
       print_diurnal_mix(stream.seed);
       const std::size_t prefix = at(StudyKind::kPrefixCache);
+      // The policy sweep belongs to the plain traced demo: the fault-storm
+      // and cluster trace trees show faults and routing.
       print_observability(studies[prefix], results[prefix][1].metrics,
-                          options, trace_dir, stream.seed,
-                          bench ? &json : nullptr);
+                          options, trace_dir,
+                          /*policy_sweep=*/!fault_storm && !cluster,
+                          stream.seed, bench ? &json : nullptr);
     } else if (kind == StudyKind::kClusterRouter) {
       // Rows follow cluster_router_policy_order(): round_robin first.
       std::printf("router comparison: prefix_affinity hit rate %.3f vs "

@@ -207,7 +207,6 @@ void finish_cluster(const ClusterConfig& config,
   double busy_chip_seconds = 0;
   std::vector<double> serving_tokens;
   serving_tokens.reserve(n - first_serving);
-  cluster->replica_utilization.reserve(n);
   for (int i = 0; i < n; ++i) {
     const ServingMetrics& replica = cluster->replica_metrics[i];
     fleet.chips += replica.chips;
@@ -226,7 +225,6 @@ void finish_cluster(const ClusterConfig& config,
         std::max(fleet.sim_end_seconds, replica.sim_end_seconds);
     busy_chip_seconds += replica.mxu_utilization * replica.makespan *
                          static_cast<double>(replica.chips);
-    cluster->replica_utilization.push_back(replica.mxu_utilization);
     if (i >= first_serving) {
       serving_tokens.push_back(static_cast<double>(replica.generated_tokens));
     }

@@ -143,7 +143,6 @@ struct ClusterMetrics {
   /// over SERVING replicas only (decode side in disaggregated mode).
   /// fleet.jain_fairness stays the index over tenants.
   double jain_across_replicas = 1.0;
-  std::vector<double> replica_utilization;  ///< per replica, mxu_utilization
 
   // Disaggregation accounting (all 0 when colocated).
   std::int64_t kv_transfer_count = 0;   ///< streamed prompts

@@ -101,11 +101,11 @@ struct FaultConfig {
   int degrade_exit_faults = 1;
 
   /// Degraded actions: cap the resident batch at this fraction of
-  /// SchedulerConfig::max_batch (floor, min 1), optionally pause
-  /// prefix-cache admission (stop registering/sharing new blocks), and
-  /// tighten EDF shedding by this much extra slack.
+  /// SchedulerConfig::max_batch (floor, min 1), pause prefix-cache
+  /// admission (stop registering/sharing new blocks), and let EDF shed
+  /// with this much slack (a request is shed once now + slack passes its
+  /// TTFT deadline).
   double degraded_max_batch_fraction = 0.5;
-  bool degrade_pause_prefix_cache = true;
   Seconds degraded_extra_shed_slack_s = 0;
 
   void validate() const;

@@ -10,7 +10,6 @@ namespace cimtpu::serving {
 
 std::string eviction_policy_name(EvictionPolicy policy) {
   switch (policy) {
-    case EvictionPolicy::kNone: return "none";
     case EvictionPolicy::kPreemptNewest: return "preempt_newest";
     case EvictionPolicy::kSwapToHost: return "swap_to_host";
     case EvictionPolicy::kPriorityVictim: return "priority_victim";
@@ -537,7 +536,6 @@ std::int64_t KvCacheManager::shared_block_count(
 }
 
 std::int64_t KvCacheManager::pick_eviction_victim(std::int64_t protect) const {
-  if (policy_ == EvictionPolicy::kNone) return -1;
   if (policy_ == EvictionPolicy::kPreemptNewest ||
       policy_ == EvictionPolicy::kSwapToHost) {
     // Newest admission first; admit_seqs are unique, so the admit-order

@@ -31,11 +31,13 @@
 //     — which is observationally identical to copying lazily at the first
 //     divergent write.
 //
-// The manager gates admission, implements the eviction side of every
-// preemption policy (recompute victims drop their blocks outright, swap
-// victims move them to a modeled host pool and restore them later over
-// PCIe), and keeps incremental victim-order indices so
-// `pick_eviction_victim` never rescans the resident set.  It is pure
+// The manager gates admission (the scheduler reserves a request's prompt
+// plus its first token and grows the rest a block per decode step),
+// implements the eviction side of every preemption policy (recompute
+// victims drop their blocks outright, swap victims move them to a modeled
+// host pool and restore them later over PCIe), and keeps incremental
+// victim-order indices so `pick_eviction_victim` never rescans the
+// resident set.  It is pure
 // bookkeeping — deterministic and allocation-cheap — so million-request
 // streams stay fast.
 
@@ -55,7 +57,6 @@ class MetricsRegistry;
 
 /// What to do when a resident request cannot grow its KV cache.
 enum class EvictionPolicy {
-  kNone,            ///< never evict; admission simply blocks until releases
   kPreemptNewest,   ///< preempt the most recently admitted request
                     ///< (vLLM's recompute policy: its KV is dropped and the
                     ///< request re-queues from scratch)
@@ -241,8 +242,7 @@ class KvCacheManager {
 
   /// Chooses the request to preempt under the configured policy, excluding
   /// `protect` (the request currently being grown).  Returns -1 when
-  /// nothing can be evicted (empty, policy kNone, or only `protect`
-  /// resident).  Victim selection scans the resident set (bounded by max
+  /// nothing can be evicted (empty, or only `protect` resident).  Victim selection scans the resident set (bounded by max
   /// batch); admission recency comes from the incremental admit-order
   /// index.  The caller must release/swap the victim and re-queue it.
   std::int64_t pick_eviction_victim(std::int64_t protect) const;

@@ -186,7 +186,7 @@ void ContinuousBatchScheduler::enqueue(const Request& request) {
       request.prefix_len >= 0 && request.prefix_len <= request.prompt_len,
       "request " << request.id << " has prefix_len " << request.prefix_len
                  << " outside [0, prompt_len=" << request.prompt_len << "]");
-  admission_->on_enqueue(request, total_steps_);
+  admission_->on_enqueue(request);
   admit_blocked_ = false;
 }
 
@@ -204,15 +204,8 @@ void ContinuousBatchScheduler::enqueue_prefilled(const Request& request) {
                            << " carries a prefix_id; disaggregated decode "
                               "admission bypasses the prefix cache");
   prefilled_pending_.insert(request.id);
-  admission_->on_enqueue(request, total_steps_);
+  admission_->on_enqueue(request);
   admit_blocked_ = false;
-}
-
-std::int64_t ContinuousBatchScheduler::admission_reserve_tokens(
-    const Request& request) const {
-  return kv_cache_->policy() == EvictionPolicy::kNone
-             ? request.prompt_len + request.output_len
-             : request.prompt_len + 1;
 }
 
 void ContinuousBatchScheduler::histogram_add(std::int64_t bucket) {
@@ -268,7 +261,7 @@ void ContinuousBatchScheduler::retire(std::int32_t slot, StepRecord* record) {
   const Request& request = pool_.request[slot];
   record->finished_ids.push_back(request.id);
   kv_cache_->release(request.id);
-  admission_->on_finish(request, total_steps_);
+  admission_->on_finish(request);
   admit_blocked_ = false;  // finish freed device blocks
 }
 
@@ -377,10 +370,12 @@ void ContinuousBatchScheduler::swap_in_and_admit(StepRecord* record) {
   while (swapped_.empty() && !admit_blocked_ && !admission_->empty() &&
          resident_.size() < static_cast<std::size_t>(effective_max_batch()) &&
          admitted < config_.max_prefill_batch) {
-    const Request* head = admission_->select(admission_context());
-    if (head == nullptr) break;  // policy throttled (e.g. rate caps)
+    const Request* head = admission_->select(now_);
+    if (head == nullptr) break;  // the policy shed every waiting request
+    // Admission reserves the prompt plus the first token; decode steps grow
+    // the rest under the eviction policy.
     KvCacheManager::AdmitOutcome outcome;
-    if (!kv_cache_->try_admit(head->id, admission_reserve_tokens(*head),
+    if (!kv_cache_->try_admit(head->id, head->prompt_len + 1,
                               head->priority, head->prefix_id,
                               head->prefix_len, head->prompt_len, &outcome)) {
       // Head-of-line block: for a pure-select policy this exact probe
@@ -505,9 +500,9 @@ void ContinuousBatchScheduler::requeue_after_fault(const Request& request,
   if (emitted_first_token) {
     // TTFT already streamed: resume with preempt seniority (FIFO front,
     // EDF shed-exempt) exactly like a recompute-preemption victim.
-    admission_->on_preempt_requeue(request, total_steps_);
+    admission_->on_preempt_requeue(request);
   } else {
-    admission_->on_enqueue(request, total_steps_);
+    admission_->on_enqueue(request);
   }
   admit_blocked_ = false;
 }
@@ -525,23 +520,12 @@ bool ContinuousBatchScheduler::restore_resident_from_host(
 }
 
 void ContinuousBatchScheduler::set_degraded(bool degraded,
-                                            int degraded_max_batch) {
+                                            int degraded_max_batch,
+                                            Seconds extra_shed_slack) {
   degraded_ = degraded;
   degraded_max_batch_ = degraded ? degraded_max_batch : 0;
-  admission_->set_degraded(degraded);
+  admission_->set_degraded(degraded, extra_shed_slack);
   admit_blocked_ = false;  // effective_max_batch may have changed
-}
-
-AdmissionContext ContinuousBatchScheduler::admission_context() const {
-  AdmissionContext context;
-  context.free_batch_slots =
-      effective_max_batch() - static_cast<std::int64_t>(resident_.size());
-  context.free_kv_bytes = kv_cache_->capacity() - kv_cache_->used();
-  context.bytes_per_token = kv_cache_->bytes_per_token();
-  context.device_empty = resident_.empty();
-  context.now = now_;
-  context.step = total_steps_;
-  return context;
 }
 
 void ContinuousBatchScheduler::build_prefill_step(StepRecord* record) {
@@ -633,46 +617,42 @@ bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
   // move to the host pool with their progress intact, recompute victims
   // re-queue from scratch.  kSwapToHost falls back to recompute when the
   // host pool is full.
-  const bool manage_growth = kv_cache_->policy() != EvictionPolicy::kNone;
-  if (manage_growth) {
-    for (;;) {
-      if (kv_cache_->fits_blocks(pending_growth_blocks_)) break;
-      CIMTPU_CONFIG_CHECK(resident_.size() > 1,
-                          "request " << pool_.request[resident_.front()].id
-                                     << " outgrew the whole KV budget");
-      const std::int64_t victim_id =
-          kv_cache_->pick_eviction_victim(/*protect=*/-1);
-      const auto victim_it = find_resident(victim_id);
-      CIMTPU_CHECK(victim_it != resident_.end());
-      const std::int32_t slot = *victim_it;
-      resident_.erase(victim_it);
-      if (!slot_prefilling(slot)) decoder_leave(slot);
-      if (kv_cache_->policy() == EvictionPolicy::kSwapToHost &&
-          kv_cache_->try_swap_out(victim_id)) {
-        const Bytes bytes =
-            computed_kv_bytes(pool_.prefilled[slot], pool_.generated[slot]);
-        // Progress survives the swap: snapshot the slot into the cold deque,
-        // including the host-pool token count the swap-in watermark reads.
-        swapped_.push_back(Sequence{pool_.request[slot], pool_.prefilled[slot],
-                                    pool_.generated[slot],
-                                    pool_.prefix_skipped[slot],
-                                    kv_cache_->swapped_tokens(victim_id)});
-        record->swapped_out_ids.push_back(victim_id);
-        record->swap_bytes += bytes;
-        counters_.preemptions_swap += 1;
-        counters_.swap_out_bytes += bytes;
-        if (trace_) trace_->on_swap_out(victim_id, bytes);
-      } else {
-        kv_cache_->release(victim_id);
-        // The policy decides where a recompute victim waits (FIFO: front).
-        admission_->on_preempt_requeue(pool_.request[slot], total_steps_);
-        record->preempted_ids.push_back(victim_id);
-        counters_.preemptions_recompute += 1;
-        if (trace_) trace_->on_preempt(victim_id);
-      }
-      pool_.release(slot);
-      admit_blocked_ = false;  // eviction freed device blocks
+  while (!kv_cache_->fits_blocks(pending_growth_blocks_)) {
+    CIMTPU_CONFIG_CHECK(resident_.size() > 1,
+                        "request " << pool_.request[resident_.front()].id
+                                   << " outgrew the whole KV budget");
+    const std::int64_t victim_id =
+        kv_cache_->pick_eviction_victim(/*protect=*/-1);
+    const auto victim_it = find_resident(victim_id);
+    CIMTPU_CHECK(victim_it != resident_.end());
+    const std::int32_t slot = *victim_it;
+    resident_.erase(victim_it);
+    if (!slot_prefilling(slot)) decoder_leave(slot);
+    if (kv_cache_->policy() == EvictionPolicy::kSwapToHost &&
+        kv_cache_->try_swap_out(victim_id)) {
+      const Bytes bytes =
+          computed_kv_bytes(pool_.prefilled[slot], pool_.generated[slot]);
+      // Progress survives the swap: snapshot the slot into the cold deque,
+      // including the host-pool token count the swap-in watermark reads.
+      swapped_.push_back(Sequence{pool_.request[slot], pool_.prefilled[slot],
+                                  pool_.generated[slot],
+                                  pool_.prefix_skipped[slot],
+                                  kv_cache_->swapped_tokens(victim_id)});
+      record->swapped_out_ids.push_back(victim_id);
+      record->swap_bytes += bytes;
+      counters_.preemptions_swap += 1;
+      counters_.swap_out_bytes += bytes;
+      if (trace_) trace_->on_swap_out(victim_id, bytes);
+    } else {
+      kv_cache_->release(victim_id);
+      // The policy decides where a recompute victim waits (FIFO: front).
+      admission_->on_preempt_requeue(pool_.request[slot]);
+      record->preempted_ids.push_back(victim_id);
+      counters_.preemptions_recompute += 1;
+      if (trace_) trace_->on_preempt(victim_id);
     }
+    pool_.release(slot);
+    admit_blocked_ = false;  // eviction freed device blocks
   }
 
   // Every resident decoder participates at its pre-advance KV length; the
@@ -689,11 +669,10 @@ bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
   // this step's grows — finishers release instead), no per-decoder grow
   // can fail or reclaim, so each grow is a two-field entry update and the
   // global accounting is committed once after the loop.  Otherwise (block
-  // sizes > 1, kNone, or a near-full device) each grow is checked and may
+  // sizes > 1 or a near-full device) each grow is checked and may
   // reclaim cached prefix blocks, which can change a memoized head-of-line
   // probe's outcome — so the memo is dropped outright.
-  const bool bulk =
-      manage_growth && kv_cache_->can_bulk_grow(resident_decoders_);
+  const bool bulk = kv_cache_->can_bulk_grow(resident_decoders_);
   if (!bulk) admit_blocked_ = false;
   std::int64_t grows = 0;
   // Summed in a local: the loop's int64 stores into the pool may alias the
@@ -730,10 +709,8 @@ bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
       ++grows;
       if (!sequence_grows(slot)) --pending_delta;
     } else {
-      if (manage_growth) {
-        const bool grew = kv_cache_->try_grow_slot(pool_.kv_slot[slot], 1);
-        CIMTPU_CHECK(grew);  // pre-step eviction guaranteed room
-      }
+      const bool grew = kv_cache_->try_grow_slot(pool_.kv_slot[slot], 1);
+      CIMTPU_CHECK(grew);  // pre-step eviction guaranteed room
       pending_delta += growth_blocks(slot);
     }
     // The cached bucket is kv_len rounded up, so the next token spills past
@@ -772,14 +749,15 @@ bool ContinuousBatchScheduler::next_step(StepRecord* record) {
     // A swapped sequence always fits an empty device (it fit before it was
     // swapped out), so reaching here means the policy's chosen candidate
     // can never be admitted: the request is unservable at this capacity.
-    // (Policies may not throttle an empty device, so select() is non-null.)
-    const Request* head = admission_->select(admission_context());
+    // (Something still waits, and a second select at the same clock sheds
+    // nothing more, so select() is non-null.)
+    const Request* head = admission_->select(now_);
     CIMTPU_CHECK(head != nullptr);
     CIMTPU_CONFIG_CHECK(
         false, "request " << head->id << " needs more KV ("
                           << format_bytes(kv_cache_->bytes_per_token() *
                                           static_cast<double>(
-                                              admission_reserve_tokens(*head)))
+                                              head->prompt_len + 1))
                           << " to admit) than the budget "
                           << format_bytes(kv_cache_->capacity()));
   }
@@ -837,8 +815,7 @@ std::int64_t ContinuousBatchScheduler::quiet_decode_steps() const {
   // the head-of-line memo stands with nothing swapped.  During a run no
   // decoder finishes, free blocks only shrink and the decoder count stays
   // put, and only an enqueue (which ends the run) clears the memo: each
-  // lock holds until the run ends.  (Under kNone no decode step grows in
-  // bulk, so every decode step clears the memo and it is never set here.)
+  // lock holds until the run ends.
   if (!swapped_.empty() || !admission_->empty()) {
     if (may_shed_) return 0;
     const bool locked_out =
@@ -846,14 +823,12 @@ std::int64_t ContinuousBatchScheduler::quiet_decode_steps() const {
         (swapped_.empty() ? admit_blocked_ : !swap_in_fits(swapped_.front()));
     if (!locked_out) return 0;
   }
-  std::int64_t steps = std::numeric_limits<std::int64_t>::max();
-  if (kv_cache_->policy() != EvictionPolicy::kNone) {
-    // Each step grows every decoder by one block.  Keeping all of them
-    // inside the free (never cached) blocks means no step evicts, reclaims
-    // a cached prefix block, or leaves the bulk-growth path.
-    steps = (kv_cache_->capacity_blocks() - kv_cache_->occupied_blocks()) /
-            resident_decoders_;
-  }
+  // Each step grows every decoder by one block.  Keeping all of them
+  // inside the free (never cached) blocks means no step evicts, reclaims a
+  // cached prefix block, or leaves the bulk-growth path.
+  std::int64_t steps =
+      (kv_cache_->capacity_blocks() - kv_cache_->occupied_blocks()) /
+      resident_decoders_;
   for (const std::int32_t slot : resident_) {
     const std::int64_t kv_len = pool_.prompt_len[slot] + pool_.generated[slot];
     // The step that emits the last token finishes the decoder.  The step
@@ -874,16 +849,15 @@ void ContinuousBatchScheduler::advance_quiet_decode(std::int64_t steps) {
   // the next bucket, as build_decode_step moves it.  At block size 1 a
   // decoder's pending-growth block drops out exactly when it is left one
   // token from finishing (its last step finishes instead of growing).
-  const bool grow = kv_cache_->policy() != EvictionPolicy::kNone;
   for (const std::int32_t slot : resident_) {
     pool_.generated[slot] += steps;
-    if (grow) kv_cache_->grow_slot_unit_nocheck(pool_.kv_slot[slot], steps);
+    kv_cache_->grow_slot_unit_nocheck(pool_.kv_slot[slot], steps);
     if (!sequence_grows(slot)) --pending_growth_blocks_;
     if (pool_.prompt_len[slot] + pool_.generated[slot] > pool_.bucket[slot]) {
       cross_bucket(slot);
     }
   }
-  if (grow) kv_cache_->commit_bulk_growth(steps * resident_decoders_);
+  kv_cache_->commit_bulk_growth(steps * resident_decoders_);
   total_steps_ += steps;
   last_step_prefill_ = false;
 }

@@ -16,12 +16,14 @@
 // that is the continuous-batching property.  WHICH waiting request joins
 // next is delegated to a pluggable AdmissionPolicy
 // (serving/admission_policy.h, selected by SchedulerConfig::admission):
-// "fifo" by default — bit-identical to the pre-API scheduler — plus
-// "priority" (aging, starvation-free) and "wfq" (per-tenant weighted fair
-// queueing with optional token-rate caps).
+// "fifo" by default — bit-identical to the pre-API scheduler — plus "wfq"
+// (per-tenant weighted fair queueing) and "edf" (deadline order with
+// shedding).
 //
-// When decode-time KV growth outruns the device budget the scheduler
-// preempts under the KvCacheManager's policy: recompute victims
+// Admission reserves a sequence's prompt plus its first token; decode
+// grows the rest a block at a time.  When that growth outruns the device
+// budget the scheduler preempts under the KvCacheManager's policy:
+// recompute victims
 // (kPreemptNewest, kPriorityVictim) drop their KV and re-queue from
 // scratch; swap victims (kSwapToHost) move their pages to the host pool
 // and resume decoding after re-admission without recomputing the prompt.
@@ -107,9 +109,9 @@ struct SchedulerConfig {
   /// >= seqlen_bucket so every chunk advances its sequence's cost bucket.
   std::int64_t prefill_chunk_tokens = 0;
 
-  /// Which waiting request joins the batch next: a registry-keyed
-  /// AdmissionPolicy ("fifo" default — the pre-API behaviour — plus
-  /// "priority" and "wfq"; see serving/admission_policy.h).
+  /// Which waiting request joins the batch next: an AdmissionPolicy by
+  /// name ("fifo" default — the pre-API behaviour — plus "wfq" and "edf";
+  /// see serving/admission_policy.h).
   AdmissionConfig admission;
 
   void validate() const;
@@ -202,10 +204,9 @@ class ContinuousBatchScheduler {
   /// output_len >= 2.
   void enqueue_prefilled(const Request& request);
 
-  /// Advances the policy-visible simulated clock (rate caps in
-  /// WeightedFairAdmission).  The serving loop calls this before each
-  /// next_step; direct drivers may never call it (the clock stays 0 and
-  /// capped tenants live off their burst allowance).
+  /// Advances the policy-visible simulated clock (EDF's deadline sheds).
+  /// The serving loop calls this before each next_step; direct drivers may
+  /// never call it (the clock stays 0).
   void set_time(Seconds now) { now_ = now; }
 
   /// True when nothing is waiting, resident, or swapped out.  The cheap
@@ -232,9 +233,8 @@ class ContinuousBatchScheduler {
   /// decode_histogram() as its decode_groups, finishes no sequence, and
   /// emits no event.  That is the minimum over decoders of steps-to-finish
   /// and bucket - kv_len + 1 (the crossing step, which still attends
-  /// inside the bucket, is the run's last for that decoder), capped (under
-  /// growth-managing eviction policies) by free device blocks / decoders
-  /// so every grow fits outright: each step of the run would take
+  /// inside the bucket, is the run's last for that decoder), capped by free device
+  /// blocks / decoders so every grow fits outright: each step of the run would take
   /// build_decode_step's bulk-growth branch, which keeps the head-of-line
   /// memo.  0 unless every resident is a decoder, no trace sink is
   /// attached, kv_block_tokens == 1, and any waiting or swapped work is
@@ -320,10 +320,11 @@ class ContinuousBatchScheduler {
 
   /// Graceful degradation (serving/fault.h): caps the resident batch at
   /// `degraded_max_batch` while `degraded` (0 = keep the configured
-  /// max_batch) and forwards the mode to the admission policy (EDF
-  /// tightens shedding).  Residents over the cap are not evicted; the cap
-  /// only throttles new admissions.
-  void set_degraded(bool degraded, int degraded_max_batch);
+  /// max_batch) and forwards the mode to the admission policy (EDF sheds
+  /// with `extra_shed_slack` seconds of slack while degraded).  Residents
+  /// over the cap are not evicted; the cap only throttles new admissions.
+  void set_degraded(bool degraded, int degraded_max_batch,
+                    Seconds extra_shed_slack);
   bool degraded() const { return degraded_; }
 
   std::size_t waiting_count() const { return admission_->size(); }
@@ -380,11 +381,6 @@ class ContinuousBatchScheduler {
     std::int32_t acquire();
     void release(std::int32_t slot) { free_list.push_back(slot); }
   };
-
-  /// KV tokens reserved at admission: the whole sequence under kNone
-  /// (growth can never fail), prompt + first token under preemption
-  /// policies (grown per decode step).
-  std::int64_t admission_reserve_tokens(const Request& request) const;
 
   // --- Incremental decoder aggregates ------------------------------------
   // Invariants over `resident_` slots with !slot_prefilling():
@@ -448,9 +444,6 @@ class ContinuousBatchScheduler {
                                std::int64_t generated,
                                std::int64_t prefix_skipped);
 
-  /// Capacity snapshot handed to AdmissionPolicy::select.
-  AdmissionContext admission_context() const;
-
   /// The batch cap admissions honour right now: the configured max_batch,
   /// tightened to degraded_max_batch_ while degradation is active.  Never
   /// below 1 (a degraded engine still serves).
@@ -477,10 +470,10 @@ class ContinuousBatchScheduler {
   /// Evicts (or swaps out) residents until every decoder's next-token
   /// growth fits, then advances every decoder one token in a single pass
   /// over resident_: bulk growth when can_bulk_grow holds for the whole
-  /// batch, otherwise a CHECKed try_grow_slot per decoder (none under
-  /// kNone).  A step without bulk growth may reclaim cached prefix blocks,
-  /// so it drops the head-of-line memo.  Returns false when KV pressure evicted every decode
-  /// participant (the caller falls back to a prefill step).
+  /// batch, otherwise a CHECKed try_grow_slot per decoder.  A step without
+  /// bulk growth may reclaim cached prefix blocks, so it drops the
+  /// head-of-line memo.  Returns false when KV pressure evicted every
+  /// decode participant (the caller falls back to a prefill step).
   bool build_decode_step(StepRecord* record);
 
   SchedulerConfig config_;

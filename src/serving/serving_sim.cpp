@@ -107,19 +107,6 @@ Bytes resolve_kv_budget(const ServingScenario& scenario,
       scenario.model, chip.memory().spec().hbm.capacity, scenario.chips);
 }
 
-SchedulerConfig effective_scheduler_config(const ServingScenario& scenario) {
-  // Degraded-mode EDF slack rides the fault config; inject it into the
-  // admission config before the policy is constructed.  Faults off leaves
-  // the scheduler config byte-identical to the scenario's.
-  SchedulerConfig config = scenario.scheduler;
-  if (scenario.fault.enabled &&
-      scenario.fault.degraded_extra_shed_slack_s > 0) {
-    config.admission.edf_degraded_extra_slack_s =
-        scenario.fault.degraded_extra_shed_slack_s;
-  }
-  return config;
-}
-
 }  // namespace
 
 RequestRollup::RequestRollup(std::size_t arrived_hint) {
@@ -187,11 +174,10 @@ void RequestRollup::finish(const AdmissionConfig& admission,
   // Per-tenant breakdown (schema-v4).  Each tenant's TTFT and e2e sample
   // is sorted once; the global sample is the merge of the sorted tenant
   // samples — the same ascending sequence a sort of the whole sample
-  // gives, summed in the same order, so bit-identical.  Weights resolve by
-  // the tenant id the config actually names (TenantShare::tenant_id,
-  // index-bound when left at -1) — the SAME resolution WFQ admission uses
-  // — so sparse or non-contiguous tenant ids can never make Jain
-  // normalization and enforcement disagree.  Unnamed tenants weigh 1.
+  // gives, summed in the same order, so bit-identical.  Weights come from
+  // AdmissionConfig::tenant_weight — the SAME lookup WFQ admission uses —
+  // so Jain normalization and enforcement never disagree.  Unnamed tenants
+  // weigh 1.
   std::vector<double> normalized_goodput;
   normalized_goodput.reserve(tenants_.size());
   std::vector<std::vector<double>> ttft_parts, e2e_parts;
@@ -200,7 +186,7 @@ void RequestRollup::finish(const AdmissionConfig& admission,
   for (auto& [tenant_id, samples] : tenants_) {
     TenantMetrics tenant;
     tenant.tenant_id = tenant_id;
-    tenant.weight = admission.share_for(tenant_id).weight;
+    tenant.weight = admission.tenant_weight(tenant_id);
     tenant.num_requests = samples.num_requests;
     tenant.completed = samples.completed;
     tenant.generated_tokens = samples.generated_tokens;
@@ -309,7 +295,7 @@ struct ServingEngine::Impl {
                  scenario.eviction, scenario.host_pool_capacity,
                  scenario.scheduler.kv_block_tokens,
                  scenario.scheduler.enable_prefix_cache),
-        scheduler(effective_scheduler_config(scenario), &kv_cache),
+        scheduler(scenario.scheduler, &kv_cache),
         trace(trace_out != nullptr ? trace_out : &local_trace),
         sampler(scenario.trace.sample_interval),
         tracing(scenario.trace.enabled),
@@ -440,7 +426,14 @@ struct ServingEngine::Impl {
       fault_stats.dropped += 1;
       fault_sheds += 1;
       outstanding_tokens -= total_tokens(*requests[index]);
-      if (tracing) trace->on_shed_fault(request_id, fault_time);
+      // Faults are delivered between steps, so one that landed mid-step
+      // drops the request only after that step ran: the shed is stamped at
+      // delivery, never before a first token the step emitted, and the
+      // request's decode span cannot end before it starts.
+      if (tracing) {
+        trace->on_shed_fault(request_id,
+                             std::max(now, request_trace.first_token));
+      }
     }
   }
 
@@ -536,9 +529,9 @@ struct ServingEngine::Impl {
     }
     if (degrade.enabled() && degrade.update(now)) {
       const bool entering = degrade.degraded();
-      scheduler.set_degraded(entering, degraded_max_batch);
-      kv_cache.set_prefix_admission_paused(
-          entering && scenario.fault.degrade_pause_prefix_cache);
+      scheduler.set_degraded(entering, degraded_max_batch,
+                             scenario.fault.degraded_extra_shed_slack_s);
+      kv_cache.set_prefix_admission_paused(entering);
       if (entering) {
         fault_stats.degrade_enters += 1;
       } else {
@@ -611,7 +604,7 @@ struct ServingEngine::Impl {
         kv_alloc_before = kv_cache.blocks_allocated_total();
         kv_reclaim_before = kv_cache.cached_blocks_reclaimed_total();
       }
-      scheduler.set_time(now);  // rate-capped admission reads the sim clock
+      scheduler.set_time(now);  // EDF's deadline sheds read the sim clock
       const bool stepped = scheduler.next_step(&step);
       // Deadline sheds (EDF admission control) surface here whether or not
       // a step ran; a shed request arrived but will never be admitted.

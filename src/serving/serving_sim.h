@@ -238,8 +238,8 @@ class RequestRollup {
 
   void add(const Request& request, Seconds first_token, Seconds completion);
 
-  /// Tenant weights resolve through `admission` (AdmissionConfig::
-  /// share_for, the resolution WFQ admission uses).  Call once.
+  /// Tenant weights come from `admission` (AdmissionConfig::
+  /// tenant_weight, the lookup WFQ admission uses).  Call once.
   void finish(const AdmissionConfig& admission, ServingMetrics* metrics);
 
  private:

@@ -104,12 +104,7 @@ ServingScenario multi_tenant_fairness_scenario(
       /*chips=*/1, dtype, EvictionPolicy::kPreemptNewest, /*chunk_tokens=*/0,
       kv_budget_tokens);
   scenario.scheduler.admission.policy = admission;
-  scenario.scheduler.admission.tenants.reserve(weights.size());
-  for (double weight : weights) {
-    TenantShare share;
-    share.weight = weight;
-    scenario.scheduler.admission.tenants.push_back(share);
-  }
+  scenario.scheduler.admission.tenant_weights = weights;
   scenario.max_sim_seconds = horizon_seconds;
   return scenario;
 }
@@ -215,12 +210,11 @@ ServingScenario slo_scenario(ir::DType dtype, const std::string& admission,
   ServingScenario scenario = llama7b_pressured_scenario(
       /*chips=*/1, dtype, EvictionPolicy::kPreemptNewest, /*chunk_tokens=*/0,
       kv_budget_tokens);
+  // EDF sheds only requests that are provably lost: it drops a request
+  // once even an IMMEDIATE first token would miss its TTFT deadline.  The
+  // win over FIFO comes purely from not spending prefill on work that can
+  // no longer count.
   scenario.scheduler.admission.policy = admission;
-  // Shed only requests that are provably lost: with zero slack, EDF drops
-  // a request once even an IMMEDIATE first token would miss its TTFT
-  // deadline.  The win over FIFO comes purely from not spending prefill
-  // on work that can no longer count.
-  scenario.scheduler.admission.edf_shed_slack_s = 0;
   scenario.max_sim_seconds = horizon_seconds;
   return scenario;
 }
@@ -300,7 +294,6 @@ ServingScenario fault_storm_scenario(ir::DType dtype, bool recovery,
   scenario.fault.degrade_enter_faults = 4;
   scenario.fault.degrade_exit_faults = 1;
   scenario.fault.degraded_max_batch_fraction = 0.5;
-  scenario.fault.degrade_pause_prefix_cache = true;
   scenario.fault.degraded_extra_shed_slack_s = 0.5;
   return scenario;
 }

@@ -286,7 +286,6 @@ TEST(ClusterColocatedTest, RequestsConserveAcrossReplicas) {
   EXPECT_EQ(cluster.fleet.e2e.count, 300);
   EXPECT_GT(cluster.jain_across_replicas, 0.9);  // RR is near-even
   EXPECT_LE(cluster.jain_across_replicas, 1.0);
-  EXPECT_EQ(cluster.replica_utilization.size(), 4u);
   EXPECT_EQ(cluster.kv_transfer_count, 0);  // colocated: nothing streams
   const std::string registry_json = cluster.fleet.registry.to_json();
   EXPECT_NE(registry_json.find("cluster.replicas"), std::string::npos);

@@ -224,8 +224,8 @@ std::string deployment_name(const Deployment& deployment, std::uint64_t seed) {
 TEST(QuietDecodeLockstep, BulkAdvanceMatchesPerStepUnderEveryPolicy) {
   std::int64_t pressured_preemptions = 0;
   for (EvictionPolicy policy :
-       {EvictionPolicy::kNone, EvictionPolicy::kPreemptNewest,
-        EvictionPolicy::kSwapToHost, EvictionPolicy::kPriorityVictim}) {
+       {EvictionPolicy::kPreemptNewest, EvictionPolicy::kSwapToHost,
+        EvictionPolicy::kPriorityVictim}) {
     for (double kv_tokens : {1200.0, 1e5}) {
       for (std::uint64_t seed : {1u, 7u, 42u}) {
         const Deployment deployment{policy, kv_tokens, /*prefix_cache=*/false};
@@ -267,7 +267,7 @@ TEST(QuietDecodeLockstep, RunsEndingOnBucketCrossingsMatchPerStep) {
   // (expect_same_state audits the histogram after every run).
   for (std::int64_t bucket : {1, 4, 16}) {
     for (EvictionPolicy policy :
-         {EvictionPolicy::kNone, EvictionPolicy::kPreemptNewest}) {
+         {EvictionPolicy::kPreemptNewest, EvictionPolicy::kPriorityVictim}) {
       const Deployment deployment{policy, 1e5, /*prefix_cache=*/false,
                                   bucket};
       SCOPED_TRACE(deployment_name(deployment, 42));
@@ -281,20 +281,17 @@ TEST(QuietDecodeLockstep, RunsEndingOnBucketCrossingsMatchPerStep) {
 
 TEST(QuietDecodeLockstep, BulkRunsThroughBlockedWorkMatchPerStep) {
   // Under KV pressure the queue never empties; quiet runs go on past the
-  // head-of-line block (fifo/priority memo) and, under swap_to_host, past
-  // a swapped front below the swap-in watermark.  A roomy budget with two
+  // head-of-line block (the fifo memo) and, under swap_to_host, past a
+  // swapped front below the swap-in watermark.  A roomy budget with two
   // batch slots covers the full-batch lock under a non-pure policy (wfq).
   std::vector<Deployment> deployments;
   for (EvictionPolicy policy :
        {EvictionPolicy::kPreemptNewest, EvictionPolicy::kSwapToHost,
         EvictionPolicy::kPriorityVictim}) {
-    for (const char* admission : {"fifo", "priority"}) {
-      Deployment deployment;
-      deployment.policy = policy;
-      deployment.kv_tokens = 1200.0;
-      deployment.admission = admission;
-      deployments.push_back(deployment);
-    }
+    Deployment deployment;
+    deployment.policy = policy;
+    deployment.kv_tokens = 1200.0;
+    deployments.push_back(deployment);
   }
   Deployment full_batch;
   full_batch.admission = "wfq";

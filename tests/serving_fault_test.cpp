@@ -373,7 +373,8 @@ TEST(DegradedSchedulerTest, DegradedModeCapsResidentBatch) {
   for (std::int64_t id = 0; id < 8; ++id) {
     scheduler.enqueue(make_request(id, 16, 64));
   }
-  scheduler.set_degraded(true, /*degraded_max_batch=*/2);
+  scheduler.set_degraded(true, /*degraded_max_batch=*/2,
+                          /*extra_shed_slack=*/0);
   EXPECT_TRUE(scheduler.degraded());
   auto step = scheduler.next_step();
   ASSERT_TRUE(step.has_value());
@@ -382,13 +383,44 @@ TEST(DegradedSchedulerTest, DegradedModeCapsResidentBatch) {
     EXPECT_LE(scheduler.running_count(), 2u);
   }
   // Lifting degradation restores the configured batch.
-  scheduler.set_degraded(false, 0);
+  scheduler.set_degraded(false, 0, 0);
   while (scheduler.running_count() < 8 && scheduler.next_step()) {
   }
   EXPECT_EQ(scheduler.running_count(), 8u);
   while (scheduler.next_step()) {
   }
   EXPECT_TRUE(kv.audit());
+}
+
+TEST(DegradedSchedulerTest, DegradedEdfShedsWithTheFaultConfigSlack) {
+  // A stall storm holds the engine degraded (one fault in the trailing
+  // window enters, none exits).  FaultConfig::degraded_extra_shed_slack_s
+  // is the only difference between the two runs: with 100 s of slack,
+  // degraded EDF sheds every fresh request whose TTFT deadline falls
+  // within 100 s of the clock, so it sheds far more than with none.
+  const std::vector<Request> requests = generate_requests(slo_chat_stream(
+      /*seed=*/42, /*num_requests=*/200, /*arrival_rate=*/10.0));
+  ServingScenario scenario = slo_scenario(ir::DType::kInt4, "edf");
+  scenario.fault.enabled = true;
+  scenario.fault.seed = 5;
+  scenario.fault.stall_rate_per_s = 2.0;
+  scenario.fault.degrade_window_s = 5.0;
+  scenario.fault.degrade_enter_faults = 1;
+  scenario.fault.degrade_exit_faults = 0;
+  const ServingMetrics no_slack = run_serving(scenario, requests);
+  scenario.fault.degraded_extra_shed_slack_s = 100.0;
+  const ServingMetrics slack = run_serving(scenario, requests);
+
+  EXPECT_GT(no_slack.fault.degrade_enters, 0);
+  EXPECT_GT(slack.fault.degrade_enters, 0);
+  EXPECT_GT(slack.counters.shed_deadline,
+            no_slack.counters.shed_deadline + 50);
+  EXPECT_LT(slack.completed, no_slack.completed);
+  // Shedding is the only way out: every arrived request still completes
+  // or is shed.
+  EXPECT_EQ(slack.completed + slack.counters.shed_deadline +
+                slack.counters.shed_horizon,
+            slack.num_requests);
 }
 
 TEST(ShedSwapTest, FaultRemovalOfSwappedRequestReleasesHostBytes) {

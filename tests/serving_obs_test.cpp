@@ -266,7 +266,7 @@ TEST(TracingContract, MetricsBitIdenticalOnAndOffAcrossGoldenGrid) {
   RequestStreamConfig with_deadlines = golden_stream();
   with_deadlines.ttft_deadline_s = 1.0;
   const std::vector<Request> deadlines = generate_requests(with_deadlines);
-  for (const std::string admission : {"fifo", "priority", "wfq", "edf"}) {
+  for (const std::string admission : {"fifo", "wfq", "edf"}) {
     const std::vector<Request>& requests =
         admission == "fifo" ? plain : deadlines;
     for (EvictionPolicy policy :
@@ -319,7 +319,7 @@ TEST(TracingContract, MetricsBitIdenticalOnAndOffOnLightTraffic) {
       llama7b_baseline_scenario(/*chips=*/1, ir::DType::kInt4);
   std::vector<std::pair<std::string, ServingScenario>> cases;
   for (EvictionPolicy policy :
-       {EvictionPolicy::kNone, EvictionPolicy::kPreemptNewest}) {
+       {EvictionPolicy::kPreemptNewest, EvictionPolicy::kSwapToHost}) {
     ServingScenario scenario = base;
     scenario.eviction = policy;
     cases.emplace_back(eviction_policy_name(policy), scenario);
@@ -656,6 +656,39 @@ TEST(TraceContent, EventCountsByTypeName) {
 // compared line by line (JSONL) and object by object (Perfetto, with one
 // time-series sample for the counter tracks).  A change
 // to how either exporter writes a payload must keep these bytes.
+TEST(TraceContent, FaultStormSpansNeverEndBeforeTheyStart) {
+  // The fault-storm study's recovery-off cell at seed 42.  Faults that
+  // land mid-step are delivered after the step, which may have emitted a
+  // first token (or reopened a decode span) for a request the fault then
+  // sheds: the shed must not be stamped before that token.
+  const models::TransformerConfig model =
+      llama7b_baseline_scenario(/*chips=*/1, ir::DType::kInt4).model;
+  ServingSweep sweep = fault_storm_sweep(model, /*seed=*/42, {1.0});
+  ServingScenario scenario = sweep.base.scenario;
+  scenario.fault.recovery_enabled = false;
+  scenario.trace.enabled = true;
+  sweep.stream.arrival_rate = sweep.arrival_rates.front();
+  ServingTrace trace;
+  run_serving(scenario, generate_requests(sweep.stream), nullptr, &trace);
+  std::int64_t fault_sheds = 0;
+  for (const TraceEvent& event : trace.events()) {
+    if (event.type == TraceEventType::kShed && event.aux == 2) ++fault_sheds;
+  }
+  EXPECT_GT(fault_sheds, 0);
+  std::int64_t decode_spans = 0;
+  for (const std::string& object :
+       perfetto_objects(perfetto_trace_json(trace.events(), {}))) {
+    if (object.find("\"ph\":\"X\"") == std::string::npos) continue;
+    if (object.find("\"name\":\"decode\"") != std::string::npos) {
+      ++decode_spans;
+    }
+    const std::size_t dur = object.find("\"dur\":");
+    ASSERT_NE(dur, std::string::npos) << object;
+    EXPECT_GE(std::stod(object.substr(dur + 6)), 0.0) << object;
+  }
+  EXPECT_GT(decode_spans, 0);
+}
+
 TEST(TraceContent, ExportedTextOfEveryEventTypeIsPinned) {
   TraceConfig config;
   config.enabled = true;

@@ -940,7 +940,7 @@ TEST(PagedContiguousLockstepTest, BlockSizeOneMatchesContiguousDecisions) {
 
 TEST(PagedSchedulerTest, PrefixHitsSkipPrefillAndStartMidSequence) {
   KvCacheManager kv = paged(1e6, /*block_tokens=*/16, /*prefix_cache=*/true,
-                            EvictionPolicy::kNone);
+                            EvictionPolicy::kPreemptNewest);
   SchedulerConfig config;
   config.kv_block_tokens = 16;
   config.enable_prefix_cache = true;

@@ -126,7 +126,6 @@ TEST(KvPriorityTest, EqualPrioritiesAndSizesFallBackToNewest) {
 }
 
 TEST(KvPolicyTest, PolicyNamesAreStable) {
-  EXPECT_EQ(eviction_policy_name(EvictionPolicy::kNone), "none");
   EXPECT_EQ(eviction_policy_name(EvictionPolicy::kPreemptNewest),
             "preempt_newest");
   EXPECT_EQ(eviction_policy_name(EvictionPolicy::kSwapToHost), "swap_to_host");
@@ -428,15 +427,18 @@ TEST(PolicyInvariantTest, PriorityVictimNeverLeaksAndAllFinish) {
 }
 
 TEST(PolicyInvariantTest, ChunkedPrefillConservesPromptTokens) {
-  // Under kNone (no preemption) every prompt token is prefilled exactly
-  // once, chunked or not, and the totals match.
+  // With a budget no growth outruns (no preemption) every prompt token is
+  // prefilled exactly once, chunked or not, and the totals match.
   const auto requests = invariant_stream(7, 40);
   std::int64_t total_prompt = 0;
   for (const Request& request : requests) total_prompt += request.prompt_len;
   DriveResult unchunked = drive_to_completion(
-      requests, EvictionPolicy::kNone, /*chunk=*/0, /*kv_budget=*/1e9);
+      requests, EvictionPolicy::kPreemptNewest, /*chunk=*/0, /*kv_budget=*/1e9);
   DriveResult chunked = drive_to_completion(
-      requests, EvictionPolicy::kNone, /*chunk=*/128, /*kv_budget=*/1e9);
+      requests, EvictionPolicy::kPreemptNewest, /*chunk=*/128,
+      /*kv_budget=*/1e9);
+  EXPECT_EQ(unchunked.counters.total_preemptions(), 0);
+  EXPECT_EQ(chunked.counters.total_preemptions(), 0);
   EXPECT_EQ(unchunked.total_prefill_tokens, total_prompt);
   EXPECT_EQ(chunked.total_prefill_tokens, total_prompt);
   EXPECT_GT(chunked.counters.chunked_prefill_steps, 0);
@@ -507,29 +509,29 @@ TEST(PolicyInvariantTest, PriorityVictimSparesHighPriority) {
 //
 // The admission API (serving/admission_policy.h) owns waiting-queue
 // ordering.  This wall pins: lookup by name, FIFO-equals-default
-// equivalence, starvation freedom under PriorityAdmission aging, WFQ
-// share proportionality and rate caps, and KV-accounting cleanliness
-// under every admission x eviction combination.
+// equivalence, WFQ order by virtual work and share proportionality, and
+// KV-accounting cleanliness under every admission x eviction combination.
 
 TEST(AdmissionPolicyTest, RegistryNamesAreStableAndUnknownThrows) {
-  // The lookup knows exactly the four built-ins: each name
-  // constructs its own policy, and any other name throws with a message
-  // listing every built-in.
-  const std::vector<std::string> builtins = {"edf", "fifo", "priority", "wfq"};
+  // The lookup knows exactly the three built-ins: each name constructs a
+  // policy, and any other name throws with a message listing every
+  // built-in.
+  const std::vector<std::string> builtins = {"edf", "fifo", "wfq"};
   AdmissionConfig config;
   for (const std::string& name : builtins) {
     config.policy = name;
-    EXPECT_EQ(make_admission_policy(config)->name(), name);
+    EXPECT_NE(make_admission_policy(config), nullptr) << name;
   }
-  config.policy = "no_such_policy";
-  try {
-    make_admission_policy(config);
-    FAIL() << "unknown admission policy must throw";
-  } catch (const ConfigError& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("'no_such_policy'"), std::string::npos);
-    for (const std::string& name : builtins) {
-      EXPECT_NE(message.find(name), std::string::npos) << name;
+  for (const std::string unknown : {"no_such_policy", "priority"}) {
+    config.policy = unknown;
+    try {
+      make_admission_policy(config);
+      ADD_FAILURE() << "unknown admission policy '" << unknown
+                    << "' must throw";
+    } catch (const ConfigError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("'" + unknown + "'"), std::string::npos);
+      EXPECT_NE(message.find("edf fifo wfq"), std::string::npos) << message;
     }
   }
   config.policy = "";
@@ -550,75 +552,6 @@ TEST(AdmissionPolicyTest, ExplicitFifoIsBitIdenticalToDefault) {
   explicit_fifo.scheduler.admission.policy = "fifo";
   expect_identical_metrics(run_serving(defaulted, requests),
                            run_serving(explicit_fifo, requests));
-}
-
-/// Drives a max_batch-1 scheduler under a sustained stream of high-priority
-/// arrivals — a fresh priority-10 request enqueues the moment the previous
-/// one finishes, so at every admission the policy chooses between a YOUNG
-/// priority-10 request and the ever-AGING priority-0 request 0 enqueued at
-/// the start.  Returns the step at which request 0 emits its first token.
-std::int64_t low_priority_admission_step(double aging_rate) {
-  KvCacheManager kv(1e9, 1.0, EvictionPolicy::kNone);
-  SchedulerConfig config;
-  config.max_batch = 1;
-  config.admission.policy = "priority";
-  config.admission.aging_rate = aging_rate;
-  ContinuousBatchScheduler scheduler(config, &kv);
-  scheduler.enqueue(make_request(1, 8, 8, /*priority=*/10));
-  scheduler.enqueue(make_request(0, 8, 8, /*priority=*/0));
-  std::int64_t next_id = 2;
-  const std::int64_t high_priority_arrivals = 30;
-  std::int64_t admitted_step = -1;
-  StepRecord record;
-  while (scheduler.next_step(&record)) {
-    for (std::int64_t id : record.first_token_ids) {
-      if (id == 0 && admitted_step < 0) {
-        admitted_step = scheduler.total_steps();
-      }
-    }
-    if (!record.finished_ids.empty() && next_id <= high_priority_arrivals) {
-      scheduler.enqueue(make_request(next_id, 8, 8, /*priority=*/10));
-      ++next_id;
-    }
-  }
-  EXPECT_TRUE(scheduler.idle());
-  EXPECT_GE(admitted_step, 0) << "request 0 never admitted";
-  return admitted_step;
-}
-
-TEST(AdmissionPolicyTest, PriorityAgingPreventsStarvation) {
-  // With aging, the low-priority request's effective priority grows one
-  // unit per waiting step and overtakes the priority-10 stream after ~10
-  // steps; without aging it waits until the high-priority stream dries up
-  // entirely.  Every request is eventually admitted either way (the
-  // invariant the wall pins), but aging bounds the wait.
-  const std::int64_t aged = low_priority_admission_step(/*aging_rate=*/1.0);
-  const std::int64_t starved = low_priority_admission_step(/*aging_rate=*/0.0);
-  EXPECT_LT(aged, starved);
-  EXPECT_LE(aged, 40) << "aging should admit request 0 well before the "
-                         "30-request high-priority stream drains";
-  EXPECT_GT(starved, 200) << "static priority should hold request 0 back "
-                             "until the high-priority stream is done";
-}
-
-TEST(AdmissionPolicyTest, PriorityAdmitsHighestFirstAndFifoAmongEquals) {
-  KvCacheManager kv(1e9, 1.0, EvictionPolicy::kNone);
-  SchedulerConfig config;
-  config.max_batch = 1;
-  config.admission.policy = "priority";
-  config.admission.aging_rate = 0.0;
-  ContinuousBatchScheduler scheduler(config, &kv);
-  scheduler.enqueue(make_request(0, 8, 4, /*priority=*/1));
-  scheduler.enqueue(make_request(1, 8, 4, /*priority=*/5));
-  scheduler.enqueue(make_request(2, 8, 4, /*priority=*/5));
-  scheduler.enqueue(make_request(3, 8, 4, /*priority=*/9));
-  std::vector<std::int64_t> first_tokens;
-  StepRecord record;
-  while (scheduler.next_step(&record)) {
-    for (std::int64_t id : record.first_token_ids) first_tokens.push_back(id);
-  }
-  // Highest priority first; the two priority-5 requests keep FIFO order.
-  EXPECT_EQ(first_tokens, (std::vector<std::int64_t>{3, 1, 2, 0}));
 }
 
 TEST(AdmissionPolicyTest, WfqSharesTrackWeightsUnderOverload) {
@@ -666,20 +599,17 @@ TEST(AdmissionPolicyTest, WfqSharesTrackWeightsUnderOverload) {
   EXPECT_LT(fifo.completed, static_cast<std::int64_t>(requests.size()));
 }
 
-TEST(AdmissionPolicyTest, WfqRateCapThrottlesWhileOthersHaveWork) {
-  // Tenant 1 is capped to its burst allowance (the direct driver never
-  // advances the policy clock, so the cap cannot refill).  Its first small
-  // request fits the burst; after that it must wait until tenant 0's work
-  // drains and the empty-device liveness bypass admits it.
-  KvCacheManager kv(1e9, 1.0, EvictionPolicy::kNone);
+TEST(AdmissionPolicyTest, WfqAdmitsTheTenantWithLeastVirtualWork) {
+  // Serialized admissions make the order observable.  Every request
+  // charges 30 tokens: 15 units of virtual work to tenant 0 (weight 2),
+  // 30 to tenant 1 (weight 1).  Each admission goes to the backlogged
+  // tenant with the least virtual work, ties to the lower tenant id, so
+  // tenant 0 admits two requests per tenant-1 request.
+  KvCacheManager kv(1e9, 1.0, EvictionPolicy::kPreemptNewest);
   SchedulerConfig config;
-  config.max_batch = 1;  // serialized admissions make the order observable
+  config.max_batch = 1;
   config.admission.policy = "wfq";
-  TenantShare uncapped;  // tenant 0
-  TenantShare capped;    // tenant 1
-  capped.token_rate_cap = 1e-9;  // effectively "burst only" at now = 0
-  capped.burst_tokens = 40;
-  config.admission.tenants = {uncapped, capped};
+  config.admission.tenant_weights = {2.0, 1.0};
   ContinuousBatchScheduler scheduler(config, &kv);
 
   const auto tenant_request = [](std::int64_t id, std::int64_t tenant) {
@@ -699,21 +629,10 @@ TEST(AdmissionPolicyTest, WfqRateCapThrottlesWhileOthersHaveWork) {
   while (scheduler.next_step(&record)) {
     for (std::int64_t id : record.first_token_ids) first_tokens.push_back(id);
   }
-  ASSERT_EQ(first_tokens.size(), 9u);  // liveness: everyone completes
-  // Tenant 1's first request (id 6, 30 tokens <= 40 burst) may admit
-  // early — WFQ favours the zero-virtual-work tenant — but its remaining
-  // two requests exceed the burst and must trail ALL tenant-0 work.
-  const auto position = [&](std::int64_t id) {
-    return std::find(first_tokens.begin(), first_tokens.end(), id) -
-           first_tokens.begin();
-  };
-  for (std::int64_t capped_id : {std::int64_t{7}, std::int64_t{8}}) {
-    for (std::int64_t uncapped_id = 0; uncapped_id < 6; ++uncapped_id) {
-      EXPECT_GT(position(capped_id), position(uncapped_id))
-          << "capped request " << capped_id << " overtook tenant-0 request "
-          << uncapped_id;
-    }
-  }
+  // Virtual work after each admission (tenant 0 / tenant 1):
+  // 15/0, 15/30, 30/30, 45/30, 45/60, 60/60, 75/60, 75/90, 90/90.
+  EXPECT_EQ(first_tokens,
+            (std::vector<std::int64_t>{0, 6, 1, 2, 7, 3, 4, 8, 5}));
 }
 
 TEST(AdmissionPolicyTest, AccountingCleanUnderEveryAdmissionEvictionPair) {
@@ -721,11 +640,10 @@ TEST(AdmissionPolicyTest, AccountingCleanUnderEveryAdmissionEvictionPair) {
   // admission; this extends the matrix to all 3 admission x 3 eviction
   // combinations: KV pages never leak or double-free, every request
   // finishes exactly once, and the incremental aggregates stay consistent.
-  for (const char* admission : {"fifo", "priority", "wfq"}) {
+  for (const char* admission : {"fifo", "wfq", "edf"}) {
     AdmissionConfig admission_config;
     admission_config.policy = admission;
-    admission_config.tenants = {TenantShare{}, TenantShare{}};
-    admission_config.tenants[0].weight = 2.0;
+    admission_config.tenant_weights = {2.0, 1.0};
     for (EvictionPolicy eviction :
          {EvictionPolicy::kPreemptNewest, EvictionPolicy::kSwapToHost,
           EvictionPolicy::kPriorityVictim}) {
@@ -1073,10 +991,10 @@ TEST(PolicyEndToEndTest, ChunkingBoundsTpotUnderLongPrompts) {
 // PagedContiguousLockstepTest wall in serving_paged_kv_test.cpp pins that
 // equivalence operation by operation.  Two dimensions are deliberately
 // NOT golden-pinned:
-//   * the admission-policy dimension ("priority", "wfq") — asserted
-//     functionally by the AdmissionPolicyTest wall above (starvation
-//     freedom, share proportionality, Jain index), aggregates in the
-//     JSON's "fairness" block;
+//   * the admission-policy dimension ("wfq", "edf") — asserted
+//     functionally by the AdmissionPolicyTest wall above (order by virtual
+//     work, share proportionality, Jain index) and serving_slo_test.cpp,
+//     aggregates in the JSON's "fairness" and "slo_frontier" blocks;
 //   * the paged-KV dimension (block sizes > 1, prefix caching on) —
 //     asserted functionally by serving_paged_kv_test.cpp (hit rate,
 //     blocks saved, CoW, fragmentation), aggregates in the schema-v5

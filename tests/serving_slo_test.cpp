@@ -96,57 +96,57 @@ TEST(EdfAdmissionTest, SelectsEarliestAbsoluteDeadlineFirst) {
 
   // Absolute deadlines: r0 = 0+5, r1 = 1+1 (earliest), r2/r3 deadline-free
   // (sort last, FIFO among themselves).
-  edf->on_enqueue(make_request(0, 0.0, 5.0), 0);
-  edf->on_enqueue(make_request(1, 1.0, 1.0), /*step=*/0);
-  edf->on_enqueue(make_request(2, 0.5, 0.0), /*step=*/0);
-  edf->on_enqueue(make_request(3, 0.6, 0.0), /*step=*/0);
-
-  AdmissionContext context;
-  context.free_batch_slots = 8;
-  context.free_kv_bytes = 1e9;
-  context.bytes_per_token = 1;
-  context.device_empty = true;
-  context.now = 1.5;
+  edf->on_enqueue(make_request(0, 0.0, 5.0));
+  edf->on_enqueue(make_request(1, 1.0, 1.0));
+  edf->on_enqueue(make_request(2, 0.5, 0.0));
+  edf->on_enqueue(make_request(3, 0.6, 0.0));
 
   std::vector<std::int64_t> order;
-  while (const Request* head = edf->select(context)) {
+  while (const Request* head = edf->select(/*now=*/1.5)) {
     order.push_back(head->id);
     edf->pop_selected();
   }
   EXPECT_EQ(order, (std::vector<std::int64_t>{1, 0, 2, 3}));
 }
 
-TEST(EdfAdmissionTest, ShedsProvablyLateRequestsAndDrainsThem) {
+std::vector<std::int64_t> drained_ids(AdmissionPolicy& policy) {
+  std::vector<Request> shed;
+  policy.drain_shed(&shed);
+  std::vector<std::int64_t> ids;
+  for (const Request& request : shed) ids.push_back(request.id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(EdfAdmissionTest, ShedsLateRequestsAndDegradedSlackAndDrainsThem) {
   AdmissionConfig config;
   config.policy = "edf";
-  config.edf_shed_slack_s = 0.5;
   std::unique_ptr<AdmissionPolicy> edf = make_admission_policy(config);
 
-  edf->on_enqueue(make_request(0, 0.0, 1.0), /*step=*/0);   // deadline 1.0 < now — late
-  edf->on_enqueue(make_request(1, 0.0, 10.0), /*step=*/0);  // feasible
-  edf->on_enqueue(make_request(2, 0.0, 2.4), /*step=*/0);   // 2.4 < 2.0 + 0.5 — late
+  edf->on_enqueue(make_request(0, 0.0, 1.0));   // deadline 1.0 < now — late
+  edf->on_enqueue(make_request(1, 0.0, 10.0));  // feasible
+  edf->on_enqueue(make_request(2, 0.0, 2.4));   // feasible until degraded
 
-  AdmissionContext context;
-  context.free_batch_slots = 8;
-  context.free_kv_bytes = 1e9;
-  context.bytes_per_token = 1;
-  context.device_empty = true;
-  context.now = 2.0;
+  const Request* head = edf->select(/*now=*/2.0);
+  ASSERT_NE(head, nullptr);
+  EXPECT_EQ(head->id, 2);  // the earliest deadline still reachable
+  EXPECT_EQ(drained_ids(*edf), (std::vector<std::int64_t>{0}));
+  // Drained means gone: a second drain yields nothing.
+  EXPECT_TRUE(drained_ids(*edf).empty());
 
-  const Request* head = edf->select(context);
+  // Degraded, EDF sheds with the extra slack: 2.4 < 2.0 + 0.5 — late.
+  edf->set_degraded(true, /*extra_shed_slack=*/0.5);
+  head = edf->select(/*now=*/2.0);
   ASSERT_NE(head, nullptr);
   EXPECT_EQ(head->id, 1);
+  EXPECT_EQ(drained_ids(*edf), (std::vector<std::int64_t>{2}));
 
-  std::vector<Request> shed;
-  edf->drain_shed(&shed);
-  std::vector<std::int64_t> shed_ids;
-  for (const Request& request : shed) shed_ids.push_back(request.id);
-  std::sort(shed_ids.begin(), shed_ids.end());
-  EXPECT_EQ(shed_ids, (std::vector<std::int64_t>{0, 2}));
-  // Drained means gone: a second drain yields nothing.
-  shed.clear();
-  edf->drain_shed(&shed);
-  EXPECT_TRUE(shed.empty());
+  // Recovered, the slack is gone again: 10.0 stays feasible at 9.6.
+  edf->set_degraded(false, 0.5);
+  head = edf->select(/*now=*/9.6);
+  ASSERT_NE(head, nullptr);
+  EXPECT_EQ(head->id, 1);
+  EXPECT_TRUE(drained_ids(*edf).empty());
 }
 
 TEST(EdfAdmissionTest, ResumedVictimsAreExemptFromShedding) {
@@ -157,16 +157,9 @@ TEST(EdfAdmissionTest, ResumedVictimsAreExemptFromShedding) {
   // A preemption victim re-queued past its deadline must NOT be shed: it
   // already streamed its first token, so its TTFT verdict is settled and
   // dropping it would throw away completed decode work.
-  edf->on_preempt_requeue(make_request(0, 0.0, 1.0), /*step=*/0);
+  edf->on_preempt_requeue(make_request(0, 0.0, 1.0));
 
-  AdmissionContext context;
-  context.free_batch_slots = 8;
-  context.free_kv_bytes = 1e9;
-  context.bytes_per_token = 1;
-  context.device_empty = true;
-  context.now = 100.0;
-
-  const Request* head = edf->select(context);
+  const Request* head = edf->select(/*now=*/100.0);
   ASSERT_NE(head, nullptr);
   EXPECT_EQ(head->id, 0);
   std::vector<Request> shed;
@@ -191,17 +184,14 @@ TEST(EdfSchedulingTest, EdfAttainmentBeatsOtherPoliciesUnderOverload) {
       slo_chat_stream(/*seed=*/42, /*num_requests=*/300,
                       /*arrival_rate=*/25.0));
   const ServingMetrics fifo = run_slo_policy("fifo", requests);
-  const ServingMetrics priority = run_slo_policy("priority", requests);
   const ServingMetrics wfq = run_slo_policy("wfq", requests);
   const ServingMetrics edf = run_slo_policy("edf", requests);
 
   // Only EDF sheds; the non-shedding disciplines lose to queueing delay.
   EXPECT_GT(edf.counters.shed_deadline, 0);
   EXPECT_EQ(fifo.counters.shed_deadline, 0);
-  EXPECT_EQ(priority.counters.shed_deadline, 0);
   EXPECT_EQ(wfq.counters.shed_deadline, 0);
   EXPECT_GT(edf.slo_attainment, fifo.slo_attainment);
-  EXPECT_GT(edf.slo_attainment, priority.slo_attainment);
   EXPECT_GT(edf.slo_attainment, wfq.slo_attainment);
   EXPECT_GT(edf.slo_goodput_tokens_per_second,
             fifo.slo_goodput_tokens_per_second);
@@ -324,68 +314,24 @@ TEST(HorizonTest, HorizonCutsAreCountedWithTracingOffAndOn) {
   EXPECT_EQ(horizon_events, traced.counters.shed_horizon);
 }
 
-// --- Tenant-share resolution by id -------------------------------------------
+// --- Tenant weights ----------------------------------------------------------
 
-TEST(TenantShareTest, SharesResolveByExplicitTenantId) {
+TEST(TenantWeightTest, WeightsIndexByTenantIdAndUnlistedTenantsWeighOne) {
   AdmissionConfig config;
-  TenantShare a;
-  a.tenant_id = 7;
-  a.weight = 3.0;
-  TenantShare b;
-  b.tenant_id = 2;
-  b.weight = 1.5;
-  config.tenants = {a, b};
+  config.tenant_weights = {3.0, 1.5};
   config.validate();
-  EXPECT_EQ(config.share_for(7).weight, 3.0);
-  EXPECT_EQ(config.share_for(2).weight, 1.5);
-  // Un-named tenants fall back to the default share (weight 1, no cap).
-  EXPECT_EQ(config.share_for(0).weight, 1.0);
+  EXPECT_EQ(config.tenant_weight(0), 3.0);
+  EXPECT_EQ(config.tenant_weight(1), 1.5);
+  EXPECT_EQ(config.tenant_weight(2), 1.0);
+  EXPECT_EQ(AdmissionConfig{}.tenant_weight(0), 1.0);
 }
 
-TEST(TenantShareTest, DefaultEntriesBindToTheirIndex) {
-  AdmissionConfig config;
-  TenantShare first;
-  first.weight = 3.0;  // tenant_id left at -1: binds to index 0
-  TenantShare second;
-  second.weight = 1.0;
-  config.tenants = {first, second};
-  config.validate();
-  EXPECT_EQ(config.share_for(0).weight, 3.0);
-  EXPECT_EQ(config.share_for(1).weight, 1.0);
-}
-
-TEST(TenantShareTest, DuplicateResolvedIdsAreRejected) {
-  AdmissionConfig config;
-  TenantShare a;
-  a.tenant_id = 1;  // explicit id 1...
-  TenantShare b;    // ...collides with index-bound entry 1
-  config.tenants = {a, b};
-  EXPECT_THROW(config.validate(), ConfigError);
-}
-
-TEST(TenantShareTest, MetricsRollupUsesResolvedWeights) {
-  // Shares listed in REVERSE tenant order via explicit ids: the fairness
-  // rollup must attach weight 3 to tenant 0 — resolving by the id the
-  // config names, not by vector position (the old positional bug).
-  const std::vector<Request> requests = generate_requests(
-      multi_tenant_pressure_stream(/*seed=*/42, /*num_requests=*/300,
-                                   /*arrival_rate=*/50.0,
-                                   /*num_tenants=*/2));
-  ServingScenario scenario = multi_tenant_fairness_scenario(
-      ir::DType::kInt8, "wfq", /*weights=*/{1.0, 3.0},
-      kMultiTenantFairnessHorizon);
-  ASSERT_EQ(scenario.scheduler.admission.tenants.size(), 2u);
-  scenario.scheduler.admission.tenants[0].tenant_id = 1;  // weight 1 -> t1
-  scenario.scheduler.admission.tenants[1].tenant_id = 0;  // weight 3 -> t0
-  const ServingMetrics metrics = run_serving(scenario, requests);
-  ASSERT_EQ(metrics.tenants.size(), 2u);
-  EXPECT_EQ(metrics.tenants[0].tenant_id, 0);
-  EXPECT_EQ(metrics.tenants[0].weight, 3.0);
-  EXPECT_EQ(metrics.tenants[1].tenant_id, 1);
-  EXPECT_EQ(metrics.tenants[1].weight, 1.0);
-  // And WFQ actually enforced the 3:1 share for tenant 0.
-  EXPECT_GT(metrics.tenants[0].goodput_tokens_per_second,
-            1.5 * metrics.tenants[1].goodput_tokens_per_second);
+TEST(TenantWeightTest, NonPositiveWeightsAreRejected) {
+  for (double weight : {0.0, -1.0}) {
+    AdmissionConfig config;
+    config.tenant_weights = {1.0, weight};
+    EXPECT_THROW(config.validate(), ConfigError);
+  }
 }
 
 // --- Diurnal and merged traffic ----------------------------------------------

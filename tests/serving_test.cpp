@@ -187,9 +187,11 @@ TEST(KvCacheTest, EvictionPicksNewestAndRespectsProtect) {
   kv.release(12);
   EXPECT_EQ(kv.pick_eviction_victim(-1), 11);
 
-  KvCacheManager no_evict(100.0, 1.0, EvictionPolicy::kNone);
-  EXPECT_TRUE(no_evict.try_admit(0, 5));
-  EXPECT_EQ(no_evict.pick_eviction_victim(-1), -1);
+  // Nothing to evict: an empty manager, or only the protected request.
+  KvCacheManager sole(100.0, 1.0, EvictionPolicy::kPreemptNewest);
+  EXPECT_EQ(sole.pick_eviction_victim(-1), -1);
+  EXPECT_TRUE(sole.try_admit(0, 5));
+  EXPECT_EQ(sole.pick_eviction_victim(/*protect=*/0), -1);
 }
 
 TEST(KvCacheTest, ModelBudgetAccountsForWeights) {
@@ -322,23 +324,27 @@ TEST(SchedulerTest, KvPressurePreemptsNewestAndRequeues) {
   EXPECT_DOUBLE_EQ(kv.used(), 0.0);
 }
 
-TEST(SchedulerTest, NonePolicyReservesWholeSequenceUpFront) {
-  // kNone reserves prompt + output at admission, so r1 must wait for r0 to
-  // finish entirely — and growth never fails.
-  KvCacheManager kv(30.0, 1.0, EvictionPolicy::kNone);
+TEST(SchedulerTest, AdmissionReservesPromptPlusFirstToken) {
+  // Admission reserves prompt + first token (11 each), so both requests
+  // enter together although their whole sequences (40) exceed the budget;
+  // decode growth then preempts, and both still complete.
+  KvCacheManager kv(30.0, 1.0, EvictionPolicy::kPreemptNewest);
   SchedulerConfig config;
   ContinuousBatchScheduler scheduler(config, &kv);
-  scheduler.enqueue(make_request(0, 10, 10));  // reserves 20
-  scheduler.enqueue(make_request(1, 10, 10));  // 40 > 30: blocks
+  scheduler.enqueue(make_request(0, 10, 10));
+  scheduler.enqueue(make_request(1, 10, 10));
   auto prefill = scheduler.next_step();
-  EXPECT_EQ(prefill->batch, 1);
-  EXPECT_EQ(scheduler.waiting_count(), 1u);
+  ASSERT_TRUE(prefill.has_value());
+  EXPECT_EQ(prefill->batch, 2);
+  EXPECT_EQ(scheduler.waiting_count(), 0u);
+  EXPECT_DOUBLE_EQ(kv.used(), 22.0);
   std::vector<std::int64_t> finished;
   while (auto step = scheduler.next_step()) {
     for (std::int64_t id : step->finished_ids) finished.push_back(id);
   }
-  EXPECT_EQ(scheduler.preemptions(), 0);
+  EXPECT_GT(scheduler.preemptions(), 0);
   EXPECT_EQ(finished, (std::vector<std::int64_t>{0, 1}));
+  EXPECT_DOUBLE_EQ(kv.used(), 0.0);
 }
 
 // --- Workload-runner edge cases (satellite fix) ------------------------------
