@@ -1,0 +1,1119 @@
+// Prints the paper's tables, figures and ablations, each described once as
+// one entry of kFigures: a name, a title and a function that prints its
+// tables next to the paper's published values where one exists.
+//
+//   ./paper_figures          # every entry, in list order
+//   ./paper_figures fig6     # one entry by name
+//
+// The output is deterministic; the committed PAPER_FIGURES.txt holds the
+// full run and CI diffs a fresh one against it.  Re-pin after a deliberate
+// model change with `./build/paper_figures > PAPER_FIGURES.txt`.  An unknown
+// name or an extra argument prints one "paper_figures: <message>" line to
+// stderr and exits 2.
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <exception>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "arch/chip.h"
+#include "arch/tpu_config.h"
+#include "common/status.h"
+#include "common/table.h"
+#include "common/units.h"
+#include "ir/dtype.h"
+#include "mapping/tiling.h"
+#include "mem/memory.h"
+#include "models/model_zoo.h"
+#include "parallel/capacity.h"
+#include "parallel/multi_chip.h"
+#include "sim/pipeline_sim.h"
+#include "sim/roofline.h"
+#include "sim/workload_runner.h"
+#include "tech/calibration.h"
+
+using namespace cimtpu;
+
+namespace {
+
+// --- Shared parts -------------------------------------------------------------
+
+/// A chip and the simulator that costs work on it.
+struct SimChip {
+  explicit SimChip(const arch::TpuChipConfig& config)
+      : chip(config), sim(chip) {}
+  SimChip(const SimChip&) = delete;
+  SimChip& operator=(const SimChip&) = delete;
+
+  arch::TpuChip chip;
+  sim::Simulator sim;
+};
+
+// The Fig. 6 panels most entries reuse: one GPT3-30B layer at batch 8
+// (a 1024-token prefill, and the decode of the 256th output token) and one
+// DiT-XL/2 block at 512x512, batch 8.
+constexpr std::int64_t kBatch = 8;
+constexpr std::int64_t kPrompt = 1024;
+constexpr std::int64_t kDecodeKv = 1024 + 256;
+
+sim::GraphResult prefill_layer(
+    const SimChip& chip,
+    const models::TransformerConfig& model = models::gpt3_30b()) {
+  return sim::run_prefill_layer(chip.sim, model, kBatch, kPrompt);
+}
+
+sim::GraphResult decode_layer(
+    const SimChip& chip,
+    const models::TransformerConfig& model = models::gpt3_30b(),
+    std::int64_t batch = kBatch) {
+  return sim::run_decode_layer(chip.sim, model, batch, kDecodeKv);
+}
+
+sim::GraphResult dit_block(
+    const SimChip& chip,
+    const models::DitGeometry& geometry = models::dit_geometry_512()) {
+  return sim::run_dit_block(chip.sim, models::dit_xl_2(), geometry, kBatch);
+}
+
+/// GPT3-30B inference at Sec. V-A's 1024 in / 512 out.
+sim::LlmScenario gpt3_inference(std::int64_t batch) {
+  sim::LlmScenario scenario;
+  scenario.model = models::gpt3_30b();
+  scenario.batch = batch;
+  scenario.input_len = 1024;
+  scenario.output_len = 512;
+  return scenario;
+}
+
+/// One DiT-XL/2 forward pass at 512x512.
+sim::DitScenario dit_forward(std::int64_t batch) {
+  sim::DitScenario scenario;
+  scenario.model = models::dit_xl_2();
+  scenario.geometry = models::dit_geometry_512();
+  scenario.batch = batch;
+  return scenario;
+}
+
+/// "x / base - 1" as a signed percentage.
+std::string delta(double x, double base) {
+  return format_percent_delta(x / base - 1.0);
+}
+
+/// "paper vs measured" cell: e.g. "-29.9% (paper) / -28.2% (ours)".
+std::string paper_vs(const std::string& paper, const std::string& measured) {
+  return paper + " (paper) / " + measured + " (ours)";
+}
+
+// --- Fig. 1 -------------------------------------------------------------------
+
+// The figure is a survey scatter of published silicon (paper Fig. 1 and
+// refs [4],[6]-[11]); the modeled CIM-based TPU is placed among them.
+void fig1() {
+  struct SurveyPoint {
+    const char* design;
+    const char* venue;
+    double tops;      // peak INT throughput
+    double area_mm2;  // silicon area
+    const char* node;
+    const char* kind;
+  };
+  constexpr SurveyPoint kSurvey[] = {
+      {"Twin-8T CIM macro [7]", "ISSCC'19", 0.0177, 0.003, "65nm", "CIM macro"},
+      {"7nm FinFET CIM macro [8]", "ISSCC'20", 0.4551, 0.0032, "7nm",
+       "CIM macro"},
+      {"Reconfigurable DCIM [9]", "ISSCC'22", 1.35, 0.94, "28nm", "CIM core"},
+      {"FP CIM processor [10]", "ISSCC'23", 5.52, 4.54, "28nm", "CIM core"},
+      {"Metis AIPU core [11]", "ISSCC'24", 52.4, 6.5, "12nm", "CIM SoC"},
+      {"NVIDIA A100 [4]", "2020", 624.0, 826.0, "7nm", "GPU"},
+      {"Google TPUv4 [6]", "2023", 275.0, 780.0, "7nm", "TPU"},
+  };
+  AsciiTable table("Fig. 1 — CIM design evolution (survey + this work)");
+  table.set_header(
+      {"Design", "Venue", "Peak TOPS", "Area (mm2)", "Node", "Class"});
+  for (const SurveyPoint& point : kSurvey) {
+    table.add_row({point.design, point.venue, cell_f(point.tops, 3),
+                   cell_f(point.area_mm2, 3), point.node, point.kind});
+  }
+  table.add_separator();
+  const arch::TpuChip ours(arch::cim_tpu_default());
+  table.add_row({"CIM-based TPU (this work)", "DATE'25",
+                 cell_f(ours.peak_ops_per_second() / 1e12, 1),
+                 cell_f(ours.area_report().mxus, 1), "7nm", "CIM TPU"});
+  table.print();
+  std::printf("  the modeled CIM-based TPU reaches the >100 TOPS regime the"
+              " paper targets\n");
+}
+
+// --- Fig. 2(d) ----------------------------------------------------------------
+
+// The paper measured the breakdown on A100 GPUs (Transformer layers
+// dominate: 98.35% and 99.31%); this simulates it on the baseline TPU.
+void print_breakdown(const char* model, const sim::BreakdownResult& result,
+                     const char* const paper_rows[3][3]) {
+  AsciiTable table(std::string("Fig. 2(d) — ") + model);
+  table.set_header({"Layer Name", "Latency (ours)", "Breakdown (ours)",
+                    "Latency (paper, A100)", "Breakdown (paper)"});
+  const Seconds total = result.total();
+  const Seconds parts[3] = {result.pre.latency, result.core.latency,
+                            result.post.latency};
+  for (int i = 0; i < 3; ++i) {
+    table.add_row({paper_rows[i][0], format_time(parts[i]),
+                   cell_f(100.0 * parts[i] / total, 2) + "%",
+                   paper_rows[i][1], paper_rows[i][2]});
+  }
+  table.print();
+  std::printf("\n");
+}
+
+void fig2() {
+  const SimChip base(arch::tpu_v4i_baseline());
+  // Llama2-13B with an Alpaca-like shape (short instruction prompt,
+  // moderate completion), batch 1 as in the paper's measurement.
+  sim::LlmScenario llama;
+  llama.model = models::llama2_13b();
+  llama.batch = 1;
+  llama.input_len = 128;
+  llama.output_len = 256;
+  const char* const llama_rows[3][3] = {
+      {"Token Embedding", "0.41 ms", "0.70%"},
+      {"Transformer Layers", "57.91 ms", "98.35%"},
+      {"Prediction Head", "0.56 ms", "0.95%"},
+  };
+  print_breakdown("Llama2-13B", sim::run_llm_breakdown(base.sim, llama),
+                  llama_rows);
+  const char* const dit_rows[3][3] = {
+      {"Pre-Process", "1.18 ms", "0.35%"},
+      {"DiT Blocks", "338.10 ms", "99.31%"},
+      {"Post-Process", "1.15 ms", "0.34%"},
+  };
+  print_breakdown("DiT-XL/2", sim::run_dit_breakdown(base.sim, dit_forward(1)),
+                  dit_rows);
+}
+
+// --- Tables I-IV --------------------------------------------------------------
+
+// Printed from the live configuration objects, so the table cannot drift
+// from what the simulator models.
+void table1() {
+  const arch::TpuChipConfig base = arch::tpu_v4i_baseline();
+  const arch::TpuChipConfig cim = arch::cim_tpu_default();
+  auto dims = [](long long a, const char* sep, long long b) {
+    return std::to_string(a) + sep + std::to_string(b);
+  };
+  auto gbps = [](double bandwidth) {
+    return cell_f(bandwidth / GBps, 0) + " GB/s";
+  };
+  AsciiTable table("Table I — Architecture parameters");
+  table.set_header({"Key parameters", "TPUv4i", "CIM-based TPU"});
+  table.add_row({"Tensor Core count", "1", "1"});
+  table.add_row({"MXU count", cell_i(base.mxu_count), cell_i(cim.mxu_count)});
+  table.add_row({"MXU dimension",
+                 dims(base.systolic.rows, "x", base.systolic.cols) + " MACs",
+                 dims(cim.cim.grid_rows, "x", cim.cim.grid_cols) + " CIMs"});
+  table.add_row({"CIM core dimension", "N/A",
+                 dims(cim.cim.core_rows, " x ", cim.cim.core_cols)});
+  table.add_row({"Vector width", dims(base.vpu.sublanes, " x ", base.vpu.lanes),
+                 dims(cim.vpu.sublanes, " x ", cim.vpu.lanes)});
+  table.add_row({"Vector memory size", format_bytes(base.memory.vmem.capacity),
+                 format_bytes(cim.memory.vmem.capacity)});
+  table.add_row({"Common memory size", format_bytes(base.memory.cmem.capacity),
+                 format_bytes(cim.memory.cmem.capacity)});
+  table.add_row({"Main memory size", format_bytes(base.memory.hbm.capacity),
+                 format_bytes(cim.memory.hbm.capacity)});
+  table.add_row({"Main memory bandwidth", gbps(base.memory.hbm.bandwidth),
+                 gbps(cim.memory.hbm.bandwidth)});
+  table.add_row({"ICI link bandwidth", gbps(base.ici.bandwidth_per_link),
+                 gbps(cim.ici.bandwidth_per_link)});
+  table.print();
+
+  const arch::TpuChip base_chip(base);
+  const arch::TpuChip cim_chip(cim);
+  AsciiTable derived("Derived chip figures (7nm)");
+  derived.set_header({"figure", "TPUv4i", "CIM-based TPU"});
+  derived.add_row({"Peak throughput",
+                   format_ops_rate(base_chip.peak_ops_per_second()),
+                   format_ops_rate(cim_chip.peak_ops_per_second())});
+  derived.add_row({"Total MXU area",
+                   cell_f(base_chip.area_report().mxus, 1) + " mm2",
+                   cell_f(cim_chip.area_report().mxus, 1) + " mm2"});
+  derived.print();
+}
+
+// Both MXUs at the 22 nm calibration node, as in the paper's post-P&R flow.
+void table2() {
+  arch::TpuChipConfig base_cfg = arch::tpu_v4i_baseline();
+  base_cfg.technology = "22nm";
+  arch::TpuChipConfig cim_cfg = arch::cim_tpu_default();
+  cim_cfg.technology = "22nm";
+  const arch::TpuChip baseline(base_cfg);
+  const arch::TpuChip cim(cim_cfg);
+
+  const Hertz clock = baseline.clock();
+  const auto& dmxu = baseline.mxu();
+  const auto& cmxu = cim.mxu();
+  const double d_tw = dmxu.tops_per_watt(ir::DType::kInt8, clock);
+  const double c_tw = cmxu.tops_per_watt(ir::DType::kInt8, clock);
+  const double d_tm = dmxu.tops_per_mm2(clock);
+  const double c_tm = cmxu.tops_per_mm2(clock);
+
+  AsciiTable table("Table II — CIM-MXU vs digital MXU (TSMC 22nm, INT8)");
+  table.set_header({"Evaluation Metrics", "Digital MXU", "CIM-MXU",
+                    "Speedup (ours)", "Speedup (paper)"});
+  table.add_row({"MACs per cycle", cell_i((long long)dmxu.macs_per_cycle()),
+                 cell_i((long long)cmxu.macs_per_cycle()),
+                 format_ratio(cmxu.macs_per_cycle() / dmxu.macs_per_cycle()),
+                 "1x"});
+  table.add_row({"Energy Efficiency", cell_f(d_tw, 3) + " TOPS/W",
+                 cell_f(c_tw, 2) + " TOPS/W", format_ratio(c_tw / d_tw),
+                 "9.43x"});
+  table.add_row({"Area Efficiency", cell_f(d_tm, 3) + " TOPS/mm2",
+                 cell_f(c_tm, 2) + " TOPS/mm2", format_ratio(c_tm / d_tm),
+                 "2.02x"});
+  table.add_row({"Area (derived)", cell_f(dmxu.area(), 1) + " mm2",
+                 cell_f(cmxu.area(), 1) + " mm2",
+                 format_ratio(dmxu.area() / cmxu.area()), "~2x"});
+  table.print();
+}
+
+void table3() {
+  AsciiTable table("Table III — Evaluated generative models");
+  table.set_header({"Generative model", "# Layers", "# Heads", "d_model",
+                    "d_ff", "params (stack)"});
+  for (const char* name : {"gpt3-30b", "dit-xl/2"}) {
+    const models::TransformerConfig config = models::model_by_name(name);
+    table.add_row({config.name, cell_i(config.num_layers),
+                   cell_i(config.num_heads), cell_i(config.d_model),
+                   cell_i(config.d_ff),
+                   cell_f(config.stack_parameters() / 1e9, 2) + " B"});
+  }
+  table.print();
+  std::printf("  paper: GPT3-30B = 48 layers / 56 heads / 7168;"
+              " DiT-XL/2 = 28 / 16 / 1152\n\n");
+
+  AsciiTable derived("Derived workload footprints (INT8, batch 8)");
+  derived.set_header(
+      {"model", "layer weights", "stack weights", "KV/layer @1280"});
+  for (const std::string& name : models::model_names()) {
+    const models::TransformerConfig config = models::model_by_name(name);
+    derived.add_row(
+        {config.name, format_bytes(config.layer_weight_bytes()),
+         format_bytes(config.stack_weight_bytes()),
+         format_bytes(models::kv_cache_bytes_per_layer(config, kBatch,
+                                                       kDecodeKv))});
+  }
+  derived.print();
+}
+
+/// Table IV's nine CIM-MXU design points, count-major: 2, 4 or 8 MXUs
+/// of 8x8, 16x8 or 16x16 cores.
+std::vector<arch::TpuChipConfig> table4_designs() {
+  std::vector<arch::TpuChipConfig> designs;
+  for (int count : {2, 4, 8}) {
+    for (const auto& [rows, cols] :
+         {std::pair(8, 8), std::pair(16, 8), std::pair(16, 16)}) {
+      designs.push_back(arch::cim_tpu(count, rows, cols));
+    }
+  }
+  return designs;
+}
+
+void table4() {
+  AsciiTable table("Table IV — CIM-MXU design choices");
+  table.set_header({"Parameters", "Choice 1", "Choice 2", "Choice 3"});
+  table.add_row({"Array dimension", "8 x 8", "16 x 8", "16 x 16"});
+  table.add_row({"CIM-MXU count", "2", "4", "8"});
+  table.print();
+  std::printf("\n");
+
+  AsciiTable derived("Derived design points (vs baseline 4x 128x128)");
+  derived.set_header({"config", "MACs/cycle", "peak (vs base)", "MXU area",
+                      "area (vs base)"});
+  const arch::TpuChip baseline(arch::tpu_v4i_baseline());
+  const double base_macs = baseline.config().total_macs_per_cycle();
+  const double base_area = baseline.area_report().mxus;
+  for (const arch::TpuChipConfig& config : table4_designs()) {
+    const arch::TpuChip chip(config);
+    const double macs = config.total_macs_per_cycle();
+    const double area = chip.area_report().mxus;
+    derived.add_row({config.name, cell_i((long long)macs),
+                     cell_f(macs / base_macs, 2) + "x",
+                     cell_f(area, 1) + " mm2",
+                     cell_f(area / base_area, 2) + "x"});
+  }
+  derived.print();
+}
+
+// --- Fig. 6 -------------------------------------------------------------------
+
+void print_fig6_panel(const std::string& name, const sim::GraphResult& base,
+                      const sim::GraphResult& cim, const char* paper_latency,
+                      const char* paper_energy) {
+  AsciiTable table("Fig. 6 — " + name + " (baseline vs CIM-based TPU)");
+  table.set_header({"Layer", "Base latency", "CIM latency", "Base norm.E",
+                    "CIM norm.E"});
+  // Normalized energy: each group's MXU energy relative to the baseline
+  // total (the paper's "Norm. Energy" axis).
+  const Joules norm = base.mxu_energy();
+  for (const auto& [group, summary] : base.groups) {
+    const auto it = cim.groups.find(group);
+    const bool found = it != cim.groups.end();
+    table.add_row({group, format_time(summary.latency),
+                   format_time(found ? it->second.latency : 0.0),
+                   cell_f(summary.mxu_energy / norm, 4),
+                   cell_f((found ? it->second.mxu_energy : 0.0) / norm, 4)});
+  }
+  table.add_separator();
+  table.add_row({"TOTAL", format_time(base.latency), format_time(cim.latency),
+                 "1.0000", cell_f(cim.mxu_energy() / norm, 4)});
+  table.add_row({"delta latency",
+                 paper_vs(paper_latency, delta(cim.latency, base.latency)), "",
+                 "", ""});
+  table.add_row({"MXU energy reduction",
+                 paper_vs(paper_energy,
+                          format_ratio(base.mxu_energy() / cim.mxu_energy())),
+                 "", "", ""});
+  table.print();
+  std::printf("\n");
+}
+
+void fig6() {
+  const SimChip base(arch::tpu_v4i_baseline());
+  const SimChip cim(arch::cim_tpu_default());
+  print_fig6_panel("LLM Prefilling (GPT3-30B layer, L=1024)",
+                   prefill_layer(base), prefill_layer(cim), "+2.43%", "9.21x");
+  print_fig6_panel("LLM Decoding (GPT3-30B layer, 256th token)",
+                   decode_layer(base), decode_layer(cim), "-29.9%", "13.4x");
+  print_fig6_panel("DiT Block (DiT-XL/2, 512x512)", dit_block(base),
+                   dit_block(cim), "-6.67%", "10.4x");
+}
+
+// --- Fig. 7 -------------------------------------------------------------------
+
+struct Fig7Row {
+  std::string label;
+  Seconds latency;
+  Joules mxu_energy;
+  Watts mxu_power;
+};
+
+void print_fig7_panel(const std::string& panel,
+                      const std::vector<Fig7Row>& rows) {
+  AsciiTable table("Fig. 7 — " + panel);
+  table.set_header({"Design", "Latency", "vs base", "MXU energy", "vs base",
+                    "MXU power", "power ratio"});
+  const Fig7Row& base = rows.front();
+  for (const Fig7Row& row : rows) {
+    table.add_row({row.label, format_time(row.latency),
+                   delta(row.latency, base.latency),
+                   format_energy(row.mxu_energy),
+                   format_ratio(base.mxu_energy / row.mxu_energy),
+                   format_power(row.mxu_power),
+                   format_ratio(base.mxu_power / row.mxu_power)});
+  }
+  table.print();
+  std::printf("\n");
+}
+
+void fig7() {
+  std::vector<Fig7Row> llm;
+  std::vector<Fig7Row> dit;
+  auto add = [&](const std::string& label, const arch::TpuChipConfig& config) {
+    const SimChip chip(config);
+    const sim::LlmRunResult run =
+        sim::run_llm_inference(chip.sim, gpt3_inference(kBatch));
+    llm.push_back({label, run.total.latency, run.total.mxu_energy(),
+                   run.total.mxu_power()});
+    const sim::GraphResult pass =
+        sim::run_dit_inference(chip.sim, dit_forward(kBatch));
+    dit.push_back({label, pass.latency, pass.mxu_energy(), pass.mxu_power()});
+  };
+  add("baseline 4x(128x128)", arch::tpu_v4i_baseline());
+  for (const arch::TpuChipConfig& config : table4_designs()) {
+    std::string label = std::to_string(config.mxu_count) + "x(" +
+                        std::to_string(config.cim.grid_rows) + "x" +
+                        std::to_string(config.cim.grid_cols) + ")";
+    if (label == "4x(8x8)") label += "  [Design A]";
+    if (label == "8x(16x8)") label += "  [Design B]";
+    add(label, config);
+  }
+  // Rows: 0 baseline, then count-major 2x(8x8) = 1 ... 8x(16x16) = 9.
+  print_fig7_panel("GPT3-30B inference (1024 in / 512 out, batch 8)", llm);
+  {
+    const Fig7Row& base = llm[0];
+    const Fig7Row& small = llm[1];     // 2x(8x8)
+    const Fig7Row& design_a = llm[4];  // 4x(8x8)
+    const Fig7Row& d16x8_8 = llm[8];   // 8x(16x8)
+    const Fig7Row& d16x16_8 = llm[9];  // 8x(16x16)
+    std::printf("  paper callouts (LLM):\n");
+    std::printf("    2x(8x8) latency  : %s   [paper +38%%]\n",
+                delta(small.latency, base.latency).c_str());
+    std::printf("    2x(8x8) energy   : %s   [paper 27.3x]\n",
+                format_ratio(base.mxu_energy / small.mxu_energy).c_str());
+    std::printf("    8x(16x16) vs 8x(16x8) perf  : %s   [paper ~2.5%% better]\n",
+                format_percent_delta(1.0 - d16x16_8.latency / d16x8_8.latency)
+                    .c_str());
+    std::printf("    8x(16x16) vs 8x(16x8) energy: %s   [paper +95%%]\n",
+                delta(d16x16_8.mxu_energy, d16x8_8.mxu_energy).c_str());
+    std::printf("    Design A latency : %s, energy %s\n\n",
+                delta(design_a.latency, base.latency).c_str(),
+                format_ratio(base.mxu_energy / design_a.mxu_energy).c_str());
+  }
+  print_fig7_panel("DiT-XL/2 forward pass (512x512, batch 8)", dit);
+  {
+    const Fig7Row& base = dit[0];
+    const Fig7Row& small = dit[1];     // 2x(8x8)
+    const Fig7Row& d16x16_4 = dit[6];  // 4x(16x16)
+    const Fig7Row& design_b = dit[8];  // 8x(16x8)
+    const Fig7Row& d16x16_8 = dit[9];  // 8x(16x16)
+    std::printf("  paper callouts (DiT):\n");
+    std::printf("    8x(16x16) latency: %s   [paper -33.8%%]\n",
+                delta(d16x16_8.latency, base.latency).c_str());
+    std::printf("    4x(16x16) latency: %s   [paper -25.3%%]\n",
+                delta(d16x16_4.latency, base.latency).c_str());
+    std::printf("    8x(16x16) power  : %s less   [paper 3.56x]\n",
+                format_ratio(base.mxu_power / d16x16_8.mxu_power).c_str());
+    std::printf("    2x(8x8) latency  : %s   [paper +100%%]\n",
+                delta(small.latency, base.latency).c_str());
+    std::printf("    2x(8x8) power    : %s less   [paper 20x]\n",
+                format_ratio(base.mxu_power / small.mxu_power).c_str());
+    std::printf("    Design B latency : %s, energy %s\n\n",
+                delta(design_b.latency, base.latency).c_str(),
+                format_ratio(base.mxu_energy / design_b.mxu_energy).c_str());
+  }
+}
+
+// --- Fig. 8 -------------------------------------------------------------------
+
+// Pipeline parallelism over a ring of 1, 2 and 4 chips.  The paper scales
+// batch up for multi-device serving; batch 32 is this model's choice (see
+// EXPERIMENTS.md).  Each row is one design's throughput per chip count,
+// its mean speedup over the baseline's, and its MXU-energy ratio at 4 chips.
+template <typename Evaluate>
+void print_fig8_table(const char* title, int precision, Evaluate evaluate) {
+  const std::pair<const char*, arch::TpuChipConfig> designs[] = {
+      {"baseline", arch::tpu_v4i_baseline()},
+      {"Design A", arch::design_a()},
+      {"Design B", arch::design_b()}};
+  AsciiTable table(title);
+  table.set_header({"Design", "1 TPU", "2 TPUs", "4 TPUs", "avg speedup",
+                    "MXU energy ratio"});
+  std::vector<double> base_rate;
+  double base_energy = 0;
+  for (const auto& [label, config] : designs) {
+    std::vector<double> rate;
+    double energy = 0;  // per token or image, at the last chip count
+    for (int chips : {1, 2, 4}) {
+      const auto [throughput, energy_per_item] = evaluate(config, chips);
+      rate.push_back(throughput);
+      energy = energy_per_item;
+    }
+    if (base_rate.empty()) {
+      base_rate = rate;
+      base_energy = energy;
+    }
+    double speedup = 0;
+    for (std::size_t i = 0; i < rate.size(); ++i) {
+      speedup += rate[i] / base_rate[i];
+    }
+    speedup /= rate.size();
+    table.add_row({label, cell_f(rate[0], precision),
+                   cell_f(rate[1], precision), cell_f(rate[2], precision),
+                   format_percent_delta(speedup - 1.0),
+                   format_ratio(base_energy / energy)});
+  }
+  table.print();
+}
+
+void fig8() {
+  print_fig8_table("Fig. 8 — GPT3-30B serving throughput (tokens/s)", 1,
+                   [](const arch::TpuChipConfig& config, int chips) {
+                     const auto result = parallel::evaluate_llm_pipeline(
+                         config, gpt3_inference(32), chips);
+                     return std::pair(result.tokens_per_second,
+                                      result.mxu_energy_per_request);
+                   });
+  std::printf("  paper: Design A avg +28%% (24.2x MXU energy), "
+              "Design B +33%% (6.34x)\n\n");
+  print_fig8_table("Fig. 8 — DiT-XL/2 throughput (images/s, one pass)", 2,
+                   [](const arch::TpuChipConfig& config, int chips) {
+                     const auto result = parallel::evaluate_dit_pipeline(
+                         config, dit_forward(32), chips);
+                     return std::pair(result.images_per_second,
+                                      result.mxu_energy_per_image);
+                   });
+  std::printf(
+      "  paper: CIM-MXU energy reduction up to 24.2x (A) / 6.34x (B)\n");
+}
+
+// --- Roofline -----------------------------------------------------------------
+
+// Which resource binds each operator: prefill compute-bound, decode
+// memory-bound, DiT softmax-bound.
+void print_roofline(const char* title, const SimChip& chip,
+                    const ir::Graph& graph) {
+  AsciiTable table(title);
+  table.set_header({"op", "group", "OI (flop/HBM B)", "attained", "roof",
+                    "bound", "roof util"});
+  for (const auto& point : sim::analyze_graph(chip.sim, graph)) {
+    table.add_row(
+        {point.op, point.group,
+         std::isinf(point.operational_intensity)
+             ? std::string("inf")
+             : cell_f(point.operational_intensity, 1),
+         format_ops_rate(point.attained_flops_per_s),
+         format_ops_rate(std::min(point.compute_roof, point.memory_roof)),
+         sim::bound_resource_name(point.bound),
+         cell_f(100.0 * point.roof_utilization(), 1) + "%"});
+  }
+  table.print();
+  const sim::BoundBreakdown bounds = sim::bound_breakdown(chip.sim, graph);
+  std::printf("  time bound by: compute %.1f%%  HBM %.1f%%  OCI %.1f%%  "
+              "VMEM %.1f%%\n\n",
+              100.0 * bounds.compute_bound / bounds.total(),
+              100.0 * bounds.hbm_bound / bounds.total(),
+              100.0 * bounds.oci_bound / bounds.total(),
+              100.0 * bounds.vmem_bound / bounds.total());
+}
+
+void roofline() {
+  const SimChip base(arch::tpu_v4i_baseline());
+  const SimChip cim(arch::cim_tpu_default());
+  const auto gpt3 = models::gpt3_30b();
+  const auto kv = sim::kv_residency_for(base.chip, gpt3, kBatch, kDecodeKv);
+  const ir::Graph decode =
+      models::build_decode_layer(gpt3, kBatch, kDecodeKv, kv);
+  print_roofline("LLM decode on baseline TPUv4i", base, decode);
+  print_roofline("LLM decode on CIM-based TPU", cim, decode);
+  print_roofline("LLM prefill on baseline TPUv4i", base,
+                 models::build_prefill_layer(gpt3, kBatch, kPrompt, kv));
+  print_roofline("DiT block on baseline TPUv4i", base,
+                 models::build_dit_block(models::dit_xl_2(),
+                                         models::dit_geometry_512(), kBatch));
+}
+
+// --- Sensitivity --------------------------------------------------------------
+
+// How the headline CIM-vs-baseline deltas move with the parameters least
+// certain in the paper: HBM and OCI (CMEM) bandwidth, and the clock.
+struct Deltas {
+  double decode_latency;
+  double decode_energy_ratio;
+  double dit_latency;
+};
+
+Deltas sensitivity_point(double hbm_gbps, double oci_gbps, double clock_ghz) {
+  arch::TpuChipConfig base_cfg = arch::tpu_v4i_baseline();
+  arch::TpuChipConfig cim_cfg = arch::cim_tpu_default();
+  for (auto* cfg : {&base_cfg, &cim_cfg}) {
+    cfg->memory.hbm.bandwidth = hbm_gbps * GBps;
+    cfg->memory.cmem.bandwidth = oci_gbps * GBps;
+    if (clock_ghz > 0) cfg->clock = clock_ghz * GHz;
+  }
+  const SimChip base(base_cfg);
+  const SimChip cim(cim_cfg);
+  const auto db = decode_layer(base);
+  const auto dc = decode_layer(cim);
+  return {dc.latency / db.latency - 1.0, db.mxu_energy() / dc.mxu_energy(),
+          dit_block(cim).latency / dit_block(base).latency - 1.0};
+}
+
+template <typename Point>
+void print_sensitivity(const char* title, const char* parameter,
+                       std::initializer_list<double> values, int precision,
+                       Point point) {
+  AsciiTable table(title);
+  table.set_header({parameter, "decode latency delta", "decode E ratio",
+                    "DiT latency delta"});
+  for (double value : values) {
+    const Deltas d = point(value);
+    table.add_row({cell_f(value, precision),
+                   format_percent_delta(d.decode_latency),
+                   format_ratio(d.decode_energy_ratio),
+                   format_percent_delta(d.dit_latency)});
+  }
+  table.print();
+}
+
+void sensitivity() {
+  print_sensitivity("HBM bandwidth sweep (nominal 614 GB/s)", "HBM GB/s",
+                    {307.0, 460.0, 614.0, 921.0, 1228.0}, 0,
+                    [](double bw) { return sensitivity_point(bw, 1536, 0); });
+  std::printf("  faster HBM grows the decode win: the shared memory floor\n"
+              "  drops while the baseline stays bound by its weight-ingest\n"
+              "  rate, which the CIM design hides.\n\n");
+  print_sensitivity("OCI / CMEM bandwidth sweep (nominal 1536 GB/s)",
+                    "OCI GB/s", {768.0, 1152.0, 1536.0, 3072.0}, 0,
+                    [](double bw) { return sensitivity_point(614, bw, 0); });
+  std::printf("  the CIM attention path streams KV through CMEM: OCI\n"
+              "  bandwidth bounds how far the GEMV win can go.\n\n");
+  print_sensitivity("Clock sweep (nominal 1.05 GHz at 7nm)", "clock GHz",
+                    {0.7, 0.94, 1.05, 1.4}, 2,
+                    [](double ghz) { return sensitivity_point(614, 1536, ghz); });
+  std::printf("  conclusions are stable across +-30%% parameter swings.\n");
+}
+
+// --- Ablations ----------------------------------------------------------------
+
+// Double buffering and staging depth (Sec. III-C's scheduling options), on
+// the discrete-event tile pipeline at the Fig. 6 workloads' characteristic
+// compute/memory balances.
+void ablation_buffering() {
+  const struct {
+    const char* name;
+    Seconds compute;
+    Seconds memory;
+    int tiles;
+  } scenarios[] = {
+      {"prefill FFN (compute-bound)", 19.6e-3, 1.0e-3, 112},
+      {"decode linear (memory-bound)", 0.30e-3, 1.0e-3, 38},
+      {"balanced GEMM", 4.0e-3, 4.0e-3, 64},
+  };
+  for (const auto& scenario : scenarios) {
+    AsciiTable table(scenario.name);
+    table.set_header({"buffer depth", "latency", "vs depth 2", "engine idle",
+                      "analytic model"});
+    const Seconds analytic = mem::overlap_double_buffered(
+        scenario.compute, scenario.memory, scenario.tiles);
+    const Seconds reference =
+        sim::simulate_tile_pipeline(scenario.compute, scenario.memory,
+                                    scenario.tiles, 2)
+            .total;
+    for (int depth : {1, 2, 3, 4}) {
+      const auto result = sim::simulate_tile_pipeline(
+          scenario.compute, scenario.memory, scenario.tiles, depth);
+      table.add_row({cell_i(depth), format_time(result.total),
+                     delta(result.total, reference),
+                     format_time(result.compute_idle),
+                     depth == 2 ? format_time(analytic) : std::string("-")});
+    }
+    table.print();
+    std::printf("\n");
+  }
+  std::printf(
+      "  depth 1 (no double buffering) serializes load and compute —\n"
+      "  up to 2x slower on balanced ops; depth > 2 buys nothing, matching\n"
+      "  the paper's choice of plain double buffering.\n");
+}
+
+// Would an output-stationary digital baseline have changed the comparison?
+// No: OS helps deep contractions but is worse on GEMV-shaped decode.
+void ablation_dataflow() {
+  arch::TpuChipConfig os_cfg = arch::tpu_v4i_baseline();
+  os_cfg.name = "tpuv4i-os";
+  os_cfg.systolic.dataflow = systolic::Dataflow::kOutputStationary;
+  const SimChip ws(arch::tpu_v4i_baseline());
+  const SimChip os(os_cfg);
+  const SimChip cim(arch::cim_tpu_default());
+
+  AsciiTable table("Fig. 6 workloads under each baseline dataflow");
+  table.set_header({"workload", "WS baseline", "OS baseline", "CIM-TPU",
+                    "CIM vs best digital"});
+  const struct {
+    const char* name;
+    sim::GraphResult (*run)(const SimChip&);
+  } panels[] = {
+      {"LLM prefill layer", [](const SimChip& c) { return prefill_layer(c); }},
+      {"LLM decode layer", [](const SimChip& c) { return decode_layer(c); }},
+      {"DiT block", [](const SimChip& c) { return dit_block(c); }},
+  };
+  for (const auto& panel : panels) {
+    const Seconds w = panel.run(ws).latency;
+    const Seconds o = panel.run(os).latency;
+    const Seconds c = panel.run(cim).latency;
+    table.add_row({panel.name, format_time(w), format_time(o), format_time(c),
+                   delta(c, std::min(w, o))});
+  }
+  table.print();
+  std::printf(
+      "  switching the digital baseline to output-stationary does not\n"
+      "  recover the CIM decode win: the GEMV bottleneck is operand\n"
+      "  delivery, which only the dedicated CIM weight port removes.\n");
+}
+
+// INT8 (Sec. IV-B) against INT4 and BF16, which the CIM-MXU runs through
+// its exponent-align pipeline (Sec. III-B).
+void ablation_dtype() {
+  const SimChip base(arch::tpu_v4i_baseline());
+  const SimChip cim(arch::cim_tpu_default());
+  AsciiTable table("GPT3-30B single layer, batch 8: INT8 vs BF16");
+  table.set_header({"stage", "dtype", "base latency", "CIM latency",
+                    "latency delta", "MXU energy ratio"});
+  for (ir::DType dtype :
+       {ir::DType::kInt4, ir::DType::kInt8, ir::DType::kBf16}) {
+    models::TransformerConfig model = models::gpt3_30b();
+    model.dtype = dtype;
+    const struct {
+      const char* stage;
+      sim::GraphResult base, cim;
+    } rows[] = {
+        {"prefill", prefill_layer(base, model), prefill_layer(cim, model)},
+        {"decode", decode_layer(base, model), decode_layer(cim, model)}};
+    for (const auto& row : rows) {
+      table.add_row({row.stage, ir::dtype_name(dtype),
+                     format_time(row.base.latency), format_time(row.cim.latency),
+                     delta(row.cim.latency, row.base.latency),
+                     format_ratio(row.base.mxu_energy() / row.cim.mxu_energy())});
+    }
+  }
+  table.print();
+  std::printf(
+      "  BF16 doubles weight bytes: decode slows ~2x on both designs, and\n"
+      "  the CIM FP pipeline's pre/post-processing trims its energy edge\n"
+      "  (BF16 factor %.1fx vs digital %.1fx).\n",
+      tech::cal::kCimBf16EnergyFactor, tech::cal::kDigitalBf16EnergyFactor);
+}
+
+// The KV cache streams from CMEM when one operand fits; forcing it to HBM
+// shows what the on-chip hierarchy contributes, and a batch sweep shows
+// where it spills.
+void ablation_kv_residency() {
+  const SimChip base(arch::tpu_v4i_baseline());
+  const SimChip cim(arch::cim_tpu_default());
+  const auto gpt3 = models::gpt3_30b();
+
+  AsciiTable forced("Decode layer, KV forced to each level (batch 8, kv 1280)");
+  forced.set_header({"chip", "KV in CMEM", "KV in HBM", "penalty"});
+  for (const SimChip* chip : {&base, &cim}) {
+    const auto run = [&](ir::Residency residency) {
+      return chip->sim.run(
+          models::build_decode_layer(gpt3, kBatch, kDecodeKv, residency));
+    };
+    const Seconds cmem = run(ir::Residency::kCmem).latency;
+    const Seconds hbm = run(ir::Residency::kHbm).latency;
+    forced.add_row({chip->chip.config().name, format_time(cmem),
+                    format_time(hbm), delta(hbm, cmem)});
+  }
+  forced.print();
+
+  AsciiTable sweep("Batch sweep with automatic residency (CIM-based TPU)");
+  sweep.set_header({"batch", "KV operand", "chosen residency",
+                    "decode latency", "ms/token/layer"});
+  for (std::int64_t batch : {1, 4, 8, 16, 32, 64}) {
+    const ir::Residency residency =
+        sim::kv_residency_for(cim.chip, gpt3, batch, kDecodeKv);
+    const Seconds latency = decode_layer(cim, gpt3, batch).latency;
+    const Bytes operand = static_cast<double>(batch) * kDecodeKv * gpt3.d_model;
+    sweep.add_row({cell_i(batch), format_bytes(operand),
+                   ir::residency_name(residency), format_time(latency),
+                   cell_f(latency / ms, 3)});
+  }
+  sweep.print();
+}
+
+// The CIM advantage across model sizes, with each model's capacity plan
+// (minimum pipeline depth against 8 GB of HBM).
+void ablation_modelsize() {
+  const SimChip base(arch::tpu_v4i_baseline());
+  const SimChip cim(arch::cim_tpu_default());
+
+  AsciiTable table("Per-layer decode (batch 8, kv 1280) across models");
+  table.set_header({"model", "params", "base ms/layer", "CIM delta",
+                    "energy ratio", "min chips (1536 ctx)"});
+  for (const std::string& name : models::model_names()) {
+    const models::TransformerConfig model = models::model_by_name(name);
+    if (model.vocab_size == 0) continue;  // decode needs a vocab (skip DiT)
+    const auto b = decode_layer(base, model);
+    const auto c = decode_layer(cim, model);
+    const auto plan =
+        parallel::plan_capacity(arch::tpu_v4i_baseline(), model, kBatch, 1536);
+    table.add_row({model.name, cell_f(model.stack_parameters() / 1e9, 1) + " B",
+                   cell_f(b.latency / ms, 3), delta(c.latency, b.latency),
+                   format_ratio(b.mxu_energy() / c.mxu_energy()),
+                   cell_i(plan.min_pipeline_stages)});
+  }
+  table.print();
+  std::printf(
+      "  the decode win and the ~13x energy ratio persist from 13B to 175B;\n"
+      "  larger models simply need deeper pipelines (weights vs 8 GB HBM).\n");
+
+  AsciiTable dit_table("DiT-XL/2 block across resolutions");
+  dit_table.set_header({"resolution", "tokens", "base latency", "CIM delta",
+                        "energy ratio"});
+  for (std::int64_t size : {256, 512}) {
+    models::DitGeometry geometry = models::dit_geometry_512();
+    geometry.image_size = size;
+    const auto b = dit_block(base, geometry);
+    const auto c = dit_block(cim, geometry);
+    dit_table.add_row({cell_i(size) + "x" + cell_i(size),
+                       cell_i(geometry.tokens()), format_time(b.latency),
+                       delta(c.latency, b.latency),
+                       format_ratio(b.mxu_energy() / c.mxu_energy())});
+  }
+  dit_table.print();
+}
+
+// The paper implements at 22 nm and scales to TPUv4i's 7 nm; the
+// dynamic-energy ratios are anchored at 22 nm and survive the scaling.
+void ablation_nodes() {
+  AsciiTable table("GPT3-30B layer: CIM vs baseline across nodes");
+  table.set_header({"node", "clock", "prefill delta", "decode delta",
+                    "prefill E ratio", "decode E ratio", "MXU area (B/C)"});
+  for (const char* node : {"28nm", "22nm", "12nm", "7nm"}) {
+    arch::TpuChipConfig base_cfg = arch::tpu_v4i_baseline();
+    base_cfg.technology = node;
+    arch::TpuChipConfig cim_cfg = arch::cim_tpu_default();
+    cim_cfg.technology = node;
+    const SimChip base(base_cfg);
+    const SimChip cim(cim_cfg);
+    const auto pb = prefill_layer(base);
+    const auto pc = prefill_layer(cim);
+    const auto db = decode_layer(base);
+    const auto dc = decode_layer(cim);
+    table.add_row({node, format_ops_rate(base.chip.clock()),  // Hz as a rate
+                   delta(pc.latency, pb.latency), delta(dc.latency, db.latency),
+                   format_ratio(pb.mxu_energy() / pc.mxu_energy()),
+                   format_ratio(db.mxu_energy() / dc.mxu_energy()),
+                   cell_f(base.chip.area_report().mxus, 1) + " / " +
+                       cell_f(cim.chip.area_report().mxus, 1) + " mm2"});
+  }
+  table.print();
+  std::printf("  ratios are node-stable: the comparison is anchored at the\n"
+              "  22nm Table II data and both designs scale identically.\n");
+}
+
+// Simultaneous MAC + weight update (the macro capability adopted from
+// Mori et al. [24]) switched off on a copy of the CIM chip config, then the
+// weight port narrowed until the mechanism shows.
+void ablation_overlap() {
+  arch::TpuChipConfig off_cfg = arch::cim_tpu_default();
+  off_cfg.cim.overlapped_weight_update = false;
+  const SimChip base(arch::tpu_v4i_baseline());
+  const SimChip on(arch::cim_tpu_default());
+  const SimChip off(off_cfg);
+
+  AsciiTable table("Decode / prefill / DiT latency with and without overlap");
+  table.set_header({"Workload", "baseline", "CIM (overlap ON)",
+                    "CIM (overlap OFF)", "overlap contribution"});
+  const struct {
+    const char* name;
+    sim::GraphResult (*run)(const SimChip&);
+  } panels[] = {
+      {"LLM decode (256th token)",
+       [](const SimChip& c) { return decode_layer(c); }},
+      {"LLM prefill (L=1024)",
+       [](const SimChip& c) { return prefill_layer(c); }},
+      {"DiT block (512x512)", [](const SimChip& c) { return dit_block(c); }},
+  };
+  for (const auto& panel : panels) {
+    const Seconds lat_on = panel.run(on).latency;
+    const Seconds lat_off = panel.run(off).latency;
+    table.add_row({panel.name, format_time(panel.run(base).latency),
+                   format_time(lat_on), format_time(lat_off),
+                   delta(lat_off, lat_on)});
+  }
+  table.print();
+  std::printf(
+      "  with the full 256-bit port, writes hide under the memory-bound\n"
+      "  ops even when serialized: the port's aggregate bandwidth (4 TB/s\n"
+      "  per MXU) dwarfs what HBM can deliver.  The mechanism becomes\n"
+      "  visible when the port narrows:\n\n");
+
+  // Narrowing the per-core weight I/O starves the CIM-MXU the way the
+  // digital array's 1-row-per-cycle ingest starves it.
+  AsciiTable sweep("Decode latency vs weight-I/O width (256th token)");
+  sweep.set_header({"port bytes/cycle/core", "overlap ON", "overlap OFF",
+                    "vs digital baseline (ON)"});
+  const Seconds base_decode = decode_layer(base).latency;
+  for (double io_bytes : {1.0, 4.0, 32.0}) {
+    arch::TpuChipConfig narrow_on = arch::cim_tpu_default();
+    narrow_on.cim.weight_io_bytes_per_cycle = io_bytes;
+    arch::TpuChipConfig narrow_off = narrow_on;
+    narrow_off.cim.overlapped_weight_update = false;
+    const Seconds lat_on = decode_layer(SimChip(narrow_on)).latency;
+    const Seconds lat_off = decode_layer(SimChip(narrow_off)).latency;
+    sweep.add_row({cell_f(io_bytes, 0), format_time(lat_on),
+                   format_time(lat_off), delta(lat_on, base_decode)});
+  }
+  sweep.print();
+  std::printf(
+      "  a 1 B/cycle port erases most of the decode win: the dedicated\n"
+      "  wide weight I/O (with or without overlap) is the load-bearing\n"
+      "  mechanism behind the paper's -29.9%% decode latency.\n");
+}
+
+// The end-to-end win depends on the prefill:decode ratio: long generations
+// amplify the decode advantage, long prompts dilute it (context for Fig. 7's
+// 1024 in / 512 out).  Two layers suffice: the ratios are layer-invariant.
+void ablation_seqlen() {
+  auto evaluate = [](const arch::TpuChipConfig& config, std::int64_t in,
+                     std::int64_t out) {
+    const SimChip chip(config);
+    sim::LlmScenario scenario = gpt3_inference(kBatch);
+    scenario.model.num_layers = 2;
+    scenario.input_len = in;
+    scenario.output_len = out;
+    return sim::run_llm_inference(chip.sim, scenario);
+  };
+
+  AsciiTable out_sweep(
+      "Output-length sweep (input 1024): CIM-TPU & Design A vs baseline");
+  out_sweep.set_header({"output len", "decode share (base)", "CIM latency",
+                        "Design A latency", "Design A energy"});
+  for (std::int64_t out : {32, 128, 512, 2048}) {
+    const auto base = evaluate(arch::tpu_v4i_baseline(), 1024, out);
+    const auto cim = evaluate(arch::cim_tpu_default(), 1024, out);
+    const auto a = evaluate(arch::design_a(), 1024, out);
+    out_sweep.add_row(
+        {cell_i(out),
+         cell_f(100.0 * base.decode.latency / base.total.latency, 1) + "%",
+         delta(cim.total.latency, base.total.latency),
+         delta(a.total.latency, base.total.latency),
+         format_ratio(base.total.mxu_energy() / a.total.mxu_energy())});
+  }
+  out_sweep.print();
+  std::printf(
+      "  longer generations -> bigger decode share -> bigger CIM win\n\n");
+
+  AsciiTable in_sweep("Prompt-length sweep (output 512)");
+  in_sweep.set_header({"input len", "prefill share (base)", "CIM latency",
+                       "Design A latency"});
+  for (std::int64_t in : {128, 512, 1024, 4096}) {
+    const auto base = evaluate(arch::tpu_v4i_baseline(), in, 512);
+    const auto cim = evaluate(arch::cim_tpu_default(), in, 512);
+    const auto a = evaluate(arch::design_a(), in, 512);
+    in_sweep.add_row(
+        {cell_i(in),
+         cell_f(100.0 * base.prefill.latency / base.total.latency, 1) + "%",
+         delta(cim.total.latency, base.total.latency),
+         delta(a.total.latency, base.total.latency)});
+  }
+  in_sweep.print();
+}
+
+// The mapping engine's two-level tiling search (paper Fig. 5) trades VMEM
+// capacity against re-read traffic on the paper's key GEMMs.
+void ablation_tiling() {
+  const struct {
+    const char* label;
+    ir::Op op;
+  } gemms[] = {
+      {"prefill FFN1 [8192,7168]x[7168,28672]",
+       ir::make_weight_gemm("ffn1", "FFN1", 8192, 7168, 28672,
+                            ir::DType::kInt8)},
+      {"prefill QKV [8192,7168]x[7168,21504]",
+       ir::make_weight_gemm("qkv", "QKV", 8192, 7168, 21504, ir::DType::kInt8)},
+      {"DiT proj [8192,1152]x[1152,1152]",
+       ir::make_weight_gemm("proj", "Proj", 8192, 1152, 1152,
+                            ir::DType::kInt8)},
+  };
+  for (const auto& gemm : gemms) {
+    AsciiTable table(gemm.label);
+    table.set_header({"VMEM", "best tile (m x k x n)", "tiles", "VMEM traffic",
+                      "reuse factor"});
+    for (double mib : {2.0, 4.0, 8.0, 16.0, 64.0, 256.0}) {
+      mapping::TilingOptions options;
+      options.vmem_capacity = mib * MiB;
+      const mapping::TileChoice choice = mapping::best_tiling(gemm.op, options);
+      table.add_row({cell_f(mib, 0) + " MiB",
+                     std::to_string(choice.tm) + "x" + std::to_string(choice.tk) +
+                         "x" + std::to_string(choice.tn),
+                     cell_i(choice.total_tiles()),
+                     format_bytes(choice.vmem_traffic),
+                     cell_f(choice.reuse_factor, 3)});
+    }
+    table.print();
+    std::printf("\n");
+  }
+  std::printf("  Table I's 16 MiB VMEM keeps the big prefill GEMMs within\n"
+              "  ~2-4x of compulsory traffic; VMEM bandwidth never binds.\n");
+}
+
+// --- The list -----------------------------------------------------------------
+
+struct Figure {
+  const char* name;   ///< the command-line name
+  const char* title;  ///< banner line
+  void (*print)();
+};
+
+constexpr Figure kFigures[] = {
+    {"fig1", "Fig. 1: evolution of computing performance of CIM designs",
+     fig1},
+    {"fig2", "Fig. 2(d): runtime breakdown of Llama2-13B and DiT-XL/2 inference",
+     fig2},
+    {"table1", "Table I: architecture parameters for the CIM-based TPU",
+     table1},
+    {"table2", "Table II: standalone digital MXU vs CIM-MXU at 22 nm", table2},
+    {"table3", "Table III: configurations of evaluated generative models",
+     table3},
+    {"table4", "Table IV: architecture design choices of CIM-MXU", table4},
+    {"fig6", "Fig. 6: per-layer latency & normalized MXU energy, baseline vs CIM",
+     fig6},
+    {"fig7", "Fig. 7: CIM-MXU design-space exploration (Table IV)", fig7},
+    {"fig8", "Fig. 8: multi-TPU pipeline-parallel inference throughput", fig8},
+    {"roofline", "Roofline: binding-resource analysis per workload panel",
+     roofline},
+    {"sensitivity", "Sensitivity: headline deltas vs HBM/OCI bandwidth and clock",
+     sensitivity},
+    {"ablation_buffering",
+     "Ablation: tile-pipeline latency vs staging-buffer depth",
+     ablation_buffering},
+    {"ablation_dataflow",
+     "Ablation: weight-stationary vs output-stationary digital MXU",
+     ablation_dataflow},
+    {"ablation_dtype",
+     "Ablation: INT8 vs BF16 effect on latency and the CIM energy advantage",
+     ablation_dtype},
+    {"ablation_kv_residency",
+     "Ablation: CMEM-resident vs HBM-streamed attention operands",
+     ablation_kv_residency},
+    {"ablation_modelsize",
+     "Ablation: CIM benefit and capacity needs across model sizes",
+     ablation_modelsize},
+    {"ablation_nodes",
+     "Ablation: 22nm calibration point scaled across process nodes",
+     ablation_nodes},
+    {"ablation_overlap",
+     "Ablation: simultaneous MAC + weight write vs serialized writes",
+     ablation_overlap},
+    {"ablation_seqlen",
+     "Ablation: CIM benefit vs prompt and generation length", ablation_seqlen},
+    {"ablation_tiling",
+     "Ablation: VMEM re-read traffic vs buffer capacity (mapping engine)",
+     ablation_tiling},
+};
+
+void print_figure(const Figure& figure) {
+  std::printf("\n################################################################\n");
+  std::printf("## %s\n## paper_figures %s\n", figure.title, figure.name);
+  std::printf("################################################################\n\n");
+  figure.print();
+}
+
+int run(int argc, char** argv) {
+  CIMTPU_CONFIG_CHECK(argc <= 2, "unexpected argument '"
+                                     << argv[2]
+                                     << "' (expected at most one figure name)");
+  if (argc == 1) {
+    for (const Figure& figure : kFigures) print_figure(figure);
+    return 0;
+  }
+  const std::string name = argv[1];
+  for (const Figure& figure : kFigures) {
+    if (name == figure.name) {
+      print_figure(figure);
+      return 0;
+    }
+  }
+  std::string names;
+  for (const Figure& figure : kFigures) {
+    names += (names.empty() ? "" : ", ") + std::string(figure.name);
+  }
+  throw ConfigError("unknown figure '" + name + "' (expected one of: " +
+                    names + ")");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "paper_figures: %s\n", error.what());
+    return 2;
+  }
+}

@@ -5,7 +5,7 @@
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
-//   ./build/examples/quickstart
+//   ./build/quickstart
 
 #include <cstdio>
 

@@ -1,6 +1,6 @@
 #pragma once
 // Chip summary reports: renders a TpuChip's configuration, area budget and
-// power envelope as human-readable text (used by examples and benches) and
+// power envelope as human-readable text (used by quickstart) and
 // as key-value pairs (used by tooling).
 
 #include <string>

@@ -36,7 +36,7 @@ struct CimMxuSpec {
 
   /// When false, weight writes serialize with computation (ablation of the
   /// simultaneous MAC + weight-update capability the paper's CIM macro
-  /// provides; see bench_ablation_overlap).
+  /// provides; see `paper_figures ablation_overlap`).
   bool overlapped_weight_update = true;
 
   int cores() const { return grid_rows * grid_cols; }

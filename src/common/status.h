@@ -3,7 +3,7 @@
 //
 // Policy (C++ Core Guidelines E.2/E.3): programming-contract violations and
 // invalid user configuration raise exceptions derived from cimtpu::Error so
-// that callers (examples, benches, tests) can report and terminate cleanly.
+// that callers (examples, tests) can report and terminate cleanly.
 // Hot-path invariants additionally use CIMTPU_DCHECK which compiles out in
 // release builds.
 

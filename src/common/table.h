@@ -1,7 +1,7 @@
 #pragma once
-// ASCII table rendering for the paper-reproduction benches.  Each bench
-// prints the same rows/series the paper reports; AsciiTable keeps the
-// output aligned and diff-friendly.
+// ASCII table rendering for paper_figures and the serving studies: each
+// prints the rows/series the paper reports; AsciiTable keeps the output
+// aligned and diff-friendly.
 
 #include <string>
 #include <vector>

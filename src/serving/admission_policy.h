@@ -165,6 +165,9 @@ class WeightedFairAdmission : public AdmissionPolicy {
   std::size_t size() const override { return waiting_total_; }
 
   void on_finish(const Request& request) override;
+  /// select reads only the tenant queues and virtual-work accounts, which
+  /// change only when the queue does (enqueue, requeue, pop).
+  bool select_is_pure() const override { return true; }
 
   /// Per-tenant "admission.tenant<k>.admitted_tokens" / ".virtual_work"
   /// gauges plus "admission.waiting" (ascending tenant id).

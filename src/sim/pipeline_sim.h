@@ -6,8 +6,8 @@
 // (steady-state overlap plus first-tile exposure).  This module simulates
 // the same pipeline tile-by-tile — serialized DMA channel, serialized
 // compute engine, bounded staging buffers — and is used by tests to bound
-// the analytic formula's error to one tile quantum, and by the scheduler
-// ablation bench to explore buffer depths (single vs double buffering,
+// the analytic formula's error to one tile quantum, and by paper_figures'
+// ablation_buffering entry to explore buffer depths (single vs double buffering,
 // i.e. the paper's "double buffering and memory coalescing" scheduling
 // options).
 

@@ -2,9 +2,9 @@
 // Roofline analysis: classifies every operator by its binding resource
 // (MXU compute, HBM, OCI/CMEM, or VMEM bandwidth) and computes attained
 // vs attainable throughput.  This is the lens behind the paper's central
-// observation — prefill is compute-bound, decode is memory-bound — and the
-// ablation benches use it to show *why* each design choice moves (or fails
-// to move) each workload.
+// observation — prefill is compute-bound, decode is memory-bound — and
+// paper_figures' roofline entry uses it to show *why* each design choice
+// moves (or fails to move) each workload.
 
 #include <string>
 #include <vector>

@@ -1,13 +1,10 @@
-// Tests for the remaining common utilities: math helpers, tables, CSV,
-// config parsing and the deterministic RNG.
+// Tests for the remaining common utilities: math helpers, tables and the
+// deterministic RNG.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
 
-#include "common/config.h"
-#include "common/csv.h"
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "common/table.h"
@@ -101,107 +98,6 @@ TEST(TableTest, CellFormatters) {
   EXPECT_EQ(cell_f(3.14159, 2), "3.14");
   EXPECT_EQ(cell_f(1.0, 0), "1");
   EXPECT_EQ(cell_i(-42), "-42");
-}
-
-// --- CSV ----------------------------------------------------------------------
-
-TEST(CsvTest, EscapesSpecialCharacters) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(csv_escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(CsvTest, WritesFile) {
-  const std::string path = testing::TempDir() + "/cimtpu_csv_test.csv";
-  {
-    CsvWriter csv(path);
-    csv.write_header({"a", "b"});
-    csv.write_row({"1", "x,y"});
-  }
-  std::ifstream in(path);
-  std::string line1, line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "a,b");
-  EXPECT_EQ(line2, "1,\"x,y\"");
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, UnwritablePathThrows) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir/x.csv"), ConfigError);
-}
-
-TEST(CsvTest, DoubleHeaderThrows) {
-  const std::string path = testing::TempDir() + "/cimtpu_csv_test2.csv";
-  CsvWriter csv(path);
-  csv.write_header({"a"});
-  EXPECT_THROW(csv.write_header({"b"}), InternalError);
-  csv.close();
-  std::remove(path.c_str());
-}
-
-// --- ConfigMap ----------------------------------------------------------------
-
-TEST(ConfigTest, ParsesKeyValues) {
-  const ConfigMap config = ConfigMap::parse(
-      "# comment\n"
-      "mxu.count = 4\n"
-      "clock_ghz = 1.05   # trailing comment\n"
-      "name = design-a\n"
-      "flag = true\n"
-      "\n");
-  EXPECT_EQ(config.get_int("mxu.count", 0), 4);
-  EXPECT_DOUBLE_EQ(config.get_double("clock_ghz", 0), 1.05);
-  EXPECT_EQ(config.get_string("name", ""), "design-a");
-  EXPECT_TRUE(config.get_bool("flag", false));
-}
-
-TEST(ConfigTest, FallbacksForMissingKeys) {
-  const ConfigMap config = ConfigMap::parse("");
-  EXPECT_EQ(config.get_int("absent", 7), 7);
-  EXPECT_EQ(config.get_string("absent", "d"), "d");
-  EXPECT_FALSE(config.contains("absent"));
-}
-
-TEST(ConfigTest, MalformedLineThrows) {
-  EXPECT_THROW(ConfigMap::parse("no equals sign here"), ConfigError);
-  EXPECT_THROW(ConfigMap::parse("= value-without-key"), ConfigError);
-}
-
-TEST(ConfigTest, TypeErrorsThrow) {
-  const ConfigMap config = ConfigMap::parse("x = not-a-number\n");
-  EXPECT_THROW(config.get_int("x", 0), ConfigError);
-  EXPECT_THROW(config.get_double("x", 0), ConfigError);
-  EXPECT_THROW(config.get_bool("x", false), ConfigError);
-}
-
-TEST(ConfigTest, RequiredKeys) {
-  const ConfigMap config = ConfigMap::parse("present = 1\n");
-  EXPECT_EQ(config.require_int("present"), 1);
-  EXPECT_THROW(config.require_int("absent"), ConfigError);
-  EXPECT_THROW(config.require_string("absent"), ConfigError);
-}
-
-TEST(ConfigTest, BoolSpellings) {
-  const ConfigMap config = ConfigMap::parse(
-      "a = true\nb = ON\nc = 0\nd = No\n");
-  EXPECT_TRUE(config.get_bool("a", false));
-  EXPECT_TRUE(config.get_bool("b", false));
-  EXPECT_FALSE(config.get_bool("c", true));
-  EXPECT_FALSE(config.get_bool("d", true));
-}
-
-TEST(ConfigTest, KeysSorted) {
-  const ConfigMap config = ConfigMap::parse("b = 2\na = 1\n");
-  const auto keys = config.keys();
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "a");
-  EXPECT_EQ(keys[1], "b");
-}
-
-TEST(ConfigTest, MissingFileThrows) {
-  EXPECT_THROW(ConfigMap::load_file("/no/such/file.conf"), ConfigError);
 }
 
 // --- Rng -----------------------------------------------------------------------

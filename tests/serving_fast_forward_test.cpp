@@ -281,9 +281,9 @@ TEST(QuietDecodeLockstep, RunsEndingOnBucketCrossingsMatchPerStep) {
 
 TEST(QuietDecodeLockstep, BulkRunsThroughBlockedWorkMatchPerStep) {
   // Under KV pressure the queue never empties; quiet runs go on past the
-  // head-of-line block (the fifo memo) and, under swap_to_host, past a
-  // swapped front below the swap-in watermark.  A roomy budget with two
-  // batch slots covers the full-batch lock under a non-pure policy (wfq).
+  // head-of-line block (the fifo and wfq memo) and, under swap_to_host,
+  // past a swapped front below the swap-in watermark.  A roomy budget with
+  // two batch slots covers the full-batch lock.
   std::vector<Deployment> deployments;
   for (EvictionPolicy policy :
        {EvictionPolicy::kPreemptNewest, EvictionPolicy::kSwapToHost,
@@ -293,6 +293,10 @@ TEST(QuietDecodeLockstep, BulkRunsThroughBlockedWorkMatchPerStep) {
     deployment.kv_tokens = 1200.0;
     deployments.push_back(deployment);
   }
+  Deployment wfq_pressured;
+  wfq_pressured.admission = "wfq";
+  wfq_pressured.kv_tokens = 1200.0;
+  deployments.push_back(wfq_pressured);
   Deployment full_batch;
   full_batch.admission = "wfq";
   full_batch.max_batch = 2;

@@ -1,5 +1,6 @@
 // Simulator tests: per-op latency composition, group rollups, result
-// algebra, and the workload runners.
+// algebra, the workload runners, and the Fig. 6 points on Table IV's
+// design points.
 
 #include <gtest/gtest.h>
 
@@ -230,6 +231,71 @@ TEST(Int4WorkloadTest, DecodeFasterAtInt4) {
   EXPECT_LT(int4_run.latency, int8_run.latency * 0.7);
   EXPECT_LT(int4_run.mxu_energy(), int8_run.mxu_energy());
 }
+
+
+// --- Table IV design points -----------------------------------------------------
+
+struct SweepParam {
+  int mxu_count;
+  int grid_rows;
+  int grid_cols;
+};
+
+class DesignSweepTest : public ::testing::TestWithParam<SweepParam> {
+ protected:
+  // The Fig. 6 points: batch 8, a 1024-token prefill, the decode of the
+  // 256th token (kv 1280) and a 512x512 DiT block.
+  static GraphResult prefill(const Simulator& simulator) {
+    return run_prefill_layer(simulator, models::gpt3_30b(), 8, 1024);
+  }
+  static GraphResult decode(const Simulator& simulator) {
+    return run_decode_layer(simulator, models::gpt3_30b(), 8, 1280);
+  }
+  static arch::TpuChipConfig config(int count_scale = 1) {
+    const SweepParam& p = GetParam();
+    return arch::cim_tpu(count_scale * p.mxu_count, p.grid_rows, p.grid_cols);
+  }
+};
+
+TEST_P(DesignSweepTest, Fig6WorkloadsRunOnEveryDesignPoint) {
+  arch::TpuChip chip(config());
+  Simulator simulator(chip);
+  const auto prefill_result = prefill(simulator);
+  EXPECT_GT(prefill_result.latency, 0);
+  EXPECT_GT(prefill_result.mxu_energy(), 0);
+  const auto decode_result = decode(simulator);
+  EXPECT_GT(decode_result.latency, 0);
+  const auto dit_result = run_dit_block(simulator, models::dit_xl_2(),
+                                        models::dit_geometry_512(), 8);
+  EXPECT_GT(dit_result.latency, 0);
+  // Decode is always memory-bound enough to be faster per-token than the
+  // prefill layer is in total (sanity relation that holds at every point).
+  EXPECT_LT(decode_result.latency, prefill_result.latency);
+}
+
+TEST_P(DesignSweepTest, PrefillLatencyDecreasesWithPeak) {
+  arch::TpuChip chip(config()), doubled(config(2));
+  Simulator sim_a(chip), sim_b(doubled);
+  EXPECT_LT(prefill(sim_b).latency, prefill(sim_a).latency);  // compute-bound
+}
+
+TEST_P(DesignSweepTest, DecodeEnergyGrowsWithCoreCount) {
+  arch::TpuChip chip(config()), doubled(config(2));
+  Simulator sim_a(chip), sim_b(doubled);
+  // Memory-bound decode: doubling the array mostly adds idle/leak energy.
+  EXPECT_GT(decode(sim_b).mxu_energy(), decode(sim_a).mxu_energy());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TableIV, DesignSweepTest,
+    ::testing::Values(SweepParam{2, 8, 8}, SweepParam{2, 16, 8},
+                      SweepParam{2, 16, 16}, SweepParam{4, 8, 8},
+                      SweepParam{4, 16, 8}, SweepParam{4, 16, 16}),
+    [](const ::testing::TestParamInfo<SweepParam>& info) {
+      return std::to_string(info.param.mxu_count) + "x" +
+             std::to_string(info.param.grid_rows) + "x" +
+             std::to_string(info.param.grid_cols);
+    });
 
 }  // namespace
 }  // namespace cimtpu::sim

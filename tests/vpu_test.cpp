@@ -1,4 +1,4 @@
-// VPU functional kernels (softmax, GeLU, LayerNorm) and the cost model.
+// The VPU softmax kernels and the VPU cost model.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "ir/op.h"
 #include "tech/technology.h"
-#include "vpu/activations.h"
 #include "vpu/softmax.h"
 #include "vpu/vpu.h"
 
@@ -93,67 +92,6 @@ TEST(SoftmaxTest, MergeWithEmptyIsIdentity) {
 
 TEST(SoftmaxTest, OnlineNeedsFewerPasses) {
   EXPECT_LT(online_softmax_passes(), naive_softmax_passes());
-}
-
-// --- Activations -----------------------------------------------------------------
-
-TEST(GeluTest, KnownValues) {
-  EXPECT_FLOAT_EQ(gelu_exact(0.0f), 0.0f);
-  EXPECT_NEAR(gelu_exact(1.0f), 0.8413f, 1e-4);
-  EXPECT_NEAR(gelu_exact(-1.0f), -0.1587f, 1e-4);
-}
-
-TEST(GeluTest, TanhApproximationClose) {
-  // The DiT-style tanh approximation stays within 3e-3 absolute error on
-  // the practical activation range.
-  for (float x = -6.0f; x <= 6.0f; x += 0.01f) {
-    EXPECT_NEAR(gelu_tanh(x), gelu_exact(x), 3e-3) << "x=" << x;
-  }
-}
-
-TEST(GeluTest, AsymptoticBehaviour) {
-  EXPECT_NEAR(gelu_tanh(10.0f), 10.0f, 1e-3);
-  EXPECT_NEAR(gelu_tanh(-10.0f), 0.0f, 1e-3);
-}
-
-TEST(LayerNormTest, NormalizesMoments) {
-  Rng rng(4);
-  const auto x = random_row(rng, 256, -5, 20);
-  const std::vector<float> gamma(256, 1.0f), beta(256, 0.0f);
-  const auto y = layer_norm(x, gamma, beta);
-  double mean = 0, var = 0;
-  for (float v : y) mean += v;
-  mean /= y.size();
-  for (float v : y) var += (v - mean) * (v - mean);
-  var /= y.size();
-  EXPECT_NEAR(mean, 0.0, 1e-4);
-  EXPECT_NEAR(var, 1.0, 1e-3);
-}
-
-TEST(LayerNormTest, AffineParametersApplied) {
-  const std::vector<float> x{1.0f, 3.0f};
-  const std::vector<float> gamma{2.0f, 2.0f}, beta{10.0f, 10.0f};
-  const auto y = layer_norm(x, gamma, beta);
-  // Normalized values are -1, +1 (up to eps), scaled by 2 and shifted by 10.
-  EXPECT_NEAR(y[0], 8.0f, 1e-3);
-  EXPECT_NEAR(y[1], 12.0f, 1e-3);
-}
-
-TEST(LayerNormTest, SizeMismatchThrows) {
-  EXPECT_THROW(layer_norm({1.0f}, {1.0f, 1.0f}, {0.0f}), InternalError);
-  EXPECT_THROW(layer_norm({}, {}, {}), InternalError);
-}
-
-TEST(ShiftScaleTest, DitModulation) {
-  const auto y = shift_scale({1.0f, 2.0f}, /*shift=*/0.5f, /*scale=*/0.25f);
-  EXPECT_FLOAT_EQ(y[0], 1.0f * 1.25f + 0.5f);
-  EXPECT_FLOAT_EQ(y[1], 2.0f * 1.25f + 0.5f);
-}
-
-TEST(ShiftScaleTest, IdentityWhenZero) {
-  const auto y = shift_scale({3.0f, -4.0f}, 0.0f, 0.0f);
-  EXPECT_FLOAT_EQ(y[0], 3.0f);
-  EXPECT_FLOAT_EQ(y[1], -4.0f);
 }
 
 // --- VPU cost model ---------------------------------------------------------------
