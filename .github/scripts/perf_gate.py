@@ -2,9 +2,11 @@
 """Usage: perf_gate.py BASE_TREE HEAD_TREE (two source checkouts).
 
 Per BENCHMARK.json workload: PAIRS pairs of 2 s seed-42 cimbench runs, in
-alternating order.  Fails when head's median wall_s or peak_rss_mb exceeds
-base's by more than BOUND, or a head run is incorrect or fails requests.
-Skips when cimbench/ or BENCHMARK.json differ: the benchmark re-baselines.
+alternating order.  Gates every BENCHMARK.json end-to-end metric in its
+`better` direction: fails when head's median is worse than base's by more
+than min(MAX_BOUND, the metric's own bound), or a head run is incorrect or
+fails requests.  Skips when cimbench/ or BENCHMARK.json differ: the
+benchmark re-baselines.
 """
 
 import json
@@ -13,9 +15,8 @@ import statistics
 import subprocess
 import sys
 
-PAIRS = 5
-BOUND = 0.15
-GATED = ("wall_s", "peak_rss_mb")
+PAIRS = 10
+MAX_BOUND = 0.15
 
 
 def run(tree, workload):
@@ -34,6 +35,15 @@ def spread(values):
     return statistics.median(values), deciles[0], deciles[-1]
 
 
+def worse_by(base, head, better):
+    """How much worse head is than base, as a fraction of base (<= 0: not
+    worse)."""
+    if base == 0:
+        return 0.0 if head == base else float("inf")
+    change = (head - base) / abs(base)
+    return change if better == "lower" else -change
+
+
 def main():
     if len(sys.argv) != 3:
         sys.exit("usage: perf_gate.py BASE_TREE HEAD_TREE")
@@ -46,29 +56,37 @@ def main():
                   " skipped")
             return 0
     with open(os.path.join(head, "BENCHMARK.json"), encoding="utf-8") as f:
-        workloads = [w["name"] for w in json.load(f)["workloads"]]
+        benchmark = json.load(f)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    gated = [(m["name"], m["better"], min(MAX_BOUND, m["bound"]))
+             for m in benchmark["end_to_end"]]
     failures = []
     for workload in workloads:
-        samples = {side: {m: [] for m in GATED} for side in ("base", "head")}
+        samples = {side: {name: [] for name, _, _ in gated}
+                   for side in ("base", "head")}
         for pair in range(PAIRS):
             for side in ("base", "head")[::1 if pair % 2 == 0 else -1]:
                 result = run(base if side == "base" else head, workload)
-                for m in GATED:
-                    samples[side][m].append(result["metrics"][m]["value"])
+                for name, _, _ in gated:
+                    samples[side][name].append(
+                        result["metrics"][name]["value"])
                 if side == "head" and (not result["correct"] or
                                        result["failed"] > 0):
                     failures.append(f"{workload}: head run {pair + 1} has "
                                     f"correct={result['correct']} "
                                     f"failed={result['failed']}")
-        for m in GATED:
-            (b, b10, b90), (h, h10, h90) = (spread(samples[side][m])
+        for name, better, bound in gated:
+            (b, b10, b90), (h, h10, h90) = (spread(samples[side][name])
                                             for side in ("base", "head"))
-            print(f"{workload} {m}: base median {b:.4g} (p10 {b10:.4g}, p90 "
-                  f"{b90:.4g}), head median {h:.4g} (p10 {h10:.4g}, p90 "
-                  f"{h90:.4g}), head/base {h / b:.3f}", flush=True)
-            if h > (1 + BOUND) * b:
-                failures.append(f"{workload}: head {m} median is "
-                                f"{h / b:.3f}x base's (bound {1 + BOUND}x)")
+            ratio = h / b if b != 0 else float("nan")
+            print(f"{workload} {name} ({better} is better, bound {bound:g}): "
+                  f"base median {b:.4g} (p10 {b10:.4g}, p90 {b90:.4g}), "
+                  f"head median {h:.4g} (p10 {h10:.4g}, p90 {h90:.4g}), "
+                  f"head/base {ratio:.3f}", flush=True)
+            if worse_by(b, h, better) > bound:
+                failures.append(f"{workload}: head {name} median is "
+                                f"{ratio:.3f}x base's ({better} is better, "
+                                f"bound {bound:g})")
     for failure in failures:
         print(f"perf_gate: FAIL {failure}")
     return 1 if failures else 0

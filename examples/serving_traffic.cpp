@@ -172,13 +172,7 @@ void print_observability(const serving::ServingStudy& prefix,
   serving::ServingTrace trace;
   const serving::ServingMetrics metrics = serving::run_serving(
       traced, *prefix.requests, options.shared_cache, &trace);
-  const bool neutral =
-      metrics.goodput_tokens_per_second ==
-          untraced.goodput_tokens_per_second &&
-      metrics.ttft.p99 == untraced.ttft.p99 &&
-      metrics.e2e.p99 == untraced.e2e.p99 &&
-      metrics.preemptions == untraced.preemptions &&
-      metrics.completed == untraced.completed;
+  const bool neutral = serving::identical_fields(metrics, untraced);
   const serving::TraceReconciliation check =
       serving::reconcile_trace(trace.events(), metrics.ttft, metrics.e2e);
 

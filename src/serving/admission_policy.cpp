@@ -109,14 +109,13 @@ void WeightedFairAdmission::on_finish(const Request& request) {
 
 void WeightedFairAdmission::publish(MetricsRegistry* registry) const {
   CIMTPU_CHECK(registry != nullptr);
-  registry->set_counter("admission.waiting",
-                        static_cast<std::int64_t>(waiting_total_));
+  registry->publish("admission.waiting", waiting_total_);
   for (const auto& [tenant_id, state] : tenant_states_) {
     std::ostringstream prefix;
     prefix << "admission.tenant" << tenant_id;
-    registry->set_gauge(prefix.str() + ".admitted_tokens",
-                        state.admitted_tokens);
-    registry->set_gauge(prefix.str() + ".virtual_work", state.virtual_work);
+    registry->publish(prefix.str() + ".admitted_tokens",
+                      state.admitted_tokens);
+    registry->publish(prefix.str() + ".virtual_work", state.virtual_work);
   }
 }
 

@@ -6,6 +6,8 @@
 #include <deque>
 #include <limits>
 #include <queue>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -173,19 +175,22 @@ ServingScenario replica_scenario(const ClusterConfig& config, int index,
   return scenario;
 }
 
-/// Adds every field of `from` into `into`, through the struct's field table.
-template <typename S>
-void add_fields(const S& from, S* into) {
-  S::for_each_field([&](const char*, auto member, const char*) {
-    into->*member += from.*member;
-  });
+/// Folds `from` into `*into` by `rule`: kSum adds (a nested table field by
+/// field), kMax keeps the larger.
+template <typename T>
+void combine(FleetRule rule, const T& from, T* into) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    *into = rule == FleetRule::kMax ? std::max(*into, from) : *into + from;
+  } else {
+    T::for_each_field([&](const char*, auto member, auto&&...) {
+      combine(rule, from.*member, &(into->*member));
+    });
+  }
 }
 
-// The cluster rollup, once every replica has finished: the request rollup
-// over the ORIGINAL requests (`stitched[i]` is `requests[i]`'s timeline)
-// into the fleet view, the per-replica sums, Jain-across-replicas imbalance
-// over the serving replicas [first_serving, n), utilization, and the
-// "cluster.*" registry.
+// The cluster rollup, once every replica has finished: the fleet's fields
+// by their FleetRule (`stitched[i]` is `requests[i]`'s timeline), Jain
+// over the serving replicas [first_serving, n), and the fleet registry.
 void finish_cluster(const ClusterConfig& config,
                     const std::vector<Request>& requests,
                     const std::vector<ServingEngine::RequestOutcome>& stitched,
@@ -201,87 +206,44 @@ void finish_cluster(const ClusterConfig& config,
   }
   rollup.finish(config.base.scheduler.admission, &fleet);
   fleet.num_requests = static_cast<std::int64_t>(requests.size());
+  ServingMetrics::for_each_field([&](const char*, auto member, FleetRule rule,
+                                     const FieldKeys&) {
+    using T = std::decay_t<decltype(fleet.*member)>;
+    if constexpr (std::is_arithmetic_v<T> ||
+                  std::is_same_v<T, ServingCounters> ||
+                  std::is_same_v<T, FaultStats>) {
+      if (rule != FleetRule::kSum && rule != FleetRule::kMax) return;
+      T total{};
+      for (const ServingMetrics& replica : cluster->replica_metrics) {
+        combine(rule, replica.*member, &total);
+      }
+      fleet.*member = total;
+    }
+  });
+  cluster->prefill_replicas = first_serving;
 
-  const int n = static_cast<int>(config.replicas.size());
-  fleet.chips = 0;  // a sum over replicas, not the one-chip default
   double busy_chip_seconds = 0;
   std::vector<double> serving_tokens;
-  serving_tokens.reserve(n - first_serving);
-  for (int i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < cluster->replica_metrics.size(); ++i) {
     const ServingMetrics& replica = cluster->replica_metrics[i];
-    fleet.chips += replica.chips;
-    fleet.total_steps += replica.total_steps;
-    fleet.prefill_steps += replica.prefill_steps;
-    fleet.decode_steps += replica.decode_steps;
-    fleet.preemptions += replica.preemptions;
-    add_fields(replica.counters, &fleet.counters);
-    add_fields(replica.fault, &fleet.fault);
-    fleet.mxu_energy += replica.mxu_energy;
-    fleet.total_energy += replica.total_energy;
-    fleet.cost_cache_entries += replica.cost_cache_entries;
-    fleet.cost_cache_hits += replica.cost_cache_hits;
-    fleet.cost_cache_misses += replica.cost_cache_misses;
-    fleet.sim_end_seconds =
-        std::max(fleet.sim_end_seconds, replica.sim_end_seconds);
     busy_chip_seconds += replica.mxu_utilization * replica.makespan *
                          static_cast<double>(replica.chips);
-    if (i >= first_serving) {
+    if (static_cast<int>(i) >= first_serving) {
       serving_tokens.push_back(static_cast<double>(replica.generated_tokens));
     }
   }
-  // Summed counters, so the hit rate reflects what affinity routing
-  // actually preserved across the fleet (round-robin scattering a prefix
-  // family across replicas cools every cache).
-  fleet.prefix_hit_rate = fleet.counters.prefix_hit_rate();
-  if (fleet.makespan > 0 && fleet.chips > 0) {
-    fleet.mxu_utilization =
-        busy_chip_seconds / (fleet.makespan * static_cast<double>(fleet.chips));
-  }
-  if (fleet.generated_tokens > 0) {
-    fleet.energy_per_token =
-        fleet.total_energy / static_cast<double>(fleet.generated_tokens);
-  }
+  // From the summed counters, so the hit rate reflects what affinity
+  // routing actually preserved across the fleet (round-robin scattering a
+  // prefix family across replicas cools every cache).
+  derive_metrics(busy_chip_seconds, &fleet);
   if (serving_tokens.size() > 1) {
     cluster->jain_across_replicas = jain_fairness_index(serving_tokens);
   }
 
-  MetricsRegistry& registry = fleet.registry;
-  registry.set_counter("cluster.replicas", n);
-  registry.set_counter("cluster.total_chips", fleet.chips);
-  registry.set_counter("cluster.disaggregated",
-                       cluster->disaggregated ? 1 : 0);
-  registry.set_counter("cluster.num_requests", fleet.num_requests);
-  registry.set_counter("cluster.arrived", cluster->arrived);
-  registry.set_counter("cluster.completed", fleet.completed);
-  registry.set_counter("cluster.shed", cluster->shed);
-  registry.set_counter("cluster.generated_tokens", fleet.generated_tokens);
-  registry.set_gauge("cluster.makespan_s", fleet.makespan);
-  registry.set_gauge("cluster.goodput_tokens_per_s",
-                     fleet.goodput_tokens_per_second);
-  registry.set_gauge("cluster.slo_attainment", fleet.slo_attainment);
-  registry.set_gauge("cluster.availability", fleet.availability);
-  registry.set_gauge("cluster.prefix_hit_rate", fleet.prefix_hit_rate);
-  registry.set_gauge("cluster.jain_across_replicas",
-                     cluster->jain_across_replicas);
-  if (cluster->disaggregated) {
-    registry.set_counter("cluster.prefill_replicas", config.prefill_replicas);
-    registry.set_counter("cluster.kv_transfer_count",
-                         cluster->kv_transfer_count);
-    registry.set_counter("cluster.kv_transfer_blocks",
-                         cluster->kv_transfer_blocks);
-    registry.set_counter("cluster.kv_transfer_bytes",
-                         static_cast<std::int64_t>(cluster->kv_transfer_bytes));
-    registry.set_gauge("cluster.kv_transfer_seconds",
-                       cluster->kv_transfer_seconds);
-  }
-  for (int i = 0; i < n; ++i) {
-    const ServingMetrics& replica = cluster->replica_metrics[i];
-    const std::string prefix = "cluster.replica" + std::to_string(i) + ".";
-    registry.set_counter(prefix + "chips", replica.chips);
-    registry.set_counter(prefix + "completed", replica.completed);
-    registry.set_counter(prefix + "generated_tokens",
-                         replica.generated_tokens);
-    registry.set_gauge(prefix + "utilization", replica.mxu_utilization);
+  publish_keys(*cluster, &FieldKeys::cluster,
+               /*gate_open=*/cluster->disaggregated, /*prefix=*/"",
+               &fleet.registry);
+  for (std::size_t i = 0; i < config.replicas.size(); ++i) {
     const int ways = config.replicas[i].tensor_parallel_ways;
     if (ways > 1) {
       // The multi_chip.h TP model, dispatched from serving: the reference
@@ -292,10 +254,12 @@ void finish_cluster(const ClusterConfig& config,
       const parallel::LlmTensorParallelResult tp =
           parallel::evaluate_llm_tensor_parallel(config.base.chip_config,
                                                  reference, ways);
-      registry.set_counter(prefix + "tensor_parallel_ways", tp.ways);
-      registry.set_gauge(prefix + "tp_reference_latency_s", tp.latency);
-      registry.set_gauge(prefix + "tp_reference_communication_s",
-                         tp.communication_time);
+      const std::string prefix = replica_key_prefix(i);
+      MetricsRegistry& registry = fleet.registry;
+      registry.publish(prefix + "tensor_parallel_ways", tp.ways);
+      registry.publish(prefix + "tp_reference_latency_s", tp.latency);
+      registry.publish(prefix + "tp_reference_communication_s",
+                       tp.communication_time);
     }
   }
 }
@@ -390,16 +354,6 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
       engines[pick]->inject(request);
       injected[pick].push_back(position);
     }
-    for (auto& engine : engines) engine->drain();
-    for (int i = 0; i < n; ++i) {
-      cluster.replica_metrics.push_back(engines[i]->finish());
-      const std::vector<ServingEngine::RequestOutcome> outcomes =
-          engines[i]->outcomes();
-      for (std::size_t k = 0; k < outcomes.size(); ++k) {
-        stitched[injected[i][k]] = outcomes[k];
-      }
-    }
-    finish_cluster(config, requests, stitched, /*first_serving=*/0, &cluster);
   } else {
     // --- Disaggregated: prefill replicas [0, P) run prompts as
     // output_len=1 clones, finished KV streams block-by-block over the
@@ -444,7 +398,7 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
                                          duration});
           cluster.kv_transfer_count += 1;
           cluster.kv_transfer_blocks += blocks;
-          cluster.kv_transfer_bytes += bytes;
+          cluster.kv_transfer_bytes += static_cast<std::int64_t>(bytes);
           cluster.kv_transfer_seconds += duration;
         }
       }
@@ -528,37 +482,39 @@ ClusterMetrics run_serving_cluster(const ClusterConfig& config,
         next_arrival += 1;
       }
     }
-    for (auto& engine : engines) engine->drain();
+  }
+  for (auto& engine : engines) engine->drain();
 
-    // Stitch: TTFT (and arrival) from the prefill side, completion from
-    // the decode side; an output_len == 1 request completes on the
-    // prefill side outright.  A request is shed if EITHER side shed it —
-    // a shed prefill never transfers, so its decode fields stay unset.
-    for (int i = 0; i < n; ++i) {
-      const bool prefill_side = i < num_prefill;
-      cluster.replica_metrics.push_back(engines[i]->finish());
-      const std::vector<ServingEngine::RequestOutcome> outcomes =
-          engines[i]->outcomes();
-      for (std::size_t k = 0; k < outcomes.size(); ++k) {
-        const ServingEngine::RequestOutcome& outcome = outcomes[k];
-        const std::size_t position = injected[i][k];
-        ServingEngine::RequestOutcome& row = stitched[position];
-        if (prefill_side) {
-          row.arrived = outcome.arrived;
-          row.first_token = outcome.first_token;
-          row.shed = row.shed || outcome.shed;
-          if (requests[position].output_len < 2) {
-            row.completion = outcome.completion;
-          }
-        } else {
+  // Stitch.  Colocated, a request's row is its one replica's outcome.
+  // Disaggregated: TTFT (and arrival) from the prefill side, completion
+  // from the decode side; an output_len == 1 request completes on the
+  // prefill side outright.  A request is shed if EITHER side shed it — a
+  // shed prefill never transfers, so its decode fields stay unset.
+  const int first_serving = config.disaggregated ? config.prefill_replicas : 0;
+  for (int i = 0; i < n; ++i) {
+    cluster.replica_metrics.push_back(engines[i]->finish());
+    const std::vector<ServingEngine::RequestOutcome> outcomes =
+        engines[i]->outcomes();
+    for (std::size_t k = 0; k < outcomes.size(); ++k) {
+      const ServingEngine::RequestOutcome& outcome = outcomes[k];
+      const std::size_t position = injected[i][k];
+      ServingEngine::RequestOutcome& row = stitched[position];
+      if (!config.disaggregated) {
+        row = outcome;
+      } else if (i < first_serving) {
+        row.arrived = outcome.arrived;
+        row.first_token = outcome.first_token;
+        row.shed = row.shed || outcome.shed;
+        if (requests[position].output_len < 2) {
           row.completion = outcome.completion;
-          row.shed = row.shed || outcome.shed;
         }
+      } else {
+        row.completion = outcome.completion;
+        row.shed = row.shed || outcome.shed;
       }
     }
-    finish_cluster(config, requests, stitched, /*first_serving=*/num_prefill,
-                   &cluster);
   }
+  finish_cluster(config, requests, stitched, first_serving, &cluster);
 
   if (tracing) write_trace_files(*cluster_trace, {});
   stamp_wall_time();

@@ -12,13 +12,8 @@
 // advances the replicas on ONE discrete-event timeline: every router
 // decision happens at the request's arrival instant with all candidate
 // replicas pumped to that instant, so load-aware policies see the loads a
-// real router would.
-//
-// Router policies are picked by name, like AdmissionPolicy
-// (serving/admission_policy.h): "round_robin", "least_loaded" (queued +
-// resident tokens), "prefix_affinity" (requests sharing a
-// Request::prefix_id stick to the replica whose prefix cache is warm), and
-// "tenant_sticky".
+// real router would.  Router policies are picked by name
+// (make_router_policy), like AdmissionPolicy.
 //
 // Disaggregated mode dedicates the first `prefill_replicas` replicas to
 // prefill: a request's prompt runs there (as an output_len=1 clone whose
@@ -26,11 +21,9 @@
 // blocks stream to a router-chosen decode replica with transfer time costed
 // per block through IciFabric::p2p_time — overlapping with the decode
 // replica's ongoing steps, which only see the request once the last block
-// lands (ServingEngine::inject_prefilled).  Stitched request metrics (TTFT
-// from the prefill side, completion from the decode side) land in the
-// cluster's fleet ServingMetrics (with its "cluster.*" registry keys) next
-// to per-replica ServingMetrics, Jain-across-replicas imbalance and
-// KV-transfer totals.
+// lands (ServingEngine::inject_prefilled).  The result is a ClusterMetrics:
+// the fleet's stitched request metrics (TTFT from the prefill side,
+// completion from the decode side) next to the per-replica rows.
 //
 // BIT-IDENTITY CONTRACT: one replica + "round_robin" + colocated is the
 // single-engine path — run_serving_cluster defers to the same
@@ -110,19 +103,12 @@ std::unique_ptr<RouterPolicy> make_router_policy(const std::string& name,
 // --- Cluster rollup ----------------------------------------------------------
 
 /// A cluster run: the whole cluster as one ServingMetrics (`fleet`), the
-/// per-replica rows, and the fields only a cluster has.
-///
-/// `fleet` holds the request rollup (RequestRollup) over the ORIGINAL
+/// per-replica rows, and the fields only a cluster has.  How `fleet`
+/// combines each field over the replicas is that field's FleetRule in
+/// ServingMetrics::for_each_field; its request rows come from the ORIGINAL
 /// requests' stitched cross-replica timelines, SLOs judged against their
-/// own deadlines; the total chip count (chips x tp_ways per replica);
-/// per-replica sums of the step, energy and cost-cache counts and of every
-/// ServingCounters and FaultStats field (so its prefix_hit_rate is what
-/// routing preserved across the fleet); the latest replica clock; MXU
-/// utilization over the fleet's chips; the "cluster.*" registry (cluster
-/// keys plus every replica's headline gauges); and the run's wall time.
-/// Means over replicas' own samples cannot be summed and stay at their
-/// defaults: `mttr_seconds` (a mean over repairs) is 0, as are
-/// `kv_internal_fragmentation` and `cost_cache_occupancy`.
+/// own deadlines.  `fleet.registry` holds the "cluster.*" keys of both
+/// tables plus every replica's "cluster.replica<i>.*" keys.
 ///
 /// In disaggregated mode the per-replica rows describe the CLONES each
 /// side ran (a prefill replica's completions are first tokens).
@@ -130,6 +116,7 @@ struct ClusterMetrics {
   ServingMetrics fleet;
   std::vector<ServingMetrics> replica_metrics;
   bool disaggregated = false;
+  std::int64_t prefill_replicas = 0;  ///< disaggregated: replicas [0, this)
 
   /// Original requests that arrived inside the window, and those of them
   /// shed by admission control, a fault or the horizon: every arrived
@@ -147,8 +134,36 @@ struct ClusterMetrics {
   // Disaggregation accounting (all 0 when colocated).
   std::int64_t kv_transfer_count = 0;   ///< streamed prompts
   std::int64_t kv_transfer_blocks = 0;  ///< KV blocks moved
-  Bytes kv_transfer_bytes = 0;
+  std::int64_t kv_transfer_bytes = 0;
   Seconds kv_transfer_seconds = 0;  ///< summed per-transfer link time
+
+  /// `visit(name, &ClusterMetrics::member, FieldKeys)` per field.  The
+  /// `replica_metrics` row's cluster key counts the replicas.
+  template <typename Visit>
+  static void for_each_field(Visit&& visit) {
+    using C = ClusterMetrics;
+    using K = FieldKeys;
+    constexpr bool kGated = true;  // published only when disaggregated
+    visit("fleet", &C::fleet, K{});
+    visit("replica_metrics", &C::replica_metrics,
+          K{nullptr, "cluster.replicas"});
+    visit("disaggregated", &C::disaggregated,
+          K{nullptr, "cluster.disaggregated"});
+    visit("prefill_replicas", &C::prefill_replicas,
+          K{nullptr, "cluster.prefill_replicas", nullptr, kGated});
+    visit("arrived", &C::arrived, K{nullptr, "cluster.arrived"});
+    visit("shed", &C::shed, K{nullptr, "cluster.shed"});
+    visit("jain_across_replicas", &C::jain_across_replicas,
+          K{nullptr, "cluster.jain_across_replicas"});
+    visit("kv_transfer_count", &C::kv_transfer_count,
+          K{nullptr, "cluster.kv_transfer_count", nullptr, kGated});
+    visit("kv_transfer_blocks", &C::kv_transfer_blocks,
+          K{nullptr, "cluster.kv_transfer_blocks", nullptr, kGated});
+    visit("kv_transfer_bytes", &C::kv_transfer_bytes,
+          K{nullptr, "cluster.kv_transfer_bytes", nullptr, kGated});
+    visit("kv_transfer_seconds", &C::kv_transfer_seconds,
+          K{nullptr, "cluster.kv_transfer_seconds", nullptr, kGated});
+  }
 };
 
 /// Runs `requests` (arrival-sorted, same contract as run_serving) through

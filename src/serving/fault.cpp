@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/status.h"
-#include "serving/obs_registry.h"
 
 namespace cimtpu::serving {
 
@@ -145,10 +144,6 @@ bool DegradationController::update(Seconds now) {
     return true;
   }
   return false;
-}
-
-void FaultStats::publish(MetricsRegistry* registry) const {
-  registry->publish_fields(*this);
 }
 
 }  // namespace cimtpu::serving

@@ -36,8 +36,6 @@
 
 namespace cimtpu::serving {
 
-class MetricsRegistry;
-
 /// Fault-injection + recovery knobs, carried by ServingScenario.
 /// Default-constructed = subsystem off — the golden-pinned
 /// configuration: run_serving never constructs a FaultProcess, never
@@ -202,10 +200,9 @@ struct FaultStats {
   std::int64_t degrade_enters = 0;
   std::int64_t degrade_exits = 0;
 
-  void publish(MetricsRegistry* registry) const;
-
-  /// `visit(name, &FaultStats::member, registry_key)` per field, in
-  /// declaration order (see serving/metrics.h).
+  /// `visit(name, &FaultStats::member, registry_key...)` per field, in
+  /// declaration order (see serving/metrics.h).  Two fields are also
+  /// published under an "engine.*" key.  The fleet sums each one.
   template <typename Visit>
   static void for_each_field(Visit&& visit) {
     using S = FaultStats;
@@ -215,10 +212,11 @@ struct FaultStats {
     visit("host_restores", &S::host_restores, "fault.host_restores");
     visit("host_restore_bytes", &S::host_restore_bytes,
           "fault.host_restore_bytes");
-    visit("retries", &S::retries, "fault.retries_total");
+    visit("retries", &S::retries, "fault.retries_total",
+          "engine.retries_total");
     visit("dropped", &S::dropped, "fault.dropped");
     visit("wasted_recompute_tokens", &S::wasted_recompute_tokens,
-          "fault.wasted_recompute_tokens");
+          "fault.wasted_recompute_tokens", "engine.wasted_recompute_tokens");
     visit("degrade_enters", &S::degrade_enters, "fault.degrade_enters");
     visit("degrade_exits", &S::degrade_exits, "fault.degrade_exits");
   }

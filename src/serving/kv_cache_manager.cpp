@@ -743,18 +743,17 @@ bool KvCacheManager::audit() const {
 
 void KvCacheManager::publish(MetricsRegistry* registry) const {
   CIMTPU_CHECK(registry != nullptr);
-  registry->set_counter("kv.capacity_blocks", capacity_blocks_);
-  registry->set_counter("kv.occupied_blocks", occupied_blocks());
-  registry->set_counter("kv.referenced_blocks", referenced_blocks());
-  registry->set_counter("kv.cached_blocks", cached_block_count());
-  registry->set_counter("kv.blocks_allocated_total", blocks_allocated_total_);
-  registry->set_counter("kv.cached_blocks_reclaimed_total",
-                        cached_blocks_reclaimed_total_);
-  registry->set_counter("kv.host_used_blocks", host_used_blocks_);
-  registry->set_counter("kv.blocks_invalidated_total",
-                        blocks_invalidated_total_);
-  registry->set_counter("kv.blocks_restored_total", blocks_restored_total_);
-  registry->set_gauge("kv.internal_fragmentation", internal_fragmentation());
+  registry->publish("kv.capacity_blocks", capacity_blocks_);
+  registry->publish("kv.occupied_blocks", occupied_blocks());
+  registry->publish("kv.referenced_blocks", referenced_blocks());
+  registry->publish("kv.cached_blocks", cached_block_count());
+  registry->publish("kv.blocks_allocated_total", blocks_allocated_total_);
+  registry->publish("kv.cached_blocks_reclaimed_total",
+                    cached_blocks_reclaimed_total_);
+  registry->publish("kv.host_used_blocks", host_used_blocks_);
+  registry->publish("kv.blocks_invalidated_total", blocks_invalidated_total_);
+  registry->publish("kv.blocks_restored_total", blocks_restored_total_);
+  registry->publish("kv.internal_fragmentation", internal_fragmentation());
 }
 
 }  // namespace cimtpu::serving

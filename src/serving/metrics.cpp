@@ -1,34 +1,8 @@
 #include "serving/metrics.h"
 
 #include "common/status.h"
-#include "serving/obs_registry.h"
 
 namespace cimtpu::serving {
-
-std::int64_t ServingCounters::total_preemptions() const {
-  return preemptions_recompute + preemptions_swap;
-}
-
-Bytes ServingCounters::total_swap_bytes() const {
-  return swap_out_bytes + swap_in_bytes;
-}
-
-std::int64_t ServingCounters::total_shed() const {
-  return shed_deadline + shed_horizon + shed_fault;
-}
-
-double ServingCounters::prefix_hit_rate() const {
-  return prefix_lookup_tokens == 0
-             ? 0.0
-             : static_cast<double>(prefix_hit_tokens) /
-                   static_cast<double>(prefix_lookup_tokens);
-}
-
-void ServingCounters::publish(MetricsRegistry* registry) const {
-  CIMTPU_CHECK(registry != nullptr);
-  registry->publish_fields(*this);
-  registry->set_gauge("scheduler.prefix_hit_rate", prefix_hit_rate());
-}
 
 double jain_fairness_index(const std::vector<double>& values) {
   if (values.empty()) return 1.0;

@@ -7,22 +7,50 @@
 // scheduler accumulates across a run.
 //
 // Field tables: each metrics struct lists its fields once, in its static
-// `for_each_field(visit)`, which calls `visit(name, &Struct::member)` per
-// field in declaration order (publishing structs pass the registry key as
-// a third argument).  Registry publishing, cluster flattening and the
-// bit-identity checks iterate these tables, so a new field is written in
-// its struct and its table; `serving_rollup_test`'s drift guard fails when
-// a table misses one.
+// `for_each_field(visit)`, which calls `visit(name, &Struct::member, ...)`
+// per field in declaration order, passing the row's registry keys (and,
+// for ServingMetrics, its FleetRule).  Registry publishing, the cluster
+// fleet's rollup, the study getters and the bit-identity checks walk these
+// tables, so a new field is its declaration plus one table row;
+// `serving_rollup_test`'s drift guard fails when a table misses one.
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/units.h"
+#include "serving/obs_registry.h"
 #include "serving/stats.h"  // percentile math (shared with the registry)
 
 namespace cimtpu::serving {
 
-class MetricsRegistry;
+/// How the cluster fleet (serving/cluster.h) combines a ServingMetrics
+/// field over its replicas.
+enum class FleetRule {
+  kNone,      ///< left at its default (per-replica means; the registry)
+  kSum,       ///< summed over replicas; a nested table field by field
+  kMax,       ///< the largest replica value
+  kRequests,  ///< RequestRollup over the stitched rows (num_requests: all)
+  kDerived,   ///< derive_metrics (serving_sim.h), from the rows above
+};
+
+/// A ServingMetrics / ClusterMetrics row's registry key per scope (nullptr:
+/// not published there): a run's own registry, the cluster fleet's, and
+/// the fleet's after replica_key_prefix(i).  A `gated` row publishes only
+/// with faults on (ServingMetrics) or disaggregated (ClusterMetrics).
+struct FieldKeys {
+  const char* engine = nullptr;
+  const char* cluster = nullptr;
+  const char* replica = nullptr;
+  bool gated = false;
+};
+
+/// "cluster.replica<i>.", the prefix of replica `i`'s keys.
+inline std::string replica_key_prefix(std::size_t replica) {
+  return "cluster.replica" + std::to_string(replica) + ".";
+}
 
 /// Five-number summary of a latency sample.
 struct LatencySummary {
@@ -128,19 +156,24 @@ struct ServingCounters {
   std::int64_t shed_horizon = 0;
   std::int64_t shed_fault = 0;
 
-  std::int64_t total_preemptions() const;
-  std::int64_t total_shed() const;
-  Bytes total_swap_bytes() const;
+  std::int64_t total_preemptions() const {
+    return preemptions_recompute + preemptions_swap;
+  }
+  std::int64_t total_shed() const {
+    return shed_deadline + shed_horizon + shed_fault;
+  }
+  Bytes total_swap_bytes() const { return swap_out_bytes + swap_in_bytes; }
   /// prefix_hit_tokens / prefix_lookup_tokens; 0 when nothing was looked
   /// up (cache disabled or no tagged requests).
-  double prefix_hit_rate() const;
-
-  /// Publishes every field into `registry` under its table key (int64
-  /// fields as counters, byte counts as gauges) plus the derived
-  /// "scheduler.prefix_hit_rate" gauge (serving/obs_registry.h).
-  void publish(MetricsRegistry* registry) const;
+  double prefix_hit_rate() const {
+    return prefix_lookup_tokens == 0
+               ? 0.0
+               : static_cast<double>(prefix_hit_tokens) /
+                     static_cast<double>(prefix_lookup_tokens);
+  }
 
   /// `visit(name, &ServingCounters::member, registry_key)` per field.
+  /// The fleet sums each one (FleetRule::kSum on ServingMetrics::counters).
   template <typename Visit>
   static void for_each_field(Visit&& visit) {
     using C = ServingCounters;
@@ -166,5 +199,39 @@ struct ServingCounters {
     visit("shed_fault", &C::shed_fault, "scheduler.shed_fault");
   }
 };
+
+/// Walks `a` and `b`, two values of a metrics type, side by side through
+/// their field tables and calls `visit(path, a_leaf, b_leaf)` on each pair
+/// of leaves: numbers, each tenant list's length, and each registry as its
+/// JSON.  Paths read like "fault.retries" or "tenants[1].ttft.p99".
+template <typename T, typename Visit>
+void for_each_leaf_pair(const T& a, const T& b, const std::string& path,
+                        Visit&& visit) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    visit(path, a, b);
+  } else if constexpr (std::is_same_v<T, MetricsRegistry>) {
+    visit(path, a.to_json(), b.to_json());
+  } else if constexpr (std::is_same_v<T, std::vector<TenantMetrics>>) {
+    visit(path, a.size(), b.size());
+    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+      for_each_leaf_pair(a[i], b[i], path + "[" + std::to_string(i) + "]",
+                         visit);
+    }
+  } else {
+    T::for_each_field([&](const char* name, auto member, auto&&...) {
+      for_each_leaf_pair(a.*member, b.*member,
+                         path.empty() ? name : path + "." + name, visit);
+    });
+  }
+}
+
+/// True when every table leaf of `a` equals `b`'s (for_each_leaf_pair).
+template <typename T>
+bool identical_fields(const T& a, const T& b) {
+  bool identical = true;
+  for_each_leaf_pair(a, b, "", [&](const std::string&, const auto& x,
+                                   const auto& y) { identical &= x == y; });
+  return identical;
+}
 
 }  // namespace cimtpu::serving

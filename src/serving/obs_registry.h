@@ -1,7 +1,7 @@
 #pragma once
 // Observability registry for the serving simulator: named counters,
-// gauges, and fixed-bucket histograms that the serving subsystems
-// (ServingCounters, StepCostCache, KvCacheManager, admission policies)
+// gauges, and fixed-bucket histograms that the metrics tables
+// (serving/metrics.h), KvCacheManager and the admission policies
 // publish into at the end of a run, plus the time-series sampler that
 // snapshots engine state at a configurable simulated-time interval.
 //
@@ -9,10 +9,10 @@
 //   * DETERMINISM — everything is keyed by std::map, so iteration (and
 //     hence JSON export) order is the lexicographic name order on every
 //     platform and thread count.
-//   * HOT-PATH SAFETY — `counter` / `gauge` / `histogram` return stable
-//     references (std::map nodes never move), so per-step code resolves
-//     its instruments ONCE before the loop and then only increments; no
-//     per-step name lookups, no per-step allocations.
+//   * HOT-PATH SAFETY — `histogram` returns a stable reference (std::map
+//     nodes never move), so per-step code resolves its instruments ONCE
+//     before the loop and then only observes; no per-step name lookups,
+//     no per-step allocations.
 //   * SELF-CONTAINED EXPORT — `to_json` emits the whole registry, so
 //     bench schemas pick up newly-published instruments without
 //     hand-threading each one through ServingMetrics.
@@ -33,44 +33,25 @@ namespace cimtpu::serving {
 /// of its ServingMetrics result).
 class MetricsRegistry {
  public:
-  /// The counter named `name`, created at 0 on first use.  The reference
-  /// is stable for the registry's lifetime.
-  std::int64_t& counter(const std::string& name) { return counters_[name]; }
-
-  /// The gauge named `name`, created at 0 on first use.
-  double& gauge(const std::string& name) { return gauges_[name]; }
-
   /// The histogram named `name`; created with `upper_bounds` on first
-  /// use, returned as-is afterwards (later bounds are ignored — the first
-  /// registration wins).
+  /// use, returned as-is afterwards (the first registration's bounds win).
+  /// The reference is stable for the registry's lifetime.
   FixedBucketHistogram& histogram(const std::string& name,
                                   std::vector<double> upper_bounds);
 
-  void set_counter(const std::string& name, std::int64_t value) {
-    counters_[name] = value;
-  }
-  void set_gauge(const std::string& name, double value) {
-    gauges_[name] = value;
-  }
-
-  /// Publishes every field of `stats` under the registry key its field
-  /// table names (ServingCounters, FaultStats): int64 fields as counters,
-  /// the rest (Bytes) as gauges.
-  template <typename S>
-  void publish_fields(const S& stats) {
-    S::for_each_field([&](const char*, auto member, const char* key) {
-      const auto value = stats.*member;
-      if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
-                                   std::int64_t>) {
-        set_counter(key, value);
-      } else {
-        set_gauge(key, value);
-      }
-    });
+  /// Sets `name` to `value`: an integral value (a count or a flag) as a
+  /// counter, the rest as a gauge.
+  template <typename T>
+  void publish(const std::string& name, T value) {
+    if constexpr (std::is_integral_v<T>) {
+      counters_[name] = static_cast<std::int64_t>(value);
+    } else {
+      gauges_[name] = value;
+    }
   }
 
   /// The counter / gauge named `name`, or 0 when it was never published.
-  /// Read-only: unlike counter() / gauge(), never creates the name.
+  /// Read-only: never creates the name.
   std::int64_t counter_or_zero(const std::string& name) const {
     const auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
@@ -137,7 +118,6 @@ class TimeSeriesSampler {
   /// Records `sample` and advances the next-due time past sample.time.
   void record(TimeSample sample);
 
-  const std::vector<TimeSample>& samples() const { return samples_; }
   std::vector<TimeSample> take() { return std::move(samples_); }
 
  private:

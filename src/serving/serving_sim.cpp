@@ -213,6 +213,20 @@ void RequestRollup::finish(const AdmissionConfig& admission,
   }
 }
 
+void derive_metrics(Seconds mxu_busy_chip_seconds, ServingMetrics* metrics) {
+  metrics->preemptions = metrics->counters.total_preemptions();
+  metrics->prefix_hit_rate = metrics->counters.prefix_hit_rate();
+  if (metrics->makespan > 0 && metrics->chips > 0) {
+    metrics->mxu_utilization =
+        mxu_busy_chip_seconds /
+        (metrics->makespan * static_cast<double>(metrics->chips));
+  }
+  if (metrics->generated_tokens > 0) {
+    metrics->energy_per_token =
+        metrics->total_energy / static_cast<double>(metrics->generated_tokens);
+  }
+}
+
 struct ServingEngine::Impl {
   ServingScenario scenario;
   std::chrono::steady_clock::time_point wall_start;
@@ -270,11 +284,9 @@ struct ServingEngine::Impl {
   bool faults_on;
   FaultProcess fault_process;
   DegradationController degrade;
-  FaultStats fault_stats;
   std::deque<PendingRetry> retry_queue;
   std::vector<double> repair_times;  ///< MTTR samples (seconds)
   Seconds stall_until = -1;          ///< active stall window end
-  std::int64_t fault_sheds = 0;
   int degraded_max_batch;
 
   StepRecord step;  // reused across all steps and reserved to
@@ -403,7 +415,7 @@ struct ServingEngine::Impl {
     const bool removed =
         scheduler.remove_for_fault(request_id, &request, &progress);
     CIMTPU_CHECK(removed);
-    fault_stats.wasted_recompute_tokens +=
+    metrics.fault.wasted_recompute_tokens +=
         (progress.prefilled - progress.prefix_skipped) + progress.generated;
     const std::size_t index = slot(request_id);
     RequestTrace& request_trace = traces[index];
@@ -416,15 +428,14 @@ struct ServingEngine::Impl {
               std::pow(2.0,
                        static_cast<double>(request_trace.retry_attempts - 1)),
           scenario.fault.retry_backoff_max_s);
-      fault_stats.retries += 1;
+      metrics.fault.retries += 1;
       retry_queue.push_back(PendingRetry{request, fault_time + backoff,
                                          request_trace.retry_attempts,
                                          request_trace.first_token >= 0});
     } else {
       request_trace.shed = true;
       request_trace.last_fault = -1;  // dropped, never repaired: not in MTTR
-      fault_stats.dropped += 1;
-      fault_sheds += 1;
+      metrics.fault.dropped += 1;
       outstanding_tokens -= total_tokens(*requests[index]);
       // Faults are delivered between steps, so one that landed mid-step
       // drops the request only after that step ran: the shed is stamped at
@@ -447,7 +458,7 @@ struct ServingEngine::Impl {
         case FaultType::kStall: {
           stall_until = std::max(stall_until,
                                  event.time + scenario.fault.stall_duration_s);
-          fault_stats.stalls += 1;
+          metrics.fault.stalls += 1;
           degrade.on_fault(event.time);
           if (tracing) {
             trace->on_fault(-1, static_cast<std::int64_t>(FaultType::kStall),
@@ -459,7 +470,7 @@ struct ServingEngine::Impl {
           const std::int64_t resident =
               static_cast<std::int64_t>(scheduler.running_count());
           if (resident == 0) break;  // struck an empty device: no-op
-          fault_stats.kv_losses += 1;
+          metrics.fault.kv_losses += 1;
           degrade.on_fault(event.time);
           const auto info = scheduler.resident_info(static_cast<std::size_t>(
               fault_process.pick_victim(resident)));
@@ -481,8 +492,8 @@ struct ServingEngine::Impl {
               const Seconds restore_time =
                   bytes / scenario.host_link_bandwidth;
               now += restore_time;
-              fault_stats.host_restores += 1;
-              fault_stats.host_restore_bytes += bytes;
+              metrics.fault.host_restores += 1;
+              metrics.fault.host_restore_bytes += bytes;
               repair_times.push_back(restore_time);
               if (tracing) {
                 trace->on_recover(info.request_id, /*mechanism=*/1,
@@ -495,7 +506,7 @@ struct ServingEngine::Impl {
           break;
         }
         case FaultType::kDeviceFailure: {
-          fault_stats.device_failures += 1;
+          metrics.fault.device_failures += 1;
           degrade.on_fault(event.time);
           // Every resident loses its device KV; swapped-out sequences
           // survive in the host pool.  Snapshot ids first — eviction
@@ -533,9 +544,9 @@ struct ServingEngine::Impl {
                              scenario.fault.degraded_extra_shed_slack_s);
       kv_cache.set_prefix_admission_paused(entering);
       if (entering) {
-        fault_stats.degrade_enters += 1;
+        metrics.fault.degrade_enters += 1;
       } else {
-        fault_stats.degrade_exits += 1;
+        metrics.fault.degrade_exits += 1;
       }
       if (tracing) trace->on_degrade(entering, now);
     }
@@ -865,7 +876,7 @@ struct ServingEngine::Impl {
     finished = true;
     metrics.num_requests = static_cast<std::int64_t>(requests.size());
     metrics.counters = scheduler.counters();
-    metrics.counters.shed_fault = fault_sheds;  // driver-owned shed cause
+    metrics.counters.shed_fault = metrics.fault.dropped;  // driver-owned
     metrics.sim_end_seconds = now;
     // Horizon-cut runs shed whatever arrived but never completed —
     // waiting, in flight, it makes no difference: the horizon ended its
@@ -882,8 +893,6 @@ struct ServingEngine::Impl {
         if (tracing) trace->on_shed(requests[i]->id, now);
       }
     }
-    metrics.preemptions = metrics.counters.total_preemptions();
-    metrics.prefix_hit_rate = metrics.counters.prefix_hit_rate();
     if (metrics.total_steps > 0) {
       metrics.kv_internal_fragmentation =
           fragmentation_sum / static_cast<double>(metrics.total_steps);
@@ -898,56 +907,25 @@ struct ServingEngine::Impl {
     rollup.finish(scenario.scheduler.admission, &metrics);
 
     // --- Resilience rollup (schema-v8) -------------------------------------
-    metrics.fault = fault_stats;
     if (!repair_times.empty()) {
       metrics.mttr_seconds =
           std::accumulate(repair_times.begin(), repair_times.end(), 0.0) /
           static_cast<double>(repair_times.size());
     }
 
-    if (metrics.makespan > 0) {
-      metrics.mxu_utilization =
-          busy_time / (metrics.makespan * static_cast<double>(metrics.chips));
-    }
-    if (metrics.generated_tokens > 0) {
-      metrics.energy_per_token =
-          metrics.total_energy / static_cast<double>(metrics.generated_tokens);
-    }
     metrics.cost_cache_entries = costs.size();
     metrics.cost_cache_hits = costs.hits();
     metrics.cost_cache_misses = costs.misses();
     metrics.cost_cache_occupancy = costs.occupancy();
+    derive_metrics(busy_time, &metrics);
 
     // --- Observability rollup ----------------------------------------------
     // Every subsystem publishes into the run's registry; all inputs are
     // deterministic simulated state, so the registry (like every metric
-    // above) is bit-identical with tracing on or off.
-    metrics.registry.set_counter("engine.total_steps", metrics.total_steps);
-    metrics.registry.set_counter("engine.prefill_steps",
-                                 metrics.prefill_steps);
-    metrics.registry.set_counter("engine.decode_steps", metrics.decode_steps);
-    metrics.registry.set_counter("engine.completed", metrics.completed);
-    metrics.registry.set_counter("engine.generated_tokens",
-                                 metrics.generated_tokens);
-    metrics.registry.set_gauge("engine.makespan_s", metrics.makespan);
-    metrics.registry.set_gauge("engine.sim_end_s", metrics.sim_end_seconds);
-    metrics.registry.set_gauge("engine.slo_attainment",
-                               metrics.slo_attainment);
-    metrics.registry.set_gauge("engine.slo_goodput_tokens_per_s",
-                               metrics.slo_goodput_tokens_per_second);
-    metrics.registry.set_gauge("engine.availability", metrics.availability);
-    if (faults_on) {
-      // Fault-only keys are gated so an off run's registry matches
-      // pre-fault builds key for key.
-      metrics.registry.set_gauge("engine.mttr_s", metrics.mttr_seconds);
-      metrics.registry.set_counter("engine.wasted_recompute_tokens",
-                                   metrics.fault.wasted_recompute_tokens);
-      metrics.registry.set_counter("engine.retries_total",
-                                   metrics.fault.retries);
-      metrics.fault.publish(&metrics.registry);
-    }
-    metrics.counters.publish(&metrics.registry);
-    costs.publish(&metrics.registry);
+    // above) is bit-identical with tracing on or off.  Fault-only keys are
+    // gated so an off run's registry matches pre-fault builds key for key.
+    publish_keys(metrics, &FieldKeys::engine, /*gate_open=*/faults_on,
+                 /*prefix=*/"", &metrics.registry);
     kv_cache.publish(&metrics.registry);
     scheduler.admission_policy().publish(&metrics.registry);
 
@@ -1033,14 +1011,6 @@ ServingMetrics run_serving(const ServingScenario& scenario,
   engine.inject_all(requests);
   engine.drain();
   return engine.finish();
-}
-
-ServingMetrics run_serving(const ServingScenario& scenario,
-                           const RequestStreamConfig& stream,
-                           SharedStepCostCache* shared_costs,
-                           ServingTrace* trace_out) {
-  return run_serving(scenario, generate_requests(stream), shared_costs,
-                     trace_out);
 }
 
 }  // namespace cimtpu::serving

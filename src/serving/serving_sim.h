@@ -20,6 +20,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -81,13 +84,12 @@ struct ServingScenario {
 
 /// Aggregate result of one serving run.
 ///
-/// Field lists: `for_each_field` below names every simulated field —
-/// scalars, the nested counters / fault / latency structs (each with its
-/// own table in serving/metrics.h or serving/fault.h), the tenant rows
-/// and the registry.  The bit-identity test helper iterates it.  Left out:
-/// the host-time field `sim_wall_seconds`, which measures the machine
-/// rather than the simulation, and `timeseries`, which holds samples only
-/// when sampling is on.
+/// Field lists: `for_each_field` below names every simulated field, with
+/// its FleetRule and registry keys (FieldKeys); nested structs have their
+/// own tables (serving/metrics.h, serving/fault.h).  Left out: the
+/// host-time field `sim_wall_seconds`, which measures the machine rather
+/// than the simulation, and `timeseries`, which holds samples only when
+/// sampling is on.
 struct ServingMetrics {
   int chips = 1;
   std::int64_t num_requests = 0;
@@ -181,56 +183,117 @@ struct ServingMetrics {
   /// leaves it out.
   Seconds sim_wall_seconds = 0;
 
-  /// `visit(name, &ServingMetrics::member)` per simulated field.
+  /// `visit(name, &ServingMetrics::member, FleetRule, FieldKeys)` per
+  /// simulated field.
   template <typename Visit>
   static void for_each_field(Visit&& visit) {
     using M = ServingMetrics;
-    visit("chips", &M::chips);
-    visit("num_requests", &M::num_requests);
-    visit("completed", &M::completed);
-    visit("generated_tokens", &M::generated_tokens);
-    visit("total_steps", &M::total_steps);
-    visit("prefill_steps", &M::prefill_steps);
-    visit("decode_steps", &M::decode_steps);
-    visit("preemptions", &M::preemptions);
-    visit("counters", &M::counters);
-    visit("prefix_hit_rate", &M::prefix_hit_rate);
-    visit("kv_internal_fragmentation", &M::kv_internal_fragmentation);
-    visit("makespan", &M::makespan);
-    visit("sim_end_seconds", &M::sim_end_seconds);
-    visit("ttft", &M::ttft);
-    visit("tpot", &M::tpot);
-    visit("e2e", &M::e2e);
-    visit("goodput_tokens_per_second", &M::goodput_tokens_per_second);
-    visit("slo_met", &M::slo_met);
-    visit("slo_attainment", &M::slo_attainment);
+    using F = FleetRule;
+    using K = FieldKeys;  // {engine, cluster, replica suffix, gated}
+    visit("chips", &M::chips, F::kSum,
+          K{nullptr, "cluster.total_chips", "chips"});
+    visit("num_requests", &M::num_requests, F::kRequests,
+          K{nullptr, "cluster.num_requests"});
+    visit("completed", &M::completed, F::kRequests,
+          K{"engine.completed", "cluster.completed", "completed"});
+    visit("generated_tokens", &M::generated_tokens, F::kRequests,
+          K{"engine.generated_tokens", "cluster.generated_tokens",
+            "generated_tokens"});
+    visit("total_steps", &M::total_steps, F::kSum, K{"engine.total_steps"});
+    visit("prefill_steps", &M::prefill_steps, F::kSum,
+          K{"engine.prefill_steps"});
+    visit("decode_steps", &M::decode_steps, F::kSum, K{"engine.decode_steps"});
+    visit("preemptions", &M::preemptions, F::kDerived, K{});
+    visit("counters", &M::counters, F::kSum, K{});
+    visit("prefix_hit_rate", &M::prefix_hit_rate, F::kDerived,
+          K{"scheduler.prefix_hit_rate", "cluster.prefix_hit_rate"});
+    visit("kv_internal_fragmentation", &M::kv_internal_fragmentation,
+          F::kNone, K{});
+    visit("makespan", &M::makespan, F::kRequests,
+          K{"engine.makespan_s", "cluster.makespan_s"});
+    visit("sim_end_seconds", &M::sim_end_seconds, F::kMax,
+          K{"engine.sim_end_s"});
+    visit("ttft", &M::ttft, F::kRequests, K{});
+    visit("tpot", &M::tpot, F::kRequests, K{});
+    visit("e2e", &M::e2e, F::kRequests, K{});
+    visit("goodput_tokens_per_second", &M::goodput_tokens_per_second,
+          F::kRequests, K{nullptr, "cluster.goodput_tokens_per_s"});
+    visit("slo_met", &M::slo_met, F::kRequests, K{});
+    visit("slo_attainment", &M::slo_attainment, F::kRequests,
+          K{"engine.slo_attainment", "cluster.slo_attainment"});
     visit("slo_goodput_tokens_per_second",
-          &M::slo_goodput_tokens_per_second);
-    visit("availability", &M::availability);
-    visit("mttr_seconds", &M::mttr_seconds);
-    visit("fault", &M::fault);
-    visit("tenants", &M::tenants);
-    visit("jain_fairness", &M::jain_fairness);
-    visit("mxu_energy", &M::mxu_energy);
-    visit("total_energy", &M::total_energy);
-    visit("energy_per_token", &M::energy_per_token);
-    visit("mxu_utilization", &M::mxu_utilization);
-    visit("cost_cache_entries", &M::cost_cache_entries);
-    visit("cost_cache_hits", &M::cost_cache_hits);
-    visit("cost_cache_misses", &M::cost_cache_misses);
-    visit("cost_cache_occupancy", &M::cost_cache_occupancy);
-    visit("registry", &M::registry);
+          &M::slo_goodput_tokens_per_second, F::kRequests,
+          K{"engine.slo_goodput_tokens_per_s"});
+    visit("availability", &M::availability, F::kRequests,
+          K{"engine.availability", "cluster.availability"});
+    visit("mttr_seconds", &M::mttr_seconds, F::kNone,
+          K{"engine.mttr_s", nullptr, nullptr, /*gated=*/true});
+    visit("fault", &M::fault, F::kSum,
+          K{nullptr, nullptr, nullptr, /*gated=*/true});
+    visit("tenants", &M::tenants, F::kRequests, K{});
+    visit("jain_fairness", &M::jain_fairness, F::kRequests, K{});
+    visit("mxu_energy", &M::mxu_energy, F::kSum, K{});
+    visit("total_energy", &M::total_energy, F::kSum, K{});
+    visit("energy_per_token", &M::energy_per_token, F::kDerived, K{});
+    visit("mxu_utilization", &M::mxu_utilization, F::kDerived,
+          K{nullptr, nullptr, "utilization"});
+    visit("cost_cache_entries", &M::cost_cache_entries, F::kSum,
+          K{"cost_cache.entries"});
+    visit("cost_cache_hits", &M::cost_cache_hits, F::kSum,
+          K{"cost_cache.hits"});
+    visit("cost_cache_misses", &M::cost_cache_misses, F::kSum,
+          K{"cost_cache.misses"});
+    visit("cost_cache_occupancy", &M::cost_cache_occupancy, F::kNone,
+          K{"cost_cache.occupancy"});
+    visit("registry", &M::registry, F::kNone, K{});
   }
 };
+
+/// Sets the FleetRule::kDerived fields from the rows they combine
+/// (mxu_utilization from `mxu_busy_chip_seconds`), for a run and a fleet.
+void derive_metrics(Seconds mxu_busy_chip_seconds, ServingMetrics* metrics);
+
+/// Publishes every field of `table` (ServingMetrics, ClusterMetrics)
+/// keyed in `scope` under `prefix` + key, gated rows only if `gate_open`.
+/// Nested keyed tables publish their own keys in the engine scope; the
+/// replica list publishes its length and each replica's replica keys.
+template <typename S>
+void publish_keys(const S& table, const char* FieldKeys::*scope,
+                  bool gate_open, const std::string& prefix,
+                  MetricsRegistry* registry) {
+  S::for_each_field([&](const char*, auto member, const auto&... row) {
+    const FieldKeys& keys = std::get<sizeof...(row) - 1>(std::tie(row...));
+    const auto& value = table.*member;
+    using T = std::decay_t<decltype(value)>;
+    const char* key = keys.*scope;
+    if (keys.gated && !gate_open) return;
+    if constexpr (std::is_same_v<T, ServingCounters> ||
+                  std::is_same_v<T, FaultStats>) {
+      if (scope != &FieldKeys::engine) return;
+      T::for_each_field([&](const char*, auto field, auto... names) {
+        (registry->publish(names, value.*field), ...);
+      });
+    } else if constexpr (std::is_same_v<T, ServingMetrics>) {
+      publish_keys(value, scope, gate_open, prefix, registry);
+    } else if constexpr (std::is_same_v<T, std::vector<ServingMetrics>>) {
+      registry->publish(prefix + key, value.size());
+      for (std::size_t i = 0; i < value.size(); ++i) {
+        publish_keys(value[i], &FieldKeys::replica, gate_open,
+                     replica_key_prefix(i), registry);
+      }
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      if (key != nullptr) registry->publish(prefix + key, value);
+    }
+  });
+}
 
 /// The request-level half of a run's rollup, shared by ServingEngine::
 /// finish and the cluster's stitched fleet view (serving/cluster.h), so
 /// every request metric has one implementation.  add() takes each request
 /// that ARRIVED inside the simulated window, with its first-token and
 /// completion times (< 0: never emitted / never completed).  finish()
-/// writes completed, generated_tokens, makespan, the ttft / tpot / e2e
-/// summaries, slo_met, slo_attainment, availability, both goodputs, the
-/// tenant rows and their Jain index, and leaves every other field alone.
+/// writes the FleetRule::kRequests fields but num_requests, and leaves
+/// every other field alone.
 class RequestRollup {
  public:
   /// `arrived_hint` (the expected add() count) sizes the TPOT sample.
@@ -403,12 +466,6 @@ class ServingEngine {
 /// internally.
 ServingMetrics run_serving(const ServingScenario& scenario,
                            const std::vector<Request>& requests,
-                           SharedStepCostCache* shared_costs = nullptr,
-                           ServingTrace* trace_out = nullptr);
-
-/// Generates the trace from `stream` and replays it.
-ServingMetrics run_serving(const ServingScenario& scenario,
-                           const RequestStreamConfig& stream,
                            SharedStepCostCache* shared_costs = nullptr,
                            ServingTrace* trace_out = nullptr);
 

@@ -5,7 +5,6 @@
 
 #include "common/status.h"
 #include "ir/dtype.h"
-#include "serving/obs_registry.h"
 
 namespace cimtpu::serving {
 
@@ -214,15 +213,6 @@ StepCost StepCostCache::lookup(bool prefill, std::int64_t batch,
   }
   local_.insert(key, cost);
   return cost;
-}
-
-void StepCostCache::publish(MetricsRegistry* registry) const {
-  CIMTPU_CHECK(registry != nullptr);
-  registry->set_counter("cost_cache.entries",
-                        static_cast<std::int64_t>(size()));
-  registry->set_counter("cost_cache.hits", hits_);
-  registry->set_counter("cost_cache.misses", misses_);
-  registry->set_gauge("cost_cache.occupancy", occupancy());
 }
 
 }  // namespace cimtpu::serving

@@ -35,8 +35,6 @@
 
 namespace cimtpu::serving {
 
-class MetricsRegistry;
-
 /// Per-layer cost of one engine step shape.
 struct StepCost {
   Seconds latency = 0;
@@ -157,10 +155,6 @@ class StepCostCache {
                : static_cast<double>(local_.size()) /
                      static_cast<double>(local_.capacity());
   }
-
-  /// Publishes entries/hits/misses/occupancy into `registry` under
-  /// "cost_cache.*" names (serving/obs_registry.h).
-  void publish(MetricsRegistry* registry) const;
 
   /// Reusable scratch for cost_step's decode grouping (per-run, never
   /// shared across threads).

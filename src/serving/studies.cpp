@@ -5,8 +5,10 @@
 #include <type_traits>
 #include <utility>
 
+#include "common/status.h"
 #include "common/units.h"
 #include "ir/dtype.h"
+#include "serving/cluster.h"
 #include "serving/traffic_profiles.h"
 
 namespace cimtpu::serving {
@@ -20,50 +22,51 @@ using C = ServingCounters;
 
 const ServingScenario& scenario(R r) { return r.cell.point.scenario; }
 
-/// A ServingMetrics field, kept integral or real as declared.
+/// `root`'s value at a member path, kept integral or real as declared.
+template <typename Root, typename... Path>
+StudyValue value_at(const Root& root, Path... path) {
+  const auto value = (root .* ... .* path);
+  if constexpr (std::is_floating_point_v<decltype(value)>) {
+    return static_cast<double>(value);
+  } else {
+    return static_cast<std::int64_t>(value);
+  }
+}
+
+/// The cell's ServingMetrics value at a member path, e.g.
+/// `field(&M::tpot, &LatencySummary::p99)`.
+template <typename... Path>
+Getter field(Path... path) {
+  return [path...](R r) { return value_at(r.cell.metrics, path...); };
+}
+
+/// A ClusterMetrics field of a cluster cell, read back from the registry
+/// key its table row publishes it under (0 where it is not published).
 template <typename T>
-Getter metric(T M::*field) {
-  return [field](R r) -> StudyValue {
-    if constexpr (std::is_floating_point_v<T>) {
-      return static_cast<double>(r.cell.metrics.*field);
-    } else {
-      return static_cast<std::int64_t>(r.cell.metrics.*field);
+Getter cluster_field(T ClusterMetrics::*wanted) {
+  const char* key = nullptr;
+  ClusterMetrics::for_each_field([&](const char*, auto member, FieldKeys k) {
+    if constexpr (std::is_same_v<decltype(member), T ClusterMetrics::*>) {
+      if (member == wanted) key = k.cluster;
     }
+  });
+  CIMTPU_CHECK(key != nullptr);
+  return [key](R r) -> StudyValue {
+    const MetricsRegistry& registry = r.cell.metrics.registry;
+    if constexpr (std::is_integral_v<T>) return registry.counter_or_zero(key);
+    return registry.gauge_or_zero(key);
   };
 }
 
-Getter counter(std::int64_t C::*field) {
-  return [field](R r) { return r.cell.metrics.counters.*field; };
-}
-
-Getter fault_stat(std::int64_t FaultStats::*field) {
-  return [field](R r) { return r.cell.metrics.fault.*field; };
-}
-
-Getter registry_counter(const char* name) {
-  return [name](R r) { return r.cell.metrics.registry.counter_or_zero(name); };
-}
-
-Getter registry_gauge(const char* name) {
-  return [name](R r) { return r.cell.metrics.registry.gauge_or_zero(name); };
-}
-
-Getter latency(LatencySummary M::*summary, Seconds LatencySummary::*field) {
-  return [summary, field](R r) { return (r.cell.metrics.*summary).*field; };
-}
-
-/// A field of the row's tenant in per-tenant rows, else of the cell.
-template <typename T>
-Getter tenant_or_cell(T TenantMetrics::*tenant_field, T M::*cell_field) {
-  return [tenant_field, cell_field](R r) {
-    return r.tenant ? r.tenant->*tenant_field : r.cell.metrics.*cell_field;
-  };
-}
-
-/// A TTFT percentile: the row's tenant's, else the cell's.
-Getter ttft(Seconds LatencySummary::*field) {
-  return [field](R r) {
-    return (r.tenant ? r.tenant->ttft : r.cell.metrics.ttft).*field;
+/// A field of the row's tenant in per-tenant rows, else of the cell, then
+/// the rest of its member path.
+template <typename T, typename... Path>
+Getter tenant_or_cell(T TenantMetrics::*tenant_field, T M::*cell_field,
+                      Path... path) {
+  return [tenant_field, cell_field, path...](R r) {
+    return value_at(r.tenant ? r.tenant->*tenant_field
+                             : r.cell.metrics.*cell_field,
+                    path...);
   };
 }
 
@@ -92,23 +95,25 @@ const StudyColumn kCompleted{
     "completed", "done", F::kInt,
     tenant_or_cell(&TenantMetrics::completed, &M::completed)};
 const StudyColumn kTtftP50{"ttft_p50_s", "TTFT p50", F::kTime,
-                           ttft(&LatencySummary::p50)};
+                           tenant_or_cell(&TenantMetrics::ttft, &M::ttft,
+                                          &LatencySummary::p50)};
 const StudyColumn kTtftP99{"ttft_p99_s", "TTFT p99", F::kTime,
-                           ttft(&LatencySummary::p99)};
+                           tenant_or_cell(&TenantMetrics::ttft, &M::ttft,
+                                          &LatencySummary::p99)};
 const StudyColumn kTpotP99{"tpot_p99_s", "TPOT p99", F::kTime,
-                           latency(&M::tpot, &LatencySummary::p99)};
+                           field(&M::tpot, &LatencySummary::p99)};
 const StudyColumn kE2eP99{nullptr, "e2e p99", F::kTime,
-                          latency(&M::e2e, &LatencySummary::p99)};
+                          field(&M::e2e, &LatencySummary::p99)};
 const StudyColumn kPreemptions{"preemptions", "preempt", F::kInt,
-                               metric(&M::preemptions)};
+                               field(&M::preemptions)};
 const StudyColumn kHitRate{"prefix_hit_rate", "hit rate", F::kFixed3,
-                           metric(&M::prefix_hit_rate)};
+                           field(&M::prefix_hit_rate)};
 const StudyColumn kSloGoodput{"slo_goodput_tokens_per_s", "SLO tokens/s",
                               F::kFixed1,
-                              metric(&M::slo_goodput_tokens_per_second)};
+                              field(&M::slo_goodput_tokens_per_second)};
 const StudyColumn kJainReplicas{
     "jain_across_replicas", "jain", F::kFixed4,
-    registry_gauge("cluster.jain_across_replicas")};
+    cluster_field(&ClusterMetrics::jain_across_replicas)};
 
 std::string render(CellFormat format, const StudyValue& value) {
   if (const auto* label = std::get_if<std::string>(&value)) return *label;
@@ -213,19 +218,19 @@ ServingStudy baseline_study(const StudyInputs& in) {
       kGoodput,
       table_only(kTtftP50),
       kTtftP99,
-      {nullptr, "TPOT p50", F::kTime, latency(&M::tpot, &LatencySummary::p50)},
+      {nullptr, "TPOT p50", F::kTime, field(&M::tpot, &LatencySummary::p50)},
       kTpotP99,
       kE2eP99,
       {"energy_per_token_j", "J/token", F::kEnergy,
-       metric(&M::energy_per_token)},
-      {nullptr, "MXU util", F::kPercent, metric(&M::mxu_utilization)},
-      {nullptr, "steps", F::kInt, metric(&M::total_steps)},
+       field(&M::energy_per_token)},
+      {nullptr, "MXU util", F::kPercent, field(&M::mxu_utilization)},
+      {nullptr, "steps", F::kInt, field(&M::total_steps)},
       table_only(kPreemptions),
-      {"cost_cache_hits", nullptr, F::kInt, metric(&M::cost_cache_hits)},
-      {"cost_cache_misses", nullptr, F::kInt, metric(&M::cost_cache_misses)},
-      {"cost_cache_entries", nullptr, F::kInt, metric(&M::cost_cache_entries)},
+      {"cost_cache_hits", nullptr, F::kInt, field(&M::cost_cache_hits)},
+      {"cost_cache_misses", nullptr, F::kInt, field(&M::cost_cache_misses)},
+      {"cost_cache_entries", nullptr, F::kInt, field(&M::cost_cache_entries)},
       {"cost_cache_occupancy", nullptr, F::kFixed4,
-       metric(&M::cost_cache_occupancy)},
+       field(&M::cost_cache_occupancy)},
   };
   return study;
 }
@@ -253,12 +258,13 @@ ServingStudy policies_study(const StudyInputs& in) {
        [](R) { return std::int64_t{kKvBudgetTokens}; }},
       kGoodput, kTtftP99, kTpotP99, kE2eP99,
       {"preemptions_recompute", "recompute", F::kInt,
-       counter(&C::preemptions_recompute)},
-      {"preemptions_swap", "swapped", F::kInt, counter(&C::preemptions_swap)},
+       field(&M::counters, &C::preemptions_recompute)},
+      {"preemptions_swap", "swapped", F::kInt,
+       field(&M::counters, &C::preemptions_swap)},
       {"swap_bytes", "swap GiB", F::kGiB,
        [](R r) { return r.cell.metrics.counters.total_swap_bytes(); }},
       {"chunked_prefill_steps", "chunk steps", F::kInt,
-       counter(&C::chunked_prefill_steps)},
+       field(&M::counters, &C::chunked_prefill_steps)},
   };
   return study;
 }
@@ -288,7 +294,7 @@ ServingStudy fairness_study(const StudyInputs& in) {
   study.json_close = "]}";
   study.columns = {
       kAdmission,
-      {"jain_fairness_index", "jain", F::kFixed4, metric(&M::jain_fairness)},
+      {"jain_fairness_index", "jain", F::kFixed4, field(&M::jain_fairness)},
       json_only(kCompleted),
   };
   study.tenant_columns = {
@@ -337,12 +343,14 @@ ServingStudy prefix_cache_study(const StudyInputs& in) {
       {"prefix_caching", "prefix cache", F::kText,
        [](R r) { return scenario(r).scheduler.enable_prefix_cache; }},
       kGoodput, table_only(kTtftP50), kTtftP99, json_only(kTpotP99), kHitRate,
-      {"prefix_hit_tokens", nullptr, F::kInt, counter(&C::prefix_hit_tokens)},
+      {"prefix_hit_tokens", nullptr, F::kInt,
+       field(&M::counters, &C::prefix_hit_tokens)},
       {"blocks_saved", "blocks saved", F::kInt,
-       counter(&C::prefix_shared_blocks)},
-      {"cow_blocks", "CoW", F::kInt, counter(&C::prefix_cow_blocks)},
+       field(&M::counters, &C::prefix_shared_blocks)},
+      {"cow_blocks", "CoW", F::kInt,
+       field(&M::counters, &C::prefix_cow_blocks)},
       {"internal_fragmentation", "frag", F::kFixed4,
-       metric(&M::kv_internal_fragmentation)},
+       field(&M::kv_internal_fragmentation)},
       kPreemptions,
   };
   return study;
@@ -369,10 +377,12 @@ ServingStudy slo_frontier_study(const StudyInputs& in) {
          return r.cell.metrics.completed + r.cell.metrics.counters.total_shed();
        }},
       kCompleted,
-      {"shed_deadline", "shed dl", F::kInt, counter(&C::shed_deadline)},
-      {"shed_horizon", "shed hz", F::kInt, counter(&C::shed_horizon)},
-      {"slo_met", nullptr, F::kInt, metric(&M::slo_met)},
-      {"slo_attainment", "attainment", F::kFixed4, metric(&M::slo_attainment)},
+      {"shed_deadline", "shed dl", F::kInt,
+       field(&M::counters, &C::shed_deadline)},
+      {"shed_horizon", "shed hz", F::kInt,
+       field(&M::counters, &C::shed_horizon)},
+      {"slo_met", nullptr, F::kInt, field(&M::slo_met)},
+      {"slo_attainment", "attainment", F::kFixed4, field(&M::slo_attainment)},
       kSloGoodput, kGoodput, kTtftP50, kTtftP99, json_only(kTpotP99),
   };
   return study;
@@ -399,20 +409,21 @@ ServingStudy fault_storm_study(const StudyInputs& in) {
        }},
       {"recovery", "recovery", F::kText,
        [](R r) { return scenario(r).fault.recovery_enabled; }},
-      {"availability", "avail", F::kFixed4, metric(&M::availability)},
-      {"mttr_s", "MTTR", F::kTime, metric(&M::mttr_seconds)},
-      {"retries", "retries", F::kInt, fault_stat(&FaultStats::retries)},
-      {"shed_fault", "shed fault", F::kInt, counter(&C::shed_fault)},
+      {"availability", "avail", F::kFixed4, field(&M::availability)},
+      {"mttr_s", "MTTR", F::kTime, field(&M::mttr_seconds)},
+      {"retries", "retries", F::kInt, field(&M::fault, &FaultStats::retries)},
+      {"shed_fault", "shed fault", F::kInt,
+       field(&M::counters, &C::shed_fault)},
       {"wasted_recompute_tokens", "wasted tok", F::kInt,
-       fault_stat(&FaultStats::wasted_recompute_tokens)},
-      {"stalls", nullptr, F::kInt, fault_stat(&FaultStats::stalls)},
-      {"kv_losses", nullptr, F::kInt, fault_stat(&FaultStats::kv_losses)},
+       field(&M::fault, &FaultStats::wasted_recompute_tokens)},
+      {"stalls", nullptr, F::kInt, field(&M::fault, &FaultStats::stalls)},
+      {"kv_losses", nullptr, F::kInt, field(&M::fault, &FaultStats::kv_losses)},
       {"device_failures", nullptr, F::kInt,
-       fault_stat(&FaultStats::device_failures)},
+       field(&M::fault, &FaultStats::device_failures)},
       {"host_restores", "restores", F::kInt,
-       fault_stat(&FaultStats::host_restores)},
+       field(&M::fault, &FaultStats::host_restores)},
       {"degrade_enters", "degraded", F::kInt,
-       fault_stat(&FaultStats::degrade_enters)},
+       field(&M::fault, &FaultStats::degrade_enters)},
       kCompleted, kSloGoodput, json_only(kGoodput),
   };
   return study;
@@ -466,13 +477,13 @@ ServingStudy disaggregation_study(const StudyInputs& in) {
        [](R r) { return r.cell.point.disaggregated; }},
       kTtftP99, kTtftP50, json_only(kTpotP99), kGoodput, kCompleted,
       {"kv_transfer_count", nullptr, F::kInt,
-       registry_counter("cluster.kv_transfer_count")},
+       cluster_field(&ClusterMetrics::kv_transfer_count)},
       {"kv_transfer_blocks", nullptr, F::kInt,
-       registry_counter("cluster.kv_transfer_blocks")},
+       cluster_field(&ClusterMetrics::kv_transfer_blocks)},
       {"kv_transfer_bytes", "KV GiB", F::kGiB,
-       registry_counter("cluster.kv_transfer_bytes")},
+       cluster_field(&ClusterMetrics::kv_transfer_bytes)},
       {"kv_transfer_seconds", "xfer s", F::kFixed3,
-       registry_gauge("cluster.kv_transfer_seconds")},
+       cluster_field(&ClusterMetrics::kv_transfer_seconds)},
       json_only(kJainReplicas),
   };
   return study;

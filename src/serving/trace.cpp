@@ -604,14 +604,6 @@ std::vector<RequestTimeline> trace_request_timelines(
 
 namespace {
 
-bool same_summary(const LatencySummary& a, const LatencySummary& b) {
-  bool same = true;
-  LatencySummary::for_each_field([&](const char*, auto member) {
-    same = same && a.*member == b.*member;
-  });
-  return same;
-}
-
 /// mkdir -p: creates `path` and its ancestors (0755); existing
 /// directories are fine, other failures surface at file-write time.
 void make_directories(const std::string& path) {
@@ -647,8 +639,8 @@ TraceReconciliation reconcile_trace(const std::vector<TraceEvent>& events,
   result.requests_traced = timelines.size();
   result.ttft = summarize_latencies(std::move(ttft_values));
   result.e2e = summarize_latencies(std::move(e2e_values));
-  result.ttft_matches = same_summary(result.ttft, ttft);
-  result.e2e_matches = same_summary(result.e2e, e2e);
+  result.ttft_matches = identical_fields(result.ttft, ttft);
+  result.e2e_matches = identical_fields(result.e2e, e2e);
   return result;
 }
 

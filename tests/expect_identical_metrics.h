@@ -2,18 +2,14 @@
 // EXPECT_EQ on every simulated ServingMetrics field, doubles included: the
 // claims these tests make (tracing on/off, sweep vs serial, shared vs
 // private cost cache) are bit-identity, not closeness.  The fields come
-// from the structs' own tables (ServingMetrics::for_each_field and the
-// nested tables it reaches), so a field added there is compared here with
-// no edit; each failure names the field's path, e.g. "fault.retries" or
-// "tenants[1].ttft.p99".  What the ServingMetrics table leaves out is left
-// out here too: the host-time field sim_wall_seconds, and the time-series
-// samples, which exist only when sampling is on.
+// from for_each_leaf_pair (serving/metrics.h), the walk identical_fields
+// makes over the structs' own tables, so a field added there is compared
+// here with no edit; each failure names the field's path, e.g.
+// "fault.retries" or "tenants[1].ttft.p99".
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <type_traits>
-#include <vector>
 
 #include "serving/serving_sim.h"
 
@@ -21,24 +17,9 @@ namespace cimtpu::serving {
 
 template <typename T>
 void expect_identical_field(const T& a, const T& b, const std::string& path) {
-  if constexpr (std::is_arithmetic_v<T>) {
-    EXPECT_EQ(a, b) << path;
-  } else if constexpr (std::is_same_v<T, MetricsRegistry>) {
-    // Fed only by simulated state, so its whole JSON export must match
-    // byte for byte too.
-    EXPECT_EQ(a.to_json(), b.to_json()) << path;
-  } else if constexpr (std::is_same_v<T, std::vector<TenantMetrics>>) {
-    ASSERT_EQ(a.size(), b.size()) << path;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      expect_identical_field(a[i], b[i],
-                             path + "[" + std::to_string(i) + "]");
-    }
-  } else {
-    T::for_each_field([&](const char* name, auto member, auto&&...) {
-      expect_identical_field(a.*member, b.*member,
-                             path.empty() ? name : path + "." + name);
-    });
-  }
+  for_each_leaf_pair(a, b, path,
+                     [](const std::string& leaf, const auto& x,
+                        const auto& y) { EXPECT_EQ(x, y) << leaf; });
 }
 
 inline void expect_identical_summary(const LatencySummary& a,

@@ -1,11 +1,11 @@
 // Cluster-scale serving wall: router-policy ordering and stickiness,
 // unknown-name diagnostics, the N=1 + round_robin bit-identity
 // contract against the single-engine path, colocated multi-replica
-// conservation, prefix-affinity routing beating round-robin on
-// cluster-wide prefix hit rate, disaggregated prefill/decode KV-transfer
-// reconciliation against the IciFabric cost model, the tensor-parallel
-// serving dispatch, IciFabric edge cases, and 1-vs-4-thread sweep
-// bit-identity for cluster cells.
+// conservation, the fleet's sum and max table rules, prefix-affinity
+// routing beating round-robin on cluster-wide prefix hit rate,
+// disaggregated prefill/decode KV-transfer reconciliation against the
+// IciFabric cost model, the tensor-parallel serving dispatch, IciFabric
+// edge cases, and 1-vs-4-thread sweep bit-identity for cluster cells.
 
 #include <gtest/gtest.h>
 
@@ -206,13 +206,13 @@ TEST(ClusterFlattenTest, SumsEveryCounterAndFaultStatAcrossReplicas) {
   }
   const ServingMetrics flat = flatten_cluster_metrics(std::move(cluster));
 
-  FaultStats::for_each_field([&](const char* name, auto member, const char*) {
+  FaultStats::for_each_field([&](const char* name, auto member, auto&&...) {
     EXPECT_EQ(flat.fault.*member,
               replicas[0].fault.*member + replicas[1].fault.*member)
         << name;
   });
   ServingCounters::for_each_field(
-      [&](const char* name, auto member, const char*) {
+      [&](const char* name, auto member, auto&&...) {
         EXPECT_EQ(flat.counters.*member,
                   replicas[0].counters.*member + replicas[1].counters.*member)
             << name;
@@ -291,6 +291,73 @@ TEST(ClusterColocatedTest, RequestsConserveAcrossReplicas) {
   EXPECT_NE(registry_json.find("cluster.replicas"), std::string::npos);
   EXPECT_NE(registry_json.find("cluster.replica3.utilization"),
             std::string::npos);
+}
+
+// Every fleet field ServingMetrics' table marks kSum is the sum of the four
+// replicas' values (a nested table field by field), and every kMax field
+// their maximum, under KV pressure and prefix sharing so the counters move.
+TEST(ClusterColocatedTest, FleetSumAndMaxRowsCombineEveryReplica) {
+  const std::vector<Request> requests =
+      generate_requests(prefix_chatbot_stream(/*seed=*/11, 300, 60.0));
+  ClusterConfig config;
+  config.base = prefix_cache_scenario(ir::DType::kInt4, /*caching=*/true,
+                                      /*block_tokens=*/16,
+                                      /*kv_budget_tokens=*/2500);
+  config.base.kv_budget_override =
+      KvCacheManager::token_bytes(config.base.model) * 2500;
+  config.replicas.assign(4, ReplicaSpec{});
+  config.router_policy = "least_loaded";
+  const ClusterMetrics cluster = run_serving_cluster(config, requests);
+  const ServingMetrics& fleet = cluster.fleet;
+  const std::vector<ServingMetrics>& replicas = cluster.replica_metrics;
+  ASSERT_EQ(replicas.size(), 4u);
+
+  int sums = 0, maxima = 0;
+  ServingMetrics::for_each_field([&](const char* name, auto member,
+                                     FleetRule rule, const FieldKeys&) {
+    using T = std::decay_t<decltype(fleet.*member)>;
+    if constexpr (std::is_arithmetic_v<T>) {
+      if (rule != FleetRule::kSum && rule != FleetRule::kMax) return;
+      T expected{};
+      for (const ServingMetrics& replica : replicas) {
+        expected = rule == FleetRule::kSum
+                       ? static_cast<T>(expected + replica.*member)
+                       : std::max(expected, replica.*member);
+      }
+      EXPECT_EQ(fleet.*member, expected) << name;
+      ++(rule == FleetRule::kSum ? sums : maxima);
+    } else if constexpr (std::is_same_v<T, ServingCounters> ||
+                         std::is_same_v<T, FaultStats>) {
+      EXPECT_EQ(rule, FleetRule::kSum) << name;
+      T::for_each_field([&](const char* leaf, auto inner, auto&&...) {
+        std::decay_t<decltype(fleet.*member.*inner)> expected{};
+        for (const ServingMetrics& replica : replicas) {
+          expected += replica.*member.*inner;
+        }
+        EXPECT_EQ(fleet.*member.*inner, expected) << name << "." << leaf;
+        ++sums;
+      });
+    }
+  });
+  EXPECT_GT(sums, 20);
+  EXPECT_EQ(maxima, 1);  // sim_end_seconds
+
+  // The same rules, spelled out for a few rows without the table.
+  std::int64_t steps = 0, hit_tokens = 0, preemptions = 0;
+  Seconds sim_end = 0;
+  for (const ServingMetrics& replica : replicas) {
+    steps += replica.total_steps;
+    hit_tokens += replica.counters.prefix_hit_tokens;
+    preemptions += replica.preemptions;
+    sim_end = std::max(sim_end, replica.sim_end_seconds);
+  }
+  EXPECT_EQ(fleet.chips, 4);
+  EXPECT_EQ(fleet.total_steps, steps);
+  EXPECT_EQ(fleet.counters.prefix_hit_tokens, hit_tokens);
+  EXPECT_EQ(fleet.preemptions, preemptions);  // derived from the sums
+  EXPECT_EQ(fleet.sim_end_seconds, sim_end);
+  EXPECT_GT(hit_tokens, 0);
+  EXPECT_GT(preemptions, 0);
 }
 
 TEST(ClusterColocatedTest, FourReplicasBeatOneOnOverloadedTraffic) {

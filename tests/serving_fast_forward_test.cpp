@@ -19,6 +19,7 @@
 #include "serving/obs_registry.h"
 #include "serving/request_gen.h"
 #include "serving/scheduler.h"
+#include "serving/serving_sim.h"
 
 namespace cimtpu::serving {
 namespace {
@@ -100,8 +101,11 @@ void expect_same_record(const StepRecord& a, const StepRecord& b) {
 
 /// Scheduler counters and KV gauges/counters, as their registry export.
 std::string published_state(const Replica& replica) {
+  ServingMetrics metrics;
+  metrics.counters = replica.scheduler.counters();
   MetricsRegistry registry;
-  replica.scheduler.counters().publish(&registry);
+  publish_keys(metrics, &FieldKeys::engine, /*gate_open=*/false, "",
+               &registry);
   replica.kv.publish(&registry);
   return registry.to_json();
 }

@@ -158,9 +158,9 @@ TEST(FixedBucketHistogram, RejectsNonAscendingBounds) {
 
 TEST(MetricsRegistry, CountersGaugesHistograms) {
   MetricsRegistry registry;
-  registry.counter("b.count") += 3;
-  registry.counter("a.count") = 7;
-  registry.gauge("z.load") = 0.5;
+  registry.publish("b.count", std::int64_t{3});
+  registry.publish("a.count", std::int64_t{7});
+  registry.publish("z.load", 0.5);
   registry.histogram("lat", {1.0, 2.0}).observe(1.5);
   EXPECT_EQ(registry.counters().at("a.count"), 7);
   EXPECT_EQ(registry.counters().at("b.count"), 3);
@@ -174,8 +174,8 @@ TEST(MetricsRegistry, CountersGaugesHistograms) {
 
 TEST(MetricsRegistry, OrZeroLookupsReadPresentNamesAndDefaultAbsentOnes) {
   MetricsRegistry registry;
-  registry.set_counter("cluster.kv_transfer_bytes", 4096);
-  registry.set_gauge("cluster.kv_transfer_seconds", 0.25);
+  registry.publish("cluster.kv_transfer_bytes", 4096);
+  registry.publish("cluster.kv_transfer_seconds", 0.25);
   EXPECT_EQ(registry.counter_or_zero("cluster.kv_transfer_bytes"), 4096);
   EXPECT_EQ(registry.gauge_or_zero("cluster.kv_transfer_seconds"), 0.25);
   EXPECT_EQ(registry.counter_or_zero("cluster.kv_transfer_count"), 0);
@@ -187,9 +187,9 @@ TEST(MetricsRegistry, OrZeroLookupsReadPresentNamesAndDefaultAbsentOnes) {
 
 TEST(MetricsRegistry, ToJsonIsDeterministicAndOrdered) {
   MetricsRegistry registry;
-  registry.counter("zz") = 1;
-  registry.counter("aa") = 2;
-  registry.gauge("mid") = 1.25;
+  registry.publish("zz", 1);
+  registry.publish("aa", 2);
+  registry.publish("mid", 1.25);
   registry.histogram("h", {1.0}).observe(0.5);
   const std::string json = registry.to_json();
   // Lexicographic key order regardless of insertion order.
@@ -201,9 +201,9 @@ TEST(MetricsRegistry, ToJsonIsDeterministicAndOrdered) {
   // Identical registries -> identical bytes.
   MetricsRegistry other;
   other.histogram("h", {1.0}).observe(0.5);
-  other.gauge("mid") = 1.25;
-  other.counter("aa") = 2;
-  other.counter("zz") = 1;
+  other.publish("mid", 1.25);
+  other.publish("aa", 2);
+  other.publish("zz", 1);
   EXPECT_EQ(json, other.to_json());
 }
 
@@ -231,7 +231,7 @@ TEST(TimeSeriesSampler, BurstAcrossIntervalsYieldsOneSample) {
   sampler.record(sample);
   EXPECT_FALSE(sampler.due(5.9));
   EXPECT_TRUE(sampler.due(6.0));
-  EXPECT_EQ(sampler.samples().size(), 1u);
+  EXPECT_EQ(sampler.take().size(), 1u);
 }
 
 // --- Tracing contract: bit-identical metrics on/off --------------------------

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "serving/cluster.h"
 #include "serving/fault.h"
 #include "serving/metrics.h"
 #include "serving/obs_registry.h"
@@ -333,39 +334,51 @@ static_assert(CanInjectAll<ServingEngine, const std::vector<Request>&>::value);
 static_assert(!CanInjectAll<ServingEngine, std::vector<Request>>::value);
 
 // --- Field tables --------------------------------------------------------
-// Publishing, cluster flattening and the bit-identity checks see only what
-// a struct's for_each_field table lists, so each table must cover its whole
-// struct.  These structs hold only 8-byte scalars (a nested LatencySummary
-// counts as its 6), so the table's leaves must sit at distinct offsets and
-// number sizeof(S) / 8.
+// Publishing, the fleet rollup, the study getters and the bit-identity
+// checks see only what a struct's for_each_field table lists, so each table
+// must cover its whole struct: its rows (and the fields the struct leaves
+// out on purpose, passed as `excluded`) must tile the struct's bytes, with
+// no gap a field could sit in.  A nested struct or container counts as one
+// field here; nested tables are checked on their own.
 
-template <typename S>
-void collect_leaf_offsets(const S& object, const char* origin,
-                          const std::string& path,
-                          std::vector<std::ptrdiff_t>* offsets) {
-  S::for_each_field([&](const char* name, auto member, auto&&...) {
-    const auto& field = object.*member;
-    using T = std::decay_t<decltype(field)>;
-    if constexpr (std::is_arithmetic_v<T>) {
-      EXPECT_EQ(sizeof(T), 8u) << path << name;
-      offsets->push_back(reinterpret_cast<const char*>(&field) - origin);
-    } else {
-      collect_leaf_offsets(field, origin, path + name + ".", offsets);
-    }
-  });
+struct FieldSpan {
+  std::ptrdiff_t begin = 0;
+  std::ptrdiff_t end = 0;
+  std::ptrdiff_t align = 1;
+};
+
+template <typename S, typename T>
+FieldSpan span_of(const S& object, T S::*member) {
+  const auto begin = reinterpret_cast<const char*>(&(object.*member)) -
+                     reinterpret_cast<const char*>(&object);
+  return {begin, begin + static_cast<std::ptrdiff_t>(sizeof(T)),
+          static_cast<std::ptrdiff_t>(alignof(T))};
 }
 
-template <typename S>
-void expect_table_covers_struct(const char* struct_name) {
+template <typename S, typename... Excluded>
+void expect_table_covers_struct(const char* struct_name,
+                                Excluded... excluded) {
   const S object{};
-  std::vector<std::ptrdiff_t> offsets;
-  collect_leaf_offsets(object, reinterpret_cast<const char*>(&object), "",
-                       &offsets);
-  EXPECT_EQ(sizeof(S), 8 * offsets.size())
-      << struct_name << ": a field is missing from its for_each_field table";
-  std::sort(offsets.begin(), offsets.end());
-  EXPECT_EQ(std::adjacent_find(offsets.begin(), offsets.end()), offsets.end())
-      << struct_name << ": a field is listed twice";
+  std::vector<FieldSpan> spans = {span_of(object, excluded)...};
+  S::for_each_field([&](const char*, auto member, auto&&...) {
+    spans.push_back(span_of(object, member));
+  });
+  std::sort(spans.begin(), spans.end(),
+            [](const FieldSpan& a, const FieldSpan& b) {
+              return a.begin < b.begin;
+            });
+  std::ptrdiff_t covered = 0;
+  for (const FieldSpan& span : spans) {
+    EXPECT_GE(span.begin, covered)
+        << struct_name << ": a field is listed twice";
+    EXPECT_LT(span.begin - covered, span.align)
+        << struct_name << ": a field before offset " << span.begin
+        << " is missing from its for_each_field table";
+    covered = span.end;
+  }
+  EXPECT_LT(static_cast<std::ptrdiff_t>(sizeof(S)) - covered,
+            static_cast<std::ptrdiff_t>(alignof(S)))
+      << struct_name << ": its last field is missing from its table";
 }
 
 TEST(MetricsFieldTables, EachTableCoversItsWholeStruct) {
@@ -373,49 +386,68 @@ TEST(MetricsFieldTables, EachTableCoversItsWholeStruct) {
   expect_table_covers_struct<TenantMetrics>("TenantMetrics");
   expect_table_covers_struct<ServingCounters>("ServingCounters");
   expect_table_covers_struct<FaultStats>("FaultStats");
+  // Host time and the sampled time series are not simulated results.
+  expect_table_covers_struct<ServingMetrics>(
+      "ServingMetrics", &ServingMetrics::timeseries,
+      &ServingMetrics::sim_wall_seconds);
+  expect_table_covers_struct<ClusterMetrics>("ClusterMetrics");
 }
 
-/// Sets every field of `stats` to a distinct value (1, 2, ...) through its
-/// table, then checks the registry holds each under the entry's key: an
+/// Sets every field of the run's nested keyed table `part` to a distinct
+/// value (1, 2, ...) through its table, publishes the run's engine keys,
+/// then checks the registry holds each under every key its entry names: an
 /// int64 field as a counter, a Bytes field as a gauge.
 template <typename S>
-void expect_publishes_every_field() {
-  S stats;
+void expect_publishes_every_field(S ServingMetrics::*part) {
+  ServingMetrics metrics;
+  S& stats = metrics.*part;
   std::int64_t next = 1;
-  S::for_each_field([&](const char*, auto member, const char*) {
+  S::for_each_field([&](const char*, auto member, auto&&...) {
     stats.*member = static_cast<std::decay_t<decltype(stats.*member)>>(next++);
   });
   MetricsRegistry registry;
-  stats.publish(&registry);
+  publish_keys(metrics, &FieldKeys::engine, /*gate_open=*/true, "",
+               &registry);
   next = 1;
-  S::for_each_field([&](const char* name, auto member, const char* key) {
+  S::for_each_field([&](const char* name, auto member, auto... keys) {
     using T = std::decay_t<decltype(stats.*member)>;
-    if constexpr (std::is_same_v<T, std::int64_t>) {
-      EXPECT_EQ(registry.counter_or_zero(key), next) << name;
-      EXPECT_EQ(registry.gauges().count(key), 0u) << name;
-    } else {
-      EXPECT_EQ(registry.gauge_or_zero(key), static_cast<double>(next))
-          << name;
-      EXPECT_EQ(registry.counters().count(key), 0u) << name;
+    for (const char* key : {keys...}) {
+      if constexpr (std::is_same_v<T, std::int64_t>) {
+        EXPECT_EQ(registry.counter_or_zero(key), next) << name;
+        EXPECT_EQ(registry.gauges().count(key), 0u) << name;
+      } else {
+        EXPECT_EQ(registry.gauge_or_zero(key), static_cast<double>(next))
+            << name;
+        EXPECT_EQ(registry.counters().count(key), 0u) << name;
+      }
     }
     ++next;
   });
 }
 
 TEST(MetricsFieldTables, PublishWritesEveryFieldUnderItsKey) {
-  expect_publishes_every_field<ServingCounters>();
-  expect_publishes_every_field<FaultStats>();
-  // The one key that differs from its field's name, and the derived gauge.
-  FaultStats fault;
-  fault.retries = 30;
+  expect_publishes_every_field(&ServingMetrics::counters);
+  expect_publishes_every_field(&ServingMetrics::fault);
+  // A field published under two keys, and the derived hit-rate gauge.
+  ServingMetrics metrics;
+  metrics.fault.retries = 30;
+  metrics.counters.prefix_lookup_tokens = 4;
+  metrics.counters.prefix_hit_tokens = 3;
+  derive_metrics(/*mxu_busy_chip_seconds=*/0, &metrics);
   MetricsRegistry registry;
-  fault.publish(&registry);
+  publish_keys(metrics, &FieldKeys::engine, /*gate_open=*/true, "",
+               &registry);
   EXPECT_EQ(registry.counter_or_zero("fault.retries_total"), 30);
-  ServingCounters counters;
-  counters.prefix_lookup_tokens = 4;
-  counters.prefix_hit_tokens = 3;
-  counters.publish(&registry);
+  EXPECT_EQ(registry.counter_or_zero("engine.retries_total"), 30);
   EXPECT_EQ(registry.gauge_or_zero("scheduler.prefix_hit_rate"), 0.75);
+  EXPECT_EQ(registry.gauges().count("engine.mttr_s"), 1u);
+  // Gated rows, nested tables included, stay out while the gate is shut.
+  MetricsRegistry shut;
+  publish_keys(metrics, &FieldKeys::engine, /*gate_open=*/false, "", &shut);
+  EXPECT_EQ(shut.counters().count("fault.retries_total"), 0u);
+  EXPECT_EQ(shut.counters().count("engine.retries_total"), 0u);
+  EXPECT_EQ(shut.gauges().count("engine.mttr_s"), 0u);
+  EXPECT_EQ(shut.gauge_or_zero("scheduler.prefix_hit_rate"), 0.75);
 }
 
 }  // namespace
