@@ -7,6 +7,11 @@ alternating order.  Gates every BENCHMARK.json end-to-end metric in its
 than min(MAX_BOUND, the metric's own bound), or a head run is incorrect or
 fails requests.  Skips when cimbench/ or BENCHMARK.json differ: the
 benchmark re-baselines.
+
+After the gate, one traced 2 s run per tree per workload prints the
+per-layer rows in LAYER_ROWS side by side, so a moved median shows which
+layer moved.  These rows are not gated: one traced run cannot resolve a
+few-percent change.
 """
 
 import json
@@ -17,17 +22,35 @@ import sys
 
 PAIRS = 10
 MAX_BOUND = 0.15
+LAYER_ROWS = ("engine.ns_per_step", "cluster.ns_per_step",
+              "scheduler.next_step_ns", "step_cost.miss_share")
 
 
-def run(tree, workload):
+def run(tree, workload, trace=0):
     # Each tree builds into its own .bench_build; a shared one would thrash.
     env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
     out = subprocess.run(
         [sys.executable, os.path.join(tree, "cimbench", "run.py"),
          "--workload", workload, "--seed", "42", "--seconds", "2",
-         "--trace", "0"],
+         "--trace", str(trace)],
         cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=False)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def print_layer_rows(base, head, workloads):
+    """One traced run per tree per workload; prints LAYER_ROWS, ungated."""
+    for workload in workloads:
+        rows = {side: run(tree, workload, trace=1)["metrics"]
+                for side, tree in (("base", base), ("head", head))}
+        for name in LAYER_ROWS:
+            b, h = (rows[side].get(name, {}).get("value")
+                    for side in ("base", "head"))
+            if b is None or h is None:
+                print(f"{workload} {name} (traced, ungated): absent")
+                continue
+            ratio = f"{h / b:.3f}" if b != 0 else "n/a"
+            print(f"{workload} {name} (traced, ungated): base {b:.4g}, "
+                  f"head {h:.4g}, head/base {ratio}", flush=True)
 
 
 def spread(values):
@@ -87,6 +110,7 @@ def main():
                 failures.append(f"{workload}: head {name} median is "
                                 f"{ratio:.3f}x base's ({better} is better, "
                                 f"bound {bound:g})")
+    print_layer_rows(base, head, workloads)
     for failure in failures:
         print(f"perf_gate: FAIL {failure}")
     return 1 if failures else 0

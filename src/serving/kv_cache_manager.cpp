@@ -46,6 +46,7 @@ KvCacheManager::KvCacheManager(Bytes capacity, Bytes bytes_per_token,
                                    << " smaller than one "
                                    << block_tokens_ << "-token block ("
                                    << format_bytes(block_bytes_) << ")");
+  phase_count_.assign(static_cast<std::size_t>(block_tokens_), 0);
 }
 
 Bytes KvCacheManager::hbm_kv_budget(const models::TransformerConfig& model,
@@ -380,15 +381,48 @@ bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
 bool KvCacheManager::try_grow(std::int64_t request_id, std::int64_t tokens) {
   const auto it = entries_.find(request_id);
   CIMTPU_CHECK(it != entries_.end());
-  return try_grow_slot(it->second, tokens);
+  Entry& entry = slot_entry(it->second);
+  CIMTPU_CHECK(tokens >= 0);
+  CIMTPU_CHECK_MSG(!entry.advancing,
+                   "an advancing entry grows only through advance()");
+  const std::int64_t new_blocks =
+      blocks_for_tokens(entry.tokens + tokens) - entry_blocks(entry);
+  if (new_blocks > 0) {
+    if (!fits_blocks(new_blocks)) return false;
+    allocate_growth(new_blocks);
+    entry.private_blocks += new_blocks;
+  }
+  entry.tokens += tokens;
+  mapped_tokens_ += tokens;
+  return true;
 }
 
+std::int64_t KvCacheManager::advance_blocks_admitted_before(
+    std::int32_t slot) const {
+  const std::int64_t admit_seq = slot_entry(slot).admit_seq;
+  std::int64_t blocks = 0;
+  for (const Entry& entry : entry_slots_) {
+    if (entry.id >= 0 && entry.advancing && entry.phase == clock_phase_ &&
+        entry.admit_seq < admit_seq) {
+      ++blocks;
+    }
+  }
+  return blocks;
+}
+
+std::int64_t KvCacheManager::grow_advancing(std::int64_t blocks) {
+  CIMTPU_CHECK(blocks >= 0 &&
+               advance_grown_ + blocks <= advance_growth_blocks());
+  advance_grown_ += blocks;
+  return allocate_growth(blocks);
+}
 
 void KvCacheManager::release(std::int64_t request_id) {
   auto it = entries_.find(request_id);
   CIMTPU_CHECK(it != entries_.end());
   const std::int32_t slot = it->second;
   Entry& entry = slot_entry(slot);
+  if (entry.advancing) end_advance(slot);
   for (std::int64_t block_id : entry.shared) unref_shared(block_id);
   private_used_ -= entry.private_blocks;
   mapped_tokens_ -= entry.tokens;
@@ -405,6 +439,7 @@ bool KvCacheManager::try_swap_out(std::int64_t request_id) {
   Entry& entry = slot_entry(slot);
   const std::int64_t blocks = entry_blocks(entry);
   if (host_used_blocks_ + blocks > host_capacity_blocks_) return false;
+  if (entry.advancing) end_advance(slot);
   // The host copy is whole and private: shared prefix blocks are
   // privatized on the way out (their device copies just lose a reference).
   for (std::int64_t block_id : entry.shared) unref_shared(block_id);
@@ -456,7 +491,7 @@ void KvCacheManager::note_prefilled_slot(std::int32_t slot,
                                          std::int64_t computed_tokens) {
   Entry& entry = slot_entry(slot);
   entry.computed_tokens = std::min(
-      std::max(entry.computed_tokens, computed_tokens), entry.tokens);
+      std::max(entry.computed_tokens, computed_tokens), entry_tokens(entry));
   if (!enable_prefix_cache_ || entry.prefix_id < 0) return;
   // Blocks this entry registered become hittable once the prefill has
   // passed their upper token boundary.
@@ -511,15 +546,17 @@ std::int64_t KvCacheManager::drop_cached_blocks() {
   return dropped;
 }
 
-bool KvCacheManager::grow_needs_block(std::int64_t request_id) const {
-  const auto it = entries_.find(request_id);
-  CIMTPU_CHECK(it != entries_.end());
-  return grow_needs_block_slot(it->second);
-}
-
 std::int64_t KvCacheManager::resident_tokens(std::int64_t request_id) const {
   auto it = entries_.find(request_id);
-  return it == entries_.end() ? 0 : slot_entry(it->second).tokens;
+  return it == entries_.end() ? 0 : entry_tokens(slot_entry(it->second));
+}
+
+std::int64_t KvCacheManager::resident_blocks(std::int64_t request_id) const {
+  const auto it = entries_.find(request_id);
+  if (it == entries_.end()) return 0;
+  const Entry& entry = slot_entry(it->second);
+  return static_cast<std::int64_t>(entry.shared.size()) +
+         entry_private_blocks(entry);
 }
 
 std::int64_t KvCacheManager::swapped_tokens(std::int64_t request_id) const {
@@ -571,7 +608,8 @@ std::int64_t KvCacheManager::pick_eviction_victim(std::int64_t protect) const {
   for (const auto& [id, slot] : entries_) {
     if (id == protect || id == exempt) continue;
     const Entry& entry = slot_entry(slot);
-    const VictimKey key{entry.priority, entry.tokens, entry.admit_seq, id};
+    const VictimKey key{entry.priority, entry_tokens(entry), entry.admit_seq,
+                        id};
     if (best_id < 0 || key < best) {
       best = key;
       best_id = id;
@@ -596,20 +634,32 @@ bool KvCacheManager::audit() const {
   std::int64_t token_sum = 0;
   std::int64_t block_token_sum = 0;
   std::vector<std::int64_t> ref_recount(block_slab_.size(), 0);
+  std::vector<std::int64_t> phase_recount(phase_count_.size(), 0);
+  std::int64_t advancing_recount = 0;
   for (const auto& [id, slot] : entries_) {
     if (slot < 0 || static_cast<std::size_t>(slot) >= entry_slots_.size()) {
       return false;
     }
     const Entry& entry = slot_entry(slot);
     if (entry.id != id) return false;
-    if (entry.tokens < 0 || entry.private_blocks < 0) return false;
+    const std::int64_t tokens = entry_tokens(entry);
+    const std::int64_t private_blocks = entry_private_blocks(entry);
+    if (tokens < 0 || private_blocks < 0) return false;
+    if (entry.advancing) {
+      // The phase is the clock phase at which the count is a multiple.
+      if (entry.phase < 0 || entry.phase >= block_tokens_ ||
+          (tokens + entry.phase - clock_phase_) % block_tokens_ != 0) {
+        return false;
+      }
+      ++phase_recount[static_cast<std::size_t>(entry.phase)];
+      ++advancing_recount;
+    }
     if (entry_blocks(entry) !=
-        static_cast<std::int64_t>(entry.shared.size()) +
-            entry.private_blocks) {
+        static_cast<std::int64_t>(entry.shared.size()) + private_blocks) {
       return false;
     }
-    private_sum += entry.private_blocks;
-    token_sum += entry.tokens;
+    private_sum += private_blocks;
+    token_sum += tokens;
     block_token_sum += entry_blocks(entry) * block_tokens_;
     for (std::int64_t block_id : entry.shared) {
       if (block_id < 0 ||
@@ -621,6 +671,11 @@ bool KvCacheManager::audit() const {
   }
   if (private_sum != private_used_ || token_sum != mapped_tokens_ ||
       block_token_sum != entry_block_tokens_) {
+    return false;
+  }
+  if (phase_recount != phase_count_ || advancing_recount != advancing_count_ ||
+      advance_grown_ != 0 ||
+      clock_phase_ != advance_clock_ % block_tokens_) {
     return false;
   }
   // --- Block slab: live blocks and free ids partition it ---------------------
@@ -730,7 +785,7 @@ bool KvCacheManager::audit() const {
   // --- Host pool -------------------------------------------------------------
   std::int64_t host_sum = 0;
   for (const auto& [id, entry] : host_entries_) {
-    if (entry.tokens < 0) return false;
+    if (entry.tokens < 0 || entry.advancing) return false;
     if (entry.private_blocks != entry_blocks(entry) ||
         !entry.shared.empty()) {
       return false;  // host copies are whole and private

@@ -32,7 +32,8 @@
 //     divergent write.
 //
 // The manager gates admission (the scheduler reserves a request's prompt
-// plus its first token and grows the rest a block per decode step),
+// plus its first token, and decode advances grow the rest — see "Decode
+// advance" below),
 // implements the eviction side of every preemption policy (recompute
 // victims drop their blocks outright, swap victims move them to a modeled
 // host pool and restore them later over PCIe), and keeps incremental
@@ -41,6 +42,7 @@
 // bookkeeping — deterministic and allocation-cheap — so million-request
 // streams stay fast.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -127,10 +129,10 @@ class KvCacheManager {
                  std::int64_t prefix_len = 0, std::int64_t prompt_len = 0,
                  AdmitOutcome* outcome = nullptr);
 
-  /// Grows a resident request by `tokens` (one per decode step).  A new
-  /// block is consumed only when the growth crosses a block boundary.
-  /// Returns false when the growth does not fit; the caller decides
-  /// whether to evict (see `pick_eviction_victim`).
+  /// Grows a resident request that is not advancing (see begin_advance)
+  /// by `tokens`.  A new block is consumed only when the growth crosses a
+  /// block boundary.  Returns false when the growth does not fit; the
+  /// caller decides whether to evict (see `pick_eviction_victim`).
   bool try_grow(std::int64_t request_id, std::int64_t tokens = 1);
 
   /// Frees a request's device blocks (finished or preempted-for-
@@ -187,55 +189,16 @@ class KvCacheManager {
     prefix_admission_paused_ = paused;
   }
 
-  /// Would appending one token to `request_id` consume a new block?  The
-  /// scheduler's incremental pending-growth aggregate is built on this.
-  bool grow_needs_block(std::int64_t request_id) const;
-
-  // --- Dense slot handles (hot path) -----------------------------------------
+  // --- Dense slot handles ----------------------------------------------------
   // Entries live in a dense slot array with a free list; the id map only
   // resolves ids to slots.  A slot is stable from admission (or swap-in)
   // until the entry leaves the device (release / swap-out / invalidate),
   // then recycled.  The scheduler caches one slot per resident sequence so
-  // per-decode-step grow checks index a flat array instead of hashing the
-  // request id — the single hottest lookup in the simulator.
+  // its per-sequence calls index a flat array instead of hashing the
+  // request id.
 
   /// Slot of a RESIDENT request (CHECKs that it is resident).
   std::int32_t resident_slot(std::int64_t request_id) const;
-
-  /// grow_needs_block by slot: one indexed load, no hashing.
-  bool grow_needs_block_slot(std::int32_t slot) const {
-    return entry_slots_[static_cast<std::size_t>(slot)].tokens %
-               block_tokens_ ==
-           0;
-  }
-
-  /// try_grow by slot — identical semantics and accounting.  Defined
-  /// in-class so the decode hot loop (one grow per decoder per step — the
-  /// most-called mutation in the simulator) inlines it instead of paying a
-  /// cross-TU call.
-  bool try_grow_slot(std::int32_t slot, std::int64_t tokens = 1) {
-    CIMTPU_CHECK(tokens >= 0);
-    Entry& entry = entry_slots_[static_cast<std::size_t>(slot)];
-    // At block size 1 every token is its own block, so the rounded-block
-    // delta is just `tokens` — the common configuration skips both
-    // ceil-divisions.
-    const std::int64_t new_blocks =
-        block_tokens_ == 1
-            ? tokens
-            : blocks_for_tokens(entry.tokens + tokens) - entry_blocks(entry);
-    if (new_blocks > 0) {
-      if (!fits_blocks(new_blocks)) return false;
-      const std::int64_t free_now = capacity_blocks_ - occupied_blocks();
-      if (new_blocks > free_now) reclaim_cached(new_blocks - free_now);
-      entry.private_blocks += new_blocks;
-      private_used_ += new_blocks;
-      blocks_allocated_total_ += new_blocks;
-      entry_block_tokens_ += new_blocks * block_tokens_;
-    }
-    entry.tokens += tokens;
-    mapped_tokens_ += tokens;
-    return true;
-  }
 
   /// note_prefilled by slot — identical semantics.
   void note_prefilled_slot(std::int32_t slot, std::int64_t computed_tokens);
@@ -247,42 +210,61 @@ class KvCacheManager {
   /// index.  The caller must release/swap the victim and re-queue it.
   std::int64_t pick_eviction_victim(std::int64_t protect) const;
 
-  // --- Bulk decode growth (hot path) -----------------------------------------
-  // A decode step grows every continuing decoder by one token.  At block
-  // size 1 each grow allocates exactly one block, so when the device has
-  // room for `grows` more blocks outright (no reclaim, no failure), the
-  // per-grow capacity checks and global accounting collapse: the caller
-  // applies grow_slot_unit_nocheck per entry and one commit_bulk_growth
-  // for the step.  Releases interleaved by the caller only free blocks, so
-  // the precheck is conservative and the final state is bit-identical to
-  // `grows` individual try_grow_slot(slot, 1) calls.  Two callers: the
-  // scheduler's decode advance loop, on any step that passes
-  // can_bulk_grow (its other steps grow through try_grow_slot), and
-  // advance_quiet_decode, which commits a whole quiet run at once.
+  // --- Decode advance (hot path) ---------------------------------------------
+  // A decode step grows every decoder that still grows by one token.  An
+  // ADVANCING entry (begin_advance .. end_advance) stores its token count
+  // as an offset from the manager's advance clock, so one advance moves
+  // them all in O(1): mapped tokens rise by the advancing count, and only
+  // entries whose next token starts a block allocate.  Those share a
+  // PHASE — the advance clock modulo block_tokens at which their token
+  // count is a block multiple — so the next advance's block count is one
+  // counter read (at block size 1 every advancing entry allocates).
+  // Global accounting (occupied / referenced / allocated blocks, mapped
+  // tokens, internal_fragmentation) is exact after every advance; an
+  // entry's own token and block counts are settled from the offset
+  // wherever they are read (release, swap-out, eviction choice, fault
+  // invalidation, host restore, audit).
+  //
+  // Blocks an advance allocates take free (never cached) blocks first and
+  // reclaim cached prefix blocks, LRU order, once those run out — the same
+  // order one checked grow per entry would.  When entries leave in the
+  // same step (the scheduler releases finishers in admission order), the
+  // growth of entries admitted before each leaver is allocated first
+  // (advance_blocks_admitted_before + grow_advancing), so blocks a release
+  // frees or caches reach exactly the grows that follow it.
 
-  /// True when `grows` single-block grows are guaranteed to succeed
-  /// without reclaiming cached prefix blocks.
-  bool can_bulk_grow(std::int64_t grows) const {
-    return block_tokens_ == 1 &&
-           referenced_blocks() + grows <= capacity_blocks_ &&
-           occupied_blocks() + grows <= capacity_blocks_;
+  /// Starts advancing `slot` by one token per advance.
+  void begin_advance(std::int32_t slot);
+  /// Stops advancing `slot`, settling its token and block counts.
+  void end_advance(std::int32_t slot);
+  /// Advances since construction: the one decode clock the scheduler
+  /// measures each decoder's progress from.
+  std::int64_t advance_clock() const { return advance_clock_; }
+  std::int64_t advancing_count() const { return advancing_count_; }
+  /// Blocks the next advance allocates (advancing entries whose token
+  /// count is a block multiple).
+  std::int64_t advance_growth_blocks() const {
+    return phase_count_[static_cast<std::size_t>(clock_phase_)];
   }
-  /// `tokens` one-token, one-block grows of `slot` with all capacity
-  /// checks and global rollups hoisted to can_bulk_grow /
-  /// commit_bulk_growth (a quiet decode run grows each slot by its length
-  /// in one call).
-  void grow_slot_unit_nocheck(std::int32_t slot, std::int64_t tokens = 1) {
-    Entry& entry = entry_slots_[static_cast<std::size_t>(slot)];
-    entry.tokens += tokens;
-    entry.private_blocks += tokens;
-  }
-  /// Applies the global accounting for `grows` unit grows in one shot.
-  void commit_bulk_growth(std::int64_t grows) {
-    private_used_ += grows;
-    blocks_allocated_total_ += grows;
-    entry_block_tokens_ += grows * block_tokens_;
-    mapped_tokens_ += grows;
-  }
+  /// Blocks the next `advances` advances allocate in total.
+  std::int64_t growth_blocks_over(std::int64_t advances) const;
+  /// Of the next advance's growth blocks, those owed to entries admitted
+  /// before `slot`.  Scans the entries: callers need it only on a step
+  /// that both releases an entry and must reclaim.
+  std::int64_t advance_blocks_admitted_before(std::int32_t slot) const;
+  /// Allocates `blocks` of the next advance's growth blocks now (free
+  /// blocks first, then cached ones reclaimed).  Returns blocks reclaimed.
+  std::int64_t grow_advancing(std::int64_t blocks);
+  /// Commits `advances` advances: every advancing entry gains `advances`
+  /// tokens and the growth blocks grow_advancing has not yet allocated are
+  /// allocated.  A multi-step advance must fit the free blocks outright
+  /// (CHECKed): each of its steps grows without reclaiming.  Returns
+  /// blocks reclaimed.
+  std::int64_t advance(std::int64_t advances);
+  /// Adds internal_fragmentation() as it reads after each of the next
+  /// `advances` advances to `sum`, one advance at a time — the per-step
+  /// sampling a run of advances replays.
+  double add_fragmentation_over(std::int64_t advances, double sum) const;
 
   bool resident(std::int64_t request_id) const {
     return entries_.count(request_id) > 0;
@@ -291,6 +273,9 @@ class KvCacheManager {
     return host_entries_.count(request_id) > 0;
   }
   std::int64_t resident_tokens(std::int64_t request_id) const;
+  /// Device blocks `request_id` maps (shared plus private); 0 when not
+  /// resident.
+  std::int64_t resident_blocks(std::int64_t request_id) const;
   std::int64_t swapped_tokens(std::int64_t request_id) const;
   std::size_t resident_count() const { return entries_.size(); }
   std::size_t swapped_count() const { return host_entries_.size(); }
@@ -305,6 +290,11 @@ class KvCacheManager {
   /// Physical blocks in use, INCLUDING cached (refcount-0) prefix blocks.
   std::int64_t occupied_blocks() const {
     return private_used_ + live_shared_blocks_;
+  }
+  /// Blocks never allocated or cached: what a grow takes before it must
+  /// reclaim a cached prefix block.
+  std::int64_t free_blocks() const {
+    return capacity_blocks_ - occupied_blocks();
   }
   /// Cached prefix blocks: refcount 0, reclaimable on demand.
   std::int64_t cached_block_count() const { return cached_blocks_; }
@@ -329,10 +319,7 @@ class KvCacheManager {
   /// Last-block waste across resident mappings: 1 - mapped_tokens /
   /// mapped_block_tokens, in [0, 1).  Always 0 at block_tokens = 1.
   double internal_fragmentation() const {
-    return entry_block_tokens_ == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(mapped_tokens_) /
-                           static_cast<double>(entry_block_tokens_);
+    return fragmentation(mapped_tokens_, entry_block_tokens_);
   }
 
   /// Cumulative device blocks allocated over the manager's lifetime
@@ -373,12 +360,15 @@ class KvCacheManager {
 
  private:
   struct Entry {
-    // Field order is deliberate: the decode hot loop touches `tokens` and
-    // `private_blocks` once per decoder per step (try_grow_slot), so they
-    // share the entry's first cache line with `id`.
     std::int64_t id = -1;         ///< owning request (slot back-reference)
-    std::int64_t tokens = 0;      ///< KV tokens mapped (reserved)
-    std::int64_t private_blocks = 0;   ///< blocks owned by this entry alone
+    /// KV tokens mapped (reserved); while `advancing`, tokens minus the
+    /// advance clock (read through entry_tokens).
+    std::int64_t tokens = 0;
+    /// Blocks owned by this entry alone; stale while `advancing` (read
+    /// through entry_private_blocks).
+    std::int64_t private_blocks = 0;
+    bool advancing = false;
+    std::int64_t phase = 0;  ///< advancing: clock phase at which it grows
     std::int64_t admit_seq = 0;   ///< admission order for eviction policy
     std::int64_t priority = 0;    ///< larger = more important
     std::int64_t computed_tokens = 0;  ///< leading prompt tokens prefilled
@@ -429,9 +419,29 @@ class KvCacheManager {
     }
   };
 
-  std::int64_t entry_blocks(const Entry& entry) const {
-    return blocks_for_tokens(entry.tokens);
+  static double fragmentation(std::int64_t mapped_tokens,
+                              std::int64_t block_tokens_total) {
+    return block_tokens_total == 0
+               ? 0.0
+               : 1.0 - static_cast<double>(mapped_tokens) /
+                           static_cast<double>(block_tokens_total);
   }
+  /// An entry's token count, settled from the advance clock.
+  std::int64_t entry_tokens(const Entry& entry) const {
+    return entry.advancing ? entry.tokens + advance_clock_ : entry.tokens;
+  }
+  std::int64_t entry_blocks(const Entry& entry) const {
+    return blocks_for_tokens(entry_tokens(entry));
+  }
+  std::int64_t entry_private_blocks(const Entry& entry) const {
+    return entry.advancing ? entry_blocks(entry) -
+                                 static_cast<std::int64_t>(entry.shared.size())
+                           : entry.private_blocks;
+  }
+  /// Allocates `blocks` growth blocks, reclaiming cached ones once the
+  /// free ones run out; returns blocks reclaimed.  The caller owns the
+  /// entry side (try_grow) or derives it (advancing entries).
+  std::int64_t allocate_growth(std::int64_t blocks);
   void victim_index_insert(std::int64_t id, const Entry& entry);
   void victim_index_erase(std::int64_t id, const Entry& entry);
   /// Reclaims `blocks` cached prefix blocks, oldest first.  The caller
@@ -477,6 +487,14 @@ class KvCacheManager {
   std::int64_t entry_block_tokens_ = 0;  ///< sum of resident blocks * B
   std::int64_t next_seq_ = 0;
   std::int64_t next_lru_seq_ = 0;
+
+  // --- Decode advance -------------------------------------------------------
+  std::int64_t advance_clock_ = 0;
+  std::int64_t clock_phase_ = 0;      ///< advance_clock_ % block_tokens_
+  std::int64_t advancing_count_ = 0;  ///< entries with `advancing` set
+  std::vector<std::int64_t> phase_count_;  ///< advancing entries by phase
+  /// Blocks of the next advance grow_advancing already allocated.
+  std::int64_t advance_grown_ = 0;
   /// Acquires a dense slot for `entry` and indexes it; returns the slot.
   std::int32_t slot_insert(std::int64_t request_id, Entry&& entry);
   /// Unlinks the entry in `slot` from the id map and recycles the slot.
@@ -506,5 +524,103 @@ class KvCacheManager {
   std::unordered_map<std::int64_t, PrefixChain> prefix_chains_;  ///< by id
   std::vector<std::int64_t> hit_blocks_;  ///< try_admit scratch
 };
+
+// --- Decode advance: inline, called once per decode step or quiet run -----
+
+inline void KvCacheManager::begin_advance(std::int32_t slot) {
+  Entry& entry = slot_entry(slot);
+  CIMTPU_CHECK(!entry.advancing && advance_grown_ == 0);
+  // The entry allocates on the advance that starts at a block multiple:
+  // at clock c its count is tokens + (c - clock), so at c = clock - tokens
+  // modulo the block size.  (Block size 1 skips the divisions.)
+  entry.phase = block_tokens_ == 1
+                    ? 0
+                    : ((clock_phase_ - entry.tokens % block_tokens_) %
+                           block_tokens_ +
+                       block_tokens_) %
+                          block_tokens_;
+  entry.tokens -= advance_clock_;
+  entry.advancing = true;
+  ++phase_count_[static_cast<std::size_t>(entry.phase)];
+  ++advancing_count_;
+}
+
+inline void KvCacheManager::end_advance(std::int32_t slot) {
+  Entry& entry = slot_entry(slot);
+  CIMTPU_CHECK(entry.advancing && advance_grown_ == 0);
+  entry.private_blocks = entry_private_blocks(entry);
+  entry.tokens += advance_clock_;
+  entry.advancing = false;
+  --phase_count_[static_cast<std::size_t>(entry.phase)];
+  --advancing_count_;
+}
+
+inline std::int64_t KvCacheManager::allocate_growth(std::int64_t blocks) {
+  if (blocks == 0) return 0;
+  // One checked grow per block, hoisted: the free blocks go first, and
+  // each grow past them reclaims one cached block from the LRU head.
+  CIMTPU_CHECK(blocks > 0 && fits_blocks(blocks));
+  const std::int64_t reclaimed =
+      std::max<std::int64_t>(0, blocks - free_blocks());
+  if (reclaimed > 0) reclaim_cached(reclaimed);
+  private_used_ += blocks;
+  blocks_allocated_total_ += blocks;
+  entry_block_tokens_ += blocks * block_tokens_;
+  return reclaimed;
+}
+
+inline std::int64_t KvCacheManager::advance(std::int64_t advances) {
+  std::int64_t blocks;
+  if (advances == 1) {  // a decode step: no division on the hot path
+    blocks = advance_growth_blocks() - advance_grown_;
+    if (++clock_phase_ == block_tokens_) clock_phase_ = 0;
+  } else {
+    CIMTPU_CHECK(advances > 1 && advance_grown_ == 0);
+    blocks = growth_blocks_over(advances);
+    // A multi-step advance stands for `advances` single ones, so none of
+    // them may reclaim: reclaims would interleave differently.
+    CIMTPU_CHECK(blocks <= free_blocks());
+    if (block_tokens_ > 1) {
+      clock_phase_ = (clock_phase_ + advances) % block_tokens_;
+    }
+  }
+  const std::int64_t reclaimed = allocate_growth(blocks);
+  mapped_tokens_ += advancing_count_ * advances;
+  advance_clock_ += advances;
+  advance_grown_ = 0;
+  return reclaimed;
+}
+
+inline std::int64_t KvCacheManager::growth_blocks_over(
+    std::int64_t advances) const {
+  CIMTPU_CHECK(advances >= 0);
+  if (block_tokens_ == 1) return advances * advancing_count_;
+  // Every advancing entry allocates once per block_tokens advances; the
+  // partial cycle sums the phases the clock passes.
+  std::int64_t blocks = advances / block_tokens_ * advancing_count_;
+  std::int64_t phase = clock_phase_;
+  for (std::int64_t i = advances % block_tokens_; i > 0; --i) {
+    blocks += phase_count_[static_cast<std::size_t>(phase)];
+    if (++phase == block_tokens_) phase = 0;
+  }
+  return blocks;
+}
+
+inline double KvCacheManager::add_fragmentation_over(std::int64_t advances,
+                                                     double sum) const {
+  // At block size 1 every mapping fills its blocks: each reading is 0.
+  if (block_tokens_ == 1) return sum;
+  std::int64_t mapped = mapped_tokens_;
+  std::int64_t block_token_total = entry_block_tokens_;
+  std::int64_t phase = clock_phase_;
+  for (std::int64_t i = 0; i < advances; ++i) {
+    mapped += advancing_count_;
+    block_token_total +=
+        phase_count_[static_cast<std::size_t>(phase)] * block_tokens_;
+    if (++phase == block_tokens_) phase = 0;
+    sum += fragmentation(mapped, block_token_total);
+  }
+  return sum;
+}
 
 }  // namespace cimtpu::serving

@@ -83,8 +83,11 @@ StepCost cost_decode_groups(
 }
 
 StepCost cost_step(StepCostCache& costs, const StepRecord& step) {
-  CIMTPU_CHECK(step.batch ==
-               static_cast<std::int64_t>(step.kv_lens.size()));
+  // Scheduler-built decode records carry decode_groups instead of kv_lens
+  // (cost_decode_groups checks their counts against the batch).
+  CIMTPU_CHECK(
+      (step.kind == StepRecord::Kind::kDecode && !step.decode_groups.empty()) ||
+      step.batch == static_cast<std::int64_t>(step.kv_lens.size()));
   StepCost total;
   if (step.kind == StepRecord::Kind::kPrefill) {
     // A chunk of new prompt tokens attends over everything prefilled so
@@ -157,6 +160,70 @@ std::int32_t ContinuousBatchScheduler::SequencePool::acquire() {
   return slot;
 }
 
+void ContinuousBatchScheduler::StepCalendar::sift_up(std::size_t index,
+                                                     Event event) {
+  while (index > 0) {
+    const std::size_t parent = (index - 1) / 2;
+    if (heap_[parent].step <= event.step) break;
+    place(index, heap_[parent]);
+    index = parent;
+  }
+  place(index, event);
+}
+
+void ContinuousBatchScheduler::StepCalendar::sift_down(std::size_t index,
+                                                       Event event) {
+  for (;;) {
+    std::size_t child = 2 * index + 1;
+    if (child >= heap_.size()) break;
+    if (child + 1 < heap_.size() && heap_[child + 1].step < heap_[child].step) {
+      ++child;
+    }
+    if (event.step <= heap_[child].step) break;
+    place(index, heap_[child]);
+    index = child;
+  }
+  place(index, event);
+}
+
+void ContinuousBatchScheduler::StepCalendar::push(std::int32_t slot,
+                                                  std::int64_t step) {
+  const auto index = static_cast<std::size_t>(slot);
+  if (index >= pos_.size()) pos_.resize(index + 1, -1);
+  CIMTPU_CHECK(pos_[index] < 0);
+  heap_.push_back(Event{step, slot});
+  sift_up(heap_.size() - 1, heap_.back());
+}
+
+void ContinuousBatchScheduler::StepCalendar::remove(std::int32_t slot) {
+  CIMTPU_CHECK(contains(slot));
+  const auto index = static_cast<std::size_t>(pos_[slot]);
+  pos_[slot] = -1;
+  const Event last = heap_.back();
+  heap_.pop_back();
+  if (index == heap_.size()) return;  // removed the last entry
+  // The moved entry may belong above or below its new place.
+  if (index > 0 && heap_[(index - 1) / 2].step > last.step) {
+    sift_up(index, last);
+  } else {
+    sift_down(index, last);
+  }
+}
+
+void ContinuousBatchScheduler::StepCalendar::reschedule_top(
+    std::int64_t step) {
+  CIMTPU_CHECK(!heap_.empty() && step >= heap_.front().step);
+  sift_down(0, Event{step, heap_.front().slot});
+}
+
+bool ContinuousBatchScheduler::StepCalendar::heap_ordered() const {
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    if (pos_[heap_[i].slot] != static_cast<std::int32_t>(i)) return false;
+    if (i > 0 && heap_[(i - 1) / 2].step > heap_[i].step) return false;
+  }
+  return true;
+}
+
 ContinuousBatchScheduler::ContinuousBatchScheduler(
     const SchedulerConfig& config, KvCacheManager* kv_cache)
     : config_(config),
@@ -165,6 +232,7 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(
   config_.validate();
   may_shed_ = admission_->may_shed();
   admit_memo_ok_ = admission_->select_is_pure();
+  calendar_.reserve(static_cast<std::size_t>(config_.max_batch));
   CIMTPU_CHECK(kv_cache != nullptr);
   CIMTPU_CONFIG_CHECK(
       kv_cache->block_tokens() == config_.kv_block_tokens,
@@ -232,10 +300,19 @@ void ContinuousBatchScheduler::histogram_remove(std::int64_t bucket) {
 
 void ContinuousBatchScheduler::decoder_enter(std::int32_t slot) {
   ++resident_decoders_;
-  pending_growth_blocks_ += growth_blocks(slot);
-  const std::int64_t bucket = decode_bucket(slot);
+  const std::int64_t generated = pool_.generated[slot];
+  const std::int64_t bucket = round_up(pool_.prompt_len[slot] + generated,
+                                       config_.seqlen_bucket);
   pool_.bucket[slot] = bucket;
   histogram_add(bucket);
+  pool_.generated[slot] = generated - kv_cache_->advance_clock();
+  if (generated + 1 >= pool_.output_len[slot]) {
+    // Its next decode step emits its last token: it never grows again.
+    ++finishing_;
+  } else {
+    kv_cache_->begin_advance(pool_.kv_slot[slot]);
+    calendar_.push(slot, next_event(slot));
+  }
   if (trace_) {
     trace_->on_decode_enter(pool_.request[slot].id, bucket);
   }
@@ -243,8 +320,14 @@ void ContinuousBatchScheduler::decoder_enter(std::int32_t slot) {
 
 void ContinuousBatchScheduler::decoder_leave(std::int32_t slot) {
   --resident_decoders_;
-  pending_growth_blocks_ -= growth_blocks(slot);
   histogram_remove(pool_.bucket[slot]);
+  if (calendar_.contains(slot)) {
+    calendar_.remove(slot);
+    kv_cache_->end_advance(pool_.kv_slot[slot]);
+  } else {
+    --finishing_;
+  }
+  pool_.generated[slot] += kv_cache_->advance_clock();
 }
 
 void ContinuousBatchScheduler::cross_bucket(std::int32_t slot) {
@@ -257,12 +340,48 @@ void ContinuousBatchScheduler::cross_bucket(std::int32_t slot) {
   pool_.bucket[slot] = new_bucket;
 }
 
+std::int64_t ContinuousBatchScheduler::advance_decoders(std::int64_t steps) {
+  const std::int64_t reclaimed = kv_cache_->advance(steps);
+  const std::int64_t clock = kv_cache_->advance_clock();
+  while (!calendar_.empty() && calendar_.top_step() <= clock) {
+    const std::int32_t slot = calendar_.top();
+    CIMTPU_CHECK(calendar_.top_step() == clock);  // no event is skipped
+    const std::int64_t offset = pool_.generated[slot];
+    // The step just taken attended at exactly the bucket.
+    if (pool_.bucket[slot] - pool_.prompt_len[slot] - offset + 1 == clock) {
+      cross_bucket(slot);
+    }
+    if (pool_.output_len[slot] - 1 - offset == clock) {
+      calendar_.remove(slot);
+      kv_cache_->end_advance(pool_.kv_slot[slot]);
+      ++finishing_;
+    } else {
+      calendar_.reschedule_top(next_event(slot));
+    }
+  }
+  return reclaimed;
+}
+
 void ContinuousBatchScheduler::retire(std::int32_t slot, StepRecord* record) {
   const Request& request = pool_.request[slot];
   record->finished_ids.push_back(request.id);
   kv_cache_->release(request.id);
+  pool_.kv_slot[slot] = -1;
   admission_->on_finish(request);
   admit_blocked_ = false;  // finish freed device blocks
+}
+
+void ContinuousBatchScheduler::compact_retired() {
+  // Moves 4-byte slot ids, never sequence payloads.
+  std::size_t write = 0;
+  for (const std::int32_t slot : resident_) {
+    if (pool_.kv_slot[slot] < 0) {
+      pool_.release(slot);
+    } else {
+      resident_[write++] = slot;
+    }
+  }
+  resident_.resize(write);
 }
 
 std::vector<std::int32_t>::iterator ContinuousBatchScheduler::find_resident(
@@ -299,18 +418,40 @@ std::int32_t ContinuousBatchScheduler::resident_append(
 
 bool ContinuousBatchScheduler::aggregates_consistent() const {
   std::int64_t decoders = 0;
-  std::int64_t growing = 0;
+  std::int64_t finishing = 0;
+  std::int64_t growth_blocks = 0;
   std::vector<std::int64_t> buckets;
+  const std::int64_t clock = kv_cache_->advance_clock();
   for (const std::int32_t slot : resident_) {
     if (slot_prefilling(slot)) continue;
     ++decoders;
-    growing += growth_blocks(slot);
-    const std::int64_t bucket = decode_bucket(slot);
+    const std::int64_t kv_len = pool_.prompt_len[slot] + generated_of(slot);
     // The cached per-slot bucket must agree with a fresh rounding.
-    if (pool_.bucket[slot] != bucket) return false;
-    buckets.push_back(bucket);
+    if (pool_.bucket[slot] != round_up(kv_len, config_.seqlen_bucket)) {
+      return false;
+    }
+    buckets.push_back(pool_.bucket[slot]);
+    // A decoder one token from its end is off the calendar (counted in
+    // finishing_); any other sits in the calendar at its next event, and
+    // its next token may start a KV block.
+    if (generated_of(slot) + 1 >= pool_.output_len[slot]) {
+      if (calendar_.contains(slot)) return false;
+      ++finishing;
+    } else {
+      if (!calendar_.contains(slot) ||
+          calendar_.step_of(slot) != next_event(slot) ||
+          calendar_.step_of(slot) <= clock) {
+        return false;
+      }
+      if (kv_len % config_.kv_block_tokens == 0) ++growth_blocks;
+    }
   }
-  if (decoders != resident_decoders_ || growing != pending_growth_blocks_) {
+  if (decoders != resident_decoders_ || finishing != finishing_ ||
+      finishing + static_cast<std::int64_t>(calendar_.size()) != decoders ||
+      !calendar_.heap_ordered() ||
+      kv_cache_->advancing_count() !=
+          static_cast<std::int64_t>(calendar_.size()) ||
+      kv_cache_->advance_growth_blocks() != growth_blocks) {
     return false;
   }
   std::sort(buckets.begin(), buckets.end());
@@ -449,7 +590,7 @@ ContinuousBatchScheduler::ResidentInfo ContinuousBatchScheduler::resident_info(
   info.request_id = pool_.request[slot].id;
   info.prefilled = pool_.prefilled[slot];
   info.prefix_skipped = pool_.prefix_skipped[slot];
-  info.generated = pool_.generated[slot];
+  info.generated = generated_of(slot);
   return info;
 }
 
@@ -514,7 +655,7 @@ bool ContinuousBatchScheduler::restore_resident_from_host(
   if (!kv_cache_->restore_from_host(request_id)) return false;
   admit_blocked_ = false;
   if (bytes != nullptr) {
-    *bytes = computed_kv_bytes(pool_.prefilled[*it], pool_.generated[*it]);
+    *bytes = computed_kv_bytes(pool_.prefilled[*it], generated_of(*it));
   }
   return true;
 }
@@ -584,23 +725,7 @@ void ContinuousBatchScheduler::build_prefill_step(StepRecord* record) {
   }
   record->batch = static_cast<std::int64_t>(record->chunk_lens.size());
   CIMTPU_CHECK(record->batch >= 1);
-  if (any_finished) {
-    // Single compaction pass: the only residents with a completed output
-    // are the ones that finished in the loop above (decoders always leave
-    // the moment they finish), so the predicate needs no finished-id list.
-    // Compaction moves slot ids and recycles the finished slots in place.
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < resident_.size(); ++read) {
-      const std::int32_t slot = resident_[read];
-      if (!slot_prefilling(slot) &&
-          pool_.generated[slot] >= pool_.output_len[slot]) {
-        pool_.release(slot);
-      } else {
-        resident_[write++] = slot;
-      }
-    }
-    resident_.resize(write);
-  }
+  if (any_finished) compact_retired();
   if (record->chunked) counters_.chunked_prefill_steps += 1;
   last_step_prefill_ = true;
 }
@@ -608,16 +733,14 @@ void ContinuousBatchScheduler::build_prefill_step(StepRecord* record) {
 bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
   record->kind = StepRecord::Kind::kDecode;
 
-  // Growth pressure: make room for every KV BLOCK the continuing decode
-  // participants must allocate this step (decoders mid-block need
-  // nothing; at block size 1 every growing decoder needs one).  The
-  // pending-growth block count is tracked incrementally, so each pressure
-  // check is O(1) instead of a scan over all residents.  The manager owns
-  // victim selection; the mechanism depends on the policy — swap victims
-  // move to the host pool with their progress intact, recompute victims
-  // re-queue from scratch.  kSwapToHost falls back to recompute when the
-  // host pool is full.
-  while (!kv_cache_->fits_blocks(pending_growth_blocks_)) {
+  // Growth pressure: make room for every KV BLOCK this step's growing
+  // decoders allocate (decoders mid-block need nothing; at block size 1
+  // every growing decoder needs one), read off the KV manager's advance
+  // phase in O(1).  The manager owns victim selection; the mechanism
+  // depends on the policy — swap victims move to the host pool with their
+  // progress intact, recompute victims re-queue from scratch.
+  // kSwapToHost falls back to recompute when the host pool is full.
+  while (!kv_cache_->fits_blocks(kv_cache_->advance_growth_blocks())) {
     CIMTPU_CONFIG_CHECK(resident_.size() > 1,
                         "request " << pool_.request[resident_.front()].id
                                    << " outgrew the whole KV budget");
@@ -654,78 +777,50 @@ bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
     pool_.release(slot);
     admit_blocked_ = false;  // eviction freed device blocks
   }
+  if (resident_decoders_ == 0) return false;  // pressure evicted them all
 
   // Every resident decoder participates at its pre-advance KV length; the
   // incremental histogram IS that grouping, copied out before mutation.
-  record->kv_lens.reserve(static_cast<std::size_t>(resident_decoders_));
   record->decode_groups.assign(decode_kv_histogram_.begin(),
                                decode_kv_histogram_.end());
+  record->batch = resident_decoders_;
 
-  // Advance decoders in place: a single compaction pass (two-pointer) drops
-  // finished slots — moving 4-byte slot ids, never sequence payloads.
-  //
-  // Bulk growth (kv_cache_manager.h): at block size 1, when the device has
-  // outright room for resident_decoders_ more blocks (an upper bound on
-  // this step's grows — finishers release instead), no per-decoder grow
-  // can fail or reclaim, so each grow is a two-field entry update and the
-  // global accounting is committed once after the loop.  Otherwise (block
-  // sizes > 1 or a near-full device) each grow is checked and may
-  // reclaim cached prefix blocks, which can change a memoized head-of-line
-  // probe's outcome — so the memo is dropped outright.
-  const bool bulk = kv_cache_->can_bulk_grow(resident_decoders_);
-  if (!bulk) admit_blocked_ = false;
-  std::int64_t grows = 0;
-  // Summed in a local: the loop's int64 stores into the pool may alias the
-  // member, which would otherwise round-trip through memory per decoder.
-  std::int64_t pending_delta = 0;
-  std::size_t write = 0;
-  for (std::size_t read = 0; read < resident_.size(); ++read) {
-    const std::int32_t slot = resident_[read];
-    if (slot_prefilling(slot)) {
-      // Spectator: prefill continues elsewhere.
-      resident_[write++] = slot;
-      continue;
-    }
-    // KV length this step attends over: prompt plus tokens generated so far.
-    const std::int64_t kv_len =
-        pool_.prompt_len[slot] + pool_.generated[slot];
-    record->kv_lens.push_back(kv_len);
-    // This decoder's pre-advance pending-growth contribution (0 for a
-    // finishing decoder — its growth check looked one token ahead) is
-    // consumed by this advance; a continuing decoder re-derives its
-    // contribution for the NEXT step after the grow.  Under bulk growth
-    // (block size 1) a continuing decoder's contribution was 1 and stays 1
-    // unless the advance leaves it one token from finishing, so that branch
-    // skips both growth_blocks probes, which measurably slow the hot loop.
-    if (!bulk) pending_delta -= growth_blocks(slot);
-    if (++pool_.generated[slot] >= pool_.output_len[slot]) {
+  std::int64_t reclaimed = 0;
+  if (finishing_ > 0) {
+    // Finishers — the decoders off the calendar — emit their last token
+    // and leave in admission order, resident_'s order.  When the free
+    // blocks cannot cover the step's growth, each release may hand blocks
+    // to the grows after it, so the growth of decoders admitted before
+    // each finisher is allocated first, as a pass over the batch would.
+    const bool ordered =
+        kv_cache_->advance_growth_blocks() > kv_cache_->free_blocks();
+    std::int64_t grown = 0;
+    std::size_t write = 0;
+    for (const std::int32_t slot : resident_) {
+      if (slot_prefilling(slot) || calendar_.contains(slot)) {
+        resident_[write++] = slot;
+        continue;
+      }
+      if (ordered) {
+        const std::int64_t before =
+            kv_cache_->advance_blocks_admitted_before(pool_.kv_slot[slot]);
+        reclaimed += kv_cache_->grow_advancing(before - grown);
+        grown = before;
+      }
+      // Off the calendar and no longer advancing: only the aggregates
+      // remain to undo.
+      --resident_decoders_;
+      histogram_remove(pool_.bucket[slot]);
       retire(slot, record);
-      decoder_leave(slot);
       pool_.release(slot);
-      continue;
     }
-    if (bulk) {
-      kv_cache_->grow_slot_unit_nocheck(pool_.kv_slot[slot]);
-      ++grows;
-      if (!sequence_grows(slot)) --pending_delta;
-    } else {
-      const bool grew = kv_cache_->try_grow_slot(pool_.kv_slot[slot], 1);
-      CIMTPU_CHECK(grew);  // pre-step eviction guaranteed room
-      pending_delta += growth_blocks(slot);
-    }
-    // The cached bucket is kv_len rounded up, so the next token spills past
-    // it iff kv_len == bucket.
-    if (kv_len == pool_.bucket[slot]) cross_bucket(slot);
-    resident_[write++] = slot;
+    resident_.resize(write);
+    finishing_ = 0;
   }
-  resident_.resize(write);
-  pending_growth_blocks_ += pending_delta;
-  if (bulk) kv_cache_->commit_bulk_growth(grows);
-  record->batch = static_cast<std::int64_t>(record->kv_lens.size());
-  if (record->batch == 0) {
-    record->decode_groups.clear();
-    return false;  // pressure evicted every decoder
-  }
+  reclaimed += advance_decoders(1);
+  // A reclaimed cached prefix block may have been the head-of-line
+  // request's prefix hit, so the memoized probe is re-run.
+  if (reclaimed > 0) admit_blocked_ = false;
   last_step_prefill_ = false;
   return true;
 }
@@ -801,10 +896,11 @@ std::optional<StepRecord> ContinuousBatchScheduler::next_step() {
 }
 
 std::int64_t ContinuousBatchScheduler::quiet_decode_steps() const {
-  // With every resident a decoder, next_step builds a decode step.
-  if (trace_ != nullptr || config_.kv_block_tokens != 1 ||
-      resident_decoders_ == 0 ||
-      resident_decoders_ != static_cast<std::int64_t>(resident_.size())) {
+  // With every resident a decoder, next_step builds a decode step; a
+  // finisher makes it eventful.
+  if (trace_ != nullptr || resident_decoders_ == 0 ||
+      resident_decoders_ != static_cast<std::int64_t>(resident_.size()) ||
+      finishing_ > 0) {
     return 0;
   }
   // Waiting or swapped work must stay out for the whole run: next_step
@@ -823,43 +919,36 @@ std::int64_t ContinuousBatchScheduler::quiet_decode_steps() const {
         (swapped_.empty() ? admit_blocked_ : !swap_in_fits(swapped_.front()));
     if (!locked_out) return 0;
   }
-  // Each step grows every decoder by one block.  Keeping all of them
-  // inside the free (never cached) blocks means no step evicts, reclaims a
-  // cached prefix block, or leaves the bulk-growth path.
-  std::int64_t steps =
-      (kv_cache_->capacity_blocks() - kv_cache_->occupied_blocks()) /
-      resident_decoders_;
-  for (const std::int32_t slot : resident_) {
-    const std::int64_t kv_len = pool_.prompt_len[slot] + pool_.generated[slot];
-    // The step that emits the last token finishes the decoder.  The step
-    // that starts at kv_len == bucket still attends inside the bucket and
-    // carries today's grouping — it belongs to the run and moves the
-    // decoder to the next bucket after it.
-    steps = std::min(steps, pool_.output_len[slot] - pool_.generated[slot] - 1);
-    steps = std::min(steps, pool_.bucket[slot] - kv_len + 1);
-  }
-  return std::max<std::int64_t>(steps, 0);
+  // No decoder finishes before the calendar's next event, and every
+  // decoder is in the calendar.  A decoder starts at most one KV block per
+  // kv_block_tokens steps, so keeping all of them inside the free (never
+  // cached) blocks means no step evicts or reclaims a cached prefix block.
+  const std::int64_t steps =
+      calendar_.top_step() - kv_cache_->advance_clock();
+  const std::int64_t free_blocks = kv_cache_->free_blocks();
+  if (steps * resident_decoders_ <= free_blocks) return steps;  // roomy
+  return std::min(steps, config_.kv_block_tokens *
+                             (free_blocks / resident_decoders_));
 }
 
 void ContinuousBatchScheduler::advance_quiet_decode(std::int64_t steps) {
   CIMTPU_CHECK(steps >= 0 && steps <= quiet_decode_steps());
   if (steps == 0) return;
-  // No decoder finishes, so resident_ stays as it is.  A decoder whose run
-  // ended on its crossing step (kv_len now one past its bucket) moves to
-  // the next bucket, as build_decode_step moves it.  At block size 1 a
-  // decoder's pending-growth block drops out exactly when it is left one
-  // token from finishing (its last step finishes instead of growing).
-  for (const std::int32_t slot : resident_) {
-    pool_.generated[slot] += steps;
-    kv_cache_->grow_slot_unit_nocheck(pool_.kv_slot[slot], steps);
-    if (!sequence_grows(slot)) --pending_growth_blocks_;
-    if (pool_.prompt_len[slot] + pool_.generated[slot] > pool_.bucket[slot]) {
-      cross_bucket(slot);
-    }
-  }
-  kv_cache_->commit_bulk_growth(steps * resident_decoders_);
+  // No decoder finishes and nothing reclaims, so resident_ and the memo
+  // stay as they are.
+  CIMTPU_CHECK(advance_decoders(steps) == 0);
   total_steps_ += steps;
   last_step_prefill_ = false;
+}
+
+std::vector<std::int64_t> ContinuousBatchScheduler::decode_kv_lens() const {
+  std::vector<std::int64_t> lens;
+  for (const std::int32_t slot : resident_) {
+    if (!slot_prefilling(slot)) {
+      lens.push_back(pool_.prompt_len[slot] + generated_of(slot));
+    }
+  }
+  return lens;
 }
 
 }  // namespace cimtpu::serving

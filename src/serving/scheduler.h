@@ -35,39 +35,46 @@
 // the cached prefix blocks by reference and START PREFILL MID-SEQUENCE —
 // the first chunk's prev_len is the prefix-hit token count.
 //
-// Hot-path design: the scheduler maintains INCREMENTAL aggregates —
-// resident decoder count, pending-growth BLOCK count, and a sorted
-// bucketed-KV histogram over resident decoders — updated on every
-// admit / prefill-completion / decode-advance / finish / preempt / swap
-// transition, so planning a step never rescans all resident sequences.
-// Each transition is written once (decoder_enter / decoder_leave /
-// cross_bucket / retire), and a decode step advances every decoder in ONE
-// compaction pass: at block size 1 with free room for every decoder's next
-// block, growth takes the KV manager's bulk path (two-field entry updates,
-// one commit per step); otherwise each decoder grows by a checked
-// try_grow_slot.  Step costs come from the analytic simulator, memoized per
-// (batch, bucketed-seqlen) shape in a flat open-addressed table
-// (StepCostCache, step_cost_cache.h).  `cost_step` sums PER-SEQUENCE
-// attention costs over each participant's actual (bucketed) KV length —
-// decode participants arrive pre-grouped by bucket via the histogram, so
-// costing a step is allocation-free.
+// Hot-path design: a decode step costs O(1) plus the decoders that have
+// something due.  Every resident decoder joins every decode step, so each
+// one's progress is an offset from ONE decode clock (the KV manager's
+// advance clock): generated = clock + offset, and its KV entry advances by
+// the same clock (kv_cache_manager.h, "Decode advance").  A STEP CALENDAR
+// holds each decoder's next event — the step its cost bucket changes or
+// the step that finishes it — and a decoder whose next step finishes it
+// leaves the calendar (it no longer grows).  A step copies the incremental
+// bucketed-KV histogram as its decode grouping, releases the finishers in
+// admission order, commits one KV advance (only
+// the decoders whose next token starts a block allocate, counted by clock
+// phase), ticks the clock and pops the calendar entries now due.  The
+// aggregates — resident decoder count and the sorted histogram — are
+// written once per transition (decoder_enter / decoder_leave /
+// cross_bucket / retire), so planning never rescans the resident set.
+// Step costs come from the analytic simulator, memoized per (batch,
+// bucketed-seqlen) shape in a flat open-addressed table (StepCostCache,
+// step_cost_cache.h).  `cost_step` sums PER-SEQUENCE attention costs over
+// each participant's actual (bucketed) KV length — decode participants
+// arrive pre-grouped by bucket via the histogram, so costing a step is
+// allocation-free.
 //
 // Quiet decode runs: most decode steps change nothing but token counts —
 // same bucketed grouping as the step before, no arrival, finish,
-// admission, swap, or KV pressure.  `quiet_decode_steps` says how many
-// such steps lie ahead (the minimum over decoders of steps to finish and
-// steps up to and including the next bucket crossing, capped by KV
-// headroom), and `advance_quiet_decode` commits them in one O(decoders)
-// pass, moving a decoder whose run ended on its crossing step to its next
-// bucket: the scheduler and KV manager end bit-identical to stepping one
-// at a time.  A run may stand over a queue: waiting or swapped work that
-// cannot enter while it lasts (full batch, swapped front under the swap-in
-// watermark, or a memoized head-of-line block) leaves every step quiet,
-// since a run only shrinks free blocks.  Shedding (EDF) admission keeps
-// such steps per-step.  A regrouping only starts the next run, so the
-// serving engine chains runs back to back and replays only the per-step
-// clock and energy sums for them (serving_sim.h).
+// admission, swap, reclaim or eviction.  `quiet_decode_steps` says how
+// many such steps lie ahead: up to the calendar's next event (a crossing
+// step still attends inside its bucket, so it ends the run it belongs
+// to), capped so every step's KV growth fits the free blocks.  Then
+// `advance_quiet_decode` commits them as one KV advance and one calendar
+// pop: the scheduler and KV manager end bit-identical to stepping one at a
+// time, at any KV block size.  A run may stand over a queue: waiting or
+// swapped work that cannot enter while it lasts (full batch, swapped front
+// under the swap-in watermark, or a memoized head-of-line block) leaves
+// every step quiet, since a run only shrinks free blocks.  Shedding (EDF)
+// admission keeps such steps per-step.  A regrouping only starts the next
+// run, so the serving engine chains runs back to back and replays only
+// the per-step clock, energy and fragmentation sums for them
+// (serving_sim.h).
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -130,15 +137,18 @@ struct StepRecord {
 
   /// KV length each participant attends over this step: prompt tokens
   /// prefilled so far including this step's chunk (prefill), or prompt +
-  /// generated tokens (decode).
+  /// generated tokens (hand-built decode records).  Scheduler-built decode
+  /// records leave it empty and carry decode_groups instead
+  /// (ContinuousBatchScheduler::decode_kv_lens derives the per-participant
+  /// lengths before the step).
   std::vector<std::int64_t> kv_lens;
   std::vector<std::int64_t> chunk_lens;  ///< prefill: new prompt tokens
   std::vector<std::int64_t> prev_lens;   ///< prefill: tokens already prefilled
 
   /// Decode only: participants grouped by bucketed KV length, ascending —
   /// a copy of the scheduler's incremental histogram, so cost_step never
-  /// re-derives the grouping from kv_lens.  Empty for hand-built records
-  /// (cost_step then groups from kv_lens itself).
+  /// re-derives the grouping.  Empty for hand-built records (cost_step
+  /// then groups from kv_lens itself).
   std::vector<std::pair<std::int64_t, std::int64_t>> decode_groups;
 
   std::vector<std::int64_t> first_token_ids;  ///< emitted their first token
@@ -230,29 +240,35 @@ class ContinuousBatchScheduler {
   std::optional<StepRecord> next_step();
 
   /// How many upcoming decode steps are QUIET: each carries today's
-  /// decode_histogram() as its decode_groups, finishes no sequence, and
-  /// emits no event.  That is the minimum over decoders of steps-to-finish
-  /// and bucket - kv_len + 1 (the crossing step, which still attends
-  /// inside the bucket, is the run's last for that decoder), capped by free device
-  /// blocks / decoders so every grow fits outright: each step of the run would take
-  /// build_decode_step's bulk-growth branch, which keeps the head-of-line
-  /// memo.  0 unless every resident is a decoder, no trace sink is
-  /// attached, kv_block_tokens == 1, and any waiting or swapped work is
-  /// locked out for the whole run under a non-shedding policy: the batch is
-  /// full, the swapped front fails the swap-in watermark, or (nothing
-  /// swapped) the head-of-line memo is set.  Free blocks only shrink and
-  /// the decoder count stays fixed during a run, so each lock holds until
-  /// it ends.
+  /// decode_histogram() as its decode_groups, finishes no sequence, emits
+  /// no event, and grows every decoder inside the free (never cached) KV
+  /// blocks, so it neither evicts nor reclaims and keeps the head-of-line
+  /// memo.  That is the calendar's next event step minus the clock (the
+  /// crossing step, which still attends inside the bucket, is the run's
+  /// last), capped at block_tokens * (free blocks / decoders): no decoder
+  /// starts more than one block per block_tokens steps.  0 unless every
+  /// resident is a decoder, none finishes next step, no trace sink is
+  /// attached, and any waiting or swapped work is locked out for the whole
+  /// run under a non-shedding policy: the batch is full, the swapped front
+  /// fails the swap-in watermark, or (nothing swapped) the head-of-line
+  /// memo is set.  Free blocks only shrink and the decoder count stays
+  /// fixed during a run, so each lock holds until it ends.  O(1).
   /// Only valid while no request arrives meanwhile — the caller stops the
   /// run at its next enqueue (which clears the memo).
   std::int64_t quiet_decode_steps() const;
 
-  /// Commits `steps` (<= quiet_decode_steps()) quiet decode steps in one
-  /// pass: every decoder gains `steps` tokens and KV blocks, a decoder
-  /// whose last step was its crossing step moves to its next bucket, and
-  /// the scheduler, its counters, the histogram, and the KV manager end
-  /// exactly as `steps` next_step calls would leave them.
+  /// Commits `steps` (<= quiet_decode_steps()) quiet decode steps: one KV
+  /// advance of `steps`, then the calendar entries due at the new clock
+  /// (a decoder whose run ended on its crossing step moves to its next
+  /// bucket).  The scheduler, its counters, the histogram, and the KV
+  /// manager end exactly as `steps` next_step calls would leave them.
   void advance_quiet_decode(std::int64_t steps);
+
+  /// The KV length each resident decoder attends over in the next decode
+  /// step (prompt + generated), in admission order — the per-participant
+  /// lengths a scheduler-built decode record no longer lists.  O(batch);
+  /// for tests and callers outside the hot path.
+  std::vector<std::int64_t> decode_kv_lens() const;
 
   /// The bucketed-KV grouping the next decode step carries (its
   /// decode_groups), maintained incrementally.
@@ -262,8 +278,10 @@ class ContinuousBatchScheduler {
   }
 
   /// Test-only audit: recomputes the incremental decoder aggregates
-  /// (resident/growing counts, bucketed-KV histogram) from a full scan of
-  /// the resident sequences and compares them to the tracked values.
+  /// (decoder count, bucketed-KV histogram, each decoder's calendar entry
+  /// or finishing count, the KV manager's advancing entries and next
+  /// growth) from a full scan of the resident sequences and compares them
+  /// to the tracked values.
   /// O(n log n) — call from invariant tests after every step, never from
   /// the hot path.
   bool aggregates_consistent() const;
@@ -356,24 +374,24 @@ class ContinuousBatchScheduler {
   };
 
   /// Struct-of-arrays pool for RESIDENT sequences: the per-sequence fields
-  /// the step builders read every iteration live in parallel arrays indexed
-  /// by a dense, free-listed slot, so the decode hot loop streams
-  /// contiguous integers instead of chasing per-request heap nodes.
-  /// `resident_` holds the live slots in admission order — compaction,
-  /// eviction, and finish move 4-byte slot ids, never whole sequences.  The
-  /// full Request stays in a parallel COLD array the hot loop touches only
-  /// on rare transitions (finish / preempt / fault / trace emission).
+  /// the step builders and the calendar read live in parallel arrays
+  /// indexed by a dense, free-listed slot.  `resident_` holds the live
+  /// slots in admission order — compaction, eviction, and finish move
+  /// 4-byte slot ids, never whole sequences.  The full Request stays in a
+  /// parallel COLD array touched only on rare transitions (finish /
+  /// preempt / fault / trace emission).
   struct SequencePool {
     std::vector<std::int64_t> prompt_len;
     std::vector<std::int64_t> output_len;
     std::vector<std::int64_t> prefilled;
+    /// Tokens decoded so far (incl. first); for a decoder, that minus the
+    /// decode clock (read through generated_of).
     std::vector<std::int64_t> generated;
     std::vector<std::int64_t> prefix_skipped;
     std::vector<std::int64_t> bucket;   ///< cached decode cost bucket —
                                         ///< valid iff the slot is a decoder
-    std::vector<std::int32_t> kv_slot;  ///< KvCacheManager dense handle:
-                                        ///< growth checks index an array
-                                        ///< instead of hashing request ids
+    std::vector<std::int32_t> kv_slot;  ///< KvCacheManager dense handle
+                                        ///< (-1 once retired)
     std::vector<Request> request;       ///< cold: events / requeue / audits
     std::vector<std::int32_t> free_list;
 
@@ -382,55 +400,98 @@ class ContinuousBatchScheduler {
     void release(std::int32_t slot) { free_list.push_back(slot); }
   };
 
+  /// The step calendar: an indexed binary min-heap of decoder slots keyed
+  /// by the decode-clock step of each one's next event.  Storage grows
+  /// with the pool and is reused, so steady-state stepping never
+  /// allocates.
+  class StepCalendar {
+   public:
+    void reserve(std::size_t entries) { heap_.reserve(entries); }
+    bool empty() const { return heap_.empty(); }
+    std::size_t size() const { return heap_.size(); }
+    bool contains(std::int32_t slot) const {
+      return static_cast<std::size_t>(slot) < pos_.size() && pos_[slot] >= 0;
+    }
+    std::int32_t top() const { return heap_.front().slot; }
+    std::int64_t top_step() const { return heap_.front().step; }
+    std::int64_t step_of(std::int32_t slot) const {
+      return heap_[static_cast<std::size_t>(pos_[slot])].step;
+    }
+    void push(std::int32_t slot, std::int64_t step);
+    void remove(std::int32_t slot);
+    /// Moves the top entry to a later `step`.
+    void reschedule_top(std::int64_t step);
+    /// True when every entry's step is no later than its children's.
+    bool heap_ordered() const;
+
+   private:
+    struct Event {
+      std::int64_t step;
+      std::int32_t slot;
+    };
+    void sift_up(std::size_t index, Event event);
+    void sift_down(std::size_t index, Event event);
+    void place(std::size_t index, Event event) {
+      heap_[index] = event;
+      pos_[event.slot] = static_cast<std::int32_t>(index);
+    }
+
+    std::vector<Event> heap_;
+    std::vector<std::int32_t> pos_;  ///< by slot: heap index, -1 = absent
+  };
+
   // --- Incremental decoder aggregates ------------------------------------
-  // Invariants over `resident_` slots with !slot_prefilling():
-  //   resident_decoders_ = their count,
-  //   pending_growth_blocks_ = KV BLOCKS the next decode step must be able
-  //                            to allocate: decoders that still grow
-  //                            (generated + 1 < output_len) AND whose next
-  //                            token crosses a block boundary
-  //                            (KvCacheManager::grow_needs_block_slot).  At
-  //                            block size 1 every growing decoder crosses,
-  //                            so this equals the pre-paging growing count.
+  // Invariants over `resident_` slots with !slot_prefilling() (decoders):
+  //   resident_decoders_ = their count;
   //   decode_kv_histogram_ = sorted (bucket_up(prompt + generated), count)
-  //                          pairs, counts > 0.  Kept in cost-bucket TOKEN
-  //                          units: it feeds the step-cost cache, whose
-  //                          shapes are token-bucketed, not block-sized.
-  //   pool_.bucket[slot] caches bucket_up(prompt + generated) per decoder,
-  //   so the advance loop detects bucket crossings with one compare
-  //   (kv_len == bucket ⇒ the next token crosses) instead of re-rounding.
+  //     pairs, counts > 0.  Kept in cost-bucket TOKEN units: it feeds the
+  //     step-cost cache, whose shapes are token-bucketed, not block-sized;
+  //   pool_.bucket[slot] = bucket_up(prompt + generated);
+  //   a decoder whose next decode step finishes it is off the calendar
+  //     (counted in finishing_) and its KV entry does not advance; every
+  //     other decoder's KV entry advances and it sits in calendar_ at
+  //     next_event(slot).
   bool slot_prefilling(std::int32_t slot) const {
     return pool_.prefilled[slot] < pool_.prompt_len[slot];
   }
-  bool sequence_grows(std::int32_t slot) const {
-    return pool_.generated[slot] + 1 < pool_.output_len[slot];
+  /// Tokens `slot` has decoded, settled from the decode clock.
+  std::int64_t generated_of(std::int32_t slot) const {
+    return slot_prefilling(slot)
+               ? pool_.generated[slot]
+               : pool_.generated[slot] + kv_cache_->advance_clock();
   }
-  /// Blocks the next decode step must allocate for `slot` (0 or 1).  At
-  /// block size 1 — the golden-pinned default — EVERY grow crosses a block
-  /// boundary (tokens % 1 == 0 always), so the KV-manager probe is skipped
-  /// entirely on that path.
-  std::int64_t growth_blocks(std::int32_t slot) const {
-    return sequence_grows(slot) &&
-                   (config_.kv_block_tokens == 1 ||
-                    kv_cache_->grow_needs_block_slot(pool_.kv_slot[slot]))
-               ? 1
-               : 0;
-  }
-  std::int64_t decode_bucket(std::int32_t slot) const {
-    return round_up(pool_.prompt_len[slot] + pool_.generated[slot],
-                    config_.seqlen_bucket);
+  /// The clock at which decoder `slot`'s next event is due: the step that
+  /// finishes it (generated reaches output_len), or the step after the one
+  /// that attends at exactly its bucket (its KV length then spills into the
+  /// next bucket), whichever comes first.
+  std::int64_t next_event(std::int32_t slot) const {
+    const std::int64_t offset = pool_.generated[slot];
+    return std::min(pool_.output_len[slot] - 1 - offset,
+                    pool_.bucket[slot] - pool_.prompt_len[slot] - offset + 1);
   }
   void histogram_add(std::int64_t bucket);
   void histogram_remove(std::int64_t bucket);
+  /// Makes `slot` (generated stored as a count) a decoder: histogram,
+  /// offset, and KV advance plus calendar entry (or, one token from its
+  /// end, a finishing_ count).
   void decoder_enter(std::int32_t slot);
+  /// Undoes decoder_enter, leaving generated stored as a count again.
   void decoder_leave(std::int32_t slot);
   /// Moves decoder `slot` to its next cost bucket (its KV length just
   /// spilled past the cached one), histogram included.
   void cross_bucket(std::int32_t slot);
+  /// Commits `steps` decode steps for every decoder: one KV advance, then
+  /// the calendar entries due at the new clock — bucket crossings, and
+  /// decoders whose next step finishes them leave the calendar and stop
+  /// advancing.  Returns the cached KV blocks the advance reclaimed.
+  std::int64_t advance_decoders(std::int64_t steps);
+  /// Drops slots retired by a prefill step (kv_slot -1) from resident_,
+  /// keeping its order, and recycles them.
+  void compact_retired();
   /// Records a sequence whose last token was emitted this step: its id
-  /// joins finished_ids, its KV is released, the policy is told and the
-  /// head-of-line memo dropped.  The caller owns the decoder aggregates
-  /// and the pool slot.
+  /// joins finished_ids, its KV is released (kv_slot becomes -1 for
+  /// compact_retired), the policy is told and the head-of-line memo
+  /// dropped.  The caller owns the decoder aggregates.
   void retire(std::int32_t slot, StepRecord* record);
   /// The resident_ entry holding `request_id`, or resident_.end().
   std::vector<std::int32_t>::iterator find_resident(std::int64_t request_id);
@@ -467,13 +528,14 @@ class ContinuousBatchScheduler {
   /// counting them and emitting trace events.
   void drain_shed(StepRecord* record);
   void build_prefill_step(StepRecord* record);
-  /// Evicts (or swaps out) residents until every decoder's next-token
-  /// growth fits, then advances every decoder one token in a single pass
-  /// over resident_: bulk growth when can_bulk_grow holds for the whole
-  /// batch, otherwise a CHECKed try_grow_slot per decoder.  A step without
-  /// bulk growth may reclaim cached prefix blocks, so it drops the
-  /// head-of-line memo.  Returns false when KV pressure evicted every
-  /// decode participant (the caller falls back to a prefill step).
+  /// Evicts (or swaps out) residents until the step's KV growth fits,
+  /// releases the finishing decoders in admission order, then advances
+  /// every decoder one token (advance_decoders).  When the growth needs
+  /// more than the free blocks, the growth of decoders admitted before each
+  /// finisher is allocated before its release, as a per-decoder pass in
+  /// admission order would.  A step that reclaims cached prefix blocks
+  /// drops the head-of-line memo.  Returns false when KV pressure evicted
+  /// every decode participant (the caller falls back to a prefill step).
   bool build_decode_step(StepRecord* record);
 
   SchedulerConfig config_;
@@ -485,8 +547,9 @@ class ContinuousBatchScheduler {
   SequencePool pool_;               ///< SoA storage for resident sequences
   std::vector<std::int32_t> resident_;  ///< live pool slots, admission order
   std::int64_t resident_decoders_ = 0;
-  std::int64_t pending_growth_blocks_ = 0;
   std::vector<std::pair<std::int64_t, std::int64_t>> decode_kv_histogram_;
+  StepCalendar calendar_;
+  std::int64_t finishing_ = 0;  ///< decoders the next decode step finishes
   bool last_step_prefill_ = false;  ///< interleave state under chunking
   bool may_shed_ = false;           ///< cached AdmissionPolicy::may_shed()
   bool admit_memo_ok_ = false;  ///< cached AdmissionPolicy::select_is_pure()

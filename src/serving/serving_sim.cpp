@@ -808,7 +808,9 @@ struct ServingEngine::Impl {
   // cache's hit and miss counts match the per-step loop.  Only the
   // per-step float sums are replayed, the step histograms' sums included —
   // each adds the same double once per step, in order, so totals are
-  // bit-identical to the per-step loop.  Runs chain back to back (a run
+  // bit-identical to the per-step loop.  At block sizes > 1 the
+  // fragmentation gauge moves within a run, so the KV manager replays its
+  // per-step readings (add_fragmentation_over).  Runs chain back to back (a run
   // ending on a bucket crossing regroups the next) and stop where that
   // loop would stop before stepping again: at the next arrival (it would
   // be enqueued), at `until`, or at the horizon.
@@ -820,9 +822,6 @@ struct ServingEngine::Impl {
     if (scenario.max_sim_seconds > 0) {
       stop = std::min(stop, scenario.max_sim_seconds);
     }
-    // Constant over every run: quiet steps need block size 1, where the
-    // gauge is identically 0.
-    const double fragmentation = kv_cache.internal_fragmentation();
     for (;;) {
       // The scheduler's own early exits are the cheap test on steps that
       // cannot be quiet (e.g. waiting work that could enter).
@@ -839,7 +838,6 @@ struct ServingEngine::Impl {
                       /*swap_bytes=*/0, /*stalled=*/false);
       // Local copies keep the sums in registers across the loop.
       Seconds clock = now;
-      double fragmentation_total = fragmentation_sum;
       Seconds busy = busy_time;
       Joules mxu_energy = metrics.mxu_energy;
       Joules total_energy = metrics.total_energy;
@@ -848,7 +846,6 @@ struct ServingEngine::Impl {
       std::int64_t steps = 0;
       for (; steps < quiet && clock < stop; ++steps) {
         clock += charge.latency;
-        fragmentation_total += fragmentation;
         busy += charge.busy;
         mxu_energy += charge.mxu_energy;
         total_energy += charge.layer_energy;
@@ -857,7 +854,8 @@ struct ServingEngine::Impl {
         batch_sum += batch_value;
       }
       now = clock;
-      fragmentation_sum = fragmentation_total;
+      fragmentation_sum =
+          kv_cache.add_fragmentation_over(steps, fragmentation_sum);
       busy_time = busy;
       metrics.mxu_energy = mxu_energy;
       metrics.total_energy = total_energy;

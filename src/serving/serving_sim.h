@@ -404,15 +404,17 @@ class ServingEngine {
   /// left to do (more injections may revive it).
   ///
   /// Quiet decode runs (ContinuousBatchScheduler::quiet_decode_steps) are
-  /// committed in bulk: after each single step the engine advances the
-  /// scheduler over the quiet runs ahead, one after another — a run that
-  /// ends on a bucket crossing hands its regrouped decoders to the next,
-  /// and a run may stand over queued or swapped work that cannot enter
-  /// while it lasts (a full batch, a failed swap-in watermark, a memoized
-  /// head-of-line block; never under a shedding policy) —
-  /// and replays only the per-step clock, busy-time, energy, histogram, and
-  /// fragmentation sums, each adding the same value once per step in
-  /// order.  A run whose grouping the cost memo does not hold is costed
+  /// committed in bulk, at any KV block size: after each single step the
+  /// engine advances the scheduler over the quiet runs ahead, one after
+  /// another — a run that ends on a bucket crossing hands its regrouped
+  /// decoders to the next, and a run may stand over queued or swapped
+  /// work that cannot enter while it lasts (a full batch, a failed
+  /// swap-in watermark, a memoized head-of-line block; never under a
+  /// shedding policy) — and replays only the per-step clock, busy-time,
+  /// energy, histogram, and fragmentation sums, each adding the same value
+  /// once per step in order (the fragmentation readings, which move
+  /// within a run at block sizes > 1, come from
+  /// KvCacheManager::add_fragmentation_over).  A run whose grouping the cost memo does not hold is costed
   /// with the same counted lookups its first single step would make.  The
   /// runs end at the next arrival, at `until`, or at the horizon — the
   /// boundary where single steps would stop — so metrics, cost-cache

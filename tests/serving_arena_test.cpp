@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -105,37 +106,58 @@ class SteadyDecodeTest : public ::testing::Test {
 };
 
 TEST_F(SteadyDecodeTest, HotLoopIsAllocationFreeInSteadyState) {
-  KvCacheManager kv_cache(/*capacity=*/1e12,
-                          KvCacheManager::token_bytes(model_),
-                          EvictionPolicy::kPreemptNewest);
-  SchedulerConfig config;
-  config.max_batch = 8;
-  config.max_prefill_batch = 8;
-  ContinuousBatchScheduler scheduler(config, &kv_cache);
-  StepCostCache costs(simulator_, model_, config.seqlen_bucket);
-  StepRecord record;
-  record.reserve(config.max_batch, config.max_prefill_batch);
+  // Block 1 grows every decoder every step; block 16 with prefix caching
+  // grows each decoder on one step in 16 (counted by clock phase) while
+  // the requests share registered prefix blocks.  Both step the same
+  // calendar, whose storage the scheduler reserves up front.
+  for (const std::int64_t block : {1, 16}) {
+    SCOPED_TRACE("kv_block_tokens=" + std::to_string(block));
+    const bool prefix_cache = block > 1;
+    KvCacheManager kv_cache(/*capacity=*/1e12,
+                            KvCacheManager::token_bytes(model_),
+                            EvictionPolicy::kPreemptNewest,
+                            /*host_capacity=*/1024 * GiB, block,
+                            prefix_cache);
+    SchedulerConfig config;
+    config.max_batch = 8;
+    config.max_prefill_batch = 8;
+    config.kv_block_tokens = block;
+    config.enable_prefix_cache = prefix_cache;
+    ContinuousBatchScheduler scheduler(config, &kv_cache);
+    StepCostCache costs(simulator_, model_, config.seqlen_bucket);
+    StepRecord record;
+    record.reserve(config.max_batch, config.max_prefill_batch);
 
-  for (std::int64_t id = 0; id < 8; ++id) {
-    scheduler.enqueue(make_request(id));
-  }
-  // Warm-up: admit + prefill everyone, then a few decode steps so every
-  // cost shape and memoized grouping this regime uses is resident.
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(scheduler.next_step(&record));
-    cost_step(costs, record);
-  }
-  ASSERT_EQ(record.kind, StepRecord::Kind::kDecode) << "warm-up too short";
+    for (std::int64_t id = 0; id < 8; ++id) {
+      Request request = make_request(id);
+      if (prefix_cache) {
+        request.prefix_id = 0;
+        request.prefix_len = 64;
+      }
+      scheduler.enqueue(request);
+    }
+    // Warm-up: admit + prefill everyone, then a few decode steps so every
+    // cost shape and memoized grouping this regime uses is resident.
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(scheduler.next_step(&record));
+      cost_step(costs, record);
+    }
+    ASSERT_EQ(record.kind, StepRecord::Kind::kDecode) << "warm-up too short";
 
-  const std::int64_t before = allocations();
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(scheduler.next_step(&record));
-    ASSERT_EQ(record.kind, StepRecord::Kind::kDecode);
-    ASSERT_EQ(record.batch, 8);
-    cost_step(costs, record);
+    const std::int64_t blocks_before = kv_cache.blocks_allocated_total();
+    const std::int64_t before = allocations();
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_TRUE(scheduler.next_step(&record));
+      ASSERT_EQ(record.kind, StepRecord::Kind::kDecode);
+      ASSERT_EQ(record.batch, 8);
+      cost_step(costs, record);
+    }
+    EXPECT_EQ(allocations(), before)
+        << "steady-state decode (next_step + cost_step) must not allocate";
+    // 16 steps start exactly one new block per decoder at block 16.
+    EXPECT_EQ(kv_cache.blocks_allocated_total() - blocks_before,
+              8 * 16 / block);
   }
-  EXPECT_EQ(allocations(), before)
-      << "steady-state decode (next_step + cost_step) must not allocate";
 }
 
 TEST_F(SteadyDecodeTest, EngineDecodeIsAllocationFreeOnLightTraffic) {

@@ -4,14 +4,21 @@
 // stream: one commits every quiet run in bulk, the other steps through it
 // one step at a time.  After each run their audits, KV and scheduler
 // counters, resident progress, and next StepRecord must agree — under
-// every eviction policy, tight and roomy KV budgets, prefix caching, cost
-// buckets narrow enough that most runs end on a bucket crossing, and
-// admission policies whose queue a run stands over.
+// every eviction policy, tight and roomy KV budgets, prefix caching, KV
+// block sizes 1 and 16, cost buckets narrow enough that most runs end on a
+// bucket crossing, and admission policies whose queue a run stands over.
+//
+// Both replicas run the same event-driven decode step, so the test also
+// keeps its own per-decoder reference: each decoder's generated count,
+// replayed from the stepped replica's StepRecords, must match the
+// scheduler's progress and the KV manager's per-entry tokens and blocks
+// after every step.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -35,13 +42,15 @@ struct Deployment {
   std::int64_t seqlen_bucket = 64;
   std::string admission = "fifo";
   int max_batch = 8;
+  std::int64_t block_tokens = 1;  ///< KV page size
 };
 
 /// One scheduler and the KV manager it owns (KV constructed first).
 struct Replica {
   explicit Replica(const Deployment& deployment)
       : kv(deployment.kv_tokens, /*bytes_per_token=*/1.0, deployment.policy,
-           /*host_capacity=*/1e12, /*block_tokens=*/1, deployment.prefix_cache),
+           /*host_capacity=*/1e12, deployment.block_tokens,
+           deployment.prefix_cache),
         scheduler(config_for(deployment), &kv) {}
 
   static SchedulerConfig config_for(const Deployment& deployment) {
@@ -49,6 +58,7 @@ struct Replica {
     config.max_batch = deployment.max_batch;
     config.max_prefill_batch = 4;
     config.seqlen_bucket = deployment.seqlen_bucket;
+    config.kv_block_tokens = deployment.block_tokens;
     config.enable_prefix_cache = deployment.prefix_cache;
     config.admission.policy = deployment.admission;
     return config;
@@ -133,6 +143,75 @@ void expect_same_state(const Replica& fast, const Replica& slow) {
   }
 }
 
+/// Test-side per-decoder reference: each decoder's generated count,
+/// replayed from StepRecords alone.  It is set to 1 at the first token,
+/// gains 1 per decode step the decoder joins, is dropped on finish,
+/// preemption or swap-out, and is restored on swap-in.
+class DecoderReference {
+ public:
+  explicit DecoderReference(const std::vector<Request>& requests) {
+    for (const Request& request : requests) {
+      prompt_[request.id] = request.prompt_len;
+    }
+  }
+
+  void apply(const StepRecord& record) {
+    // Swap-ins enter before the step is built, evictions leave before its
+    // decoders advance.
+    for (std::int64_t id : record.swapped_in_ids) {
+      const auto it = swapped_.find(id);
+      if (it == swapped_.end()) continue;  // swapped out mid-prefill
+      generated_[id] = it->second;
+      swapped_.erase(it);
+    }
+    for (std::int64_t id : record.swapped_out_ids) {
+      const auto it = generated_.find(id);
+      if (it == generated_.end()) continue;
+      swapped_[id] = it->second;
+      generated_.erase(it);
+    }
+    for (std::int64_t id : record.preempted_ids) generated_.erase(id);
+    if (record.kind == StepRecord::Kind::kDecode) {
+      EXPECT_EQ(static_cast<std::int64_t>(generated_.size()), record.batch);
+      for (auto& [id, generated] : generated_) ++generated;
+    }
+    for (std::int64_t id : record.first_token_ids) generated_[id] = 1;
+    for (std::int64_t id : record.finished_ids) generated_.erase(id);
+  }
+
+  /// Checks the replica's resident progress and KV entries against the
+  /// reference, and audits the KV manager.
+  void expect_matches(const Replica& replica) const {
+    const std::int64_t block = replica.kv.block_tokens();
+    std::size_t decoders = 0;
+    for (std::size_t i = 0; i < replica.scheduler.running_count(); ++i) {
+      const auto info = replica.scheduler.resident_info(i);
+      const auto it = generated_.find(info.request_id);
+      if (it == generated_.end()) {
+        EXPECT_EQ(info.generated, 0) << "request " << info.request_id;
+        continue;
+      }
+      ++decoders;
+      const std::int64_t tokens = prompt_.at(info.request_id) + it->second;
+      EXPECT_EQ(info.generated, it->second) << "request " << info.request_id;
+      EXPECT_EQ(replica.kv.resident_tokens(info.request_id), tokens)
+          << "request " << info.request_id;
+      EXPECT_EQ(replica.kv.resident_blocks(info.request_id),
+                (tokens + block - 1) / block)
+          << "request " << info.request_id;
+    }
+    EXPECT_EQ(decoders, generated_.size());
+    EXPECT_EQ(replica.scheduler.resident_decoder_count(),
+              static_cast<std::int64_t>(decoders));
+    EXPECT_TRUE(replica.kv.audit());
+  }
+
+ private:
+  std::map<std::int64_t, std::int64_t> prompt_;
+  std::map<std::int64_t, std::int64_t> generated_;  ///< resident decoders
+  std::map<std::int64_t, std::int64_t> swapped_;    ///< swapped-out decoders
+};
+
 struct LockstepResult {
   std::int64_t steps = 0;           ///< per-step calls on the slow replica
   std::int64_t fast_forwarded = 0;  ///< of those, committed in bulk by fast
@@ -149,6 +228,7 @@ LockstepResult run_lockstep(const Deployment& deployment, std::uint64_t seed) {
       lockstep_stream(seed, deployment.prefix_cache);
   Replica fast(deployment);
   Replica slow(deployment);
+  DecoderReference reference(requests);
   StepRecord fast_record;
   StepRecord slow_record;
   LockstepResult result;
@@ -184,7 +264,10 @@ LockstepResult run_lockstep(const Deployment& deployment, std::uint64_t seed) {
         EXPECT_TRUE(slow_record.swapped_in_ids.empty());
         EXPECT_TRUE(slow_record.first_token_ids.empty());
         EXPECT_TRUE(slow_record.shed_ids.empty());
+        reference.apply(slow_record);
+        reference.expect_matches(slow);
       }
+      reference.expect_matches(fast);
       clock += quiet;
       result.steps += quiet;
       result.fast_forwarded += quiet;
@@ -199,6 +282,9 @@ LockstepResult run_lockstep(const Deployment& deployment, std::uint64_t seed) {
     const bool slow_stepped = slow.scheduler.next_step(&slow_record);
     EXPECT_EQ(fast_stepped, slow_stepped);
     expect_same_record(fast_record, slow_record);
+    reference.apply(slow_record);
+    reference.expect_matches(slow);
+    reference.expect_matches(fast);
     if (::testing::Test::HasFailure()) return result;
     if (fast_stepped) {
       ++clock;
@@ -219,6 +305,7 @@ std::string deployment_name(const Deployment& deployment, std::uint64_t seed) {
   return eviction_policy_name(deployment.policy) +
          " kv=" + std::to_string(static_cast<long long>(deployment.kv_tokens)) +
          (deployment.prefix_cache ? " prefix_cache" : "") +
+         " block=" + std::to_string(deployment.block_tokens) +
          " bucket=" + std::to_string(deployment.seqlen_bucket) +
          " admission=" + deployment.admission +
          " max_batch=" + std::to_string(deployment.max_batch) +
@@ -249,6 +336,32 @@ TEST(QuietDecodeLockstep, BulkAdvanceMatchesPerStepUnderEveryPolicy) {
   }
   // The tight budget interleaves quiet runs with evictions.
   EXPECT_GT(pressured_preemptions, 0);
+}
+
+TEST(QuietDecodeLockstep, BulkAdvanceMatchesPerStepAcrossBlockSizes) {
+  // At block 16 a decoder allocates on one step in 16, so a step's growth
+  // is counted by clock phase, and with prefix caching, growth may reclaim
+  // cached blocks between finisher releases.  The reference checks every
+  // decoder's tokens and blocks after every step.
+  for (std::int64_t block : {1, 16}) {
+    for (EvictionPolicy policy :
+         {EvictionPolicy::kPreemptNewest, EvictionPolicy::kSwapToHost,
+          EvictionPolicy::kPriorityVictim}) {
+      for (double kv_tokens : {1200.0, 1e5}) {
+        Deployment deployment;
+        deployment.policy = policy;
+        deployment.kv_tokens = kv_tokens;
+        deployment.prefix_cache = block > 1;
+        deployment.block_tokens = block;
+        for (std::uint64_t seed : {1u, 7u}) {
+          SCOPED_TRACE(deployment_name(deployment, seed));
+          const LockstepResult result = run_lockstep(deployment, seed);
+          ASSERT_FALSE(::testing::Test::HasFailure());
+          EXPECT_GT(result.fast_forwarded, 0);
+        }
+      }
+    }
+  }
 }
 
 TEST(QuietDecodeLockstep, BulkAdvanceMatchesPerStepWithCachedPrefixBlocks) {

@@ -344,11 +344,42 @@ TEST(TracingContract, MetricsBitIdenticalOnAndOffOnLightTraffic) {
                          narrow);
     }
   }
+  // Paged KV: quiet runs at block sizes > 1 replay a fragmentation gauge
+  // that moves within the run.
+  for (std::int64_t block : {16, 64}) {
+    ServingScenario paged = base;
+    paged.scheduler.kv_block_tokens = block;
+    paged.scheduler.enable_prefix_cache = block == 16;
+    cases.emplace_back("kv_block_tokens=" + std::to_string(block), paged);
+  }
   for (const auto& [name, scenario] : cases) {
     SCOPED_TRACE(name);
     const ServingMetrics off = run_serving(scenario, requests);
     expect_identical_metrics(off, run_traced(scenario, requests));
     EXPECT_GT(off.decode_steps, 10 * off.prefill_steps);
+  }
+}
+
+TEST(TracingContract, MetricsBitIdenticalOnAndOffWithPrefixReclaim) {
+  // The prefix-cache deployment under a budget its cached prefix blocks
+  // fill: decode growth reclaims them, interleaved with finisher releases,
+  // and quiet runs stop where the free blocks run out.
+  const std::vector<Request> requests = generate_requests(
+      prefix_chatbot_stream(/*seed=*/42, /*num_requests=*/300,
+                            /*arrival_rate=*/20.0));
+  for (EvictionPolicy policy :
+       {EvictionPolicy::kPreemptNewest, EvictionPolicy::kSwapToHost,
+        EvictionPolicy::kPriorityVictim}) {
+    SCOPED_TRACE(eviction_policy_name(policy));
+    ServingScenario scenario = prefix_cache_scenario(
+        ir::DType::kInt4, /*enable_prefix_cache=*/true,
+        /*kv_block_tokens=*/16, /*kv_budget_tokens=*/6000);
+    scenario.eviction = policy;
+    const ServingMetrics off = run_serving(scenario, requests);
+    expect_identical_metrics(off, run_traced(scenario, requests));
+    EXPECT_GT(off.counters.prefix_hit_tokens, 0);
+    EXPECT_GT(
+        off.registry.counter_or_zero("kv.cached_blocks_reclaimed_total"), 0);
   }
 }
 

@@ -48,13 +48,11 @@ TEST(PagedKvTest, GrowthAllocatesOnlyAtBlockBoundaries) {
   EXPECT_EQ(kv.occupied_blocks(), 3);
   EXPECT_DOUBLE_EQ(kv.used(), 12.0);  // whole blocks, not tokens
   // Tokens 10..12 stay inside the third block.
-  EXPECT_FALSE(kv.grow_needs_block(0));
   EXPECT_TRUE(kv.try_grow(0));
   EXPECT_TRUE(kv.try_grow(0));
   EXPECT_TRUE(kv.try_grow(0));
   EXPECT_EQ(kv.occupied_blocks(), 3);
   // Token 13 crosses into a fourth block.
-  EXPECT_TRUE(kv.grow_needs_block(0));
   EXPECT_TRUE(kv.try_grow(0));
   EXPECT_EQ(kv.occupied_blocks(), 4);
   EXPECT_EQ(kv.resident_tokens(0), 13);
@@ -983,6 +981,57 @@ TEST(PagedSchedulerTest, PrefixHitsSkipPrefillAndStartMidSequence) {
   EXPECT_EQ(nonzero_first_chunks, 5);
   EXPECT_EQ(scheduler.counters().prefix_hit_tokens, 5 * prefix_len);
   EXPECT_GT(scheduler.counters().prefix_shared_blocks, 0);
+}
+
+TEST(PagedSchedulerTest, GrowthBeforeAFinisherReclaimsInAdmissionOrder) {
+  // A 4-block budget, 4-token blocks.  A finished prefix request leaves 2
+  // cached prefix blocks; decoders A and F hold 1 block each, so no block
+  // is free.  On the next decode step A starts its second block and F
+  // finishes.  A decode step grows and releases in admission order: when
+  // A was admitted first its grow reclaims a cached block before F's
+  // release frees one; when F was admitted first A takes F's freed block.
+  for (const bool grower_first : {true, false}) {
+    SCOPED_TRACE(grower_first ? "grower admitted first"
+                              : "finisher admitted first");
+    KvCacheManager kv = paged(/*capacity=*/16, /*block_tokens=*/4,
+                              /*prefix_cache=*/true,
+                              EvictionPolicy::kPreemptNewest);
+    SchedulerConfig config;
+    config.kv_block_tokens = 4;
+    config.enable_prefix_cache = true;
+    ContinuousBatchScheduler scheduler(config, &kv);
+    Request prefix;
+    prefix.id = 0;
+    prefix.prompt_len = 9;
+    prefix.output_len = 1;
+    prefix.prefix_id = 0;
+    prefix.prefix_len = 8;
+    scheduler.enqueue(prefix);
+    StepRecord record;
+    ASSERT_TRUE(scheduler.next_step(&record));  // prefills and finishes
+    ASSERT_EQ(kv.cached_block_count(), 2);
+    Request grower;  // 3 + 1 tokens: its next token starts a block
+    grower.id = 1;
+    grower.prompt_len = 3;
+    grower.output_len = 20;
+    Request finisher;  // its first decode step emits its last token
+    finisher.id = 2;
+    finisher.prompt_len = 3;
+    finisher.output_len = 2;
+    scheduler.enqueue(grower_first ? grower : finisher);
+    scheduler.enqueue(grower_first ? finisher : grower);
+    ASSERT_TRUE(scheduler.next_step(&record));  // prefills both
+    ASSERT_EQ(record.kind, StepRecord::Kind::kPrefill);
+    ASSERT_EQ(kv.free_blocks(), 0);
+    ASSERT_TRUE(scheduler.next_step(&record));
+    ASSERT_EQ(record.kind, StepRecord::Kind::kDecode);
+    EXPECT_EQ(record.finished_ids, (std::vector<std::int64_t>{2}));
+    EXPECT_EQ(kv.cached_blocks_reclaimed_total(), grower_first ? 1 : 0);
+    EXPECT_EQ(kv.cached_block_count(), grower_first ? 1 : 2);
+    EXPECT_EQ(kv.resident_blocks(1), 2);
+    EXPECT_TRUE(kv.audit());
+    EXPECT_TRUE(scheduler.aggregates_consistent());
+  }
 }
 
 TEST(PagedSchedulerTest, BlockSixteenCachingOffServesSameTokens) {

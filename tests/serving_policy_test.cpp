@@ -244,11 +244,13 @@ TEST(ChunkedPrefillTest, SingleRequestHandTrace) {
   EXPECT_EQ(step3->kv_lens, (std::vector<std::int64_t>{300}));
   EXPECT_EQ(step3->first_token_ids, (std::vector<std::int64_t>{0}));
 
+  // Decode records carry only the grouping; the scheduler derives the
+  // per-participant KV lengths the next decode step attends over.
+  EXPECT_EQ(scheduler.decode_kv_lens(), (std::vector<std::int64_t>{301}));
   auto step4 = scheduler.next_step();
   EXPECT_EQ(step4->kind, StepRecord::Kind::kDecode);
-  EXPECT_EQ(step4->kv_lens, (std::vector<std::int64_t>{301}));
+  EXPECT_EQ(scheduler.decode_kv_lens(), (std::vector<std::int64_t>{302}));
   auto step5 = scheduler.next_step();
-  EXPECT_EQ(step5->kv_lens, (std::vector<std::int64_t>{302}));
   EXPECT_EQ(step5->finished_ids, (std::vector<std::int64_t>{0}));
   EXPECT_TRUE(scheduler.idle());
   EXPECT_EQ(scheduler.counters().chunked_prefill_steps, 3);

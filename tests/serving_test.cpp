@@ -268,11 +268,15 @@ TEST(SchedulerTest, ThreeRequestHandTrace) {
   std::vector<std::int64_t> decode_batches;
   std::vector<std::int64_t> finished;
   bool first_decode = true;
-  while (auto step = scheduler.next_step()) {
+  for (;;) {
+    // Per-sequence KV lengths the next decode step attends over: prompt +
+    // tokens generated so far (decode records carry only the grouping).
+    const std::vector<std::int64_t> kv_lens = scheduler.decode_kv_lens();
+    auto step = scheduler.next_step();
+    if (!step.has_value()) break;
     EXPECT_EQ(step->kind, StepRecord::Kind::kDecode);
     if (first_decode) {
-      // Per-sequence KV lengths: prompt + tokens generated so far.
-      EXPECT_EQ(step->kv_lens, (std::vector<std::int64_t>{64 + 1, 16 + 1}));
+      EXPECT_EQ(kv_lens, (std::vector<std::int64_t>{64 + 1, 16 + 1}));
       first_decode = false;
     }
     decode_batches.push_back(step->batch);
