@@ -5,7 +5,11 @@ Per BENCHMARK.json workload: PAIRS pairs of 2 s seed-42 cimbench runs, in
 alternating order.  Gates every BENCHMARK.json end-to-end metric in its
 `better` direction: fails when head's median is worse than base's by more
 than min(MAX_BOUND, the metric's own bound), or a head run is incorrect or
-fails requests.  Skips when cimbench/ or BENCHMARK.json differ: the
+fails requests.  Each metric's line also counts the pairs head won (better
+than its pair's base run; ties count for neither side).  A run that prints
+no result, a base run that is incorrect, or a run that lacks a gated
+metric stops the gate with one FAIL line: there is nothing sound to
+compare against.  Skips when cimbench/ or BENCHMARK.json differ: the
 benchmark re-baselines.
 
 After the gate, one traced 2 s run per tree per workload prints the
@@ -26,6 +30,10 @@ LAYER_ROWS = ("engine.ns_per_step", "cluster.ns_per_step",
               "scheduler.next_step_ns", "step_cost.miss_share")
 
 
+def stop(message):
+    sys.exit(f"perf_gate: FAIL {message}")
+
+
 def run(tree, workload, trace=0):
     # Each tree builds into its own .bench_build; a shared one would thrash.
     env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
@@ -34,7 +42,34 @@ def run(tree, workload, trace=0):
          "--workload", workload, "--seed", "42", "--seconds", "2",
          "--trace", str(trace)],
         cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=False)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    lines = out.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        stop(f"{workload}: {tree} printed no result "
+             f"(exit {out.returncode})")
+
+
+def gated_values(result, gated, side, workload, pair):
+    """The gated metrics' values from one run; stops the gate when the
+    run cannot be compared."""
+    label = f"{workload}: {side} run {pair + 1}"
+    if side == "base" and not result.get("correct", False):
+        stop(f"{label} is incorrect (correct={result.get('correct')}); "
+             "nothing sound to gate against")
+    metrics = result.get("metrics", {})
+    missing = [name for name, _, _ in gated
+               if "value" not in metrics.get(name, {})]
+    if missing:
+        stop(f"{label} lacks gated metric(s) {', '.join(missing)}")
+    return {name: metrics[name]["value"] for name, _, _ in gated}
+
+
+def head_wins(base_values, head_values, better):
+    """Pairs in which head beat its base run; ties count for neither."""
+    sign = 1 if better == "lower" else -1
+    return sum(1 for b, h in zip(base_values, head_values)
+               if sign * (h - b) < 0)
 
 
 def print_layer_rows(base, head, workloads):
@@ -90,9 +125,9 @@ def main():
         for pair in range(PAIRS):
             for side in ("base", "head")[::1 if pair % 2 == 0 else -1]:
                 result = run(base if side == "base" else head, workload)
+                values = gated_values(result, gated, side, workload, pair)
                 for name, _, _ in gated:
-                    samples[side][name].append(
-                        result["metrics"][name]["value"])
+                    samples[side][name].append(values[name])
                 if side == "head" and (not result["correct"] or
                                        result["failed"] > 0):
                     failures.append(f"{workload}: head run {pair + 1} has "
@@ -102,10 +137,13 @@ def main():
             (b, b10, b90), (h, h10, h90) = (spread(samples[side][name])
                                             for side in ("base", "head"))
             ratio = h / b if b != 0 else float("nan")
+            wins = head_wins(samples["base"][name], samples["head"][name],
+                             better)
             print(f"{workload} {name} ({better} is better, bound {bound:g}): "
                   f"base median {b:.4g} (p10 {b10:.4g}, p90 {b90:.4g}), "
                   f"head median {h:.4g} (p10 {h10:.4g}, p90 {h90:.4g}), "
-                  f"head/base {ratio:.3f}", flush=True)
+                  f"head/base {ratio:.3f}, head won {wins}/{PAIRS} pairs",
+                  flush=True)
             if worse_by(b, h, better) > bound:
                 failures.append(f"{workload}: head {name} median is "
                                 f"{ratio:.3f}x base's ({better} is better, "

@@ -79,15 +79,6 @@ Bytes KvCacheManager::token_bytes(const models::TransformerConfig& model) {
          static_cast<double>(model.num_layers);
 }
 
-void KvCacheManager::victim_index_insert(std::int64_t id, const Entry& entry) {
-  admit_order_[entry.admit_seq] = id;
-}
-
-void KvCacheManager::victim_index_erase(std::int64_t id, const Entry& entry) {
-  admit_order_.erase(entry.admit_seq);
-  (void)id;
-}
-
 void KvCacheManager::reclaim_cached(std::int64_t blocks) {
   cached_blocks_reclaimed_total_ += blocks;
   for (std::int64_t i = 0; i < blocks; ++i) {
@@ -100,8 +91,7 @@ void KvCacheManager::reclaim_cached(std::int64_t blocks) {
 
 std::int64_t KvCacheManager::new_shared_block(std::int64_t prefix_id,
                                               PrefixChain* chain,
-                                              std::int64_t k,
-                                              std::int64_t registrant) {
+                                              std::int64_t k) {
   std::int64_t block_id;
   if (!free_block_ids_.empty()) {
     block_id = free_block_ids_.back();
@@ -114,7 +104,6 @@ std::int64_t KvCacheManager::new_shared_block(std::int64_t prefix_id,
   block.ref = 1;
   block.prefix_id = prefix_id;
   block.block_index = k;
-  block.registrant = registrant;
   block.computed = false;
   chain->blocks[static_cast<std::size_t>(k)] = block_id;
   ++chain->live;
@@ -167,13 +156,11 @@ void KvCacheManager::lru_unlink(std::int64_t block_id) {
   --cached_blocks_;
 }
 
-void KvCacheManager::drop_tail_donor(const Entry& entry) {
-  if (entry.prefix_id < 0) return;
-  const auto chain = prefix_chains_.find(entry.prefix_id);
-  if (chain == prefix_chains_.end() ||
-      chain->second.tail_donor != entry.id) {
-    return;
-  }
+void KvCacheManager::drop_tail_donor(Entry* entry) {
+  if (!entry->tail_donor) return;
+  entry->tail_donor = false;
+  const auto chain = prefix_chains_.find(entry->prefix_id);
+  CIMTPU_CHECK(chain != prefix_chains_.end());
   chain->second.tail_donor = -1;
   erase_chain_if_empty(chain);
 }
@@ -185,39 +172,69 @@ void KvCacheManager::erase_chain_if_empty(
   }
 }
 
-std::int32_t KvCacheManager::slot_insert(std::int64_t request_id,
-                                         Entry&& entry) {
-  entry.id = request_id;
+std::int32_t KvCacheManager::find_slot(std::int64_t request_id) const {
+  if (request_id < 0) return -1;  // free slots carry id -1
+  for (std::size_t slot = 0; slot < entry_slots_.size(); ++slot) {
+    if (entry_slots_[slot].id == request_id) {
+      return static_cast<std::int32_t>(slot);
+    }
+  }
+  return -1;
+}
+
+std::int32_t KvCacheManager::checked_slot(std::int64_t request_id) const {
+  const std::int32_t slot = find_slot(request_id);
+  CIMTPU_CHECK_MSG(slot >= 0, "request " << request_id << " is not resident");
+  return slot;
+}
+
+std::int32_t KvCacheManager::acquire_slot(std::int64_t request_id,
+                                          std::int64_t admit_seq) {
   std::int32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    Entry& recycled = entry_slots_[static_cast<std::size_t>(slot)];
     // Keep the recycled slot's `shared` capacity: callers fill it after
-    // insertion, so steady-state admissions allocate nothing.
-    CIMTPU_CHECK(entry.shared.empty());
-    entry.shared.swap(recycled.shared);
-    recycled = std::move(entry);
+    // acquiring, so steady-state admissions allocate nothing.
+    Entry& recycled = slot_entry(slot);
+    std::vector<std::int64_t> shared = std::move(recycled.shared);
+    recycled = Entry{};
+    recycled.shared = std::move(shared);
   } else {
     slot = static_cast<std::int32_t>(entry_slots_.size());
-    entry_slots_.push_back(std::move(entry));
+    entry_slots_.emplace_back();
   }
-  entries_[request_id] = slot;
+  Entry& entry = slot_entry(slot);
+  entry.id = request_id;
+  // Admit sequence numbers only grow, so the newest admission (or swap-in)
+  // always belongs at the tail.
+  entry.admit_seq = admit_seq;
+  entry.older = newest_slot_;
+  if (newest_slot_ >= 0) {
+    slot_entry(newest_slot_).newer = slot;
+  } else {
+    oldest_slot_ = slot;
+  }
+  newest_slot_ = slot;
   return slot;
 }
 
-void KvCacheManager::slot_erase(std::int32_t slot) {
+void KvCacheManager::recycle_slot(std::int32_t slot) {
   Entry& entry = slot_entry(slot);
-  entries_.erase(entry.id);
+  if (entry.older >= 0) {
+    slot_entry(entry.older).newer = entry.newer;
+  } else {
+    oldest_slot_ = entry.newer;
+  }
+  if (entry.newer >= 0) {
+    slot_entry(entry.newer).older = entry.older;
+  } else {
+    newest_slot_ = entry.older;
+  }
+  entry.older = entry.newer = -1;
   entry.id = -1;
   entry.shared.clear();
   free_slots_.push_back(slot);
-}
-
-std::int32_t KvCacheManager::resident_slot(std::int64_t request_id) const {
-  const auto it = entries_.find(request_id);
-  CIMTPU_CHECK(it != entries_.end());
-  return it->second;
 }
 
 void KvCacheManager::unref_shared(std::int64_t block_id) {
@@ -235,21 +252,17 @@ void KvCacheManager::unref_shared(std::int64_t block_id) {
   }
 }
 
-bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
-                               std::int64_t priority, std::int64_t prefix_id,
-                               std::int64_t prefix_len,
-                               std::int64_t prompt_len,
-                               AdmitOutcome* outcome) {
-  CIMTPU_CHECK(entries_.count(request_id) == 0);
-  CIMTPU_CHECK(host_entries_.count(request_id) == 0);
+std::optional<std::int32_t> KvCacheManager::try_admit(
+    std::int64_t request_id, std::int64_t tokens, std::int64_t priority,
+    std::int64_t prefix_id, std::int64_t prefix_len, std::int64_t prompt_len,
+    AdmitOutcome* outcome) {
+  CIMTPU_CHECK(request_id >= 0);  // free slots carry id -1
   CIMTPU_CHECK(tokens >= 0);
   CIMTPU_CHECK(prefix_len >= 0 && prefix_len <= std::max<std::int64_t>(
                                                     prompt_len, 0));
   if (outcome != nullptr) *outcome = AdmitOutcome{};
 
   const std::int64_t total_blocks = blocks_for_tokens(tokens);
-
-  // --- Plan the prefix reuse (no state mutated yet) --------------------------
   // Eligibility requires the reservation to cover the whole prompt (every
   // scheduler reserve does: prompt + 1 at minimum), so shared and
   // registered prefix blocks always lie within the entry's own mapping.
@@ -259,25 +272,35 @@ bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
                                tokens >= prompt_len;
   const std::int64_t full_blocks =
       prefix_eligible ? prefix_len / block_tokens_ : 0;
-  hit_blocks_.clear();  // leading computed full blocks, then the ones
-                        // this admission registers
+  // O(1) rejection: hits save at most `full_blocks` allocations and at
+  // most every cached block can be reclaimed, so a probe past this bound
+  // also fails the exact check below.
+  if (total_blocks - full_blocks > free_blocks() + cached_block_count()) {
+    return std::nullopt;
+  }
+
+  // --- Plan the prefix reuse: one lookup, one pass, nothing mutated ---------
+  PrefixChain* chain = nullptr;
+  std::int64_t shared_count = 0;  // leading computed full blocks (the hits)
+  std::int64_t cached_among_hits = 0;
   std::int64_t hit_tokens = 0;
   std::int64_t cow_blocks = 0;
   if (prefix_eligible) {
-    const auto chain = prefix_chains_.find(prefix_id);
-    if (chain != prefix_chains_.end()) {
-      const std::vector<std::int64_t>& blocks = chain->second.blocks;
+    const auto found = prefix_chains_.find(prefix_id);
+    if (found != prefix_chains_.end()) {
+      chain = &found->second;
       const std::int64_t known = std::min<std::int64_t>(
-          full_blocks, static_cast<std::int64_t>(blocks.size()));
-      for (std::int64_t k = 0; k < known; ++k) {
-        const std::int64_t block_id = blocks[static_cast<std::size_t>(k)];
+          full_blocks, static_cast<std::int64_t>(chain->blocks.size()));
+      for (; shared_count < known; ++shared_count) {
+        const std::int64_t block_id =
+            chain->blocks[static_cast<std::size_t>(shared_count)];
         // Stop at a gap, or at a block a concurrent request is still
         // prefilling (its contents don't exist yet).
-        if (block_id < 0 ||
-            !block_slab_[static_cast<std::size_t>(block_id)].computed) {
-          break;
-        }
-        hit_blocks_.push_back(block_id);
+        if (block_id < 0) break;
+        const SharedBlock& block =
+            block_slab_[static_cast<std::size_t>(block_id)];
+        if (!block.computed) break;
+        if (block.ref == 0) ++cached_among_hits;
       }
       // Partial tail: prefix tokens past the last full block live inside
       // a block that also holds post-prefix content.  If a live donor with
@@ -285,15 +308,13 @@ bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
       // those tokens via a private COPY of the block (copy-on-write: the
       // sharer's own content diverges inside it).  Donors leave the chain
       // as they leave the device, so a recorded donor is resident.
-      const std::int64_t donor = chain->second.tail_donor;
-      if (static_cast<std::int64_t>(hit_blocks_.size()) == full_blocks &&
-          prefix_len % block_tokens_ != 0 && donor >= 0 &&
-          slot_entry(resident_slot(donor)).computed_tokens >= prefix_len) {
+      if (shared_count == full_blocks && prefix_len % block_tokens_ != 0 &&
+          chain->tail_donor >= 0 &&
+          slot_entry(chain->tail_donor).computed_tokens >= prefix_len) {
         cow_blocks = 1;
         hit_tokens = prefix_len;
       } else {
-        hit_tokens =
-            static_cast<std::int64_t>(hit_blocks_.size()) * block_tokens_;
+        hit_tokens = shared_count * block_tokens_;
       }
     }
     // The final prompt token is always recomputed (real engines need its
@@ -303,70 +324,71 @@ bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
   }
 
   // --- Capacity check (reclaim-aware), then commit ---------------------------
-  const std::int64_t shared_count =
-      static_cast<std::int64_t>(hit_blocks_.size());
   const std::int64_t new_blocks = total_blocks - shared_count;
   CIMTPU_CHECK(new_blocks >= cow_blocks);
-  std::int64_t cached_among_hits = 0;
-  for (std::int64_t block_id : hit_blocks_) {
-    if (block_slab_[static_cast<std::size_t>(block_id)].ref == 0) {
-      ++cached_among_hits;
-    }
-  }
-  const std::int64_t free_now = capacity_blocks_ - occupied_blocks();
+  const std::int64_t free_now = free_blocks();
   const std::int64_t reclaimable = cached_block_count() - cached_among_hits;
-  if (new_blocks > free_now + reclaimable) return false;
+  if (new_blocks > free_now + reclaimable) return std::nullopt;
 
+  CIMTPU_CHECK_MSG(find_slot(request_id) < 0,
+                   "request " << request_id << " is already resident");
+  CIMTPU_CHECK_MSG(
+      host_entries_.empty() || host_entries_.count(request_id) == 0,
+      "request " << request_id << " is swapped out");
+  const std::int32_t slot = acquire_slot(request_id, next_seq_++);
+  Entry& entry = slot_entry(slot);
   // Reference the hit blocks first (pulls cached ones off the LRU so the
   // reclaim below can never steal a block we are about to share).
-  for (std::int64_t block_id : hit_blocks_) {
+  for (std::int64_t k = 0; k < shared_count; ++k) {
+    const std::int64_t block_id = chain->blocks[static_cast<std::size_t>(k)];
     SharedBlock& block = block_slab_[static_cast<std::size_t>(block_id)];
     if (block.ref == 0) lru_unlink(block_id);
     ++block.ref;
+    entry.shared.push_back(block_id);
   }
-  if (new_blocks > free_now) reclaim_cached(new_blocks - free_now);
+  if (new_blocks > free_now) {
+    reclaim_cached(new_blocks - free_now);
+    // With no hit to pin it, the chain may have lost its last block to
+    // the reclaim and been erased.
+    if (shared_count == 0) chain = nullptr;
+  }
 
   // --- Register missed full prefix blocks so later requests can share -------
-  // After the reclaim: it may have emptied (and erased) this very chain.
   std::int64_t registered = 0;
   if (prefix_eligible) {
-    PrefixChain& chain = prefix_chains_[prefix_id];
-    if (static_cast<std::int64_t>(chain.blocks.size()) < full_blocks) {
-      chain.blocks.resize(static_cast<std::size_t>(full_blocks), -1);
+    if (chain == nullptr) chain = &prefix_chains_[prefix_id];
+    if (static_cast<std::int64_t>(chain->blocks.size()) < full_blocks) {
+      chain->blocks.resize(static_cast<std::size_t>(full_blocks), -1);
     }
     for (std::int64_t k = shared_count; k < full_blocks; ++k) {
-      if (chain.blocks[static_cast<std::size_t>(k)] >= 0) continue;  // a
+      if (chain->blocks[static_cast<std::size_t>(k)] >= 0) continue;  // a
       // concurrent registrant got here first; our copy stays private.
       // A registered block is always a MISS (k >= shared_count), so its
-      // contents cannot exist yet: note_prefilled flips it computed once
-      // this request's prefill passes the block's upper boundary.
-      hit_blocks_.push_back(
-          new_shared_block(prefix_id, &chain, k, request_id));
+      // contents cannot exist yet: note_prefilled_slot flips it computed
+      // once this entry's prefill passes the block's upper boundary.
+      entry.shared.push_back(new_shared_block(prefix_id, chain, k));
       ++registered;
     }
     // Volunteer as the partial-tail donor so later same-prefix admissions
     // can copy the tail's prefix tokens out of this entry's block.
-    if (prefix_len % block_tokens_ != 0 && chain.tail_donor < 0) {
-      chain.tail_donor = request_id;
+    if (prefix_len % block_tokens_ != 0 && chain->tail_donor < 0) {
+      chain->tail_donor = slot;
+      entry.tail_donor = true;
     }
   }
 
-  Entry entry;
   entry.tokens = tokens;
-  entry.admit_seq = next_seq_++;
   entry.priority = priority;
   entry.computed_tokens = hit_tokens;
   entry.prefix_id = prefix_eligible ? prefix_id : -1;
   entry.prefix_len = prefix_eligible ? prefix_len : 0;
+  entry.pending_blocks = registered;
   entry.private_blocks = new_blocks - registered;
   CIMTPU_CHECK(entry.private_blocks >= 0);
   private_used_ += entry.private_blocks;
   blocks_allocated_total_ += new_blocks;
   mapped_tokens_ += entry.tokens;
   entry_block_tokens_ += entry_blocks(entry) * block_tokens_;
-  victim_index_insert(request_id, entry);
-  const std::int32_t slot = slot_insert(request_id, std::move(entry));
-  slot_entry(slot).shared.assign(hit_blocks_.begin(), hit_blocks_.end());
 
   if (outcome != nullptr) {
     outcome->lookup_tokens =
@@ -375,13 +397,11 @@ bool KvCacheManager::try_admit(std::int64_t request_id, std::int64_t tokens,
     outcome->shared_blocks = shared_count;
     outcome->cow_blocks = cow_blocks;
   }
-  return true;
+  return slot;
 }
 
 bool KvCacheManager::try_grow(std::int64_t request_id, std::int64_t tokens) {
-  const auto it = entries_.find(request_id);
-  CIMTPU_CHECK(it != entries_.end());
-  Entry& entry = slot_entry(it->second);
+  Entry& entry = slot_entry(checked_slot(request_id));
   CIMTPU_CHECK(tokens >= 0);
   CIMTPU_CHECK_MSG(!entry.advancing,
                    "an advancing entry grows only through advance()");
@@ -399,13 +419,12 @@ bool KvCacheManager::try_grow(std::int64_t request_id, std::int64_t tokens) {
 
 std::int64_t KvCacheManager::advance_blocks_admitted_before(
     std::int32_t slot) const {
-  const std::int64_t admit_seq = slot_entry(slot).admit_seq;
   std::int64_t blocks = 0;
-  for (const Entry& entry : entry_slots_) {
-    if (entry.id >= 0 && entry.advancing && entry.phase == clock_phase_ &&
-        entry.admit_seq < admit_seq) {
-      ++blocks;
-    }
+  for (std::int32_t older = oldest_slot_; older != slot;
+       older = slot_entry(older).newer) {
+    CIMTPU_CHECK(older >= 0);  // `slot` is on the admit-order list
+    const Entry& entry = slot_entry(older);
+    if (entry.advancing && entry.phase == clock_phase_) ++blocks;
   }
   return blocks;
 }
@@ -417,74 +436,68 @@ std::int64_t KvCacheManager::grow_advancing(std::int64_t blocks) {
   return allocate_growth(blocks);
 }
 
-void KvCacheManager::release(std::int64_t request_id) {
-  auto it = entries_.find(request_id);
-  CIMTPU_CHECK(it != entries_.end());
-  const std::int32_t slot = it->second;
+std::int64_t KvCacheManager::leave_device(std::int32_t slot) {
   Entry& entry = slot_entry(slot);
+  CIMTPU_CHECK(entry.id >= 0);
   if (entry.advancing) end_advance(slot);
-  for (std::int64_t block_id : entry.shared) unref_shared(block_id);
-  private_used_ -= entry.private_blocks;
-  mapped_tokens_ -= entry.tokens;
-  entry_block_tokens_ -= entry_blocks(entry) * block_tokens_;
-  drop_tail_donor(entry);
-  victim_index_erase(request_id, entry);
-  slot_erase(slot);
-}
-
-bool KvCacheManager::try_swap_out(std::int64_t request_id) {
-  auto it = entries_.find(request_id);
-  CIMTPU_CHECK(it != entries_.end());
-  const std::int32_t slot = it->second;
-  Entry& entry = slot_entry(slot);
   const std::int64_t blocks = entry_blocks(entry);
-  if (host_used_blocks_ + blocks > host_capacity_blocks_) return false;
-  if (entry.advancing) end_advance(slot);
-  // The host copy is whole and private: shared prefix blocks are
-  // privatized on the way out (their device copies just lose a reference).
   for (std::int64_t block_id : entry.shared) unref_shared(block_id);
   private_used_ -= entry.private_blocks;
   mapped_tokens_ -= entry.tokens;
   entry_block_tokens_ -= blocks * block_tokens_;
-  drop_tail_donor(entry);
-  victim_index_erase(request_id, entry);
+  drop_tail_donor(&entry);
+  return blocks;
+}
 
-  Entry host_entry = entry;
-  host_entry.shared.clear();
+void KvCacheManager::release_slot(std::int32_t slot) {
+  leave_device(slot);
+  recycle_slot(slot);
+}
+
+bool KvCacheManager::try_swap_out_slot(std::int32_t slot) {
+  const Entry& entry = slot_entry(slot);
+  CIMTPU_CHECK(entry.id >= 0);
+  const std::int64_t blocks = entry_blocks(entry);
+  if (host_used_blocks_ + blocks > host_capacity_blocks_) return false;
+  // The host copy is whole and private: shared prefix blocks are
+  // privatized on the way out (their device copies just lose a reference),
+  // and re-entry takes no part in the prefix index.
+  leave_device(slot);
+  Entry host_entry;
+  host_entry.id = entry.id;
+  host_entry.tokens = entry.tokens;
   host_entry.private_blocks = blocks;
-  host_entry.prefix_id = -1;  // re-entry is private; no index participation
-  host_entry.prefix_len = 0;
+  host_entry.priority = entry.priority;
+  host_entry.computed_tokens = entry.computed_tokens;
   host_used_blocks_ += blocks;
-  host_entries_[request_id] = std::move(host_entry);
-  slot_erase(slot);
+  host_entries_[entry.id] = std::move(host_entry);
+  recycle_slot(slot);
   return true;
 }
 
-bool KvCacheManager::try_swap_in(std::int64_t request_id) {
-  auto it = host_entries_.find(request_id);
+std::optional<std::int32_t> KvCacheManager::try_swap_in(
+    std::int64_t request_id) {
+  const auto it = host_entries_.find(request_id);
   CIMTPU_CHECK(it != host_entries_.end());
-  const std::int64_t blocks = entry_blocks(it->second);
-  if (!fits_blocks(blocks)) return false;
-  const std::int64_t free_now = capacity_blocks_ - occupied_blocks();
+  const Entry& host_entry = it->second;
+  const std::int64_t blocks = entry_blocks(host_entry);
+  if (!fits_blocks(blocks)) return std::nullopt;
+  const std::int64_t free_now = free_blocks();
   if (blocks > free_now) reclaim_cached(blocks - free_now);
-  Entry entry = it->second;
-  entry.admit_seq = next_seq_++;  // re-entry: counts as the newest admission
+  // Re-entry counts as the newest admission.
+  const std::int32_t slot = acquire_slot(request_id, next_seq_++);
+  Entry& entry = slot_entry(slot);
+  entry.tokens = host_entry.tokens;
+  entry.private_blocks = blocks;
+  entry.priority = host_entry.priority;
+  entry.computed_tokens = host_entry.computed_tokens;
   private_used_ += blocks;
   blocks_allocated_total_ += blocks;
   mapped_tokens_ += entry.tokens;
   entry_block_tokens_ += blocks * block_tokens_;
   host_used_blocks_ -= blocks;
-  victim_index_insert(request_id, entry);
-  slot_insert(request_id, std::move(entry));
   host_entries_.erase(it);
-  return true;
-}
-
-void KvCacheManager::note_prefilled(std::int64_t request_id,
-                                    std::int64_t computed_tokens) {
-  auto it = entries_.find(request_id);
-  CIMTPU_CHECK(it != entries_.end());
-  note_prefilled_slot(it->second, computed_tokens);
+  return slot;
 }
 
 void KvCacheManager::note_prefilled_slot(std::int32_t slot,
@@ -492,27 +505,32 @@ void KvCacheManager::note_prefilled_slot(std::int32_t slot,
   Entry& entry = slot_entry(slot);
   entry.computed_tokens = std::min(
       std::max(entry.computed_tokens, computed_tokens), entry_tokens(entry));
-  if (!enable_prefix_cache_ || entry.prefix_id < 0) return;
-  // Blocks this entry registered become hittable once the prefill has
-  // passed their upper token boundary.
-  for (std::int64_t block_id : entry.shared) {
+  // The blocks this entry registered and has not yet computed close its
+  // shared list in block order; each becomes hittable once the prefill
+  // has passed its upper token boundary.
+  while (entry.pending_blocks > 0) {
+    const std::int64_t block_id = entry.shared[entry.shared.size() -
+                                               static_cast<std::size_t>(
+                                                   entry.pending_blocks)];
     SharedBlock& block = block_slab_[static_cast<std::size_t>(block_id)];
-    if (block.registrant == entry.id && !block.computed &&
-        (block.block_index + 1) * block_tokens_ <= entry.computed_tokens) {
-      block.computed = true;
-      block.registrant = -1;
+    if ((block.block_index + 1) * block_tokens_ > entry.computed_tokens) {
+      return;
     }
+    block.computed = true;
+    --entry.pending_blocks;
   }
 }
 
+std::int64_t KvCacheManager::invalidate_slot(std::int32_t slot) {
+  const std::int64_t blocks = leave_device(slot);
+  recycle_slot(slot);
+  blocks_invalidated_total_ += blocks;
+  return blocks;
+}
+
 std::int64_t KvCacheManager::invalidate_blocks(std::int64_t request_id) {
-  const auto it = entries_.find(request_id);
-  if (it != entries_.end()) {
-    const std::int64_t blocks = entry_blocks(slot_entry(it->second));
-    blocks_invalidated_total_ += blocks;
-    release(request_id);
-    return blocks;
-  }
+  const std::int32_t slot = find_slot(request_id);
+  if (slot >= 0) return invalidate_slot(slot);
   const auto host_it = host_entries_.find(request_id);
   if (host_it != host_entries_.end()) {
     const std::int64_t blocks = host_it->second.private_blocks;
@@ -525,9 +543,9 @@ std::int64_t KvCacheManager::invalidate_blocks(std::int64_t request_id) {
 }
 
 bool KvCacheManager::restore_from_host(std::int64_t request_id) {
-  const auto it = entries_.find(request_id);
-  if (it == entries_.end()) return false;
-  const std::int64_t blocks = entry_blocks(slot_entry(it->second));
+  const std::int32_t slot = find_slot(request_id);
+  if (slot < 0) return false;
+  const std::int64_t blocks = entry_blocks(slot_entry(slot));
   // The shadow is a transient host-side checkpoint slot: it must fit
   // next to the blocks the swap pool currently holds.
   if (host_used_blocks_ + blocks > host_capacity_blocks_) return false;
@@ -547,14 +565,14 @@ std::int64_t KvCacheManager::drop_cached_blocks() {
 }
 
 std::int64_t KvCacheManager::resident_tokens(std::int64_t request_id) const {
-  auto it = entries_.find(request_id);
-  return it == entries_.end() ? 0 : entry_tokens(slot_entry(it->second));
+  const std::int32_t slot = find_slot(request_id);
+  return slot < 0 ? 0 : entry_tokens(slot_entry(slot));
 }
 
 std::int64_t KvCacheManager::resident_blocks(std::int64_t request_id) const {
-  const auto it = entries_.find(request_id);
-  if (it == entries_.end()) return 0;
-  const Entry& entry = slot_entry(it->second);
+  const std::int32_t slot = find_slot(request_id);
+  if (slot < 0) return 0;
+  const Entry& entry = slot_entry(slot);
   return static_cast<std::int64_t>(entry.shared.size()) +
          entry_private_blocks(entry);
 }
@@ -566,68 +584,106 @@ std::int64_t KvCacheManager::swapped_tokens(std::int64_t request_id) const {
 
 std::int64_t KvCacheManager::shared_block_count(
     std::int64_t request_id) const {
-  const auto it = entries_.find(request_id);
-  return it == entries_.end()
-             ? 0
-             : static_cast<std::int64_t>(slot_entry(it->second).shared.size());
+  const std::int32_t slot = find_slot(request_id);
+  return slot < 0 ? 0
+                  : static_cast<std::int64_t>(slot_entry(slot).shared.size());
 }
 
 std::int64_t KvCacheManager::pick_eviction_victim(std::int64_t protect) const {
   if (policy_ == EvictionPolicy::kPreemptNewest ||
       policy_ == EvictionPolicy::kSwapToHost) {
-    // Newest admission first; admit_seqs are unique, so the admit-order
-    // index gives the victim in O(log n) with at most one protect skip.
-    for (auto it = admit_order_.rbegin(); it != admit_order_.rend(); ++it) {
-      if (it->second != protect) return it->second;
+    // Newest admission first: the admit-order list's tail, with at most
+    // one protect skip.
+    for (std::int32_t slot = newest_slot_; slot >= 0;
+         slot = slot_entry(slot).older) {
+      if (slot_entry(slot).id != protect) return slot_entry(slot).id;
     }
     return -1;
   }
   // kPriorityVictim.  Forward-progress guarantee: the oldest resident is
   // exempt.  Without it, the largest-KV tie-break livelocks under
   // recompute — the most-progressed low-priority sequence is always the
-  // largest, so it is reset every pressure cycle and never finishes.
-  std::int64_t eligible = static_cast<std::int64_t>(entries_.size());
-  if (protect >= 0 && entries_.count(protect) > 0) --eligible;
-  if (eligible <= 0) return -1;
-  std::int64_t exempt = -1;
-  if (eligible >= 2) {  // a sole candidate stays evictable
-    for (auto it = admit_order_.begin(); it != admit_order_.end(); ++it) {
-      if (it->second != protect) {
-        exempt = it->second;
-        break;
-      }
-    }
+  // largest, so it is reset every pressure cycle and never finishes.  A
+  // sole candidate stays evictable, so the exemption needs a second
+  // candidate; both are among the list's first three entries.
+  std::int32_t exempt = -1;
+  std::int64_t candidates = 0;
+  for (std::int32_t slot = oldest_slot_; slot >= 0 && candidates < 2;
+       slot = slot_entry(slot).newer) {
+    if (slot_entry(slot).id == protect) continue;
+    if (candidates++ == 0) exempt = slot;
   }
-  // Linear min-scan with the VictimKey order: the resident set is bounded
-  // by max batch, so this beats keeping a sorted index current (which
-  // would charge two tree updates to every decoded token).  The order is
-  // a strict total order (id tie-break), so the minimum is unique and the
-  // unordered iteration order is immaterial.
+  if (candidates < 2) exempt = -1;
+  // Linear min-scan of the slot array with the VictimKey order: the
+  // resident set is bounded by max batch, so this beats keeping a sorted
+  // index current (which would charge two tree updates to every decoded
+  // token).  The order is a strict total order (id tie-break), so the
+  // minimum is unique and the scan order is immaterial.
   std::int64_t best_id = -1;
   VictimKey best{};
-  for (const auto& [id, slot] : entries_) {
-    if (id == protect || id == exempt) continue;
-    const Entry& entry = slot_entry(slot);
+  for (std::size_t slot = 0; slot < entry_slots_.size(); ++slot) {
+    const Entry& entry = entry_slots_[slot];
+    if (entry.id < 0 || entry.id == protect ||
+        static_cast<std::int32_t>(slot) == exempt) {
+      continue;
+    }
     const VictimKey key{entry.priority, entry_tokens(entry), entry.admit_seq,
-                        id};
+                        entry.id};
     if (best_id < 0 || key < best) {
       best = key;
-      best_id = id;
+      best_id = entry.id;
     }
   }
   return best_id;
 }
 
 bool KvCacheManager::audit() const {
-  // --- Slot storage: id map and free list partition the slot array -----------
-  if (entries_.size() + free_slots_.size() != entry_slots_.size()) {
-    return false;
-  }
+  // --- Slot storage: live entries and the free list partition the slots ------
+  std::vector<bool> listed_free(entry_slots_.size(), false);
   for (std::int32_t slot : free_slots_) {
     if (slot < 0 || static_cast<std::size_t>(slot) >= entry_slots_.size() ||
-        slot_entry(slot).id != -1) {
+        slot_entry(slot).id != -1 ||
+        listed_free[static_cast<std::size_t>(slot)]) {
       return false;
     }
+    listed_free[static_cast<std::size_t>(slot)] = true;
+  }
+  std::vector<std::int64_t> live_ids;
+  for (std::size_t slot = 0; slot < entry_slots_.size(); ++slot) {
+    const Entry& entry = entry_slots_[slot];
+    if (entry.id >= 0) {
+      live_ids.push_back(entry.id);
+    } else if (entry.id != -1 || !listed_free[slot]) {
+      return false;  // a free slot missing from the free list
+    }
+  }
+  // No two live entries share an id.
+  std::sort(live_ids.begin(), live_ids.end());
+  if (std::adjacent_find(live_ids.begin(), live_ids.end()) != live_ids.end()) {
+    return false;
+  }
+  // --- Admit-order list: exactly the live entries, by admit_seq --------------
+  std::int64_t linked = 0;
+  std::int32_t prev_slot = -1;
+  for (std::int32_t slot = oldest_slot_; slot >= 0;) {
+    if (static_cast<std::size_t>(slot) >= entry_slots_.size() ||
+        linked >= static_cast<std::int64_t>(live_ids.size())) {
+      return false;  // out of range, or a cycle
+    }
+    const Entry& entry = slot_entry(slot);
+    if (entry.id < 0 || entry.older != prev_slot) return false;
+    if (prev_slot >= 0 && slot_entry(prev_slot).admit_seq >= entry.admit_seq) {
+      return false;
+    }
+    ++linked;
+    prev_slot = slot;
+    slot = entry.newer;
+  }
+  // Every linked entry is live and distinct (strictly increasing
+  // admit_seq), so the counts matching means the list holds them all.
+  if (prev_slot != newest_slot_ ||
+      linked != static_cast<std::int64_t>(live_ids.size())) {
+    return false;
   }
   // --- Device entries: block math and rollups --------------------------------
   std::int64_t private_sum = 0;
@@ -636,12 +692,8 @@ bool KvCacheManager::audit() const {
   std::vector<std::int64_t> ref_recount(block_slab_.size(), 0);
   std::vector<std::int64_t> phase_recount(phase_count_.size(), 0);
   std::int64_t advancing_recount = 0;
-  for (const auto& [id, slot] : entries_) {
-    if (slot < 0 || static_cast<std::size_t>(slot) >= entry_slots_.size()) {
-      return false;
-    }
-    const Entry& entry = slot_entry(slot);
-    if (entry.id != id) return false;
+  for (const Entry& entry : entry_slots_) {
+    if (entry.id < 0) continue;
     const std::int64_t tokens = entry_tokens(entry);
     const std::int64_t private_blocks = entry_private_blocks(entry);
     if (tokens < 0 || private_blocks < 0) return false;
@@ -661,12 +713,34 @@ bool KvCacheManager::audit() const {
     private_sum += private_blocks;
     token_sum += tokens;
     block_token_sum += entry_blocks(entry) * block_tokens_;
-    for (std::int64_t block_id : entry.shared) {
+    // The uncomputed blocks are exactly the last pending_blocks, each
+    // referenced by this entry alone (a hit walk stops at them).
+    if (entry.pending_blocks < 0 ||
+        entry.pending_blocks > static_cast<std::int64_t>(entry.shared.size())) {
+      return false;
+    }
+    const std::size_t first_pending =
+        entry.shared.size() - static_cast<std::size_t>(entry.pending_blocks);
+    for (std::size_t i = 0; i < entry.shared.size(); ++i) {
+      const std::int64_t block_id = entry.shared[i];
       if (block_id < 0 ||
           static_cast<std::size_t>(block_id) >= block_slab_.size()) {
         return false;
       }
+      const SharedBlock& block =
+          block_slab_[static_cast<std::size_t>(block_id)];
+      if (block.computed == (i >= first_pending)) return false;
+      if (!block.computed && block.ref != 1) return false;
       ++ref_recount[static_cast<std::size_t>(block_id)];
+    }
+    // A tail donor is its chain's donor.
+    if (entry.tail_donor) {
+      const auto chain = prefix_chains_.find(entry.prefix_id);
+      if (chain == prefix_chains_.end() ||
+          chain->second.tail_donor < 0 ||
+          slot_entry(chain->second.tail_donor).id != entry.id) {
+        return false;
+      }
     }
   }
   if (private_sum != private_used_ || token_sum != mapped_tokens_ ||
@@ -739,9 +813,11 @@ bool KvCacheManager::audit() const {
     if (present != chain.live) return false;
     if (chain.live == 0 && chain.tail_donor < 0) return false;  // not erased
     if (chain.tail_donor >= 0) {
-      const auto donor = entries_.find(chain.tail_donor);
-      if (donor == entries_.end() ||
-          slot_entry(donor->second).prefix_id != prefix_id) {
+      if (static_cast<std::size_t>(chain.tail_donor) >= entry_slots_.size()) {
+        return false;
+      }
+      const Entry& donor = slot_entry(chain.tail_donor);
+      if (donor.id < 0 || !donor.tail_donor || donor.prefix_id != prefix_id) {
         return false;
       }
     }
@@ -773,19 +849,16 @@ bool KvCacheManager::audit() const {
     return false;
   }
   if (occupied_blocks() > capacity_blocks_) return false;
-  // --- Victim index --------------------------------------------------------
-  if (admit_order_.size() != entries_.size()) return false;
-  for (const auto& [seq, id] : admit_order_) {
-    const auto entry = entries_.find(id);
-    if (entry == entries_.end() ||
-        slot_entry(entry->second).admit_seq != seq) {
-      return false;
-    }
-  }
   // --- Host pool -------------------------------------------------------------
   std::int64_t host_sum = 0;
   for (const auto& [id, entry] : host_entries_) {
-    if (entry.tokens < 0 || entry.advancing) return false;
+    if (entry.id != id || entry.tokens < 0 || entry.advancing ||
+        entry.pending_blocks != 0 || entry.tail_donor) {
+      return false;
+    }
+    if (std::binary_search(live_ids.begin(), live_ids.end(), id)) {
+      return false;  // both resident and swapped out
+    }
     if (entry.private_blocks != entry_blocks(entry) ||
         !entry.shared.empty()) {
       return false;  // host copies are whole and private

@@ -36,15 +36,14 @@
 // advance" below),
 // implements the eviction side of every preemption policy (recompute
 // victims drop their blocks outright, swap victims move them to a modeled
-// host pool and restore them later over PCIe), and keeps incremental
-// victim-order indices so `pick_eviction_victim` never rescans the
-// resident set.  It is pure
-// bookkeeping — deterministic and allocation-cheap — so million-request
-// streams stay fast.
+// host pool and restore them later over PCIe), and threads an admit-order
+// list through its dense entry slots, so the newest or oldest resident is
+// one link away.  It is pure bookkeeping — deterministic, and free of
+// allocation once warm — so million-request streams stay fast.
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -112,9 +111,12 @@ class KvCacheManager {
                                      ///< tail block (copy-on-write)
   };
 
-  /// Reserves `tokens` worth of KV blocks for a new request.  Returns
-  /// false (and reserves nothing) when it does not fit even after
-  /// reclaiming cached prefix blocks; the caller keeps the request queued.
+  /// Reserves `tokens` worth of KV blocks for a new request and returns
+  /// its entry's slot (see "Dense slot handles").  Returns nullopt (and
+  /// mutates nothing) when it does not fit even after reclaiming cached
+  /// prefix blocks; the caller keeps the request queued.  A probe that
+  /// cannot fit even if every full prefix block hit and every cached
+  /// block were reclaimed is rejected in O(1), before the prefix lookup.
   /// `priority` feeds kPriorityVictim selection (larger = more important).
   /// With the prefix cache enabled and `prefix_id >= 0`, the first
   /// `prefix_len` tokens of the `prompt_len`-token prompt are looked up in
@@ -124,10 +126,10 @@ class KvCacheManager {
   /// prompt_len - 1 so the final prompt token is recomputed for logits).
   /// Missed full prefix blocks are registered so later requests can share
   /// them once this request's prefill has computed their contents.
-  bool try_admit(std::int64_t request_id, std::int64_t tokens,
-                 std::int64_t priority = 0, std::int64_t prefix_id = -1,
-                 std::int64_t prefix_len = 0, std::int64_t prompt_len = 0,
-                 AdmitOutcome* outcome = nullptr);
+  std::optional<std::int32_t> try_admit(
+      std::int64_t request_id, std::int64_t tokens, std::int64_t priority = 0,
+      std::int64_t prefix_id = -1, std::int64_t prefix_len = 0,
+      std::int64_t prompt_len = 0, AdmitOutcome* outcome = nullptr);
 
   /// Grows a resident request that is not advancing (see begin_advance)
   /// by `tokens`.  A new block is consumed only when the growth crosses a
@@ -135,36 +137,54 @@ class KvCacheManager {
   /// caller decides whether to evict (see `pick_eviction_victim`).
   bool try_grow(std::int64_t request_id, std::int64_t tokens = 1);
 
-  /// Frees a request's device blocks (finished or preempted-for-
-  /// recompute).  Shared prefix blocks lose one reference; fully released
-  /// computed prefix blocks stay cached for future hits.
-  void release(std::int64_t request_id);
+  /// Frees the device blocks of the entry in `slot` (finished or
+  /// preempted-for-recompute) and recycles the slot.  Shared prefix blocks
+  /// lose one reference; fully released computed prefix blocks stay
+  /// cached for future hits.
+  void release_slot(std::int32_t slot);
+  /// release_slot by request id (resolved through find_slot).
+  void release(std::int64_t request_id) {
+    release_slot(checked_slot(request_id));
+  }
 
-  /// Moves a resident request's blocks device -> host pool.  Returns false
-  /// (and moves nothing) when the host pool cannot hold them.  Shared
-  /// prefix blocks are privatized on the way out (the host copy is whole).
-  bool try_swap_out(std::int64_t request_id);
+  /// Moves the blocks of the entry in `slot` device -> host pool and
+  /// recycles the slot.  Returns false (and moves nothing) when the host
+  /// pool cannot hold them.  Shared prefix blocks are privatized on the
+  /// way out (the host copy is whole).
+  bool try_swap_out_slot(std::int32_t slot);
+  /// try_swap_out_slot by request id (resolved through find_slot).
+  bool try_swap_out(std::int64_t request_id) {
+    return try_swap_out_slot(checked_slot(request_id));
+  }
 
   /// Moves a swapped request's blocks host -> device (as private blocks —
-  /// its KV returns over PCIe, not through the prefix index).  Returns
-  /// false when the device budget cannot hold them; the request stays
-  /// swapped.  On success the request counts as the newest admission.
-  bool try_swap_in(std::int64_t request_id);
+  /// its KV returns over PCIe, not through the prefix index) and returns
+  /// its new slot.  Returns nullopt when the device budget cannot hold
+  /// them; the request stays swapped.  On success the request counts as
+  /// the newest admission.
+  std::optional<std::int32_t> try_swap_in(std::int64_t request_id);
 
-  /// Tells the manager how many leading prompt tokens of `request_id` have
-  /// been prefilled, so prefix blocks this request registered become
-  /// hittable once their contents exist.  No-op bookkeeping when the
-  /// prefix cache is disabled.
-  void note_prefilled(std::int64_t request_id, std::int64_t computed_tokens);
+  /// Tells the manager how many leading prompt tokens of the entry in
+  /// `slot` have been prefilled, so prefix blocks it registered become
+  /// hittable once their contents exist.  O(1) once every block it
+  /// registered is computed (always, with the prefix cache disabled).
+  void note_prefilled_slot(std::int32_t slot, std::int64_t computed_tokens);
+  /// note_prefilled_slot by request id (resolved through find_slot).
+  void note_prefilled(std::int64_t request_id, std::int64_t computed_tokens) {
+    note_prefilled_slot(checked_slot(request_id), computed_tokens);
+  }
 
   // --- Fault injection / recovery (serving/fault.h) --------------------------
 
-  /// Drops every block `request_id` holds — device blocks when resident
-  /// (exact release() accounting), host-pool blocks when swapped out — as
-  /// a FAULT, not a lifecycle release: the blocks' contents are lost, and
-  /// the drop counts in the `kv.blocks_invalidated_total` counter.
-  /// Returns the number of blocks invalidated; 0 when the request holds
-  /// nothing.
+  /// Drops every device block of the entry in `slot` (exact release_slot
+  /// accounting) as a FAULT, not a lifecycle release: the blocks' contents
+  /// are lost, and the drop counts in the `kv.blocks_invalidated_total`
+  /// counter.  Returns the number of blocks invalidated.
+  std::int64_t invalidate_slot(std::int32_t slot);
+  /// Drops every block `request_id` holds: its device blocks
+  /// (invalidate_slot) when resident, its host-pool blocks when swapped
+  /// out.  Returns the number of blocks invalidated; 0 when the request
+  /// holds nothing.
   std::int64_t invalidate_blocks(std::int64_t request_id);
 
   /// Re-materializes a RESIDENT request's device blocks from a host
@@ -190,24 +210,24 @@ class KvCacheManager {
   }
 
   // --- Dense slot handles ----------------------------------------------------
-  // Entries live in a dense slot array with a free list; the id map only
-  // resolves ids to slots.  A slot is stable from admission (or swap-in)
-  // until the entry leaves the device (release / swap-out / invalidate),
-  // then recycled.  The scheduler caches one slot per resident sequence so
-  // its per-sequence calls index a flat array instead of hashing the
-  // request id.
+  // Entries live in a dense slot array with a free list.  try_admit and
+  // try_swap_in return the entry's slot, which is stable until the entry
+  // leaves the device (release / swap-out / invalidate), then recycled.
+  // The scheduler keeps that slot per resident sequence and passes it to
+  // every per-sequence call, so no call on the step loop resolves a
+  // request id.  Id-keyed calls (tests, fault recovery, introspection)
+  // scan the slot array, which holds at most the peak residency.
 
-  /// Slot of a RESIDENT request (CHECKs that it is resident).
-  std::int32_t resident_slot(std::int64_t request_id) const;
-
-  /// note_prefilled by slot — identical semantics.
-  void note_prefilled_slot(std::int32_t slot, std::int64_t computed_tokens);
+  /// Slot of a resident request; -1 when it is not resident.
+  std::int32_t find_slot(std::int64_t request_id) const;
 
   /// Chooses the request to preempt under the configured policy, excluding
   /// `protect` (the request currently being grown).  Returns -1 when
-  /// nothing can be evicted (empty, or only `protect` resident).  Victim selection scans the resident set (bounded by max
-  /// batch); admission recency comes from the incremental admit-order
-  /// index.  The caller must release/swap the victim and re-queue it.
+  /// nothing can be evicted (empty, or only `protect` resident).  The
+  /// newest resident (kPreemptNewest, kSwapToHost) and the oldest (the
+  /// kPriorityVictim exemption) are read off the admit-order list;
+  /// kPriorityVictim's choice scans the slot array (bounded by max batch).
+  /// The caller must release/swap the victim and re-queue it.
   std::int64_t pick_eviction_victim(std::int64_t protect) const;
 
   // --- Decode advance (hot path) ---------------------------------------------
@@ -267,7 +287,7 @@ class KvCacheManager {
   double add_fragmentation_over(std::int64_t advances, double sum) const;
 
   bool resident(std::int64_t request_id) const {
-    return entries_.count(request_id) > 0;
+    return find_slot(request_id) >= 0;
   }
   bool swapped(std::int64_t request_id) const {
     return host_entries_.count(request_id) > 0;
@@ -277,7 +297,9 @@ class KvCacheManager {
   /// resident.
   std::int64_t resident_blocks(std::int64_t request_id) const;
   std::int64_t swapped_tokens(std::int64_t request_id) const;
-  std::size_t resident_count() const { return entries_.size(); }
+  std::size_t resident_count() const {
+    return entry_slots_.size() - free_slots_.size();
+  }
   std::size_t swapped_count() const { return host_entries_.size(); }
 
   // --- Block-level accounting ------------------------------------------------
@@ -349,13 +371,18 @@ class KvCacheManager {
   Bytes bytes_per_token() const { return bytes_per_token_; }
   EvictionPolicy policy() const { return policy_; }
 
-  /// Accounting invariant for tests: per-entry block counts match their
-  /// token counts; live shared blocks and free ids partition the block
-  /// slab; refcounts match a full recount (and are >= 1 for every mapped
-  /// shared block); every prefix-chain entry and its block point at each
-  /// other; the LRU list is ordered by lru_seq and holds exactly the
-  /// computed refcount-0 blocks; the victim-order index and tail donors
-  /// are consistent; and device/host occupancy never exceeds capacity.
+  /// Accounting invariant for tests: the free list and the live entries
+  /// partition the slot array, and no two live entries share an id; the
+  /// admit-order list links exactly the live entries, symmetrically, in
+  /// strictly increasing admit_seq; per-entry block counts match their
+  /// token counts, and each entry's pending count matches its uncomputed
+  /// registered blocks (the tail of its shared list, each referenced by it
+  /// alone); live shared blocks and free ids partition the block slab;
+  /// refcounts match a full recount (and are >= 1 for every mapped shared
+  /// block); every prefix-chain entry and its block point at each other;
+  /// the LRU list is ordered by lru_seq and holds exactly the computed
+  /// refcount-0 blocks; tail donors and their chains point at each other;
+  /// and device/host occupancy never exceeds capacity.
   bool audit() const;
 
  private:
@@ -368,22 +395,30 @@ class KvCacheManager {
     /// through entry_private_blocks).
     std::int64_t private_blocks = 0;
     bool advancing = false;
+    bool tail_donor = false;  ///< its chain's partial-tail donor
     std::int64_t phase = 0;  ///< advancing: clock phase at which it grows
     std::int64_t admit_seq = 0;   ///< admission order for eviction policy
+    std::int32_t older = -1;  ///< admit-order list: previous slot, -1 = head
+    std::int32_t newer = -1;  ///< admit-order list: next slot, -1 = tail
     std::int64_t priority = 0;    ///< larger = more important
     std::int64_t computed_tokens = 0;  ///< leading prompt tokens prefilled
     std::int64_t prefix_id = -1;
     std::int64_t prefix_len = 0;
-    std::vector<std::int64_t> shared;  ///< leading shared physical block ids
+    /// Blocks this entry registered whose prefill has not passed them:
+    /// the last `pending_blocks` of `shared`, in block order.
+    std::int64_t pending_blocks = 0;
+    /// Leading shared physical block ids: the hits, then the blocks this
+    /// entry registered.
+    std::vector<std::int64_t> shared;
   };
 
   /// One slot of the shared-block slab; the block id is the slot index.
   /// A free slot has prefix_id -1 (live blocks always carry a prefix).
+  /// An uncomputed block is referenced by its registrant alone.
   struct SharedBlock {
     std::int64_t ref = 0;
     std::int64_t prefix_id = -1;
     std::int64_t block_index = 0;  ///< k: covers tokens [k*B, (k+1)*B)
-    std::int64_t registrant = -1;  ///< entry whose prefill computes it
     bool computed = false;         ///< contents exist (hittable)
     std::int64_t lru_seq = -1;     ///< reclaim order while cached (ref 0)
     std::int64_t lru_prev = -1;    ///< intrusive LRU links while cached
@@ -397,7 +432,7 @@ class KvCacheManager {
   struct PrefixChain {
     std::vector<std::int64_t> blocks;
     std::int64_t live = 0;         ///< entries of `blocks` that are >= 0
-    std::int64_t tail_donor = -1;  ///< entry id, -1 = none
+    std::int32_t tail_donor = -1;  ///< donor entry's slot, -1 = none
   };
 
   /// Victim preference under kPriorityVictim: lowest priority first, then
@@ -442,8 +477,20 @@ class KvCacheManager {
   /// free ones run out; returns blocks reclaimed.  The caller owns the
   /// entry side (try_grow) or derives it (advancing entries).
   std::int64_t allocate_growth(std::int64_t blocks);
-  void victim_index_insert(std::int64_t id, const Entry& entry);
-  void victim_index_erase(std::int64_t id, const Entry& entry);
+  /// find_slot, CHECKing that the request is resident.
+  std::int32_t checked_slot(std::int64_t request_id) const;
+  /// Takes a slot (recycled when one is free) for a new device entry of
+  /// `request_id` with admit_seq `admit_seq` and links it as the newest
+  /// admission.  The entry's other fields are defaults; a recycled slot
+  /// keeps its `shared` capacity.
+  std::int32_t acquire_slot(std::int64_t request_id, std::int64_t admit_seq);
+  /// Unlinks the entry in `slot` from the admit-order list and recycles
+  /// the slot.
+  void recycle_slot(std::int32_t slot);
+  /// Drops the device side of the entry in `slot`: ends its advance,
+  /// unreferences its shared blocks, takes its blocks and tokens off the
+  /// totals and gives up its tail donation.  Returns its block count.
+  std::int64_t leave_device(std::int32_t slot);
   /// Reclaims `blocks` cached prefix blocks, oldest first.  The caller
   /// must have checked fits_blocks; reclaimed blocks leave the index.
   void reclaim_cached(std::int64_t blocks);
@@ -451,9 +498,10 @@ class KvCacheManager {
   /// refcount 0 becomes cached, an uncomputed one is destroyed.
   void unref_shared(std::int64_t block_id);
   /// Takes a slab id (recycled when one is free) for block k of `chain`,
-  /// registered by `registrant` and not yet computed; returns the id.
+  /// referenced once by its registrant and not yet computed; returns the
+  /// id.
   std::int64_t new_shared_block(std::int64_t prefix_id, PrefixChain* chain,
-                                std::int64_t k, std::int64_t registrant);
+                                std::int64_t k);
   /// Removes a refcount-0 block from its chain and recycles its id.
   void free_shared_block(std::int64_t block_id);
   /// Appends a block that just reached refcount 0 to the LRU tail.
@@ -461,7 +509,7 @@ class KvCacheManager {
   /// Unlinks a cached block from the LRU list (a hit or a reclaim).
   void lru_unlink(std::int64_t block_id);
   /// Clears `entry`'s tail-donor volunteering as it leaves the device.
-  void drop_tail_donor(const Entry& entry);
+  void drop_tail_donor(Entry* entry);
   /// Erases `chain` when it holds no block and no donor.
   void erase_chain_if_empty(
       std::unordered_map<std::int64_t, PrefixChain>::iterator chain);
@@ -495,10 +543,6 @@ class KvCacheManager {
   std::vector<std::int64_t> phase_count_;  ///< advancing entries by phase
   /// Blocks of the next advance grow_advancing already allocated.
   std::int64_t advance_grown_ = 0;
-  /// Acquires a dense slot for `entry` and indexes it; returns the slot.
-  std::int32_t slot_insert(std::int64_t request_id, Entry&& entry);
-  /// Unlinks the entry in `slot` from the id map and recycles the slot.
-  void slot_erase(std::int32_t slot);
   Entry& slot_entry(std::int32_t slot) {
     return entry_slots_[static_cast<std::size_t>(slot)];
   }
@@ -508,13 +552,16 @@ class KvCacheManager {
 
   std::vector<Entry> entry_slots_;        ///< dense device entries (slot API)
   std::vector<std::int32_t> free_slots_;  ///< recycled entry_slots_ indices
-  std::unordered_map<std::int64_t, std::int32_t> entries_;  ///< id -> slot
+  std::int32_t oldest_slot_ = -1;  ///< admit-order list head, -1 = empty
+  std::int32_t newest_slot_ = -1;  ///< admit-order list tail
   std::unordered_map<std::int64_t, Entry> host_entries_;  ///< swapped out
-  std::map<std::int64_t, std::int64_t> admit_order_;  ///< admit_seq -> id
 
   // --- Prefix-cache store ---------------------------------------------------
-  // Flat, so an admission pays one hash probe for its prefix chain plus an
-  // array walk, and a release or reclaim touches each block in O(1).
+  // Flat.  An admission looks its prefix chain up once, plans over the
+  // chain array in one pass and commits its references in another; a
+  // release or hit touches each block in O(1).  Only a chain's edits probe
+  // it: freeing a block (reclaim, or an uncomputed block's last release)
+  // and a tail donor's leaving.
   std::vector<SharedBlock> block_slab_;       ///< shared blocks, by id
   std::vector<std::int64_t> free_block_ids_;  ///< recycled slab ids
   std::int64_t live_shared_blocks_ = 0;       ///< slab slots in use
@@ -522,7 +569,6 @@ class KvCacheManager {
   std::int64_t lru_head_ = -1;  ///< oldest cached block (reclaimed first)
   std::int64_t lru_tail_ = -1;  ///< newest cached block
   std::unordered_map<std::int64_t, PrefixChain> prefix_chains_;  ///< by id
-  std::vector<std::int64_t> hit_blocks_;  ///< try_admit scratch
 };
 
 // --- Decode advance: inline, called once per decode step or quiet run -----

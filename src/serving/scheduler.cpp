@@ -365,7 +365,7 @@ std::int64_t ContinuousBatchScheduler::advance_decoders(std::int64_t steps) {
 void ContinuousBatchScheduler::retire(std::int32_t slot, StepRecord* record) {
   const Request& request = pool_.request[slot];
   record->finished_ids.push_back(request.id);
-  kv_cache_->release(request.id);
+  kv_cache_->release_slot(pool_.kv_slot[slot]);
   pool_.kv_slot[slot] = -1;
   admission_->on_finish(request);
   admit_blocked_ = false;  // finish freed device blocks
@@ -401,8 +401,8 @@ Bytes ContinuousBatchScheduler::computed_kv_bytes(
 }
 
 std::int32_t ContinuousBatchScheduler::resident_append(
-    const Request& request, std::int64_t prefilled, std::int64_t generated,
-    std::int64_t prefix_skipped) {
+    const Request& request, std::int32_t kv_slot, std::int64_t prefilled,
+    std::int64_t generated, std::int64_t prefix_skipped) {
   const std::int32_t slot = pool_.acquire();
   pool_.prompt_len[slot] = request.prompt_len;
   pool_.output_len[slot] = request.output_len;
@@ -410,7 +410,7 @@ std::int32_t ContinuousBatchScheduler::resident_append(
   pool_.generated[slot] = generated;
   pool_.prefix_skipped[slot] = prefix_skipped;
   pool_.bucket[slot] = 0;
-  pool_.kv_slot[slot] = kv_cache_->resident_slot(request.id);
+  pool_.kv_slot[slot] = kv_slot;
   pool_.request[slot] = request;
   resident_.push_back(slot);
   return slot;
@@ -485,8 +485,10 @@ void ContinuousBatchScheduler::swap_in_and_admit(StepRecord* record) {
   // decode step's growth free beyond the restore itself.
   while (!swapped_.empty() &&
          resident_.size() < static_cast<std::size_t>(effective_max_batch()) &&
-         swap_in_fits(swapped_.front()) &&
-         kv_cache_->try_swap_in(swapped_.front().request.id)) {
+         swap_in_fits(swapped_.front())) {
+    const std::optional<std::int32_t> kv_slot =
+        kv_cache_->try_swap_in(swapped_.front().request.id);
+    if (!kv_slot) break;
     Sequence sequence = swapped_.front();
     swapped_.pop_front();
     const Bytes bytes =
@@ -497,7 +499,7 @@ void ContinuousBatchScheduler::swap_in_and_admit(StepRecord* record) {
     counters_.swap_in_bytes += bytes;
     if (trace_) trace_->on_swap_in(sequence.request.id, bytes);
     const std::int32_t slot =
-        resident_append(sequence.request, sequence.prefilled,
+        resident_append(sequence.request, *kv_slot, sequence.prefilled,
                         sequence.generated, sequence.prefix_skipped);
     if (!slot_prefilling(slot)) decoder_enter(slot);
     admit_blocked_ = false;
@@ -516,9 +518,10 @@ void ContinuousBatchScheduler::swap_in_and_admit(StepRecord* record) {
     // Admission reserves the prompt plus the first token; decode steps grow
     // the rest under the eviction policy.
     KvCacheManager::AdmitOutcome outcome;
-    if (!kv_cache_->try_admit(head->id, head->prompt_len + 1,
-                              head->priority, head->prefix_id,
-                              head->prefix_len, head->prompt_len, &outcome)) {
+    const std::optional<std::int32_t> kv_slot = kv_cache_->try_admit(
+        head->id, head->prompt_len + 1, head->priority, head->prefix_id,
+        head->prefix_len, head->prompt_len, &outcome);
+    if (!kv_slot) {
       // Head-of-line block: for a pure-select policy this exact probe
       // repeats (and fails) every step until something structural changes,
       // so remember the block and skip the re-probe until then.
@@ -545,10 +548,10 @@ void ContinuousBatchScheduler::swap_in_and_admit(StepRecord* record) {
       // directly with its remotely-emitted first token on the books.  No
       // first_token_ids entry is ever recorded for it on this replica.
       const std::int32_t slot =
-          resident_append(*head, /*prefilled=*/head->prompt_len,
+          resident_append(*head, *kv_slot, /*prefilled=*/head->prompt_len,
                           /*generated=*/1,
                           /*prefix_skipped=*/head->prompt_len);
-      kv_cache_->note_prefilled_slot(pool_.kv_slot[slot], head->prompt_len);
+      kv_cache_->note_prefilled_slot(*kv_slot, head->prompt_len);
       prefilled_pending_.erase(head->id);
       decoder_enter(slot);
     } else {
@@ -557,7 +560,8 @@ void ContinuousBatchScheduler::swap_in_and_admit(StepRecord* record) {
       // capped at prompt_len - 1, so a fresh admission always starts
       // prefilling and the decoder aggregates are untouched here.  Copy
       // BEFORE pop_selected: `head` points into the policy's storage.
-      resident_append(*head, /*prefilled=*/outcome.prefix_hit_tokens,
+      resident_append(*head, *kv_slot,
+                      /*prefilled=*/outcome.prefix_hit_tokens,
                       /*generated=*/0,
                       /*prefix_skipped=*/outcome.prefix_hit_tokens);
     }
@@ -612,7 +616,7 @@ bool ContinuousBatchScheduler::remove_for_fault(std::int64_t request_id,
     const std::int32_t slot = *resident_it;
     resident_.erase(resident_it);
     if (!slot_prefilling(slot)) decoder_leave(slot);
-    kv_cache_->invalidate_blocks(request_id);
+    kv_cache_->invalidate_slot(pool_.kv_slot[slot]);
     admit_blocked_ = false;  // invalidation freed device blocks
     fill(pool_.request[slot], pool_.prefilled[slot],
          pool_.prefix_skipped[slot], pool_.generated[slot]);
@@ -752,7 +756,7 @@ bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
     resident_.erase(victim_it);
     if (!slot_prefilling(slot)) decoder_leave(slot);
     if (kv_cache_->policy() == EvictionPolicy::kSwapToHost &&
-        kv_cache_->try_swap_out(victim_id)) {
+        kv_cache_->try_swap_out_slot(pool_.kv_slot[slot])) {
       const Bytes bytes =
           computed_kv_bytes(pool_.prefilled[slot], pool_.generated[slot]);
       // Progress survives the swap: snapshot the slot into the cold deque,
@@ -767,7 +771,7 @@ bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
       counters_.swap_out_bytes += bytes;
       if (trace_) trace_->on_swap_out(victim_id, bytes);
     } else {
-      kv_cache_->release(victim_id);
+      kv_cache_->release_slot(pool_.kv_slot[slot]);
       // The policy decides where a recompute victim waits (FIFO: front).
       admission_->on_preempt_requeue(pool_.request[slot]);
       record->preempted_ids.push_back(victim_id);

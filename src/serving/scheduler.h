@@ -313,8 +313,8 @@ class ContinuousBatchScheduler {
   ResidentInfo resident_info(std::size_t index) const;
 
   /// Fault: removes `request_id` from the engine — resident (device KV
-  /// invalidated via KvCacheManager::invalidate_blocks) or swapped out
-  /// (host-pool bytes released) — WITHOUT re-queueing it.  The caller
+  /// invalidated via KvCacheManager::invalidate_slot) or swapped out
+  /// (host-pool bytes released via invalidate_blocks) — WITHOUT re-queueing it.  The caller
   /// owns what happens next: backoff re-admission (requeue_after_fault)
   /// or a fault shed.  `*out` receives the request, `*progress` (optional)
   /// the progress lost.  Returns false when the id is not in the engine.
@@ -498,11 +498,11 @@ class ContinuousBatchScheduler {
   /// PCIe bytes to move a sequence's computed KV (swap, host restore).
   Bytes computed_kv_bytes(std::int64_t prefilled,
                           std::int64_t generated) const;
-  /// Fills a freshly acquired pool slot from a request plus progress state
-  /// and appends it to `resident_`.  The KV entry must already be resident
-  /// (kv_slot is resolved here, once per admission).
-  std::int32_t resident_append(const Request& request, std::int64_t prefilled,
-                               std::int64_t generated,
+  /// Fills a freshly acquired pool slot from a request, the KV slot its
+  /// admission or swap-in returned, and progress state, and appends it to
+  /// `resident_`.
+  std::int32_t resident_append(const Request& request, std::int32_t kv_slot,
+                               std::int64_t prefilled, std::int64_t generated,
                                std::int64_t prefix_skipped);
 
   /// The batch cap admissions honour right now: the configured max_batch,

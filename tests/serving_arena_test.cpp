@@ -193,6 +193,43 @@ TEST_F(SteadyDecodeTest, EngineDecodeIsAllocationFreeOnLightTraffic) {
       << "the window must be pure decode: nothing finishes";
 }
 
+TEST(KvAdmission, PrefixAdmitAndReleaseAllocateNothingOnceWarm) {
+  // The router cells' shape: 16-token blocks and a 1000-token prefix (62
+  // full blocks plus a copy-on-write tail, served by a resident donor).
+  // Once the slot array, the chain and every shared list have their
+  // capacity, admission, prefill notes and release recycle all of it.
+  KvCacheManager kv(/*capacity=*/1e6, /*bytes_per_token=*/1.0,
+                    EvictionPolicy::kPreemptNewest,
+                    /*host_capacity=*/1024 * GiB, /*block_tokens=*/16,
+                    /*enable_prefix_cache=*/true);
+  constexpr std::int64_t kPrefix = 1000;
+  constexpr std::int64_t kPrompt = 1100;
+  const auto cycle = [&](std::int64_t id) {
+    KvCacheManager::AdmitOutcome outcome;
+    const auto slot = kv.try_admit(id, kPrompt + 1, /*priority=*/0,
+                                   /*prefix_id=*/0, kPrefix, kPrompt,
+                                   &outcome);
+    ASSERT_TRUE(slot.has_value());
+    ASSERT_EQ(outcome.shared_blocks, kPrefix / 16);
+    ASSERT_EQ(outcome.cow_blocks, 1);
+    kv.note_prefilled_slot(*slot, kPrompt / 2);
+    kv.note_prefilled_slot(*slot, kPrompt);
+    kv.release_slot(*slot);
+  };
+  // The donor registers the chain and stays resident.
+  const auto donor = kv.try_admit(0, kPrompt + 1, 0, 0, kPrefix, kPrompt);
+  ASSERT_TRUE(donor.has_value());
+  kv.note_prefilled_slot(*donor, kPrompt);
+  for (std::int64_t id = 1; id <= 4; ++id) cycle(id);  // warm-up
+
+  const std::int64_t before = allocations();
+  for (std::int64_t id = 5; id < 1005; ++id) cycle(id);
+  EXPECT_EQ(allocations(), before)
+      << "a warm admit / note_prefilled / release cycle must not allocate";
+  EXPECT_EQ(kv.resident_count(), 1u);
+  EXPECT_TRUE(kv.audit());
+}
+
 // Whole-trace handover sizes the engine's per-request state once: no
 // per-request allocation and no geometric regrowth, so 10x the requests
 // cost the same number of heap allocations.

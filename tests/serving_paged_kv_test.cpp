@@ -1,8 +1,9 @@
 // Paged-KV hardening suite: block-granular allocation math, ref-counted
 // prefix sharing (full blocks, cached retention, LRU reclaim, partial-tail
 // copy-on-write), LRU order and id reuse in the flat block store, a seeded
-// churn test against a brute-force prefix-cache reference, input
-// validation, the incremental victim-order indices, a seeded
+// churn test against a brute-force prefix-cache reference, the O(1)
+// admission bound and chunked prefill notes, input validation, victim
+// order from the admit-order list against a brute-force scan, a seeded
 // alloc/grow/share/CoW/free fuzz across 3 seeds x 3 eviction policies, and
 // a paged-vs-contiguous lockstep equivalence test at block size 1 (the
 // compatibility contract the golden pins rely on).
@@ -337,6 +338,73 @@ TEST(PrefixCacheTest, ChurnRecyclesBlockIds) {
   EXPECT_GT(kv.cached_blocks_reclaimed_total(), 1000);
 }
 
+TEST(PrefixCacheTest, HitsAdmitPastTheFreeAndCachedBlocks) {
+  // 8 blocks of 4 tokens.  A resident holds a computed 2-block prefix and
+  // a private block; a 4-block filler leaves one block free and none
+  // cached.  A 3-block same-prefix admission needs more than free +
+  // cached, but its 2 hits leave 1 block to allocate: it must pass the
+  // O(1) bound and be admitted.
+  KvCacheManager kv = paged(32.0, 4, true);
+  ASSERT_TRUE(kv.try_admit(0, 10, 0, /*prefix_id=*/9, /*prefix_len=*/8,
+                           /*prompt_len=*/9));
+  kv.note_prefilled(0, 9);
+  ASSERT_TRUE(kv.try_admit(1, 16));
+  ASSERT_EQ(kv.free_blocks(), 1);
+  ASSERT_EQ(kv.cached_block_count(), 0);
+  KvCacheManager::AdmitOutcome outcome;
+  ASSERT_TRUE(kv.try_admit(2, 10, 0, 9, 8, 9, &outcome));
+  EXPECT_EQ(outcome.shared_blocks, 2);
+  EXPECT_EQ(outcome.prefix_hit_tokens, 8);
+  EXPECT_EQ(kv.free_blocks(), 0);
+  EXPECT_TRUE(kv.audit());
+
+  // Cached hits are no help: once the prefix's holders leave, its blocks
+  // are the only cached ones, and a hit takes them off the reclaimable
+  // pool.  A 4-block admission with 1 free block and 2 cached hits passes
+  // the bound (4 - 2 <= 1 + 2) but not the exact check (2 > 1 + 0), and
+  // changes nothing.
+  kv.release(0);
+  kv.release(2);
+  ASSERT_EQ(kv.cached_block_count(), 2);
+  ASSERT_TRUE(kv.try_admit(3, 4));
+  ASSERT_EQ(kv.free_blocks(), 1);
+  const std::int64_t allocated = kv.blocks_allocated_total();
+  EXPECT_FALSE(kv.try_admit(4, 14, 0, 9, 8, 13, &outcome));
+  EXPECT_FALSE(kv.resident(4));
+  EXPECT_EQ(kv.cached_block_count(), 2);
+  EXPECT_EQ(kv.free_blocks(), 1);
+  EXPECT_EQ(kv.blocks_allocated_total(), allocated);
+  EXPECT_TRUE(kv.audit());
+  // A 6-block probe is past the bound (6 - 2 > 1 + 2): rejected in O(1).
+  EXPECT_FALSE(kv.try_admit(5, 21, 0, 9, 8, 20));
+  EXPECT_TRUE(kv.audit());
+}
+
+TEST(PrefixCacheTest, ChunkedPrefillMakesEachRegisteredBlockHittable) {
+  // A 12-token prefix is 3 full 4-token blocks.  Its registrant prefills
+  // in chunks; a same-prefix probe admitted after each chunk hits exactly
+  // the blocks the prefill has passed, and leaves again.
+  KvCacheManager kv = paged(1000.0, 4, true);
+  const auto slot = kv.try_admit(0, 15, 0, /*prefix_id=*/4,
+                                 /*prefix_len=*/12, /*prompt_len=*/14);
+  ASSERT_TRUE(slot.has_value());
+  ASSERT_EQ(kv.shared_block_count(0), 3);  // all three registered
+  const std::vector<std::pair<std::int64_t, std::int64_t>> steps = {
+      {0, 0}, {3, 0}, {4, 1}, {7, 1}, {8, 2}, {11, 2}, {12, 3}, {14, 3}};
+  std::int64_t probe = 100;
+  for (const auto& [computed, hittable] : steps) {
+    SCOPED_TRACE("prefilled " + std::to_string(computed));
+    kv.note_prefilled_slot(*slot, computed);
+    KvCacheManager::AdmitOutcome outcome;
+    ASSERT_TRUE(kv.try_admit(probe, 15, 0, 4, 12, 14, &outcome));
+    EXPECT_EQ(outcome.shared_blocks, hittable);
+    EXPECT_EQ(outcome.prefix_hit_tokens, hittable * 4);
+    EXPECT_EQ(kv.shared_block_count(probe), hittable);  // registers nothing
+    EXPECT_TRUE(kv.audit());
+    kv.release(probe++);
+  }
+}
+
 // --- Seeded churn against a brute-force reference ----------------------------
 
 /// The prefix cache's semantics over the most direct containers: blocks
@@ -600,7 +668,8 @@ TEST(PrefixCacheChurnTest, MatchesBruteForceReference) {
             KvCacheManager::AdmitOutcome got, want;
             const bool admitted =
                 kv.try_admit(op, tokens, 0, prefix_id,
-                             prefix_id >= 0 ? prefix_len : 0, prompt, &got);
+                             prefix_id >= 0 ? prefix_len : 0, prompt, &got)
+                    .has_value();
             ASSERT_EQ(admitted,
                       ref.try_admit(op, tokens, prefix_id,
                                     prefix_id >= 0 ? prefix_len : 0, prompt,
@@ -633,7 +702,7 @@ TEST(PrefixCacheChurnTest, MatchesBruteForceReference) {
             (out ? host : device).push_back(id);
           } else if (kind == 6 && !host.empty()) {
             const std::int64_t id = take(&host);
-            const bool in = kv.try_swap_in(id);
+            const bool in = kv.try_swap_in(id).has_value();
             ASSERT_EQ(in, ref.try_swap_in(id));
             (in ? device : host).push_back(id);
           } else if (kind == 7) {
@@ -660,20 +729,28 @@ TEST(PrefixCacheChurnTest, MatchesBruteForceReference) {
   }
 }
 
-// --- Victim-order indices (satellite: no full scans) -------------------------
+// --- Victim order from the admit-order list -----------------------------------
 
 TEST(VictimIndexTest, MatchesBruteForceScanUnderChurn) {
-  // The incremental admit-order / priority-order indices must reproduce
-  // the historical full-scan victim choice exactly, across policies,
-  // protect values, grows, releases, and swap re-admissions.
+  // The admit-order list (newest / oldest resident) and the slot-array
+  // priority scan must reproduce the historical full-scan victim choice
+  // exactly, across policies, protect values, grows, releases, swap-outs,
+  // swap-ins (re-entering as the newest admission) and fault
+  // invalidations.  Slots handed out must be recycled ones while any are
+  // free.
   struct Shadow {
     std::int64_t tokens, admit_seq, priority;
   };
   for (EvictionPolicy policy :
        {EvictionPolicy::kPreemptNewest, EvictionPolicy::kSwapToHost,
         EvictionPolicy::kPriorityVictim}) {
+    SCOPED_TRACE("policy " + eviction_policy_name(policy));
     KvCacheManager kv = paged(1e6, 4, false, policy);
-    std::map<std::int64_t, Shadow> shadow;
+    std::map<std::int64_t, Shadow> shadow;  // resident
+    std::map<std::int64_t, Shadow> host;    // swapped out
+    std::map<std::int64_t, std::int32_t> slot_of;
+    std::set<std::int32_t> free_slots;
+    std::int32_t slots_made = 0;
     std::int64_t shadow_seq = 0;
     Rng rng(77);
     const auto brute_force = [&](std::int64_t protect) {
@@ -713,30 +790,88 @@ TEST(VictimIndexTest, MatchesBruteForceScanUnderChurn) {
       }
       return victim;
     };
-    for (std::int64_t op = 0; op < 500; ++op) {
-      const std::int64_t kind = rng.uniform_int(0, 3);
+    // A slot handed out is a freed one while any is free, else a new one.
+    const auto take_slot = [&](std::int64_t id, std::int32_t slot) {
+      if (free_slots.empty()) {
+        EXPECT_EQ(slot, slots_made++);
+      } else {
+        EXPECT_EQ(free_slots.erase(slot), 1u) << "slot " << slot;
+      }
+      slot_of[id] = slot;
+    };
+    const auto free_slot = [&](std::int64_t id) {
+      free_slots.insert(slot_of.at(id));
+      slot_of.erase(id);
+    };
+    for (std::int64_t op = 0; op < 800; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      const std::int64_t kind = rng.uniform_int(0, 6);
       if (kind == 0 || shadow.empty()) {
         const std::int64_t tokens = rng.uniform_int(1, 40);
         const std::int64_t priority = rng.uniform_int(0, 3);
-        ASSERT_TRUE(kv.try_admit(op, tokens, priority));
+        const auto slot = kv.try_admit(op, tokens, priority);
+        ASSERT_TRUE(slot.has_value());
+        take_slot(op, *slot);
         shadow[op] = Shadow{tokens, shadow_seq++, priority};
       } else if (kind == 1) {
         const std::int64_t id = shadow.begin()->first;
         ASSERT_TRUE(kv.try_grow(id, rng.uniform_int(1, 9)));
-        shadow[id].tokens += 0;  // tokens tracked below
-      } else {
+      } else if (kind == 2) {
         const std::int64_t id = shadow.rbegin()->first;
         kv.release(id);
         shadow.erase(id);
+        free_slot(id);
+      } else if (kind == 3) {
+        // Swap out a random resident; it keeps its tokens and priority.
+        auto it = std::next(shadow.begin(),
+                            rng.uniform_int(0, static_cast<std::int64_t>(
+                                                   shadow.size()) - 1));
+        const std::int64_t id = it->first;
+        ASSERT_TRUE(kv.try_swap_out(id));
+        host[id] = it->second;
+        shadow.erase(it);
+        free_slot(id);
+      } else if (kind == 4 && !host.empty()) {
+        // Swap in the oldest swapped id: it re-enters as the newest.
+        const auto it = host.begin();
+        const auto slot = kv.try_swap_in(it->first);
+        ASSERT_TRUE(slot.has_value());
+        take_slot(it->first, *slot);
+        Shadow entry = it->second;
+        entry.admit_seq = shadow_seq++;
+        shadow[it->first] = entry;
+        host.erase(it);
+      } else if (kind == 5) {
+        // A fault drops a resident's blocks, or a swapped one's.
+        const bool drop_host = !host.empty() && rng.uniform_int(0, 1) == 0;
+        if (drop_host) {
+          const std::int64_t id = host.rbegin()->first;
+          EXPECT_EQ(kv.invalidate_blocks(id),
+                    (host.rbegin()->second.tokens + 3) / 4);
+          host.erase(id);
+        } else {
+          const std::int64_t id = shadow.begin()->first;
+          const std::int64_t blocks = (kv.resident_tokens(id) + 3) / 4;
+          EXPECT_EQ(kv.invalidate_blocks(id), blocks);
+          shadow.erase(id);
+          free_slot(id);
+        }
       }
       // Mirror token counts from the manager (grow path above).
-      for (auto& [id, entry] : shadow) entry.tokens = kv.resident_tokens(id);
+      for (auto& [id, entry] : shadow) {
+        entry.tokens = kv.resident_tokens(id);
+        ASSERT_EQ(kv.find_slot(id), slot_of.at(id));
+      }
+      for (auto& [id, entry] : host) {
+        ASSERT_EQ(kv.swapped_tokens(id), entry.tokens);
+        ASSERT_EQ(kv.find_slot(id), -1);
+      }
       const std::int64_t protect =
           shadow.empty() || rng.uniform_int(0, 1) == 0
               ? -1
               : shadow.begin()->first;
-      ASSERT_EQ(kv.pick_eviction_victim(protect), brute_force(protect))
-          << "policy " << eviction_policy_name(policy) << " op " << op;
+      ASSERT_EQ(kv.pick_eviction_victim(protect), brute_force(protect));
+      ASSERT_EQ(kv.resident_count(), shadow.size());
       ASSERT_TRUE(kv.audit());
     }
   }
@@ -792,7 +927,8 @@ TEST(PagedKvFuzzTest, NoLeaksAcrossSeedsAndPolicies) {
           host.erase(host.begin());
         }
         // audit() recomputes per-block refcounts (>= 1 while mapped),
-        // per-entry block math, the cached set, and both victim indices.
+        // per-entry block math and pending counts, the cached set, and
+        // walks the admit-order list.
         ASSERT_TRUE(kv.audit())
             << "seed " << seed << " policy " << eviction_policy_name(policy)
             << " op " << op;
@@ -895,7 +1031,7 @@ TEST(PagedContiguousLockstepTest, BlockSizeOneMatchesContiguousDecisions) {
         const std::int64_t kind = rng.uniform_int(0, 4);
         if (kind == 0 || device.empty()) {
           const std::int64_t tokens = rng.uniform_int(1, 60);
-          const bool paged_ok = kv.try_admit(op, tokens);
+          const bool paged_ok = kv.try_admit(op, tokens).has_value();
           ASSERT_EQ(paged_ok, reference.try_admit(op, tokens)) << "op " << op;
           if (paged_ok) device.insert(op);
         } else if (kind == 1) {
@@ -917,7 +1053,7 @@ TEST(PagedContiguousLockstepTest, BlockSizeOneMatchesContiguousDecisions) {
           }
         } else if (!host.empty()) {
           const std::int64_t id = *host.begin();
-          const bool paged_ok = kv.try_swap_in(id);
+          const bool paged_ok = kv.try_swap_in(id).has_value();
           ASSERT_EQ(paged_ok, reference.try_swap_in(id));
           if (paged_ok) {
             host.erase(id);
