@@ -136,8 +136,6 @@ class FaultProcess {
  public:
   explicit FaultProcess(const FaultConfig& config);
 
-  const FaultConfig& config() const { return config_; }
-
   /// Pops the earliest pending event with time <= now (events across
   /// types are merged in chronological order; ties break by FaultType
   /// order).  Returns false when no event is due.

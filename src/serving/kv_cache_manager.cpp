@@ -182,12 +182,6 @@ std::int32_t KvCacheManager::find_slot(std::int64_t request_id) const {
   return -1;
 }
 
-std::int32_t KvCacheManager::checked_slot(std::int64_t request_id) const {
-  const std::int32_t slot = find_slot(request_id);
-  CIMTPU_CHECK_MSG(slot >= 0, "request " << request_id << " is not resident");
-  return slot;
-}
-
 std::int32_t KvCacheManager::acquire_slot(std::int64_t request_id,
                                           std::int64_t admit_seq) {
   std::int32_t slot;
@@ -400,23 +394,6 @@ std::optional<std::int32_t> KvCacheManager::try_admit(
   return slot;
 }
 
-bool KvCacheManager::try_grow(std::int64_t request_id, std::int64_t tokens) {
-  Entry& entry = slot_entry(checked_slot(request_id));
-  CIMTPU_CHECK(tokens >= 0);
-  CIMTPU_CHECK_MSG(!entry.advancing,
-                   "an advancing entry grows only through advance()");
-  const std::int64_t new_blocks =
-      blocks_for_tokens(entry.tokens + tokens) - entry_blocks(entry);
-  if (new_blocks > 0) {
-    if (!fits_blocks(new_blocks)) return false;
-    allocate_growth(new_blocks);
-    entry.private_blocks += new_blocks;
-  }
-  entry.tokens += tokens;
-  mapped_tokens_ += tokens;
-  return true;
-}
-
 std::int64_t KvCacheManager::advance_blocks_admitted_before(
     std::int32_t slot) const {
   std::int64_t blocks = 0;
@@ -564,56 +541,45 @@ std::int64_t KvCacheManager::drop_cached_blocks() {
   return dropped;
 }
 
-std::int64_t KvCacheManager::resident_tokens(std::int64_t request_id) const {
-  const std::int32_t slot = find_slot(request_id);
-  return slot < 0 ? 0 : entry_tokens(slot_entry(slot));
-}
-
-std::int64_t KvCacheManager::resident_blocks(std::int64_t request_id) const {
-  const std::int32_t slot = find_slot(request_id);
-  if (slot < 0) return 0;
-  const Entry& entry = slot_entry(slot);
-  return static_cast<std::int64_t>(entry.shared.size()) +
-         entry_private_blocks(entry);
-}
-
 std::int64_t KvCacheManager::swapped_tokens(std::int64_t request_id) const {
   auto it = host_entries_.find(request_id);
   return it == host_entries_.end() ? 0 : it->second.tokens;
 }
 
-std::int64_t KvCacheManager::shared_block_count(
+KvCacheManager::Inspection KvCacheManager::inspect(
     std::int64_t request_id) const {
+  Inspection view;
   const std::int32_t slot = find_slot(request_id);
-  return slot < 0 ? 0
-                  : static_cast<std::int64_t>(slot_entry(slot).shared.size());
+  if (slot >= 0) {
+    const Entry& entry = slot_entry(slot);
+    view.resident = true;
+    view.tokens = entry_tokens(entry);
+    view.shared_blocks = static_cast<std::int64_t>(entry.shared.size());
+    view.blocks = view.shared_blocks + entry_private_blocks(entry);
+  }
+  view.swapped = host_entries_.count(request_id) > 0;
+  view.resident_entries =
+      static_cast<std::int64_t>(entry_slots_.size() - free_slots_.size());
+  view.swapped_entries = static_cast<std::int64_t>(host_entries_.size());
+  view.host_used_blocks = host_used_blocks_;
+  view.shared_block_ids = static_cast<std::int64_t>(block_slab_.size());
+  return view;
 }
 
-std::int64_t KvCacheManager::pick_eviction_victim(std::int64_t protect) const {
+std::int64_t KvCacheManager::pick_eviction_victim() const {
   if (policy_ == EvictionPolicy::kPreemptNewest ||
       policy_ == EvictionPolicy::kSwapToHost) {
-    // Newest admission first: the admit-order list's tail, with at most
-    // one protect skip.
-    for (std::int32_t slot = newest_slot_; slot >= 0;
-         slot = slot_entry(slot).older) {
-      if (slot_entry(slot).id != protect) return slot_entry(slot).id;
-    }
-    return -1;
+    // Newest admission first: the admit-order list's tail.
+    return newest_slot_ >= 0 ? slot_entry(newest_slot_).id : -1;
   }
   // kPriorityVictim.  Forward-progress guarantee: the oldest resident is
   // exempt.  Without it, the largest-KV tie-break livelocks under
   // recompute — the most-progressed low-priority sequence is always the
   // largest, so it is reset every pressure cycle and never finishes.  A
-  // sole candidate stays evictable, so the exemption needs a second
-  // candidate; both are among the list's first three entries.
-  std::int32_t exempt = -1;
-  std::int64_t candidates = 0;
-  for (std::int32_t slot = oldest_slot_; slot >= 0 && candidates < 2;
-       slot = slot_entry(slot).newer) {
-    if (slot_entry(slot).id == protect) continue;
-    if (candidates++ == 0) exempt = slot;
-  }
-  if (candidates < 2) exempt = -1;
+  // sole resident stays evictable.
+  const std::int32_t exempt =
+      oldest_slot_ >= 0 && slot_entry(oldest_slot_).newer >= 0 ? oldest_slot_
+                                                                : -1;
   // Linear min-scan of the slot array with the VictimKey order: the
   // resident set is bounded by max batch, so this beats keeping a sorted
   // index current (which would charge two tree updates to every decoded
@@ -623,10 +589,7 @@ std::int64_t KvCacheManager::pick_eviction_victim(std::int64_t protect) const {
   VictimKey best{};
   for (std::size_t slot = 0; slot < entry_slots_.size(); ++slot) {
     const Entry& entry = entry_slots_[slot];
-    if (entry.id < 0 || entry.id == protect ||
-        static_cast<std::int32_t>(slot) == exempt) {
-      continue;
-    }
+    if (entry.id < 0 || static_cast<std::int32_t>(slot) == exempt) continue;
     const VictimKey key{entry.priority, entry_tokens(entry), entry.admit_seq,
                         entry.id};
     if (best_id < 0 || key < best) {

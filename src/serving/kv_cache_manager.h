@@ -38,8 +38,14 @@
 // victims drop their blocks outright, swap victims move them to a modeled
 // host pool and restore them later over PCIe), and threads an admit-order
 // list through its dense entry slots, so the newest or oldest resident is
-// one link away.  It is pure bookkeeping — deterministic, and free of
-// allocation once warm — so million-request streams stay fast.
+// one link away.  It is pure bookkeeping and deterministic.  Once its
+// arrays have reached their peak sizes (entry slots, the shared-block slab
+// and a recycled slot's `shared` capacity), admission, prefill notes,
+// decode advances and release allocate nothing, with two exceptions: a
+// swap-out allocates a host_entries_ hash node (freed at swap-in or
+// invalidation), and admitting a prefix whose chain was erased (its last
+// block reclaimed and no donor left) re-creates the chain, a hash node
+// plus its block vector.
 
 #include <algorithm>
 #include <cstdint>
@@ -131,31 +137,17 @@ class KvCacheManager {
       std::int64_t prefix_id = -1, std::int64_t prefix_len = 0,
       std::int64_t prompt_len = 0, AdmitOutcome* outcome = nullptr);
 
-  /// Grows a resident request that is not advancing (see begin_advance)
-  /// by `tokens`.  A new block is consumed only when the growth crosses a
-  /// block boundary.  Returns false when the growth does not fit; the
-  /// caller decides whether to evict (see `pick_eviction_victim`).
-  bool try_grow(std::int64_t request_id, std::int64_t tokens = 1);
-
   /// Frees the device blocks of the entry in `slot` (finished or
   /// preempted-for-recompute) and recycles the slot.  Shared prefix blocks
   /// lose one reference; fully released computed prefix blocks stay
   /// cached for future hits.
   void release_slot(std::int32_t slot);
-  /// release_slot by request id (resolved through find_slot).
-  void release(std::int64_t request_id) {
-    release_slot(checked_slot(request_id));
-  }
 
   /// Moves the blocks of the entry in `slot` device -> host pool and
   /// recycles the slot.  Returns false (and moves nothing) when the host
   /// pool cannot hold them.  Shared prefix blocks are privatized on the
   /// way out (the host copy is whole).
   bool try_swap_out_slot(std::int32_t slot);
-  /// try_swap_out_slot by request id (resolved through find_slot).
-  bool try_swap_out(std::int64_t request_id) {
-    return try_swap_out_slot(checked_slot(request_id));
-  }
 
   /// Moves a swapped request's blocks host -> device (as private blocks —
   /// its KV returns over PCIe, not through the prefix index) and returns
@@ -169,10 +161,6 @@ class KvCacheManager {
   /// hittable once their contents exist.  O(1) once every block it
   /// registered is computed (always, with the prefix cache disabled).
   void note_prefilled_slot(std::int32_t slot, std::int64_t computed_tokens);
-  /// note_prefilled_slot by request id (resolved through find_slot).
-  void note_prefilled(std::int64_t request_id, std::int64_t computed_tokens) {
-    note_prefilled_slot(checked_slot(request_id), computed_tokens);
-  }
 
   // --- Fault injection / recovery (serving/fault.h) --------------------------
 
@@ -215,20 +203,21 @@ class KvCacheManager {
   // leaves the device (release / swap-out / invalidate), then recycled.
   // The scheduler keeps that slot per resident sequence and passes it to
   // every per-sequence call, so no call on the step loop resolves a
-  // request id.  Id-keyed calls (tests, fault recovery, introspection)
-  // scan the slot array, which holds at most the peak residency.
+  // request id.  Only fault recovery (invalidate_blocks,
+  // restore_from_host) and the inspect() hook look a resident id up; they
+  // scan the slot array, which holds at most the peak residency.  Swapped
+  // entries live off the device, in a host map keyed by id.
 
   /// Slot of a resident request; -1 when it is not resident.
   std::int32_t find_slot(std::int64_t request_id) const;
 
-  /// Chooses the request to preempt under the configured policy, excluding
-  /// `protect` (the request currently being grown).  Returns -1 when
-  /// nothing can be evicted (empty, or only `protect` resident).  The
-  /// newest resident (kPreemptNewest, kSwapToHost) and the oldest (the
-  /// kPriorityVictim exemption) are read off the admit-order list;
-  /// kPriorityVictim's choice scans the slot array (bounded by max batch).
-  /// The caller must release/swap the victim and re-queue it.
-  std::int64_t pick_eviction_victim(std::int64_t protect) const;
+  /// Chooses the request to preempt under the configured policy.  Returns
+  /// -1 when nothing is resident.  The newest resident (kPreemptNewest,
+  /// kSwapToHost) and the oldest (the kPriorityVictim exemption) are read
+  /// off the admit-order list; kPriorityVictim's choice scans the slot
+  /// array (bounded by max batch).  The caller must release/swap the
+  /// victim and re-queue it.
+  std::int64_t pick_eviction_victim() const;
 
   // --- Decode advance (hot path) ---------------------------------------------
   // A decode step grows every decoder that still grows by one token.  An
@@ -247,11 +236,13 @@ class KvCacheManager {
   //
   // Blocks an advance allocates take free (never cached) blocks first and
   // reclaim cached prefix blocks, LRU order, once those run out — the same
-  // order one checked grow per entry would.  When entries leave in the
-  // same step (the scheduler releases finishers in admission order), the
-  // growth of entries admitted before each leaver is allocated first
-  // (advance_blocks_admitted_before + grow_advancing), so blocks a release
-  // frees or caches reach exactly the grows that follow it.
+  // order as growing the entries one token each, in admission order.  When
+  // entries leave in the same step (the scheduler releases finishers in
+  // admission order), the growth of entries admitted before each leaver is
+  // allocated first (advance_blocks_admitted_before + grow_advancing), so
+  // blocks a release frees or caches reach exactly the grows that follow
+  // it.  serving_paged_kv_test's PrefixCacheChurnTest checks this against
+  // a per-entry brute-force reference.
 
   /// Starts advancing `slot` by one token per advance.
   void begin_advance(std::int32_t slot);
@@ -286,21 +277,8 @@ class KvCacheManager {
   /// sampling a run of advances replays.
   double add_fragmentation_over(std::int64_t advances, double sum) const;
 
-  bool resident(std::int64_t request_id) const {
-    return find_slot(request_id) >= 0;
-  }
-  bool swapped(std::int64_t request_id) const {
-    return host_entries_.count(request_id) > 0;
-  }
-  std::int64_t resident_tokens(std::int64_t request_id) const;
-  /// Device blocks `request_id` maps (shared plus private); 0 when not
-  /// resident.
-  std::int64_t resident_blocks(std::int64_t request_id) const;
+  /// Host-pool KV tokens of a swapped-out request; 0 when not swapped.
   std::int64_t swapped_tokens(std::int64_t request_id) const;
-  std::size_t resident_count() const {
-    return entry_slots_.size() - free_slots_.size();
-  }
-  std::size_t swapped_count() const { return host_entries_.size(); }
 
   // --- Block-level accounting ------------------------------------------------
   std::int64_t block_tokens() const { return block_tokens_; }
@@ -329,15 +307,6 @@ class KvCacheManager {
   bool fits_blocks(std::int64_t blocks) const {
     return referenced_blocks() + blocks <= capacity_blocks_;
   }
-  /// Shared (prefix) block mappings held by `request_id` — test
-  /// introspection for refcount assertions.
-  std::int64_t shared_block_count(std::int64_t request_id) const;
-  /// Shared-block ids ever handed out and not yet recycled (live plus
-  /// free) — test introspection: freed ids are reused, so under churn
-  /// this stays bounded by the peak number of live shared blocks.
-  std::int64_t shared_block_ids() const {
-    return static_cast<std::int64_t>(block_slab_.size());
-  }
   /// Last-block waste across resident mappings: 1 - mapped_tokens /
   /// mapped_block_tokens, in [0, 1).  Always 0 at block_tokens = 1.
   double internal_fragmentation() const {
@@ -361,15 +330,32 @@ class KvCacheManager {
   /// `registry` under "kv.*" names (serving/obs_registry.h).
   void publish(MetricsRegistry* registry) const;
 
-  Bytes used() const {
-    return block_bytes_ * static_cast<double>(referenced_blocks());
-  }
-  Bytes host_used() const {
-    return block_bytes_ * static_cast<double>(host_used_blocks_);
-  }
   Bytes capacity() const { return capacity_; }
   Bytes bytes_per_token() const { return bytes_per_token_; }
   EvictionPolicy policy() const { return policy_; }
+
+  // --- Test and audit hooks --------------------------------------------------
+  // Nothing on the serving path calls these; they are the only observables
+  // of per-request mappings and of the host pool and block slab sizes.
+
+  /// What the manager holds for one request (all zero/false unless it is
+  /// resident or swapped out) and in total.
+  struct Inspection {
+    bool resident = false;
+    bool swapped = false;
+    std::int64_t tokens = 0;         ///< resident KV tokens, settled
+    std::int64_t blocks = 0;         ///< resident device blocks mapped
+    std::int64_t shared_blocks = 0;  ///< of those, shared prefix mappings
+    std::int64_t resident_entries = 0;
+    std::int64_t swapped_entries = 0;
+    std::int64_t host_used_blocks = 0;
+    /// Shared-block ids handed out and not yet recycled (live plus free):
+    /// freed ids are reused, so under churn this stays bounded by the
+    /// peak number of live shared blocks.
+    std::int64_t shared_block_ids = 0;
+  };
+  /// O(peak residency) (the id lookup scans the slot array).
+  Inspection inspect(std::int64_t request_id = -1) const;
 
   /// Accounting invariant for tests: the free list and the live entries
   /// partition the slot array, and no two live entries share an id; the
@@ -474,11 +460,9 @@ class KvCacheManager {
                            : entry.private_blocks;
   }
   /// Allocates `blocks` growth blocks, reclaiming cached ones once the
-  /// free ones run out; returns blocks reclaimed.  The caller owns the
-  /// entry side (try_grow) or derives it (advancing entries).
+  /// free ones run out; returns blocks reclaimed.  The advancing entries'
+  /// own counts derive the entry side from the advance clock.
   std::int64_t allocate_growth(std::int64_t blocks);
-  /// find_slot, CHECKing that the request is resident.
-  std::int32_t checked_slot(std::int64_t request_id) const;
   /// Takes a slot (recycled when one is free) for a new device entry of
   /// `request_id` with admit_seq `admit_seq` and links it as the newest
   /// admission.  The entry's other fields are defaults; a recycled slot
@@ -603,8 +587,8 @@ inline void KvCacheManager::end_advance(std::int32_t slot) {
 
 inline std::int64_t KvCacheManager::allocate_growth(std::int64_t blocks) {
   if (blocks == 0) return 0;
-  // One checked grow per block, hoisted: the free blocks go first, and
-  // each grow past them reclaims one cached block from the LRU head.
+  // One block per growing entry, hoisted: the free blocks go first, and
+  // each block past them reclaims one cached block from the LRU head.
   CIMTPU_CHECK(blocks > 0 && fits_blocks(blocks));
   const std::int64_t reclaimed =
       std::max<std::int64_t>(0, blocks - free_blocks());

@@ -64,6 +64,9 @@ class MetricsRegistry {
   const std::map<std::string, std::int64_t>& counters() const {
     return counters_;
   }
+  /// Test hooks: the serving path reads gauges through gauge_or_zero and
+  /// exports both maps through to_json; only tests read them whole (a
+  /// key's absence, a histogram's samples).
   const std::map<std::string, double>& gauges() const { return gauges_; }
   const std::map<std::string, FixedBucketHistogram>& histograms() const {
     return histograms_;

@@ -56,6 +56,15 @@ void RequestStreamConfig::validate() const {
                                          "engine accepts ids up to "
                                       << kMaxRequestId << ")");
   CIMTPU_CONFIG_CHECK(arrival_rate > 0, "arrival_rate must be positive");
+  CIMTPU_CONFIG_CHECK(
+      static_cast<double>(num_requests) / arrival_rate <=
+          kMaxMeanArrivalSpanSeconds,
+      "arrival_rate " << arrival_rate << " req/s spreads " << num_requests
+                      << " requests over a mean "
+                      << static_cast<double>(num_requests) / arrival_rate
+                      << " s, past the limit 2^30 s (latencies are "
+                         "differences of absolute times and lose precision "
+                         "beyond it)");
   CIMTPU_CONFIG_CHECK(priority_classes >= 1,
                       "priority_classes must be >= 1");
   CIMTPU_CONFIG_CHECK(num_tenants >= 1, "num_tenants must be >= 1");

@@ -50,6 +50,12 @@ struct Request {
 constexpr std::int64_t kMaxRequestId =
     std::numeric_limits<std::int32_t>::max();
 
+/// Longest mean arrival span (num_requests / arrival_rate) a stream may
+/// ask for: 2^30 s.  Latencies are differences of absolute simulated
+/// times, and a double's ulp at 2^30 s is 2^-22 s (about 0.24 us); far
+/// beyond that, TTFT and TPOT silently lose their digits.
+constexpr double kMaxMeanArrivalSpanSeconds = 1073741824.0;  // 2^30
+
 /// SLO verdict of a request that completed at `completion` after streaming
 /// its first token at `first_token`: true when every deadline it carries
 /// holds — the TTFT deadline, then the TPOT deadline when it decodes more

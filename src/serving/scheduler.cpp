@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/math_util.h"
 #include "common/status.h"
@@ -83,60 +84,34 @@ StepCost cost_decode_groups(
 }
 
 StepCost cost_step(StepCostCache& costs, const StepRecord& step) {
-  // Scheduler-built decode records carry decode_groups instead of kv_lens
-  // (cost_decode_groups checks their counts against the batch).
-  CIMTPU_CHECK(
-      (step.kind == StepRecord::Kind::kDecode && !step.decode_groups.empty()) ||
-      step.batch == static_cast<std::int64_t>(step.kv_lens.size()));
-  StepCost total;
-  if (step.kind == StepRecord::Kind::kPrefill) {
-    // A chunk of new prompt tokens attends over everything prefilled so
-    // far, so its cost is the increment between two full-prefill shapes:
-    // prefill(prev + chunk) - prefill(prev).  Prefill cost is monotone in
-    // sequence length, so the difference is non-negative, and summed over
-    // a prompt's chunks it telescopes to exactly the unchunked cost.
-    // Each participant is costed at batch 1: the historical (pessimistic)
-    // model every golden pin was recorded under.
-    for (std::size_t i = 0; i < step.kv_lens.size(); ++i) {
-      accumulate_into(
-          total,
-          costs.prefill_layer(1, step.prev_lens[i] + step.chunk_lens[i]),
-          +1.0);
-      if (step.prev_lens[i] > 0) {
-        accumulate_into(total, costs.prefill_layer(1, step.prev_lens[i]),
-                        -1.0);
-      }
-    }
-  } else if (!step.decode_groups.empty()) {
-    // Scheduler-built steps carry the bucketed grouping (a copy of the
-    // incremental histogram, ascending): one memoized decode shape per
-    // group, no per-step re-derivation.  Steady decode runs repeat the
-    // same grouping step after step, so the summed cost itself is memoized
-    // on the grouping (see StepCostCache::remember_decode_groups).
+  if (step.kind == StepRecord::Kind::kDecode) {
+    // A decode record carries its bucketed grouping (a copy of the
+    // scheduler's incremental histogram, ascending): one memoized decode
+    // shape per group, no per-step re-derivation.  Steady decode runs
+    // repeat the same grouping step after step, so the summed cost itself
+    // is memoized on the grouping (see StepCostCache::remember_decode_groups).
+    CIMTPU_CHECK(!step.decode_groups.empty());
     if (costs.last_decode_groups_match(step.decode_groups)) {
       CIMTPU_CHECK(costs.last_decode_groups_batch() == step.batch);
       return costs.last_decode_groups_cost();
     }
     return cost_decode_groups(costs, step.decode_groups, step.batch);
-  } else {
-    // Hand-built records (tests, external callers): derive the grouping
-    // from kv_lens in the cache's reusable scratch.  Sorting ascending
-    // reproduces the histogram path's accumulation order bit for bit.
-    std::vector<std::int64_t>& scratch = costs.decode_group_scratch();
-    scratch.clear();
-    scratch.reserve(step.kv_lens.size());
-    for (std::int64_t kv_len : step.kv_lens) {
-      scratch.push_back(costs.bucket_up(kv_len));
-    }
-    std::sort(scratch.begin(), scratch.end());
-    for (std::size_t i = 0; i < scratch.size();) {
-      std::size_t j = i;
-      while (j < scratch.size() && scratch[j] == scratch[i]) ++j;
-      accumulate_into(
-          total,
-          costs.decode_layer(static_cast<std::int64_t>(j - i), scratch[i]),
-          +1.0);
-      i = j;
+  }
+  // A chunk of new prompt tokens attends over everything prefilled so far,
+  // so its cost is the increment between two full-prefill shapes:
+  // prefill(prev + chunk) - prefill(prev).  Prefill cost is monotone in
+  // sequence length, so the difference is non-negative, and summed over a
+  // prompt's chunks it telescopes to exactly the unchunked cost.  Each
+  // participant is costed at batch 1: the historical (pessimistic) model
+  // every golden pin was recorded under.
+  CIMTPU_CHECK(step.batch == static_cast<std::int64_t>(step.kv_lens.size()));
+  StepCost total;
+  for (std::size_t i = 0; i < step.kv_lens.size(); ++i) {
+    accumulate_into(
+        total, costs.prefill_layer(1, step.prev_lens[i] + step.chunk_lens[i]),
+        +1.0);
+    if (step.prev_lens[i] > 0) {
+      accumulate_into(total, costs.prefill_layer(1, step.prev_lens[i]), -1.0);
     }
   }
   return total;
@@ -748,8 +723,7 @@ bool ContinuousBatchScheduler::build_decode_step(StepRecord* record) {
     CIMTPU_CONFIG_CHECK(resident_.size() > 1,
                         "request " << pool_.request[resident_.front()].id
                                    << " outgrew the whole KV budget");
-    const std::int64_t victim_id =
-        kv_cache_->pick_eviction_victim(/*protect=*/-1);
+    const std::int64_t victim_id = kv_cache_->pick_eviction_victim();
     const auto victim_it = find_resident(victim_id);
     CIMTPU_CHECK(victim_it != resident_.end());
     const std::int32_t slot = *victim_it;
@@ -889,14 +863,7 @@ bool ContinuousBatchScheduler::next_step(StepRecord* record) {
     // all prefilling, so run their chunk step instead.
     build_prefill_step(record);
   }
-  ++total_steps_;
   return true;
-}
-
-std::optional<StepRecord> ContinuousBatchScheduler::next_step() {
-  StepRecord record;
-  if (!next_step(&record)) return std::nullopt;
-  return record;
 }
 
 std::int64_t ContinuousBatchScheduler::quiet_decode_steps() const {
@@ -941,7 +908,6 @@ void ContinuousBatchScheduler::advance_quiet_decode(std::int64_t steps) {
   // No decoder finishes and nothing reclaims, so resident_ and the memo
   // stay as they are.
   CIMTPU_CHECK(advance_decoders(steps) == 0);
-  total_steps_ += steps;
   last_step_prefill_ = false;
 }
 

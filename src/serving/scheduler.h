@@ -78,7 +78,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -135,20 +134,19 @@ struct StepRecord {
   Kind kind = Kind::kDecode;
   std::int64_t batch = 0;  ///< participants in this step
 
-  /// KV length each participant attends over this step: prompt tokens
-  /// prefilled so far including this step's chunk (prefill), or prompt +
-  /// generated tokens (hand-built decode records).  Scheduler-built decode
-  /// records leave it empty and carry decode_groups instead
+  /// Prefill only: the KV length each participant attends over this step,
+  /// its prompt tokens prefilled so far including this step's chunk.
+  /// Decode records leave it empty and carry decode_groups instead
   /// (ContinuousBatchScheduler::decode_kv_lens derives the per-participant
   /// lengths before the step).
   std::vector<std::int64_t> kv_lens;
   std::vector<std::int64_t> chunk_lens;  ///< prefill: new prompt tokens
   std::vector<std::int64_t> prev_lens;   ///< prefill: tokens already prefilled
 
-  /// Decode only: participants grouped by bucketed KV length, ascending —
-  /// a copy of the scheduler's incremental histogram, so cost_step never
-  /// re-derives the grouping.  Empty for hand-built records (cost_step
-  /// then groups from kv_lens itself).
+  /// Decode only (never empty there): participants grouped by bucketed KV
+  /// length, ascending, as (bucket, count) pairs summing to `batch` — a
+  /// copy of the scheduler's incremental histogram, so cost_step never
+  /// derives the grouping.
   std::vector<std::pair<std::int64_t, std::int64_t>> decode_groups;
 
   std::vector<std::int64_t> first_token_ids;  ///< emitted their first token
@@ -173,17 +171,18 @@ struct StepRecord {
 };
 
 /// Per-sequence step cost: sums each participant's attention cost at its
-/// own bucketed KV length.  Decode participants group by KV bucket (one
-/// memoized decode_layer shape per group, accumulated in ascending bucket
-/// order); prefill participants are costed as the telescoped difference
-/// prefill(prev + chunk) - prefill(prev), so a chunked prompt's total
-/// prefill cost is identical to the unchunked cost of the same prompt.
+/// own bucketed KV length.  A decode record is costed from its
+/// decode_groups (CHECKed non-empty) through cost_decode_groups, or the
+/// cache's memo of the last grouping; prefill participants are costed as
+/// the telescoped difference prefill(prev + chunk) - prefill(prev), so a
+/// chunked prompt's total prefill cost is identical to the unchunked cost
+/// of the same prompt.
 /// The same telescoping prices chunks that START mid-sequence: a
 /// prefix-cache hit enters prefill with prev = hit tokens, so only the
 /// uncached suffix is ever charged.
 StepCost cost_step(StepCostCache& costs, const StepRecord& step);
 
-/// The decode half of cost_step for a scheduler-built grouping: sums one
+/// The decode half of cost_step for a (bucket, count) grouping: sums one
 /// counted decode_layer lookup per (bucket, count) group, ascending, and
 /// stores the result in the cache's last-grouping memo.  cost_step calls
 /// it on a memo mismatch; the serving engine calls it to cost the grouping
@@ -236,9 +235,6 @@ class ContinuousBatchScheduler {
   /// step ran).  For non-shedding policies a non-idle engine always steps.
   bool next_step(StepRecord* record);
 
-  /// Convenience wrapper allocating a fresh record per step.
-  std::optional<StepRecord> next_step();
-
   /// How many upcoming decode steps are QUIET: each carries today's
   /// decode_histogram() as its decode_groups, finishes no sequence, emits
   /// no event, and grows every decoder inside the free (never cached) KV
@@ -264,10 +260,11 @@ class ContinuousBatchScheduler {
   /// manager end exactly as `steps` next_step calls would leave them.
   void advance_quiet_decode(std::int64_t steps);
 
-  /// The KV length each resident decoder attends over in the next decode
-  /// step (prompt + generated), in admission order — the per-participant
-  /// lengths a scheduler-built decode record no longer lists.  O(batch);
-  /// for tests and callers outside the hot path.
+  /// Test hook: the KV length each resident decoder attends over in the
+  /// next decode step (prompt + generated), in admission order — the
+  /// per-participant lengths a decode record does not list (it carries
+  /// only their bucketed grouping).  O(batch); nothing on the serving path
+  /// calls it.
   std::vector<std::int64_t> decode_kv_lens() const;
 
   /// The bucketed-KV grouping the next decode step carries (its
@@ -351,8 +348,6 @@ class ContinuousBatchScheduler {
   /// Residents past prefill (the decode batch size), tracked
   /// incrementally — the time-series sampler reads this per sample.
   std::int64_t resident_decoder_count() const { return resident_decoders_; }
-  std::int64_t total_steps() const { return total_steps_; }
-  std::int64_t preemptions() const { return counters_.total_preemptions(); }
   const ServingCounters& counters() const { return counters_; }
   const AdmissionPolicy& admission_policy() const { return *admission_; }
 
@@ -563,7 +558,6 @@ class ContinuousBatchScheduler {
   bool admit_blocked_ = false;
   bool degraded_ = false;           ///< graceful-degradation mode
   int degraded_max_batch_ = 0;      ///< batch cap while degraded (0 = none)
-  std::int64_t total_steps_ = 0;
   ServingCounters counters_;
   std::vector<Request> shed_scratch_;  ///< drain_shed buffer (reused)
   /// Requests enqueued via enqueue_prefilled, pending admission.  Empty on

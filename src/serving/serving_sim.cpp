@@ -971,8 +971,6 @@ void ServingEngine::drain() {
 
 ServingMetrics ServingEngine::finish() { return impl_->finish(); }
 
-Seconds ServingEngine::now() const { return impl_->now; }
-
 bool ServingEngine::work_pending() const {
   return !impl_->horizon_hit && impl_->work_pending();
 }

@@ -431,9 +431,6 @@ class ServingEngine {
   /// engine is unusable afterwards.
   ServingMetrics finish();
 
-  /// Current simulated time.
-  Seconds now() const;
-
   /// True while injected arrivals, resident work, or fault retries remain.
   bool work_pending() const;
 

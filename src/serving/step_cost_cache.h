@@ -93,6 +93,8 @@ class SharedStepCostCache {
   /// first use and stable for the cache's lifetime.
   Store* store(const std::string& signature);
 
+  /// Test hooks: hit and miss counts are run-local, so these are the only
+  /// observables of what sweep points shared.
   std::size_t store_count() const;
   std::size_t total_entries() const;
 
@@ -134,10 +136,6 @@ class StepCostCache {
   /// `kv_len`.
   StepCost decode_layer(std::int64_t batch, std::int64_t kv_len);
 
-  std::int64_t bucket_up(std::int64_t len) const {
-    return round_up(len, bucket_);
-  }
-
   /// Packs a shape into the cache key: kind bit 63, batch bits 40..62,
   /// len bits 0..39.  Checked against the field widths so distinct shapes
   /// can never alias.
@@ -155,10 +153,6 @@ class StepCostCache {
                : static_cast<double>(local_.size()) /
                      static_cast<double>(local_.capacity());
   }
-
-  /// Reusable scratch for cost_step's decode grouping (per-run, never
-  /// shared across threads).
-  std::vector<std::int64_t>& decode_group_scratch() { return scratch_; }
 
   /// Memo of the last decode-step grouping and its summed cost: steady
   /// decode runs repeat the same (bucket, count) grouping for hundreds of
@@ -184,6 +178,9 @@ class StepCostCache {
   }
 
  private:
+  std::int64_t bucket_up(std::int64_t len) const {
+    return round_up(len, bucket_);
+  }
   StepCost lookup(bool prefill, std::int64_t batch, std::int64_t len);
 
   sim::LayerPlan prefill_plan_;
@@ -191,7 +188,6 @@ class StepCostCache {
   std::int64_t bucket_;
   FlatCostTable local_;
   SharedStepCostCache::Store* shared_;  ///< may be null (per-run cache only)
-  std::vector<std::int64_t> scratch_;
   std::vector<std::pair<std::int64_t, std::int64_t>> last_groups_;
   StepCost last_groups_cost_;
   std::int64_t last_groups_batch_ = 0;

@@ -35,8 +35,12 @@ VpuCost Vpu::evaluate(const ir::OpShape& op) const {
       // Row ops execute pass-structured: each pass touches every element
       // once at the vector width; rows narrower than the vector width
       // waste lanes (common in decode where rows = batch).
-      // Both run as two element-visiting passes (online softmax: fused
-      // max+sum then normalize; layernorm: moments then normalize).
+      // Both run as two element-visiting passes.  Softmax uses the
+      // online-normalizer algorithm (Milakov & Gimelshein 2018, the one
+      // the paper adopts): a fused pass keeps a running max and a running
+      // sum rescaled on the fly, then one normalize pass, instead of the
+      // naive max / exp-sum / normalize three.  Layernorm: moments, then
+      // normalize.
       const double passes = 2.0;
       const double ops_per_elem_pass =
           op.flops() / (static_cast<double>(op.rows) * op.cols * passes);

@@ -180,15 +180,14 @@ TEST_F(SteadyDecodeTest, EngineDecodeIsAllocationFreeOnLightTraffic) {
   ASSERT_TRUE(engine.pump(2.0));
 
   const std::int64_t before = allocations();
-  const Seconds start = engine.now();
-  // 0.05 s slices: each pump takes one single step, then fast-forwards
-  // through quiet runs to the slice boundary.
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(engine.pump(engine.now() + 0.05));
+  // 0.05 s slices over [2 s, 3 s]: each pump takes one single step, then
+  // fast-forwards through quiet runs to the slice boundary, which it
+  // reaches (pump returns true only when the clock got to its target).
+  for (int i = 1; i <= 20; ++i) {
+    ASSERT_TRUE(engine.pump(2.0 + 0.05 * i));
   }
   EXPECT_EQ(allocations(), before)
       << "engine decode (single steps and quiet runs) must not allocate";
-  EXPECT_GE(engine.now(), start + 1.0);
   EXPECT_EQ(engine.outstanding_tokens(), 5 * (100 + 1000))
       << "the window must be pure decode: nothing finishes";
 }
@@ -226,7 +225,7 @@ TEST(KvAdmission, PrefixAdmitAndReleaseAllocateNothingOnceWarm) {
   for (std::int64_t id = 5; id < 1005; ++id) cycle(id);
   EXPECT_EQ(allocations(), before)
       << "a warm admit / note_prefilled / release cycle must not allocate";
-  EXPECT_EQ(kv.resident_count(), 1u);
+  EXPECT_EQ(kv.inspect().resident_entries, 1);
   EXPECT_TRUE(kv.audit());
 }
 

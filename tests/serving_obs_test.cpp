@@ -394,7 +394,7 @@ TEST(TracingContract, PumpSlicesMatchDrainOnLightTraffic) {
     scenario.scheduler.seqlen_bucket = bucket;
     ServingEngine sliced(scenario);
     for (const Request& request : requests) sliced.inject(request);
-    while (sliced.pump(sliced.now() + 0.05)) {
+    for (Seconds until = 0.05; sliced.pump(until); until += 0.05) {
     }
     const ServingMetrics metrics = sliced.finish();
     expect_identical_metrics(metrics, run_serving(scenario, requests));

@@ -17,8 +17,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -45,20 +48,35 @@ TEST(PagedKvTest, GrowthAllocatesOnlyAtBlockBoundaries) {
   KvCacheManager kv = paged(/*capacity=*/40.0, /*block_tokens=*/4,
                             /*prefix_cache=*/false);
   EXPECT_EQ(kv.capacity_blocks(), 10);
-  EXPECT_TRUE(kv.try_admit(0, 9));  // ceil(9/4) = 3 blocks
+  const std::int32_t slot = kv.try_admit(0, 9).value();  // ceil(9/4) = 3
   EXPECT_EQ(kv.occupied_blocks(), 3);
-  EXPECT_DOUBLE_EQ(kv.used(), 12.0);  // whole blocks, not tokens
-  // Tokens 10..12 stay inside the third block.
-  EXPECT_TRUE(kv.try_grow(0));
-  EXPECT_TRUE(kv.try_grow(0));
-  EXPECT_TRUE(kv.try_grow(0));
+  EXPECT_EQ(kv.inspect(0).blocks, 3);  // whole blocks, not tokens
+  // Decode growth, one advance per token: tokens 10..12 stay inside the
+  // third block, so those advances owe no block.
+  kv.begin_advance(slot);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(kv.advance_growth_blocks(), 0);
+    kv.advance(1);
+    EXPECT_TRUE(kv.audit());
+  }
   EXPECT_EQ(kv.occupied_blocks(), 3);
   // Token 13 crosses into a fourth block.
-  EXPECT_TRUE(kv.try_grow(0));
+  EXPECT_EQ(kv.advance_growth_blocks(), 1);
+  EXPECT_TRUE(kv.fits_blocks(kv.advance_growth_blocks()));
+  kv.advance(1);
   EXPECT_EQ(kv.occupied_blocks(), 4);
-  EXPECT_EQ(kv.resident_tokens(0), 13);
+  EXPECT_EQ(kv.inspect(0).tokens, 13);
+  EXPECT_EQ(kv.inspect(0).blocks, 4);
   EXPECT_TRUE(kv.audit());
-  kv.release(0);
+  // A quiet decode run commits 8 advances at once: counts 16 and 20 are
+  // block multiples, so it allocates blocks 5 and 6.
+  EXPECT_EQ(kv.growth_blocks_over(8), 2);
+  kv.advance(8);
+  kv.end_advance(slot);
+  EXPECT_EQ(kv.inspect(0).tokens, 21);
+  EXPECT_EQ(kv.occupied_blocks(), 6);
+  EXPECT_TRUE(kv.audit());
+  kv.release_slot(slot);
   EXPECT_EQ(kv.occupied_blocks(), 0);
   EXPECT_TRUE(kv.audit());
 }
@@ -68,8 +86,11 @@ TEST(PagedKvTest, AdmissionChecksWholeBlocks) {
                             /*prefix_cache=*/false);
   EXPECT_EQ(kv.capacity_blocks(), 2);
   EXPECT_FALSE(kv.try_admit(0, 9));  // 3 blocks > 2
-  EXPECT_TRUE(kv.try_admit(0, 8));   // exactly 2 blocks
-  EXPECT_FALSE(kv.try_grow(0));      // a 3rd block does not exist
+  const std::int32_t slot = kv.try_admit(0, 8).value();  // exactly 2 blocks
+  kv.begin_advance(slot);
+  EXPECT_EQ(kv.advance_growth_blocks(), 1);
+  EXPECT_FALSE(kv.fits_blocks(1));  // a 3rd block does not exist
+  kv.end_advance(slot);
   EXPECT_TRUE(kv.audit());
 }
 
@@ -145,25 +166,26 @@ TEST(PrefixCacheTest, SecondRequestSharesComputedFullBlocks) {
   KvCacheManager kv = paged(1000.0, /*block_tokens=*/4, /*prefix_cache=*/true);
   KvCacheManager::AdmitOutcome outcome;
   // First admission registers the prefix blocks but hits nothing.
-  ASSERT_TRUE(kv.try_admit(0, /*tokens=*/11, /*priority=*/0, /*prefix_id=*/7,
-                           /*prefix_len=*/8, /*prompt_len=*/10, &outcome));
+  const std::int32_t first =
+      kv.try_admit(0, /*tokens=*/11, /*priority=*/0, /*prefix_id=*/7,
+                   /*prefix_len=*/8, /*prompt_len=*/10, &outcome)
+          .value();
   EXPECT_EQ(outcome.prefix_hit_tokens, 0);
   EXPECT_EQ(outcome.shared_blocks, 0);
   EXPECT_EQ(outcome.lookup_tokens, 8);
-  EXPECT_EQ(kv.shared_block_count(0), 2);  // self-registered, refcount 1
+  EXPECT_EQ(kv.inspect(0).shared_blocks, 2);  // self-registered, refcount 1
   // Until the registrant's prefill passes the blocks, nobody can hit them.
   KvCacheManager::AdmitOutcome premature;
-  ASSERT_TRUE(kv.try_admit(1, 11, 0, 7, 8, 10, &premature));
+  kv.release_slot(kv.try_admit(1, 11, 0, 7, 8, 10, &premature).value());
   EXPECT_EQ(premature.prefix_hit_tokens, 0);
-  kv.release(1);
   // Prefill completes -> the blocks become hittable.
-  kv.note_prefilled(0, 10);
+  kv.note_prefilled_slot(first, 10);
   KvCacheManager::AdmitOutcome hit;
   ASSERT_TRUE(kv.try_admit(2, 11, 0, 7, 8, 10, &hit));
   EXPECT_EQ(hit.prefix_hit_tokens, 8);
   EXPECT_EQ(hit.shared_blocks, 2);
   EXPECT_EQ(hit.cow_blocks, 0);  // prefix_len is block-aligned: no tail
-  EXPECT_EQ(kv.shared_block_count(2), 2);
+  EXPECT_EQ(kv.inspect(2).shared_blocks, 2);
   // The two shared blocks are physical once: 0 maps 3 blocks, 2 maps 3
   // blocks, but only 4 distinct blocks exist.
   EXPECT_EQ(kv.occupied_blocks(), 4);
@@ -172,10 +194,11 @@ TEST(PrefixCacheTest, SecondRequestSharesComputedFullBlocks) {
 
 TEST(PrefixCacheTest, ReleasedPrefixBlocksStayCachedAndHittable) {
   KvCacheManager kv = paged(1000.0, 4, true);
-  ASSERT_TRUE(kv.try_admit(0, 11, 0, /*prefix_id=*/3, /*prefix_len=*/8,
-                           /*prompt_len=*/10));
-  kv.note_prefilled(0, 10);
-  kv.release(0);
+  const std::int32_t slot = kv.try_admit(0, 11, 0, /*prefix_id=*/3,
+                                         /*prefix_len=*/8, /*prompt_len=*/10)
+                                .value();
+  kv.note_prefilled_slot(slot, 10);
+  kv.release_slot(slot);
   // Fully released but computed: the blocks stay cached, occupying pages.
   EXPECT_EQ(kv.cached_block_count(), 2);
   EXPECT_EQ(kv.occupied_blocks(), 2);
@@ -193,9 +216,10 @@ TEST(PrefixCacheTest, ReleasedPrefixBlocksStayCachedAndHittable) {
 TEST(PrefixCacheTest, PartialTailIsServedCopyOnWrite) {
   KvCacheManager kv = paged(1000.0, 4, true);
   // prefix 10 = 2 full blocks + a 2-token tail inside block 2.
-  ASSERT_TRUE(kv.try_admit(0, 13, 0, /*prefix_id=*/1, /*prefix_len=*/10,
-                           /*prompt_len=*/12));
-  kv.note_prefilled(0, 12);
+  const std::int32_t donor = kv.try_admit(0, 13, 0, /*prefix_id=*/1,
+                                          /*prefix_len=*/10, /*prompt_len=*/12)
+                                 .value();
+  kv.note_prefilled_slot(donor, 12);
   KvCacheManager::AdmitOutcome hit;
   ASSERT_TRUE(kv.try_admit(1, 13, 0, 1, 10, 12, &hit));
   EXPECT_EQ(hit.prefix_hit_tokens, 10);  // tail tokens reused via the copy
@@ -204,7 +228,7 @@ TEST(PrefixCacheTest, PartialTailIsServedCopyOnWrite) {
   EXPECT_TRUE(kv.audit());
   // The donor leaving drops the tail entry: later admissions still share
   // the full blocks but fall back to prefilling the tail themselves.
-  kv.release(0);
+  kv.release_slot(donor);
   KvCacheManager::AdmitOutcome no_tail;
   ASSERT_TRUE(kv.try_admit(2, 13, 0, 1, 10, 12, &no_tail));
   EXPECT_EQ(no_tail.prefix_hit_tokens, 8);
@@ -217,9 +241,10 @@ TEST(PrefixCacheTest, HitCappedAtPromptMinusOne) {
   // still be recomputed for logits, so the hit stops one token short while
   // every prefix block is still mapped by reference.
   KvCacheManager kv = paged(1000.0, 4, true);
-  ASSERT_TRUE(kv.try_admit(0, 9, 0, /*prefix_id=*/5, /*prefix_len=*/8,
-                           /*prompt_len=*/8));
-  kv.note_prefilled(0, 8);
+  kv.note_prefilled_slot(kv.try_admit(0, 9, 0, /*prefix_id=*/5,
+                                      /*prefix_len=*/8, /*prompt_len=*/8)
+                             .value(),
+                         8);
   KvCacheManager::AdmitOutcome hit;
   ASSERT_TRUE(kv.try_admit(1, 9, 0, 5, 8, 8, &hit));
   EXPECT_EQ(hit.prefix_hit_tokens, 7);
@@ -233,25 +258,26 @@ TEST(PrefixCacheTest, CachedBlocksAreReclaimedLruUnderPressure) {
   // free blocks and must reclaim exactly the 2 OLDER cached blocks (A's),
   // leaving B hittable.
   KvCacheManager kv = paged(24.0, 4, true);
-  ASSERT_TRUE(kv.try_admit(0, 9, 0, /*prefix_id=*/100, 8, 9));
-  kv.note_prefilled(0, 9);
-  kv.release(0);
-  ASSERT_TRUE(kv.try_admit(1, 9, 0, /*prefix_id=*/200, 8, 9));
-  kv.note_prefilled(1, 9);
-  kv.release(1);
+  const auto cache_prefix = [&kv](std::int64_t id, std::int64_t prefix_id) {
+    const std::int32_t slot = kv.try_admit(id, 9, 0, prefix_id, 8, 9).value();
+    kv.note_prefilled_slot(slot, 9);
+    kv.release_slot(slot);
+  };
+  cache_prefix(0, /*prefix_id=*/100);
+  cache_prefix(1, /*prefix_id=*/200);
   EXPECT_EQ(kv.cached_block_count(), 4);
   EXPECT_EQ(kv.occupied_blocks(), 4);
-  ASSERT_TRUE(kv.try_admit(2, 16));  // 4 blocks: 2 free + 2 reclaimed
+  // 4 blocks: 2 free + 2 reclaimed.
+  const std::int32_t unique = kv.try_admit(2, 16).value();
   EXPECT_EQ(kv.cached_block_count(), 2);
   EXPECT_TRUE(kv.audit());
-  kv.release(2);
+  kv.release_slot(unique);
   // The survivors are prefix B's blocks: a B lookup hits both, an A
   // lookup none (and quietly re-registers A for the future).
   KvCacheManager::AdmitOutcome hit_b;
-  ASSERT_TRUE(kv.try_admit(3, 9, 0, 200, 8, 9, &hit_b));
+  kv.release_slot(kv.try_admit(3, 9, 0, 200, 8, 9, &hit_b).value());
   EXPECT_EQ(hit_b.prefix_hit_tokens, 8);
   EXPECT_EQ(hit_b.shared_blocks, 2);
-  kv.release(3);
   KvCacheManager::AdmitOutcome hit_a;
   ASSERT_TRUE(kv.try_admit(4, 9, 0, 100, 8, 9, &hit_a));
   EXPECT_EQ(hit_a.prefix_hit_tokens, 0);
@@ -260,19 +286,19 @@ TEST(PrefixCacheTest, CachedBlocksAreReclaimedLruUnderPressure) {
 
 TEST(PrefixCacheTest, SwapOutPrivatizesSharedBlocks) {
   KvCacheManager kv = paged(1000.0, 4, true, EvictionPolicy::kSwapToHost);
-  ASSERT_TRUE(kv.try_admit(0, 11, 0, /*prefix_id=*/2, 8, 10));
-  kv.note_prefilled(0, 10);
-  ASSERT_TRUE(kv.try_admit(1, 11, 0, 2, 8, 10));
-  EXPECT_EQ(kv.shared_block_count(1), 2);
-  ASSERT_TRUE(kv.try_swap_out(1));
+  kv.note_prefilled_slot(kv.try_admit(0, 11, 0, /*prefix_id=*/2, 8, 10).value(),
+                         10);
+  const std::int32_t sharer = kv.try_admit(1, 11, 0, 2, 8, 10).value();
+  EXPECT_EQ(kv.inspect(1).shared_blocks, 2);
+  ASSERT_TRUE(kv.try_swap_out_slot(sharer));
   // The host copy is whole (3 blocks); the device keeps the shared blocks
   // alive for request 0.
-  EXPECT_DOUBLE_EQ(kv.host_used(), 12.0);
-  EXPECT_EQ(kv.shared_block_count(0), 2);
+  EXPECT_EQ(kv.inspect().host_used_blocks, 3);
+  EXPECT_EQ(kv.inspect(0).shared_blocks, 2);
   EXPECT_TRUE(kv.audit());
   ASSERT_TRUE(kv.try_swap_in(1));
-  EXPECT_EQ(kv.shared_block_count(1), 0);  // returns private
-  EXPECT_EQ(kv.resident_tokens(1), 11);
+  EXPECT_EQ(kv.inspect(1).shared_blocks, 0);  // returns private
+  EXPECT_EQ(kv.inspect(1).tokens, 11);
   EXPECT_TRUE(kv.audit());
 }
 
@@ -283,27 +309,30 @@ TEST(PrefixCacheTest, LruOrderSurvivesRecycledBlockIds) {
   // free list hands their ids back last-freed first, so prefix A below
   // gets its blocks under DESCENDING ids and prefix B under fresh ones:
   // id order no longer matches release order.
-  ASSERT_TRUE(kv.try_admit(0, 18, 0, /*prefix_id=*/1, 16, 17));
-  kv.note_prefilled(0, 17);
-  kv.release(0);
-  ASSERT_TRUE(kv.try_admit(1, 64));  // the whole device: reclaims all 4
+  const std::int32_t warm = kv.try_admit(0, 18, 0, /*prefix_id=*/1, 16, 17)
+                                .value();
+  kv.note_prefilled_slot(warm, 17);
+  kv.release_slot(warm);
+  // The whole device: reclaims all 4.
+  kv.release_slot(kv.try_admit(1, 64).value());
   EXPECT_EQ(kv.cached_block_count(), 0);
-  kv.release(1);
-  EXPECT_EQ(kv.shared_block_ids(), 4);
+  EXPECT_EQ(kv.inspect().shared_block_ids, 4);
   // Release A, then B: A's blocks are the older cached ones.
-  ASSERT_TRUE(kv.try_admit(2, 18, 0, /*prefix_id=*/10, 16, 17));
-  ASSERT_TRUE(kv.try_admit(3, 18, 0, /*prefix_id=*/20, 16, 17));
-  kv.note_prefilled(2, 17);
-  kv.note_prefilled(3, 17);
-  kv.release(2);
-  kv.release(3);
+  const std::int32_t a = kv.try_admit(2, 18, 0, /*prefix_id=*/10, 16, 17)
+                             .value();
+  const std::int32_t b = kv.try_admit(3, 18, 0, /*prefix_id=*/20, 16, 17)
+                             .value();
+  kv.note_prefilled_slot(a, 17);
+  kv.note_prefilled_slot(b, 17);
+  kv.release_slot(a);
+  kv.release_slot(b);
   EXPECT_EQ(kv.cached_block_count(), 8);
-  EXPECT_EQ(kv.shared_block_ids(), 8);  // A reused the 4 warm-up ids
+  EXPECT_EQ(kv.inspect().shared_block_ids, 8);  // A reused the warm-up ids
   // Reclaim exactly 2: 8 free + 2 cached.
-  ASSERT_TRUE(kv.try_admit(4, 40));
+  const std::int32_t big = kv.try_admit(4, 40).value();
   EXPECT_EQ(kv.cached_block_count(), 6);
   EXPECT_TRUE(kv.audit());
-  kv.release(4);
+  kv.release_slot(big);
   // A's blocks 0 and 1 went first: an A lookup hits nothing, registers
   // blocks 0 and 1 afresh and finds blocks 2 and 3 still present.
   // (Reclaiming by block id would have taken A's blocks 3 and 2, leaving
@@ -311,7 +340,7 @@ TEST(PrefixCacheTest, LruOrderSurvivesRecycledBlockIds) {
   KvCacheManager::AdmitOutcome hit_a;
   ASSERT_TRUE(kv.try_admit(5, 18, 0, 10, 16, 17, &hit_a));
   EXPECT_EQ(hit_a.prefix_hit_tokens, 0);
-  EXPECT_EQ(kv.shared_block_count(5), 2);
+  EXPECT_EQ(kv.inspect(5).shared_blocks, 2);
   // B is untouched.
   KvCacheManager::AdmitOutcome hit_b;
   ASSERT_TRUE(kv.try_admit(6, 18, 0, 20, 16, 17, &hit_b));
@@ -326,14 +355,14 @@ TEST(PrefixCacheTest, ChurnRecyclesBlockIds) {
   // blocks pile up until pressure reclaims them, and their ids must be
   // reused: the slab never outgrows the device.
   KvCacheManager kv = paged(64.0, 4, true);
+  std::vector<std::int32_t> slots;  // by request id
   for (std::int64_t id = 0; id < 400; ++id) {
-    if (id >= 3) kv.release(id - 3);
-    KvCacheManager::AdmitOutcome outcome;
-    ASSERT_TRUE(kv.try_admit(id, 18, 0, /*prefix_id=*/id, 16, 17, &outcome));
-    ASSERT_EQ(kv.shared_block_count(id), 4);
-    kv.note_prefilled(id, 17);
+    if (id >= 3) kv.release_slot(slots[static_cast<std::size_t>(id - 3)]);
+    slots.push_back(kv.try_admit(id, 18, 0, /*prefix_id=*/id, 16, 17).value());
+    ASSERT_EQ(kv.inspect(id).shared_blocks, 4);
+    kv.note_prefilled_slot(slots.back(), 17);
     ASSERT_TRUE(kv.audit()) << "request " << id;
-    ASSERT_LE(kv.shared_block_ids(), kv.capacity_blocks());
+    ASSERT_LE(kv.inspect().shared_block_ids, kv.capacity_blocks());
   }
   EXPECT_GT(kv.cached_blocks_reclaimed_total(), 1000);
 }
@@ -345,14 +374,15 @@ TEST(PrefixCacheTest, HitsAdmitPastTheFreeAndCachedBlocks) {
   // cached, but its 2 hits leave 1 block to allocate: it must pass the
   // O(1) bound and be admitted.
   KvCacheManager kv = paged(32.0, 4, true);
-  ASSERT_TRUE(kv.try_admit(0, 10, 0, /*prefix_id=*/9, /*prefix_len=*/8,
-                           /*prompt_len=*/9));
-  kv.note_prefilled(0, 9);
+  const std::int32_t holder = kv.try_admit(0, 10, 0, /*prefix_id=*/9,
+                                           /*prefix_len=*/8, /*prompt_len=*/9)
+                                  .value();
+  kv.note_prefilled_slot(holder, 9);
   ASSERT_TRUE(kv.try_admit(1, 16));
   ASSERT_EQ(kv.free_blocks(), 1);
   ASSERT_EQ(kv.cached_block_count(), 0);
   KvCacheManager::AdmitOutcome outcome;
-  ASSERT_TRUE(kv.try_admit(2, 10, 0, 9, 8, 9, &outcome));
+  const std::int32_t sharer = kv.try_admit(2, 10, 0, 9, 8, 9, &outcome).value();
   EXPECT_EQ(outcome.shared_blocks, 2);
   EXPECT_EQ(outcome.prefix_hit_tokens, 8);
   EXPECT_EQ(kv.free_blocks(), 0);
@@ -363,14 +393,14 @@ TEST(PrefixCacheTest, HitsAdmitPastTheFreeAndCachedBlocks) {
   // pool.  A 4-block admission with 1 free block and 2 cached hits passes
   // the bound (4 - 2 <= 1 + 2) but not the exact check (2 > 1 + 0), and
   // changes nothing.
-  kv.release(0);
-  kv.release(2);
+  kv.release_slot(holder);
+  kv.release_slot(sharer);
   ASSERT_EQ(kv.cached_block_count(), 2);
   ASSERT_TRUE(kv.try_admit(3, 4));
   ASSERT_EQ(kv.free_blocks(), 1);
   const std::int64_t allocated = kv.blocks_allocated_total();
   EXPECT_FALSE(kv.try_admit(4, 14, 0, 9, 8, 13, &outcome));
-  EXPECT_FALSE(kv.resident(4));
+  EXPECT_EQ(kv.find_slot(4), -1);
   EXPECT_EQ(kv.cached_block_count(), 2);
   EXPECT_EQ(kv.free_blocks(), 1);
   EXPECT_EQ(kv.blocks_allocated_total(), allocated);
@@ -388,7 +418,7 @@ TEST(PrefixCacheTest, ChunkedPrefillMakesEachRegisteredBlockHittable) {
   const auto slot = kv.try_admit(0, 15, 0, /*prefix_id=*/4,
                                  /*prefix_len=*/12, /*prompt_len=*/14);
   ASSERT_TRUE(slot.has_value());
-  ASSERT_EQ(kv.shared_block_count(0), 3);  // all three registered
+  ASSERT_EQ(kv.inspect(0).shared_blocks, 3);  // all three registered
   const std::vector<std::pair<std::int64_t, std::int64_t>> steps = {
       {0, 0}, {3, 0}, {4, 1}, {7, 1}, {8, 2}, {11, 2}, {12, 3}, {14, 3}};
   std::int64_t probe = 100;
@@ -396,12 +426,14 @@ TEST(PrefixCacheTest, ChunkedPrefillMakesEachRegisteredBlockHittable) {
     SCOPED_TRACE("prefilled " + std::to_string(computed));
     kv.note_prefilled_slot(*slot, computed);
     KvCacheManager::AdmitOutcome outcome;
-    ASSERT_TRUE(kv.try_admit(probe, 15, 0, 4, 12, 14, &outcome));
+    const std::int32_t probe_slot =
+        kv.try_admit(probe, 15, 0, 4, 12, 14, &outcome).value();
     EXPECT_EQ(outcome.shared_blocks, hittable);
     EXPECT_EQ(outcome.prefix_hit_tokens, hittable * 4);
-    EXPECT_EQ(kv.shared_block_count(probe), hittable);  // registers nothing
+    EXPECT_EQ(kv.inspect(probe).shared_blocks, hittable);  // registers nothing
     EXPECT_TRUE(kv.audit());
-    kv.release(probe++);
+    kv.release_slot(probe_slot);
+    ++probe;
   }
 }
 
@@ -410,8 +442,11 @@ TEST(PrefixCacheTest, ChunkedPrefillMakesEachRegisteredBlockHittable) {
 /// The prefix cache's semantics over the most direct containers: blocks
 /// keyed by (prefix id, block index) in one std::map, the LRU victim found
 /// by scanning for the oldest release stamp, occupancy recounted from
-/// scratch on every query.  Slow and obviously right; the flat store must
-/// agree with it on every decision and every AdmitOutcome.
+/// scratch on every query.  Decode growth is a pass over the batch in
+/// admission order, one token per growing entry, with a finisher released
+/// at its place in that order.  Slow and obviously right; the flat store
+/// and its advance clock must agree with it on every decision and every
+/// AdmitOutcome.
 class PrefixCacheReference {
  public:
   PrefixCacheReference(std::int64_t capacity_blocks,
@@ -481,6 +516,7 @@ class PrefixCacheReference {
     }
     seq.private_blocks =
         blocks_for(tokens) - static_cast<std::int64_t>(seq.shared.size());
+    seq.order = next_order_++;
     device_[id] = seq;
     outcome->lookup_tokens = eligible ? std::min(prefix_len, prompt_len - 1)
                                       : 0;
@@ -490,15 +526,44 @@ class PrefixCacheReference {
     return true;
   }
 
-  bool try_grow(std::int64_t id, std::int64_t tokens) {
-    Seq& seq = device_.at(id);
-    const std::int64_t need =
-        blocks_for(seq.tokens + tokens) - blocks_for(seq.tokens);
-    if (referenced() + need > capacity_) return false;
-    while (occupied() + need > capacity_) reclaim_oldest();
-    seq.tokens += tokens;
-    seq.private_blocks += need;
-    return true;
+  /// Blocks the next `steps` decode steps of `growing` allocate: one per
+  /// block multiple among each entry's token counts before each step.
+  std::int64_t growth_blocks(const std::set<std::int64_t>& growing,
+                             std::int64_t steps = 1) const {
+    std::int64_t blocks = 0;
+    for (std::int64_t id : growing) {
+      const std::int64_t tokens = device_.at(id).tokens;
+      for (std::int64_t t = tokens; t < tokens + steps; ++t) {
+        blocks += t % block_ == 0;
+      }
+    }
+    return blocks;
+  }
+  bool fits(std::int64_t blocks) const {
+    return referenced() + blocks <= capacity_;
+  }
+
+  /// One decode step over the batch in admission order: every entry in
+  /// `growing` gains a token (a new block, when it needs one, is a free
+  /// block or else the oldest cached one reclaimed), and `finisher`
+  /// (-1 = none) is released at its place in that order.
+  void decode_step(const std::set<std::int64_t>& growing,
+                   std::int64_t finisher) {
+    std::vector<std::pair<std::int64_t, std::int64_t>> batch;  // (order, id)
+    for (const auto& [id, seq] : device_) batch.emplace_back(seq.order, id);
+    std::sort(batch.begin(), batch.end());
+    for (const auto& [order, id] : batch) {
+      if (id == finisher) {
+        release(id);
+      } else if (growing.count(id) > 0) {
+        Seq& seq = device_.at(id);
+        const std::int64_t need =
+            blocks_for(seq.tokens + 1) - blocks_for(seq.tokens);
+        while (occupied() + need > capacity_) reclaim_oldest();
+        ++seq.tokens;
+        seq.private_blocks += need;
+      }
+    }
   }
 
   void note_prefilled(std::int64_t id, std::int64_t computed) {
@@ -537,6 +602,7 @@ class PrefixCacheReference {
     if (referenced() + seq.private_blocks > capacity_) return false;
     while (occupied() + seq.private_blocks > capacity_) reclaim_oldest();
     device_[id] = seq;
+    device_[id].order = next_order_++;  // re-entry is the newest admission
     host_.erase(id);
     return true;
   }
@@ -567,6 +633,10 @@ class PrefixCacheReference {
   std::int64_t shared_count(std::int64_t id) const {
     return static_cast<std::int64_t>(device_.at(id).shared.size());
   }
+  std::int64_t tokens(std::int64_t id) const { return device_.at(id).tokens; }
+  std::int64_t blocks(std::int64_t id) const {
+    return blocks_for(device_.at(id).tokens);
+  }
 
  private:
   using Key = std::pair<std::int64_t, std::int64_t>;  // (prefix id, k)
@@ -581,6 +651,7 @@ class PrefixCacheReference {
     std::int64_t computed = 0;
     std::int64_t prefix_id = -1;
     std::int64_t private_blocks = 0;
+    std::int64_t order = 0;  ///< admission (or swap-in) order
     std::vector<Key> shared;
   };
 
@@ -622,12 +693,18 @@ class PrefixCacheReference {
 
   std::int64_t capacity_, host_capacity_, block_;
   std::int64_t next_stamp_ = 0;
+  std::int64_t next_order_ = 0;
   std::map<Key, Block> blocks_;
   std::map<std::int64_t, std::int64_t> donors_;  ///< prefix id -> entry
   std::map<std::int64_t, Seq> device_, host_;
 };
 
 TEST(PrefixCacheChurnTest, MatchesBruteForceReference) {
+  // Admission, prefill notes, release, swap and cache drops interleave with
+  // decode steps on the advance clock, as on the serving path: growing
+  // entries stay advancing across operations, a step may release a
+  // finisher (the growth admitted before it allocated first when the free
+  // blocks fall short) and a quiet run commits several advances at once.
   for (std::int64_t block : {4, 16}) {
     for (bool partial_tail : {false, true}) {
       for (std::uint64_t seed : {7ull, 41ull, 2024ull}) {
@@ -642,8 +719,14 @@ TEST(PrefixCacheChurnTest, MatchesBruteForceReference) {
         PrefixCacheReference ref(capacity_blocks, host_blocks, block);
         Rng rng(seed);
         std::vector<std::int64_t> device, host;
+        std::map<std::int64_t, std::int32_t> slot_of;  // resident ids
+        std::set<std::int64_t> growing;  // resident ids advancing
         std::map<std::int64_t, std::int64_t> prompt_of;
         bool paused = false;
+        const auto pick = [&rng](const std::vector<std::int64_t>& ids) {
+          return ids[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(ids.size()) - 1))];
+        };
         const auto take = [&rng](std::vector<std::int64_t>* ids) {
           const std::size_t i = static_cast<std::size_t>(
               rng.uniform_int(0, static_cast<std::int64_t>(ids->size()) - 1));
@@ -651,8 +734,13 @@ TEST(PrefixCacheChurnTest, MatchesBruteForceReference) {
           ids->erase(ids->begin() + static_cast<std::ptrdiff_t>(i));
           return id;
         };
+        const auto leave = [&](std::int64_t id) {
+          device.erase(std::find(device.begin(), device.end(), id));
+          slot_of.erase(id);
+          growing.erase(id);
+        };
         for (std::int64_t op = 0; op < 1500; ++op) {
-          const std::int64_t kind = rng.uniform_int(0, 9);
+          const std::int64_t kind = rng.uniform_int(0, 10);
           SCOPED_TRACE(::testing::Message()
                        << "block " << block << " tail " << partial_tail
                        << " seed " << seed << " op " << op << " kind "
@@ -666,51 +754,103 @@ TEST(PrefixCacheChurnTest, MatchesBruteForceReference) {
                 prefix_len + rng.uniform_int(0, 2 * block);
             const std::int64_t tokens = prompt + rng.uniform_int(1, block);
             KvCacheManager::AdmitOutcome got, want;
-            const bool admitted =
+            const std::optional<std::int32_t> slot =
                 kv.try_admit(op, tokens, 0, prefix_id,
-                             prefix_id >= 0 ? prefix_len : 0, prompt, &got)
-                    .has_value();
-            ASSERT_EQ(admitted,
+                             prefix_id >= 0 ? prefix_len : 0, prompt, &got);
+            ASSERT_EQ(slot.has_value(),
                       ref.try_admit(op, tokens, prefix_id,
                                     prefix_id >= 0 ? prefix_len : 0, prompt,
                                     paused, &want));
-            if (admitted) {
+            if (slot) {
               ASSERT_EQ(got.lookup_tokens, want.lookup_tokens);
               ASSERT_EQ(got.prefix_hit_tokens, want.prefix_hit_tokens);
               ASSERT_EQ(got.shared_blocks, want.shared_blocks);
               ASSERT_EQ(got.cow_blocks, want.cow_blocks);
-              ASSERT_EQ(kv.shared_block_count(op), ref.shared_count(op));
+              ASSERT_EQ(kv.inspect(op).shared_blocks, ref.shared_count(op));
               device.push_back(op);
+              slot_of[op] = *slot;
               prompt_of[op] = prompt;
             }
           } else if (kind == 3) {
-            const std::int64_t id = device[static_cast<std::size_t>(
-                rng.uniform_int(0, static_cast<std::int64_t>(device.size()) -
-                                       1))];
+            const std::int64_t id = pick(device);
             const std::int64_t computed =
                 rng.uniform_int(0, prompt_of.at(id));
-            kv.note_prefilled(id, computed);
+            kv.note_prefilled_slot(slot_of.at(id), computed);
             ref.note_prefilled(id, computed);
           } else if (kind == 4) {
-            const std::int64_t id = take(&device);
-            kv.release(id);
+            // An advancing entry ends its advance as it leaves.
+            const std::int64_t id = pick(device);
+            kv.release_slot(slot_of.at(id));
             ref.release(id);
+            leave(id);
           } else if (kind == 5) {
-            const std::int64_t id = take(&device);
-            const bool out = kv.try_swap_out(id);
+            // The scheduler stops a decoder's advance before swapping it.
+            const std::int64_t id = pick(device);
+            const std::int32_t slot = slot_of.at(id);
+            if (growing.erase(id) > 0) kv.end_advance(slot);
+            const bool out = kv.try_swap_out_slot(slot);
             ASSERT_EQ(out, ref.try_swap_out(id));
-            (out ? host : device).push_back(id);
+            if (out) {
+              leave(id);
+              host.push_back(id);
+            }
           } else if (kind == 6 && !host.empty()) {
             const std::int64_t id = take(&host);
-            const bool in = kv.try_swap_in(id).has_value();
-            ASSERT_EQ(in, ref.try_swap_in(id));
-            (in ? device : host).push_back(id);
+            const std::optional<std::int32_t> slot = kv.try_swap_in(id);
+            ASSERT_EQ(slot.has_value(), ref.try_swap_in(id));
+            if (slot) {
+              device.push_back(id);
+              slot_of[id] = *slot;
+            } else {
+              host.push_back(id);
+            }
           } else if (kind == 7) {
-            const std::int64_t id = device[static_cast<std::size_t>(
-                rng.uniform_int(0, static_cast<std::int64_t>(device.size()) -
-                                       1))];
-            const std::int64_t grow = rng.uniform_int(1, block);
-            ASSERT_EQ(kv.try_grow(id, grow), ref.try_grow(id, grow));
+            // Decode steps.  Half the time a non-growing entry finishes:
+            // in the first step whose growth outruns the free blocks (the
+            // release-order case), else in the last.  Otherwise, half the
+            // time, the steps run as one quiet advance when their growth
+            // fits the free blocks.
+            std::vector<std::int64_t> idle;
+            for (std::int64_t id : device) {
+              if (growing.count(id) == 0) idle.push_back(id);
+            }
+            std::int64_t finisher =
+                !idle.empty() && rng.uniform_int(0, 1) == 0 ? pick(idle) : -1;
+            const std::int64_t steps = rng.uniform_int(1, 2 * block);
+            const std::int64_t run_blocks = kv.growth_blocks_over(steps);
+            ASSERT_EQ(run_blocks, ref.growth_blocks(growing, steps));
+            if (finisher < 0 && steps > 1 && rng.uniform_int(0, 1) == 0 &&
+                run_blocks <= kv.free_blocks()) {
+              kv.advance(steps);
+              for (std::int64_t i = 0; i < steps; ++i) {
+                ref.decode_step(growing, -1);
+              }
+            } else {
+              for (std::int64_t i = 0; i < steps; ++i) {
+                const std::int64_t need = kv.advance_growth_blocks();
+                ASSERT_EQ(need, ref.growth_blocks(growing));
+                const bool fits = kv.fits_blocks(need);
+                ASSERT_EQ(fits, ref.fits(need));
+                if (!fits) break;
+                const bool ordered = need > kv.free_blocks();
+                const std::int64_t leaving =
+                    ordered || i + 1 == steps ? finisher : -1;
+                if (leaving >= 0) {
+                  const std::int32_t slot = slot_of.at(leaving);
+                  if (ordered) {
+                    kv.grow_advancing(kv.advance_blocks_admitted_before(slot));
+                  }
+                  kv.release_slot(slot);
+                }
+                kv.advance(1);
+                ref.decode_step(growing, leaving);
+                if (leaving >= 0) {
+                  leave(leaving);
+                  finisher = -1;
+                }
+                ASSERT_TRUE(kv.audit());
+              }
+            }
           } else if (kind == 8) {
             if (rng.uniform_int(0, 3) == 0) {
               ASSERT_EQ(kv.drop_cached_blocks(), ref.drop_cached());
@@ -718,11 +858,28 @@ TEST(PrefixCacheChurnTest, MatchesBruteForceReference) {
           } else if (kind == 9) {
             paused = rng.uniform_int(0, 2) == 0;
             kv.set_prefix_admission_paused(paused);
+          } else if (kind == 10) {
+            // An entry starts or stops decoding.
+            const std::int64_t id = pick(device);
+            if (growing.erase(id) > 0) {
+              kv.end_advance(slot_of.at(id));
+            } else {
+              kv.begin_advance(slot_of.at(id));
+              growing.insert(id);
+            }
           }
           ASSERT_TRUE(kv.audit());
           ASSERT_EQ(kv.occupied_blocks(), ref.occupied());
           ASSERT_EQ(kv.cached_block_count(), ref.cached());
-          ASSERT_LE(kv.shared_block_ids(), capacity_blocks);
+          ASSERT_EQ(kv.advancing_count(),
+                    static_cast<std::int64_t>(growing.size()));
+          ASSERT_LE(kv.inspect().shared_block_ids, capacity_blocks);
+          for (const auto& [id, slot] : slot_of) {
+            ASSERT_EQ(kv.find_slot(id), slot);
+            const KvCacheManager::Inspection entry = kv.inspect(id);
+            ASSERT_EQ(entry.tokens, ref.tokens(id)) << "request " << id;
+            ASSERT_EQ(entry.blocks, ref.blocks(id)) << "request " << id;
+          }
         }
       }
     }
@@ -734,10 +891,9 @@ TEST(PrefixCacheChurnTest, MatchesBruteForceReference) {
 TEST(VictimIndexTest, MatchesBruteForceScanUnderChurn) {
   // The admit-order list (newest / oldest resident) and the slot-array
   // priority scan must reproduce the historical full-scan victim choice
-  // exactly, across policies, protect values, grows, releases, swap-outs,
-  // swap-ins (re-entering as the newest admission) and fault
-  // invalidations.  Slots handed out must be recycled ones while any are
-  // free.
+  // exactly, across policies, decode growth, releases, swap-outs, swap-ins
+  // (re-entering as the newest admission) and fault invalidations.  Slots
+  // handed out must be recycled ones while any are free.
   struct Shadow {
     std::int64_t tokens, admit_seq, priority;
   };
@@ -753,14 +909,13 @@ TEST(VictimIndexTest, MatchesBruteForceScanUnderChurn) {
     std::int32_t slots_made = 0;
     std::int64_t shadow_seq = 0;
     Rng rng(77);
-    const auto brute_force = [&](std::int64_t protect) {
+    const auto brute_force = [&]() {
       // The pre-paging reference scan, verbatim semantics.
       std::int64_t exempt = -1;
       if (policy == EvictionPolicy::kPriorityVictim) {
         std::int64_t eligible = 0;
         std::int64_t oldest_seq = -1;
         for (const auto& [id, entry] : shadow) {
-          if (id == protect) continue;
           ++eligible;
           if (exempt < 0 || entry.admit_seq < oldest_seq) {
             exempt = id;
@@ -772,7 +927,7 @@ TEST(VictimIndexTest, MatchesBruteForceScanUnderChurn) {
       std::int64_t victim = -1;
       const Shadow* victim_entry = nullptr;
       for (const auto& [id, entry] : shadow) {
-        if (id == protect || id == exempt) continue;
+        if (id == exempt) continue;
         const auto better = [&](const Shadow& a, std::int64_t a_id,
                                 const Shadow& b, std::int64_t b_id) {
           if (policy == EvictionPolicy::kPriorityVictim) {
@@ -814,11 +969,14 @@ TEST(VictimIndexTest, MatchesBruteForceScanUnderChurn) {
         take_slot(op, *slot);
         shadow[op] = Shadow{tokens, shadow_seq++, priority};
       } else if (kind == 1) {
-        const std::int64_t id = shadow.begin()->first;
-        ASSERT_TRUE(kv.try_grow(id, rng.uniform_int(1, 9)));
+        // Decode growth: a quiet run of 1..9 advances.
+        const std::int32_t slot = slot_of.at(shadow.begin()->first);
+        kv.begin_advance(slot);
+        kv.advance(rng.uniform_int(1, 9));
+        kv.end_advance(slot);
       } else if (kind == 2) {
         const std::int64_t id = shadow.rbegin()->first;
-        kv.release(id);
+        kv.release_slot(slot_of.at(id));
         shadow.erase(id);
         free_slot(id);
       } else if (kind == 3) {
@@ -827,7 +985,7 @@ TEST(VictimIndexTest, MatchesBruteForceScanUnderChurn) {
                             rng.uniform_int(0, static_cast<std::int64_t>(
                                                    shadow.size()) - 1));
         const std::int64_t id = it->first;
-        ASSERT_TRUE(kv.try_swap_out(id));
+        ASSERT_TRUE(kv.try_swap_out_slot(slot_of.at(id)));
         host[id] = it->second;
         shadow.erase(it);
         free_slot(id);
@@ -851,27 +1009,24 @@ TEST(VictimIndexTest, MatchesBruteForceScanUnderChurn) {
           host.erase(id);
         } else {
           const std::int64_t id = shadow.begin()->first;
-          const std::int64_t blocks = (kv.resident_tokens(id) + 3) / 4;
+          const std::int64_t blocks = (kv.inspect(id).tokens + 3) / 4;
           EXPECT_EQ(kv.invalidate_blocks(id), blocks);
           shadow.erase(id);
           free_slot(id);
         }
       }
-      // Mirror token counts from the manager (grow path above).
+      // Mirror token counts from the manager (growth above).
       for (auto& [id, entry] : shadow) {
-        entry.tokens = kv.resident_tokens(id);
+        entry.tokens = kv.inspect(id).tokens;
         ASSERT_EQ(kv.find_slot(id), slot_of.at(id));
       }
       for (auto& [id, entry] : host) {
         ASSERT_EQ(kv.swapped_tokens(id), entry.tokens);
         ASSERT_EQ(kv.find_slot(id), -1);
       }
-      const std::int64_t protect =
-          shadow.empty() || rng.uniform_int(0, 1) == 0
-              ? -1
-              : shadow.begin()->first;
-      ASSERT_EQ(kv.pick_eviction_victim(protect), brute_force(protect));
-      ASSERT_EQ(kv.resident_count(), shadow.size());
+      ASSERT_EQ(kv.pick_eviction_victim(), brute_force());
+      ASSERT_EQ(kv.inspect().resident_entries,
+                static_cast<std::int64_t>(shadow.size()));
       ASSERT_TRUE(kv.audit());
     }
   }
@@ -884,11 +1039,18 @@ TEST(PagedKvFuzzTest, NoLeaksAcrossSeedsAndPolicies) {
     for (EvictionPolicy policy :
          {EvictionPolicy::kPreemptNewest, EvictionPolicy::kSwapToHost,
           EvictionPolicy::kPriorityVictim}) {
-      KvCacheManager kv = paged(/*capacity=*/600.0, /*block_tokens=*/4,
+      // 75 blocks: tight enough that decode growth outruns the free
+      // blocks and reclaims cached prefix blocks.
+      KvCacheManager kv = paged(/*capacity=*/300.0, /*block_tokens=*/4,
                                 /*prefix_cache=*/true, policy,
                                 /*host_capacity=*/200.0);
       Rng rng(seed);
-      std::set<std::int64_t> device, host;
+      std::map<std::int64_t, std::int32_t> device;  // id -> slot
+      std::set<std::int64_t> host;
+      const auto release = [&](std::int64_t id) {
+        kv.release_slot(device.at(id));
+        device.erase(id);
+      };
       for (std::int64_t op = 0; op < 600; ++op) {
         const std::int64_t kind = rng.uniform_int(0, 5);
         if (kind <= 1 || device.empty()) {
@@ -897,57 +1059,80 @@ TEST(PagedKvFuzzTest, NoLeaksAcrossSeedsAndPolicies) {
           const bool tagged = rng.uniform_int(0, 1) == 0;
           const std::int64_t prompt = rng.uniform_int(12, 40);
           const std::int64_t prefix = tagged ? rng.uniform_int(0, 2) : -1;
-          if (kv.try_admit(op, prompt + 1, rng.uniform_int(0, 3), prefix,
-                           tagged ? 10 : 0, prompt)) {
-            device.insert(op);
+          const std::optional<std::int32_t> slot =
+              kv.try_admit(op, prompt + 1, rng.uniform_int(0, 3), prefix,
+                           tagged ? 10 : 0, prompt);
+          if (slot) {
+            device[op] = *slot;
             // Prefill some arbitrary amount (possibly past the prefix).
-            kv.note_prefilled(op, rng.uniform_int(0, prompt));
+            kv.note_prefilled_slot(*slot, rng.uniform_int(0, prompt));
           }
         } else if (kind == 2) {
-          kv.try_grow(*device.begin(), rng.uniform_int(1, 6));
+          // Up to 6 decode steps over the whole batch; half the time the
+          // newest entry finishes in the first one instead of growing,
+          // released in admission order among the growth.
+          std::int64_t finisher =
+              device.size() > 1 && rng.uniform_int(0, 1) == 0
+                  ? device.rbegin()->first
+                  : -1;
+          for (const auto& [id, slot] : device) {
+            if (id != finisher) kv.begin_advance(slot);
+          }
+          for (std::int64_t k = rng.uniform_int(1, 6);
+               k > 0 && kv.fits_blocks(kv.advance_growth_blocks()); --k) {
+            if (finisher >= 0) {
+              const std::int32_t slot = device.at(finisher);
+              if (kv.advance_growth_blocks() > kv.free_blocks()) {
+                kv.grow_advancing(kv.advance_blocks_admitted_before(slot));
+              }
+              release(finisher);
+              finisher = -1;
+            }
+            kv.advance(1);
+            ASSERT_TRUE(kv.audit());
+          }
+          for (const auto& [id, slot] : device) {
+            if (id != finisher) kv.end_advance(slot);
+          }
         } else if (kind == 3) {
-          const std::int64_t id = *device.rbegin();
-          kv.release(id);
-          device.erase(id);
+          release(device.rbegin()->first);
         } else if (kind == 4 && policy == EvictionPolicy::kSwapToHost) {
-          const std::int64_t id = *device.begin();
-          if (kv.try_swap_out(id)) {
-            device.erase(id);
-            host.insert(id);
+          const auto oldest = device.begin();
+          if (kv.try_swap_out_slot(oldest->second)) {
+            host.insert(oldest->first);
+            device.erase(oldest);
           }
         } else {
-          const std::int64_t victim = kv.pick_eviction_victim(/*protect=*/-1);
-          if (victim >= 0) {
-            kv.release(victim);
-            device.erase(victim);
+          const std::int64_t victim = kv.pick_eviction_victim();
+          if (victim >= 0) release(victim);
+        }
+        if (!host.empty()) {
+          const std::optional<std::int32_t> slot =
+              kv.try_swap_in(*host.begin());
+          if (slot) {
+            device[*host.begin()] = *slot;
+            host.erase(host.begin());
           }
         }
-        if (!host.empty() && kv.try_swap_in(*host.begin())) {
-          device.insert(*host.begin());
-          host.erase(host.begin());
-        }
         // audit() recomputes per-block refcounts (>= 1 while mapped),
-        // per-entry block math and pending counts, the cached set, and
-        // walks the admit-order list.
+        // per-entry block math and pending counts, the advancing entries'
+        // clock phases, the cached set, and walks the admit-order list.
         ASSERT_TRUE(kv.audit())
             << "seed " << seed << " policy " << eviction_policy_name(policy)
             << " op " << op;
-        ASSERT_EQ(kv.resident_count(), device.size());
-        ASSERT_EQ(kv.swapped_count(), host.size());
+        ASSERT_EQ(kv.inspect().resident_entries,
+                  static_cast<std::int64_t>(device.size()));
+        ASSERT_EQ(kv.inspect().swapped_entries,
+                  static_cast<std::int64_t>(host.size()));
         ASSERT_LE(kv.occupied_blocks(), kv.capacity_blocks());
       }
       // Tear down: no leaked blocks — everything still occupied must be a
       // reclaimable cached prefix block.
-      for (std::int64_t id : device) kv.release(id);
-      std::vector<std::int64_t> stranded(host.begin(), host.end());
-      for (std::int64_t id : stranded) {
-        ASSERT_TRUE(kv.try_swap_in(id));
-        kv.release(id);
-      }
+      for (const auto& [id, slot] : device) kv.release_slot(slot);
+      for (std::int64_t id : host) kv.release_slot(kv.try_swap_in(id).value());
       EXPECT_EQ(kv.referenced_blocks(), 0);
       EXPECT_EQ(kv.occupied_blocks(), kv.cached_block_count());
-      EXPECT_DOUBLE_EQ(kv.used(), 0.0);
-      EXPECT_DOUBLE_EQ(kv.host_used(), 0.0);
+      EXPECT_EQ(kv.inspect().host_used_blocks, 0);
       EXPECT_TRUE(kv.audit());
     }
   }
@@ -1026,43 +1211,55 @@ TEST(PagedContiguousLockstepTest, BlockSizeOneMatchesContiguousDecisions) {
                                 /*host_capacity=*/120.0);
       ContiguousReference reference(300.0, 1.0, 120.0);
       Rng rng(seed);
-      std::set<std::int64_t> device, host;
+      std::map<std::int64_t, std::int32_t> device;  // id -> slot
+      std::set<std::int64_t> host;
       for (std::int64_t op = 0; op < 500; ++op) {
         const std::int64_t kind = rng.uniform_int(0, 4);
         if (kind == 0 || device.empty()) {
           const std::int64_t tokens = rng.uniform_int(1, 60);
-          const bool paged_ok = kv.try_admit(op, tokens).has_value();
-          ASSERT_EQ(paged_ok, reference.try_admit(op, tokens)) << "op " << op;
-          if (paged_ok) device.insert(op);
+          const std::optional<std::int32_t> slot = kv.try_admit(op, tokens);
+          ASSERT_EQ(slot.has_value(), reference.try_admit(op, tokens))
+              << "op " << op;
+          if (slot) device[op] = *slot;
         } else if (kind == 1) {
-          const std::int64_t id = *device.begin();
+          // A decode run of `tokens` advances, committed when its growth
+          // fits the free blocks, as the reference grows all or nothing.
+          const auto [id, slot] = *device.begin();
           const std::int64_t tokens = rng.uniform_int(1, 8);
-          ASSERT_EQ(kv.try_grow(id, tokens), reference.try_grow(id, tokens));
+          kv.begin_advance(slot);
+          const bool paged_ok =
+              kv.growth_blocks_over(tokens) <= kv.free_blocks();
+          if (paged_ok) kv.advance(tokens);
+          kv.end_advance(slot);
+          ASSERT_EQ(paged_ok, reference.try_grow(id, tokens));
         } else if (kind == 2) {
-          const std::int64_t id = *device.rbegin();
-          kv.release(id);
-          reference.release(id);
-          device.erase(id);
+          const auto newest = std::prev(device.end());
+          kv.release_slot(newest->second);
+          reference.release(newest->first);
+          device.erase(newest);
         } else if (kind == 3) {
-          const std::int64_t id = *device.begin();
-          const bool paged_ok = kv.try_swap_out(id);
-          ASSERT_EQ(paged_ok, reference.try_swap_out(id));
+          const auto oldest = device.begin();
+          const bool paged_ok = kv.try_swap_out_slot(oldest->second);
+          ASSERT_EQ(paged_ok, reference.try_swap_out(oldest->first));
           if (paged_ok) {
-            device.erase(id);
-            host.insert(id);
+            host.insert(oldest->first);
+            device.erase(oldest);
           }
         } else if (!host.empty()) {
           const std::int64_t id = *host.begin();
-          const bool paged_ok = kv.try_swap_in(id).has_value();
-          ASSERT_EQ(paged_ok, reference.try_swap_in(id));
-          if (paged_ok) {
+          const std::optional<std::int32_t> slot = kv.try_swap_in(id);
+          ASSERT_EQ(slot.has_value(), reference.try_swap_in(id));
+          if (slot) {
             host.erase(id);
-            device.insert(id);
+            device[id] = *slot;
           }
         }
-        ASSERT_DOUBLE_EQ(kv.used(), reference.used()) << "op " << op;
-        for (std::int64_t id : device) {
-          ASSERT_EQ(kv.resident_tokens(id), reference.tokens(id));
+        // One token is one byte here.
+        ASSERT_DOUBLE_EQ(static_cast<double>(kv.referenced_blocks()),
+                         reference.used())
+            << "op " << op;
+        for (const auto& [id, slot] : device) {
+          ASSERT_EQ(kv.inspect(id).tokens, reference.tokens(id));
         }
         ASSERT_TRUE(kv.audit());
       }
@@ -1164,7 +1361,7 @@ TEST(PagedSchedulerTest, GrowthBeforeAFinisherReclaimsInAdmissionOrder) {
     EXPECT_EQ(record.finished_ids, (std::vector<std::int64_t>{2}));
     EXPECT_EQ(kv.cached_blocks_reclaimed_total(), grower_first ? 1 : 0);
     EXPECT_EQ(kv.cached_block_count(), grower_first ? 1 : 2);
-    EXPECT_EQ(kv.resident_blocks(1), 2);
+    EXPECT_EQ(kv.inspect(1).blocks, 2);
     EXPECT_TRUE(kv.audit());
     EXPECT_TRUE(scheduler.aggregates_consistent());
   }

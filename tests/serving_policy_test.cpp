@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "expect_identical_metrics.h"
@@ -46,83 +48,92 @@ TEST(KvSwapTest, SwapOutMovesBytesToHostAndBack) {
   KvCacheManager kv(/*capacity=*/100.0, /*bytes_per_token=*/1.0,
                     EvictionPolicy::kSwapToHost, /*host_capacity=*/50.0);
   EXPECT_TRUE(kv.try_admit(0, 40));
-  EXPECT_TRUE(kv.try_admit(1, 30));
-  EXPECT_TRUE(kv.try_swap_out(1));
-  EXPECT_FALSE(kv.resident(1));
-  EXPECT_TRUE(kv.swapped(1));
+  const std::optional<std::int32_t> slot = kv.try_admit(1, 30);
+  ASSERT_TRUE(slot);
+  EXPECT_TRUE(kv.try_swap_out_slot(*slot));
+  EXPECT_FALSE(kv.inspect(1).resident);
+  EXPECT_TRUE(kv.inspect(1).swapped);
   EXPECT_EQ(kv.swapped_tokens(1), 30);
-  EXPECT_DOUBLE_EQ(kv.used(), 40.0);
-  EXPECT_DOUBLE_EQ(kv.host_used(), 30.0);
+  EXPECT_EQ(kv.referenced_blocks(), 40);
+  EXPECT_EQ(kv.inspect().host_used_blocks, 30);
   EXPECT_TRUE(kv.audit());
   // Device room frees -> the pages come home, token count intact.
   EXPECT_TRUE(kv.try_swap_in(1));
-  EXPECT_TRUE(kv.resident(1));
-  EXPECT_FALSE(kv.swapped(1));
-  EXPECT_EQ(kv.resident_tokens(1), 30);
-  EXPECT_DOUBLE_EQ(kv.host_used(), 0.0);
+  EXPECT_TRUE(kv.inspect(1).resident);
+  EXPECT_FALSE(kv.inspect(1).swapped);
+  EXPECT_EQ(kv.inspect(1).tokens, 30);
+  EXPECT_EQ(kv.inspect().host_used_blocks, 0);
   EXPECT_TRUE(kv.audit());
 }
 
 TEST(KvSwapTest, SwapOutRespectsHostCapacity) {
   KvCacheManager kv(100.0, 1.0, EvictionPolicy::kSwapToHost,
                     /*host_capacity=*/25.0);
-  EXPECT_TRUE(kv.try_admit(0, 20));
-  EXPECT_TRUE(kv.try_admit(1, 30));
-  EXPECT_TRUE(kv.try_swap_out(0));   // 20 <= 25 fits
-  EXPECT_FALSE(kv.try_swap_out(1));  // 20 + 30 > 25: host pool full
-  EXPECT_TRUE(kv.resident(1));       // nothing moved on failure
-  EXPECT_DOUBLE_EQ(kv.used(), 30.0);
-  EXPECT_DOUBLE_EQ(kv.host_used(), 20.0);
+  const std::optional<std::int32_t> r0 = kv.try_admit(0, 20);
+  const std::optional<std::int32_t> r1 = kv.try_admit(1, 30);
+  ASSERT_TRUE(r0 && r1);
+  EXPECT_TRUE(kv.try_swap_out_slot(*r0));   // 20 <= 25 fits
+  EXPECT_FALSE(kv.try_swap_out_slot(*r1));  // 20 + 30 > 25: host pool full
+  EXPECT_TRUE(kv.inspect(1).resident);      // nothing moved on failure
+  EXPECT_EQ(kv.referenced_blocks(), 30);
+  EXPECT_EQ(kv.inspect().host_used_blocks, 20);
   EXPECT_TRUE(kv.audit());
 }
 
 TEST(KvSwapTest, SwapInFailsWhenDeviceFull) {
   KvCacheManager kv(50.0, 1.0, EvictionPolicy::kSwapToHost);
-  EXPECT_TRUE(kv.try_admit(0, 30));
-  EXPECT_TRUE(kv.try_swap_out(0));
-  EXPECT_TRUE(kv.try_admit(1, 40));
+  const std::optional<std::int32_t> r0 = kv.try_admit(0, 30);
+  ASSERT_TRUE(r0);
+  EXPECT_TRUE(kv.try_swap_out_slot(*r0));
+  const std::optional<std::int32_t> r1 = kv.try_admit(1, 40);
+  ASSERT_TRUE(r1);
   EXPECT_FALSE(kv.try_swap_in(0));  // 40 + 30 > 50: stays on the host
-  EXPECT_TRUE(kv.swapped(0));
-  kv.release(1);
+  EXPECT_TRUE(kv.inspect(0).swapped);
+  kv.release_slot(*r1);
   EXPECT_TRUE(kv.try_swap_in(0));
   EXPECT_TRUE(kv.audit());
 }
 
 TEST(KvSwapTest, SwapInCountsAsNewestAdmission) {
   KvCacheManager kv(100.0, 1.0, EvictionPolicy::kSwapToHost);
-  EXPECT_TRUE(kv.try_admit(0, 10));
+  const std::optional<std::int32_t> r0 = kv.try_admit(0, 10);
+  ASSERT_TRUE(r0);
   EXPECT_TRUE(kv.try_admit(1, 10));
-  EXPECT_TRUE(kv.try_swap_out(0));
+  EXPECT_TRUE(kv.try_swap_out_slot(*r0));
   EXPECT_TRUE(kv.try_swap_in(0));
   // 0 re-entered after 1, so it is now the newest -> first victim.
-  EXPECT_EQ(kv.pick_eviction_victim(/*protect=*/-1), 0);
+  EXPECT_EQ(kv.pick_eviction_victim(), 0);
 }
 
 TEST(KvPriorityTest, VictimIsLowestPriorityThenLargestKv) {
   KvCacheManager kv(1000.0, 1.0, EvictionPolicy::kPriorityVictim);
-  EXPECT_TRUE(kv.try_admit(0, 50, /*priority=*/2));
-  EXPECT_TRUE(kv.try_admit(1, 80, /*priority=*/0));
-  EXPECT_TRUE(kv.try_admit(2, 120, /*priority=*/0));
+  const std::optional<std::int32_t> r0 = kv.try_admit(0, 50, /*priority=*/2);
+  const std::optional<std::int32_t> r1 = kv.try_admit(1, 80, /*priority=*/0);
+  const std::optional<std::int32_t> r2 = kv.try_admit(2, 120, /*priority=*/0);
+  ASSERT_TRUE(r0 && r1 && r2);
   EXPECT_TRUE(kv.try_admit(3, 200, /*priority=*/5));
   // Lowest priority class first; among {1, 2} the larger footprint goes.
-  EXPECT_EQ(kv.pick_eviction_victim(-1), 2);
-  kv.release(2);
-  EXPECT_EQ(kv.pick_eviction_victim(-1), 1);
-  kv.release(1);
+  EXPECT_EQ(kv.pick_eviction_victim(), 2);
+  kv.release_slot(*r2);
+  EXPECT_EQ(kv.pick_eviction_victim(), 1);
+  kv.release_slot(*r1);
   // The oldest resident (id 0) is exempt for forward progress, so the
   // high-priority newcomer is the only eligible victim.
-  EXPECT_EQ(kv.pick_eviction_victim(-1), 3);
-  // With the oldest excluded via `protect`, id 3 is the sole candidate.
-  EXPECT_EQ(kv.pick_eviction_victim(/*protect=*/0), 3);
+  EXPECT_EQ(kv.pick_eviction_victim(), 3);
+  // A sole resident is evictable: the exemption needs a second one.
+  kv.release_slot(kv.find_slot(3));
+  EXPECT_EQ(kv.pick_eviction_victim(), 0);
 }
 
 TEST(KvPriorityTest, EqualPrioritiesAndSizesFallBackToNewest) {
   KvCacheManager kv(1000.0, 1.0, EvictionPolicy::kPriorityVictim);
   EXPECT_TRUE(kv.try_admit(7, 50, 1));
   EXPECT_TRUE(kv.try_admit(8, 50, 1));
-  EXPECT_TRUE(kv.try_admit(9, 50, 1));
-  EXPECT_EQ(kv.pick_eviction_victim(-1), 9);  // newest admission
-  EXPECT_EQ(kv.pick_eviction_victim(9), 8);
+  const std::optional<std::int32_t> newest = kv.try_admit(9, 50, 1);
+  ASSERT_TRUE(newest);
+  EXPECT_EQ(kv.pick_eviction_victim(), 9);  // newest admission
+  kv.release_slot(*newest);
+  EXPECT_EQ(kv.pick_eviction_victim(), 8);
 }
 
 TEST(KvPolicyTest, PolicyNamesAreStable) {
@@ -134,43 +145,55 @@ TEST(KvPolicyTest, PolicyNamesAreStable) {
 }
 
 TEST(KvPolicyTest, AuditBalancesAcrossChurn) {
+  // Admissions, swaps and releases by slot, and decode growth through the
+  // advance clock: one entry at a time advances a token whenever its next
+  // block fits, as a decode step does.
   KvCacheManager kv(500.0, 1.0, EvictionPolicy::kSwapToHost);
   Rng rng(99);
-  std::set<std::int64_t> device, host;
+  std::map<std::int64_t, std::int32_t> device;  // id -> slot
+  std::set<std::int64_t> host;
   for (std::int64_t id = 0; id < 400; ++id) {
     const std::int64_t op = rng.uniform_int(0, 3);
     if (op == 0 || device.empty()) {
-      if (kv.try_admit(id, rng.uniform_int(1, 40))) device.insert(id);
+      const std::optional<std::int32_t> slot =
+          kv.try_admit(id, rng.uniform_int(1, 40));
+      if (slot) device[id] = *slot;
     } else if (op == 1) {
-      const std::int64_t target = *device.begin();
-      kv.try_grow(target, 1);
+      const std::int32_t slot = device.begin()->second;
+      kv.begin_advance(slot);
+      if (kv.fits_blocks(kv.advance_growth_blocks())) kv.advance(1);
+      kv.end_advance(slot);
     } else if (op == 2) {
-      const std::int64_t target = *device.rbegin();
-      if (kv.try_swap_out(target)) {
+      const auto target = std::prev(device.end());
+      if (kv.try_swap_out_slot(target->second)) {
+        host.insert(target->first);
         device.erase(target);
-        host.insert(target);
       }
     } else {
-      const std::int64_t target = *device.begin();
-      kv.release(target);
-      device.erase(target);
+      kv.release_slot(device.begin()->second);
+      device.erase(device.begin());
     }
-    if (!host.empty() && kv.try_swap_in(*host.begin())) {
-      device.insert(*host.begin());
-      host.erase(host.begin());
+    if (!host.empty()) {
+      const std::optional<std::int32_t> slot = kv.try_swap_in(*host.begin());
+      if (slot) {
+        device[*host.begin()] = *slot;
+        host.erase(host.begin());
+      }
     }
     ASSERT_TRUE(kv.audit()) << "accounting drifted at op " << id;
-    ASSERT_EQ(kv.resident_count(), device.size());
-    ASSERT_EQ(kv.swapped_count(), host.size());
+    ASSERT_EQ(kv.inspect().resident_entries,
+              static_cast<std::int64_t>(device.size()));
+    ASSERT_EQ(kv.inspect().swapped_entries,
+              static_cast<std::int64_t>(host.size()));
   }
-  for (std::int64_t id : device) kv.release(id);
-  std::vector<std::int64_t> stranded(host.begin(), host.end());
-  for (std::int64_t id : stranded) {
-    ASSERT_TRUE(kv.try_swap_in(id));  // empty device always fits them
-    kv.release(id);
+  for (const auto& [id, slot] : device) kv.release_slot(slot);
+  for (std::int64_t id : host) {
+    const std::optional<std::int32_t> slot = kv.try_swap_in(id);
+    ASSERT_TRUE(slot);  // empty device always fits them
+    kv.release_slot(*slot);
   }
-  EXPECT_DOUBLE_EQ(kv.used(), 0.0);
-  EXPECT_DOUBLE_EQ(kv.host_used(), 0.0);
+  EXPECT_EQ(kv.referenced_blocks(), 0);
+  EXPECT_EQ(kv.inspect().host_used_blocks, 0);
   EXPECT_TRUE(kv.audit());
 }
 
@@ -225,36 +248,39 @@ TEST(ChunkedPrefillTest, SingleRequestHandTrace) {
   ContinuousBatchScheduler scheduler(config, &kv);
   scheduler.enqueue(make_request(0, 300, 3));
 
-  auto step1 = scheduler.next_step();
-  ASSERT_TRUE(step1.has_value());
-  EXPECT_EQ(step1->kind, StepRecord::Kind::kPrefill);
-  EXPECT_EQ(step1->chunk_lens, (std::vector<std::int64_t>{128}));
-  EXPECT_EQ(step1->prev_lens, (std::vector<std::int64_t>{0}));
-  EXPECT_EQ(step1->kv_lens, (std::vector<std::int64_t>{128}));
-  EXPECT_TRUE(step1->chunked);
-  EXPECT_TRUE(step1->first_token_ids.empty());  // prompt not done yet
+  StepRecord step;
+  ASSERT_TRUE(scheduler.next_step(&step));
+  EXPECT_EQ(step.kind, StepRecord::Kind::kPrefill);
+  EXPECT_EQ(step.chunk_lens, (std::vector<std::int64_t>{128}));
+  EXPECT_EQ(step.prev_lens, (std::vector<std::int64_t>{0}));
+  EXPECT_EQ(step.kv_lens, (std::vector<std::int64_t>{128}));
+  EXPECT_TRUE(step.chunked);
+  EXPECT_TRUE(step.first_token_ids.empty());  // prompt not done yet
 
-  auto step2 = scheduler.next_step();
-  EXPECT_EQ(step2->prev_lens, (std::vector<std::int64_t>{128}));
-  EXPECT_EQ(step2->chunk_lens, (std::vector<std::int64_t>{128}));
+  ASSERT_TRUE(scheduler.next_step(&step));
+  EXPECT_EQ(step.prev_lens, (std::vector<std::int64_t>{128}));
+  EXPECT_EQ(step.chunk_lens, (std::vector<std::int64_t>{128}));
 
-  auto step3 = scheduler.next_step();
-  EXPECT_EQ(step3->prev_lens, (std::vector<std::int64_t>{256}));
-  EXPECT_EQ(step3->chunk_lens, (std::vector<std::int64_t>{44}));
-  EXPECT_EQ(step3->kv_lens, (std::vector<std::int64_t>{300}));
-  EXPECT_EQ(step3->first_token_ids, (std::vector<std::int64_t>{0}));
+  ASSERT_TRUE(scheduler.next_step(&step));
+  EXPECT_EQ(step.prev_lens, (std::vector<std::int64_t>{256}));
+  EXPECT_EQ(step.chunk_lens, (std::vector<std::int64_t>{44}));
+  EXPECT_EQ(step.kv_lens, (std::vector<std::int64_t>{300}));
+  EXPECT_EQ(step.first_token_ids, (std::vector<std::int64_t>{0}));
 
   // Decode records carry only the grouping; the scheduler derives the
   // per-participant KV lengths the next decode step attends over.
   EXPECT_EQ(scheduler.decode_kv_lens(), (std::vector<std::int64_t>{301}));
-  auto step4 = scheduler.next_step();
-  EXPECT_EQ(step4->kind, StepRecord::Kind::kDecode);
+  ASSERT_TRUE(scheduler.next_step(&step));
+  EXPECT_EQ(step.kind, StepRecord::Kind::kDecode);
+  EXPECT_TRUE(step.kv_lens.empty());
+  EXPECT_EQ(step.decode_groups,
+            (std::vector<std::pair<std::int64_t, std::int64_t>>{{384, 1}}));
   EXPECT_EQ(scheduler.decode_kv_lens(), (std::vector<std::int64_t>{302}));
-  auto step5 = scheduler.next_step();
-  EXPECT_EQ(step5->finished_ids, (std::vector<std::int64_t>{0}));
+  ASSERT_TRUE(scheduler.next_step(&step));
+  EXPECT_EQ(step.finished_ids, (std::vector<std::int64_t>{0}));
   EXPECT_TRUE(scheduler.idle());
   EXPECT_EQ(scheduler.counters().chunked_prefill_steps, 3);
-  EXPECT_DOUBLE_EQ(kv.used(), 0.0);
+  EXPECT_EQ(kv.referenced_blocks(), 0);
 }
 
 TEST(ChunkedPrefillTest, InterleavesWithDecodeSteps) {
@@ -270,9 +296,9 @@ TEST(ChunkedPrefillTest, InterleavesWithDecodeSteps) {
 
   std::vector<StepRecord::Kind> kinds;
   std::vector<std::int64_t> finished;
-  while (auto step = scheduler.next_step()) {
-    kinds.push_back(step->kind);
-    for (std::int64_t id : step->finished_ids) finished.push_back(id);
+  for (StepRecord step; scheduler.next_step(&step);) {
+    kinds.push_back(step.kind);
+    for (std::int64_t id : step.finished_ids) finished.push_back(id);
   }
   // Step 1 prefills r0 whole (single 128-token chunk).  From then on,
   // while r0 decodes and r1 prefills, kinds alternate strictly.
@@ -294,12 +320,12 @@ TEST(ChunkedPrefillTest, BudgetAndPrefillBatchRespected) {
   for (std::int64_t id = 0; id < 12; ++id) {
     scheduler.enqueue(make_request(id, 100 + 37 * id, 4));
   }
-  while (auto step = scheduler.next_step()) {
-    if (step->kind != StepRecord::Kind::kPrefill) continue;
+  for (StepRecord step; scheduler.next_step(&step);) {
+    if (step.kind != StepRecord::Kind::kPrefill) continue;
     std::int64_t chunk_total = 0;
-    for (std::int64_t chunk : step->chunk_lens) chunk_total += chunk;
+    for (std::int64_t chunk : step.chunk_lens) chunk_total += chunk;
     EXPECT_LE(chunk_total, 256);
-    EXPECT_LE(step->batch, 3);
+    EXPECT_LE(step.batch, 3);
   }
   EXPECT_TRUE(scheduler.idle());
 }
@@ -327,35 +353,38 @@ DriveResult drive_to_completion(const std::vector<Request>& requests,
   for (const Request& request : requests) scheduler.enqueue(request);
 
   DriveResult result;
-  while (auto step = scheduler.next_step()) {
+  for (StepRecord step; scheduler.next_step(&step);) {
     ++result.steps;
-    if (step->kind == StepRecord::Kind::kPrefill) {
+    if (step.kind == StepRecord::Kind::kPrefill) {
       // StepRecord carries shapes, not participant ids, so conservation is
       // checked on the global chunk-token total (per-request completion is
       // covered by first_token/finish counts).
-      for (std::int64_t chunk : step->chunk_lens) {
+      for (std::int64_t chunk : step.chunk_lens) {
         result.total_prefill_tokens += chunk;
       }
     }
-    for (std::int64_t id : step->first_token_ids) {
+    for (std::int64_t id : step.first_token_ids) {
       ++result.first_token_count[id];
     }
-    for (std::int64_t id : step->finished_ids) ++result.finish_count[id];
+    for (std::int64_t id : step.finished_ids) ++result.finish_count[id];
     // --- Accounting invariants, every step -------------------------------
     EXPECT_TRUE(kv.audit());
-    EXPECT_LE(kv.used(), kv.capacity() + 1e-9);
-    EXPECT_EQ(kv.resident_count(), scheduler.running_count());
-    EXPECT_EQ(kv.swapped_count(), scheduler.swapped_count());
+    EXPECT_LE(kv.referenced_blocks(), kv.capacity_blocks());
+    EXPECT_EQ(kv.inspect().resident_entries,
+              static_cast<std::int64_t>(scheduler.running_count()));
+    EXPECT_EQ(kv.inspect().swapped_entries,
+              static_cast<std::int64_t>(scheduler.swapped_count()));
     // The scheduler's incremental decoder aggregates must match a fresh
     // rescan after every transition (admit / prefill-complete / advance /
     // finish / preempt / swap): catches drift at the step that caused it.
     EXPECT_TRUE(scheduler.aggregates_consistent());
   }
   EXPECT_TRUE(scheduler.idle());
-  EXPECT_DOUBLE_EQ(kv.used(), 0.0);
-  EXPECT_DOUBLE_EQ(kv.host_used(), 0.0);
-  EXPECT_EQ(kv.resident_count(), 0u);
-  EXPECT_EQ(kv.swapped_count(), 0u);
+  EXPECT_EQ(kv.referenced_blocks(), 0);
+  const KvCacheManager::Inspection empty = kv.inspect();
+  EXPECT_EQ(empty.host_used_blocks, 0);
+  EXPECT_EQ(empty.resident_entries, 0);
+  EXPECT_EQ(empty.swapped_entries, 0);
   result.counters = scheduler.counters();
   return result;
 }
@@ -496,9 +525,9 @@ TEST(PolicyInvariantTest, PriorityVictimSparesHighPriority) {
   for (const Request& request : requests) scheduler.enqueue(request);
   std::vector<std::int64_t> preempted;
   std::map<std::int64_t, std::int64_t> finish_count;
-  while (auto step = scheduler.next_step()) {
-    for (std::int64_t id : step->preempted_ids) preempted.push_back(id);
-    for (std::int64_t id : step->finished_ids) ++finish_count[id];
+  for (StepRecord step; scheduler.next_step(&step);) {
+    for (std::int64_t id : step.preempted_ids) preempted.push_back(id);
+    for (std::int64_t id : step.finished_ids) ++finish_count[id];
   }
   EXPECT_FALSE(preempted.empty());
   EXPECT_TRUE(std::find(preempted.begin(), preempted.end(), 3) ==
@@ -711,51 +740,6 @@ TEST(RequestGenTenantTest, AssignmentDecoupledFromArrivalsAndSkewed) {
   EXPECT_THROW(generate_requests(bad), ConfigError);
 }
 
-// --- next_step() convenience wrapper -----------------------------------------
-
-TEST(SchedulerWrapperTest, OptionalNextStepMatchesPointerPath) {
-  // The optional-returning wrapper must plan the IDENTICAL step sequence
-  // as the scratch-record path it wraps; drive two schedulers over a
-  // preemption-heavy swap workload in lockstep and compare every field.
-  const auto requests = invariant_stream(31, 40);
-  KvCacheManager kv_a(600.0, 1.0, EvictionPolicy::kSwapToHost);
-  KvCacheManager kv_b(600.0, 1.0, EvictionPolicy::kSwapToHost);
-  SchedulerConfig config;
-  config.prefill_chunk_tokens = 128;
-  ContinuousBatchScheduler wrapper_path(config, &kv_a);
-  ContinuousBatchScheduler pointer_path(config, &kv_b);
-  for (const Request& request : requests) {
-    wrapper_path.enqueue(request);
-    pointer_path.enqueue(request);
-  }
-  StepRecord scratch;
-  std::int64_t steps = 0;
-  for (;;) {
-    const std::optional<StepRecord> wrapped = wrapper_path.next_step();
-    const bool stepped = pointer_path.next_step(&scratch);
-    ASSERT_EQ(wrapped.has_value(), stepped) << "at step " << steps;
-    if (!wrapped.has_value()) break;
-    ++steps;
-    EXPECT_EQ(wrapped->kind, scratch.kind);
-    EXPECT_EQ(wrapped->batch, scratch.batch);
-    EXPECT_EQ(wrapped->kv_lens, scratch.kv_lens);
-    EXPECT_EQ(wrapped->chunk_lens, scratch.chunk_lens);
-    EXPECT_EQ(wrapped->prev_lens, scratch.prev_lens);
-    EXPECT_EQ(wrapped->decode_groups, scratch.decode_groups);
-    EXPECT_EQ(wrapped->first_token_ids, scratch.first_token_ids);
-    EXPECT_EQ(wrapped->finished_ids, scratch.finished_ids);
-    EXPECT_EQ(wrapped->preempted_ids, scratch.preempted_ids);
-    EXPECT_EQ(wrapped->swapped_out_ids, scratch.swapped_out_ids);
-    EXPECT_EQ(wrapped->swapped_in_ids, scratch.swapped_in_ids);
-    EXPECT_DOUBLE_EQ(wrapped->swap_bytes, scratch.swap_bytes);
-    EXPECT_EQ(wrapped->chunked, scratch.chunked);
-  }
-  EXPECT_GT(steps, 0);
-  EXPECT_GT(wrapper_path.preemptions(), 0);  // the swap path was exercised
-  EXPECT_TRUE(wrapper_path.idle());
-  EXPECT_TRUE(pointer_path.idle());
-}
-
 // --- Per-sequence attention costing ------------------------------------------
 
 class CostModelTest : public ::testing::Test {
@@ -780,7 +764,7 @@ TEST_F(CostModelTest, PerSequenceDecodeCostDiffersFromMeanCost) {
   StepRecord step;
   step.kind = StepRecord::Kind::kDecode;
   step.batch = 2;
-  step.kv_lens = {128, 4096};
+  step.decode_groups = {{128, 1}, {4096, 1}};
   const StepCost per_sequence = cost_step(costs, step);
   const StepCost exact_sum = [&] {
     StepCost sum;
@@ -792,6 +776,8 @@ TEST_F(CostModelTest, PerSequenceDecodeCostDiffersFromMeanCost) {
   }();
   EXPECT_DOUBLE_EQ(per_sequence.latency, exact_sum.latency);
   EXPECT_DOUBLE_EQ(per_sequence.total_energy, exact_sum.total_energy);
+  // The repeat is served from the last-grouping memo, unchanged.
+  EXPECT_DOUBLE_EQ(cost_step(costs, step).latency, per_sequence.latency);
 
   const StepCost mean_model = costs.decode_layer(2, (128 + 4096) / 2);
   const double rel_diff =
@@ -800,12 +786,30 @@ TEST_F(CostModelTest, PerSequenceDecodeCostDiffersFromMeanCost) {
                                "from mean-KV costing on heterogeneous batches";
 }
 
-TEST_F(CostModelTest, EqualLengthBatchGroupsIntoOneShape) {
-  StepCostCache costs(simulator_, model_, 128);
+/// The first decode step a scheduler plans for `prompts` (each request
+/// emits at least 3 tokens, so each one decodes), enqueued in order.
+StepRecord first_decode_step(const std::vector<std::int64_t>& prompts) {
+  KvCacheManager kv(1e6, 1.0);
+  ContinuousBatchScheduler scheduler(SchedulerConfig{}, &kv);
+  for (std::size_t i = 0; i < prompts.size(); ++i) {
+    scheduler.enqueue(
+        make_request(static_cast<std::int64_t>(i), prompts[i], 3));
+  }
   StepRecord step;
-  step.kind = StepRecord::Kind::kDecode;
-  step.batch = 4;
-  step.kv_lens = {200, 220, 250, 256};  // all bucket to 256
+  EXPECT_TRUE(scheduler.next_step(&step));  // prefills every prompt
+  EXPECT_EQ(step.kind, StepRecord::Kind::kPrefill);
+  EXPECT_TRUE(scheduler.next_step(&step));
+  EXPECT_EQ(step.kind, StepRecord::Kind::kDecode);
+  return step;
+}
+
+TEST_F(CostModelTest, EqualLengthBatchGroupsIntoOneShape) {
+  // Decode KV lengths 200, 220, 250 and 256 all bucket to 256: the
+  // scheduler's record carries one group, costed as one shape.
+  const StepRecord step = first_decode_step({199, 219, 249, 255});
+  EXPECT_EQ(step.decode_groups,
+            (std::vector<std::pair<std::int64_t, std::int64_t>>{{256, 4}}));
+  StepCostCache costs(simulator_, model_, 128);
   const StepCost grouped = cost_step(costs, step);
   const StepCost direct = costs.decode_layer(4, 256);
   EXPECT_DOUBLE_EQ(grouped.latency, direct.latency);
@@ -813,13 +817,29 @@ TEST_F(CostModelTest, EqualLengthBatchGroupsIntoOneShape) {
 }
 
 TEST_F(CostModelTest, DecodeCostInvariantUnderParticipantOrder) {
+  // Admission order changes the batch's order, not its grouping (ascending
+  // by bucket), so the step costs the same to the bit.
+  const StepRecord a = first_decode_step({127, 1023, 4095});
+  const StepRecord b = first_decode_step({4095, 127, 1023});
+  EXPECT_EQ(a.decode_groups, b.decode_groups);
+  EXPECT_EQ(a.decode_groups,
+            (std::vector<std::pair<std::int64_t, std::int64_t>>{
+                {128, 1}, {1024, 1}, {4096, 1}}));
+  StepCostCache costs_a(simulator_, model_, 128);
+  StepCostCache costs_b(simulator_, model_, 128);
+  EXPECT_EQ(cost_step(costs_a, a).latency, cost_step(costs_b, b).latency);
+}
+
+TEST_F(CostModelTest, DecodeRecordsMustCarryTheirGrouping) {
   StepCostCache costs(simulator_, model_, 128);
-  StepRecord a, b;
-  a.kind = b.kind = StepRecord::Kind::kDecode;
-  a.batch = b.batch = 3;
-  a.kv_lens = {128, 1024, 4096};
-  b.kv_lens = {4096, 128, 1024};
-  EXPECT_DOUBLE_EQ(cost_step(costs, a).latency, cost_step(costs, b).latency);
+  StepRecord step;
+  step.kind = StepRecord::Kind::kDecode;
+  step.batch = 2;
+  step.kv_lens = {128, 4096};  // per-participant lengths are not costed
+  EXPECT_THROW(cost_step(costs, step), InternalError);
+  // Groups whose counts miss the batch are rejected too.
+  step.decode_groups = {{128, 1}};
+  EXPECT_THROW(cost_step(costs, step), InternalError);
 }
 
 TEST_F(CostModelTest, ChunkedPrefillCostTelescopesToUnchunked) {

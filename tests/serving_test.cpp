@@ -2,6 +2,7 @@
 // math, KV-cache admission/eviction, continuous-batching step traces, and
 // bit-identical end-to-end serving metrics for a fixed seed.
 
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -132,6 +133,30 @@ TEST(RequestGenTest, ValidateCapsTheCountAtTheEngineIdRange) {
   }
 }
 
+// Latencies are differences of absolute simulated times, so a stream whose
+// mean arrival span passes 2^30 s is rejected instead of reporting
+// latencies that have lost their digits (at 1e-300 req/s the clock reaches
+// inf and every TTFT reads 0).
+TEST(RequestGenTest, ValidateCapsTheMeanArrivalSpan) {
+  RequestStreamConfig stream =
+      test_stream(10, 10.0 / kMaxMeanArrivalSpanSeconds);
+  EXPECT_NO_THROW(stream.validate());  // exactly 2^30 s
+  for (double rate : {1e-12, 1e-300}) {
+    stream.arrival_rate = rate;
+    try {
+      stream.validate();
+      FAIL() << "rate " << rate << " must be rejected";
+    } catch (const ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find("2^30 s"), std::string::npos)
+          << "the message must name the limit: " << error.what();
+    }
+  }
+  // The longest benchmark stream, 200k requests at 1 req/s, is far inside.
+  stream.num_requests = 200000;
+  stream.arrival_rate = 1.0;
+  EXPECT_NO_THROW(stream.validate());
+}
+
 // --- Percentile math ---------------------------------------------------------
 
 TEST(MetricsTest, PercentileOnKnownSet) {
@@ -165,33 +190,39 @@ TEST(MetricsTest, SummaryRollsUp) {
 TEST(KvCacheTest, AdmissionBlocksWhenExhaustedAndReleaseUnblocks) {
   // Budget of exactly 10 tokens.
   KvCacheManager kv(/*capacity=*/10.0, /*bytes_per_token=*/1.0);
-  EXPECT_TRUE(kv.try_admit(0, 6));
+  const std::optional<std::int32_t> r0 = kv.try_admit(0, 6);
+  ASSERT_TRUE(r0);
   EXPECT_FALSE(kv.try_admit(1, 5));  // 6 + 5 > 10: admission blocks
-  EXPECT_TRUE(kv.try_admit(1, 4));
-  EXPECT_DOUBLE_EQ(kv.used(), 10.0);
-  EXPECT_FALSE(kv.try_grow(0, 1));  // full
-  kv.release(1);                    // eviction/completion unblocks
-  EXPECT_TRUE(kv.try_grow(0, 1));
+  const std::optional<std::int32_t> r1 = kv.try_admit(1, 4);
+  ASSERT_TRUE(r1);
+  EXPECT_EQ(kv.referenced_blocks(), 10);
+  // Decode growth: r0's next token needs a block, and none is left.
+  kv.begin_advance(*r0);
+  EXPECT_EQ(kv.advance_growth_blocks(), 1);
+  EXPECT_FALSE(kv.fits_blocks(kv.advance_growth_blocks()));  // full
+  kv.release_slot(*r1);  // eviction/completion unblocks
+  EXPECT_TRUE(kv.fits_blocks(kv.advance_growth_blocks()));
+  kv.advance(1);
+  kv.end_advance(*r0);
   EXPECT_TRUE(kv.try_admit(2, 3));
-  EXPECT_EQ(kv.resident_count(), 2u);
-  EXPECT_EQ(kv.resident_tokens(0), 7);
+  EXPECT_EQ(kv.inspect().resident_entries, 2);
+  EXPECT_EQ(kv.inspect(0).tokens, 7);
+  EXPECT_TRUE(kv.audit());
 }
 
-TEST(KvCacheTest, EvictionPicksNewestAndRespectsProtect) {
+TEST(KvCacheTest, EvictionPicksNewest) {
   KvCacheManager kv(100.0, 1.0, EvictionPolicy::kPreemptNewest);
   EXPECT_TRUE(kv.try_admit(10, 5));
   EXPECT_TRUE(kv.try_admit(11, 5));
-  EXPECT_TRUE(kv.try_admit(12, 5));
-  EXPECT_EQ(kv.pick_eviction_victim(/*protect=*/-1), 12);
-  EXPECT_EQ(kv.pick_eviction_victim(/*protect=*/12), 11);
-  kv.release(12);
-  EXPECT_EQ(kv.pick_eviction_victim(-1), 11);
+  const std::optional<std::int32_t> newest = kv.try_admit(12, 5);
+  ASSERT_TRUE(newest);
+  EXPECT_EQ(kv.pick_eviction_victim(), 12);
+  kv.release_slot(*newest);
+  EXPECT_EQ(kv.pick_eviction_victim(), 11);
 
-  // Nothing to evict: an empty manager, or only the protected request.
-  KvCacheManager sole(100.0, 1.0, EvictionPolicy::kPreemptNewest);
-  EXPECT_EQ(sole.pick_eviction_victim(-1), -1);
-  EXPECT_TRUE(sole.try_admit(0, 5));
-  EXPECT_EQ(sole.pick_eviction_victim(/*protect=*/0), -1);
+  // Nothing to evict in an empty manager.
+  KvCacheManager empty(100.0, 1.0, EvictionPolicy::kPreemptNewest);
+  EXPECT_EQ(empty.pick_eviction_victim(), -1);
 }
 
 TEST(KvCacheTest, ModelBudgetAccountsForWeights) {
@@ -253,17 +284,17 @@ TEST(SchedulerTest, ThreeRequestHandTrace) {
   scheduler.enqueue(make_request(1, 64, 3));
   scheduler.enqueue(make_request(2, 16, 5));
 
-  auto step1 = scheduler.next_step();
-  ASSERT_TRUE(step1.has_value());
-  EXPECT_EQ(step1->kind, StepRecord::Kind::kPrefill);
-  EXPECT_EQ(step1->batch, 3);
+  StepRecord step1;
+  ASSERT_TRUE(scheduler.next_step(&step1));
+  EXPECT_EQ(step1.kind, StepRecord::Kind::kPrefill);
+  EXPECT_EQ(step1.batch, 3);
   // Per-sequence shapes: whole prompts in one chunk (chunking disabled).
-  EXPECT_EQ(step1->chunk_lens, (std::vector<std::int64_t>{32, 64, 16}));
-  EXPECT_EQ(step1->prev_lens, (std::vector<std::int64_t>{0, 0, 0}));
-  EXPECT_EQ(step1->kv_lens, (std::vector<std::int64_t>{32, 64, 16}));
-  EXPECT_FALSE(step1->chunked);
-  EXPECT_EQ(step1->first_token_ids, (std::vector<std::int64_t>{0, 1, 2}));
-  EXPECT_EQ(step1->finished_ids, (std::vector<std::int64_t>{0}));
+  EXPECT_EQ(step1.chunk_lens, (std::vector<std::int64_t>{32, 64, 16}));
+  EXPECT_EQ(step1.prev_lens, (std::vector<std::int64_t>{0, 0, 0}));
+  EXPECT_EQ(step1.kv_lens, (std::vector<std::int64_t>{32, 64, 16}));
+  EXPECT_FALSE(step1.chunked);
+  EXPECT_EQ(step1.first_token_ids, (std::vector<std::int64_t>{0, 1, 2}));
+  EXPECT_EQ(step1.finished_ids, (std::vector<std::int64_t>{0}));
 
   std::vector<std::int64_t> decode_batches;
   std::vector<std::int64_t> finished;
@@ -272,21 +303,20 @@ TEST(SchedulerTest, ThreeRequestHandTrace) {
     // Per-sequence KV lengths the next decode step attends over: prompt +
     // tokens generated so far (decode records carry only the grouping).
     const std::vector<std::int64_t> kv_lens = scheduler.decode_kv_lens();
-    auto step = scheduler.next_step();
-    if (!step.has_value()) break;
-    EXPECT_EQ(step->kind, StepRecord::Kind::kDecode);
+    StepRecord step;
+    if (!scheduler.next_step(&step)) break;
+    EXPECT_EQ(step.kind, StepRecord::Kind::kDecode);
     if (first_decode) {
       EXPECT_EQ(kv_lens, (std::vector<std::int64_t>{64 + 1, 16 + 1}));
       first_decode = false;
     }
-    decode_batches.push_back(step->batch);
-    for (std::int64_t id : step->finished_ids) finished.push_back(id);
+    decode_batches.push_back(step.batch);
+    for (std::int64_t id : step.finished_ids) finished.push_back(id);
   }
   EXPECT_EQ(decode_batches, (std::vector<std::int64_t>{2, 2, 1, 1}));
   EXPECT_EQ(finished, (std::vector<std::int64_t>{1, 2}));
-  EXPECT_EQ(scheduler.total_steps(), 5);
   EXPECT_TRUE(scheduler.idle());
-  EXPECT_DOUBLE_EQ(kv.used(), 0.0);  // everything released
+  EXPECT_EQ(kv.referenced_blocks(), 0);  // everything released
 }
 
 TEST(SchedulerTest, ContinuousAdmissionJoinsRunningBatch) {
@@ -296,18 +326,19 @@ TEST(SchedulerTest, ContinuousAdmissionJoinsRunningBatch) {
   SchedulerConfig config;
   ContinuousBatchScheduler scheduler(config, &kv);
   scheduler.enqueue(make_request(0, 8, 10));
-  auto prefill0 = scheduler.next_step();
-  EXPECT_EQ(prefill0->kind, StepRecord::Kind::kPrefill);
-  auto decode0 = scheduler.next_step();
-  EXPECT_EQ(decode0->kind, StepRecord::Kind::kDecode);
-  EXPECT_EQ(decode0->batch, 1);
+  StepRecord step;
+  ASSERT_TRUE(scheduler.next_step(&step));
+  EXPECT_EQ(step.kind, StepRecord::Kind::kPrefill);
+  ASSERT_TRUE(scheduler.next_step(&step));
+  EXPECT_EQ(step.kind, StepRecord::Kind::kDecode);
+  EXPECT_EQ(step.batch, 1);
 
   scheduler.enqueue(make_request(1, 8, 10));
-  auto prefill1 = scheduler.next_step();  // prefill-priority
-  EXPECT_EQ(prefill1->kind, StepRecord::Kind::kPrefill);
-  auto decode1 = scheduler.next_step();
-  EXPECT_EQ(decode1->kind, StepRecord::Kind::kDecode);
-  EXPECT_EQ(decode1->batch, 2);  // r0 still running, r1 joined
+  ASSERT_TRUE(scheduler.next_step(&step));  // prefill-priority
+  EXPECT_EQ(step.kind, StepRecord::Kind::kPrefill);
+  ASSERT_TRUE(scheduler.next_step(&step));
+  EXPECT_EQ(step.kind, StepRecord::Kind::kDecode);
+  EXPECT_EQ(step.batch, 2);  // r0 still running, r1 joined
 }
 
 TEST(SchedulerTest, KvPressurePreemptsNewestAndRequeues) {
@@ -320,12 +351,13 @@ TEST(SchedulerTest, KvPressurePreemptsNewestAndRequeues) {
   scheduler.enqueue(make_request(0, 10, 12));
   scheduler.enqueue(make_request(1, 10, 12));
   std::vector<std::int64_t> finished;
-  while (auto step = scheduler.next_step()) {
-    for (std::int64_t id : step->finished_ids) finished.push_back(id);
+  StepRecord step;
+  while (scheduler.next_step(&step)) {
+    for (std::int64_t id : step.finished_ids) finished.push_back(id);
   }
-  EXPECT_GT(scheduler.preemptions(), 0);
+  EXPECT_GT(scheduler.counters().total_preemptions(), 0);
   EXPECT_EQ(finished, (std::vector<std::int64_t>{0, 1}));  // both complete
-  EXPECT_DOUBLE_EQ(kv.used(), 0.0);
+  EXPECT_EQ(kv.referenced_blocks(), 0);
 }
 
 TEST(SchedulerTest, AdmissionReservesPromptPlusFirstToken) {
@@ -337,18 +369,18 @@ TEST(SchedulerTest, AdmissionReservesPromptPlusFirstToken) {
   ContinuousBatchScheduler scheduler(config, &kv);
   scheduler.enqueue(make_request(0, 10, 10));
   scheduler.enqueue(make_request(1, 10, 10));
-  auto prefill = scheduler.next_step();
-  ASSERT_TRUE(prefill.has_value());
-  EXPECT_EQ(prefill->batch, 2);
+  StepRecord step;
+  ASSERT_TRUE(scheduler.next_step(&step));
+  EXPECT_EQ(step.batch, 2);
   EXPECT_EQ(scheduler.waiting_count(), 0u);
-  EXPECT_DOUBLE_EQ(kv.used(), 22.0);
+  EXPECT_EQ(kv.referenced_blocks(), 22);
   std::vector<std::int64_t> finished;
-  while (auto step = scheduler.next_step()) {
-    for (std::int64_t id : step->finished_ids) finished.push_back(id);
+  while (scheduler.next_step(&step)) {
+    for (std::int64_t id : step.finished_ids) finished.push_back(id);
   }
-  EXPECT_GT(scheduler.preemptions(), 0);
+  EXPECT_GT(scheduler.counters().total_preemptions(), 0);
   EXPECT_EQ(finished, (std::vector<std::int64_t>{0, 1}));
-  EXPECT_DOUBLE_EQ(kv.used(), 0.0);
+  EXPECT_EQ(kv.referenced_blocks(), 0);
 }
 
 // --- Workload-runner edge cases (satellite fix) ------------------------------
