@@ -7,13 +7,13 @@ namespace cimtpu::arch {
 
 TpuChip::TpuChip(TpuChipConfig config) : config_(std::move(config)) {
   config_.validate();
-  node_ = tech::node_by_name(config_.technology);
+  tech::TechnologyNode node = tech::node_by_name(config_.technology);
   clock_ = config_.effective_clock();
   // The node drives energy/area scaling; pin its nominal clock to the
   // chip's effective clock so power integrals are consistent.
-  node_.nominal_clock = clock_;
-  energy_ = std::make_unique<tech::EnergyModel>(node_);
-  area_ = std::make_unique<tech::AreaModel>(node_);
+  node.nominal_clock = clock_;
+  energy_ = std::make_unique<tech::EnergyModel>(node);
+  area_ = std::make_unique<tech::AreaModel>(node);
   memory_ = std::make_unique<mem::MemorySystem>(config_.memory, *energy_);
   ici_ = std::make_unique<mem::IciFabric>(config_.ici, *energy_);
   vpu_ = std::make_unique<vpu::Vpu>(config_.vpu, *energy_, *area_);

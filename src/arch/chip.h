@@ -33,11 +33,8 @@ class TpuChip {
   TpuChip& operator=(const TpuChip&) = delete;
 
   const TpuChipConfig& config() const { return config_; }
-  const tech::TechnologyNode& node() const { return node_; }
   Hertz clock() const { return clock_; }
 
-  const tech::EnergyModel& energy() const { return *energy_; }
-  const tech::AreaModel& area_model() const { return *area_; }
   const mem::MemorySystem& memory() const { return *memory_; }
   const mem::IciFabric& ici() const { return *ici_; }
   const vpu::Vpu& vpu() const { return *vpu_; }
@@ -51,21 +48,10 @@ class TpuChip {
     return mxu_->peak_ops_per_second(clock_) * mxu_count();
   }
 
-  /// Aggregate MXU leakage power.
-  Watts mxu_leakage_power() const {
-    return mxu_->leakage_power() * mxu_count();
-  }
-
-  /// Aggregate MXU idle power (architecturally idle, clock running).
-  Watts mxu_idle_power(ir::DType dtype) const {
-    return mxu_->idle_power(dtype) * mxu_count();
-  }
-
   ChipAreaReport area_report() const;
 
  private:
   TpuChipConfig config_;
-  tech::TechnologyNode node_;
   Hertz clock_;
   std::unique_ptr<tech::EnergyModel> energy_;
   std::unique_ptr<tech::AreaModel> area_;

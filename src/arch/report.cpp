@@ -1,65 +1,11 @@
 #include "arch/report.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/table.h"
 #include "common/units.h"
 
 namespace cimtpu::arch {
-
-std::vector<ChipFigure> chip_figures(const TpuChip& chip) {
-  const TpuChipConfig& config = chip.config();
-  const ChipAreaReport area = chip.area_report();
-  const ir::DType dtype = ir::DType::kInt8;
-
-  std::vector<ChipFigure> figures;
-  figures.push_back({"name", config.name});
-  figures.push_back({"technology", config.technology});
-  figures.push_back({"clock", cell_f(chip.clock() / GHz, 2) + " GHz"});
-  figures.push_back({"mxu kind", mxu_kind_name(config.mxu_kind)});
-  figures.push_back({"mxu count", cell_i(config.mxu_count)});
-  figures.push_back({"mxu unit", chip.mxu().name()});
-  figures.push_back(
-      {"peak throughput", format_ops_rate(chip.peak_ops_per_second())});
-  figures.push_back(
-      {"vpu", std::to_string(config.vpu.sublanes) + "x" +
-                  std::to_string(config.vpu.lanes) + " lanes"});
-  figures.push_back({"vmem", format_bytes(config.memory.vmem.capacity)});
-  figures.push_back({"cmem", format_bytes(config.memory.cmem.capacity)});
-  figures.push_back(
-      {"hbm", format_bytes(config.memory.hbm.capacity) + " @ " +
-                  cell_f(config.memory.hbm.bandwidth / GBps, 0) + " GB/s"});
-  figures.push_back(
-      {"ici", std::to_string(config.ici.links_per_chip) + " x " +
-                  cell_f(config.ici.bandwidth_per_link / GBps, 0) + " GB/s"});
-  figures.push_back({"area.mxus", cell_f(area.mxus, 2) + " mm2"});
-  figures.push_back({"area.vpu", cell_f(area.vpu, 2) + " mm2"});
-  figures.push_back({"area.vmem", cell_f(area.vmem, 2) + " mm2"});
-  figures.push_back({"area.cmem", cell_f(area.cmem, 2) + " mm2"});
-  figures.push_back({"area.total", cell_f(area.total(), 2) + " mm2"});
-  figures.push_back(
-      {"power.mxu_peak",
-       format_power(chip.mxu().peak_dynamic_power(dtype) * chip.mxu_count())});
-  figures.push_back({"power.mxu_idle", format_power(chip.mxu_idle_power(dtype))});
-  figures.push_back({"power.mxu_leakage", format_power(chip.mxu_leakage_power())});
-  return figures;
-}
-
-std::string chip_summary(const TpuChip& chip) {
-  const std::vector<ChipFigure> figures = chip_figures(chip);
-  std::size_t width = 0;
-  for (const ChipFigure& figure : figures) {
-    width = std::max(width, figure.name.size());
-  }
-  std::ostringstream out;
-  for (const ChipFigure& figure : figures) {
-    out << "  " << figure.name
-        << std::string(width - figure.name.size() + 2, ' ') << figure.value
-        << "\n";
-  }
-  return out.str();
-}
 
 std::string chip_comparison(const TpuChip& baseline,
                             const TpuChip& candidate) {

@@ -38,10 +38,6 @@ double CimMxu::macs_per_cycle() const {
   return spec_.cores() * spec_.core_macs_per_cycle;
 }
 
-double CimMxu::weight_ingest_bytes_per_cycle() const {
-  return spec_.cores() * spec_.weight_io_bytes_per_cycle;
-}
-
 SquareMm CimMxu::area() const { return area_mm2_; }
 
 Watts CimMxu::leakage_power() const {

@@ -23,6 +23,7 @@
 // burn kCimBubbleActivity of a MAC; weight writes pay SRAM write energy.
 
 #include "systolic/matrix_unit.h"
+#include "tech/calibration.h"
 
 namespace cimtpu::cim {
 
@@ -31,8 +32,9 @@ struct CimMxuSpec {
   int grid_cols = 8;    ///< CIM cores per row of the systolic grid
   int core_rows = 128;  ///< K extent of one core's weight tile
   int core_cols = 256;  ///< N extent of one core's weight tile
-  double core_macs_per_cycle = 128.0;
-  double weight_io_bytes_per_cycle = 32.0;  ///< per core (256-bit port)
+  double core_macs_per_cycle = tech::cal::kCimCoreMacsPerCycle;
+  /// Per core (256-bit port).
+  double weight_io_bytes_per_cycle = tech::cal::kCimWeightIoBytesPerCycle;
 
   /// When false, weight writes serialize with computation (ablation of the
   /// simultaneous MAC + weight-update capability the paper's CIM macro
@@ -48,14 +50,8 @@ class CimMxu final : public systolic::MatrixUnit {
   CimMxu(CimMxuSpec spec, const tech::EnergyModel& energy,
          const tech::AreaModel& area);
 
-  const CimMxuSpec& spec() const { return spec_; }
-
   std::string name() const override;
   double macs_per_cycle() const override;
-  double weight_ingest_bytes_per_cycle() const override;
-  bool overlapped_weight_load() const override {
-    return spec_.overlapped_weight_update;
-  }
   SquareMm area() const override;
   Watts leakage_power() const override;
   Watts peak_dynamic_power(ir::DType dtype) const override;

@@ -1,7 +1,6 @@
 #pragma once
 // Small integer/floating helpers shared by tiling and cost models.
 
-#include <cstdint>
 #include <type_traits>
 
 #include "common/status.h"
@@ -21,35 +20,6 @@ template <typename T>
 constexpr T round_up(T a, T b) {
   static_assert(std::is_integral_v<T>);
   return ceil_div(a, b) * b;
-}
-
-/// True when `v` is a power of two (v > 0).
-constexpr bool is_pow2(std::int64_t v) { return v > 0 && (v & (v - 1)) == 0; }
-
-/// Floor of log2 for positive integers.
-constexpr int ilog2(std::int64_t v) {
-  CIMTPU_DCHECK(v > 0);
-  int result = -1;
-  while (v > 0) {
-    v >>= 1;
-    ++result;
-  }
-  return result;
-}
-
-/// Relative difference |a-b| / max(|a|,|b|); 0 when both are 0.
-inline double relative_difference(double a, double b) {
-  const double denom = (a < 0 ? -a : a) > (b < 0 ? -b : b)
-                           ? (a < 0 ? -a : a)
-                           : (b < 0 ? -b : b);
-  if (denom == 0.0) return 0.0;
-  const double diff = a - b;
-  return (diff < 0 ? -diff : diff) / denom;
-}
-
-/// True when `measured` lies within [lo, hi] (inclusive band).
-inline bool within_band(double measured, double lo, double hi) {
-  return measured >= lo && measured <= hi;
 }
 
 }  // namespace cimtpu

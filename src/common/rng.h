@@ -46,9 +46,6 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * (1.0 / 9007199254740992.0);
   }
 
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) { return lo + uniform() * (hi - lo); }
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

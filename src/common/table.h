@@ -27,8 +27,6 @@ class AsciiTable {
   /// Renders and writes to stdout.
   void print() const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   struct Row {
     std::vector<std::string> cells;

@@ -20,38 +20,23 @@ using Watts = double;    ///< power
 using Bytes = double;    ///< data volume (double: analytic models produce averages)
 using BytesPerSecond = double;
 using Hertz = double;
-using Ops = double;      ///< arithmetic operations (1 MAC = 2 Ops)
 using SquareMm = double; ///< silicon area
 
-// --- Capacity constants (binary for memories, decimal for bandwidth) -------
+// --- Capacity constants (binary for memories) ------------------------------
 inline constexpr double KiB = 1024.0;
 inline constexpr double MiB = 1024.0 * KiB;
 inline constexpr double GiB = 1024.0 * MiB;
-inline constexpr double KB = 1e3;
-inline constexpr double MB = 1e6;
-inline constexpr double GB = 1e9;
 
-// --- Rate / frequency constants --------------------------------------------
-inline constexpr double KBps = 1e3;
-inline constexpr double MBps = 1e6;
+// --- Rate / frequency constants (decimal) -----------------------------------
 inline constexpr double GBps = 1e9;
-inline constexpr double MHz = 1e6;
 inline constexpr double GHz = 1e9;
 
 // --- Energy constants -------------------------------------------------------
 inline constexpr double pJ = 1e-12;
-inline constexpr double nJ = 1e-9;
-inline constexpr double uJ = 1e-6;
-inline constexpr double mJ = 1e-3;
 
 // --- Time constants ---------------------------------------------------------
-inline constexpr double ns = 1e-9;
 inline constexpr double us = 1e-6;
 inline constexpr double ms = 1e-3;
-
-// --- Throughput constants ---------------------------------------------------
-inline constexpr double GOPS = 1e9;
-inline constexpr double TOPS = 1e12;
 
 /// Formats seconds with an auto-selected scale, e.g. "1.234 ms".
 std::string format_time(Seconds s);

@@ -1,54 +1,11 @@
 #include "ir/graph.h"
 
-#include <algorithm>
-
-#include "common/status.h"
-
 namespace cimtpu::ir {
 
 std::size_t Graph::add(Op op) {
   op.validate();
   ops_.push_back(std::move(op));
   return ops_.size() - 1;
-}
-
-void Graph::append(const Graph& other) {
-  ops_.insert(ops_.end(), other.ops_.begin(), other.ops_.end());
-}
-
-const Op& Graph::op(std::size_t index) const {
-  CIMTPU_CHECK_MSG(index < ops_.size(),
-                   "op index " << index << " out of range (" << ops_.size()
-                               << ")");
-  return ops_[index];
-}
-
-double Graph::total_macs() const {
-  double total = 0.0;
-  for (const Op& op : ops_) total += op.macs();
-  return total;
-}
-
-double Graph::total_flops() const {
-  double total = 0.0;
-  for (const Op& op : ops_) total += op.flops();
-  return total;
-}
-
-Bytes Graph::total_stationary_bytes() const {
-  Bytes total = 0.0;
-  for (const Op& op : ops_) total += op.stationary_bytes();
-  return total;
-}
-
-std::vector<std::string> Graph::groups() const {
-  std::vector<std::string> result;
-  for (const Op& op : ops_) {
-    if (std::find(result.begin(), result.end(), op.group) == result.end()) {
-      result.push_back(op.group);
-    }
-  }
-  return result;
 }
 
 }  // namespace cimtpu::ir

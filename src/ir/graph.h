@@ -13,36 +13,19 @@
 namespace cimtpu::ir {
 
 /// An ordered operator list representing one logical unit of work (a
-/// Transformer layer, a DiT block, a prediction head...).  `repeat` lets a
-/// workload express "48 identical layers" without duplicating storage.
+/// Transformer layer, a DiT block, a prediction head...).
 class Graph {
  public:
   Graph() = default;
   explicit Graph(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   /// Appends an op (validated) and returns its index.
   std::size_t add(Op op);
 
-  /// Appends all ops of `other`, preserving order.
-  void append(const Graph& other);
-
   const std::vector<Op>& ops() const { return ops_; }
   std::size_t size() const { return ops_.size(); }
-  bool empty() const { return ops_.empty(); }
-  const Op& op(std::size_t index) const;
-
-  /// Sum of MACs over all matmul ops.
-  double total_macs() const;
-  /// Sum of flops over all ops.
-  double total_flops() const;
-  /// Total stationary (weight/KV) bytes touched.
-  Bytes total_stationary_bytes() const;
-
-  /// Distinct group labels in first-appearance order.
-  std::vector<std::string> groups() const;
 
  private:
   std::string name_;

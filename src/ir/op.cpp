@@ -14,26 +14,6 @@ std::string residency_name(Residency residency) {
   return "?";
 }
 
-std::string op_kind_name(OpKind kind) {
-  switch (kind) {
-    case OpKind::kMatmul:
-      return "matmul";
-    case OpKind::kSoftmax:
-      return "softmax";
-    case OpKind::kLayerNorm:
-      return "layernorm";
-    case OpKind::kGelu:
-      return "gelu";
-    case OpKind::kElementwise:
-      return "elementwise";
-    case OpKind::kEmbeddingLookup:
-      return "embedding";
-    case OpKind::kDataMovement:
-      return "data_movement";
-  }
-  return "?";
-}
-
 void Op::validate() const {
   CIMTPU_CONFIG_CHECK(!name.empty(), "op has empty name");
   switch (kind) {

@@ -33,8 +33,6 @@ enum class OpKind : std::uint8_t {
   kDataMovement,    ///< reshape / transpose / patchify handled by DMA+VPU
 };
 
-std::string op_kind_name(OpKind kind);
-
 /// The numbers of one operator: kind, dtype, dimensions and operand
 /// residency -- everything the cost models read.  `Op` adds the labels.
 ///

@@ -94,22 +94,6 @@ const char* split_name(Split split) {
   return "?";
 }
 
-GemmMapping Mapper::to_mapping(const ir::Op& op,
-                               const CandidateCost& cost) const {
-  GemmMapping mapping;
-  mapping.strategy = split_name(cost.split);
-  mapping.units_used = cost.units_used;
-  mapping.per_unit = cost.per_unit;
-  mapping.unit_cost = cost.unit_cost;
-  mapping.busy_cycles = cost.unit_cost.busy_cycles;
-  mapping.busy_energy = cost.busy_energy();
-  mapping.stationary_bytes_loaded =
-      cost.unit_cost.stationary_bytes_loaded * cost.units_used;
-  // Useful MACs are a property of the op, not of the (padded) partitioning.
-  mapping.useful_macs = op.macs();
-  return mapping;
-}
-
 CandidateCost Mapper::best_candidate(const ir::OpShape& op) const {
   std::array<CandidateCost, kMaxCandidates> candidates;
   const int count = mapspace(op, unit_count_, candidates);
@@ -123,24 +107,6 @@ CandidateCost Mapper::best_candidate(const ir::OpShape& op) const {
     }
   }
   return candidates[best];
-}
-
-std::vector<GemmMapping> Mapper::enumerate(const ir::Op& op) const {
-  CIMTPU_CHECK_MSG(op.is_matmul(), "mapping non-matmul op '" << op.name << "'");
-  std::array<CandidateCost, kMaxCandidates> candidates;
-  const int count = mapspace(op, unit_count_, candidates);
-  std::vector<GemmMapping> mappings;
-  mappings.reserve(static_cast<std::size_t>(count));
-  for (std::size_t i = 0; i < static_cast<std::size_t>(count); ++i) {
-    candidates[i].unit_cost = unit_->evaluate(candidates[i].per_unit);
-    mappings.push_back(to_mapping(op, candidates[i]));
-  }
-  return mappings;
-}
-
-GemmMapping Mapper::best_mapping(const ir::Op& op) const {
-  CIMTPU_CHECK_MSG(op.is_matmul(), "mapping non-matmul op '" << op.name << "'");
-  return to_mapping(op, best_candidate(op));
 }
 
 StreamingPlan Mapper::plan_streaming(const ir::OpShape& op,
@@ -195,7 +161,6 @@ StreamingPlan Mapper::plan_streaming(const ir::OpShape& op,
 
   const Bytes dominant = std::max(plan.hbm_bytes, plan.cmem_bytes);
   plan.tiles = std::max(1.0, dominant / (vmem_working_set / 2));
-  plan.double_buffered = true;
   return plan;
 }
 

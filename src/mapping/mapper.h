@@ -9,8 +9,6 @@
 // analytic model, and the latency-optimal candidate is kept.
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "ir/op.h"
 #include "mem/memory.h"
@@ -37,25 +35,12 @@ struct CandidateCost {
   Joules busy_energy() const { return unit_cost.busy_energy * units_used; }
 };
 
-/// One evaluated mapping candidate for a matmul op.
-struct GemmMapping {
-  std::string strategy;              ///< "instance-split" / "n-split" / "m-split"
-  int units_used = 1;                ///< MXUs participating
-  systolic::GemmWorkload per_unit;   ///< workload of the busiest unit
-  systolic::MxuCost unit_cost;       ///< cost of the busiest unit
-  Cycles busy_cycles = 0;            ///< makespan across units
-  Joules busy_energy = 0;            ///< summed over all units
-  Bytes stationary_bytes_loaded = 0; ///< summed over all units
-  double useful_macs = 0;
-};
-
 /// Streaming plan for an op's tensors through the memory hierarchy.
 struct StreamingPlan {
   Bytes hbm_bytes = 0;    ///< bytes crossing the HBM interface
   Bytes cmem_bytes = 0;   ///< bytes crossing the OCI/CMEM port
   Bytes vmem_bytes = 0;   ///< bytes crossing VMEM
   double tiles = 1;       ///< double-buffer granularity (exposure = 1/tiles)
-  bool double_buffered = true;
 
   /// Slowest-channel streaming time.
   Seconds memory_time(const mem::MemorySystemSpec& spec) const;
@@ -74,12 +59,6 @@ class Mapper {
   /// cycles.  Allocates nothing; the simulator's per-op kernel calls it.
   CandidateCost best_candidate(const ir::OpShape& op) const;
 
-  /// best_candidate() with its labels and derived totals.
-  GemmMapping best_mapping(const ir::Op& op) const;
-
-  /// All evaluated candidates (for tests and mapspace inspection).
-  std::vector<GemmMapping> enumerate(const ir::Op& op) const;
-
   /// Builds the memory streaming plan for `op` on the given hierarchy.
   /// Tensors declared VMEM-resident that exceed half of VMEM are spilled
   /// to CMEM (the engine tiles them); the KV residency encoded in the op
@@ -88,8 +67,6 @@ class Mapper {
                                       const mem::MemorySystemSpec& spec);
 
  private:
-  GemmMapping to_mapping(const ir::Op& op, const CandidateCost& cost) const;
-
   const systolic::MatrixUnit* unit_;
   int unit_count_;
 };

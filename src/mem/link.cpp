@@ -30,13 +30,6 @@ Seconds IciFabric::p2p_time(Bytes bytes) const {
   return spec_.hop_latency + bytes / spec_.bandwidth_per_link;
 }
 
-Joules IciFabric::all_reduce_energy(Bytes bytes, int chips) const {
-  if (chips <= 1 || bytes <= 0) return 0.0;
-  const double p = chips;
-  const Bytes crossed = 2.0 * (p - 1.0) / p * bytes * p;  // all chips
-  return crossed * energy_->ici_per_byte();
-}
-
 Joules IciFabric::p2p_energy(Bytes bytes) const {
   if (bytes <= 0) return 0.0;
   return bytes * energy_->ici_per_byte();

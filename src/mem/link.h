@@ -22,8 +22,6 @@ class IciFabric {
  public:
   IciFabric(IciLinkSpec spec, const tech::EnergyModel& energy);
 
-  const IciLinkSpec& spec() const { return spec_; }
-
   /// Time for a ring all-reduce of `bytes` per chip.
   /// Standard cost: 2 * (p-1)/p * bytes / link_bw (+ latency per step).
   Seconds all_reduce_time(Bytes bytes, int chips) const;
@@ -31,10 +29,6 @@ class IciFabric {
   /// Time for a point-to-point transfer of `bytes` between ring neighbours
   /// (pipeline-parallel activation handoff).
   Seconds p2p_time(Bytes bytes) const;
-
-  /// Energy for a ring all-reduce (each byte crosses links 2(p-1)/p times
-  /// per chip).
-  Joules all_reduce_energy(Bytes bytes, int chips) const;
 
   /// Energy for a point-to-point transfer.
   Joules p2p_energy(Bytes bytes) const;

@@ -23,51 +23,6 @@ MemorySystem::MemorySystem(MemorySystemSpec spec,
   spec_.validate();
 }
 
-Seconds MemorySystem::vmem_time(Bytes bytes) const {
-  return bytes / spec_.vmem.bandwidth;
-}
-
-Seconds MemorySystem::cmem_time(Bytes bytes) const {
-  return bytes / spec_.cmem.bandwidth;
-}
-
-Seconds MemorySystem::hbm_time(Bytes bytes) const {
-  return bytes / spec_.hbm.bandwidth;
-}
-
-Seconds MemorySystem::stage_in_time(ir::Residency residency,
-                                    Bytes bytes) const {
-  // Legs run as a pipeline (memory coalescing); the slowest leg dominates.
-  switch (residency) {
-    case ir::Residency::kHbm:
-      return std::max({hbm_time(bytes), cmem_time(bytes), vmem_time(bytes)});
-    case ir::Residency::kCmem:
-      return std::max(cmem_time(bytes), vmem_time(bytes));
-    case ir::Residency::kVmem:
-      return vmem_time(bytes);
-  }
-  return 0.0;
-}
-
-Joules MemorySystem::stage_in_energy(ir::Residency residency,
-                                     Bytes bytes) const {
-  switch (residency) {
-    case ir::Residency::kHbm:
-      return hbm_energy(bytes) + cmem_energy(bytes) + vmem_energy(bytes);
-    case ir::Residency::kCmem:
-      return cmem_energy(bytes) + vmem_energy(bytes);
-    case ir::Residency::kVmem:
-      return vmem_energy(bytes);
-  }
-  return 0.0;
-}
-
-Joules MemorySystem::write_back_energy(ir::Residency residency,
-                                       Bytes bytes) const {
-  // Writing follows the same path outward.
-  return stage_in_energy(residency, bytes);
-}
-
 Joules MemorySystem::vmem_energy(Bytes bytes) const {
   return bytes * energy_->vmem_per_byte();
 }
@@ -80,10 +35,6 @@ Joules MemorySystem::hbm_energy(Bytes bytes) const {
   return bytes * energy_->hbm_per_byte();
 }
 
-bool MemorySystem::fits_cmem(Bytes bytes, Bytes reserved) const {
-  return bytes + reserved <= spec_.cmem.capacity;
-}
-
 Seconds overlap_double_buffered(Seconds compute, Seconds memory,
                                 double tiles) {
   CIMTPU_DCHECK(tiles >= 1.0);
@@ -93,10 +44,6 @@ Seconds overlap_double_buffered(Seconds compute, Seconds memory,
   const Seconds per_tile_memory = memory / tiles;
   return per_tile_memory +
          tiles * std::max(per_tile_compute, per_tile_memory);
-}
-
-Seconds overlap_serial(Seconds compute, Seconds memory) {
-  return compute + memory;
 }
 
 }  // namespace cimtpu::mem

@@ -5,14 +5,14 @@
 //
 // Unlike prior CIM simulators, the paper's model (and ours) keeps this
 // two-level on-chip hierarchy (Sec. III-A).  The cost model exposes
-// per-level transfer times and energies; double buffering / memory
-// coalescing decisions live in the mapping engine and are expressed here
-// only as overlap arithmetic helpers.
+// per-level access energies; transfer times follow from the spec's
+// bandwidths (mapping::StreamingPlan::memory_time).  Double buffering /
+// memory coalescing decisions live in the mapping engine and are
+// expressed here only as overlap arithmetic.
 
 #include <string>
 
 #include "common/units.h"
-#include "ir/op.h"
 #include "tech/energy_model.h"
 
 namespace cimtpu::mem {
@@ -41,29 +41,10 @@ class MemorySystem {
 
   const MemorySystemSpec& spec() const { return spec_; }
 
-  /// Time to move `bytes` into/out of the named level at its bandwidth.
-  Seconds vmem_time(Bytes bytes) const;
-  Seconds cmem_time(Bytes bytes) const;
-  Seconds hbm_time(Bytes bytes) const;
-
-  /// Time to stage a tensor that currently lives at `residency` into VMEM
-  /// (the slowest leg of the path dominates under double buffering).
-  Seconds stage_in_time(ir::Residency residency, Bytes bytes) const;
-
-  /// Energy to stage a tensor from `residency` into VMEM (all legs pay).
-  Joules stage_in_energy(ir::Residency residency, Bytes bytes) const;
-
-  /// Energy to write a result from VMEM back to `residency`.
-  Joules write_back_energy(ir::Residency residency, Bytes bytes) const;
-
   /// Per-byte access energy of one level.
   Joules vmem_energy(Bytes bytes) const;
   Joules cmem_energy(Bytes bytes) const;
   Joules hbm_energy(Bytes bytes) const;
-
-  /// True when `bytes` fits in CMEM alongside `reserved` bytes already
-  /// allocated (used to decide KV-cache residency).
-  bool fits_cmem(Bytes bytes, Bytes reserved = 0) const;
 
  private:
   MemorySystemSpec spec_;
@@ -76,8 +57,5 @@ class MemorySystem {
 /// buffering the steady state is max(compute, memory); the first tile's
 /// fill is exposed.
 Seconds overlap_double_buffered(Seconds compute, Seconds memory, double tiles);
-
-/// Non-overlapped fallback (double buffering disabled).
-Seconds overlap_serial(Seconds compute, Seconds memory);
 
 }  // namespace cimtpu::mem

@@ -83,7 +83,8 @@ std::vector<LayerOpTemplate> layer_template(const TransformerConfig& config,
 /// Residency chosen for the K/V operands of attention GEMMs given the
 /// available CMEM.  The KV cache lives in CMEM when one operand (K or V)
 /// fits alongside `reserved_bytes` of working tiles; otherwise it streams
-/// from HBM (GPT3-30B at batch 8 exceeds CMEM — see DESIGN.md).
+/// from HBM (GPT3-30B at batch 8 exceeds CMEM — see `paper_figures
+/// ablation_kv_residency`).
 ir::Residency choose_kv_residency(Bytes kv_operand_bytes, Bytes cmem_capacity,
                                   Bytes reserved_bytes);
 

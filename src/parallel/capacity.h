@@ -19,7 +19,6 @@ struct CapacityPlan {
   Bytes kv_bytes = 0;            ///< whole-stack KV cache at max length
   Bytes per_chip_available = 0;  ///< HBM minus working-set reserve
   int min_pipeline_stages = 1;   ///< chips needed to hold weights + KV
-  bool fits_single_chip() const { return min_pipeline_stages <= 1; }
 };
 
 /// Plans capacity for serving `model` at the given batch and maximum

@@ -63,8 +63,6 @@ LlmPipelineResult evaluate_llm_pipeline(const arch::TpuChipConfig& chip_config,
   result.ici_energy_per_request =
       boundaries * chip.ici().p2p_energy(boundary);
   result.mxu_energy_per_request = full.total.mxu_energy();
-  result.total_energy_per_request =
-      full.total.total_energy() + result.ici_energy_per_request;
   return result;
 }
 
@@ -105,9 +103,6 @@ DitPipelineResult evaluate_dit_pipeline(const arch::TpuChipConfig& chip_config,
   result.ici_energy_per_request = boundaries * chip.ici().p2p_energy(boundary);
   result.mxu_energy_per_image =
       full.mxu_energy() / static_cast<double>(scenario.batch);
-  result.total_energy_per_image =
-      (full.total_energy() + result.ici_energy_per_request) /
-      static_cast<double>(scenario.batch);
   return result;
 }
 

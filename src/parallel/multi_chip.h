@@ -18,7 +18,6 @@ struct LlmPipelineResult {
   double requests_per_second = 0;
   double tokens_per_second = 0;      ///< generated tokens/s (all sequences)
   Joules mxu_energy_per_request = 0;
-  Joules total_energy_per_request = 0;
   Joules ici_energy_per_request = 0;
 };
 
@@ -29,7 +28,6 @@ struct DitPipelineResult {
   Seconds bottleneck_stage_time = 0;
   double images_per_second = 0;
   Joules mxu_energy_per_image = 0;
-  Joules total_energy_per_image = 0;
   Joules ici_energy_per_request = 0;
 };
 

@@ -36,10 +36,6 @@ void FaultConfig::validate() const {
       "FaultConfig::device_failure_rate_per_s must be finite and >= 0");
   CIMTPU_CONFIG_CHECK(device_restart_s > 0,
                       "FaultConfig::device_restart_s must be > 0");
-  CIMTPU_CONFIG_CHECK(retry_backoff_base_s > 0,
-                      "FaultConfig::retry_backoff_base_s must be > 0");
-  CIMTPU_CONFIG_CHECK(retry_backoff_max_s >= retry_backoff_base_s,
-                      "FaultConfig::retry_backoff_max_s must be >= base");
   CIMTPU_CONFIG_CHECK(retry_budget >= 0,
                       "FaultConfig::retry_budget must be >= 0");
   CIMTPU_CONFIG_CHECK(degrade_window_s >= 0,

@@ -36,6 +36,11 @@
 
 namespace cimtpu::serving {
 
+/// Exponential backoff for re-admission after a fault: attempt n waits
+/// min(kRetryBackoffBaseSeconds * 2^(n-1), kRetryBackoffMaxSeconds).
+inline constexpr Seconds kRetryBackoffBaseSeconds = 0.05;
+inline constexpr Seconds kRetryBackoffMaxSeconds = 2.0;
+
 /// Fault-injection + recovery knobs, carried by ServingScenario.
 /// Default-constructed = subsystem off — the golden-pinned
 /// configuration: run_serving never constructs a FaultProcess, never
@@ -80,10 +85,6 @@ struct FaultConfig {
   enum class KvRestoreMode { kRecompute, kHostRestore };
   KvRestoreMode kv_restore = KvRestoreMode::kRecompute;
 
-  /// Exponential backoff for re-admission: attempt n waits
-  /// min(retry_backoff_base_s * 2^n, retry_backoff_max_s).
-  Seconds retry_backoff_base_s = 0.05;
-  Seconds retry_backoff_max_s = 2.0;
   /// Re-admissions allowed per request before it is shed (0 = first
   /// fault is fatal even with recovery on).
   int retry_budget = 3;

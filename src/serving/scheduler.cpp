@@ -27,7 +27,6 @@ void SchedulerConfig::validate() const {
 void StepRecord::clear() {
   kind = Kind::kDecode;
   batch = 0;
-  kv_lens.clear();
   chunk_lens.clear();
   prev_lens.clear();
   decode_groups.clear();
@@ -45,7 +44,6 @@ void StepRecord::reserve(int max_batch, int max_prefill_batch) {
   CIMTPU_CHECK(max_batch >= 1 && max_prefill_batch >= 1);
   const auto batch = static_cast<std::size_t>(max_batch);
   const auto prefill = static_cast<std::size_t>(max_prefill_batch);
-  kv_lens.reserve(batch);
   chunk_lens.reserve(prefill);
   prev_lens.reserve(prefill);
   decode_groups.reserve(batch);
@@ -104,9 +102,11 @@ StepCost cost_step(StepCostCache& costs, const StepRecord& step) {
   // prompt's chunks it telescopes to exactly the unchunked cost.  Each
   // participant is costed at batch 1: the historical (pessimistic) model
   // every golden pin was recorded under.
-  CIMTPU_CHECK(step.batch == static_cast<std::int64_t>(step.kv_lens.size()));
+  CIMTPU_CHECK(step.batch ==
+                   static_cast<std::int64_t>(step.chunk_lens.size()) &&
+               step.prev_lens.size() == step.chunk_lens.size());
   StepCost total;
-  for (std::size_t i = 0; i < step.kv_lens.size(); ++i) {
+  for (std::size_t i = 0; i < step.chunk_lens.size(); ++i) {
     accumulate_into(
         total, costs.prefill_layer(1, step.prev_lens[i] + step.chunk_lens[i]),
         +1.0);
@@ -656,7 +656,6 @@ void ContinuousBatchScheduler::build_prefill_step(StepRecord* record) {
   admit_blocked_ = false;
   record->chunk_lens.reserve(config_.max_prefill_batch);
   record->prev_lens.reserve(config_.max_prefill_batch);
-  record->kv_lens.reserve(config_.max_prefill_batch);
   std::int64_t budget = config_.prefill_chunk_tokens > 0
                             ? config_.prefill_chunk_tokens
                             : std::numeric_limits<std::int64_t>::max();
@@ -680,7 +679,6 @@ void ContinuousBatchScheduler::build_prefill_step(StepRecord* record) {
     // was actually split across steps.
     record->prev_lens.push_back(prefilled);
     record->chunk_lens.push_back(chunk);
-    record->kv_lens.push_back(prefilled + chunk);
     if (trace_) {
       trace_->on_prefill_chunk(pool_.request[slot].id, prefilled, chunk);
     }

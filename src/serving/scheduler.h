@@ -134,14 +134,11 @@ struct StepRecord {
   Kind kind = Kind::kDecode;
   std::int64_t batch = 0;  ///< participants in this step
 
-  /// Prefill only: the KV length each participant attends over this step,
-  /// its prompt tokens prefilled so far including this step's chunk.
-  /// Decode records leave it empty and carry decode_groups instead
-  /// (ContinuousBatchScheduler::decode_kv_lens derives the per-participant
-  /// lengths before the step).
-  std::vector<std::int64_t> kv_lens;
-  std::vector<std::int64_t> chunk_lens;  ///< prefill: new prompt tokens
-  std::vector<std::int64_t> prev_lens;   ///< prefill: tokens already prefilled
+  /// Prefill only: each participant's new prompt tokens this step and its
+  /// tokens already prefilled; it attends over prev_lens + chunk_lens.
+  /// Decode records leave both empty and carry decode_groups instead.
+  std::vector<std::int64_t> chunk_lens;
+  std::vector<std::int64_t> prev_lens;
 
   /// Decode only (never empty there): participants grouped by bucketed KV
   /// length, ascending, as (bucket, count) pairs summing to `batch` — a
@@ -340,7 +337,6 @@ class ContinuousBatchScheduler {
   /// over the cap are not evicted; the cap only throttles new admissions.
   void set_degraded(bool degraded, int degraded_max_batch,
                     Seconds extra_shed_slack);
-  bool degraded() const { return degraded_; }
 
   std::size_t waiting_count() const { return admission_->size(); }
   std::size_t running_count() const { return resident_.size(); }
@@ -365,7 +361,6 @@ class ContinuousBatchScheduler {
                                       ///< swap-out (constant while on host) —
                                       ///< saves a per-step manager lookup in
                                       ///< the swap-in watermark
-    bool prefilling() const { return prefilled < request.prompt_len; }
   };
 
   /// Struct-of-arrays pool for RESIDENT sequences: the per-sequence fields

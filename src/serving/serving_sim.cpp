@@ -424,10 +424,10 @@ struct ServingEngine::Impl {
         request_trace.retry_attempts < scenario.fault.retry_budget) {
       request_trace.retry_attempts += 1;
       const Seconds backoff = std::min(
-          scenario.fault.retry_backoff_base_s *
+          kRetryBackoffBaseSeconds *
               std::pow(2.0,
                        static_cast<double>(request_trace.retry_attempts - 1)),
-          scenario.fault.retry_backoff_max_s);
+          kRetryBackoffMaxSeconds);
       metrics.fault.retries += 1;
       retry_queue.push_back(PendingRetry{request, fault_time + backoff,
                                          request_trace.retry_attempts,

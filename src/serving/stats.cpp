@@ -102,14 +102,6 @@ double percentile_sorted(const std::vector<double>& sorted, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-double percentile(std::vector<double> values, double p) {
-  CIMTPU_CONFIG_CHECK(p >= 0.0 && p <= 100.0,
-                      "percentile " << p << " outside [0, 100]");
-  if (values.empty()) return 0;
-  sort_sample(values);
-  return percentile_sorted(values, p);
-}
-
 std::vector<double> exponential_bounds(double start, double factor,
                                        int count) {
   CIMTPU_CONFIG_CHECK(start > 0, "histogram bounds must start > 0");

@@ -22,14 +22,10 @@ void sort_sample(std::vector<double>& values);
 std::vector<double> merge_sorted_samples(
     std::vector<std::vector<double>> parts);
 
-/// Percentile of `values` with linear interpolation between closest ranks
-/// (the same convention as numpy.percentile's default).  `p` is in
-/// [0, 100].  Returns 0 for an empty set.  `values` is taken by value and
-/// sorted internally (sort_sample).
-double percentile(std::vector<double> values, double p);
-
-/// Percentile of an already-sorted, NON-EMPTY sample (the hot inner form:
-/// summarize_latencies sorts once and takes several percentiles).
+/// Percentile of an already-sorted, NON-EMPTY sample with linear
+/// interpolation between closest ranks (the same convention as
+/// numpy.percentile's default); `p` is in [0, 100].  summarize_latencies
+/// sorts once and takes several percentiles.
 double percentile_sorted(const std::vector<double>& sorted, double p);
 
 /// `count` strictly-ascending bucket upper bounds starting at `start` and

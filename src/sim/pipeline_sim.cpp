@@ -41,8 +41,6 @@ PipelineSimResult simulate_tile_pipeline(Seconds compute_total,
 
   PipelineSimResult result;
   result.total = engine_free;
-  result.compute_busy = compute_total;
-  result.memory_busy = memory_total;
   result.compute_idle = engine_idle;
   return result;
 }

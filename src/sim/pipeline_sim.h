@@ -17,8 +17,6 @@ namespace cimtpu::sim {
 
 struct PipelineSimResult {
   Seconds total = 0;         ///< completion time of the last tile
-  Seconds compute_busy = 0;  ///< engine busy time (= compute_total)
-  Seconds memory_busy = 0;   ///< DMA busy time (= memory_total)
   Seconds compute_idle = 0;  ///< engine stall waiting on tiles
 };
 

@@ -49,15 +49,6 @@ class MatrixUnit {
   /// Peak MAC throughput of this unit.
   virtual double macs_per_cycle() const = 0;
 
-  /// Rate at which this unit can ingest stationary-operand (weight) bytes,
-  /// in bytes per cycle.  Bounds GEMV throughput: a weight-stationary unit
-  /// cannot compute faster than it can swap weights.
-  virtual double weight_ingest_bytes_per_cycle() const = 0;
-
-  /// True when weight ingest overlaps compute (CIM dedicated weight I/O);
-  /// false when loading stalls the array (digital systolic).
-  virtual bool overlapped_weight_load() const = 0;
-
   /// Silicon area of the unit.
   virtual SquareMm area() const = 0;
 

@@ -6,16 +6,6 @@
 
 namespace cimtpu::systolic {
 
-std::string dataflow_name(Dataflow dataflow) {
-  switch (dataflow) {
-    case Dataflow::kWeightStationary:
-      return "weight-stationary";
-    case Dataflow::kOutputStationary:
-      return "output-stationary";
-  }
-  return "?";
-}
-
 void SystolicMxuSpec::validate() const {
   CIMTPU_CONFIG_CHECK(rows > 0 && cols > 0,
                       "systolic array dims must be positive: " << rows << "x"
@@ -37,11 +27,6 @@ std::string SystolicMxu::name() const {
 
 double SystolicMxu::macs_per_cycle() const {
   return static_cast<double>(spec_.rows) * spec_.cols;
-}
-
-double SystolicMxu::weight_ingest_bytes_per_cycle() const {
-  // One PE row per cycle enters the array (INT8 reference): cols bytes.
-  return tech::cal::kSystolicWeightRowsPerCycle * spec_.cols;
 }
 
 SquareMm SystolicMxu::area() const { return area_mm2_; }

@@ -28,8 +28,6 @@ enum class Dataflow {
   kOutputStationary,  ///< outputs resident; inputs AND weights stream
 };
 
-std::string dataflow_name(Dataflow dataflow);
-
 struct SystolicMxuSpec {
   int rows = 128;  ///< contraction (K) extent of the PE array (WS)
   int cols = 128;  ///< output (N) extent of the PE array
@@ -43,12 +41,8 @@ class SystolicMxu final : public MatrixUnit {
   SystolicMxu(SystolicMxuSpec spec, const tech::EnergyModel& energy,
               const tech::AreaModel& area);
 
-  const SystolicMxuSpec& spec() const { return spec_; }
-
   std::string name() const override;
   double macs_per_cycle() const override;
-  double weight_ingest_bytes_per_cycle() const override;
-  bool overlapped_weight_load() const override { return false; }
   SquareMm area() const override;
   Watts leakage_power() const override;
   Watts peak_dynamic_power(ir::DType dtype) const override;

@@ -12,7 +12,6 @@ class AreaModel {
  public:
   explicit AreaModel(const TechnologyNode& node);
 
-  const TechnologyNode& node() const { return node_; }
 
   /// Area of a digital systolic array with `rows * cols` MAC PEs.
   /// Calibrated so a 128x128 array hits Table II's 0.648 TOPS/mm².

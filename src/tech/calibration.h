@@ -86,11 +86,8 @@ inline constexpr Watts kLogicLeakagePerMm2 = 0.020;
 /// Leakage power density of the (mostly SRAM) CIM macro area at 22 nm.
 /// SRAM leaks less per area than random logic.
 inline constexpr Watts kCimLeakagePerMm2 = 0.008;
-/// Leakage power density of on-chip SRAM buffers (VMEM/CMEM).
-inline constexpr Watts kSramLeakagePerMm2 = 0.008;
 
 // --- On-chip memory access energies (22 nm, per byte) ------------------------
-inline constexpr Joules kRegisterFileEnergyPerByte = 0.10 * pJ;
 inline constexpr Joules kVmemEnergyPerByte = 0.80 * pJ;   // 16 MiB scratchpad
 inline constexpr Joules kCmemEnergyPerByte = 1.60 * pJ;   // 128 MiB L2-like
 inline constexpr Joules kHbmEnergyPerByte = 32.0 * pJ;    // ~4 pJ/bit HBM2

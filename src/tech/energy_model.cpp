@@ -62,10 +62,6 @@ Joules EnergyModel::cim_weight_write_per_byte() const {
   return scaled(cal::kCimWeightWriteEnergy);
 }
 
-Joules EnergyModel::register_file_per_byte() const {
-  return scaled(cal::kRegisterFileEnergyPerByte);
-}
-
 Joules EnergyModel::vmem_per_byte() const { return scaled(cal::kVmemEnergyPerByte); }
 
 Joules EnergyModel::cmem_per_byte() const { return scaled(cal::kCmemEnergyPerByte); }
@@ -89,10 +85,6 @@ Watts EnergyModel::logic_leakage_per_mm2() const {
 
 Watts EnergyModel::cim_leakage_per_mm2() const {
   return cal::kCimLeakagePerMm2 * node_.leakage_scale;
-}
-
-Watts EnergyModel::sram_leakage_per_mm2() const {
-  return cal::kSramLeakagePerMm2 * node_.leakage_scale;
 }
 
 }  // namespace cimtpu::tech

@@ -33,7 +33,6 @@ class EnergyModel {
   Joules cim_weight_write_per_byte() const;
 
   // --- Memory events (per byte moved) ---------------------------------------
-  Joules register_file_per_byte() const;
   Joules vmem_per_byte() const;
   Joules cmem_per_byte() const;
   Joules hbm_per_byte() const;
@@ -45,7 +44,6 @@ class EnergyModel {
   // --- Leakage power densities (per mm^2 of block area at this node) --------
   Watts logic_leakage_per_mm2() const;
   Watts cim_leakage_per_mm2() const;
-  Watts sram_leakage_per_mm2() const;
 
  private:
   Joules scaled(Joules at_22nm) const { return at_22nm * node_.energy_scale; }

@@ -40,20 +40,4 @@ TechnologyNode node_by_name(const std::string& name) {
 
 TechnologyNode calibration_node() { return node_by_name("22nm"); }
 
-TechnologyNode tpu_v4i_node() { return node_by_name("7nm"); }
-
-Joules scale_energy(Joules at_22nm, const TechnologyNode& node) {
-  return at_22nm * node.energy_scale;
-}
-
-SquareMm scale_area(SquareMm at_22nm, const TechnologyNode& node) {
-  return at_22nm * node.area_scale;
-}
-
-Watts scale_leakage_power(Watts at_22nm, const TechnologyNode& node) {
-  // Leakage power of a scaled block: per-area leakage density changes by
-  // leakage_scale while the block area shrinks by area_scale.
-  return at_22nm * node.leakage_scale * node.area_scale;
-}
-
 }  // namespace cimtpu::tech

@@ -34,17 +34,4 @@ TechnologyNode node_by_name(const std::string& name);
 /// The calibration node (TSMC 22 nm) used for all post-P&R reference data.
 TechnologyNode calibration_node();
 
-/// The TPUv4i production node (7 nm).
-TechnologyNode tpu_v4i_node();
-
-/// Scales an energy quantity measured at 22 nm to `node`.
-Joules scale_energy(Joules at_22nm, const TechnologyNode& node);
-
-/// Scales an area quantity measured at 22 nm to `node`.
-SquareMm scale_area(SquareMm at_22nm, const TechnologyNode& node);
-
-/// Scales a leakage power density (W/mm², referenced to 22 nm area) to
-/// `node`, accounting for both density and per-area leakage changes.
-Watts scale_leakage_power(Watts at_22nm, const TechnologyNode& node);
-
 }  // namespace cimtpu::tech

@@ -35,7 +35,6 @@ class Vpu {
   Vpu(VpuSpec spec, const tech::EnergyModel& energy,
       const tech::AreaModel& area);
 
-  const VpuSpec& spec() const { return spec_; }
 
   double ops_per_cycle() const {
     return spec_.total_lanes() * spec_.ops_per_lane_per_cycle;

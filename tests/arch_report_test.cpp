@@ -1,5 +1,5 @@
-// Chip-report tests: summaries contain the Table I figures and the
-// comparison annotates the paper's headline area/power ratios.
+// Chip-report tests: the comparison annotates the paper's headline
+// area/power ratios.
 
 #include <gtest/gtest.h>
 
@@ -8,43 +8,6 @@
 
 namespace cimtpu::arch {
 namespace {
-
-TEST(ChipReportTest, FiguresCoverIdentityAndBudget) {
-  TpuChip chip(tpu_v4i_baseline());
-  const auto figures = chip_figures(chip);
-  auto find = [&](const std::string& name) -> std::string {
-    for (const auto& figure : figures) {
-      if (figure.name == name) return figure.value;
-    }
-    return "";
-  };
-  EXPECT_EQ(find("name"), "tpuv4i-baseline");
-  EXPECT_EQ(find("technology"), "7nm");
-  EXPECT_EQ(find("mxu kind"), "digital-systolic");
-  EXPECT_EQ(find("mxu count"), "4");
-  EXPECT_EQ(find("vmem"), "16 MiB");
-  EXPECT_EQ(find("cmem"), "128 MiB");
-  EXPECT_NE(find("hbm").find("614 GB/s"), std::string::npos);
-  EXPECT_NE(find("peak throughput").find("TOPS"), std::string::npos);
-  EXPECT_FALSE(find("area.total").empty());
-  EXPECT_FALSE(find("power.mxu_leakage").empty());
-}
-
-TEST(ChipReportTest, SummaryIsAlignedText) {
-  TpuChip chip(cim_tpu_default());
-  const std::string summary = chip_summary(chip);
-  EXPECT_NE(summary.find("cim-tpu"), std::string::npos);
-  EXPECT_NE(summary.find("mxu kind"), std::string::npos);
-  EXPECT_NE(summary.find("cim-16x8"), std::string::npos);
-  // Every line indented uniformly.
-  std::istringstream in(summary);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) {
-      EXPECT_EQ(line.substr(0, 2), "  ");
-    }
-  }
-}
 
 TEST(ChipReportTest, ComparisonShowsHeadlineRatios) {
   TpuChip baseline(tpu_v4i_baseline());
@@ -56,17 +19,9 @@ TEST(ChipReportTest, ComparisonShowsHeadlineRatios) {
   EXPECT_NE(comparison.find("9.43x lower at peak"), std::string::npos);
 }
 
-TEST(ChipReportTest, CimFiguresNameCimUnit) {
+TEST(ChipReportTest, CimChipNamesCimUnit) {
   TpuChip chip(design_b());
-  const auto figures = chip_figures(chip);
-  bool found = false;
-  for (const auto& figure : figures) {
-    if (figure.name == "mxu unit") {
-      EXPECT_EQ(figure.value, "cim-16x8");
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(chip.mxu().name(), "cim-16x8");
 }
 
 }  // namespace

@@ -67,8 +67,8 @@ TEST(TpuConfigTest, CustomDesignPointNames) {
 TEST(TpuConfigTest, EffectiveClockDefaultsToNode) {
   TpuChipConfig config = tpu_v4i_baseline();
   EXPECT_DOUBLE_EQ(config.effective_clock(), 1.05 * GHz);  // 7nm nominal
-  config.clock = 940 * MHz;
-  EXPECT_DOUBLE_EQ(config.effective_clock(), 940 * MHz);
+  config.clock = 0.94 * GHz;
+  EXPECT_DOUBLE_EQ(config.effective_clock(), 0.94 * GHz);
   config.technology = "22nm";
   config.clock = 0;
   EXPECT_DOUBLE_EQ(config.effective_clock(), 1.0 * GHz);
@@ -120,11 +120,10 @@ TEST(ChipTest, AreaReportComponents) {
 
 TEST(ChipTest, LeakageAndIdlePowerPositive) {
   TpuChip chip(cim_tpu_default());
-  EXPECT_GT(chip.mxu_leakage_power(), 0);
-  EXPECT_GT(chip.mxu_idle_power(ir::DType::kInt8), 0);
-  EXPECT_LT(chip.mxu_idle_power(ir::DType::kInt8),
-            chip.mxu().peak_dynamic_power(ir::DType::kInt8) *
-                chip.mxu_count());
+  EXPECT_GT(chip.mxu().leakage_power(), 0);
+  EXPECT_GT(chip.mxu().idle_power(ir::DType::kInt8), 0);
+  EXPECT_LT(chip.mxu().idle_power(ir::DType::kInt8),
+            chip.mxu().peak_dynamic_power(ir::DType::kInt8));
 }
 
 TEST(ChipTest, MxuCountScalesDesignPoints) {

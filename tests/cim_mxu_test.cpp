@@ -35,12 +35,16 @@ TEST_F(CimMxuTest, ThroughputParityWithDigitalMxu) {
   EXPECT_EQ(cim_.name(), "cim-16x8");
 }
 
-TEST_F(CimMxuTest, WeightIngestFarExceedsDigital) {
-  // 128 cores x 32 B/cycle vs one row (128 B) per cycle.
-  EXPECT_DOUBLE_EQ(cim_.weight_ingest_bytes_per_cycle(), 128 * 32.0);
-  EXPECT_GT(cim_.weight_ingest_bytes_per_cycle(),
-            10 * digital_.weight_ingest_bytes_per_cycle());
-  EXPECT_TRUE(cim_.overlapped_weight_load());
+TEST_F(CimMxuTest, GemvWeightWritesOverlapCompute) {
+  // The dedicated weight I/O writes the next tile while the cores compute;
+  // the serialized ablation pays compute and writes back to back.
+  GemmWorkload w{/*m=*/1, /*k=*/128, /*n=*/256, /*instances=*/1280,
+                 ir::DType::kInt8};
+  CimMxuSpec serial_spec;
+  serial_spec.overlapped_weight_update = false;
+  const CimMxu serial(serial_spec, energy_, area_);
+  EXPECT_GT(serial.evaluate(w).busy_cycles,
+            1.1 * cim_.evaluate(w).busy_cycles);
 }
 
 TEST_F(CimMxuTest, TableIIEfficiencyAnchors) {
@@ -176,7 +180,6 @@ TEST_P(CimGridTest, PeakScalesWithCores) {
   spec.grid_cols = cols;
   CimMxu mxu(spec, energy_, area_);
   EXPECT_DOUBLE_EQ(mxu.macs_per_cycle(), rows * cols * 128.0);
-  EXPECT_DOUBLE_EQ(mxu.weight_ingest_bytes_per_cycle(), rows * cols * 32.0);
 }
 
 TEST_P(CimGridTest, EfficiencyIndependentOfGridSize) {

@@ -29,35 +29,6 @@ TEST(MathUtilTest, RoundUp) {
   EXPECT_EQ(round_up(0, 8), 0);
 }
 
-TEST(MathUtilTest, IsPow2) {
-  EXPECT_TRUE(is_pow2(1));
-  EXPECT_TRUE(is_pow2(128));
-  EXPECT_TRUE(is_pow2(1LL << 40));
-  EXPECT_FALSE(is_pow2(0));
-  EXPECT_FALSE(is_pow2(-4));
-  EXPECT_FALSE(is_pow2(72));
-}
-
-TEST(MathUtilTest, Ilog2) {
-  EXPECT_EQ(ilog2(1), 0);
-  EXPECT_EQ(ilog2(128), 7);
-  EXPECT_EQ(ilog2(129), 7);
-  EXPECT_EQ(ilog2(255), 7);
-  EXPECT_EQ(ilog2(256), 8);
-}
-
-TEST(MathUtilTest, RelativeDifference) {
-  EXPECT_DOUBLE_EQ(relative_difference(0.0, 0.0), 0.0);
-  EXPECT_NEAR(relative_difference(9.43, 9.21), 0.0233, 1e-3);
-  EXPECT_DOUBLE_EQ(relative_difference(-2.0, 2.0), 2.0);
-}
-
-TEST(MathUtilTest, WithinBand) {
-  EXPECT_TRUE(within_band(9.4, 8.0, 11.0));
-  EXPECT_FALSE(within_band(7.9, 8.0, 11.0));
-  EXPECT_TRUE(within_band(8.0, 8.0, 11.0));  // inclusive
-}
-
 // --- AsciiTable --------------------------------------------------------------
 
 TEST(TableTest, RendersHeaderAndRows) {

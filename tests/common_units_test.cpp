@@ -12,7 +12,8 @@ TEST(UnitsTest, Constants) {
   EXPECT_DOUBLE_EQ(GBps, 1e9);
   EXPECT_DOUBLE_EQ(GHz, 1e9);
   EXPECT_DOUBLE_EQ(pJ, 1e-12);
-  EXPECT_DOUBLE_EQ(TOPS, 1e12);
+  EXPECT_DOUBLE_EQ(us, 1e-6);
+  EXPECT_DOUBLE_EQ(ms, 1e-3);
 }
 
 TEST(UnitsTest, FormatTimePicksScale) {

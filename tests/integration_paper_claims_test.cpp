@@ -7,8 +7,8 @@
 
 #include "arch/chip.h"
 #include "arch/tpu_config.h"
-#include "common/math_util.h"
 #include "sim/workload_runner.h"
+#include "within_band.h"
 
 namespace cimtpu {
 namespace {

@@ -1,5 +1,5 @@
-// Mapping engine tests: mapspace enumeration, optimal-candidate selection,
-// and memory streaming plans.
+// Mapping engine tests: optimal-candidate selection against a test-side
+// rebuild of the mapspace, and memory streaming plans.
 
 #include <gtest/gtest.h>
 
@@ -27,30 +27,69 @@ class MapperTest : public ::testing::Test {
   Mapper mapper_;
 };
 
-TEST_F(MapperTest, EnumeratesAllApplicableStrategies) {
-  const ir::Op op = ir::make_attention_gemm("a", "A", 448, 16, 128, 1280,
-                                            ir::DType::kInt8,
-                                            ir::Residency::kCmem);
-  const auto candidates = mapper_.enumerate(op);
-  std::vector<std::string> names;
-  for (const auto& c : candidates) names.push_back(c.strategy);
-  EXPECT_NE(std::find(names.begin(), names.end(), "instance-split"),
-            names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "n-split"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "m-split"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "single-unit"), names.end());
+/// The pruned mapspace rebuilt in the test: instance-, n- and m-split over
+/// up to `unit_count` units where the dimension exceeds 1, then a single
+/// unit, in the mapper's try order, each costed on `unit`.
+std::vector<CandidateCost> reference_mapspace(const systolic::MatrixUnit& unit,
+                                              int unit_count,
+                                              const ir::Op& op) {
+  const systolic::GemmWorkload whole{op.m, op.k, op.n, op.instances,
+                                     op.dtype};
+  std::vector<CandidateCost> candidates;
+  auto split = [&](Split kind, std::int64_t systolic::GemmWorkload::*dim) {
+    const std::int64_t extent = whole.*dim;
+    if (extent <= 1) return;
+    CandidateCost c;
+    c.split = kind;
+    c.units_used = static_cast<int>(std::min<std::int64_t>(unit_count, extent));
+    c.per_unit = whole;
+    c.per_unit.*dim = (extent + c.units_used - 1) / c.units_used;
+    candidates.push_back(c);
+  };
+  split(Split::kInstance, &systolic::GemmWorkload::instances);
+  split(Split::kN, &systolic::GemmWorkload::n);
+  split(Split::kM, &systolic::GemmWorkload::m);
+  CandidateCost single;
+  single.per_unit = whole;
+  candidates.push_back(single);
+  for (CandidateCost& c : candidates) c.unit_cost = unit.evaluate(c.per_unit);
+  return candidates;
 }
 
-TEST_F(MapperTest, BestNeverWorseThanSingleUnit) {
+/// best_candidate (the simulator's per-op kernel) must pick the first
+/// candidate of the mapspace with the fewest busy cycles.
+void expect_best_of_mapspace(const systolic::MatrixUnit& unit, int unit_count,
+                             const ir::Op& op) {
+  const std::vector<CandidateCost> candidates =
+      reference_mapspace(unit, unit_count, op);
+  const CandidateCost* reference = &candidates.front();
+  for (const CandidateCost& c : candidates) {
+    if (c.unit_cost.busy_cycles < reference->unit_cost.busy_cycles) {
+      reference = &c;
+    }
+  }
+  const CandidateCost best = Mapper(unit, unit_count).best_candidate(op);
+  EXPECT_STREQ(split_name(best.split), split_name(reference->split))
+      << op.name;
+  EXPECT_EQ(best.units_used, reference->units_used) << op.name;
+  EXPECT_EQ(best.per_unit.instances, reference->per_unit.instances) << op.name;
+  EXPECT_EQ(best.per_unit.m, reference->per_unit.m) << op.name;
+  EXPECT_EQ(best.per_unit.n, reference->per_unit.n) << op.name;
+  EXPECT_EQ(best.unit_cost.busy_cycles, reference->unit_cost.busy_cycles)
+      << op.name;
+  EXPECT_EQ(best.busy_energy(), reference->busy_energy()) << op.name;
+}
+
+TEST_F(MapperTest, BestNeverWorseThanAnyCandidate) {
   for (const ir::Op& op :
        {ir::make_weight_gemm("g1", "G", 8192, 7168, 7168, ir::DType::kInt8),
         ir::make_weight_gemm("g2", "G", 8, 7168, 21504, ir::DType::kInt8),
         ir::make_attention_gemm("a", "A", 448, 1, 128, 1280,
                                 ir::DType::kInt8, ir::Residency::kCmem)}) {
-    const auto candidates = mapper_.enumerate(op);
-    const GemmMapping best = mapper_.best_mapping(op);
-    for (const auto& c : candidates) {
-      EXPECT_LE(best.busy_cycles, c.busy_cycles) << op.name << " " << c.strategy;
+    const CandidateCost best = mapper_.best_candidate(op);
+    for (const CandidateCost& c : reference_mapspace(mxu_, 4, op)) {
+      EXPECT_LE(best.unit_cost.busy_cycles, c.unit_cost.busy_cycles)
+          << op.name << " " << split_name(c.split);
     }
   }
 }
@@ -60,8 +99,8 @@ TEST_F(MapperTest, InstanceSplitWinsForManyInstances) {
   const ir::Op op = ir::make_attention_gemm("a", "A", 448, 1, 128, 1280,
                                             ir::DType::kInt8,
                                             ir::Residency::kCmem);
-  const GemmMapping best = mapper_.best_mapping(op);
-  EXPECT_EQ(best.strategy, "instance-split");
+  const CandidateCost best = mapper_.best_candidate(op);
+  EXPECT_STREQ(split_name(best.split), "instance-split");
   EXPECT_EQ(best.units_used, 4);
   EXPECT_EQ(best.per_unit.instances, 112);
 }
@@ -69,31 +108,10 @@ TEST_F(MapperTest, InstanceSplitWinsForManyInstances) {
 TEST_F(MapperTest, MultiUnitSpeedsUpBigGemm) {
   const ir::Op op =
       ir::make_weight_gemm("g", "G", 8192, 7168, 7168, ir::DType::kInt8);
-  const GemmMapping best = mapper_.best_mapping(op);
-  Mapper single(mxu_, 1);
-  const GemmMapping alone = single.best_mapping(op);
-  EXPECT_LT(best.busy_cycles, alone.busy_cycles * 0.3);
+  const CandidateCost best = mapper_.best_candidate(op);
+  const CandidateCost alone = Mapper(mxu_, 1).best_candidate(op);
+  EXPECT_LT(best.unit_cost.busy_cycles, alone.unit_cost.busy_cycles * 0.3);
   EXPECT_EQ(best.units_used, 4);
-}
-
-TEST_F(MapperTest, EnergySummedOverUnits) {
-  const ir::Op op =
-      ir::make_weight_gemm("g", "G", 1024, 128, 512, ir::DType::kInt8);
-  for (const auto& c : mapper_.enumerate(op)) {
-    EXPECT_NEAR(c.busy_energy, c.unit_cost.busy_energy * c.units_used,
-                c.busy_energy * 1e-12);
-  }
-}
-
-TEST_F(MapperTest, NonMatmulRejected) {
-  const ir::Op op = ir::make_softmax("s", "A", 8, 8, ir::DType::kInt8);
-  EXPECT_THROW(mapper_.best_mapping(op), InternalError);
-}
-
-TEST_F(MapperTest, UsefulMacsPreserved) {
-  const ir::Op op =
-      ir::make_weight_gemm("g", "G", 100, 200, 300, ir::DType::kInt8);
-  EXPECT_DOUBLE_EQ(mapper_.best_mapping(op).useful_macs, 100.0 * 200 * 300);
 }
 
 TEST(MapperCimTest, CimMapperPrefersWideSplits) {
@@ -103,33 +121,12 @@ TEST(MapperCimTest, CimMapperPrefersWideSplits) {
   Mapper mapper(cim, 4);
   const ir::Op op =
       ir::make_weight_gemm("g", "G", 8192, 1152, 1152, ir::DType::kInt8);
-  const GemmMapping best = mapper.best_mapping(op);
+  const CandidateCost best = mapper.best_candidate(op);
   EXPECT_GT(best.units_used, 1);
   EXPECT_GT(best.unit_cost.utilization(), 0.1);
 }
 
-// --- Non-allocating best candidate -------------------------------------------------
-
-/// best_candidate (the simulator's fast path) and best_mapping must both
-/// pick the first candidate of enumerate() with the fewest busy cycles.
-void expect_fast_path_matches(const Mapper& mapper, const ir::Op& op) {
-  const std::vector<GemmMapping> candidates = mapper.enumerate(op);
-  const GemmMapping& reference = *std::min_element(
-      candidates.begin(), candidates.end(),
-      [](const GemmMapping& a, const GemmMapping& b) {
-        return a.busy_cycles < b.busy_cycles;
-      });
-  const CandidateCost fast = mapper.best_candidate(op);
-  const GemmMapping best = mapper.best_mapping(op);
-  for (const GemmMapping& expected : {reference, best}) {
-    EXPECT_EQ(split_name(fast.split), expected.strategy) << op.name;
-    EXPECT_EQ(fast.units_used, expected.units_used) << op.name;
-    EXPECT_EQ(fast.unit_cost.busy_cycles, expected.busy_cycles) << op.name;
-    EXPECT_EQ(fast.busy_energy(), expected.busy_energy) << op.name;
-  }
-}
-
-TEST_F(MapperTest, BestCandidateMatchesBestMapping) {
+TEST_F(MapperTest, BestCandidateIsTheFirstCheapestOfTheMapspace) {
   for (const ir::Op& op :
        {ir::make_weight_gemm("g1", "G", 8192, 7168, 7168, ir::DType::kInt8),
         ir::make_weight_gemm("g2", "G", 8, 7168, 21504, ir::DType::kInt8),
@@ -140,31 +137,31 @@ TEST_F(MapperTest, BestCandidateMatchesBestMapping) {
                                 ir::DType::kInt8, ir::Residency::kCmem),
         ir::make_attention_gemm("sv", "A", 448, 16, 128, 1280,
                                 ir::DType::kInt8, ir::Residency::kCmem)}) {
-    expect_fast_path_matches(mapper_, op);
+    expect_best_of_mapspace(mxu_, 4, op);
   }
   tech::EnergyModel energy(tech::calibration_node());
   tech::AreaModel area(tech::calibration_node());
   cim::CimMxu cim(cim::CimMxuSpec{}, energy, area);
-  expect_fast_path_matches(
-      Mapper(cim, 4),
+  expect_best_of_mapspace(
+      cim, 4,
       ir::make_weight_gemm("g", "G", 8192, 1152, 1152, ir::DType::kInt8));
 }
 
 TEST_F(MapperTest, TieGoesToTheFirstCandidateInMapspaceOrder) {
   // On one unit every split degenerates to the whole GEMM, so all four
   // candidates cost exactly the same and the first, instance-split, wins.
-  const Mapper one_unit(mxu_, 1);
   const ir::Op op = ir::make_attention_gemm("tie", "A", 8, 16, 128, 256,
                                             ir::DType::kInt8,
                                             ir::Residency::kCmem);
-  const std::vector<GemmMapping> candidates = one_unit.enumerate(op);
+  const std::vector<CandidateCost> candidates =
+      reference_mapspace(mxu_, 1, op);
   ASSERT_EQ(candidates.size(), 4u);
-  for (const GemmMapping& c : candidates) {
-    EXPECT_EQ(c.busy_cycles, candidates.front().busy_cycles) << c.strategy;
+  for (const CandidateCost& c : candidates) {
+    EXPECT_EQ(c.unit_cost.busy_cycles, candidates.front().unit_cost.busy_cycles)
+        << split_name(c.split);
   }
-  EXPECT_EQ(one_unit.best_candidate(op).split, Split::kInstance);
-  EXPECT_EQ(one_unit.best_mapping(op).strategy, "instance-split");
-  expect_fast_path_matches(one_unit, op);
+  EXPECT_EQ(Mapper(mxu_, 1).best_candidate(op).split, Split::kInstance);
+  expect_best_of_mapspace(mxu_, 1, op);
 }
 
 // --- Streaming plans ---------------------------------------------------------------

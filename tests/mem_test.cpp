@@ -25,39 +25,12 @@ TEST_F(MemoryTest, DefaultSpecMatchesTableI) {
   EXPECT_DOUBLE_EQ(spec.hbm.bandwidth, 614 * GBps);
 }
 
-TEST_F(MemoryTest, TransferTimes) {
-  // 614 MB over 614 GB/s = 1 ms.
-  EXPECT_NEAR(memory_.hbm_time(614e6), 1e-3, 1e-9);
-  EXPECT_GT(memory_.cmem_time(1 * GiB), memory_.vmem_time(1 * GiB));
-}
-
-TEST_F(MemoryTest, StageInSlowuestLegDominates) {
-  const Bytes bytes = 1 * GiB;
-  // From HBM the HBM leg is slowest.
-  EXPECT_DOUBLE_EQ(memory_.stage_in_time(ir::Residency::kHbm, bytes),
-                   memory_.hbm_time(bytes));
-  // From CMEM the OCI leg is slowest.
-  EXPECT_DOUBLE_EQ(memory_.stage_in_time(ir::Residency::kCmem, bytes),
-                   memory_.cmem_time(bytes));
-  EXPECT_DOUBLE_EQ(memory_.stage_in_time(ir::Residency::kVmem, bytes),
-                   memory_.vmem_time(bytes));
-}
-
-TEST_F(MemoryTest, StageInEnergyAccumulatesLegs) {
+TEST_F(MemoryTest, AccessEnergyGrowsOutward) {
   const Bytes bytes = 1e6;
-  const Joules from_hbm = memory_.stage_in_energy(ir::Residency::kHbm, bytes);
-  const Joules from_cmem = memory_.stage_in_energy(ir::Residency::kCmem, bytes);
-  const Joules from_vmem = memory_.stage_in_energy(ir::Residency::kVmem, bytes);
-  EXPECT_GT(from_hbm, from_cmem);
-  EXPECT_GT(from_cmem, from_vmem);
-  EXPECT_NEAR(from_hbm - from_cmem, memory_.hbm_energy(bytes), 1e-12);
-}
-
-TEST_F(MemoryTest, FitsCmem) {
-  EXPECT_TRUE(memory_.fits_cmem(100 * MiB));
-  EXPECT_TRUE(memory_.fits_cmem(100 * MiB, 28 * MiB));
-  EXPECT_FALSE(memory_.fits_cmem(100 * MiB, 29 * MiB));
-  EXPECT_FALSE(memory_.fits_cmem(129 * MiB));
+  EXPECT_GT(memory_.hbm_energy(bytes), memory_.cmem_energy(bytes));
+  EXPECT_GT(memory_.cmem_energy(bytes), memory_.vmem_energy(bytes));
+  EXPECT_NEAR(memory_.vmem_energy(2 * bytes), 2 * memory_.vmem_energy(bytes),
+              1e-18);
 }
 
 TEST(MemorySpecTest, ValidationCatchesNonsense) {
@@ -77,10 +50,6 @@ TEST(OverlapTest, DoubleBufferedSteadyState) {
   EXPECT_NEAR(overlap_double_buffered(10e-3, 1e-3, 10.0), 10.1e-3, 1e-9);
 }
 
-TEST(OverlapTest, SerialIsSum) {
-  EXPECT_DOUBLE_EQ(overlap_serial(2e-3, 3e-3), 5e-3);
-}
-
 TEST(OverlapTest, MoreTilesShrinkExposure) {
   const Seconds few = overlap_double_buffered(5e-3, 5e-3, 2.0);
   const Seconds many = overlap_double_buffered(5e-3, 5e-3, 100.0);
@@ -98,7 +67,6 @@ class IciTest : public ::testing::Test {
 
 TEST_F(IciTest, SingleChipAllReduceIsFree) {
   EXPECT_DOUBLE_EQ(fabric_.all_reduce_time(1e9, 1), 0.0);
-  EXPECT_DOUBLE_EQ(fabric_.all_reduce_energy(1e9, 1), 0.0);
 }
 
 TEST_F(IciTest, RingAllReduceFormula) {
@@ -127,8 +95,6 @@ TEST_F(IciTest, P2pIncludesLatencyAndBandwidth) {
 
 TEST_F(IciTest, EnergyProportionalToTraffic) {
   EXPECT_NEAR(fabric_.p2p_energy(2e6), 2 * fabric_.p2p_energy(1e6), 1e-12);
-  EXPECT_GT(fabric_.all_reduce_energy(1e6, 4),
-            fabric_.all_reduce_energy(1e6, 2));
 }
 
 TEST(IciSpecTest, InvalidSpecThrows) {

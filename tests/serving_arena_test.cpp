@@ -66,7 +66,6 @@ TEST(StepRecord, ReserveAbsorbsTheFirstFullBatch) {
   record.reserve(/*max_batch=*/32, /*max_prefill_batch=*/8);
   const std::int64_t before = allocations();
   for (int i = 0; i < 32; ++i) {
-    record.kv_lens.push_back(100 + i);
     record.finished_ids.push_back(i);
     record.decode_groups.emplace_back(128, 1);
   }

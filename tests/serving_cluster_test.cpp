@@ -521,17 +521,15 @@ TEST_F(IciFabricTest, ZeroByteTransfersAreFree) {
   EXPECT_EQ(chip_.ici().p2p_time(0), 0.0);
   EXPECT_EQ(chip_.ici().p2p_time(-5.0), 0.0);
   EXPECT_EQ(chip_.ici().all_reduce_time(0, 8), 0.0);
-  EXPECT_EQ(chip_.ici().all_reduce_energy(0, 8), 0.0);
   EXPECT_EQ(chip_.ici().p2p_energy(0), 0.0);
 }
 
 TEST_F(IciFabricTest, SingleChipAllReduceIsFree) {
   EXPECT_EQ(chip_.ici().all_reduce_time(1 << 20, 1), 0.0);
-  EXPECT_EQ(chip_.ici().all_reduce_energy(1 << 20, 1), 0.0);
 }
 
 TEST_F(IciFabricTest, SingleHopVersusMultiHopLatency) {
-  const mem::IciLinkSpec& spec = chip_.ici().spec();
+  const mem::IciLinkSpec& spec = chip_.config().ici;
   // One p2p message pays exactly one hop latency plus the wire time.
   const Bytes bytes = 4 * MiB;
   EXPECT_DOUBLE_EQ(chip_.ici().p2p_time(bytes),
@@ -546,18 +544,19 @@ TEST_F(IciFabricTest, SingleHopVersusMultiHopLatency) {
 }
 
 TEST_F(IciFabricTest, InvalidSpecsAreRejected) {
+  const tech::EnergyModel energy(tech::calibration_node());
   mem::IciLinkSpec bad;
   bad.bandwidth_per_link = 0;
-  EXPECT_THROW(mem::IciFabric(bad, chip_.energy()), ConfigError);
+  EXPECT_THROW(mem::IciFabric(bad, energy), ConfigError);
   bad = mem::IciLinkSpec{};
   bad.links_per_chip = 0;
-  EXPECT_THROW(mem::IciFabric(bad, chip_.energy()), ConfigError);
+  EXPECT_THROW(mem::IciFabric(bad, energy), ConfigError);
   bad = mem::IciLinkSpec{};
   bad.bandwidth_per_link = -1.0;
-  EXPECT_THROW(mem::IciFabric(bad, chip_.energy()), ConfigError);
+  EXPECT_THROW(mem::IciFabric(bad, energy), ConfigError);
   bad = mem::IciLinkSpec{};
   bad.hop_latency = -1.0 * us;
-  EXPECT_THROW(mem::IciFabric(bad, chip_.energy()), ConfigError);
+  EXPECT_THROW(mem::IciFabric(bad, energy), ConfigError);
 }
 
 // --- Cluster sweep cells -----------------------------------------------------

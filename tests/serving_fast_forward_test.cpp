@@ -95,7 +95,6 @@ std::int64_t arrival_step(const Request& request) {
 void expect_same_record(const StepRecord& a, const StepRecord& b) {
   EXPECT_EQ(a.kind, b.kind);
   EXPECT_EQ(a.batch, b.batch);
-  EXPECT_EQ(a.kv_lens, b.kv_lens);
   EXPECT_EQ(a.chunk_lens, b.chunk_lens);
   EXPECT_EQ(a.prev_lens, b.prev_lens);
   EXPECT_EQ(a.decode_groups, b.decode_groups);

@@ -161,9 +161,6 @@ TEST(FaultConfigTest, ValidateRejectsBadKnobs) {
   expect_invalid([](FaultConfig* c) { c->device_restart_s = 0; });
   expect_invalid([](FaultConfig* c) { c->retry_budget = -1; });
   expect_invalid([](FaultConfig* c) {
-    c->retry_backoff_max_s = c->retry_backoff_base_s / 2;
-  });
-  expect_invalid([](FaultConfig* c) {
     c->degrade_window_s = 5.0;
     c->degrade_exit_faults = c->degrade_enter_faults;  // no hysteresis
   });
@@ -375,7 +372,6 @@ TEST(DegradedSchedulerTest, DegradedModeCapsResidentBatch) {
   }
   scheduler.set_degraded(true, /*degraded_max_batch=*/2,
                           /*extra_shed_slack=*/0);
-  EXPECT_TRUE(scheduler.degraded());
   StepRecord step;
   ASSERT_TRUE(scheduler.next_step(&step));
   EXPECT_LE(scheduler.running_count(), 2u);

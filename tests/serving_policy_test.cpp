@@ -253,7 +253,6 @@ TEST(ChunkedPrefillTest, SingleRequestHandTrace) {
   EXPECT_EQ(step.kind, StepRecord::Kind::kPrefill);
   EXPECT_EQ(step.chunk_lens, (std::vector<std::int64_t>{128}));
   EXPECT_EQ(step.prev_lens, (std::vector<std::int64_t>{0}));
-  EXPECT_EQ(step.kv_lens, (std::vector<std::int64_t>{128}));
   EXPECT_TRUE(step.chunked);
   EXPECT_TRUE(step.first_token_ids.empty());  // prompt not done yet
 
@@ -264,7 +263,6 @@ TEST(ChunkedPrefillTest, SingleRequestHandTrace) {
   ASSERT_TRUE(scheduler.next_step(&step));
   EXPECT_EQ(step.prev_lens, (std::vector<std::int64_t>{256}));
   EXPECT_EQ(step.chunk_lens, (std::vector<std::int64_t>{44}));
-  EXPECT_EQ(step.kv_lens, (std::vector<std::int64_t>{300}));
   EXPECT_EQ(step.first_token_ids, (std::vector<std::int64_t>{0}));
 
   // Decode records carry only the grouping; the scheduler derives the
@@ -272,7 +270,8 @@ TEST(ChunkedPrefillTest, SingleRequestHandTrace) {
   EXPECT_EQ(scheduler.decode_kv_lens(), (std::vector<std::int64_t>{301}));
   ASSERT_TRUE(scheduler.next_step(&step));
   EXPECT_EQ(step.kind, StepRecord::Kind::kDecode);
-  EXPECT_TRUE(step.kv_lens.empty());
+  EXPECT_TRUE(step.chunk_lens.empty());
+  EXPECT_TRUE(step.prev_lens.empty());
   EXPECT_EQ(step.decode_groups,
             (std::vector<std::pair<std::int64_t, std::int64_t>>{{384, 1}}));
   EXPECT_EQ(scheduler.decode_kv_lens(), (std::vector<std::int64_t>{302}));
@@ -835,7 +834,6 @@ TEST_F(CostModelTest, DecodeRecordsMustCarryTheirGrouping) {
   StepRecord step;
   step.kind = StepRecord::Kind::kDecode;
   step.batch = 2;
-  step.kv_lens = {128, 4096};  // per-participant lengths are not costed
   EXPECT_THROW(cost_step(costs, step), InternalError);
   // Groups whose counts miss the batch are rejected too.
   step.decode_groups = {{128, 1}};
@@ -855,7 +853,6 @@ TEST_F(CostModelTest, ChunkedPrefillCostTelescopesToUnchunked) {
     step.batch = 1;
     step.prev_lens = {prev};
     step.chunk_lens = {chunk};
-    step.kv_lens = {prev + chunk};
     const StepCost cost = cost_step(costs, step);
     EXPECT_GE(cost.latency, 0.0);  // monotonicity of prefill in length
     chunked_total.latency += cost.latency;
@@ -866,7 +863,6 @@ TEST_F(CostModelTest, ChunkedPrefillCostTelescopesToUnchunked) {
   whole.batch = 1;
   whole.prev_lens = {0};
   whole.chunk_lens = {1000};
-  whole.kv_lens = {1000};
   const StepCost unchunked = cost_step(costs, whole);
   EXPECT_NEAR(chunked_total.latency, unchunked.latency,
               1e-9 * unchunked.latency);

@@ -25,8 +25,6 @@ class DataflowTest : public ::testing::Test {
 };
 
 TEST_F(DataflowTest, Names) {
-  EXPECT_EQ(dataflow_name(Dataflow::kWeightStationary), "weight-stationary");
-  EXPECT_EQ(dataflow_name(Dataflow::kOutputStationary), "output-stationary");
   EXPECT_EQ(ws_->name(), "systolic-128x128");
   EXPECT_EQ(os_->name(), "systolic-128x128-os");
 }

@@ -25,8 +25,6 @@ class SystolicTest : public ::testing::Test {
 TEST_F(SystolicTest, BasicProperties) {
   EXPECT_EQ(mxu_.name(), "systolic-128x128");
   EXPECT_DOUBLE_EQ(mxu_.macs_per_cycle(), 16384.0);
-  EXPECT_DOUBLE_EQ(mxu_.weight_ingest_bytes_per_cycle(), 128.0);
-  EXPECT_FALSE(mxu_.overlapped_weight_load());
 }
 
 TEST_F(SystolicTest, SingleTileCycleCount) {

@@ -45,14 +45,6 @@ TEST(TechnologyTest, ScalingMonotonicWithFeatureSize) {
   }
 }
 
-TEST(TechnologyTest, ScaleHelpers) {
-  const TechnologyNode n7 = tpu_v4i_node();
-  EXPECT_DOUBLE_EQ(scale_energy(10.0, n7), 10.0 * n7.energy_scale);
-  EXPECT_DOUBLE_EQ(scale_area(10.0, n7), 10.0 * n7.area_scale);
-  EXPECT_DOUBLE_EQ(scale_leakage_power(10.0, n7),
-                   10.0 * n7.leakage_scale * n7.area_scale);
-}
-
 // --- Energy model -------------------------------------------------------------
 
 TEST(EnergyModelTest, TableIIAnchorDigital) {
@@ -108,14 +100,13 @@ TEST(EnergyModelTest, CimWeightWriteCheaperThanDigitalLoad) {
 
 TEST(EnergyModelTest, MemoryHierarchyEnergyOrdering) {
   const EnergyModel energy(calibration_node());
-  EXPECT_LT(energy.register_file_per_byte(), energy.vmem_per_byte());
   EXPECT_LT(energy.vmem_per_byte(), energy.cmem_per_byte());
   EXPECT_LT(energy.cmem_per_byte(), energy.hbm_per_byte());
 }
 
 TEST(EnergyModelTest, DramEnergyDoesNotScaleWithNode) {
   const EnergyModel e22(calibration_node());
-  const EnergyModel e7(tpu_v4i_node());
+  const EnergyModel e7(node_by_name("7nm"));
   EXPECT_DOUBLE_EQ(e22.hbm_per_byte(), e7.hbm_per_byte());
   // But on-chip SRAM does.
   EXPECT_GT(e22.vmem_per_byte(), e7.vmem_per_byte());
@@ -123,8 +114,8 @@ TEST(EnergyModelTest, DramEnergyDoesNotScaleWithNode) {
 
 TEST(EnergyModelTest, NodeScalingAppliesToMacs) {
   const EnergyModel e22(calibration_node());
-  const EnergyModel e7(tpu_v4i_node());
-  const double scale = tpu_v4i_node().energy_scale;
+  const EnergyModel e7(node_by_name("7nm"));
+  const double scale = node_by_name("7nm").energy_scale;
   EXPECT_NEAR(e7.digital_mac(ir::DType::kInt8),
               e22.digital_mac(ir::DType::kInt8) * scale, 1e-18);
   EXPECT_NEAR(e7.cim_mac(ir::DType::kInt8),
@@ -166,7 +157,7 @@ TEST(AreaModelTest, SramAreaProportionalToCapacity) {
 
 TEST(AreaModelTest, NodeScalingShrinksArea) {
   const AreaModel a22(calibration_node());
-  const AreaModel a7(tpu_v4i_node());
+  const AreaModel a7(node_by_name("7nm"));
   EXPECT_LT(a7.digital_array(128, 128), a22.digital_array(128, 128));
   EXPECT_LT(a7.cim_core(128, 256), a22.cim_core(128, 256));
 }

@@ -23,8 +23,8 @@ class VpuCostTest : public ::testing::Test {
 };
 
 TEST_F(VpuCostTest, SpecDefaultsMatchTableI) {
-  EXPECT_EQ(vpu_.spec().sublanes, 8);
-  EXPECT_EQ(vpu_.spec().lanes, 128);
+  EXPECT_EQ(VpuSpec{}.sublanes, 8);
+  EXPECT_EQ(VpuSpec{}.lanes, 128);
   EXPECT_DOUBLE_EQ(vpu_.ops_per_cycle(), 1024.0);
 }
 
