@@ -15,7 +15,9 @@ are matched as tokens, after comments and string literals are stripped,
 without resolving scopes.  A mention counts as a declaration only when it
 cannot be read as anything else (`Type name(...);` or `{`, `Type name;`,
 `= ...;`, `{...};`, `Type Class::name(...) {`, `struct name {`,
-`using name =`); every other mention counts as a use.  So a name
+`using name =`), and as a write when it is a member on the left of a
+plain `=` (`x.name = ...`, `x->name = ...`), so a field that production
+only assigns fails too; every other mention counts as a use.  So a name
 collision (two members or overloads of one name, or a local variable
 named like a member) makes the pass miss an offender, and never flags one
 falsely.  The one use a name-based pass cannot see is a data member read
@@ -55,6 +57,22 @@ HOOKS = {
     "total_entries": "SharedStepCostCache hook: entries over all stores",
     "calibration_node":
         "the 22 nm node tech_test checks the calibration constants at",
+    "swapped": "KvCacheManager::Inspection field, filled by inspect()",
+    "resident_entries": "KvCacheManager::Inspection field, filled by "
+                        "inspect()",
+    "swapped_entries": "KvCacheManager::Inspection field, filled by "
+                       "inspect()",
+    "host_used_blocks": "KvCacheManager::Inspection field, filled by "
+                        "inspect()",
+    "shared_block_ids": "KvCacheManager::Inspection field, filled by "
+                        "inspect()",
+    "request_latency":
+        "pipeline results' stage-handoff latency, kept until Fig. 8 decides "
+        "whether to report the handoff cost (ROADMAP item 3)",
+    "ici_energy_per_request":
+        "pipeline results' stage-handoff ICI energy, kept until Fig. 8 "
+        "decides whether to report the handoff cost (ROADMAP item 3)",
+    "guide": "GuidedCdf's bucket starts, checked against their definition",
 }
 INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 # Comments, string and character literals (raw strings first), and
@@ -208,6 +226,13 @@ def is_declaration(toks, i):
     return False
 
 
+def is_write(toks, i):
+    """True when the mention toks[i] is a member only assigned to:
+    `x.name = ...` or `x->name = ...` (a plain `=`, not `==` or `+=`)."""
+    return (0 < i < len(toks) - 1 and toks[i - 1] in (".", "->")
+            and toks[i + 1] == "=")
+
+
 def function_pass(root, texts):
     src = os.path.join(root, "src")
     declared = {}  # name -> first "src/header:line" that declares it
@@ -224,7 +249,7 @@ def function_pass(root, texts):
             if is_declaration(toks, i):
                 if checked:
                     declared.setdefault(token, f"src/{header}:{line}")
-            else:
+            elif not is_write(toks, i):
                 used.add(token)
     offenders = sorted(
         (where, name) for name, where in declared.items()

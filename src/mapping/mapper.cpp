@@ -80,20 +80,6 @@ int mapspace(const ir::OpShape& op, int unit_count,
 
 }  // namespace
 
-const char* split_name(Split split) {
-  switch (split) {
-    case Split::kInstance:
-      return "instance-split";
-    case Split::kN:
-      return "n-split";
-    case Split::kM:
-      return "m-split";
-    case Split::kSingle:
-      return "single-unit";
-  }
-  return "?";
-}
-
 CandidateCost Mapper::best_candidate(const ir::OpShape& op) const {
   std::array<CandidateCost, kMaxCandidates> candidates;
   const int count = mapspace(op, unit_count_, candidates);

@@ -20,9 +20,6 @@ namespace cimtpu::mapping {
 /// the candidates (the first minimum wins ties).
 enum class Split : std::uint8_t { kInstance, kN, kM, kSingle };
 
-/// "instance-split" / "n-split" / "m-split" / "single-unit".
-const char* split_name(Split split);
-
 /// One costed mapping candidate, without labels: the busiest unit's
 /// workload and its cost on that unit.
 struct CandidateCost {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/status.h"
 
@@ -44,6 +46,10 @@ void LengthSpec::validate() const {
   }
   if (kind == LengthDistribution::kZipf) {
     CIMTPU_CONFIG_CHECK(zipf_alpha > 0, "zipf_alpha must be positive");
+    CIMTPU_CONFIG_CHECK(max_len - min_len < kMaxZipfSupport,
+                        "zipf lengths [" << min_len << ", " << max_len
+                        << "] span more than the limit of "
+                        << kMaxZipfSupport << " ranks");
   }
 }
 
@@ -113,16 +119,48 @@ void RequestStreamConfig::validate() const {
   output.validate();
 }
 
+GuidedCdf::GuidedCdf(std::vector<double> cdf) : cdf_(std::move(cdf)) {
+  const std::size_t n = cdf_.size();
+  CIMTPU_CHECK_MSG(n >= 1 && n <= std::numeric_limits<std::uint32_t>::max() &&
+                       cdf_.back() > 0,
+                   "a guided CDF needs 1 to 2^32 - 1 entries and positive "
+                   "total weight, got " << n << " entries");
+  const double total = cdf_.back();
+  buckets_per_weight_ = static_cast<double>(n) / total;
+  guide_.resize(n + 1);
+  std::size_t j = 0;
+  for (std::size_t b = 0; b <= n; ++b) {
+    const double edge =
+        static_cast<double>(b) * total / static_cast<double>(n);
+    while (j < n && cdf_[j] < edge) ++j;
+    guide_[b] = static_cast<std::uint32_t>(j);
+  }
+}
+
+std::size_t GuidedCdf::lower_bound(double target) const {
+  const std::size_t n = cdf_.size();
+  std::size_t j = guide_[static_cast<std::size_t>(
+      std::min(target * buckets_per_weight_, static_cast<double>(n)))];
+  // The bucket only picks the start: rounding may land it past the answer
+  // (walk back over entries >= target, equal ones included) or short of
+  // it (walk forward over entries < target).
+  while (j > 0 && cdf_[j - 1] >= target) --j;
+  while (j < n && cdf_[j] < target) ++j;
+  return j;
+}
+
 LengthSampler::LengthSampler(const LengthSpec& spec) : spec_(spec) {
   spec_.validate();
   if (spec_.kind == LengthDistribution::kZipf) {
     const std::int64_t support = spec_.max_len - spec_.min_len + 1;
-    zipf_cdf_.reserve(static_cast<std::size_t>(support));
+    std::vector<double> cdf;
+    cdf.reserve(static_cast<std::size_t>(support));
     double cumulative = 0;
     for (std::int64_t rank = 1; rank <= support; ++rank) {
       cumulative += std::pow(static_cast<double>(rank), -spec_.zipf_alpha);
-      zipf_cdf_.push_back(cumulative);
+      cdf.push_back(cumulative);
     }
+    zipf_ = GuidedCdf(std::move(cdf));
   }
 }
 
@@ -132,13 +170,8 @@ std::int64_t LengthSampler::sample(Rng& rng) const {
       return spec_.mean;
     case LengthDistribution::kUniform:
       return rng.uniform_int(spec_.min_len, spec_.max_len);
-    case LengthDistribution::kZipf: {
-      const double target = rng.uniform() * zipf_cdf_.back();
-      const auto it =
-          std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), target);
-      const std::int64_t rank = it - zipf_cdf_.begin();  // 0-based
-      return spec_.min_len + rank;
-    }
+    case LengthDistribution::kZipf:
+      return spec_.min_len + static_cast<std::int64_t>(zipf_.draw(rng));
   }
   return spec_.mean;
 }
@@ -192,14 +225,16 @@ std::vector<Request> generate_requests(const RequestStreamConfig& config) {
   const LengthSampler prompt_sampler(config.prompt);
   const LengthSampler output_sampler(config.output);
   // Cumulative tenant weights for the skewed-assignment draw.
-  std::vector<double> tenant_cdf;
+  GuidedCdf tenant_cdf;
   if (config.num_tenants > 1 && !config.tenant_weights.empty()) {
-    tenant_cdf.reserve(config.tenant_weights.size());
+    std::vector<double> cdf;
+    cdf.reserve(config.tenant_weights.size());
     double cumulative = 0;
     for (double weight : config.tenant_weights) {
       cumulative += weight;
-      tenant_cdf.push_back(cumulative);
+      cdf.push_back(cumulative);
     }
+    tenant_cdf = GuidedCdf(std::move(cdf));
   }
 
   // Two-state MMPP rates chosen so the time-average rate is arrival_rate:
@@ -256,10 +291,8 @@ std::vector<Request> generate_requests(const RequestStreamConfig& config) {
       if (tenant_cdf.empty()) {
         request.tenant_id = tenant_rng.uniform_int(0, config.num_tenants - 1);
       } else {
-        const double target = tenant_rng.uniform() * tenant_cdf.back();
         request.tenant_id =
-            std::lower_bound(tenant_cdf.begin(), tenant_cdf.end(), target) -
-            tenant_cdf.begin();
+            static_cast<std::int64_t>(tenant_cdf.draw(tenant_rng));
       }
     }
     if (config.prefix_pool_size > 0) {

@@ -9,6 +9,7 @@
 // common/rng.h so a fixed seed reproduces bit-identical traffic on every
 // platform.
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -79,6 +80,12 @@ enum class LengthDistribution {
   kZipf,     ///< Zipf-ranked over [min_len, max_len]: short lengths common,
              ///< a heavy tail of long ones (exponent `zipf_alpha`)
 };
+
+/// Most ranks a kZipf length spec may span (max_len - min_len + 1): 2^20.
+/// The sampler builds its CDF (8 bytes and one std::pow per rank) before
+/// the first draw, and its guide table holds 32-bit indices; the longest
+/// support in use is 4,081 ranks.
+constexpr std::int64_t kMaxZipfSupport = std::int64_t{1} << 20;
 
 struct LengthSpec {
   LengthDistribution kind = LengthDistribution::kFixed;
@@ -156,8 +163,38 @@ struct RequestStreamConfig {
   void validate() const;
 };
 
-/// Samples integer lengths from a LengthSpec.  The Zipf inverse-CDF table
-/// is precomputed once per spec, so sampling is O(log n).
+/// Inverse-CDF lookup over cumulative weights with a guide table (Chen and
+/// Asau's cutpoint method): bucket b of n = cdf.size() equal-mass buckets
+/// stores the first index whose value reaches the bucket's lower edge, so
+/// a lookup starts at its target's bucket and walks back, then forward, to
+/// std::lower_bound's exact index whatever the bucket arithmetic rounds
+/// to.  A draw takes expected O(1) steps.
+class GuidedCdf {
+ public:
+  GuidedCdf() = default;
+  /// `cdf`: non-decreasing, positive last entry, fewer than 2^32 entries.
+  explicit GuidedCdf(std::vector<double> cdf);
+
+  bool empty() const { return cdf_.empty(); }
+  /// std::lower_bound(cdf.begin(), cdf.end(), target) - cdf.begin(), for
+  /// a `target` >= 0.
+  std::size_t lower_bound(double target) const;
+  /// Index drawn with probability proportional to its weight.
+  std::size_t draw(Rng& rng) const {
+    return lower_bound(rng.uniform() * cdf_.back());
+  }
+  /// The cdf.size() + 1 bucket starts (test hook).
+  const std::vector<std::uint32_t>& guide() const { return guide_; }
+
+ private:
+  std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;
+  double buckets_per_weight_ = 0;  ///< cdf.size() / cdf.back()
+};
+
+/// Samples integer lengths from a LengthSpec.  The Zipf CDF and its guide
+/// table are built once per spec, so a draw takes expected O(1) steps and
+/// returns the rank std::lower_bound would.
 class LengthSampler {
  public:
   explicit LengthSampler(const LengthSpec& spec);
@@ -166,7 +203,7 @@ class LengthSampler {
 
  private:
   LengthSpec spec_;
-  std::vector<double> zipf_cdf_;  ///< cumulative weights (kZipf only)
+  GuidedCdf zipf_;  ///< cumulative rank weights (kZipf only)
 };
 
 /// Generates the full arrival trace for `config`: `num_requests` requests

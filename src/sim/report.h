@@ -40,7 +40,6 @@ struct OpCost {
 struct OpResult : OpCost {
   std::string name;
   std::string group;
-  std::string mapping_strategy;  ///< empty for VPU ops
 };
 
 /// Op costs summed in op order (sequential execution).  Simulator::run and

@@ -83,7 +83,6 @@ OpResult Simulator::run_op(const ir::Op& op) const {
   static_cast<OpCost&>(result) = cost_op(op);
   result.name = op.name;
   result.group = op.group;
-  if (result.on_mxu) result.mapping_strategy = mapping::split_name(result.split);
   return result;
 }
 

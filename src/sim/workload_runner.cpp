@@ -51,7 +51,6 @@ LlmRunResult run_llm_inference(const Simulator& simulator,
 
   GraphResult prefill_layer = run_prefill_layer(
       simulator, scenario.model, scenario.batch, scenario.input_len);
-  result.prefill_latency_per_layer = prefill_layer.latency;
   result.prefill = prefill_layer;
   result.prefill.scale(static_cast<double>(scenario.model.num_layers));
   result.prefill.name = scenario.model.name + "-prefill";
@@ -67,12 +66,6 @@ LlmRunResult run_llm_inference(const Simulator& simulator,
     step.scale(static_cast<double>(scenario.model.num_layers));
     result.decode += step;
   }
-  // output_len == 0 (prefill-only scoring) must not divide by zero.
-  result.decode_latency_per_token =
-      scenario.output_len > 0
-          ? result.decode.latency / static_cast<double>(scenario.output_len)
-          : 0.0;
-
   result.total = result.prefill;
   result.total += result.decode;
   result.total.name = scenario.model.name + "-total";

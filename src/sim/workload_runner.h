@@ -32,8 +32,6 @@ struct LlmRunResult {
   GraphResult prefill;      ///< all layers, whole prompt
   GraphResult decode;       ///< all layers, all output tokens
   GraphResult total;        ///< prefill + decode
-  Seconds prefill_latency_per_layer = 0;
-  Seconds decode_latency_per_token = 0;  ///< averaged over output tokens (0 when output_len == 0)
 };
 
 /// Chooses the attention K/V residency for a given KV footprint and chip.

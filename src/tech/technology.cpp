@@ -12,17 +12,16 @@ namespace {
 // the paper scales baseline and CIM design to the same node.
 constexpr struct {
   const char* name;
-  double feature_nm;
   double energy_scale;
   double area_scale;
   double leakage_scale;
   double clock_ghz;
 } kNodes[] = {
-    {"65nm", 65.0, 3.60, 6.10, 0.45, 0.50},
-    {"28nm", 28.0, 1.40, 1.55, 0.85, 0.90},
-    {"22nm", 22.0, 1.00, 1.00, 1.00, 1.00},
-    {"12nm", 12.0, 0.55, 0.45, 1.30, 1.30},
-    {"7nm", 7.0, 0.35, 0.22, 1.60, 1.05},
+    {"65nm", 3.60, 6.10, 0.45, 0.50},
+    {"28nm", 1.40, 1.55, 0.85, 0.90},
+    {"22nm", 1.00, 1.00, 1.00, 1.00},
+    {"12nm", 0.55, 0.45, 1.30, 1.30},
+    {"7nm", 0.35, 0.22, 1.60, 1.05},
 };
 
 }  // namespace
@@ -30,8 +29,8 @@ constexpr struct {
 TechnologyNode node_by_name(const std::string& name) {
   for (const auto& n : kNodes) {
     if (name == n.name) {
-      return TechnologyNode{n.name,        n.feature_nm,   n.energy_scale,
-                            n.area_scale,  n.leakage_scale, n.clock_ghz * GHz};
+      return TechnologyNode{n.name, n.energy_scale, n.area_scale,
+                            n.leakage_scale, n.clock_ghz * GHz};
     }
   }
   throw ConfigError("unknown technology node: " + name +

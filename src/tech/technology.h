@@ -19,7 +19,6 @@ namespace cimtpu::tech {
 /// surveys (energy ∝ CV², area ∝ transistor density).
 struct TechnologyNode {
   std::string name;          ///< e.g. "TSMC22"
-  double feature_nm = 22.0;  ///< drawn feature size
   double energy_scale = 1.0; ///< dynamic energy per op vs 22 nm
   double area_scale = 1.0;   ///< area per gate vs 22 nm
   double leakage_scale = 1.0;///< leakage power density vs 22 nm

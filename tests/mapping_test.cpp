@@ -69,8 +69,7 @@ void expect_best_of_mapspace(const systolic::MatrixUnit& unit, int unit_count,
     }
   }
   const CandidateCost best = Mapper(unit, unit_count).best_candidate(op);
-  EXPECT_STREQ(split_name(best.split), split_name(reference->split))
-      << op.name;
+  EXPECT_EQ(best.split, reference->split) << op.name;
   EXPECT_EQ(best.units_used, reference->units_used) << op.name;
   EXPECT_EQ(best.per_unit.instances, reference->per_unit.instances) << op.name;
   EXPECT_EQ(best.per_unit.m, reference->per_unit.m) << op.name;
@@ -89,7 +88,7 @@ TEST_F(MapperTest, BestNeverWorseThanAnyCandidate) {
     const CandidateCost best = mapper_.best_candidate(op);
     for (const CandidateCost& c : reference_mapspace(mxu_, 4, op)) {
       EXPECT_LE(best.unit_cost.busy_cycles, c.unit_cost.busy_cycles)
-          << op.name << " " << split_name(c.split);
+          << op.name << " split " << static_cast<int>(c.split);
     }
   }
 }
@@ -100,7 +99,7 @@ TEST_F(MapperTest, InstanceSplitWinsForManyInstances) {
                                             ir::DType::kInt8,
                                             ir::Residency::kCmem);
   const CandidateCost best = mapper_.best_candidate(op);
-  EXPECT_STREQ(split_name(best.split), "instance-split");
+  EXPECT_EQ(best.split, Split::kInstance);
   EXPECT_EQ(best.units_used, 4);
   EXPECT_EQ(best.per_unit.instances, 112);
 }
@@ -158,7 +157,7 @@ TEST_F(MapperTest, TieGoesToTheFirstCandidateInMapspaceOrder) {
   ASSERT_EQ(candidates.size(), 4u);
   for (const CandidateCost& c : candidates) {
     EXPECT_EQ(c.unit_cost.busy_cycles, candidates.front().unit_cost.busy_cycles)
-        << split_name(c.split);
+        << "split " << static_cast<int>(c.split);
   }
   EXPECT_EQ(Mapper(mxu_, 1).best_candidate(op).split, Split::kInstance);
   expect_best_of_mapspace(mxu_, 1, op);

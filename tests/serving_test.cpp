@@ -2,8 +2,11 @@
 // math, KV-cache admission/eviction, continuous-batching step traces, and
 // bit-identical end-to-end serving metrics for a fixed seed.
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 #include "serving/request_gen.h"
 #include "serving/scheduler.h"
 #include "serving/serving_sim.h"
+#include "serving/traffic_profiles.h"
 #include "sim/workload_runner.h"
 
 namespace cimtpu::serving {
@@ -113,6 +117,292 @@ TEST(RequestGenTest, ZipfFavorsShortLengths) {
   }
   // A uniform draw would put ~10% below 100; the Zipf tail puts most.
   EXPECT_GT(below_100, static_cast<std::int64_t>(0.5 * requests.size()));
+}
+
+// --- Guided CDF search -------------------------------------------------------
+// GuidedCdf's guide table only picks where a search starts, so every draw
+// must return std::lower_bound's index: the trace stays the one a binary
+// search gives, bit for bit.
+
+std::vector<double> zipf_cdf(const LengthSpec& spec) {
+  std::vector<double> cdf;
+  double cumulative = 0;
+  for (std::int64_t rank = 1; rank <= spec.max_len - spec.min_len + 1;
+       ++rank) {
+    cumulative += std::pow(static_cast<double>(rank), -spec.zipf_alpha);
+    cdf.push_back(cumulative);
+  }
+  return cdf;
+}
+
+std::size_t reference_lower_bound(const std::vector<double>& cdf,
+                                  double target) {
+  return static_cast<std::size_t>(
+      std::lower_bound(cdf.begin(), cdf.end(), target) - cdf.begin());
+}
+
+// Every CDF value and its neighbours, every bucket edge and its
+// neighbours, 0, and (1 - 2^-53) * total, which can round to total.
+void expect_guided_matches_lower_bound(const std::vector<double>& cdf) {
+  const GuidedCdf guided(cdf);
+  const double total = cdf.back();
+  const auto n = static_cast<double>(cdf.size());
+  std::vector<double> targets = {0.0, (1.0 - 0x1p-53) * total};
+  auto add_with_neighbours = [&](double value) {
+    targets.push_back(value);
+    targets.push_back(std::nextafter(value, 0.0));
+    targets.push_back(std::nextafter(value, 2 * total));
+  };
+  for (double value : cdf) add_with_neighbours(value);
+  for (std::size_t b = 0; b <= cdf.size(); ++b) {
+    add_with_neighbours(static_cast<double>(b) * total / n);
+  }
+  // Past the total the forward walk crosses every entry equal to it; one
+  // such target is enough.
+  std::sort(targets.begin(), targets.end());
+  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+  for (double target : targets) {
+    ASSERT_EQ(guided.lower_bound(target), reference_lower_bound(cdf, target))
+        << "target " << target << " of " << cdf.size() << " entries";
+  }
+  // Bucket b starts at the first entry that reaches its lower edge.
+  ASSERT_EQ(guided.guide().size(), cdf.size() + 1);
+  for (std::size_t b = 0; b <= cdf.size(); ++b) {
+    ASSERT_EQ(guided.guide()[b],
+              reference_lower_bound(cdf, static_cast<double>(b) * total / n))
+        << "bucket " << b << " of " << cdf.size();
+  }
+}
+
+TEST(RequestGenTest, GuidedCdfMatchesLowerBoundOnTheChatStreamCdfs) {
+  const RequestStreamConfig chat = zipf_chat_stream(42, 1000, 1.0);
+  expect_guided_matches_lower_bound(zipf_cdf(chat.prompt));  // 4,081 ranks
+  expect_guided_matches_lower_bound(zipf_cdf(chat.output));  // 1,021 ranks
+}
+
+TEST(RequestGenTest, GuidedCdfMatchesLowerBoundOnOneAndTwoRanks) {
+  expect_guided_matches_lower_bound({1.0});
+  expect_guided_matches_lower_bound({0.3});
+  expect_guided_matches_lower_bound({1.0, 2.0});
+  expect_guided_matches_lower_bound({1.0, 1.5});
+  expect_guided_matches_lower_bound({0.1, 7.0});
+  expect_guided_matches_lower_bound({2.0, 2.0});  // a zero-weight rank
+}
+
+// At alpha = 8 the cumulative sum stops growing after a few hundred ranks,
+// so most of the 100,000 entries are equal and most buckets share a start.
+TEST(RequestGenTest, GuidedCdfMatchesLowerBoundOnAFlatTail) {
+  LengthSpec spec;
+  spec.kind = LengthDistribution::kZipf;
+  spec.min_len = 1;
+  spec.max_len = 100000;
+  spec.zipf_alpha = 8.0;
+  const std::vector<double> cdf = zipf_cdf(spec);
+  ASSERT_EQ(cdf[50000], cdf.back());
+  expect_guided_matches_lower_bound(cdf);
+}
+
+// Entries one ulp below the bucket edges: for some of them the bucket
+// arithmetic rounds up into the next bucket, whose start lies past the
+// answer, so only the backward walk finds it.
+TEST(RequestGenTest, GuidedCdfMatchesLowerBoundJustBelowBucketEdges) {
+  for (double total : {1.0, 0.3, 7.0}) {
+    std::vector<double> cdf;
+    for (int i = 1; i < 100; ++i) {
+      cdf.push_back(std::nextafter(i * total / 100, 0.0));
+    }
+    cdf.push_back(total);
+    expect_guided_matches_lower_bound(cdf);
+  }
+}
+
+TEST(RequestGenTest, GuidedCdfMatchesLowerBoundOnSeededUniforms) {
+  const RequestStreamConfig chat = zipf_chat_stream(42, 1000, 1.0);
+  const std::vector<double> cdf = zipf_cdf(chat.prompt);
+  const GuidedCdf guided(cdf);
+  Rng rng(20260101);
+  for (int i = 0; i < 1000000; ++i) {
+    const double target = rng.uniform() * cdf.back();
+    ASSERT_EQ(guided.lower_bound(target), reference_lower_bound(cdf, target))
+        << "target " << target;
+  }
+}
+
+// The generator as it was with std::lower_bound for the Zipf length and
+// weighted-tenant draws; everything else is copied unchanged.
+std::vector<Request> reference_generate_requests(
+    const RequestStreamConfig& config) {
+  auto exponential = [](Rng& rng, double rate) {
+    return -std::log(1.0 - rng.uniform()) / rate;
+  };
+  auto sample = [](const LengthSpec& spec, const std::vector<double>& cdf,
+                   Rng& rng) -> std::int64_t {
+    switch (spec.kind) {
+      case LengthDistribution::kFixed:
+        return spec.mean;
+      case LengthDistribution::kUniform:
+        return rng.uniform_int(spec.min_len, spec.max_len);
+      case LengthDistribution::kZipf:
+        return spec.min_len + static_cast<std::int64_t>(reference_lower_bound(
+                                  cdf, rng.uniform() * cdf.back()));
+    }
+    return spec.mean;
+  };
+  Rng rng(config.seed);
+  Rng priority_rng(config.seed ^ 0xa5a5c3c3deadbeefull);
+  Rng tenant_rng(config.seed ^ 0x3c3c5a5a0badf00dull);
+  Rng prefix_rng(config.seed ^ 0x517e0fcafe5eed11ull);
+  Rng deadline_rng(config.seed ^ 0x7d1f5105d11e5eedull);
+  const bool deadlines =
+      config.ttft_deadline_s > 0 || config.tpot_deadline_s > 0;
+  const std::vector<double> prompt_cdf = zipf_cdf(config.prompt);
+  const std::vector<double> output_cdf = zipf_cdf(config.output);
+  std::vector<double> tenant_cdf;
+  double cumulative = 0;
+  for (double weight : config.tenant_weights) {
+    cumulative += weight;
+    tenant_cdf.push_back(cumulative);
+  }
+  const double calm_rate =
+      config.arrival_rate /
+      (1.0 + config.burst_fraction * (config.burst_factor - 1.0));
+  const double burst_rate = calm_rate * config.burst_factor;
+  const Seconds mean_burst_dwell = 16.0 / burst_rate;
+  const Seconds mean_calm_dwell =
+      mean_burst_dwell * (1.0 - config.burst_fraction) / config.burst_fraction;
+  const double peak = config.arrival_rate * (1.0 + config.diurnal_amplitude);
+
+  std::vector<Request> requests;
+  Seconds now = 0;
+  bool in_burst = false;
+  Seconds state_ends = config.process == ArrivalProcess::kBursty
+                           ? exponential(rng, 1.0 / mean_calm_dwell)
+                           : 0;
+  for (std::int64_t id = 0; id < config.num_requests; ++id) {
+    if (config.process == ArrivalProcess::kPoisson) {
+      now += exponential(rng, config.arrival_rate);
+    } else if (config.process == ArrivalProcess::kDiurnal) {
+      for (;;) {
+        now += exponential(rng, peak);
+        const double rate =
+            config.arrival_rate *
+            (1.0 + config.diurnal_amplitude *
+                       std::sin(6.283185307179586 * now /
+                                    config.diurnal_period_s +
+                                config.diurnal_phase));
+        if (rng.uniform() * peak <= rate) break;
+      }
+    } else {
+      for (;;) {
+        const double rate = in_burst ? burst_rate : calm_rate;
+        const Seconds candidate = now + exponential(rng, rate);
+        if (candidate <= state_ends) {
+          now = candidate;
+          break;
+        }
+        now = state_ends;
+        in_burst = !in_burst;
+        const Seconds dwell = in_burst ? mean_burst_dwell : mean_calm_dwell;
+        state_ends = now + exponential(rng, 1.0 / dwell);
+      }
+    }
+    Request request;
+    request.id = id;
+    request.arrival_time = now;
+    request.prompt_len = sample(config.prompt, prompt_cdf, rng);
+    request.output_len =
+        std::max<std::int64_t>(1, sample(config.output, output_cdf, rng));
+    request.priority =
+        config.priority_classes > 1
+            ? priority_rng.uniform_int(0, config.priority_classes - 1)
+            : 0;
+    if (config.num_tenants > 1) {
+      request.tenant_id =
+          tenant_cdf.empty()
+              ? tenant_rng.uniform_int(0, config.num_tenants - 1)
+              : static_cast<std::int64_t>(reference_lower_bound(
+                    tenant_cdf, tenant_rng.uniform() * tenant_cdf.back()));
+    }
+    if (config.prefix_pool_size > 0) {
+      request.prefix_id =
+          prefix_rng.uniform_int(0, config.prefix_pool_size - 1);
+      request.prefix_len = config.prefix_len_tokens;
+      request.prompt_len += config.prefix_len_tokens;
+    }
+    if (deadlines) {
+      const double scale =
+          1.0 + config.deadline_jitter * (2.0 * deadline_rng.uniform() - 1.0);
+      request.ttft_deadline = config.ttft_deadline_s * scale;
+      request.tpot_deadline = config.tpot_deadline_s * scale;
+    }
+    requests.push_back(request);
+  }
+  return requests;
+}
+
+TEST(RequestGenTest, GenerateRequestsMatchesTheLowerBoundSampler) {
+  for (ArrivalProcess process : {ArrivalProcess::kPoisson,
+                                 ArrivalProcess::kBursty,
+                                 ArrivalProcess::kDiurnal}) {
+    for (LengthDistribution kind :
+         {LengthDistribution::kZipf, LengthDistribution::kUniform,
+          LengthDistribution::kFixed}) {
+      for (std::uint64_t seed : {1u, 42u, 1009u}) {
+        RequestStreamConfig config = zipf_chat_stream(seed, 3000, 40.0, 3);
+        config.process = process;
+        config.prompt.kind = kind;
+        config.output.kind = kind;
+        config.num_tenants = 4;
+        config.tenant_weights = {5.0, 1.0, 0.5, 3.0};
+        config.prefix_pool_size = 8;
+        config.prefix_len_tokens = 64;
+        config.ttft_deadline_s = 2.0;
+        config.tpot_deadline_s = 0.05;
+        const std::vector<Request> expected =
+            reference_generate_requests(config);
+        const std::vector<Request> actual = generate_requests(config);
+        ASSERT_EQ(actual.size(), expected.size());
+        for (std::size_t i = 0; i < actual.size(); ++i) {
+          const Request& a = actual[i];
+          const Request& e = expected[i];
+          SCOPED_TRACE(::testing::Message()
+                       << arrival_process_name(process) << " kind "
+                       << static_cast<int>(kind) << " seed " << seed
+                       << " request " << i);
+          ASSERT_EQ(a.id, e.id);
+          ASSERT_EQ(a.arrival_time, e.arrival_time);  // bit for bit
+          ASSERT_EQ(a.prompt_len, e.prompt_len);
+          ASSERT_EQ(a.output_len, e.output_len);
+          ASSERT_EQ(a.priority, e.priority);
+          ASSERT_EQ(a.tenant_id, e.tenant_id);
+          ASSERT_EQ(a.prefix_id, e.prefix_id);
+          ASSERT_EQ(a.prefix_len, e.prefix_len);
+          ASSERT_EQ(a.ttft_deadline, e.ttft_deadline);
+          ASSERT_EQ(a.tpot_deadline, e.tpot_deadline);
+        }
+      }
+    }
+  }
+}
+
+// A Zipf support is capped at kMaxZipfSupport ranks: the sampler builds
+// its whole CDF before the first draw (8 bytes and one std::pow per rank).
+TEST(RequestGenTest, ValidateCapsTheZipfSupport) {
+  LengthSpec spec;
+  spec.kind = LengthDistribution::kZipf;
+  spec.min_len = 5;
+  spec.max_len = spec.min_len + kMaxZipfSupport - 1;
+  EXPECT_NO_THROW(spec.validate());
+  spec.max_len += 1;
+  try {
+    spec.validate();
+    FAIL() << "a support past the limit must be rejected";
+  } catch (const ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("1048576"), std::string::npos)
+        << "the message must name the limit: " << error.what();
+  }
+  spec.max_len = std::int64_t{10000000000};  // 80 GB of CDF unchecked
+  EXPECT_THROW(spec.validate(), ConfigError);
 }
 
 // Stream ids are dense in [0, num_requests) and an engine accepts ids up to
@@ -391,7 +681,6 @@ TEST(WorkloadRunnerEdgeTest, ZeroOutputLenDoesNotDivideByZero) {
   scenario.input_len = 64;
   scenario.output_len = 0;  // prefill-only scoring
   const sim::LlmRunResult run = sim::run_llm_inference(simulator, scenario);
-  EXPECT_DOUBLE_EQ(run.decode_latency_per_token, 0.0);
   EXPECT_DOUBLE_EQ(run.decode.latency, 0.0);
   EXPECT_NEAR(run.total.latency, run.prefill.latency,
               run.prefill.latency * 1e-12);

@@ -161,12 +161,8 @@ TEST_F(SimulatorTest, LlmInferenceComposition) {
   const LlmRunResult run = run_llm_inference(base_sim_, scenario);
   EXPECT_NEAR(run.total.latency, run.prefill.latency + run.decode.latency,
               run.total.latency * 1e-9);
-  EXPECT_GT(run.decode_latency_per_token, 0);
-  EXPECT_GT(run.prefill_latency_per_layer, 0);
-  // Decode ran output_len steps over num_layers layers.
-  EXPECT_NEAR(run.decode.latency,
-              run.decode_latency_per_token * scenario.output_len,
-              run.decode.latency * 1e-9);
+  EXPECT_GT(run.prefill.latency, 0);
+  EXPECT_GT(run.decode.latency, 0);
 }
 
 TEST_F(SimulatorTest, DecodeDominatesLongGenerations) {

@@ -15,7 +15,6 @@ TEST(TechnologyTest, KnownNodesResolve) {
   for (const char* name : {"65nm", "28nm", "22nm", "12nm", "7nm"}) {
     const TechnologyNode node = node_by_name(name);
     EXPECT_EQ(node.name, name);
-    EXPECT_GT(node.feature_nm, 0);
     EXPECT_GT(node.energy_scale, 0);
     EXPECT_GT(node.area_scale, 0);
   }
