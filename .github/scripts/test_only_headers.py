@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Usage: test_only_headers.py [REPO_ROOT] (default: the current directory).
 
-Two passes over the code the simulator is built from, src/, examples/ and
+Three passes over the code the simulator is built from, src/, examples/ and
 cimbench/; tests/ is not scanned, so code only tests reach counts as dead.
 
 Header pass: fails when a header under src/ has no includer in src/,
@@ -24,9 +24,21 @@ falsely.  The one use a name-based pass cannot see is a data member read
 only through a structured binding (`auto [a, b] = value;`); name such a
 member in HOOKS.
 
+Knob pass: fails when a field of a struct whose name ends in Config,
+Scenario or Options, declared in a src/ header with a default member
+initializer (`Type name = ...;` or `Type name{...};`), is never assigned in
+src/, examples/ and cimbench/: no `x.name =`, `x->name =`, `x.name *=`,
+`x.name +=` (or -=, /=), designated initializers included.  Production
+then always runs the default and only tests choose another value, so the
+field is a named constant, not an option.  Names are matched as tokens
+without scopes, like the function pass, so a collision can hide an
+offender but never invents one.  A field filled by a positional aggregate
+initializer, or kept for another reason, goes in KNOBS.
+
 Each pass prints one line per offender and exits 1; it prints one OK line
-per pass otherwise.  Oracle headers (ORACLES) are exempt from both passes;
-HOOKS lists the names kept on purpose for tests, with the reason.
+per pass otherwise.  Oracle headers (ORACLES) are exempt from every pass;
+HOOKS lists the names kept on purpose for tests, and KNOBS the option
+fields production does not assign, each with the reason.
 """
 
 import os
@@ -74,6 +86,22 @@ HOOKS = {
         "decides whether to report the handoff cost (ROADMAP item 3)",
     "guide": "GuidedCdf's bucket starts, checked against their definition",
 }
+# Structs the knob pass checks.
+KNOB_STRUCT = re.compile(r"\w+(Config|Scenario|Options)$")
+# Option fields kept although nothing outside tests assigns them: one reason
+# each.
+KNOBS = {
+    "host_pool_capacity":
+        "ServingScenario's swap pool size; cimbench's traced engine reads it, "
+        "so it goes with the next benchmark change (ROADMAP item 9)",
+    "host_link_bandwidth":
+        "ServingScenario's PCIe-class link; cimbench's traced engine reads "
+        "it, so it goes with the next benchmark change (ROADMAP item 9)",
+}
+# Statements in a struct body that declare no data member.
+NOT_FIELD = {"using", "static", "friend", "enum", "struct", "class", "union",
+             "typedef", "template", "static_assert", "constexpr"}
+ASSIGN_OPS = {"+", "-", "*", "/"}
 INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 # Comments, string and character literals (raw strings first), and
 # preprocessor directives other than #define, which the passes skip.
@@ -265,6 +293,84 @@ def function_pass(root, texts):
     return not offenders
 
 
+def defaulted_fields(toks, open_brace):
+    """[(name, index)] of the default-initialized data members of the
+    struct body that opens at toks[open_brace]."""
+    fields, stmt, depth = [], [], 0
+    for k in range(open_brace, len(toks)):
+        token = toks[k]
+        if token == "{":
+            depth += 1
+            if depth == 1:
+                continue
+        elif token == "}":
+            depth -= 1
+            if depth == 0:
+                break
+            head = stmt[:stmt.index("{")] if "{" in stmt else stmt
+            if depth == 1 and "(" in head and "=" not in head:
+                stmt = []  # an inline member function body ended
+                continue
+        elif depth == 1 and token == ";":
+            if stmt and stmt[0][0] not in NOT_FIELD:
+                ends = [j for j, (t, _) in enumerate(stmt) if t in ("=", "{")]
+                if ends and "(" not in [t for t, _ in stmt[:ends[0]]]:
+                    name, index = stmt[ends[0] - 1]
+                    if is_identifier(name):
+                        fields.append((name, index))
+            stmt = []
+            continue
+        elif (depth == 1 and token == ":" and len(stmt) == 1
+              and stmt[0][0] in ACCESS):
+            stmt = []
+            continue
+        stmt.append((token, k))
+    return fields
+
+
+def is_assignment(toks, i):
+    """True when toks[i] is a member assigned to: `x.name =`, `x->name =`,
+    or a compound `x.name op=` for op in ASSIGN_OPS."""
+    if not (0 < i < len(toks) - 1 and toks[i - 1] in (".", "->")):
+        return False
+    after = toks[i + 1]
+    return after == "=" or (after in ASSIGN_OPS and i + 2 < len(toks)
+                            and toks[i + 2] == "=")
+
+
+def knob_pass(root, texts):
+    src = os.path.join(root, "src")
+    fields = []  # (where, "Struct::field", field)
+    assigned = set()
+    for path in sorted(texts):
+        header = rel(path, src) if path.startswith(src + os.sep) else None
+        checked = (header is not None and header.endswith((".h", ".hpp"))
+                   and header not in ORACLES)
+        tokens = tokenize(texts[path])
+        toks = [token for token, _ in tokens]
+        for i, token in enumerate(toks):
+            if is_assignment(toks, i):
+                assigned.add(token)
+            if (checked and token == "struct" and i + 2 < len(toks)
+                    and KNOB_STRUCT.match(toks[i + 1])
+                    and toks[i + 2] == "{"):
+                for name, k in defaulted_fields(toks, i + 2):
+                    fields.append((f"src/{header}:{tokens[k][1]}",
+                                   f"{toks[i + 1]}::{name}", name))
+    offenders = [(where, qualified) for where, qualified, name in fields
+                 if name not in assigned and name not in KNOBS]
+    for where, qualified in offenders:
+        print(f"test_only_headers: {where}: '{qualified}' has a default that "
+              "src/, examples/ and cimbench/ never assign, so only tests "
+              "choose another value (make it a named constant, or list it "
+              "in KNOBS with a reason)")
+    if not offenders:
+        print(f"test_only_headers: OK, {len(fields)} default-initialized "
+              "fields of *Config/*Scenario/*Options structs in src/ headers "
+              f"({len(KNOBS)} knobs) are assigned outside tests")
+    return not offenders
+
+
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else "."
     texts = {}
@@ -273,7 +379,8 @@ def main():
             texts[path] = f.read()
     headers_ok = header_pass(root, texts)
     functions_ok = function_pass(root, texts)
-    if not (headers_ok and functions_ok):
+    knobs_ok = knob_pass(root, texts)
+    if not (headers_ok and functions_ok and knobs_ok):
         sys.exit(1)
 
 

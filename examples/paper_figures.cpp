@@ -1007,9 +1007,8 @@ void ablation_tiling() {
     table.set_header({"VMEM", "best tile (m x k x n)", "tiles", "VMEM traffic",
                       "reuse factor"});
     for (double mib : {2.0, 4.0, 8.0, 16.0, 64.0, 256.0}) {
-      mapping::TilingOptions options;
-      options.vmem_capacity = mib * MiB;
-      const mapping::TileChoice choice = mapping::best_tiling(gemm.op, options);
+      const mapping::TileChoice choice =
+          mapping::best_tiling(gemm.op, mib * MiB);
       table.add_row({cell_f(mib, 0) + " MiB",
                      std::to_string(choice.tm) + "x" + std::to_string(choice.tk) +
                          "x" + std::to_string(choice.tn),

@@ -33,8 +33,7 @@ Bytes compulsory_traffic(const ir::Op& matmul) {
 }
 
 TileChoice evaluate_tiling(const ir::Op& matmul, std::int64_t tm,
-                           std::int64_t tk, std::int64_t tn,
-                           const TilingOptions& /*options*/) {
+                           std::int64_t tk, std::int64_t tn) {
   CIMTPU_CHECK_MSG(matmul.is_matmul(), "tiling a non-matmul op");
   CIMTPU_CHECK_MSG(tm > 0 && tk > 0 && tn > 0, "tile extents must be positive");
   const double elem = ir::dtype_bytes(matmul.dtype);
@@ -71,14 +70,13 @@ TileChoice evaluate_tiling(const ir::Op& matmul, std::int64_t tm,
 }
 
 std::vector<TileChoice> enumerate_tilings(const ir::Op& matmul,
-                                          const TilingOptions& options) {
-  const Bytes budget = options.vmem_capacity * options.buffer_fraction;
+                                          Bytes vmem_capacity) {
+  const Bytes budget = vmem_capacity * kTileBufferFraction;
   std::vector<TileChoice> legal;
-  for (std::int64_t tm : candidate_extents(matmul.m, options.quantum_m)) {
-    for (std::int64_t tk : candidate_extents(matmul.k, options.quantum_k)) {
-      for (std::int64_t tn : candidate_extents(matmul.n, options.quantum_n)) {
-        const TileChoice choice =
-            evaluate_tiling(matmul, tm, tk, tn, options);
+  for (std::int64_t tm : candidate_extents(matmul.m, kTileQuantumM)) {
+    for (std::int64_t tk : candidate_extents(matmul.k, kTileQuantumK)) {
+      for (std::int64_t tn : candidate_extents(matmul.n, kTileQuantumN)) {
+        const TileChoice choice = evaluate_tiling(matmul, tm, tk, tn);
         if (choice.working_set <= budget) legal.push_back(choice);
       }
     }
@@ -86,12 +84,13 @@ std::vector<TileChoice> enumerate_tilings(const ir::Op& matmul,
   return legal;
 }
 
-TileChoice best_tiling(const ir::Op& matmul, const TilingOptions& options) {
-  const std::vector<TileChoice> legal = enumerate_tilings(matmul, options);
+TileChoice best_tiling(const ir::Op& matmul, Bytes vmem_capacity) {
+  const std::vector<TileChoice> legal =
+      enumerate_tilings(matmul, vmem_capacity);
   CIMTPU_CONFIG_CHECK(!legal.empty(),
                       "no legal tiling for op '"
                           << matmul.name << "' within "
-                          << options.vmem_capacity * options.buffer_fraction
+                          << vmem_capacity * kTileBufferFraction
                           << " bytes of VMEM");
   const auto best = std::min_element(
       legal.begin(), legal.end(), [](const TileChoice& a, const TileChoice& b) {

@@ -34,14 +34,17 @@ struct TileChoice {
   std::int64_t total_tiles() const { return m_tiles * k_tiles * n_tiles; }
 };
 
-/// Search knobs.
-struct TilingOptions {
-  Bytes vmem_capacity = 16 * MiB;
-  double buffer_fraction = 0.5;  ///< double buffering reserves the rest
-  std::int64_t quantum_m = 8;    ///< tile-size granularity per dimension
-  std::int64_t quantum_k = 128;  ///< MXU contraction extent
-  std::int64_t quantum_n = 128;  ///< MXU output extent
-};
+/// Share of VMEM a tile's working set may use; double buffering reserves
+/// the rest.
+inline constexpr double kTileBufferFraction = 0.5;
+static_assert(kTileBufferFraction > 0 && kTileBufferFraction <= 1.0,
+              "the working set needs a share of VMEM");
+
+/// Tile-size granularity per dimension: M by 8 rows, K and N by the MXU's
+/// 128-wide contraction and output extents.
+inline constexpr std::int64_t kTileQuantumM = 8;
+inline constexpr std::int64_t kTileQuantumK = 128;
+inline constexpr std::int64_t kTileQuantumN = 128;
 
 /// Compulsory (minimum possible) VMEM traffic for a GEMM: every operand
 /// byte moves exactly once.
@@ -49,15 +52,16 @@ Bytes compulsory_traffic(const ir::Op& matmul);
 
 /// Evaluates one candidate tiling (no search).
 TileChoice evaluate_tiling(const ir::Op& matmul, std::int64_t tm,
-                           std::int64_t tk, std::int64_t tn,
-                           const TilingOptions& options);
+                           std::int64_t tk, std::int64_t tn);
 
 /// Searches the quantized tile space and returns the traffic-minimal legal
-/// tiling.  Throws ConfigError when even the smallest tile cannot fit.
-TileChoice best_tiling(const ir::Op& matmul, const TilingOptions& options);
+/// tiling for a `vmem_capacity`-byte VMEM.  Throws ConfigError when even
+/// the smallest tile cannot fit.
+TileChoice best_tiling(const ir::Op& matmul, Bytes vmem_capacity);
 
-/// All candidates evaluated by the search, for inspection/tests.
+/// All candidates evaluated by the search whose working set fits
+/// `vmem_capacity`, for inspection/tests.
 std::vector<TileChoice> enumerate_tilings(const ir::Op& matmul,
-                                          const TilingOptions& options);
+                                          Bytes vmem_capacity);
 
 }  // namespace cimtpu::mapping

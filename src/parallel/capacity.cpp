@@ -8,13 +8,10 @@ namespace cimtpu::parallel {
 
 CapacityPlan plan_capacity(const arch::TpuChipConfig& chip_config,
                            const models::TransformerConfig& model,
-                           std::int64_t batch, std::int64_t max_seq_len,
-                           double reserve_fraction) {
+                           std::int64_t batch, std::int64_t max_seq_len) {
   model.validate();
   CIMTPU_CONFIG_CHECK(batch > 0 && max_seq_len > 0,
                       "capacity planning needs positive batch/seq");
-  CIMTPU_CONFIG_CHECK(reserve_fraction >= 0.0 && reserve_fraction < 1.0,
-                      "reserve_fraction must be in [0, 1)");
 
   CapacityPlan plan;
   plan.weight_bytes = model.stack_weight_bytes();
@@ -26,7 +23,7 @@ CapacityPlan plan_capacity(const arch::TpuChipConfig& chip_config,
   plan.kv_bytes = models::kv_cache_bytes_per_layer(model, batch, max_seq_len) *
                   static_cast<double>(model.num_layers);
   plan.per_chip_available =
-      chip_config.memory.hbm.capacity * (1.0 - reserve_fraction);
+      chip_config.memory.hbm.capacity * (1.0 - kHbmReserveFraction);
 
   const Bytes total = plan.weight_bytes + plan.kv_bytes;
   plan.min_pipeline_stages = static_cast<int>(

@@ -21,12 +21,16 @@ struct CapacityPlan {
   int min_pipeline_stages = 1;   ///< chips needed to hold weights + KV
 };
 
+/// Share of each chip's HBM reserved for activations and double buffers.
+inline constexpr double kHbmReserveFraction = 0.10;
+static_assert(kHbmReserveFraction >= 0 && kHbmReserveFraction < 1.0,
+              "the HBM reserve must be in [0, 1)");
+
 /// Plans capacity for serving `model` at the given batch and maximum
-/// sequence length on chips described by `chip_config`.  A fraction of HBM
-/// is reserved for activations/double buffers (`reserve_fraction`).
+/// sequence length on chips described by `chip_config`, with
+/// kHbmReserveFraction of HBM held back.
 CapacityPlan plan_capacity(const arch::TpuChipConfig& chip_config,
                            const models::TransformerConfig& model,
-                           std::int64_t batch, std::int64_t max_seq_len,
-                           double reserve_fraction = 0.10);
+                           std::int64_t batch, std::int64_t max_seq_len);
 
 }  // namespace cimtpu::parallel

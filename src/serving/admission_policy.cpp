@@ -37,10 +37,9 @@ void AdmissionPolicy::drain_shed(std::vector<Request>* out) {
   (void)out;  // non-shedding policies drop nothing
 }
 
-void AdmissionPolicy::set_degraded(bool degraded, Seconds extra_shed_slack) {
+void AdmissionPolicy::set_degraded(bool degraded) {
   // Most policies admit the same way either mode.
   (void)degraded;
-  (void)extra_shed_slack;
 }
 
 // --- FifoAdmission -----------------------------------------------------------

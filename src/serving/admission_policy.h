@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "serving/fault.h"
 #include "serving/request_gen.h"
 
 namespace cimtpu::serving {
@@ -117,10 +118,10 @@ class AdmissionPolicy {
   virtual bool select_is_pure() const { return false; }
 
   /// Graceful degradation toggled (serving/fault.h sustained-failure
-  /// detector).  Default no-op; EDF sheds with `extra_shed_slack` seconds
-  /// of slack while degraded.  Called only on actual transitions
-  /// (hysteresis upstream).
-  virtual void set_degraded(bool degraded, Seconds extra_shed_slack);
+  /// detector).  Default no-op; EDF sheds kDegradedExtraShedSlackSeconds
+  /// early while degraded.  Called only on actual transitions (hysteresis
+  /// upstream).
+  virtual void set_degraded(bool degraded);
 
   virtual bool empty() const = 0;
   virtual std::size_t size() const = 0;
@@ -221,8 +222,8 @@ class EdfAdmission : public AdmissionPolicy {
   void pop_selected() override;
   void drain_shed(std::vector<Request>* out) override;
   bool may_shed() const override { return true; }
-  void set_degraded(bool degraded, Seconds extra_shed_slack) override {
-    shed_slack_ = degraded ? extra_shed_slack : 0;
+  void set_degraded(bool degraded) override {
+    shed_slack_ = degraded ? kDegradedExtraShedSlackSeconds : 0;
   }
   bool empty() const override { return waiting_.empty() && shed_.empty(); }
   std::size_t size() const override {

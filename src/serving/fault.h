@@ -41,11 +41,52 @@ namespace cimtpu::serving {
 inline constexpr Seconds kRetryBackoffBaseSeconds = 0.05;
 inline constexpr Seconds kRetryBackoffMaxSeconds = 2.0;
 
-/// Fault-injection + recovery knobs, carried by ServingScenario.
+/// Re-admissions allowed per request before it is shed with cause
+/// "fault".
+inline constexpr int kRetryBudget = 3;
+
+/// A transient stall lasts this long after its event, and every step
+/// starting inside it pays this latency multiplier.
+inline constexpr Seconds kStallDurationSeconds = 0.5;
+inline constexpr double kStallLatencyMultiplier = 4.0;
+static_assert(kStallLatencyMultiplier >= 1.0,
+              "a stall cannot speed a step up");
+
+/// Downtime of a device failure before the engine restarts.
+inline constexpr Seconds kDeviceRestartSeconds = 1.0;
+
+/// Sustained-failure detector (DegradationController): degraded mode
+/// enters when at least kDegradeEnterFaults fault events landed within
+/// the trailing kDegradeWindowSeconds, and exits once the trailing count
+/// falls back to at most kDegradeExitFaults (hysteresis, no flapping on
+/// the boundary).
+inline constexpr Seconds kDegradeWindowSeconds = 5.0;
+inline constexpr int kDegradeEnterFaults = 4;
+inline constexpr int kDegradeExitFaults = 1;
+static_assert(kDegradeExitFaults >= 0 &&
+                  kDegradeExitFaults < kDegradeEnterFaults,
+              "the exit count must be below the enter count (hysteresis)");
+
+/// Degraded actions: cap the resident batch at this fraction of
+/// SchedulerConfig::max_batch (floor, min 1), pause prefix-cache
+/// admission (stop registering/sharing new blocks), and let EDF shed with
+/// this much slack (a request is shed once now + slack passes its TTFT
+/// deadline).
+inline constexpr double kDegradedMaxBatchFraction = 0.5;
+static_assert(kDegradedMaxBatchFraction > 0 &&
+                  kDegradedMaxBatchFraction <= 1.0,
+              "the degraded batch fraction must be in (0, 1]");
+inline constexpr Seconds kDegradedExtraShedSlackSeconds = 0.5;
+
+/// Fault-injection knobs, carried by ServingScenario.
 /// Default-constructed = subsystem off — the golden-pinned
 /// configuration: run_serving never constructs a FaultProcess, never
 /// consults the fault rng, and produces bit-identical output to a build
-/// without the subsystem.
+/// without the subsystem.  With faults on, the degradation detector is
+/// armed, and a kv-loss repairs in place from the write-through host
+/// shadow when the host pool can hold the entry's blocks and recovery is
+/// on; otherwise (and for device failures, which lose the device
+/// wholesale) the request recomputes: remove, backoff, re-admit.
 struct FaultConfig {
   bool enabled = false;
 
@@ -55,11 +96,8 @@ struct FaultConfig {
   std::uint64_t seed = 42;
 
   // --- Injection processes (independent Poisson, rate 0 = off) ----------
-  /// Transient chip stalls: for stall_duration_s after each event, every
-  /// step's compute latency is multiplied by stall_latency_multiplier.
+  /// Transient chip stalls (kStallDurationSeconds each).
   double stall_rate_per_s = 0;
-  Seconds stall_duration_s = 0.2;
-  double stall_latency_multiplier = 4.0;
 
   /// KV-block loss: each event strikes one uniformly random resident
   /// sequence (no-op when nothing is resident).
@@ -67,45 +105,13 @@ struct FaultConfig {
 
   /// Full device failure: every resident sequence loses its KV, cached
   /// prefix blocks are flushed, and the engine restarts after
-  /// device_restart_s of downtime.
+  /// kDeviceRestartSeconds of downtime.
   double device_failure_rate_per_s = 0;
-  Seconds device_restart_s = 1.0;
 
-  // --- Recovery policy ---------------------------------------------------
   /// Off: every fault-hit request is dropped (shed, cause "fault") — the
-  /// recovery-off baseline of the resilience frontier.
+  /// recovery-off baseline of the resilience frontier.  On: the host
+  /// shadow repair, then backoff re-admission within kRetryBudget.
   bool recovery_enabled = true;
-
-  /// How KV lost to a kv-loss event is re-materialized.  kHostRestore
-  /// models a write-through host shadow: when the host pool can hold the
-  /// entry's blocks the sequence keeps running in place and the engine
-  /// pays the PCIe re-fetch; when the shadow does not fit (or for device
-  /// failures, which lose the device wholesale) it falls back to
-  /// kRecompute: remove, backoff, re-admit, recompute the prompt.
-  enum class KvRestoreMode { kRecompute, kHostRestore };
-  KvRestoreMode kv_restore = KvRestoreMode::kRecompute;
-
-  /// Re-admissions allowed per request before it is shed (0 = first
-  /// fault is fatal even with recovery on).
-  int retry_budget = 3;
-
-  // --- Graceful degradation (sustained-failure detector) -----------------
-  /// 0 disables the detector.  Enter degraded mode when at least
-  /// degrade_enter_faults fault events landed within the trailing
-  /// degrade_window_s; exit when the trailing count falls back to at
-  /// most degrade_exit_faults (< enter: hysteresis, no flapping on the
-  /// boundary).
-  Seconds degrade_window_s = 0;
-  int degrade_enter_faults = 4;
-  int degrade_exit_faults = 1;
-
-  /// Degraded actions: cap the resident batch at this fraction of
-  /// SchedulerConfig::max_batch (floor, min 1), pause prefix-cache
-  /// admission (stop registering/sharing new blocks), and let EDF shed
-  /// with this much slack (a request is shed once now + slack passes its
-  /// TTFT deadline).
-  double degraded_max_batch_fraction = 0.5;
-  Seconds degraded_extra_shed_slack_s = 0;
 
   void validate() const;
 };
@@ -162,13 +168,11 @@ class FaultProcess {
 };
 
 /// Sustained-failure detector with hysteresis: counts fault events in a
-/// trailing window; degraded mode enters at >= degrade_enter_faults and
-/// exits only once the trailing count decays to <= degrade_exit_faults.
+/// trailing kDegradeWindowSeconds; degraded mode enters at >=
+/// kDegradeEnterFaults and exits only once the trailing count decays to
+/// <= kDegradeExitFaults.
 class DegradationController {
  public:
-  explicit DegradationController(const FaultConfig& config);
-
-  bool enabled() const { return config_.degrade_window_s > 0; }
   bool degraded() const { return degraded_; }
 
   /// Records one fault event at simulated time `now`.
@@ -179,7 +183,6 @@ class DegradationController {
   bool update(Seconds now);
 
  private:
-  FaultConfig config_;
   std::deque<Seconds> recent_;
   bool degraded_ = false;
 };

@@ -45,7 +45,6 @@ void LengthSpec::validate() const {
       break;
   }
   if (kind == LengthDistribution::kZipf) {
-    CIMTPU_CONFIG_CHECK(zipf_alpha > 0, "zipf_alpha must be positive");
     CIMTPU_CONFIG_CHECK(max_len - min_len < kMaxZipfSupport,
                         "zipf lengths [" << min_len << ", " << max_len
                         << "] span more than the limit of "
@@ -92,29 +91,10 @@ void RequestStreamConfig::validate() const {
                            << prefix_len_tokens
                            << ") must be set together (both 0 disables "
                               "shared prefixes)");
-  if (process == ArrivalProcess::kBursty) {
-    CIMTPU_CONFIG_CHECK(burst_factor > 1.0, "burst_factor must exceed 1");
-    CIMTPU_CONFIG_CHECK(burst_fraction > 0 && burst_fraction < 1,
-                        "burst_fraction must be in (0, 1)");
-  }
-  if (process == ArrivalProcess::kDiurnal) {
-    CIMTPU_CONFIG_CHECK(diurnal_period_s > 0,
-                        "diurnal_period_s must be positive");
-    // amplitude 1 lets the rate touch zero at the trough; beyond 1 the
-    // "rate" would go negative, which thinning cannot represent.
-    CIMTPU_CONFIG_CHECK(diurnal_amplitude >= 0 && diurnal_amplitude <= 1,
-                        "diurnal_amplitude must be in [0, 1], got "
-                            << diurnal_amplitude);
-  }
   CIMTPU_CONFIG_CHECK(ttft_deadline_s >= 0,
                       "ttft_deadline_s must be >= 0 (0 disables)");
   CIMTPU_CONFIG_CHECK(tpot_deadline_s >= 0,
                       "tpot_deadline_s must be >= 0 (0 disables)");
-  if (ttft_deadline_s > 0 || tpot_deadline_s > 0) {
-    CIMTPU_CONFIG_CHECK(deadline_jitter >= 0 && deadline_jitter < 1,
-                        "deadline_jitter must be in [0, 1), got "
-                            << deadline_jitter);
-  }
   prompt.validate();
   output.validate();
 }
@@ -157,7 +137,7 @@ LengthSampler::LengthSampler(const LengthSpec& spec) : spec_(spec) {
     cdf.reserve(static_cast<std::size_t>(support));
     double cumulative = 0;
     for (std::int64_t rank = 1; rank <= support; ++rank) {
-      cumulative += std::pow(static_cast<double>(rank), -spec_.zipf_alpha);
+      cumulative += std::pow(static_cast<double>(rank), -kZipfAlpha);
       cdf.push_back(cumulative);
     }
     zipf_ = GuidedCdf(std::move(cdf));
@@ -191,13 +171,13 @@ constexpr double kTwoPi = 6.283185307179586;
 /// accepted with probability rate(candidate) / peak.
 Seconds diurnal_arrival(Rng& rng, const RequestStreamConfig& config,
                         Seconds now) {
-  const double peak = config.arrival_rate * (1.0 + config.diurnal_amplitude);
+  const double peak = config.arrival_rate * (1.0 + kDiurnalAmplitude);
   for (;;) {
     now += exponential(rng, peak);
     const double rate =
         config.arrival_rate *
-        (1.0 + config.diurnal_amplitude *
-                   std::sin(kTwoPi * now / config.diurnal_period_s +
+        (1.0 + kDiurnalAmplitude *
+                   std::sin(kTwoPi * now / kDiurnalPeriodSeconds +
                             config.diurnal_phase));
     if (rng.uniform() * peak <= rate) return now;
   }
@@ -240,13 +220,12 @@ std::vector<Request> generate_requests(const RequestStreamConfig& config) {
   // Two-state MMPP rates chosen so the time-average rate is arrival_rate:
   //   avg = f * burst_rate + (1 - f) * calm_rate,  burst_rate = B * calm_rate.
   const double calm_rate =
-      config.arrival_rate /
-      (1.0 + config.burst_fraction * (config.burst_factor - 1.0));
-  const double burst_rate = calm_rate * config.burst_factor;
+      config.arrival_rate / (1.0 + kBurstFraction * (kBurstFactor - 1.0));
+  const double burst_rate = calm_rate * kBurstFactor;
   // Mean dwell times: bursts last long enough to cover ~16 burst arrivals.
   const Seconds mean_burst_dwell = 16.0 / burst_rate;
   const Seconds mean_calm_dwell =
-      mean_burst_dwell * (1.0 - config.burst_fraction) / config.burst_fraction;
+      mean_burst_dwell * (1.0 - kBurstFraction) / kBurstFraction;
 
   std::vector<Request> requests;
   requests.reserve(static_cast<std::size_t>(config.num_requests));
@@ -308,7 +287,7 @@ std::vector<Request> generate_requests(const RequestStreamConfig& config) {
       // loose TTFT also tolerates a loose TPOT (per-class SLOs, not
       // per-metric noise).
       const double scale =
-          1.0 + config.deadline_jitter * (2.0 * deadline_rng.uniform() - 1.0);
+          1.0 + kDeadlineJitter * (2.0 * deadline_rng.uniform() - 1.0);
       request.ttft_deadline = config.ttft_deadline_s * scale;
       request.tpot_deadline = config.tpot_deadline_s * scale;
     }

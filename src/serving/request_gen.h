@@ -71,6 +71,37 @@ enum class ArrivalProcess {
   kDiurnal,  ///< sinusoidally rate-modulated Poisson (day/night cycles)
 };
 
+/// kBursty: the stream alternates between a calm state and a burst state
+/// whose rate is kBurstFactor times the calm rate, spending kBurstFraction
+/// of the time in bursts.  Mean state dwell times are chosen so the
+/// long-run average rate stays `arrival_rate`.
+inline constexpr double kBurstFactor = 8.0;
+inline constexpr double kBurstFraction = 0.1;
+static_assert(kBurstFactor > 1.0, "a burst must outpace the calm state");
+static_assert(kBurstFraction > 0 && kBurstFraction < 1,
+              "the burst fraction must be in (0, 1)");
+
+/// kDiurnal: the instantaneous rate follows
+///   rate(t) = arrival_rate * (1 + kDiurnalAmplitude *
+///                                 sin(2*pi*t/kDiurnalPeriodSeconds + phase))
+/// sampled by Lewis-Shedler thinning at the peak rate, so the long-run
+/// average stays `arrival_rate`.  The thinning draws happen only on the
+/// kDiurnal path, so kPoisson/kBursty streams stay bit-identical for a
+/// given seed.
+inline constexpr Seconds kDiurnalPeriodSeconds = 60.0;
+inline constexpr double kDiurnalAmplitude = 0.8;
+// Amplitude 1 lets the rate touch zero at the trough; beyond 1 the "rate"
+// would go negative, which thinning cannot represent.
+static_assert(kDiurnalAmplitude >= 0 && kDiurnalAmplitude <= 1,
+              "the diurnal amplitude must be in [0, 1]");
+
+/// Deadline-carrying streams scale both deadlines of a request by one
+/// factor drawn uniformly from [1 - kDeadlineJitter, 1 + kDeadlineJitter].
+inline constexpr double kDeadlineJitter = 0.2;
+static_assert(kDeadlineJitter >= 0 && kDeadlineJitter < 1,
+              "the deadline jitter must be in [0, 1): a zero-scale "
+              "deadline is unmeetable");
+
 std::string arrival_process_name(ArrivalProcess process);
 
 /// Token-length distributions for prompts and outputs.
@@ -78,8 +109,12 @@ enum class LengthDistribution {
   kFixed,    ///< always `mean`
   kUniform,  ///< uniform integer in [min_len, max_len]
   kZipf,     ///< Zipf-ranked over [min_len, max_len]: short lengths common,
-             ///< a heavy tail of long ones (exponent `zipf_alpha`)
+             ///< a heavy tail of long ones (exponent kZipfAlpha)
 };
+
+/// Tail exponent of every kZipf length spec: rank r weighs r^-kZipfAlpha.
+inline constexpr double kZipfAlpha = 1.05;
+static_assert(kZipfAlpha > 0, "the Zipf exponent must be positive");
 
 /// Most ranks a kZipf length spec may span (max_len - min_len + 1): 2^20.
 /// The sampler builds its CDF (8 bytes and one std::pow per rank) before
@@ -92,7 +127,6 @@ struct LengthSpec {
   std::int64_t mean = 1024;    ///< used by kFixed
   std::int64_t min_len = 16;   ///< inclusive lower bound (kUniform / kZipf)
   std::int64_t max_len = 4096; ///< inclusive upper bound (kUniform / kZipf)
-  double zipf_alpha = 1.1;     ///< tail exponent; larger -> lighter tail
 
   void validate() const;
 };
@@ -101,25 +135,12 @@ struct LengthSpec {
 struct RequestStreamConfig {
   std::uint64_t seed = 42;
   std::int64_t num_requests = 1000;
-  double arrival_rate = 10.0;  ///< mean requests/second (both processes)
+  double arrival_rate = 10.0;  ///< mean requests/second (every process)
   ArrivalProcess process = ArrivalProcess::kPoisson;
 
-  // kBursty: the stream alternates between a calm state and a burst state
-  // whose rate is `burst_factor` times the calm rate.  Mean state dwell
-  // times are chosen so the long-run average rate stays `arrival_rate`.
-  double burst_factor = 8.0;    ///< burst rate / calm rate
-  double burst_fraction = 0.1;  ///< fraction of time spent in bursts
-
-  // kDiurnal: the instantaneous rate follows
-  //   rate(t) = arrival_rate * (1 + amplitude * sin(2*pi*t/period + phase))
-  // sampled by Lewis-Shedler thinning at the peak rate, so the long-run
-  // average stays `arrival_rate`.  Only consulted when the process is
-  // kDiurnal; rng draws happen only on that path, so kPoisson/kBursty
-  // streams stay bit-identical for a given seed.
-  Seconds diurnal_period_s = 60.0;  ///< one full day/night cycle
-  double diurnal_amplitude = 0.8;   ///< peak swing, in [0, 1]
-  double diurnal_phase = 0.0;       ///< radians; shifts the peak (per-tenant
-                                    ///< mixes stagger their peaks with this)
+  /// kDiurnal only: radians; shifts the peak (per-tenant mixes stagger
+  /// their peaks with this).
+  double diurnal_phase = 0.0;
 
   LengthSpec prompt;
   LengthSpec output;
@@ -151,14 +172,13 @@ struct RequestStreamConfig {
 
   // Per-request SLO deadlines (TTFT/TPOT): when either base value is > 0,
   // every request carries both deadlines scaled by a shared jitter factor
-  // drawn uniformly from [1 - deadline_jitter, 1 + deadline_jitter].  The
-  // jitter comes from a FIFTH decoupled rng stream that is consulted only
-  // when deadlines are enabled, so arrivals, lengths, priorities, tenants,
-  // and prefixes stay bit-identical for a given seed — deadline-free
-  // streams (the default) are untouched byte for byte.
+  // (kDeadlineJitter).  The jitter comes from a FIFTH decoupled rng stream
+  // that is consulted only when deadlines are enabled, so arrivals,
+  // lengths, priorities, tenants, and prefixes stay bit-identical for a
+  // given seed — deadline-free streams (the default) are untouched byte
+  // for byte.
   Seconds ttft_deadline_s = 0;   ///< base TTFT deadline; 0 disables
   Seconds tpot_deadline_s = 0;   ///< base TPOT deadline; 0 disables
-  double deadline_jitter = 0.2;  ///< fractional spread, in [0, 1)
 
   void validate() const;
 };

@@ -205,6 +205,10 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(
       kv_cache_(kv_cache),
       admission_(make_admission_policy(config.admission)) {
   config_.validate();
+  // Never below 1: a degraded engine still serves.
+  degraded_max_batch_ = std::max(
+      1, static_cast<int>(static_cast<double>(config_.max_batch) *
+                          kDegradedMaxBatchFraction));
   may_shed_ = admission_->may_shed();
   admit_memo_ok_ = admission_->select_is_pure();
   calendar_.reserve(static_cast<std::size_t>(config_.max_batch));
@@ -639,12 +643,9 @@ bool ContinuousBatchScheduler::restore_resident_from_host(
   return true;
 }
 
-void ContinuousBatchScheduler::set_degraded(bool degraded,
-                                            int degraded_max_batch,
-                                            Seconds extra_shed_slack) {
+void ContinuousBatchScheduler::set_degraded(bool degraded) {
   degraded_ = degraded;
-  degraded_max_batch_ = degraded ? degraded_max_batch : 0;
-  admission_->set_degraded(degraded, extra_shed_slack);
+  admission_->set_degraded(degraded);
   admit_blocked_ = false;  // effective_max_batch may have changed
 }
 

@@ -84,6 +84,7 @@
 
 #include "common/math_util.h"
 #include "serving/admission_policy.h"
+#include "serving/fault.h"
 #include "serving/kv_cache_manager.h"
 #include "serving/metrics.h"
 #include "serving/request_gen.h"
@@ -330,13 +331,12 @@ class ContinuousBatchScheduler {
   /// remove_for_fault + recompute.
   bool restore_resident_from_host(std::int64_t request_id, Bytes* bytes);
 
-  /// Graceful degradation (serving/fault.h): caps the resident batch at
-  /// `degraded_max_batch` while `degraded` (0 = keep the configured
-  /// max_batch) and forwards the mode to the admission policy (EDF sheds
-  /// with `extra_shed_slack` seconds of slack while degraded).  Residents
-  /// over the cap are not evicted; the cap only throttles new admissions.
-  void set_degraded(bool degraded, int degraded_max_batch,
-                    Seconds extra_shed_slack);
+  /// Graceful degradation (serving/fault.h): while `degraded`, caps the
+  /// resident batch at kDegradedMaxBatchFraction of max_batch (floor, at
+  /// least 1) and forwards the mode to the admission policy (EDF sheds
+  /// kDegradedExtraShedSlackSeconds early).  Residents over the cap are
+  /// not evicted; the cap only throttles new admissions.
+  void set_degraded(bool degraded);
 
   std::size_t waiting_count() const { return admission_->size(); }
   std::size_t running_count() const { return resident_.size(); }
@@ -496,13 +496,9 @@ class ContinuousBatchScheduler {
                                std::int64_t prefix_skipped);
 
   /// The batch cap admissions honour right now: the configured max_batch,
-  /// tightened to degraded_max_batch_ while degradation is active.  Never
-  /// below 1 (a degraded engine still serves).
+  /// tightened to degraded_max_batch_ while degradation is active.
   int effective_max_batch() const {
-    return degraded_ && degraded_max_batch_ > 0 &&
-                   degraded_max_batch_ < config_.max_batch
-               ? degraded_max_batch_
-               : config_.max_batch;
+    return degraded_ ? degraded_max_batch_ : config_.max_batch;
   }
 
   /// Swap-in watermark: beyond the restore itself, one decode step's
@@ -552,7 +548,7 @@ class ContinuousBatchScheduler {
   /// probe would fail identically and is skipped.
   bool admit_blocked_ = false;
   bool degraded_ = false;           ///< graceful-degradation mode
-  int degraded_max_batch_ = 0;      ///< batch cap while degraded (0 = none)
+  int degraded_max_batch_;          ///< batch cap while degraded (>= 1)
   ServingCounters counters_;
   std::vector<Request> shed_scratch_;  ///< drain_shed buffer (reused)
   /// Requests enqueued via enqueue_prefilled, pending admission.  Empty on

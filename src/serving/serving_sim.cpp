@@ -287,7 +287,6 @@ struct ServingEngine::Impl {
   std::deque<PendingRetry> retry_queue;
   std::vector<double> repair_times;  ///< MTTR samples (seconds)
   Seconds stall_until = -1;          ///< active stall window end
-  int degraded_max_batch;
 
   StepRecord step;  // reused across all steps and reserved to
                     // steady-state capacity, so the serving loop
@@ -320,12 +319,7 @@ struct ServingEngine::Impl {
         tp_ways(scenario.tensor_parallel_ways),
         tp_scale(static_cast<double>(scenario.tensor_parallel_ways)),
         faults_on(scenario.fault.enabled),
-        fault_process(scenario.fault),
-        degrade(scenario.fault),
-        degraded_max_batch(std::max(
-            1,
-            static_cast<int>(static_cast<double>(scenario.scheduler.max_batch) *
-                             scenario.fault.degraded_max_batch_fraction))) {
+        fault_process(scenario.fault) {
     step.reserve(scenario.scheduler.max_batch,
                  scenario.scheduler.max_prefill_batch);
     *trace = ServingTrace(scenario.trace);
@@ -421,7 +415,7 @@ struct ServingEngine::Impl {
     RequestTrace& request_trace = traces[index];
     request_trace.last_fault = fault_time;
     if (scenario.fault.recovery_enabled &&
-        request_trace.retry_attempts < scenario.fault.retry_budget) {
+        request_trace.retry_attempts < kRetryBudget) {
       request_trace.retry_attempts += 1;
       const Seconds backoff = std::min(
           kRetryBackoffBaseSeconds *
@@ -457,12 +451,12 @@ struct ServingEngine::Impl {
       switch (event.type) {
         case FaultType::kStall: {
           stall_until = std::max(stall_until,
-                                 event.time + scenario.fault.stall_duration_s);
+                                 event.time + kStallDurationSeconds);
           metrics.fault.stalls += 1;
           degrade.on_fault(event.time);
           if (tracing) {
             trace->on_fault(-1, static_cast<std::int64_t>(FaultType::kStall),
-                            event.time, 0, scenario.fault.stall_duration_s);
+                            event.time, 0, kStallDurationSeconds);
           }
           break;
         }
@@ -481,9 +475,7 @@ struct ServingEngine::Impl {
                             static_cast<std::int64_t>(FaultType::kKvLoss),
                             event.time, computed, 0);
           }
-          if (scenario.fault.recovery_enabled &&
-              scenario.fault.kv_restore ==
-                  FaultConfig::KvRestoreMode::kHostRestore) {
+          if (scenario.fault.recovery_enabled) {
             Bytes bytes = 0;
             if (scheduler.restore_resident_from_host(info.request_id,
                                                      &bytes)) {
@@ -523,13 +515,13 @@ struct ServingEngine::Impl {
           if (tracing) {
             trace->on_fault(
                 -1, static_cast<std::int64_t>(FaultType::kDeviceFailure),
-                event.time, lost_tokens, scenario.fault.device_restart_s);
+                event.time, lost_tokens, kDeviceRestartSeconds);
           }
           for (std::int64_t id : victims) fault_evict(id, event.time);
           kv_cache.drop_cached_blocks();  // prefix cache does not survive
           // Downtime: the engine is back at the end of the restart epoch
           // (clamped to the horizon like the idle-advance below).
-          Seconds resume = event.time + scenario.fault.device_restart_s;
+          Seconds resume = event.time + kDeviceRestartSeconds;
           if (scenario.max_sim_seconds > 0) {
             resume = std::min(resume, scenario.max_sim_seconds);
           }
@@ -538,10 +530,9 @@ struct ServingEngine::Impl {
         }
       }
     }
-    if (degrade.enabled() && degrade.update(now)) {
+    if (degrade.update(now)) {
       const bool entering = degrade.degraded();
-      scheduler.set_degraded(entering, degraded_max_batch,
-                             scenario.fault.degraded_extra_shed_slack_s);
+      scheduler.set_degraded(entering);
       kv_cache.set_prefix_admission_paused(entering);
       if (entering) {
         metrics.fault.degrade_enters += 1;
@@ -775,9 +766,9 @@ struct ServingEngine::Impl {
       stage_time += static_cast<double>(layers) *
                     chip.ici().all_reduce_time(ar_bytes, tp_ways);
     }
-    // A step starting inside a stall window pays the configured latency
+    // A step starting inside a stall window pays kStallLatencyMultiplier
     // multiplier on every stage (and hence on the pipeline traversal too).
-    if (stalled) stage_time *= scenario.fault.stall_latency_multiplier;
+    if (stalled) stage_time *= kStallLatencyMultiplier;
     charge.emit_extra = static_cast<double>(boundaries) * stage_time;
     charge.latency = stage_time + swap_time;
 

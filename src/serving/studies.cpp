@@ -236,16 +236,15 @@ ServingStudy baseline_study(const StudyInputs& in) {
 }
 
 ServingStudy policies_study(const StudyInputs& in) {
-  constexpr std::int64_t kKvBudgetTokens = 8000;
   RequestStreamConfig stream = in.stream;
   stream.num_requests = std::min<std::int64_t>(stream.num_requests, 2000);
   stream.priority_classes = 3;  // for priority_victim
   ServingStudy study = point_study(StudyKind::kPolicies, "policies", stream);
-  study.points = pressured_policy_grid_points(in.model, study.requests.get(),
-                                              kKvBudgetTokens);
+  study.points = pressured_policy_grid_points(in.model, study.requests.get());
   study.title = "Preemption policy x chunked prefill — " +
-                model_label(in.model) + ", " + cell_i(kKvBudgetTokens) +
-                "-token KV budget, " + cell_i(stream.num_requests) +
+                model_label(in.model) + ", " +
+                cell_i(kPressuredKvBudgetTokens) + "-token KV budget, " +
+                cell_i(stream.num_requests) +
                 " requests at " + cell_f(stream.arrival_rate, 1) + " req/s";
   study.json_open = "\"policies\": [";
   study.json_close = "]";
@@ -255,7 +254,7 @@ ServingStudy policies_study(const StudyInputs& in) {
       {"chunk_tokens", "chunk", F::kOffIfZero,
        [](R r) { return scenario(r).scheduler.prefill_chunk_tokens; }},
       {"kv_budget_tokens", nullptr, F::kInt,
-       [](R) { return std::int64_t{kKvBudgetTokens}; }},
+       [](R) { return std::int64_t{kPressuredKvBudgetTokens}; }},
       kGoodput, kTtftP99, kTpotP99, kE2eP99,
       {"preemptions_recompute", "recompute", F::kInt,
        field(&M::counters, &C::preemptions_recompute)},
@@ -318,22 +317,20 @@ ServingStudy fairness_study(const StudyInputs& in) {
 }
 
 ServingStudy prefix_cache_study(const StudyInputs& in) {
-  constexpr std::int64_t kKvBudgetTokens = 20000;
   ServingStudy study = point_study(
       StudyKind::kPrefixCache, "prefix_cache",
       prefix_chatbot_stream(in.stream.seed, /*num_requests=*/400,
                             /*arrival_rate=*/30.0));
-  study.points = prefix_cache_grid_points(in.model, study.requests.get(),
-                                          kKvBudgetTokens);
+  study.points = prefix_cache_grid_points(in.model, study.requests.get());
   study.title = "Paged KV prefix caching — " + cell_i(kPrefixChatbotPool) +
                 " shared " + cell_i(kPrefixChatbotPrefixLen) +
-                "-token system prompts, " + cell_i(kKvBudgetTokens) +
+                "-token system prompts, " + cell_i(kPrefixCacheKvBudgetTokens) +
                 "-token KV budget, " + cell_i(study.requests->size()) +
                 " requests";
   std::ostringstream json;
   json << "\"prefix_cache\": {\"prefix_pool\": " << kPrefixChatbotPool
        << ", \"prefix_len_tokens\": " << kPrefixChatbotPrefixLen
-       << ", \"kv_budget_tokens\": " << kKvBudgetTokens
+       << ", \"kv_budget_tokens\": " << kPrefixCacheKvBudgetTokens
        << ", \"requests\": " << study.requests->size() << ", \"rows\": [";
   study.json_open = json.str();
   study.json_close = "]}";

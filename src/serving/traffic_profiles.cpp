@@ -20,11 +20,9 @@ RequestStreamConfig zipf_chat_stream(std::uint64_t seed,
   stream.prompt.kind = LengthDistribution::kZipf;
   stream.prompt.min_len = 16;
   stream.prompt.max_len = 4096;
-  stream.prompt.zipf_alpha = 1.05;
   stream.output.kind = LengthDistribution::kZipf;
   stream.output.min_len = 4;
   stream.output.max_len = 1024;
-  stream.output.zipf_alpha = 1.05;
   stream.priority_classes = priority_classes;
   return stream;
 }
@@ -55,7 +53,7 @@ ServingScenario llama7b_pressured_scenario(int chips, ir::DType dtype,
 
 std::vector<SweepPoint> pressured_policy_grid_points(
     const models::TransformerConfig& model,
-    const std::vector<Request>* requests, std::int64_t kv_budget_tokens) {
+    const std::vector<Request>* requests) {
   std::vector<SweepPoint> points;
   for (EvictionPolicy policy :
        {EvictionPolicy::kPreemptNewest, EvictionPolicy::kSwapToHost,
@@ -65,11 +63,11 @@ std::vector<SweepPoint> pressured_policy_grid_points(
       point.label = "policy=" + eviction_policy_name(policy) +
                     " chunk=" + std::to_string(chunk);
       point.scenario = llama7b_pressured_scenario(
-          /*chips=*/1, model.dtype, policy, chunk, kv_budget_tokens);
+          /*chips=*/1, model.dtype, policy, chunk, kPressuredKvBudgetTokens);
       point.scenario.model = model;
       point.scenario.kv_budget_override =
           KvCacheManager::token_bytes(model) *
-          static_cast<double>(kv_budget_tokens);
+          static_cast<double>(kPressuredKvBudgetTokens);
       point.requests = requests;
       points.push_back(std::move(point));
     }
@@ -96,24 +94,22 @@ RequestStreamConfig multi_tenant_pressure_stream(std::uint64_t seed,
   return stream;
 }
 
-ServingScenario multi_tenant_fairness_scenario(
-    ir::DType dtype, const std::string& admission,
-    const std::vector<double>& weights, Seconds horizon_seconds,
-    std::int64_t kv_budget_tokens) {
+ServingScenario multi_tenant_fairness_scenario(ir::DType dtype,
+                                               const std::string& admission) {
   ServingScenario scenario = llama7b_pressured_scenario(
       /*chips=*/1, dtype, EvictionPolicy::kPreemptNewest, /*chunk_tokens=*/0,
-      kv_budget_tokens);
+      kMultiTenantFairnessKvBudgetTokens);
   scenario.scheduler.admission.policy = admission;
-  scenario.scheduler.admission.tenant_weights = weights;
-  scenario.max_sim_seconds = horizon_seconds;
+  scenario.scheduler.admission.tenant_weights =
+      multi_tenant_fairness_weights();
+  scenario.max_sim_seconds = kMultiTenantFairnessHorizon;
   return scenario;
 }
 
 RequestStreamConfig prefix_chatbot_stream(std::uint64_t seed,
                                           std::int64_t num_requests,
                                           double arrival_rate,
-                                          std::int64_t prefix_pool,
-                                          std::int64_t prefix_len) {
+                                          std::int64_t prefix_pool) {
   RequestStreamConfig stream;
   stream.seed = seed;
   stream.num_requests = num_requests;
@@ -122,13 +118,11 @@ RequestStreamConfig prefix_chatbot_stream(std::uint64_t seed,
   stream.prompt.kind = LengthDistribution::kZipf;
   stream.prompt.min_len = 16;
   stream.prompt.max_len = 512;
-  stream.prompt.zipf_alpha = 1.05;
   stream.output.kind = LengthDistribution::kZipf;
   stream.output.min_len = 16;
   stream.output.max_len = 256;
-  stream.output.zipf_alpha = 1.05;
   stream.prefix_pool_size = prefix_pool;
-  stream.prefix_len_tokens = prefix_len;
+  stream.prefix_len_tokens = kPrefixChatbotPrefixLen;
   return stream;
 }
 
@@ -147,7 +141,7 @@ ServingScenario prefix_cache_scenario(ir::DType dtype,
 
 std::vector<SweepPoint> prefix_cache_grid_points(
     const models::TransformerConfig& model,
-    const std::vector<Request>* requests, std::int64_t kv_budget_tokens) {
+    const std::vector<Request>* requests) {
   // Off/on at the canonical block size, plus a larger-block caching-on
   // point so the fragmentation / hit-rate tradeoff is visible on one grid.
   const struct {
@@ -160,11 +154,11 @@ std::vector<SweepPoint> prefix_cache_grid_points(
     point.label = "block=" + std::to_string(cell.block) +
                   " prefix_cache=" + (cell.caching ? "on" : "off");
     point.scenario = prefix_cache_scenario(model.dtype, cell.caching,
-                                           cell.block, kv_budget_tokens);
+                                           cell.block);
     point.scenario.model = model;
     point.scenario.kv_budget_override =
         KvCacheManager::token_bytes(model) *
-        static_cast<double>(kv_budget_tokens);
+        static_cast<double>(kPrefixCacheKvBudgetTokens);
     point.requests = requests;
     points.push_back(std::move(point));
   }
@@ -178,14 +172,13 @@ std::vector<SweepPoint> multi_tenant_fairness_points(
   for (const char* admission : {"fifo", "wfq"}) {
     SweepPoint point;
     point.label = std::string("admission=") + admission;
-    point.scenario = multi_tenant_fairness_scenario(
-        model.dtype, admission, multi_tenant_fairness_weights(),
-        kMultiTenantFairnessHorizon);
+    point.scenario = multi_tenant_fairness_scenario(model.dtype, admission);
     point.scenario.model = model;
-    // Re-derive the 2000-token budget in the chosen model's own
-    // token-bytes (the canonical scenario sized it for llama2-7b).
+    // Re-derive the budget in the chosen model's own token-bytes (the
+    // canonical scenario sized it for llama2-7b).
     point.scenario.kv_budget_override =
-        KvCacheManager::token_bytes(model) * 2000.0;
+        KvCacheManager::token_bytes(model) *
+        static_cast<double>(kMultiTenantFairnessKvBudgetTokens);
     point.requests = requests;
     points.push_back(std::move(point));
   }
@@ -194,28 +187,24 @@ std::vector<SweepPoint> multi_tenant_fairness_points(
 
 RequestStreamConfig slo_chat_stream(std::uint64_t seed,
                                     std::int64_t num_requests,
-                                    double arrival_rate,
-                                    Seconds ttft_deadline_s,
-                                    Seconds tpot_deadline_s) {
+                                    double arrival_rate) {
   RequestStreamConfig stream = multi_tenant_pressure_stream(
       seed, num_requests, arrival_rate, /*num_tenants=*/1);
-  stream.ttft_deadline_s = ttft_deadline_s;
-  stream.tpot_deadline_s = tpot_deadline_s;
+  stream.ttft_deadline_s = kSloTtftDeadline;
+  stream.tpot_deadline_s = kSloTpotDeadline;
   return stream;
 }
 
-ServingScenario slo_scenario(ir::DType dtype, const std::string& admission,
-                             Seconds horizon_seconds,
-                             std::int64_t kv_budget_tokens) {
+ServingScenario slo_scenario(ir::DType dtype, const std::string& admission) {
   ServingScenario scenario = llama7b_pressured_scenario(
       /*chips=*/1, dtype, EvictionPolicy::kPreemptNewest, /*chunk_tokens=*/0,
-      kv_budget_tokens);
+      kSloKvBudgetTokens);
   // EDF sheds only requests that are provably lost: it drops a request
   // once even an IMMEDIATE first token would miss its TTFT deadline.  The
   // win over FIFO comes purely from not spending prefill on work that can
   // no longer count.
   scenario.scheduler.admission.policy = admission;
-  scenario.max_sim_seconds = horizon_seconds;
+  scenario.max_sim_seconds = kSloFrontierHorizon;
   return scenario;
 }
 
@@ -225,10 +214,11 @@ ServingSweep slo_frontier_sweep(const models::TransformerConfig& model,
   sweep.arrival_rates = slo_frontier_rates();
   sweep.base.scenario = slo_scenario(model.dtype, /*admission=*/"fifo");
   sweep.base.scenario.model = model;
-  // Re-derive the 4000-token budget in the chosen model's own token-bytes
-  // (the canonical scenario sized it for llama2-7b).
+  // Re-derive the budget in the chosen model's own token-bytes (the
+  // canonical scenario sized it for llama2-7b).
   sweep.base.scenario.kv_budget_override =
-      KvCacheManager::token_bytes(model) * 4000.0;
+      KvCacheManager::token_bytes(model) *
+      static_cast<double>(kSloKvBudgetTokens);
   const std::vector<std::string> admissions = {"fifo", "edf"};
   sweep.axes = {{"admission", admissions,
                  [admissions](SweepPoint& point, std::size_t i) {
@@ -241,8 +231,7 @@ ServingSweep slo_frontier_sweep(const models::TransformerConfig& model,
 
 std::vector<Request> diurnal_tenant_mix_requests(
     std::uint64_t seed, std::int64_t requests_per_tenant,
-    double per_tenant_rate, std::int64_t num_tenants, Seconds period_s,
-    double amplitude) {
+    double per_tenant_rate, std::int64_t num_tenants) {
   CIMTPU_CONFIG_CHECK(num_tenants >= 1, "diurnal mix needs >= 1 tenant, got "
                                             << num_tenants);
   constexpr double kTwoPi = 6.283185307179586;
@@ -253,8 +242,6 @@ std::vector<Request> diurnal_tenant_mix_requests(
         seed + static_cast<std::uint64_t>(tenant) * 0x9e3779b97f4a7c15ull,
         requests_per_tenant, per_tenant_rate, /*num_tenants=*/1);
     stream.process = ArrivalProcess::kDiurnal;
-    stream.diurnal_period_s = period_s;
-    stream.diurnal_amplitude = amplitude;
     stream.diurnal_phase =
         kTwoPi * static_cast<double>(tenant) / static_cast<double>(num_tenants);
     std::vector<Request> requests = generate_requests(stream);
@@ -266,35 +253,21 @@ std::vector<Request> diurnal_tenant_mix_requests(
   return merge_request_traces(streams);
 }
 
-ServingScenario fault_storm_scenario(ir::DType dtype, bool recovery,
-                                     Seconds horizon_seconds) {
-  ServingScenario scenario = slo_scenario(dtype, /*admission=*/"edf",
-                                          horizon_seconds);
+ServingScenario fault_storm_scenario(ir::DType dtype, bool recovery) {
+  ServingScenario scenario = slo_scenario(dtype, /*admission=*/"edf");
+  scenario.max_sim_seconds = kFaultStormHorizon;
   scenario.fault.enabled = true;
   scenario.fault.seed = kFaultStormSeed;
   // A storm, not background noise: stalls cover a meaningful slice of the
   // window, KV losses land about once a second, and the window sees a
   // couple of full restarts — enough that recovery policy, not luck,
-  // decides the frontier.
+  // decides the frontier.  KV losses repair in place from the host shadow
+  // (PCIe re-fetch); device failures recompute through backoff
+  // re-admission; the degradation detector (serving/fault.h) is armed.
   scenario.fault.stall_rate_per_s = 0.4;
-  scenario.fault.stall_duration_s = 0.5;
-  scenario.fault.stall_latency_multiplier = 4.0;
   scenario.fault.kv_loss_rate_per_s = 1.0;
   scenario.fault.device_failure_rate_per_s = 0.05;
-  scenario.fault.device_restart_s = 1.0;
   scenario.fault.recovery_enabled = recovery;
-  // KV losses repair in place from the host shadow (PCIe re-fetch);
-  // device failures still recompute through backoff re-admission.
-  scenario.fault.kv_restore = FaultConfig::KvRestoreMode::kHostRestore;
-  scenario.fault.retry_budget = 3;
-  // Sustained-failure detector: 4 faults in a trailing 5 s window enters
-  // degraded mode (half batch, prefix admission paused, +0.5 s EDF
-  // shedding slack); it lifts once the window decays to <= 1.
-  scenario.fault.degrade_window_s = 5.0;
-  scenario.fault.degrade_enter_faults = 4;
-  scenario.fault.degrade_exit_faults = 1;
-  scenario.fault.degraded_max_batch_fraction = 0.5;
-  scenario.fault.degraded_extra_shed_slack_s = 0.5;
   return scenario;
 }
 
@@ -306,7 +279,8 @@ ServingSweep fault_storm_sweep(const models::TransformerConfig& model,
   sweep.base.scenario = fault_storm_scenario(model.dtype, /*recovery=*/true);
   sweep.base.scenario.model = model;
   sweep.base.scenario.kv_budget_override =
-      KvCacheManager::token_bytes(model) * 4000.0;
+      KvCacheManager::token_bytes(model) *
+      static_cast<double>(kSloKvBudgetTokens);
   std::vector<std::string> rate_labels;
   for (double scale : fault_rates) {
     std::ostringstream label;
@@ -348,10 +322,11 @@ std::vector<SweepPoint> cluster_router_grid_points(
     point.scenario = prefix_cache_scenario(model.dtype,
                                            /*enable_prefix_cache=*/true);
     point.scenario.model = model;
-    // Re-derive the per-replica 20000-token budget in the chosen model's
-    // own token-bytes (the canonical scenario sized it for llama2-7b).
+    // Re-derive the per-replica budget in the chosen model's own
+    // token-bytes (the canonical scenario sized it for llama2-7b).
     point.scenario.kv_budget_override =
-        KvCacheManager::token_bytes(model) * 20000.0;
+        KvCacheManager::token_bytes(model) *
+        static_cast<double>(kPrefixCacheKvBudgetTokens);
     point.replicas = kClusterReplicas;
     point.router_policy = policy;
     point.requests = requests;

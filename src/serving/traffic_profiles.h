@@ -14,7 +14,7 @@
 namespace cimtpu::serving {
 
 /// Chat-style Zipf traffic: prompts 16..4096 tokens, outputs 4..1024
-/// tokens, both Zipf-tailed with alpha 1.05 (short requests common, a
+/// tokens, both Zipf-tailed with kZipfAlpha (short requests common, a
 /// heavy tail of long ones).  `priority_classes` > 1 additionally tags
 /// each request with a uniform priority class (for kPriorityVictim) from
 /// a decoupled rng stream — arrivals and lengths stay bit-identical.
@@ -27,27 +27,29 @@ RequestStreamConfig zipf_chat_stream(std::uint64_t seed,
 /// and INT4) on the TPUv4i baseline, max batch 32, prefill batch 8.
 ServingScenario llama7b_baseline_scenario(int chips, ir::DType dtype);
 
+/// The device KV budget (cached tokens) of the canonical policy grid:
+/// 8000 tokens comfortably admit the largest zipf_chat request (4096
+/// prompt + 1024 output) while forcing heavy eviction churn at max_batch
+/// 32.
+constexpr std::int64_t kPressuredKvBudgetTokens = 8000;
+
 /// The baseline deployment under deliberate KV pressure: the device KV
 /// budget is capped at `kv_budget_tokens` cached tokens so preemption
 /// policies actually fire, with `policy` selecting the mechanism and
 /// `chunk_tokens` the chunked-prefill budget (0 = whole-prompt prefill).
-/// The default 8000 tokens comfortably admits the largest zipf_chat
-/// request (4096 prompt + 1024 output) while forcing heavy eviction
-/// churn at max_batch 32.
-ServingScenario llama7b_pressured_scenario(int chips, ir::DType dtype,
-                                           EvictionPolicy policy,
-                                           std::int64_t chunk_tokens,
-                                           std::int64_t kv_budget_tokens = 8000);
+ServingScenario llama7b_pressured_scenario(
+    int chips, ir::DType dtype, EvictionPolicy policy,
+    std::int64_t chunk_tokens,
+    std::int64_t kv_budget_tokens = kPressuredKvBudgetTokens);
 
 /// The canonical pressured policy study as sweep points: every eviction
 /// policy x chunked prefill {off, 512} on one chip, `model` (any dtype)
-/// under a `kv_budget_tokens` device budget, all replaying `*requests`
-/// (caller-owned, must outlive the sweep), in policy-major, chunk-minor
-/// order.  The policy study's grid.
+/// under a kPressuredKvBudgetTokens device budget, all replaying
+/// `*requests` (caller-owned, must outlive the sweep), in policy-major,
+/// chunk-minor order.  The policy study's grid.
 std::vector<SweepPoint> pressured_policy_grid_points(
     const models::TransformerConfig& model,
-    const std::vector<Request>* requests,
-    std::int64_t kv_budget_tokens = 8000);
+    const std::vector<Request>* requests);
 
 /// Canonical multi-tenant overload stream for fairness studies: uniform
 /// lengths (prompts 128..256, outputs 64..128 — low variance, so tenant
@@ -60,34 +62,35 @@ RequestStreamConfig multi_tenant_pressure_stream(std::uint64_t seed,
                                                  double arrival_rate,
                                                  std::int64_t num_tenants);
 
-/// The canonical 2-tenant fairness deployment: the pressured llama2-7b
-/// scenario (2000-token KV budget) with per-tenant admission weights
-/// `weights` (index = tenant id) and a `horizon_seconds` simulated-time
-/// cut, so the device stays overloaded for the whole measured window and
-/// per-tenant goodput reflects the admission policy's share enforcement
-/// rather than the traffic mix.  `admission` is a registry name ("fifo"
-/// for the head-of-line baseline, "wfq" for weighted fair queueing).
-ServingScenario multi_tenant_fairness_scenario(
-    ir::DType dtype, const std::string& admission,
-    const std::vector<double>& weights, Seconds horizon_seconds,
-    std::int64_t kv_budget_tokens = 2000);
-
-/// The canonical fairness study as sweep points: one
-/// multi_tenant_fairness_scenario per admission policy in {"fifo",
-/// "wfq"}, at `model` (any dtype, budget re-derived in its token-bytes),
-/// 3:1 tenant weights, and a 30-simulated-second horizon, all replaying
-/// `*requests` (caller-owned, must outlive the sweep).  The fairness
-/// study's grid.
-std::vector<SweepPoint> multi_tenant_fairness_points(
-    const models::TransformerConfig& model,
-    const std::vector<Request>* requests);
-
-/// The weights / horizon the canonical fairness points use.
+/// The per-tenant admission weights (index = tenant id), simulated-time
+/// horizon and device KV budget (cached tokens) of the canonical fairness
+/// deployment.
 inline const std::vector<double>& multi_tenant_fairness_weights() {
   static const std::vector<double> weights = {3.0, 1.0};
   return weights;
 }
 constexpr Seconds kMultiTenantFairnessHorizon = 30.0;
+constexpr std::int64_t kMultiTenantFairnessKvBudgetTokens = 2000;
+
+/// The canonical 2-tenant fairness deployment: the pressured llama2-7b
+/// scenario (kMultiTenantFairnessKvBudgetTokens) with the 3:1
+/// multi_tenant_fairness_weights() and a kMultiTenantFairnessHorizon
+/// simulated-time cut, so the device stays overloaded for the whole
+/// measured window and per-tenant goodput reflects the admission policy's
+/// share enforcement rather than the traffic mix.  `admission` is a
+/// registry name ("fifo" for the head-of-line baseline, "wfq" for
+/// weighted fair queueing).
+ServingScenario multi_tenant_fairness_scenario(ir::DType dtype,
+                                               const std::string& admission);
+
+/// The canonical fairness study as sweep points: one
+/// multi_tenant_fairness_scenario per admission policy in {"fifo",
+/// "wfq"}, at `model` (any dtype, budget re-derived in its token-bytes),
+/// all replaying `*requests` (caller-owned, must outlive the sweep).  The
+/// fairness study's grid.
+std::vector<SweepPoint> multi_tenant_fairness_points(
+    const models::TransformerConfig& model,
+    const std::vector<Request>* requests);
 
 /// The pool size / prefix length the canonical chatbot stream uses.  The
 /// prefix length is deliberately NOT a multiple of the studied block
@@ -98,25 +101,27 @@ constexpr std::int64_t kPrefixChatbotPrefixLen = 1000;
 
 /// Canonical prefix-heavy chatbot stream for paged-KV prefix-cache
 /// studies: every request opens with one of `prefix_pool` shared
-/// `prefix_len`-token system prompts (drawn from the decoupled fourth rng
-/// stream), followed by a Zipf user turn of 16..512 tokens and a Zipf
-/// 16..256-token reply — the workload class where cross-request prefix
-/// reuse dominates prefill work.  Shared by the prefix-cache study and the
-/// prefix tests.
+/// kPrefixChatbotPrefixLen-token system prompts (drawn from the decoupled
+/// fourth rng stream), followed by a Zipf user turn of 16..512 tokens and
+/// a Zipf 16..256-token reply — the workload class where cross-request
+/// prefix reuse dominates prefill work.  Shared by the prefix-cache study
+/// and the prefix tests.
 RequestStreamConfig prefix_chatbot_stream(
     std::uint64_t seed, std::int64_t num_requests, double arrival_rate,
-    std::int64_t prefix_pool = kPrefixChatbotPool,
-    std::int64_t prefix_len = kPrefixChatbotPrefixLen);
+    std::int64_t prefix_pool = kPrefixChatbotPool);
+
+/// The device KV budget (cached tokens) of the canonical paged-KV
+/// deployment: it admits the prefix pool plus a working set, ~1/4 of HBM
+/// headroom, tight enough that block reuse matters.
+constexpr std::int64_t kPrefixCacheKvBudgetTokens = 20000;
 
 /// The canonical paged-KV deployment for the chatbot stream: the llama2-7b
 /// baseline with `kv_block_tokens`-sized pages, prefix caching switched by
-/// `enable_prefix_cache`, under a `kv_budget_tokens` device budget tight
-/// enough that block reuse matters (default admits the prefix pool plus a
-/// working set, ~1/4 of HBM headroom).
-ServingScenario prefix_cache_scenario(ir::DType dtype,
-                                      bool enable_prefix_cache,
-                                      std::int64_t kv_block_tokens = 16,
-                                      std::int64_t kv_budget_tokens = 20000);
+/// `enable_prefix_cache`, under a `kv_budget_tokens` device budget.
+ServingScenario prefix_cache_scenario(
+    ir::DType dtype, bool enable_prefix_cache,
+    std::int64_t kv_block_tokens = 16,
+    std::int64_t kv_budget_tokens = kPrefixCacheKvBudgetTokens);
 
 /// The canonical prefix-cache study as sweep points: caching off/on at
 /// block size 16, plus caching on at block 64 (fragmentation tradeoff),
@@ -124,16 +129,18 @@ ServingScenario prefix_cache_scenario(ir::DType dtype,
 /// The prefix-cache study's grid.
 std::vector<SweepPoint> prefix_cache_grid_points(
     const models::TransformerConfig& model,
-    const std::vector<Request>* requests,
-    std::int64_t kv_budget_tokens = 20000);
+    const std::vector<Request>* requests);
 
-/// The deadlines / horizon / trace size the canonical SLO frontier uses.
-/// TTFT 2 s / TPOT 100 ms are interactive-chat targets (DistServe-style);
-/// the 30-simulated-second horizon keeps the overloaded cells bounded.
+/// The deadlines / horizon / trace size / device KV budget the canonical
+/// SLO frontier uses.  TTFT 2 s / TPOT 100 ms are interactive-chat targets
+/// (DistServe-style); the 30-simulated-second horizon keeps the overloaded
+/// cells bounded; 4000 cached tokens are tight enough that queueing delay,
+/// not compute, is what blows deadlines under overload.
 constexpr Seconds kSloTtftDeadline = 2.0;
 constexpr Seconds kSloTpotDeadline = 0.1;
 constexpr Seconds kSloFrontierHorizon = 30.0;
 constexpr std::int64_t kSloFrontierRequests = 400;
+constexpr std::int64_t kSloKvBudgetTokens = 4000;
 
 /// The arrival rates the canonical SLO frontier sweeps (req/s): from
 /// comfortably served through saturation to heavy overload, where
@@ -146,23 +153,18 @@ inline const std::vector<double>& slo_frontier_rates() {
 /// Canonical deadline-carrying chat stream for SLO studies: the
 /// multi-tenant pressure lengths (uniform prompts 128..256, outputs
 /// 64..128 — low variance, so attainment differences reflect scheduling,
-/// not length luck) with every request carrying jittered TTFT/TPOT
-/// deadlines from the decoupled fifth rng stream.  Shared by the SLO
-/// frontier study and the EDF tests.
+/// not length luck) with every request carrying kSloTtftDeadline /
+/// kSloTpotDeadline, jittered by kDeadlineJitter from the decoupled fifth
+/// rng stream.  Shared by the SLO frontier study and the EDF tests.
 RequestStreamConfig slo_chat_stream(std::uint64_t seed,
                                     std::int64_t num_requests,
-                                    double arrival_rate,
-                                    Seconds ttft_deadline_s = kSloTtftDeadline,
-                                    Seconds tpot_deadline_s = kSloTpotDeadline);
+                                    double arrival_rate);
 
-/// The canonical SLO deployment: the pressured llama2-7b scenario (4000
-/// cached tokens — tight enough that queueing delay, not compute, is what
-/// blows deadlines under overload) run under `admission` ("fifo" for the
-/// head-of-line baseline, "edf" for deadline-driven admission with
-/// shedding) to a `horizon_seconds` simulated-time cut.
-ServingScenario slo_scenario(ir::DType dtype, const std::string& admission,
-                             Seconds horizon_seconds = kSloFrontierHorizon,
-                             std::int64_t kv_budget_tokens = 4000);
+/// The canonical SLO deployment: the pressured llama2-7b scenario
+/// (kSloKvBudgetTokens) run under `admission` ("fifo" for the head-of-line
+/// baseline, "edf" for deadline-driven admission with shedding) to a
+/// kSloFrontierHorizon simulated-time cut.
+ServingScenario slo_scenario(ir::DType dtype, const std::string& admission);
 
 /// The canonical SLO frontier as a ready-to-run sweep grid: arrival rate
 /// (slo_frontier_rates) x admission {"fifo", "edf"} over the slo_scenario
@@ -176,14 +178,13 @@ ServingSweep slo_frontier_sweep(const models::TransformerConfig& model,
 /// tenant, peaks staggered evenly around the day/night cycle (tenant t
 /// gets phase 2*pi*t/num_tenants — time-zone-offset tenant populations),
 /// merged into one dense-id trace sorted by arrival.  Each per-tenant
-/// stream uses the multi-tenant pressure lengths and a decoupled seed, so
-/// adding a tenant never perturbs the others' traffic.
+/// stream uses the multi-tenant pressure lengths, the kDiurnalPeriodSeconds
+/// cycle at kDiurnalAmplitude, and a decoupled seed, so adding a tenant
+/// never perturbs the others' traffic.
 std::vector<Request> diurnal_tenant_mix_requests(std::uint64_t seed,
                                                  std::int64_t requests_per_tenant,
                                                  double per_tenant_rate,
-                                                 std::int64_t num_tenants,
-                                                 Seconds period_s = 60.0,
-                                                 double amplitude = 0.8);
+                                                 std::int64_t num_tenants);
 
 /// The fault seed / horizon the canonical fault storm uses.  The seed is
 /// fixed (and distinct from workload seeds) so the pinned resilience test
@@ -192,19 +193,18 @@ constexpr std::uint64_t kFaultStormSeed = 1234;
 constexpr Seconds kFaultStormHorizon = 30.0;
 
 /// The canonical fault-storm deployment (schema-v8 "resilience" block):
-/// the SLO scenario (EDF admission, 30 s horizon) under a sustained
+/// the SLO scenario (EDF admission, kFaultStormHorizon) under a sustained
 /// multi-failure storm — transient stalls, ~1/s KV-block losses restored
 /// from the host shadow when they fit, and occasional full device
 /// restarts — with the degradation detector armed.  `recovery` toggles
 /// FaultConfig::recovery_enabled: the on/off pair IS the resilience
 /// frontier (recovery-on strictly wins availability and SLO goodput on
 /// the pinned storm).
-ServingScenario fault_storm_scenario(ir::DType dtype, bool recovery,
-                                     Seconds horizon_seconds = kFaultStormHorizon);
+ServingScenario fault_storm_scenario(ir::DType dtype, bool recovery);
 
 /// The canonical fault-storm study as a ready-to-run sweep: 10 req/s of
 /// slo_chat_stream traffic over the fault_storm_scenario deployment
-/// (4000-token KV budget in `model`'s token-bytes), with a "fault_rate"
+/// (kSloKvBudgetTokens in `model`'s token-bytes), with a "fault_rate"
 /// axis scaling the storm's three process rates by each of `fault_rates`
 /// (0 disables the subsystem) and a "recovery" axis {off, on}.  The
 /// fault-storm study's grid ("resilience" in BENCH_serving.json).  A

@@ -86,7 +86,6 @@ GraphResult run_dit_inference(const Simulator& simulator,
   GraphResult total = pre;
   total += block;
   total += post;
-  total.scale(static_cast<double>(scenario.sampling_steps));
   total.name = scenario.model.name + "-forward";
   return total;
 }
@@ -119,12 +118,6 @@ BreakdownResult run_dit_breakdown(const Simulator& simulator,
   result.core = block;
   result.post = simulator.run(models::build_dit_postprocess(
       scenario.model, scenario.geometry, scenario.batch));
-  if (scenario.sampling_steps > 1) {
-    const double steps = scenario.sampling_steps;
-    result.pre.scale(steps);
-    result.core.scale(steps);
-    result.post.scale(steps);
-  }
   return result;
 }
 

@@ -19,12 +19,12 @@ struct LlmScenario {
   std::int64_t output_len = 512;
 };
 
-/// A DiT image-generation scenario.
+/// A DiT image-generation scenario: one forward pass (one sampling step),
+/// which is what the figures evaluate.
 struct DitScenario {
   models::TransformerConfig model;
   models::DitGeometry geometry;
   std::int64_t batch = 8;
-  int sampling_steps = 1;  ///< forward passes (figures evaluate one pass)
 };
 
 /// Results of an LLM run, split by stage as in Fig. 6 / Fig. 7.

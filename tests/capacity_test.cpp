@@ -41,11 +41,11 @@ TEST(CapacityTest, KvGrowsWithBatchAndLength) {
 }
 
 TEST(CapacityTest, ReserveFractionShrinksAvailable) {
-  const CapacityPlan tight = plan_capacity(arch::tpu_v4i_baseline(),
-                                           models::gpt3_30b(), 8, 1536, 0.5);
-  const CapacityPlan loose = plan_capacity(arch::tpu_v4i_baseline(),
-                                           models::gpt3_30b(), 8, 1536, 0.0);
-  EXPECT_GT(tight.min_pipeline_stages, loose.min_pipeline_stages);
+  const arch::TpuChipConfig chip = arch::tpu_v4i_baseline();
+  const CapacityPlan plan = plan_capacity(chip, models::gpt3_30b(), 8, 1536);
+  EXPECT_LT(plan.per_chip_available, chip.memory.hbm.capacity);
+  EXPECT_DOUBLE_EQ(plan.per_chip_available,
+                   chip.memory.hbm.capacity * (1.0 - kHbmReserveFraction));
 }
 
 TEST(CapacityTest, EmbeddingsCounted) {
@@ -58,9 +58,6 @@ TEST(CapacityTest, EmbeddingsCounted) {
 TEST(CapacityTest, Validation) {
   EXPECT_THROW(plan_capacity(arch::tpu_v4i_baseline(), models::gpt3_30b(), 0,
                              128),
-               ConfigError);
-  EXPECT_THROW(plan_capacity(arch::tpu_v4i_baseline(), models::gpt3_30b(), 1,
-                             128, 1.5),
                ConfigError);
   // A model too large for its own layer count to split.
   models::TransformerConfig huge = models::gpt3_30b();

@@ -193,8 +193,8 @@ TEST(ClusterFlattenTest, SumsEveryCounterAndFaultStatAcrossReplicas) {
   const std::vector<Request> requests =
       generate_requests(slo_chat_stream(/*seed=*/42, 300, 20.0));
   ClusterConfig config;
-  config.base = fault_storm_scenario(ir::DType::kInt4, /*recovery=*/true,
-                                     /*horizon_seconds=*/15.0);
+  config.base = fault_storm_scenario(ir::DType::kInt4, /*recovery=*/true);
+  config.base.max_sim_seconds = 15.0;
   config.replicas.assign(2, ReplicaSpec{});
   config.router_policy = "round_robin";
   ClusterMetrics cluster = run_serving_cluster(config, requests);
@@ -231,8 +231,8 @@ TEST(ClusterShedTest, HorizonCutsCountAsShed) {
   for (const bool faults : {true, false}) {
     SCOPED_TRACE(faults ? "faults on" : "faults off");
     ClusterConfig config;
-    config.base = fault_storm_scenario(ir::DType::kInt4, /*recovery=*/true,
-                                       /*horizon_seconds=*/15.0);
+    config.base = fault_storm_scenario(ir::DType::kInt4, /*recovery=*/true);
+    config.base.max_sim_seconds = 15.0;
     config.base.fault.enabled = faults;
     config.replicas.assign(2, ReplicaSpec{});
     config.router_policy = "round_robin";

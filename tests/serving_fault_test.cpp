@@ -157,16 +157,8 @@ TEST(FaultConfigTest, ValidateRejectsBadKnobs) {
   expect_invalid([](FaultConfig* c) {
     c->kv_loss_rate_per_s = std::numeric_limits<double>::infinity();
   });
-  expect_invalid([](FaultConfig* c) { c->stall_latency_multiplier = 0.5; });
-  expect_invalid([](FaultConfig* c) { c->device_restart_s = 0; });
-  expect_invalid([](FaultConfig* c) { c->retry_budget = -1; });
   expect_invalid([](FaultConfig* c) {
-    c->degrade_window_s = 5.0;
-    c->degrade_exit_faults = c->degrade_enter_faults;  // no hysteresis
-  });
-  expect_invalid([](FaultConfig* c) {
-    c->degrade_window_s = 5.0;
-    c->degraded_max_batch_fraction = 0;
+    c->device_failure_rate_per_s = std::numeric_limits<double>::quiet_NaN();
   });
   FaultConfig valid = storm_config();
   EXPECT_NO_THROW(valid.validate());
@@ -175,32 +167,29 @@ TEST(FaultConfigTest, ValidateRejectsBadKnobs) {
 // --- DegradationController ---------------------------------------------------
 
 TEST(DegradationTest, HysteresisEntersAtThresholdAndExitsOnDecay) {
-  FaultConfig config = storm_config();
-  config.degrade_window_s = 10.0;
-  config.degrade_enter_faults = 3;
-  config.degrade_exit_faults = 1;
-  DegradationController controller(config);
-  ASSERT_TRUE(controller.enabled());
+  static_assert(kDegradeWindowSeconds == 5.0 && kDegradeEnterFaults == 4 &&
+                    kDegradeExitFaults == 1,
+                "the timeline below drives 4 faults in 5 s, exit at 1");
+  DegradationController controller;
   EXPECT_FALSE(controller.degraded());
 
+  // One fault a second.
   controller.on_fault(0.0);
   controller.on_fault(1.0);
-  EXPECT_FALSE(controller.update(1.0));  // 2 < enter threshold
   controller.on_fault(2.0);
-  EXPECT_TRUE(controller.update(2.0));  // flipped in
+  EXPECT_FALSE(controller.update(2.0));  // 3 < enter threshold
+  controller.on_fault(3.0);
+  EXPECT_TRUE(controller.update(3.0));  // flipped in
   EXPECT_TRUE(controller.degraded());
-  EXPECT_FALSE(controller.update(2.5));  // no flapping while degraded
+  EXPECT_FALSE(controller.update(3.5));  // no flapping while degraded
 
-  // Hysteresis: at t=11.5 the faults at 0 and 1 have aged out, leaving 1
-  // (<= exit) in the window — only now does the controller flip back.
-  EXPECT_FALSE(controller.update(11.0));  // 2 in window: still degraded
+  // Hysteresis: at t=6.5 the faults at 0 and 1 have aged out, leaving 2
+  // (below enter, above exit): still degraded.  At t=7.5 only the fault
+  // at 3 is left (<= exit) — only now does the controller flip back.
+  EXPECT_FALSE(controller.update(6.5));
   EXPECT_TRUE(controller.degraded());
-  EXPECT_TRUE(controller.update(11.5));
+  EXPECT_TRUE(controller.update(7.5));
   EXPECT_FALSE(controller.degraded());
-
-  FaultConfig disabled = storm_config();  // degrade_window_s stays 0
-  DegradationController off(disabled);
-  EXPECT_FALSE(off.enabled());
 }
 
 // --- Faults off: bit-identical to the pre-fault engine -----------------------
@@ -237,17 +226,17 @@ TEST(FaultsOffTest, DisabledSubsystemIsBitIdenticalAndUnpublished) {
 
 // --- Recovery policies end to end --------------------------------------------
 
-ServingScenario kv_loss_scenario(double rate,
-                                 FaultConfig::KvRestoreMode restore,
-                                 bool recovery, int budget) {
+// `host_shadow` false empties the host pool, so no kv-loss shadow fits and
+// every recovery falls back to recompute.
+ServingScenario kv_loss_scenario(double rate, bool recovery,
+                                 bool host_shadow) {
   ServingScenario scenario =
       llama7b_baseline_scenario(/*chips=*/1, ir::DType::kInt4);
   scenario.fault.enabled = true;
   scenario.fault.seed = 11;
   scenario.fault.kv_loss_rate_per_s = rate;
-  scenario.fault.kv_restore = restore;
   scenario.fault.recovery_enabled = recovery;
-  scenario.fault.retry_budget = budget;
+  if (!host_shadow) scenario.host_pool_capacity = 0;
   return scenario;
 }
 
@@ -265,8 +254,8 @@ std::vector<Request> recovery_requests() {
 TEST(RecoveryTest, RecomputeRetriesThroughBackoffAndEveryRequestFinishes) {
   const std::vector<Request> requests = recovery_requests();
   const ServingMetrics metrics = run_serving(
-      kv_loss_scenario(/*rate=*/0.5, FaultConfig::KvRestoreMode::kRecompute,
-                       /*recovery=*/true, /*budget=*/16),
+      kv_loss_scenario(/*rate=*/0.4, /*recovery=*/true,
+                       /*host_shadow=*/false),
       requests);
   EXPECT_GT(metrics.fault.kv_losses, 0);
   EXPECT_GT(metrics.fault.retries, 0);
@@ -285,8 +274,8 @@ TEST(RecoveryTest, RecomputeRetriesThroughBackoffAndEveryRequestFinishes) {
 TEST(RecoveryTest, RecoveryOffShedsEveryVictim) {
   const std::vector<Request> requests = recovery_requests();
   const ServingMetrics metrics = run_serving(
-      kv_loss_scenario(/*rate=*/0.5, FaultConfig::KvRestoreMode::kRecompute,
-                       /*recovery=*/false, /*budget=*/16),
+      kv_loss_scenario(/*rate=*/0.5, /*recovery=*/false,
+                       /*host_shadow=*/false),
       requests);
   ASSERT_GT(metrics.fault.kv_losses, 0);
   // Each kv-loss event strikes exactly one resident; with recovery off
@@ -303,22 +292,27 @@ TEST(RecoveryTest, RecoveryOffShedsEveryVictim) {
 
 TEST(RecoveryTest, ExhaustedRetryBudgetIsAFaultShed) {
   const std::vector<Request> requests = recovery_requests();
-  // Budget 0: recovery is ON but the first fault is already fatal.
+  // Recovery is ON, but at 20 kv-losses a second some request is struck
+  // more than kRetryBudget times: its last fault sheds it.
   const ServingMetrics metrics = run_serving(
-      kv_loss_scenario(/*rate=*/0.5, FaultConfig::KvRestoreMode::kRecompute,
-                       /*recovery=*/true, /*budget=*/0),
+      kv_loss_scenario(/*rate=*/20.0, /*recovery=*/true,
+                       /*host_shadow=*/false),
       requests);
   ASSERT_GT(metrics.fault.kv_losses, 0);
-  EXPECT_EQ(metrics.fault.retries, 0);
-  EXPECT_EQ(metrics.fault.dropped, metrics.fault.kv_losses);
+  EXPECT_GT(metrics.fault.dropped, 0);
+  EXPECT_EQ(metrics.fault.retries + metrics.fault.dropped,
+            metrics.fault.kv_losses);
+  EXPECT_LE(metrics.fault.retries, kRetryBudget * metrics.num_requests);
   EXPECT_EQ(metrics.counters.shed_fault, metrics.fault.dropped);
+  EXPECT_EQ(metrics.completed + metrics.counters.shed_fault,
+            metrics.num_requests);
 }
 
 TEST(RecoveryTest, HostRestoreRecoversInPlaceWithoutRetries) {
   const std::vector<Request> requests = recovery_requests();
   const ServingMetrics metrics = run_serving(
-      kv_loss_scenario(/*rate=*/0.5, FaultConfig::KvRestoreMode::kHostRestore,
-                       /*recovery=*/true, /*budget=*/16),
+      kv_loss_scenario(/*rate=*/0.5, /*recovery=*/true,
+                       /*host_shadow=*/true),
       requests);
   ASSERT_GT(metrics.fault.kv_losses, 0);
   // The baseline deployment's host pool holds every shadow: every loss is
@@ -342,8 +336,6 @@ TEST(RecoveryTest, DeviceFailureRestartsAndRecoveryReplaysTheWork) {
   scenario.fault.enabled = true;
   scenario.fault.seed = 11;
   scenario.fault.device_failure_rate_per_s = 0.4;
-  scenario.fault.device_restart_s = 0.5;
-  scenario.fault.retry_budget = 32;
   const ServingMetrics faulty = run_serving(scenario, requests);
 
   ServingScenario clean = scenario;
@@ -370,16 +362,16 @@ TEST(DegradedSchedulerTest, DegradedModeCapsResidentBatch) {
   for (std::int64_t id = 0; id < 8; ++id) {
     scheduler.enqueue(make_request(id, 16, 64));
   }
-  scheduler.set_degraded(true, /*degraded_max_batch=*/2,
-                          /*extra_shed_slack=*/0);
+  scheduler.set_degraded(true);
+  const auto cap = static_cast<std::size_t>(8 * kDegradedMaxBatchFraction);
   StepRecord step;
   ASSERT_TRUE(scheduler.next_step(&step));
-  EXPECT_LE(scheduler.running_count(), 2u);
+  EXPECT_LE(scheduler.running_count(), cap);
   for (int i = 0; i < 4 && scheduler.next_step(&step); ++i) {
-    EXPECT_LE(scheduler.running_count(), 2u);
+    EXPECT_LE(scheduler.running_count(), cap);
   }
   // Lifting degradation restores the configured batch.
-  scheduler.set_degraded(false, 0, 0);
+  scheduler.set_degraded(false);
   while (scheduler.running_count() < 8 && scheduler.next_step(&step)) {
   }
   EXPECT_EQ(scheduler.running_count(), 8u);
@@ -389,34 +381,41 @@ TEST(DegradedSchedulerTest, DegradedModeCapsResidentBatch) {
 }
 
 TEST(DegradedSchedulerTest, DegradedEdfShedsWithTheFaultConfigSlack) {
-  // A stall storm holds the engine degraded (one fault in the trailing
-  // window enters, none exits).  FaultConfig::degraded_extra_shed_slack_s
-  // is the only difference between the two runs: with 100 s of slack,
-  // degraded EDF sheds every fresh request whose TTFT deadline falls
-  // within 100 s of the clock, so it sheds far more than with none.
+  // A stall storm (2 stalls a second, so kDegradeEnterFaults land within
+  // kDegradeWindowSeconds again and again) holds the engine degraded for
+  // long stretches.  Outside degraded mode EDF sheds a fresh request only
+  // once its TTFT deadline has passed; degraded, it sheds up to
+  // kDegradedExtraShedSlackSeconds early.  So every deadline shed lands
+  // within the slack of its deadline, and some land before it.
   const std::vector<Request> requests = generate_requests(slo_chat_stream(
       /*seed=*/42, /*num_requests=*/200, /*arrival_rate=*/10.0));
   ServingScenario scenario = slo_scenario(ir::DType::kInt4, "edf");
   scenario.fault.enabled = true;
   scenario.fault.seed = 5;
   scenario.fault.stall_rate_per_s = 2.0;
-  scenario.fault.degrade_window_s = 5.0;
-  scenario.fault.degrade_enter_faults = 1;
-  scenario.fault.degrade_exit_faults = 0;
-  const ServingMetrics no_slack = run_serving(scenario, requests);
-  scenario.fault.degraded_extra_shed_slack_s = 100.0;
-  const ServingMetrics slack = run_serving(scenario, requests);
+  scenario.trace.enabled = true;
+  ServingTrace trace;
+  const ServingMetrics metrics =
+      run_serving(scenario, requests, nullptr, &trace);
 
-  EXPECT_GT(no_slack.fault.degrade_enters, 0);
-  EXPECT_GT(slack.fault.degrade_enters, 0);
-  EXPECT_GT(slack.counters.shed_deadline,
-            no_slack.counters.shed_deadline + 50);
-  EXPECT_LT(slack.completed, no_slack.completed);
+  EXPECT_GT(metrics.fault.degrade_enters, 0);
+  std::int64_t sheds = 0, early = 0;
+  for (const TraceEvent& event : trace.events()) {
+    if (event.type != TraceEventType::kShed || event.aux != 0) continue;
+    ++sheds;
+    const Request& request =
+        requests[static_cast<std::size_t>(event.request_id)];
+    const Seconds deadline = request.arrival_time + request.ttft_deadline;
+    EXPECT_GT(event.time + kDegradedExtraShedSlackSeconds, deadline);
+    if (event.time <= deadline) ++early;
+  }
+  EXPECT_EQ(sheds, metrics.counters.shed_deadline);
+  EXPECT_GT(early, 0);
   // Shedding is the only way out: every arrived request still completes
   // or is shed.
-  EXPECT_EQ(slack.completed + slack.counters.shed_deadline +
-                slack.counters.shed_horizon,
-            slack.num_requests);
+  EXPECT_EQ(metrics.completed + metrics.counters.shed_deadline +
+                metrics.counters.shed_horizon,
+            metrics.num_requests);
 }
 
 TEST(ShedSwapTest, FaultRemovalOfSwappedRequestReleasesHostBytes) {

@@ -594,15 +594,10 @@ TEST(AdmissionPolicyTest, WfqSharesTrackWeightsUnderOverload) {
   const auto requests = generate_requests(
       multi_tenant_pressure_stream(/*seed=*/42, /*num_requests=*/400,
                                    /*arrival_rate=*/50.0, /*num_tenants=*/2));
-  const std::vector<double>& weights = multi_tenant_fairness_weights();
   const ServingMetrics wfq = run_serving(
-      multi_tenant_fairness_scenario(ir::DType::kInt4, "wfq", weights,
-                                     kMultiTenantFairnessHorizon),
-      requests);
+      multi_tenant_fairness_scenario(ir::DType::kInt4, "wfq"), requests);
   const ServingMetrics fifo = run_serving(
-      multi_tenant_fairness_scenario(ir::DType::kInt4, "fifo", weights,
-                                     kMultiTenantFairnessHorizon),
-      requests);
+      multi_tenant_fairness_scenario(ir::DType::kInt4, "fifo"), requests);
 
   ASSERT_EQ(wfq.tenants.size(), 2u);
   ASSERT_EQ(fifo.tenants.size(), 2u);

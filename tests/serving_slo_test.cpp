@@ -52,7 +52,6 @@ TEST(DeadlineStreamTest, DeadlineDrawsLeaveOtherFieldsBitIdentical) {
   RequestStreamConfig with_deadlines = plain;
   with_deadlines.ttft_deadline_s = 2.0;
   with_deadlines.tpot_deadline_s = 0.1;
-  with_deadlines.deadline_jitter = 0.2;
 
   const std::vector<Request> a = generate_requests(plain);
   const std::vector<Request> b = generate_requests(with_deadlines);
@@ -70,10 +69,10 @@ TEST(DeadlineStreamTest, DeadlineDrawsLeaveOtherFieldsBitIdentical) {
     // deadlines inside the jitter envelope, sharing one jitter factor.
     EXPECT_EQ(a[i].ttft_deadline, 0.0);
     EXPECT_EQ(a[i].tpot_deadline, 0.0);
-    EXPECT_GE(b[i].ttft_deadline, 2.0 * 0.8);
-    EXPECT_LE(b[i].ttft_deadline, 2.0 * 1.2);
-    EXPECT_GE(b[i].tpot_deadline, 0.1 * 0.8);
-    EXPECT_LE(b[i].tpot_deadline, 0.1 * 1.2);
+    EXPECT_GE(b[i].ttft_deadline, 2.0 * (1.0 - kDeadlineJitter));
+    EXPECT_LE(b[i].ttft_deadline, 2.0 * (1.0 + kDeadlineJitter));
+    EXPECT_GE(b[i].tpot_deadline, 0.1 * (1.0 - kDeadlineJitter));
+    EXPECT_LE(b[i].tpot_deadline, 0.1 * (1.0 + kDeadlineJitter));
     EXPECT_NEAR(b[i].ttft_deadline / 2.0, b[i].tpot_deadline / 0.1, 1e-12);
   }
 }
@@ -83,7 +82,7 @@ TEST(DeadlineStreamTest, ValidationRejectsBadDeadlineConfigs) {
   stream.ttft_deadline_s = -1.0;
   EXPECT_THROW(generate_requests(stream), ConfigError);
   stream = slo_chat_stream(42, 10, 5.0);
-  stream.deadline_jitter = 1.0;  // would allow a zero-scale deadline
+  stream.tpot_deadline_s = -1.0;
   EXPECT_THROW(generate_requests(stream), ConfigError);
 }
 
@@ -135,14 +134,15 @@ TEST(EdfAdmissionTest, ShedsLateRequestsAndDegradedSlackAndDrainsThem) {
   EXPECT_TRUE(drained_ids(*edf).empty());
 
   // Degraded, EDF sheds with the extra slack: 2.4 < 2.0 + 0.5 — late.
-  edf->set_degraded(true, /*extra_shed_slack=*/0.5);
+  static_assert(kDegradedExtraShedSlackSeconds == 0.5);
+  edf->set_degraded(true);
   head = edf->select(/*now=*/2.0);
   ASSERT_NE(head, nullptr);
   EXPECT_EQ(head->id, 1);
   EXPECT_EQ(drained_ids(*edf), (std::vector<std::int64_t>{2}));
 
   // Recovered, the slack is gone again: 10.0 stays feasible at 9.6.
-  edf->set_degraded(false, 0.5);
+  edf->set_degraded(false);
   head = edf->select(/*now=*/9.6);
   ASSERT_NE(head, nullptr);
   EXPECT_EQ(head->id, 1);
@@ -341,15 +341,13 @@ TEST(DiurnalStreamTest, ArrivalRateFollowsTheSinusoid) {
       /*seed=*/42, /*num_requests=*/3000, /*arrival_rate=*/10.0,
       /*num_tenants=*/1);
   stream.process = ArrivalProcess::kDiurnal;
-  stream.diurnal_period_s = 40.0;
-  stream.diurnal_amplitude = 0.9;
   const std::vector<Request> requests = generate_requests(stream);
   // Phase 0: sin is positive over the first half of each period, so the
   // "day" half-cycles must collect well over half the arrivals.
   std::int64_t day = 0, night = 0;
   for (const Request& request : requests) {
-    const double t = std::fmod(request.arrival_time, 40.0);
-    (t < 20.0 ? day : night) += 1;
+    const double t = std::fmod(request.arrival_time, kDiurnalPeriodSeconds);
+    (t < kDiurnalPeriodSeconds / 2 ? day : night) += 1;
   }
   EXPECT_GT(day, 2 * night);
   // Sorted, dense ids — the generate_requests contract holds for kDiurnal.
@@ -397,32 +395,30 @@ TEST(DiurnalStreamTest, TenantMixMergesSortedDenseAndBalanced) {
   EXPECT_EQ(per_tenant[2], 150);
 }
 
-// Flash-crowd stream: the SLO chat lengths under a two-state bursty
-// arrival process with a 16x burst rate for 5% of the time.
-RequestStreamConfig flash_crowd_stream(std::uint64_t seed,
-                                       std::int64_t num_requests,
-                                       double arrival_rate) {
-  RequestStreamConfig stream =
-      slo_chat_stream(seed, num_requests, arrival_rate);
-  stream.process = ArrivalProcess::kBursty;
-  stream.burst_factor = 16.0;
-  stream.burst_fraction = 0.05;
-  return stream;
+// Gaps between consecutive arrivals far below the 0.1 s mean of a 10 req/s
+// stream.
+std::int64_t tight_gaps(const std::vector<Request>& requests) {
+  std::int64_t count = 0;
+  for (std::size_t i = 1; i < requests.size(); ++i) {
+    if (requests[i].arrival_time - requests[i - 1].arrival_time < 0.1 / 16.0) {
+      count += 1;
+    }
+  }
+  return count;
 }
 
 TEST(FlashCrowdStreamTest, BurstsCompressInterArrivals) {
-  const std::vector<Request> requests = generate_requests(
-      flash_crowd_stream(/*seed=*/42, /*num_requests=*/2000,
-                         /*arrival_rate=*/10.0));
-  // A 16x burst rate must produce gaps far below the 0.1 s mean; a pure
-  // Poisson stream at the same mean rate almost never does at this count.
-  std::int64_t tight_gaps = 0;
-  for (std::size_t i = 1; i < requests.size(); ++i) {
-    if (requests[i].arrival_time - requests[i - 1].arrival_time < 0.1 / 16.0) {
-      tight_gaps += 1;
-    }
-  }
-  EXPECT_GT(tight_gaps, 100);
+  // Flash crowd: the SLO chat lengths under the two-state bursty arrival
+  // process (kBurstFactor x the calm rate for kBurstFraction of the time).
+  RequestStreamConfig stream = slo_chat_stream(
+      /*seed=*/42, /*num_requests=*/2000, /*arrival_rate=*/10.0);
+  const std::vector<Request> poisson = generate_requests(stream);
+  stream.process = ArrivalProcess::kBursty;
+  const std::vector<Request> bursty = generate_requests(stream);
+  // Bursts must produce gaps far below the mean, well beyond what a pure
+  // Poisson stream at the same mean rate and seed shows.
+  EXPECT_GT(tight_gaps(bursty), 100);
+  EXPECT_GT(tight_gaps(bursty), tight_gaps(poisson));
 }
 
 // --- The canonical SLO frontier ----------------------------------------------

@@ -63,8 +63,6 @@ TEST(RequestGenTest, PoissonMeanRateApproximatelyCorrect) {
 TEST(RequestGenTest, BurstyKeepsLongRunRateAndBursts) {
   RequestStreamConfig stream = test_stream(20000, 50.0);
   stream.process = ArrivalProcess::kBursty;
-  stream.burst_factor = 10.0;
-  stream.burst_fraction = 0.1;
   const auto requests = generate_requests(stream);
   const double span = requests.back().arrival_time;
   const double empirical = static_cast<double>(requests.size()) / span;
@@ -109,7 +107,6 @@ TEST(RequestGenTest, ZipfFavorsShortLengths) {
   stream.prompt.kind = LengthDistribution::kZipf;
   stream.prompt.min_len = 1;
   stream.prompt.max_len = 1000;
-  stream.prompt.zipf_alpha = 1.2;
   const auto requests = generate_requests(stream);
   std::int64_t below_100 = 0;
   for (const Request& request : requests) {
@@ -124,15 +121,18 @@ TEST(RequestGenTest, ZipfFavorsShortLengths) {
 // must return std::lower_bound's index: the trace stays the one a binary
 // search gives, bit for bit.
 
-std::vector<double> zipf_cdf(const LengthSpec& spec) {
+std::vector<double> zipf_cdf(std::int64_t ranks, double alpha) {
   std::vector<double> cdf;
   double cumulative = 0;
-  for (std::int64_t rank = 1; rank <= spec.max_len - spec.min_len + 1;
-       ++rank) {
-    cumulative += std::pow(static_cast<double>(rank), -spec.zipf_alpha);
+  for (std::int64_t rank = 1; rank <= ranks; ++rank) {
+    cumulative += std::pow(static_cast<double>(rank), -alpha);
     cdf.push_back(cumulative);
   }
   return cdf;
+}
+
+std::vector<double> zipf_cdf(const LengthSpec& spec) {
+  return zipf_cdf(spec.max_len - spec.min_len + 1, kZipfAlpha);
 }
 
 std::size_t reference_lower_bound(const std::vector<double>& cdf,
@@ -192,12 +192,7 @@ TEST(RequestGenTest, GuidedCdfMatchesLowerBoundOnOneAndTwoRanks) {
 // At alpha = 8 the cumulative sum stops growing after a few hundred ranks,
 // so most of the 100,000 entries are equal and most buckets share a start.
 TEST(RequestGenTest, GuidedCdfMatchesLowerBoundOnAFlatTail) {
-  LengthSpec spec;
-  spec.kind = LengthDistribution::kZipf;
-  spec.min_len = 1;
-  spec.max_len = 100000;
-  spec.zipf_alpha = 8.0;
-  const std::vector<double> cdf = zipf_cdf(spec);
+  const std::vector<double> cdf = zipf_cdf(/*ranks=*/100000, /*alpha=*/8.0);
   ASSERT_EQ(cdf[50000], cdf.back());
   expect_guided_matches_lower_bound(cdf);
 }
@@ -264,13 +259,12 @@ std::vector<Request> reference_generate_requests(
     tenant_cdf.push_back(cumulative);
   }
   const double calm_rate =
-      config.arrival_rate /
-      (1.0 + config.burst_fraction * (config.burst_factor - 1.0));
-  const double burst_rate = calm_rate * config.burst_factor;
+      config.arrival_rate / (1.0 + kBurstFraction * (kBurstFactor - 1.0));
+  const double burst_rate = calm_rate * kBurstFactor;
   const Seconds mean_burst_dwell = 16.0 / burst_rate;
   const Seconds mean_calm_dwell =
-      mean_burst_dwell * (1.0 - config.burst_fraction) / config.burst_fraction;
-  const double peak = config.arrival_rate * (1.0 + config.diurnal_amplitude);
+      mean_burst_dwell * (1.0 - kBurstFraction) / kBurstFraction;
+  const double peak = config.arrival_rate * (1.0 + kDiurnalAmplitude);
 
   std::vector<Request> requests;
   Seconds now = 0;
@@ -286,9 +280,9 @@ std::vector<Request> reference_generate_requests(
         now += exponential(rng, peak);
         const double rate =
             config.arrival_rate *
-            (1.0 + config.diurnal_amplitude *
+            (1.0 + kDiurnalAmplitude *
                        std::sin(6.283185307179586 * now /
-                                    config.diurnal_period_s +
+                                    kDiurnalPeriodSeconds +
                                 config.diurnal_phase));
         if (rng.uniform() * peak <= rate) break;
       }
@@ -331,7 +325,7 @@ std::vector<Request> reference_generate_requests(
     }
     if (deadlines) {
       const double scale =
-          1.0 + config.deadline_jitter * (2.0 * deadline_rng.uniform() - 1.0);
+          1.0 + kDeadlineJitter * (2.0 * deadline_rng.uniform() - 1.0);
       request.ttft_deadline = config.ttft_deadline_s * scale;
       request.tpot_deadline = config.tpot_deadline_s * scale;
     }

@@ -186,17 +186,6 @@ TEST_F(SimulatorTest, DitInferenceIncludesPrePost) {
   EXPECT_GT(run.latency, block.latency * scenario.model.num_layers);
 }
 
-TEST_F(SimulatorTest, SamplingStepsScaleDit) {
-  DitScenario one;
-  one.model = models::dit_xl_2();
-  one.geometry = models::dit_geometry_512();
-  one.batch = 1;
-  DitScenario ten = one;
-  ten.sampling_steps = 10;
-  EXPECT_NEAR(run_dit_inference(base_sim_, ten).latency,
-              10 * run_dit_inference(base_sim_, one).latency, 1e-6);
-}
-
 TEST_F(SimulatorTest, BreakdownCoreDominates) {
   // Fig. 2(d): transformer layers must dominate end-to-end latency.
   LlmScenario scenario;

@@ -9,6 +9,9 @@
 namespace cimtpu::mapping {
 namespace {
 
+// Table I's 16 MiB VMEM.
+constexpr Bytes kVmem = 16 * MiB;
+
 ir::Op gemm(std::int64_t m, std::int64_t k, std::int64_t n) {
   return ir::make_weight_gemm("g", "G", m, k, n, ir::DType::kInt8);
 }
@@ -22,8 +25,7 @@ TEST(TilingTest, CompulsoryTraffic) {
 TEST(TilingTest, FullFitReachesCompulsoryTraffic) {
   // Everything fits in one tile: no re-reads, reuse factor 1.
   const ir::Op op = gemm(64, 128, 128);
-  TilingOptions options;
-  const TileChoice choice = best_tiling(op, options);
+  const TileChoice choice = best_tiling(op, kVmem);
   EXPECT_EQ(choice.total_tiles(), 1);
   EXPECT_DOUBLE_EQ(choice.vmem_traffic, compulsory_traffic(op));
   EXPECT_DOUBLE_EQ(choice.reuse_factor, 1.0);
@@ -31,18 +33,15 @@ TEST(TilingTest, FullFitReachesCompulsoryTraffic) {
 
 TEST(TilingTest, WorkingSetRespectsBudget) {
   const ir::Op op = gemm(8192, 7168, 28672);  // GPT3-30B FFN1, prefill
-  TilingOptions options;
-  for (const TileChoice& choice : enumerate_tilings(op, options)) {
-    EXPECT_LE(choice.working_set,
-              options.vmem_capacity * options.buffer_fraction);
+  for (const TileChoice& choice : enumerate_tilings(op, kVmem)) {
+    EXPECT_LE(choice.working_set, kVmem * kTileBufferFraction);
   }
 }
 
 TEST(TilingTest, BestIsTrafficMinimal) {
   const ir::Op op = gemm(8192, 7168, 28672);
-  TilingOptions options;
-  const TileChoice best = best_tiling(op, options);
-  for (const TileChoice& choice : enumerate_tilings(op, options)) {
+  const TileChoice best = best_tiling(op, kVmem);
+  for (const TileChoice& choice : enumerate_tilings(op, kVmem)) {
     EXPECT_LE(best.vmem_traffic, choice.vmem_traffic);
   }
   // Large GEMMs cannot reach compulsory traffic in 8 MiB of buffer.
@@ -53,19 +52,14 @@ TEST(TilingTest, BestIsTrafficMinimal) {
 
 TEST(TilingTest, MoreVmemNeverHurts) {
   const ir::Op op = gemm(8192, 7168, 7168);
-  TilingOptions small_opts;
-  small_opts.vmem_capacity = 4 * MiB;
-  TilingOptions big_opts;
-  big_opts.vmem_capacity = 64 * MiB;
-  EXPECT_GE(best_tiling(op, small_opts).vmem_traffic,
-            best_tiling(op, big_opts).vmem_traffic);
+  EXPECT_GE(best_tiling(op, 4 * MiB).vmem_traffic,
+            best_tiling(op, 64 * MiB).vmem_traffic);
 }
 
 TEST(TilingTest, KSplitChargesPartialSumRevisits) {
   const ir::Op op = gemm(128, 1024, 128);
-  TilingOptions options;
-  const TileChoice whole_k = evaluate_tiling(op, 128, 1024, 128, options);
-  const TileChoice split_k = evaluate_tiling(op, 128, 128, 128, options);
+  const TileChoice whole_k = evaluate_tiling(op, 128, 1024, 128);
+  const TileChoice split_k = evaluate_tiling(op, 128, 128, 128);
   // 8 K-tiles -> 1 + 2*7 = 15x output traffic.
   EXPECT_DOUBLE_EQ(split_k.vmem_traffic - whole_k.vmem_traffic,
                    14.0 * 128 * 128);
@@ -73,8 +67,7 @@ TEST(TilingTest, KSplitChargesPartialSumRevisits) {
 
 TEST(TilingTest, TilesCountsConsistent) {
   const ir::Op op = gemm(1000, 1000, 1000);
-  TilingOptions options;
-  const TileChoice choice = best_tiling(op, options);
+  const TileChoice choice = best_tiling(op, kVmem);
   EXPECT_EQ(choice.m_tiles, (1000 + choice.tm - 1) / choice.tm);
   EXPECT_EQ(choice.k_tiles, (1000 + choice.tk - 1) / choice.tk);
   EXPECT_EQ(choice.n_tiles, (1000 + choice.tn - 1) / choice.tn);
@@ -82,15 +75,12 @@ TEST(TilingTest, TilesCountsConsistent) {
 
 TEST(TilingTest, ImpossibleBudgetThrows) {
   const ir::Op op = gemm(8192, 7168, 28672);
-  TilingOptions options;
-  options.vmem_capacity = 1024;  // 1 KiB: nothing fits
-  EXPECT_THROW(best_tiling(op, options), ConfigError);
+  EXPECT_THROW(best_tiling(op, 1 * KiB), ConfigError);  // nothing fits
 }
 
 TEST(TilingTest, NonMatmulRejected) {
   const ir::Op op = ir::make_softmax("s", "A", 8, 8, ir::DType::kInt8);
-  TilingOptions options;
-  EXPECT_THROW(best_tiling(op, options), InternalError);
+  EXPECT_THROW(best_tiling(op, kVmem), InternalError);
 }
 
 TEST(TilingTest, InstancesScaleTraffic) {
@@ -98,19 +88,16 @@ TEST(TilingTest, InstancesScaleTraffic) {
                                       ir::DType::kInt8, ir::Residency::kCmem);
   ir::Op one = op;
   one.instances = 1;
-  TilingOptions options;
-  EXPECT_DOUBLE_EQ(best_tiling(op, options).vmem_traffic,
-                   4.0 * best_tiling(one, options).vmem_traffic);
+  EXPECT_DOUBLE_EQ(best_tiling(op, kVmem).vmem_traffic,
+                   4.0 * best_tiling(one, kVmem).vmem_traffic);
 }
 
 TEST(TilingTest, Bf16DoublesWorkingSet) {
   ir::Op i8 = gemm(256, 256, 256);
   ir::Op bf = i8;
   bf.dtype = ir::DType::kBf16;
-  TilingOptions options;
-  EXPECT_DOUBLE_EQ(
-      evaluate_tiling(bf, 256, 256, 256, options).working_set,
-      2.0 * evaluate_tiling(i8, 256, 256, 256, options).working_set);
+  EXPECT_DOUBLE_EQ(evaluate_tiling(bf, 256, 256, 256).working_set,
+                   2.0 * evaluate_tiling(i8, 256, 256, 256).working_set);
 }
 
 // Parameterized sweep: the search must return a legal, consistent result
@@ -121,10 +108,8 @@ class TilingSweepTest
 TEST_P(TilingSweepTest, LegalAndConsistent) {
   const auto [m, k, n] = GetParam();
   const ir::Op op = gemm(m, k, n);
-  TilingOptions options;
-  const TileChoice choice = best_tiling(op, options);
-  EXPECT_LE(choice.working_set,
-            options.vmem_capacity * options.buffer_fraction);
+  const TileChoice choice = best_tiling(op, kVmem);
+  EXPECT_LE(choice.working_set, kVmem * kTileBufferFraction);
   EXPECT_GE(choice.vmem_traffic, compulsory_traffic(op) * 0.999999);
   EXPECT_GE(choice.reuse_factor, 0.0);
   EXPECT_LE(choice.reuse_factor, 1.0);
