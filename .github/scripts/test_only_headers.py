@@ -25,10 +25,11 @@ only through a structured binding (`auto [a, b] = value;`); name such a
 member in HOOKS.
 
 Knob pass: fails when a field of a struct whose name ends in Config,
-Scenario or Options, declared in a src/ header with a default member
-initializer (`Type name = ...;` or `Type name{...};`), is never assigned in
-src/, examples/ and cimbench/: no `x.name =`, `x->name =`, `x.name *=`,
-`x.name +=` (or -=, /=), designated initializers included.  Production
+Scenario or Options, or of LengthSpec, declared in a src/ header with a
+default member initializer (`Type name = ...;` or `Type name{...};`), is
+never assigned in src/, examples/ and cimbench/: no `x.name =`,
+`x->name =`, `x.name *=`, `x.name +=` (or -=, /=), designated
+initializers included.  Production
 then always runs the default and only tests choose another value, so the
 field is a named constant, not an option.  Names are matched as tokens
 without scopes, like the function pass, so a collision can hide an
@@ -86,8 +87,9 @@ HOOKS = {
         "decides whether to report the handoff cost (ROADMAP item 3)",
     "guide": "GuidedCdf's bucket starts, checked against their definition",
 }
-# Structs the knob pass checks.
-KNOB_STRUCT = re.compile(r"\w+(Config|Scenario|Options)$")
+# Structs the knob pass checks: the option structs, and the stream's length
+# spec, whose fields every stream sets.
+KNOB_STRUCT = re.compile(r"\w+(Config|Scenario|Options)$|LengthSpec$")
 # Option fields kept although nothing outside tests assigns them: one reason
 # each.
 KNOBS = {
@@ -366,7 +368,8 @@ def knob_pass(root, texts):
               "in KNOBS with a reason)")
     if not offenders:
         print(f"test_only_headers: OK, {len(fields)} default-initialized "
-              "fields of *Config/*Scenario/*Options structs in src/ headers "
+              "fields of *Config/*Scenario/*Options/LengthSpec structs in "
+              "src/ headers "
               f"({len(KNOBS)} knobs) are assigned outside tests")
     return not offenders
 

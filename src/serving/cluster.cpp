@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <string>
@@ -196,15 +197,22 @@ void finish_cluster(const ClusterConfig& config,
                     const std::vector<ServingEngine::RequestOutcome>& stitched,
                     int first_serving, ClusterMetrics* cluster) {
   ServingMetrics& fleet = cluster->fleet;
-  RequestRollup rollup(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const ServingEngine::RequestOutcome& row = stitched[i];
+  for (const ServingEngine::RequestOutcome& row : stitched) {
     if (!row.arrived) continue;
     cluster->arrived += 1;
     if (row.shed) cluster->shed += 1;
-    rollup.add(requests[i], row.first_token, row.completion);
   }
-  rollup.finish(config.base.scheduler.admission, &fleet);
+  rollup_requests(
+      requests.size(),
+      [&](const std::function<void(const RequestRow&)>& visit) {
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+          const ServingEngine::RequestOutcome& row = stitched[i];
+          if (row.arrived) {
+            visit(RequestRow{&requests[i], row.first_token, row.completion});
+          }
+        }
+      },
+      config.base.scheduler.admission, &fleet);
   fleet.num_requests = static_cast<std::int64_t>(requests.size());
   ServingMetrics::for_each_field([&](const char*, auto member, FleetRule rule,
                                      const FieldKeys&) {

@@ -19,21 +19,25 @@ double jain_fairness_index(const std::vector<double>& values) {
 }
 
 LatencySummary summarize_latencies(std::vector<double>&& values) {
-  sort_sample(values);
-  return summarize_sorted_latencies(values);
+  double* first = values.data();
+  double* last = first + values.size();
+  std::vector<double> scratch;
+  sort_sample(first, last, &scratch);
+  return summarize_sorted_latencies(first, last);
 }
 
-LatencySummary summarize_sorted_latencies(const std::vector<double>& sorted) {
+LatencySummary summarize_sorted_latencies(const double* first,
+                                          const double* last) {
   LatencySummary summary;
-  summary.count = static_cast<std::int64_t>(sorted.size());
-  if (sorted.empty()) return summary;
+  summary.count = static_cast<std::int64_t>(last - first);
+  if (first == last) return summary;
   double sum = 0;
-  for (double v : sorted) sum += v;
-  summary.mean = sum / static_cast<double>(sorted.size());
-  summary.p50 = percentile_sorted(sorted, 50.0);
-  summary.p95 = percentile_sorted(sorted, 95.0);
-  summary.p99 = percentile_sorted(sorted, 99.0);
-  summary.max = sorted.back();
+  for (const double* v = first; v != last; ++v) sum += *v;
+  summary.mean = sum / static_cast<double>(summary.count);
+  summary.p50 = percentile_sorted(first, last, 50.0);
+  summary.p95 = percentile_sorted(first, last, 95.0);
+  summary.p99 = percentile_sorted(first, last, 99.0);
+  summary.max = *(last - 1);
   return summary;
 }
 

@@ -32,7 +32,7 @@ enum class FleetRule {
   kNone,      ///< left at its default (per-replica means; the registry)
   kSum,       ///< summed over replicas; a nested table field by field
   kMax,       ///< the largest replica value
-  kRequests,  ///< RequestRollup over the stitched rows (num_requests: all)
+  kRequests,  ///< rollup_requests over the stitched rows (num_requests: all)
   kDerived,   ///< derive_metrics (serving_sim.h), from the rows above
 };
 
@@ -77,10 +77,11 @@ struct LatencySummary {
 /// the sorted sample in ascending order.
 LatencySummary summarize_latencies(std::vector<double>&& values);
 
-/// Summary of an already ascending-sorted sample (sort_sample order).
-/// With merge_sorted_samples this summarizes the union of several sorted
-/// parts bit-identically to summarize_latencies over their concatenation.
-LatencySummary summarize_sorted_latencies(const std::vector<double>& sorted);
+/// Summary of an already ascending-sorted sample [first, last)
+/// (sort_sample order).  The ascending sequence of a multiset is unique,
+/// so any sample sorted this way summarizes to the same bits.
+LatencySummary summarize_sorted_latencies(const double* first,
+                                          const double* last);
 
 /// Jain's fairness index of an allocation: (sum x)^2 / (n * sum x^2), in
 /// (0, 1] — 1.0 when every x is equal, 1/n when one party takes all.  By

@@ -33,17 +33,12 @@ std::string arrival_process_name(ArrivalProcess process) {
 }
 
 void LengthSpec::validate() const {
-  switch (kind) {
-    case LengthDistribution::kFixed:
-      CIMTPU_CONFIG_CHECK(mean >= 1, "fixed length must be >= 1");
-      break;
-    case LengthDistribution::kUniform:
-    case LengthDistribution::kZipf:
-      CIMTPU_CONFIG_CHECK(min_len >= 1 && max_len >= min_len,
-                          "length bounds need 1 <= min (" << min_len
-                          << ") <= max (" << max_len << ")");
-      break;
-  }
+  CIMTPU_CONFIG_CHECK(kind != LengthDistribution::kUnset,
+                      "length spec has no distribution: set kind to "
+                      "kUniform or kZipf");
+  CIMTPU_CONFIG_CHECK(min_len >= 1 && max_len >= min_len,
+                      "length bounds need 1 <= min (" << min_len
+                      << ") <= max (" << max_len << ")");
   if (kind == LengthDistribution::kZipf) {
     CIMTPU_CONFIG_CHECK(max_len - min_len < kMaxZipfSupport,
                         "zipf lengths [" << min_len << ", " << max_len
@@ -145,15 +140,13 @@ LengthSampler::LengthSampler(const LengthSpec& spec) : spec_(spec) {
 }
 
 std::int64_t LengthSampler::sample(Rng& rng) const {
-  switch (spec_.kind) {
-    case LengthDistribution::kFixed:
-      return spec_.mean;
-    case LengthDistribution::kUniform:
-      return rng.uniform_int(spec_.min_len, spec_.max_len);
-    case LengthDistribution::kZipf:
-      return spec_.min_len + static_cast<std::int64_t>(zipf_.draw(rng));
+  if (spec_.kind == LengthDistribution::kZipf) {
+    return spec_.min_len + static_cast<std::int64_t>(zipf_.draw(rng));
   }
-  return spec_.mean;
+  // One value is a fixed length: it takes no draw, so the stream's later
+  // draws do not depend on it.
+  if (spec_.min_len == spec_.max_len) return spec_.min_len;
+  return rng.uniform_int(spec_.min_len, spec_.max_len);
 }
 
 namespace {

@@ -104,9 +104,10 @@ static_assert(kDeadlineJitter >= 0 && kDeadlineJitter < 1,
 
 std::string arrival_process_name(ArrivalProcess process);
 
-/// Token-length distributions for prompts and outputs.
+/// Token-length distributions for prompts and outputs.  A fixed length
+/// is kUniform with min_len == max_len, which draws no random number.
 enum class LengthDistribution {
-  kFixed,    ///< always `mean`
+  kUnset,    ///< no distribution chosen: validate() rejects it
   kUniform,  ///< uniform integer in [min_len, max_len]
   kZipf,     ///< Zipf-ranked over [min_len, max_len]: short lengths common,
              ///< a heavy tail of long ones (exponent kZipfAlpha)
@@ -123,8 +124,7 @@ static_assert(kZipfAlpha > 0, "the Zipf exponent must be positive");
 constexpr std::int64_t kMaxZipfSupport = std::int64_t{1} << 20;
 
 struct LengthSpec {
-  LengthDistribution kind = LengthDistribution::kFixed;
-  std::int64_t mean = 1024;    ///< used by kFixed
+  LengthDistribution kind = LengthDistribution::kUnset;  ///< must be set
   std::int64_t min_len = 16;   ///< inclusive lower bound (kUniform / kZipf)
   std::int64_t max_len = 4096; ///< inclusive upper bound (kUniform / kZipf)
 

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <map>
 #include <numeric>
+#include <unordered_map>
 
 #include "arch/chip.h"
 #include "common/math_util.h"
@@ -43,18 +45,26 @@ void ServingScenario::validate() const {
 
 namespace {
 
-/// Per-request bookkeeping across the run, parallel to the engine's
-/// injected requests (arrival, lengths and tenant live in the caller's
-/// Request, which the engine reads in place).
+/// A request's timeline, parallel to the engine's injected requests
+/// (arrival, lengths and tenant live in the caller's Request, which the
+/// engine reads in place).
 struct RequestTrace {
   Seconds first_token = -1;  ///< < 0 until the first token is emitted
   Seconds completion = -1;
+};
+
+/// Per-request flag bits, one byte per injected request.
+enum RequestFlag : std::uint8_t {
+  kShed = 1,       ///< dropped by admission control or a fault, or cut by
+                   ///< the horizon (marked at finish); never completes
+  kPrefilled = 2,  ///< injected by inject_prefilled (decode only)
+};
+
+/// A fault-struck request's recovery state; only fault runs keep any.
+struct FaultRecord {
   Seconds last_fault = -1;  ///< open repair interval: a fault struck and
                             ///< the request has not recovered yet
   int retry_attempts = 0;   ///< fault re-admissions consumed (vs the budget)
-  bool shed = false;  ///< dropped by admission control or a fault, or cut
-                      ///< by the horizon (marked at finish); never completes
-  bool prefilled = false;  ///< injected by inject_prefilled (decode only)
 };
 
 std::int64_t total_tokens(const Request& request) {
@@ -107,110 +117,162 @@ Bytes resolve_kv_budget(const ServingScenario& scenario,
       scenario.model, chip.memory().spec().hbm.capacity, scenario.chips);
 }
 
+/// One tenant's share of a rollup's arrived rows.
+struct TenantTally {
+  std::int64_t num_requests = 0;
+  std::int64_t completed = 0;  ///< also its e2e sample size
+  std::int64_t generated_tokens = 0;
+  std::int64_t first_tokens = 0;  ///< its TTFT sample size
+  std::size_t fill = 0;  ///< next free slot of its segment during a layout
+};
+
 }  // namespace
 
-RequestRollup::RequestRollup(std::size_t arrived_hint) {
-  tpot_.reserve(arrived_hint);
-}
+void rollup_requests(std::size_t max_rows,
+                     const ForEachRequestRow& for_each_row,
+                     const AdmissionConfig& admission,
+                     ServingMetrics* metrics) {
+  // One buffer holds each latency sample in turn, and `scratch` is the
+  // sorts' second buffer.
+  std::vector<double> sample(max_rows);
+  std::vector<double> scratch;
 
-void RequestRollup::add(const Request& request, Seconds first_token,
-                        Seconds completion) {
-  arrived_ += 1;
+  // --- Counters, makespan, sample sizes and the TPOT sample ---------------
   // A tenant's row (and Jain entry) exists only once it has a request that
   // actually ARRIVED within the simulated window — a tenant whose traffic
   // all lands past the horizon never participated and must not drag the
   // index down.
-  TenantSamples& tenant = tenants_[request.tenant_id];
-  tenant.num_requests += 1;
-  // TTFT is determined the moment the first token leaves the pipeline, so
-  // horizon-cut runs keep every emitted first token in the TTFT sample —
-  // dropping still-in-flight requests would censor exactly the slow
-  // admissions an overload study is trying to measure.
-  if (first_token >= 0) {
-    tenant.ttft.push_back(first_token - request.arrival_time);
-  }
-  if (completion < 0) return;  // shed or cut: misses its SLO
-  completed_ += 1;
-  generated_tokens_ += request.output_len;
-  makespan_ = std::max(makespan_, completion);
-  // Disaggregated decode replicas complete requests whose first token
-  // streamed on the PREFILL replica (no local first token): their TPOT
-  // belongs to the cluster's stitched rollup, never to the replica's.
-  if (request.output_len > 1 && first_token >= 0) {
-    tpot_.push_back((completion - first_token) /
-                    static_cast<double>(request.output_len - 1));
-  }
-  // Deadline-free completed requests meet vacuously, so deadline-free
-  // streams report attainment 1.0 and slo_goodput == goodput.
-  if (meets_slo(request, first_token, completion)) {
-    slo_met_ += 1;
-    slo_tokens_ += request.output_len;
-  }
-  tenant.completed += 1;
-  tenant.generated_tokens += request.output_len;
-  tenant.e2e.push_back(completion - request.arrival_time);
-}
-
-void RequestRollup::finish(const AdmissionConfig& admission,
-                           ServingMetrics* metrics) {
-  metrics->completed = completed_;
-  metrics->generated_tokens = generated_tokens_;
-  metrics->makespan = makespan_;
-  metrics->slo_met = slo_met_;
-  metrics->tpot = summarize_latencies(std::move(tpot_));
-  if (arrived_ > 0) {
+  std::map<std::int64_t, TenantTally> tallies;  // ascending tenant id
+  std::int64_t arrived = 0;
+  std::int64_t completed = 0;
+  std::int64_t generated_tokens = 0;
+  std::int64_t slo_met = 0;
+  std::int64_t slo_tokens = 0;  // output tokens of deadline-meeting
+                                // completions
+  std::size_t tpot_count = 0;
+  Seconds makespan = 0;
+  for_each_row([&](const RequestRow& row) {
+    const Request& request = *row.request;
+    arrived += 1;
+    CIMTPU_CHECK(static_cast<std::size_t>(arrived) <= max_rows);
+    TenantTally& tenant = tallies[request.tenant_id];
+    tenant.num_requests += 1;
+    // TTFT is determined the moment the first token leaves the pipeline,
+    // so horizon-cut runs keep every emitted first token in the TTFT
+    // sample — dropping still-in-flight requests would censor exactly the
+    // slow admissions an overload study is trying to measure.
+    if (row.first_token >= 0) tenant.first_tokens += 1;
+    if (row.completion < 0) return;  // shed or cut: misses its SLO
+    completed += 1;
+    generated_tokens += request.output_len;
+    makespan = std::max(makespan, row.completion);
+    // Disaggregated decode replicas complete requests whose first token
+    // streamed on the PREFILL replica (no local first token): their TPOT
+    // belongs to the cluster's stitched rollup, never to the replica's.
+    if (request.output_len > 1 && row.first_token >= 0) {
+      sample[tpot_count++] = (row.completion - row.first_token) /
+                             static_cast<double>(request.output_len - 1);
+    }
+    // Deadline-free completed requests meet vacuously, so deadline-free
+    // streams report attainment 1.0 and slo_goodput == goodput.
+    if (meets_slo(request, row.first_token, row.completion)) {
+      slo_met += 1;
+      slo_tokens += request.output_len;
+    }
+    tenant.completed += 1;
+    tenant.generated_tokens += request.output_len;
+  });
+  sort_sample(sample.data(), sample.data() + tpot_count, &scratch);
+  metrics->tpot =
+      summarize_sorted_latencies(sample.data(), sample.data() + tpot_count);
+  metrics->completed = completed;
+  metrics->generated_tokens = generated_tokens;
+  metrics->makespan = makespan;
+  metrics->slo_met = slo_met;
+  if (arrived > 0) {
     metrics->slo_attainment =
-        static_cast<double>(slo_met_) / static_cast<double>(arrived_);
+        static_cast<double>(slo_met) / static_cast<double>(arrived);
     metrics->availability =
-        static_cast<double>(completed_) / static_cast<double>(arrived_);
+        static_cast<double>(completed) / static_cast<double>(arrived);
   }
-  if (makespan_ > 0) {
+  if (makespan > 0) {
     metrics->goodput_tokens_per_second =
-        static_cast<double>(generated_tokens_) / makespan_;
+        static_cast<double>(generated_tokens) / makespan;
     metrics->slo_goodput_tokens_per_second =
-        static_cast<double>(slo_tokens_) / makespan_;
+        static_cast<double>(slo_tokens) / makespan;
   }
 
-  // Per-tenant breakdown (schema-v4).  Each tenant's TTFT and e2e sample
-  // is sorted once; the global sample is the merge of the sorted tenant
-  // samples — the same ascending sequence a sort of the whole sample
-  // gives, summed in the same order, so bit-identical.  Weights come from
+  // Per-tenant breakdown (schema-v4).  Weights come from
   // AdmissionConfig::tenant_weight — the SAME lookup WFQ admission uses —
   // so Jain normalization and enforcement never disagree.  Unnamed tenants
   // weigh 1.
   std::vector<double> normalized_goodput;
-  normalized_goodput.reserve(tenants_.size());
-  std::vector<std::vector<double>> ttft_parts, e2e_parts;
-  ttft_parts.reserve(tenants_.size());
-  e2e_parts.reserve(tenants_.size());
-  for (auto& [tenant_id, samples] : tenants_) {
+  normalized_goodput.reserve(tallies.size());
+  for (const auto& [tenant_id, tally] : tallies) {
     TenantMetrics tenant;
     tenant.tenant_id = tenant_id;
     tenant.weight = admission.tenant_weight(tenant_id);
-    tenant.num_requests = samples.num_requests;
-    tenant.completed = samples.completed;
-    tenant.generated_tokens = samples.generated_tokens;
-    sort_sample(samples.ttft);
-    sort_sample(samples.e2e);
-    tenant.ttft = summarize_sorted_latencies(samples.ttft);
-    tenant.e2e = summarize_sorted_latencies(samples.e2e);
-    ttft_parts.push_back(std::move(samples.ttft));
-    e2e_parts.push_back(std::move(samples.e2e));
-    if (makespan_ > 0) {
+    tenant.num_requests = tally.num_requests;
+    tenant.completed = tally.completed;
+    tenant.generated_tokens = tally.generated_tokens;
+    if (makespan > 0) {
       tenant.goodput_tokens_per_second =
-          static_cast<double>(samples.generated_tokens) / makespan_;
+          static_cast<double>(tally.generated_tokens) / makespan;
     }
     normalized_goodput.push_back(tenant.goodput_tokens_per_second /
                                  tenant.weight);
     metrics->tenants.push_back(std::move(tenant));
   }
-  metrics->ttft = summarize_sorted_latencies(
-      merge_sorted_samples(std::move(ttft_parts)));
-  metrics->e2e =
-      summarize_sorted_latencies(merge_sorted_samples(std::move(e2e_parts)));
   if (metrics->tenants.size() > 1) {
     metrics->jain_fairness = jain_fairness_index(normalized_goodput);
   }
+
+  // --- TTFT and e2e, one after the other in the same buffer ---------------
+  // Lays one latency per row that has one (`latency` returns false for a
+  // row without) into the buffer, each tenant's in its own segment
+  // (ascending tenant id, `size` values each); sorts and summarizes each
+  // segment into its tenant row's `summary`, then re-sorts the whole
+  // buffer and returns its summary.  The ascending sequence of a multiset
+  // is unique, so that is the summary a single sort of the whole sample
+  // gives, bit for bit.
+  const auto summarize_by_tenant = [&](auto latency,
+                                       std::int64_t TenantTally::*size,
+                                       LatencySummary TenantMetrics::*summary) {
+    std::size_t end = 0;
+    for (auto& [tenant_id, tally] : tallies) {
+      tally.fill = end;
+      end += static_cast<std::size_t>(tally.*size);
+    }
+    for_each_row([&](const RequestRow& row) {
+      double value;
+      if (latency(row, &value)) {
+        sample[tallies.find(row.request->tenant_id)->second.fill++] = value;
+      }
+    });
+    double* const data = sample.data();
+    double* first = data;
+    auto tenant = metrics->tenants.begin();
+    for (const auto& [tenant_id, tally] : tallies) {
+      double* const last = first + tally.*size;
+      sort_sample(first, last, &scratch);
+      (*tenant++).*summary = summarize_sorted_latencies(first, last);
+      first = last;
+    }
+    if (tallies.size() > 1) sort_sample(data, data + end, &scratch);
+    return summarize_sorted_latencies(data, data + end);
+  };
+  metrics->ttft = summarize_by_tenant(
+      [](const RequestRow& row, double* value) {
+        *value = row.first_token - row.request->arrival_time;
+        return row.first_token >= 0;
+      },
+      &TenantTally::first_tokens, &TenantMetrics::ttft);
+  metrics->e2e = summarize_by_tenant(
+      [](const RequestRow& row, double* value) {
+        *value = row.completion - row.request->arrival_time;
+        return row.completion >= 0;
+      },
+      &TenantTally::completed, &TenantMetrics::e2e);
 }
 
 void derive_metrics(Seconds mxu_busy_chip_seconds, ServingMetrics* metrics) {
@@ -255,11 +317,13 @@ struct ServingEngine::Impl {
   int tp_ways;
   double tp_scale;  ///< chip count each layer's work/energy replicates over
 
-  // Dense per-request state: request i (injection order) has arrived iff
-  // i < next_arrival.  Scheduler-reported ids resolve through `slot_of`.
-  // The requests themselves stay in the caller's storage (see inject).
+  // Dense per-request state, 29 B a request: request i (injection order)
+  // has arrived iff i < next_arrival.  Scheduler-reported ids resolve
+  // through `slot_of`, which finish() releases.  The requests themselves
+  // stay in the caller's storage (see inject).
   std::vector<const Request*> requests;  ///< injected, arrival-sorted
   std::vector<RequestTrace> traces;  ///< parallel to `requests`
+  std::vector<std::uint8_t> flags;   ///< parallel to `requests`: RequestFlag
   std::vector<std::int32_t> slot_of;  ///< request id -> index; -1: none
 
   ServingMetrics metrics;
@@ -285,6 +349,8 @@ struct ServingEngine::Impl {
   FaultProcess fault_process;
   DegradationController degrade;
   std::deque<PendingRetry> retry_queue;
+  /// Request index -> recovery state, for the requests a fault struck.
+  std::unordered_map<std::size_t, FaultRecord> fault_records;
   std::vector<double> repair_times;  ///< MTTR samples (seconds)
   Seconds stall_until = -1;          ///< active stall window end
 
@@ -356,7 +422,8 @@ struct ServingEngine::Impl {
                                              "engine)");
     slot_of[id] = static_cast<std::int32_t>(requests.size());
     requests.push_back(&request);
-    traces.emplace_back().prefilled = prefilled;
+    traces.emplace_back();
+    flags.push_back(prefilled ? kPrefilled : 0);
     outstanding_tokens += total_tokens(request);
   }
 
@@ -370,6 +437,7 @@ struct ServingEngine::Impl {
     }
     requests.reserve(requests.size() + batch.size());
     traces.reserve(traces.size() + batch.size());
+    flags.reserve(flags.size() + batch.size());
     if (max_id <= kMaxRequestId &&
         static_cast<std::size_t>(max_id + 1) > slot_of.size()) {
       slot_of.resize(static_cast<std::size_t>(max_id + 1), -1);
@@ -391,7 +459,7 @@ struct ServingEngine::Impl {
               requests[next_arrival - 1]->arrival_time <= request.arrival_time,
           "request trace must be sorted by arrival time");
       if (tracing) trace->on_arrive(request);
-      if (traces[next_arrival].prefilled) {
+      if ((flags[next_arrival] & kPrefilled) != 0) {
         scheduler.enqueue_prefilled(request);
       } else {
         scheduler.enqueue(request);
@@ -412,23 +480,22 @@ struct ServingEngine::Impl {
     metrics.fault.wasted_recompute_tokens +=
         (progress.prefilled - progress.prefix_skipped) + progress.generated;
     const std::size_t index = slot(request_id);
-    RequestTrace& request_trace = traces[index];
-    request_trace.last_fault = fault_time;
+    FaultRecord& record = fault_records[index];
+    record.last_fault = fault_time;
     if (scenario.fault.recovery_enabled &&
-        request_trace.retry_attempts < kRetryBudget) {
-      request_trace.retry_attempts += 1;
+        record.retry_attempts < kRetryBudget) {
+      record.retry_attempts += 1;
       const Seconds backoff = std::min(
           kRetryBackoffBaseSeconds *
-              std::pow(2.0,
-                       static_cast<double>(request_trace.retry_attempts - 1)),
+              std::pow(2.0, static_cast<double>(record.retry_attempts - 1)),
           kRetryBackoffMaxSeconds);
       metrics.fault.retries += 1;
       retry_queue.push_back(PendingRetry{request, fault_time + backoff,
-                                         request_trace.retry_attempts,
-                                         request_trace.first_token >= 0});
+                                         record.retry_attempts,
+                                         traces[index].first_token >= 0});
     } else {
-      request_trace.shed = true;
-      request_trace.last_fault = -1;  // dropped, never repaired: not in MTTR
+      flags[index] |= kShed;
+      record.last_fault = -1;  // dropped, never repaired: not in MTTR
       metrics.fault.dropped += 1;
       outstanding_tokens -= total_tokens(*requests[index]);
       // Faults are delivered between steps, so one that landed mid-step
@@ -437,7 +504,7 @@ struct ServingEngine::Impl {
       // request's decode span cannot end before it starts.
       if (tracing) {
         trace->on_shed_fault(request_id,
-                             std::max(now, request_trace.first_token));
+                             std::max(now, traces[index].first_token));
       }
     }
   }
@@ -612,7 +679,7 @@ struct ServingEngine::Impl {
       // a step ran; a shed request arrived but will never be admitted.
       for (std::int64_t id : step.shed_ids) {
         const std::size_t index = slot(id);
-        traces[index].shed = true;
+        flags[index] |= kShed;
         outstanding_tokens -= total_tokens(*requests[index]);
       }
       if (!stepped) {
@@ -688,12 +755,17 @@ struct ServingEngine::Impl {
         if (log_completions) {
           completed_log.emplace_back(index, request_trace.completion);
         }
-        if (faults_on && request_trace.last_fault >= 0) {
-          // A recompute repair closes when the re-admitted request finally
-          // completes — that whole span is the outage the user saw.
-          repair_times.push_back(request_trace.completion -
-                                 request_trace.last_fault);
-          request_trace.last_fault = -1;
+        if (faults_on) {
+          const auto struck = fault_records.find(index);
+          if (struck != fault_records.end() &&
+              struck->second.last_fault >= 0) {
+            // A recompute repair closes when the re-admitted request
+            // finally completes — that whole span is the outage the user
+            // saw.
+            repair_times.push_back(request_trace.completion -
+                                   struck->second.last_fault);
+            struck->second.last_fault = -1;
+          }
         }
         if (tracing) {
           trace->on_finish(id, request_trace.completion, request.output_len);
@@ -876,8 +948,8 @@ struct ServingEngine::Impl {
     // shed_deadline count) at shed time and are skipped here.
     if (scenario.max_sim_seconds > 0) {
       for (std::size_t i = 0; i < next_arrival; ++i) {
-        if (traces[i].completion >= 0 || traces[i].shed) continue;
-        traces[i].shed = true;
+        if (traces[i].completion >= 0 || (flags[i] & kShed) != 0) continue;
+        flags[i] |= kShed;
         metrics.counters.shed_horizon += 1;
         if (tracing) trace->on_shed(requests[i]->id, now);
       }
@@ -889,11 +961,18 @@ struct ServingEngine::Impl {
 
     // --- Request rollup ----------------------------------------------------
     // Requests [0, next_arrival) arrived; the rest were cut by the horizon.
-    RequestRollup rollup(next_arrival);
-    for (std::size_t i = 0; i < next_arrival; ++i) {
-      rollup.add(*requests[i], traces[i].first_token, traces[i].completion);
-    }
-    rollup.finish(scenario.scheduler.admission, &metrics);
+    // Ids resolve no more (inject fails from here on), so the id table
+    // goes before the rollup's sample buffers arrive.
+    std::vector<std::int32_t>().swap(slot_of);
+    rollup_requests(
+        next_arrival,
+        [this](const std::function<void(const RequestRow&)>& visit) {
+          for (std::size_t i = 0; i < next_arrival; ++i) {
+            visit(RequestRow{requests[i], traces[i].first_token,
+                             traces[i].completion});
+          }
+        },
+        scenario.scheduler.admission, &metrics);
 
     // --- Resilience rollup (schema-v8) -------------------------------------
     if (!repair_times.empty()) {
@@ -985,7 +1064,7 @@ std::vector<ServingEngine::RequestOutcome> ServingEngine::outcomes() const {
     const RequestTrace& request_trace = impl_->traces[i];
     out[i] = RequestOutcome{request_trace.first_token,
                             request_trace.completion, /*arrived=*/true,
-                            request_trace.shed};
+                            (impl_->flags[i] & kShed) != 0};
   }
   return out;
 }

@@ -18,7 +18,7 @@
 // step that emitted them.
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -159,7 +159,14 @@ struct ServingMetrics {
   Joules mxu_energy = 0;
   Joules total_energy = 0;
   Joules energy_per_token = 0;
-  double mxu_utilization = 0;  ///< busy time / (makespan * chips)
+  /// MXU busy time / (makespan * chips).  "Busy" is the `compute_time` of
+  /// every MXU op the steps ran (sim::CostTotals::mxu_busy_time), not
+  /// useful MACs: on the systolic baseline each weight tile's serialized
+  /// fill counts as busy cycles (SystolicMxu::evaluate_weight_stationary),
+  /// and at decode's small `m` the fill dominates.  So the baseline reads
+  /// about 0.69 and the CIM chip about 0.08 at the same load (llama2-7b
+  /// INT4, 1 req/s); the gap is fill time, not a CIM chip left idle.
+  double mxu_utilization = 0;
 
   std::size_t cost_cache_entries = 0;
   std::int64_t cost_cache_hits = 0;
@@ -287,43 +294,38 @@ void publish_keys(const S& table, const char* FieldKeys::*scope,
   });
 }
 
+/// One request that arrived inside the simulated window, as the request
+/// rollup reads it.
+struct RequestRow {
+  const Request* request = nullptr;
+  Seconds first_token = -1;  ///< < 0: never emitted
+  Seconds completion = -1;   ///< < 0: shed or cut by the horizon
+};
+
+/// A re-readable view of a run's arrived rows: calls its argument once per
+/// row, in the same order on every call.
+using ForEachRequestRow =
+    std::function<void(const std::function<void(const RequestRow&)>&)>;
+
 /// The request-level half of a run's rollup, shared by ServingEngine::
 /// finish and the cluster's stitched fleet view (serving/cluster.h), so
-/// every request metric has one implementation.  add() takes each request
-/// that ARRIVED inside the simulated window, with its first-token and
-/// completion times (< 0: never emitted / never completed).  finish()
-/// writes the FleetRule::kRequests fields but num_requests, and leaves
-/// every other field alone.
-class RequestRollup {
- public:
-  /// `arrived_hint` (the expected add() count) sizes the TPOT sample.
-  explicit RequestRollup(std::size_t arrived_hint = 0);
-
-  void add(const Request& request, Seconds first_token, Seconds completion);
-
-  /// Tenant weights come from `admission` (AdmissionConfig::
-  /// tenant_weight, the lookup WFQ admission uses).  Call once.
-  void finish(const AdmissionConfig& admission, ServingMetrics* metrics);
-
- private:
-  struct TenantSamples {
-    std::int64_t num_requests = 0;
-    std::int64_t completed = 0;
-    std::int64_t generated_tokens = 0;
-    std::vector<double> ttft;
-    std::vector<double> e2e;
-  };
-
-  std::map<std::int64_t, TenantSamples> tenants_;  ///< ascending tenant id
-  std::vector<double> tpot_;
-  std::int64_t arrived_ = 0;
-  std::int64_t completed_ = 0;
-  std::int64_t generated_tokens_ = 0;
-  std::int64_t slo_met_ = 0;
-  std::int64_t slo_tokens_ = 0;  ///< output tokens of deadline-meeting
-                                 ///< completions
-  Seconds makespan_ = 0;
-};
+/// every request metric has one implementation.  Writes the
+/// FleetRule::kRequests fields but num_requests, and leaves every other
+/// field alone; tenant weights come from `admission` (AdmissionConfig::
+/// tenant_weight, the lookup WFQ admission uses).
+///
+/// It reads the rows three times and holds one latency sample at a time,
+/// in one buffer of `max_rows` (at least the row count) doubles: a first
+/// pass takes the counters, the makespan, each tenant's sample sizes and
+/// the TPOT sample; then the buffer holds TTFT, then e2e.  Each sample is
+/// sorted in place and summarized before the next is laid out.  TTFT and
+/// e2e sit in per-tenant segments, summarized one by one before the whole
+/// buffer is re-sorted for the run-wide summary.  Peak memory is the
+/// buffer plus the sort's scratch, 16 B per row.
+void rollup_requests(std::size_t max_rows,
+                     const ForEachRequestRow& for_each_row,
+                     const AdmissionConfig& admission,
+                     ServingMetrics* metrics);
 
 /// Incremental single-replica serving engine: the exact run_serving state
 /// machine, re-cut so a cluster driver (serving/cluster.h) can co-simulate

@@ -14,92 +14,82 @@ namespace {
 
 constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
 
+std::uint64_t bits_of(const double* value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, value, sizeof bits);
+  return bits;
+}
+
+void set_bits(double* value, std::uint64_t bits) {
+  std::memcpy(value, &bits, sizeof bits);
+}
+
 // Order-preserving map from a double's bit pattern to an unsigned key:
 // negative values flip every bit, the rest only the sign bit, so unsigned
 // key order is the IEEE-754 total order.
 std::uint64_t sort_key(double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof bits);
+  const std::uint64_t bits = bits_of(&value);
   return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
 }
 
 double from_sort_key(std::uint64_t key) {
-  const std::uint64_t bits = (key & kSignBit) != 0 ? key & ~kSignBit : ~key;
   double value;
-  std::memcpy(&value, &bits, sizeof value);
+  set_bits(&value, (key & kSignBit) != 0 ? key & ~kSignBit : ~key);
   return value;
 }
 
-// Stable LSD radix sort, one byte per pass.  Every pass's histogram is
-// counted in a single read up front, and a pass whose byte is the same in
-// every key (the high exponent bytes of a latency sample) is skipped.
-void radix_sort_keys(std::vector<std::uint64_t>& keys) {
+}  // namespace
+
+// Stable LSD radix sort, one byte per pass, on the keys written over the
+// range's own doubles.  Every pass's histogram is counted in the one read
+// that builds the keys, and a pass whose byte is the same in every key
+// (the high exponent bytes of a latency sample) is skipped.
+void sort_sample(double* first, double* last, std::vector<double>* scratch) {
+  const auto n = static_cast<std::size_t>(last - first);
+  if (n < 2) return;
   constexpr int kPasses = 8;
   std::array<std::array<std::size_t, 256>, kPasses> counts{};
-  for (std::uint64_t key : keys) {
+  for (double* value = first; value != last; ++value) {
+    const std::uint64_t key = sort_key(*value);
+    set_bits(value, key);
     for (int pass = 0; pass < kPasses; ++pass) {
       ++counts[pass][(key >> (8 * pass)) & 0xff];
     }
   }
-  const std::size_t n = keys.size();
-  std::vector<std::uint64_t> scratch(n);
+  if (scratch->size() < n) scratch->resize(n);
+  const std::uint64_t any_key = bits_of(first);
+  double* from = first;
+  double* to = scratch->data();
   for (int pass = 0; pass < kPasses; ++pass) {
     std::array<std::size_t, 256>& offsets = counts[pass];
     const int shift = 8 * pass;
-    if (offsets[(keys[0] >> shift) & 0xff] == n) continue;
+    if (offsets[(any_key >> shift) & 0xff] == n) continue;
     std::size_t next = 0;
     for (std::size_t& offset : offsets) {
       const std::size_t count = offset;
       offset = next;
       next += count;
     }
-    for (std::uint64_t key : keys) {
-      scratch[offsets[(key >> shift) & 0xff]++] = key;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t key = bits_of(from + i);
+      set_bits(to + offsets[(key >> shift) & 0xff]++, key);
     }
-    keys.swap(scratch);
+    std::swap(from, to);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    first[i] = from_sort_key(bits_of(from + i));
   }
 }
 
-}  // namespace
-
-void sort_sample(std::vector<double>& values) {
-  if (values.size() < 2) return;
-  std::vector<std::uint64_t> keys(values.size());
-  std::transform(values.begin(), values.end(), keys.begin(), sort_key);
-  radix_sort_keys(keys);
-  std::transform(keys.begin(), keys.end(), values.begin(), from_sort_key);
-}
-
-std::vector<double> merge_sorted_samples(
-    std::vector<std::vector<double>> parts) {
-  if (parts.empty()) return {};
-  const auto before = [](double a, double b) {
-    return sort_key(a) < sort_key(b);
-  };
-  while (parts.size() > 1) {
-    std::vector<std::vector<double>> merged;
-    merged.reserve((parts.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < parts.size(); i += 2) {
-      std::vector<double> out(parts[i].size() + parts[i + 1].size());
-      std::merge(parts[i].begin(), parts[i].end(), parts[i + 1].begin(),
-                 parts[i + 1].end(), out.begin(), before);
-      merged.push_back(std::move(out));
-    }
-    if (parts.size() % 2 != 0) merged.push_back(std::move(parts.back()));
-    parts = std::move(merged);
-  }
-  return std::move(parts.front());
-}
-
-double percentile_sorted(const std::vector<double>& sorted, double p) {
+double percentile_sorted(const double* first, const double* last, double p) {
   CIMTPU_CONFIG_CHECK(p >= 0.0 && p <= 100.0,
                       "percentile " << p << " outside [0, 100]");
-  CIMTPU_CHECK(!sorted.empty());
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  CIMTPU_CHECK(last > first);
+  const double rank = p / 100.0 * static_cast<double>(last - first - 1);
   const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
   const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
   const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  return first[lo] + frac * (first[hi] - first[lo]);
 }
 
 std::vector<double> exponential_bounds(double start, double factor,

@@ -11,22 +11,17 @@
 
 namespace cimtpu::serving {
 
-/// Sorts `values` ascending, in place, by the IEEE-754 total order
-/// (-0.0 before +0.0; otherwise the order of operator<): an LSD radix
-/// sort on the bit patterns, at most eight linear passes.
-void sort_sample(std::vector<double>& values);
+/// Sorts [first, last) ascending, in place, by the IEEE-754 total order
+/// (-0.0 before +0.0; otherwise the order of operator<): an LSD radix sort
+/// on the bit patterns, at most eight linear passes.  The keys are built
+/// in the range itself; `scratch` is the passes' second buffer, grown to
+/// the range's size and kept, so one scratch serves a run of sorts.
+void sort_sample(double* first, double* last, std::vector<double>* scratch);
 
-/// Merges ascending-sorted samples into one ascending sample: the union a
-/// single sort of their concatenation would give (pairwise rounds,
-/// O(n log k)).  A single part is moved through without a copy.
-std::vector<double> merge_sorted_samples(
-    std::vector<std::vector<double>> parts);
-
-/// Percentile of an already-sorted, NON-EMPTY sample with linear
-/// interpolation between closest ranks (the same convention as
-/// numpy.percentile's default); `p` is in [0, 100].  summarize_latencies
-/// sorts once and takes several percentiles.
-double percentile_sorted(const std::vector<double>& sorted, double p);
+/// Percentile of an already-sorted, NON-EMPTY sample [first, last) with
+/// linear interpolation between closest ranks (the same convention as
+/// numpy.percentile's default); `p` is in [0, 100].
+double percentile_sorted(const double* first, const double* last, double p);
 
 /// `count` strictly-ascending bucket upper bounds starting at `start` and
 /// multiplying by `factor` (> 1) — the usual latency-histogram layout.

@@ -1,11 +1,13 @@
 // Step allocation discipline: the serving hot loop (next_step +
 // cost_step, and the engine's quiet-decode fast path) must not touch the
-// heap in steady-state decode.  This binary
+// heap in steady-state decode, and the engine's per-request state and
+// end-of-run rollup stay within a byte budget per request.  This binary
 // replaces GLOBAL operator new so every allocation anywhere in the
-// process bumps a counter — the assertions below are therefore about the
-// real allocator, not a proxy.
+// process bumps a counter and the live and peak byte totals — the
+// assertions below are therefore about the real allocator, not a proxy.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -16,6 +18,7 @@
 #include "arch/tpu_config.h"
 #include "models/model_zoo.h"
 #include "serving/kv_cache_manager.h"
+#include "serving/request_gen.h"
 #include "serving/scheduler.h"
 #include "serving/serving_sim.h"
 #include "serving/step_cost_cache.h"
@@ -25,25 +28,48 @@
 // --- Counting global allocator ----------------------------------------------
 // Minimal replacement set: the sized/array forms forward here.  Counting
 // happens on every path so a hot-loop allocation cannot hide behind a
-// specialized overload.
+// specialized overload.  Each block carries a header holding its size, so
+// a delete knows how many live bytes it returns.
 
 namespace {
-// Relaxed ordering: the tests that read the count are single-threaded.
+// Relaxed ordering: the tests that read the counts are single-threaded.
 std::atomic<std::int64_t> heap_allocations{0};
+std::atomic<std::int64_t> live_bytes{0};
+std::atomic<std::int64_t> peak_bytes{0};
+
+constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 void* counted_alloc(std::size_t size) {
   heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+  auto* block = static_cast<char*>(std::malloc(kHeader + size));
+  if (block == nullptr) throw std::bad_alloc();
+  *reinterpret_cast<std::size_t*>(block) = size;
+  const std::int64_t live =
+      live_bytes.fetch_add(static_cast<std::int64_t>(size),
+                           std::memory_order_relaxed) +
+      static_cast<std::int64_t>(size);
+  if (live > peak_bytes.load(std::memory_order_relaxed)) {
+    peak_bytes.store(live, std::memory_order_relaxed);
+  }
+  return block + kHeader;
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  char* block = static_cast<char*>(p) - kHeader;
+  live_bytes.fetch_sub(
+      static_cast<std::int64_t>(*reinterpret_cast<std::size_t*>(block)),
+      std::memory_order_relaxed);
+  std::free(block);
 }
 }  // namespace
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace cimtpu::serving {
 namespace {
@@ -52,6 +78,13 @@ std::int64_t allocations() {
   return heap_allocations.load(std::memory_order_relaxed);
 }
 
+std::int64_t live() { return live_bytes.load(std::memory_order_relaxed); }
+
+/// The highest live total since the last reset_peak().
+std::int64_t peak() { return peak_bytes.load(std::memory_order_relaxed); }
+
+void reset_peak() { peak_bytes.store(live(), std::memory_order_relaxed); }
+
 TEST(AllocationHook, CountsRealAllocations) {
   const std::int64_t before = allocations();
   auto* v = new std::vector<int>(1024);
@@ -59,6 +92,17 @@ TEST(AllocationHook, CountsRealAllocations) {
   EXPECT_GT(allocations(), before) << "the replacement operator new is not "
                                       "linked; zero-alloc assertions below "
                                       "would be vacuous";
+}
+
+TEST(AllocationHook, TracksLiveAndPeakBytes) {
+  const std::int64_t before = live();
+  reset_peak();
+  {
+    std::vector<char> big(1 << 20);
+    EXPECT_EQ(live() - before, 1 << 20);
+  }
+  EXPECT_EQ(live(), before);
+  EXPECT_EQ(peak() - before, 1 << 20);
 }
 
 TEST(StepRecord, ReserveAbsorbsTheFirstFullBatch) {
@@ -255,7 +299,33 @@ TEST(EngineInject, WholeTraceHandoverIsSizedOnce) {
   EXPECT_EQ(small, large)
       << "injecting a whole trace must allocate a count independent of its "
          "length";
-  EXPECT_LE(large, 3) << "one allocation per per-request array";
+  EXPECT_LE(large, 4) << "one allocation per per-request array";
+}
+
+// The engine's heap per request, on the chat_long workload's stream and
+// chip: a whole-trace handover holds at most 32 B a request (pointer 8,
+// timeline 16, flags 1, id slot 4), and the end-of-run rollup, which
+// holds one latency sample and its sort scratch at a time, raises the
+// peak by at most 20 B a request over the drained engine.
+TEST(EngineHeap, InjectAndRollupStayWithinTheirBytesPerRequest) {
+  constexpr std::int64_t kRequests = 50000;
+  const std::vector<Request> requests =
+      generate_requests(zipf_chat_stream(/*seed=*/42, kRequests, 1.0));
+  ServingScenario scenario =
+      llama7b_baseline_scenario(/*chips=*/1, ir::DType::kInt4);
+  scenario.chip_config = arch::cim_tpu_default();
+  ServingEngine engine(scenario);
+  const std::int64_t constructed = live();
+  engine.inject_all(requests);
+  EXPECT_LE(live() - constructed, 32 * kRequests)
+      << "inject_all's per-request state";
+  engine.drain();
+  const std::int64_t drained = live();
+  reset_peak();
+  const ServingMetrics metrics = engine.finish();
+  EXPECT_EQ(metrics.completed, kRequests);
+  EXPECT_LE(peak() - drained, 20 * kRequests)
+      << "finish()'s peak over the drained engine";
 }
 
 }  // namespace

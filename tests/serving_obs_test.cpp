@@ -33,22 +33,26 @@ namespace {
 
 // --- Shared percentile math (satellite: dedup with unit tests) ---------------
 
+double percentile_of(const std::vector<double>& sorted, double p) {
+  return percentile_sorted(sorted.data(), sorted.data() + sorted.size(), p);
+}
+
 TEST(Percentile, SingleElement) {
-  EXPECT_EQ(percentile_sorted({7.5}, 0.0), 7.5);
-  EXPECT_EQ(percentile_sorted({7.5}, 50.0), 7.5);
-  EXPECT_EQ(percentile_sorted({7.5}, 100.0), 7.5);
+  EXPECT_EQ(percentile_of({7.5}, 0.0), 7.5);
+  EXPECT_EQ(percentile_of({7.5}, 50.0), 7.5);
+  EXPECT_EQ(percentile_of({7.5}, 100.0), 7.5);
 }
 
 TEST(Percentile, EdgesAreMinAndMax) {
   const std::vector<double> sorted = {1.0, 1.5, 3.0, 4.0, 9.0};
-  EXPECT_EQ(percentile_sorted(sorted, 0.0), 1.0);
-  EXPECT_EQ(percentile_sorted(sorted, 100.0), 9.0);
+  EXPECT_EQ(percentile_of(sorted, 0.0), 1.0);
+  EXPECT_EQ(percentile_of(sorted, 100.0), 9.0);
 }
 
 TEST(Percentile, LinearInterpolationMatchesNumpyConvention) {
   // numpy.percentile([1, 2, 3, 4], 50) == 2.5; 25 -> 1.75.
-  EXPECT_DOUBLE_EQ(percentile_sorted({1.0, 2.0, 3.0, 4.0}, 50.0), 2.5);
-  EXPECT_DOUBLE_EQ(percentile_sorted({1.0, 2.0, 3.0, 4.0}, 25.0), 1.75);
+  EXPECT_DOUBLE_EQ(percentile_of({1.0, 2.0, 3.0, 4.0}, 50.0), 2.5);
+  EXPECT_DOUBLE_EQ(percentile_of({1.0, 2.0, 3.0, 4.0}, 25.0), 1.75);
 }
 
 TEST(ExponentialBounds, GeometricAndStrictlyAscending) {
@@ -233,8 +237,8 @@ RequestStreamConfig golden_stream() {
   stream.seed = 42;
   stream.num_requests = 120;
   stream.arrival_rate = 50.0;
-  stream.prompt.kind = LengthDistribution::kFixed;
-  stream.prompt.mean = 256;
+  stream.prompt.kind = LengthDistribution::kUniform;
+  stream.prompt.min_len = stream.prompt.max_len = 256;
   stream.output.kind = LengthDistribution::kUniform;
   stream.output.min_len = 64;
   stream.output.max_len = 256;

@@ -884,8 +884,8 @@ RequestStreamConfig pressure_stream(std::uint64_t seed, std::int64_t n) {
   stream.seed = seed;
   stream.num_requests = n;
   stream.arrival_rate = 50.0;
-  stream.prompt.kind = LengthDistribution::kFixed;
-  stream.prompt.mean = 256;
+  stream.prompt.kind = LengthDistribution::kUniform;
+  stream.prompt.min_len = stream.prompt.max_len = 256;
   stream.output.kind = LengthDistribution::kUniform;
   stream.output.min_len = 64;
   stream.output.max_len = 256;
@@ -977,10 +977,10 @@ TEST(PolicyEndToEndTest, ChunkingBoundsTpotUnderLongPrompts) {
   stream.seed = 21;
   stream.num_requests = 40;
   stream.arrival_rate = 2.0;
-  stream.prompt.kind = LengthDistribution::kFixed;
-  stream.prompt.mean = 4096;
-  stream.output.kind = LengthDistribution::kFixed;
-  stream.output.mean = 128;
+  stream.prompt.kind = LengthDistribution::kUniform;
+  stream.prompt.min_len = stream.prompt.max_len = 4096;
+  stream.output.kind = LengthDistribution::kUniform;
+  stream.output.min_len = stream.output.max_len = 128;
   const auto requests = generate_requests(stream);
   ServingScenario whole = llama7b_baseline_scenario(1, ir::DType::kInt4);
   ServingScenario chunked = whole;

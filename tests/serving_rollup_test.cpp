@@ -1,6 +1,7 @@
-// Latency rollup lockstep: the in-place radix sample sort, the merge of
-// sorted parts, and the engine's sort-once TTFT/TPOT/e2e rollup must equal
-// a plain std::sort reference bit for bit — and the engine's request-id
+// Latency rollup lockstep: the in-place radix sample sort (whole buffers
+// and segments), and the engine's and the cluster fleet's TTFT/TPOT/e2e
+// rollup must equal a plain std::sort reference bit for bit — and the
+// engine's request-id
 // validation that its id-indexed per-request state relies on, plus its
 // inject/finish lifecycle — and the metrics structs' field tables: each
 // covers its whole struct, and publishing writes every entry.
@@ -11,6 +12,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <deque>
+#include <iterator>
 #include <map>
 #include <random>
 #include <string>
@@ -18,9 +21,11 @@
 #include <utility>
 #include <vector>
 
+#include "arch/chip.h"
 #include "common/status.h"
 #include "serving/cluster.h"
 #include "serving/fault.h"
+#include "serving/kv_cache_manager.h"
 #include "serving/metrics.h"
 #include "serving/obs_registry.h"
 #include "serving/serving_sim.h"
@@ -95,12 +100,13 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
 const std::size_t kSizes[] = {0, 1, 255, 256, 100000};
 
 TEST(SortSample, MatchesStdSortOnSeededSamples) {
+  std::vector<double> scratch;  // one scratch for every sort, as the rollup
   for (std::size_t n : kSizes) {
     const std::vector<double> sample = random_sample(n, 1000 + n);
     std::vector<double> expected = sample;
     std::sort(expected.begin(), expected.end());
     std::vector<double> actual = sample;
-    sort_sample(actual);
+    sort_sample(actual.data(), actual.data() + n, &scratch);
     ASSERT_EQ(actual.size(), expected.size()) << n;
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -115,6 +121,40 @@ TEST(SortSample, MatchesStdSortOnSeededSamples) {
   }
 }
 
+// The rollup sorts tenant segments of one buffer: a sort of [first, last)
+// leaves every value outside it untouched, and re-sorting the whole
+// buffer of sorted segments gives one sort's bits.  Latency-like values
+// in [1, 2) share their top key byte, so the sort skips that pass and
+// ends its odd count of passes in the scratch buffer.
+TEST(SortSample, SortsASegmentInPlaceAndTheWholeAfterward) {
+  std::mt19937_64 rng(3000);
+  std::vector<double> sample(100000);
+  for (double& value : sample) {
+    value = 1.0 + static_cast<double>(rng() >> 11) * 0x1p-53;
+  }
+  for (std::size_t i = 0; i < sample.size(); i += 10) sample[i] = 1.5;
+  std::vector<double> whole = sample;
+  std::vector<double> scratch(3);  // shorter than any segment: it grows
+  sort_sample(whole.data(), whole.data() + whole.size(), &scratch);
+  std::vector<double> buffer = sample;
+  const std::size_t cuts[] = {0, 1, 4000, 4000, 61000, 100000};
+  for (std::size_t k = 0; k + 1 < std::size(cuts); ++k) {
+    std::vector<double> expected = buffer;
+    std::sort(expected.begin() + cuts[k], expected.begin() + cuts[k + 1]);
+    sort_sample(buffer.data() + cuts[k], buffer.data() + cuts[k + 1],
+                &scratch);
+    for (std::size_t i = 0; i < buffer.size(); ++i) {
+      // Outside the segment: the same bits; inside: std::sort's values.
+      const bool inside = i >= cuts[k] && i < cuts[k + 1];
+      ASSERT_TRUE(inside ? buffer[i] == expected[i]
+                         : same_bits({buffer[i]}, {expected[i]}))
+          << "segment " << k << " index " << i;
+    }
+  }
+  sort_sample(buffer.data(), buffer.data() + buffer.size(), &scratch);
+  EXPECT_TRUE(same_bits(buffer, whole));
+}
+
 TEST(SummarizeLatencies, MatchesStdSortReferenceFieldByField) {
   for (std::size_t n : kSizes) {
     const std::vector<double> sample = random_sample(n, 2000 + n);
@@ -122,32 +162,6 @@ TEST(SummarizeLatencies, MatchesStdSortReferenceFieldByField) {
     expect_summary_eq(summarize_latencies(std::move(moved)),
                       reference_summary(sample),
                       "n=" + std::to_string(n));
-  }
-}
-
-TEST(MergeSortedSamples, EqualsOneSortOfTheConcatenation) {
-  const std::vector<double> sample = random_sample(100000, 3000);
-  std::vector<double> whole = sample;
-  sort_sample(whole);
-  for (std::size_t parts_count : {0u, 1u, 2u, 3u, 5u}) {
-    std::vector<std::vector<double>> parts(parts_count);
-    // Uneven parts, one left empty when there are several.
-    for (std::size_t i = 0; i < sample.size() && parts_count > 0; ++i) {
-      const std::size_t part = (i * i) % parts_count;
-      if (parts_count > 2 && part == 1) continue;
-      parts[part].push_back(sample[i]);
-    }
-    std::vector<double> expected;
-    for (std::vector<double>& part : parts) {
-      expected.insert(expected.end(), part.begin(), part.end());
-      sort_sample(part);
-    }
-    sort_sample(expected);
-    const std::vector<double> merged = merge_sorted_samples(std::move(parts));
-    EXPECT_TRUE(same_bits(merged, expected)) << parts_count;
-    if (parts_count == 1) {
-      EXPECT_TRUE(same_bits(merged, whole));
-    }
   }
 }
 
@@ -168,47 +182,35 @@ std::vector<Request> replica_like_requests() {
   return requests;
 }
 
-TEST(EngineRollup, MatchesStdSortReferenceFromOutcomes) {
-  const std::vector<Request> requests = replica_like_requests();
-  ServingScenario scenario = llama7b_baseline_scenario(1, ir::DType::kInt4);
-  // Cut mid-stream: some requests never arrive, some are still in flight.
-  scenario.max_sim_seconds = 0.6 * requests.back().arrival_time;
-  ServingEngine engine(scenario);
-  for (const Request& request : requests) engine.inject(request);
-  engine.drain();
-  const std::vector<ServingEngine::RequestOutcome> outcomes =
-      engine.outcomes();
-  const ServingMetrics metrics = engine.finish();
-
+/// Checks `metrics`' request rollup — global ttft/tpot/e2e and every
+/// tenant's summaries — against std::sort references built from `rows`,
+/// the per-request outcomes parallel to `requests`.
+void expect_rollup_matches_reference(
+    const std::vector<Request>& requests,
+    const std::vector<ServingEngine::RequestOutcome>& rows,
+    const ServingMetrics& metrics) {
   std::vector<double> ttft, tpot, e2e;
   std::map<std::int64_t, std::pair<std::vector<double>, std::vector<double>>>
       tenant_samples;  // tenant id -> (ttft, e2e)
-  std::int64_t not_arrived = 0;
-  ASSERT_EQ(outcomes.size(), requests.size());
-  for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    const ServingEngine::RequestOutcome& outcome = outcomes[k];
-    const Request& request = requests[k];  // injection order
-    if (!outcome.arrived) {
-      ++not_arrived;
-      continue;
-    }
+  ASSERT_EQ(rows.size(), requests.size());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const ServingEngine::RequestOutcome& row = rows[k];
+    const Request& request = requests[k];
+    if (!row.arrived) continue;
     auto& [tenant_ttft, tenant_e2e] = tenant_samples[request.tenant_id];
-    if (outcome.first_token >= 0) {
-      ttft.push_back(outcome.first_token - request.arrival_time);
-      tenant_ttft.push_back(outcome.first_token - request.arrival_time);
+    if (row.first_token >= 0) {
+      ttft.push_back(row.first_token - request.arrival_time);
+      tenant_ttft.push_back(row.first_token - request.arrival_time);
     }
-    if (outcome.completion < 0) continue;
-    e2e.push_back(outcome.completion - request.arrival_time);
-    tenant_e2e.push_back(outcome.completion - request.arrival_time);
-    if (request.output_len > 1 && outcome.first_token >= 0) {
-      tpot.push_back((outcome.completion - outcome.first_token) /
+    if (row.completion < 0) continue;
+    e2e.push_back(row.completion - request.arrival_time);
+    tenant_e2e.push_back(row.completion - request.arrival_time);
+    if (request.output_len > 1 && row.first_token >= 0) {
+      tpot.push_back((row.completion - row.first_token) /
                      static_cast<double>(request.output_len - 1));
     }
   }
-  ASSERT_GT(not_arrived, 0);
-  ASSERT_GT(metrics.counters.shed_horizon, 0);
   ASSERT_GE(tenant_samples.size(), 3u);
-
   expect_summary_eq(metrics.ttft, reference_summary(ttft), "ttft");
   expect_summary_eq(metrics.tpot, reference_summary(tpot), "tpot");
   expect_summary_eq(metrics.e2e, reference_summary(e2e), "e2e");
@@ -223,6 +225,170 @@ TEST(EngineRollup, MatchesStdSortReferenceFromOutcomes) {
     expect_summary_eq(tenant.e2e, reference_summary(samples.second),
                       label + " e2e");
   }
+}
+
+/// Counts of the row kinds a horizon cut leaves: never arrived, arrived
+/// and shed before a first token, and in flight (a first token, no
+/// completion).
+struct RowKinds {
+  std::int64_t not_arrived = 0;
+  std::int64_t shed_waiting = 0;
+  std::int64_t in_flight = 0;
+};
+
+RowKinds row_kinds(const std::vector<ServingEngine::RequestOutcome>& rows) {
+  RowKinds kinds;
+  for (const ServingEngine::RequestOutcome& row : rows) {
+    if (!row.arrived) {
+      kinds.not_arrived += 1;
+    } else if (row.completion < 0) {
+      (row.first_token < 0 ? kinds.shed_waiting : kinds.in_flight) += 1;
+    }
+  }
+  return kinds;
+}
+
+TEST(EngineRollup, MatchesStdSortReferenceFromOutcomes) {
+  const std::vector<Request> requests = replica_like_requests();
+  ServingScenario scenario = llama7b_baseline_scenario(1, ir::DType::kInt4);
+  // Cut mid-stream: some requests never arrive, some are still in flight.
+  scenario.max_sim_seconds = 0.6 * requests.back().arrival_time;
+  ServingEngine engine(scenario);
+  for (const Request& request : requests) engine.inject(request);
+  engine.drain();
+  const std::vector<ServingEngine::RequestOutcome> outcomes =
+      engine.outcomes();
+  const ServingMetrics metrics = engine.finish();
+
+  ASSERT_GT(row_kinds(outcomes).not_arrived, 0);
+  ASSERT_GT(metrics.counters.shed_horizon, 0);
+  expect_rollup_matches_reference(requests, outcomes, metrics);
+}
+
+// --- Cluster rollup lockstep -------------------------------------------------
+// The fleet's request metrics come from the same rollup over the stitched
+// rows.  The references rebuild those rows from engines run alone: a
+// replica's run depends only on the requests it was given and when, never
+// on where the cluster driver paused it.
+
+TEST(ClusterRollup, ColocatedFleetMatchesStdSortReference) {
+  // Three times the engine test's load, so requests still wait at the cut.
+  std::vector<Request> requests = replica_like_requests();
+  for (Request& request : requests) request.arrival_time /= 3.0;
+  constexpr int kReplicas = 3;
+  ClusterConfig config;
+  config.base = llama7b_baseline_scenario(1, ir::DType::kInt4);
+  config.base.max_sim_seconds = 0.5 * requests.back().arrival_time;
+  config.replicas.assign(kReplicas, ReplicaSpec{});
+  config.router_policy = "round_robin";
+  const ClusterMetrics cluster = run_serving_cluster(config, requests);
+
+  // Round robin sends request p to replica p % kReplicas.
+  std::vector<ServingEngine::RequestOutcome> rows(requests.size());
+  for (int replica = 0; replica < kReplicas; ++replica) {
+    ServingEngine engine(config.base);
+    for (std::size_t p = replica; p < requests.size(); p += kReplicas) {
+      engine.inject(requests[p]);
+    }
+    engine.drain();
+    engine.finish();
+    const std::vector<ServingEngine::RequestOutcome> outcomes =
+        engine.outcomes();
+    for (std::size_t k = 0; k < outcomes.size(); ++k) {
+      rows[replica + k * kReplicas] = outcomes[k];
+    }
+  }
+  const RowKinds kinds = row_kinds(rows);
+  ASSERT_GT(kinds.not_arrived, 0);
+  ASSERT_GT(kinds.shed_waiting, 0);
+  ASSERT_GT(kinds.in_flight, 0);
+  EXPECT_EQ(cluster.arrived,
+            static_cast<std::int64_t>(requests.size()) - kinds.not_arrived);
+  EXPECT_EQ(cluster.shed, kinds.shed_waiting + kinds.in_flight);
+  expect_rollup_matches_reference(requests, rows, cluster.fleet);
+}
+
+TEST(ClusterRollup, DisaggregatedFleetMatchesStdSortReference) {
+  // An overloaded deadline stream under EDF: the prefill side sheds
+  // requests whose TTFT deadline is already lost, and every seventh
+  // request has one output token, so it completes on the prefill side.
+  RequestStreamConfig stream = slo_chat_stream(/*seed=*/23, 1200, 100.0);
+  stream.num_tenants = 3;
+  std::vector<Request> requests = generate_requests(stream);
+  for (std::size_t p = 0; p < requests.size(); p += 7) {
+    requests[p].output_len = 1;
+  }
+  ClusterConfig config;
+  config.base = llama7b_baseline_scenario(1, ir::DType::kInt4);
+  config.base.scheduler.admission.policy = "edf";
+  config.replicas.assign(2, ReplicaSpec{});
+  config.disaggregated = true;
+  config.prefill_replicas = 1;
+  const ClusterMetrics cluster = run_serving_cluster(config, requests);
+
+  // Prefill side: every request as a one-token clone.
+  std::vector<Request> prefill_clones = requests;
+  for (Request& clone : prefill_clones) {
+    clone.output_len = 1;
+    clone.tpot_deadline = 0;
+  }
+  ServingEngine prefill(config.base);
+  prefill.inject_all(prefill_clones);
+  prefill.drain();
+  prefill.finish();
+  const std::vector<ServingEngine::RequestOutcome> prefilled =
+      prefill.outcomes();
+  std::vector<ServingEngine::RequestOutcome> rows = prefilled;
+  // Each multi-token prompt's KV streams to the decode replica one p2p
+  // message per block and lands there, in (landing time, id) order.
+  const arch::TpuChip chip(config.base.chip_config);
+  const std::int64_t block_tokens = config.base.scheduler.kv_block_tokens;
+  const Seconds block_time = chip.ici().p2p_time(
+      KvCacheManager::token_bytes(config.base.model) *
+      static_cast<double>(block_tokens));
+  std::vector<std::pair<Seconds, std::size_t>> landings;  // (time, p)
+  for (std::size_t p = 0; p < requests.size(); ++p) {
+    if (requests[p].output_len < 2) continue;
+    rows[p].completion = -1;  // the decode side completes it
+    if (prefilled[p].completion < 0) continue;  // shed: nothing streams
+    const std::int64_t blocks =
+        (requests[p].prompt_len + block_tokens - 1) / block_tokens;
+    landings.emplace_back(
+        prefilled[p].completion + static_cast<double>(blocks) * block_time,
+        p);
+  }
+  std::sort(landings.begin(), landings.end(),
+            [&](const auto& a, const auto& b) {
+              return a.first != b.first
+                         ? a.first < b.first
+                         : requests[a.second].id < requests[b.second].id;
+            });
+  std::deque<Request> decode_clones;
+  ServingEngine decode(config.base);
+  for (const auto& [time, p] : landings) {
+    Request& clone = decode_clones.emplace_back(requests[p]);
+    clone.arrival_time = time;
+    clone.prefix_id = -1;
+    clone.prefix_len = 0;
+    clone.ttft_deadline = 0;
+    clone.tpot_deadline = 0;
+    decode.inject_prefilled(clone);
+  }
+  decode.drain();
+  decode.finish();
+  const std::vector<ServingEngine::RequestOutcome> decoded = decode.outcomes();
+  for (std::size_t k = 0; k < landings.size(); ++k) {
+    ServingEngine::RequestOutcome& row = rows[landings[k].second];
+    row.completion = decoded[k].completion;
+    row.shed = row.shed || decoded[k].shed;
+  }
+
+  std::int64_t shed = 0;
+  for (const ServingEngine::RequestOutcome& row : rows) shed += row.shed;
+  ASSERT_GT(shed, 0);
+  EXPECT_EQ(cluster.shed, shed);
+  EXPECT_EQ(cluster.arrived, static_cast<std::int64_t>(requests.size()));
+  expect_rollup_matches_reference(requests, rows, cluster.fleet);
 }
 
 // --- Request-id validation ----------------------------------------------------

@@ -134,6 +134,10 @@ ServingSweep index_recording_grid() {
   sweep.base.scenario = llama7b_baseline_scenario(1, ir::DType::kInt4);
   sweep.stream.seed = 3;
   sweep.stream.num_requests = 4;
+  sweep.stream.prompt.kind = LengthDistribution::kUniform;
+  sweep.stream.prompt.min_len = sweep.stream.prompt.max_len = 1024;
+  sweep.stream.output.kind = LengthDistribution::kUniform;
+  sweep.stream.output.min_len = sweep.stream.output.max_len = 1024;
   sweep.axes = {{"batch", {"a", "b", "c"},
                  [](SweepPoint& point, std::size_t i) {
                    point.scenario.scheduler.max_batch =

@@ -232,16 +232,12 @@ std::vector<Request> reference_generate_requests(
   };
   auto sample = [](const LengthSpec& spec, const std::vector<double>& cdf,
                    Rng& rng) -> std::int64_t {
-    switch (spec.kind) {
-      case LengthDistribution::kFixed:
-        return spec.mean;
-      case LengthDistribution::kUniform:
-        return rng.uniform_int(spec.min_len, spec.max_len);
-      case LengthDistribution::kZipf:
-        return spec.min_len + static_cast<std::int64_t>(reference_lower_bound(
-                                  cdf, rng.uniform() * cdf.back()));
+    if (spec.kind == LengthDistribution::kZipf) {
+      return spec.min_len + static_cast<std::int64_t>(reference_lower_bound(
+                                cdf, rng.uniform() * cdf.back()));
     }
-    return spec.mean;
+    if (spec.min_len == spec.max_len) return spec.min_len;
+    return rng.uniform_int(spec.min_len, spec.max_len);
   };
   Rng rng(config.seed);
   Rng priority_rng(config.seed ^ 0xa5a5c3c3deadbeefull);
@@ -338,14 +334,20 @@ TEST(RequestGenTest, GenerateRequestsMatchesTheLowerBoundSampler) {
   for (ArrivalProcess process : {ArrivalProcess::kPoisson,
                                  ArrivalProcess::kBursty,
                                  ArrivalProcess::kDiurnal}) {
-    for (LengthDistribution kind :
-         {LengthDistribution::kZipf, LengthDistribution::kUniform,
-          LengthDistribution::kFixed}) {
+    // 0: Zipf, 1: uniform, 2: a fixed length (uniform over one value).
+    for (int shape = 0; shape < 3; ++shape) {
       for (std::uint64_t seed : {1u, 42u, 1009u}) {
         RequestStreamConfig config = zipf_chat_stream(seed, 3000, 40.0, 3);
         config.process = process;
+        const LengthDistribution kind = shape == 0
+                                            ? LengthDistribution::kZipf
+                                            : LengthDistribution::kUniform;
         config.prompt.kind = kind;
         config.output.kind = kind;
+        if (shape == 2) {
+          config.prompt.max_len = config.prompt.min_len = 1024;
+          config.output.max_len = config.output.min_len = 1024;
+        }
         config.num_tenants = 4;
         config.tenant_weights = {5.0, 1.0, 0.5, 3.0};
         config.prefix_pool_size = 8;
@@ -360,8 +362,8 @@ TEST(RequestGenTest, GenerateRequestsMatchesTheLowerBoundSampler) {
           const Request& a = actual[i];
           const Request& e = expected[i];
           SCOPED_TRACE(::testing::Message()
-                       << arrival_process_name(process) << " kind "
-                       << static_cast<int>(kind) << " seed " << seed
+                       << arrival_process_name(process) << " shape "
+                       << shape << " seed " << seed
                        << " request " << i);
           ASSERT_EQ(a.id, e.id);
           ASSERT_EQ(a.arrival_time, e.arrival_time);  // bit for bit
@@ -397,6 +399,26 @@ TEST(RequestGenTest, ValidateCapsTheZipfSupport) {
   }
   spec.max_len = std::int64_t{10000000000};  // 80 GB of CDF unchecked
   EXPECT_THROW(spec.validate(), ConfigError);
+}
+
+// A length spec has no default distribution: a stream that forgets to
+// choose one fails with one line instead of drawing a silent default.
+TEST(RequestGenTest, UnsetLengthKindFailsValidation) {
+  RequestStreamConfig stream = test_stream(10, 1.0);
+  stream.output = LengthSpec{};
+  try {
+    generate_requests(stream);
+    FAIL() << "a length spec without a kind must be rejected";
+  } catch (const ConfigError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("no distribution"), std::string::npos) << message;
+    EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+  }
+  stream.output.kind = LengthDistribution::kUniform;
+  stream.output.min_len = stream.output.max_len = 7;
+  for (const Request& request : generate_requests(stream)) {
+    EXPECT_EQ(request.output_len, 7);
+  }
 }
 
 // Stream ids are dense in [0, num_requests) and an engine accepts ids up to
@@ -446,16 +468,19 @@ TEST(RequestGenTest, ValidateCapsTheMeanArrivalSpan) {
 TEST(MetricsTest, PercentileOnKnownSet) {
   std::vector<double> values;
   for (int i = 1; i <= 100; ++i) values.push_back(i);
-  EXPECT_DOUBLE_EQ(percentile_sorted(values, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(values, 100.0), 100.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(values, 50.0), 50.5);
-  EXPECT_NEAR(percentile_sorted(values, 95.0), 95.05, 1e-9);
-  EXPECT_NEAR(percentile_sorted(values, 99.0), 99.01, 1e-9);
+  const double* first = values.data();
+  const double* last = first + values.size();
+  EXPECT_DOUBLE_EQ(percentile_sorted(first, last, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(percentile_sorted(first, last, 100.0), 100.0);
+  EXPECT_DOUBLE_EQ(percentile_sorted(first, last, 50.0), 50.5);
+  EXPECT_NEAR(percentile_sorted(first, last, 95.0), 95.05, 1e-9);
+  EXPECT_NEAR(percentile_sorted(first, last, 99.0), 99.01, 1e-9);
 }
 
 TEST(MetricsTest, PercentileEdgeCases) {
-  EXPECT_DOUBLE_EQ(percentile_sorted({42.0}, 99.0), 42.0);
-  EXPECT_THROW(percentile_sorted({1.0}, 101.0), ConfigError);
+  const double one = 42.0;
+  EXPECT_DOUBLE_EQ(percentile_sorted(&one, &one + 1, 99.0), 42.0);
+  EXPECT_THROW(percentile_sorted(&one, &one + 1, 101.0), ConfigError);
 }
 
 TEST(MetricsTest, SummaryRollsUp) {
@@ -740,10 +765,10 @@ TEST(ServingSimTest, PipelineEmissionIsMonotonicPerRequest) {
   // as exiting the pipeline before the first token did (that would yield
   // negative TPOT and e2e < TTFT).
   RequestStreamConfig stream = test_stream(50, 100.0);
-  stream.prompt.kind = LengthDistribution::kFixed;
-  stream.prompt.mean = 4096;
-  stream.output.kind = LengthDistribution::kFixed;
-  stream.output.mean = 2;
+  stream.prompt.kind = LengthDistribution::kUniform;
+  stream.prompt.min_len = stream.prompt.max_len = 4096;
+  stream.output.kind = LengthDistribution::kUniform;
+  stream.output.min_len = stream.output.max_len = 2;
   const auto requests = generate_requests(stream);
   const ServingMetrics metrics = run_serving(small_scenario(4), requests);
   EXPECT_EQ(metrics.completed, 50);
